@@ -7,10 +7,9 @@
 //! top-k contains `t`. Chvátal's greedy yields the `1 + ln|Dk|` size
 //! factor of Theorem 9.
 
+use rrm_core::rank::batch_top_k;
 use rrm_core::{Dataset, Parallelism};
 use rrm_setcover::greedy_set_cover_capped;
-
-use crate::common::batch_topk;
 
 /// Run ASMS for threshold `k`. Returns `B ∪ (greedy cover)`, sorted.
 ///
@@ -28,7 +27,7 @@ pub fn asms(
     candidate_mask: Option<&[bool]>,
     pol: Parallelism,
 ) -> Vec<u32> {
-    let topk = batch_topk(data, dirs, k, pol);
+    let topk = batch_top_k(data, dirs, k, pol);
     asms_with_topk(data.n(), k, basis, &topk, candidate_mask)
 }
 
@@ -185,7 +184,7 @@ mod tests {
         let data = independent(300, 3, 13);
         let basis = basis_indices(&data);
         let disc = build_vector_set(3, &FullSpace::new(3), 200, 3, 3);
-        let top10 = crate::common::batch_topk(&data, &disc.dirs, 10, Parallelism::Auto);
+        let top10 = batch_top_k(&data, &disc.dirs, 10, Parallelism::Auto);
         for k in [1usize, 4, 7, 10] {
             let via_prefix = asms_with_topk(data.n(), k, &basis, &top10, None);
             let direct = asms(&data, k, &basis, &disc.dirs, None, Parallelism::Auto);
@@ -216,7 +215,7 @@ mod tests {
         let data = independent(400, 3, 17);
         let basis = basis_indices(&data);
         let disc = build_vector_set(3, &FullSpace::new(3), 300, 4, 6);
-        let topk = crate::common::batch_topk(&data, &disc.dirs, 10, Parallelism::Auto);
+        let topk = batch_top_k(&data, &disc.dirs, 10, Parallelism::Auto);
         for k in [1usize, 3, 10] {
             let full = asms_with_topk(data.n(), k, &basis, &topk, None);
             let uncapped_picks = full.len() - basis.len();

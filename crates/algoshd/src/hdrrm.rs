@@ -11,13 +11,15 @@
 //!    probability ≥ 1 − δ, the set holds a top-`k'` tuple; all utilities
 //!    are within `1 − ε` of `w_{k'}`).
 //!
-//! During the binary phase every probe needs `Φk` for `k ≤ k_hi`, which is
-//! a prefix of `Φ_{k_hi}` — the top-`k_hi` lists are computed once and
-//! sliced, provided they fit a memory budget.
+//! Every probe at threshold `k` needs only `Φk`, a prefix of any deeper
+//! `Φ_K`. Once the coarse incumbent bounds the answer by `K`, one top-`K`
+//! pass serves every doubling and binary probe up to `K`, provided the
+//! lists fit a memory budget.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use rrm_core::rank::batch_top_k;
 use rrm_core::{
     basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Cutoff,
     Dataset, ExecPolicy, Parallelism, RrmError, Solution, TerminatedBy, UtilitySpace,
@@ -27,7 +29,7 @@ use rrm_skyline::IncrementalSkyline;
 
 use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
 use crate::asms::{asms_with_topk, asms_with_topk_capped};
-use crate::common::batch_topk;
+use crate::common::{ListCache, ListSource, TopkLists, DEFAULT_CACHE_BUDGET_ENTRIES};
 use crate::discretize::{build_vector_set_exec, paper_sample_size, Discretization};
 
 /// Tuning knobs for [`hdrrm`]. Defaults mirror the paper's experiments.
@@ -51,9 +53,10 @@ pub struct HdrrmOptions {
     /// raising the rank-regret on hard data (see the `ablation`
     /// experiment). Disable only when the utility floor is not needed.
     pub include_basis: bool,
-    /// Memory budget for caching top-k lists across the binary-search
-    /// phase, in entries (`|D| · k_hi`). Above it, lists are recomputed
-    /// per probe.
+    /// Memory budget for keeping top-k lists between threshold probes, in
+    /// entries (`|D| · k`). Lists deeper than it are recomputed per
+    /// probe, and the one deep pass at the coarse incumbent's bound runs
+    /// only when it fits.
     pub cache_budget_entries: usize,
     /// Bound-and-prune the feasibility probes: abort a greedy cover as
     /// soon as it provably exceeds the size budget `r`. Decision- and
@@ -76,7 +79,7 @@ impl Default for HdrrmOptions {
             seed: 0xD15C0,
             skyline_candidates: true,
             include_basis: true,
-            cache_budget_entries: 64 << 20, // 64M u32 entries = 256 MB
+            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
             prune: true,
             exec: ExecPolicy::default(),
         }
@@ -93,7 +96,7 @@ const COARSE_MIN_DIRS: usize = 16;
 
 /// The per-solve probe environment shared by the one-shot and prepared
 /// HDRRM searches: everything a feasibility probe needs besides the
-/// top-k lists (which the two paths source differently).
+/// cache its top-k lists are kept in.
 struct AsmsSearch<'a> {
     data: &'a Dataset,
     r: usize,
@@ -103,6 +106,7 @@ struct AsmsSearch<'a> {
     /// pruning is disabled).
     pick_cap: usize,
     pol: Parallelism,
+    cache_budget_entries: usize,
 }
 
 /// Greedy pick cap for a probe: chosen tuples never overlap the basis,
@@ -163,15 +167,11 @@ impl AsmsSearch<'_> {
         if mc < COARSE_MIN_DIRS {
             return;
         }
-        let coarse = &dirs[..mc];
+        let cache = ListCache::default();
+        let source = self.source(&dirs[..mc], 0, &cache, 0);
         let mut sub = AnytimeSearch::unlimited();
-        let mut cache: Option<(usize, Vec<Vec<u32>>)> = None;
         let outcome = threshold_search(self.data.n(), &mut sub, |k, lower, sub| {
-            if cache.as_ref().is_none_or(|(ck, _)| *ck < k) {
-                cache = Some((k, batch_topk(self.data, coarse, k, self.pol)));
-            }
-            let (_, lists) = cache.as_ref().expect("coarse top-k cache just filled");
-            Ok(self.probe(k, lists, lower, sub))
+            Ok(self.probe(k, &source.lists(k), lower, sub))
         });
         search.report.nodes += sub.report.nodes;
         search.report.pruned_probes += sub.report.pruned_probes;
@@ -180,6 +180,52 @@ impl AsmsSearch<'_> {
             let upper = regret_over_dirs(self.data, &q, dirs, self.pol);
             search.offer(q, upper, 1);
         }
+    }
+
+    fn source<'s>(
+        &'s self,
+        dirs: &'s [Vec<f64>],
+        deep: usize,
+        cache: &'s ListCache,
+        key: usize,
+    ) -> ListSource<'s> {
+        ListSource {
+            data: self.data,
+            dirs,
+            pol: self.pol,
+            budget_entries: self.cache_budget_entries,
+            deep,
+            cache,
+            key,
+        }
+    }
+
+    /// The whole search over the size-`m` discretization `dirs`
+    /// (Algorithm 3 lines 2–6), shared by [`hdrrm_anytime`] and
+    /// [`PreparedHdrrm::solve_rrm`], which differ only in `cache`.
+    ///
+    /// Under a cutoff a fallback incumbent comes first; then the coarse
+    /// incumbent, whose full-frame bound sets the depth of the one deep
+    /// top-k pass; then the doubling-then-binary search, whose probes
+    /// read prefixes of the kept lists.
+    fn solve(
+        &self,
+        dirs: &[Vec<f64>],
+        mut search: AnytimeSearch,
+        cache: &ListCache,
+        m: usize,
+    ) -> Result<Solution, RrmError> {
+        if search.cutoff() != Cutoff::None {
+            self.offer_fallback(dirs, &mut search);
+        }
+        self.coarse_incumbent(dirs, &mut search);
+        let n = self.data.n();
+        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
+        let source = self.source(dirs, deep, cache, m);
+        let outcome = threshold_search(n, &mut search, |k, lower, search| {
+            Ok(self.probe(k, &source.lists(k), lower, search))
+        })?;
+        self.finish(outcome, search)
     }
 
     /// Assemble the final [`Solution`] from a finished or cut-off search.
@@ -278,31 +324,9 @@ pub fn hdrrm_anytime(
         mask: mask.as_deref(),
         pick_cap: pick_cap(r, &basis, &options),
         pol: options.exec.parallelism,
+        cache_budget_entries: options.cache_budget_entries,
     };
-    let mut search = AnytimeSearch::new(cutoff, probe_budget);
-    if search.cutoff() != Cutoff::None {
-        env.offer_fallback(&disc.dirs, &mut search);
-    }
-    env.coarse_incumbent(&disc.dirs, &mut search);
-
-    // Main search (Algorithm 3 lines 2–6). Top-k lists computed for the
-    // latest doubling threshold are kept (within the cache budget) and
-    // sliced for every smaller probe — the ASMS prefix property.
-    let mut cache: Option<(usize, Arc<Vec<Vec<u32>>>)> = None;
-    let outcome = threshold_search(n, &mut search, |k, lower, search| {
-        let lists = match &cache {
-            Some((ck, lists)) if *ck >= k => lists.clone(),
-            _ => {
-                let lists = Arc::new(batch_topk(data, &disc.dirs, k, options.exec.parallelism));
-                if disc.dirs.len().saturating_mul(k) <= options.cache_budget_entries {
-                    cache = Some((k, lists.clone()));
-                }
-                lists
-            }
-        };
-        Ok(env.probe(k, &lists, lower, search))
-    })?;
-    env.finish(outcome, search)
+    env.solve(&disc.dirs, AnytimeSearch::new(cutoff, probe_budget), &ListCache::default(), m)
 }
 
 /// HDRRM bound to one dataset and utility space: the prepare-once /
@@ -312,8 +336,8 @@ pub fn hdrrm_anytime(
 /// candidate mask once. Discretized vector sets (keyed by their sample
 /// count `m`, which the Theorem 10 formula ties to the queried `r`) and
 /// top-k lists are cached across queries: a repeated query re-runs only
-/// the greedy covers, and the binary-search phases of *different* queries
-/// share one top-`k` computation through the ASMS prefix property.
+/// the greedy covers, and the probes of *different* queries share one
+/// top-`k` computation through the ASMS prefix property.
 ///
 /// Every query returns exactly what the one-shot [`hdrrm`] / [`hdrrr`]
 /// would return for the same inputs — the caches are keyed by the same
@@ -331,13 +355,10 @@ pub struct PreparedHdrrm {
     sky: Option<IncrementalSkyline>,
     mask: Option<Vec<bool>>,
     discs: Mutex<HashMap<usize, Arc<Discretization>>>,
-    /// Per sample count `m`: the largest `k` computed so far and its
-    /// top-k lists (every smaller threshold is a prefix).
-    topk: Mutex<HashMap<usize, (usize, TopkLists)>>,
+    /// Per sample count `m`: the deepest top-k lists kept so far (every
+    /// smaller threshold is a prefix).
+    topk: ListCache,
 }
-
-/// Shared top-k index lists, one per discretized direction.
-type TopkLists = Arc<Vec<Vec<u32>>>;
 
 impl PreparedHdrrm {
     pub fn new(
@@ -363,7 +384,7 @@ impl PreparedHdrrm {
             sky,
             mask,
             discs: Mutex::new(HashMap::new()),
-            topk: Mutex::new(HashMap::new()),
+            topk: ListCache::default(),
         })
     }
 
@@ -384,7 +405,7 @@ impl PreparedHdrrm {
     ///   by the batch — a deleted tuple in the list, or an inserted tuple
     ///   outscoring the k-th entry — are re-scored. Untouched prefixes
     ///   survive verbatim, so the repaired cache is entry-for-entry what
-    ///   `batch_topk` on the new rows would produce (the scoring kernel's
+    ///   `batch_top_k` on the new rows would produce (the scoring kernel's
     ///   determinism contract makes the dot-product trigger exact).
     ///
     /// The basis is recomputed (`O(n·d)`, far below one direction's
@@ -442,40 +463,16 @@ impl PreparedHdrrm {
         )
     }
 
-    /// Top-k lists over the size-`m` discretization, with at least `k`
-    /// entries per direction. Within the cache budget, one computation at
-    /// the largest requested `k` serves every smaller threshold (the ASMS
-    /// prefix property); above it, lists are computed fresh per call —
-    /// exactly the one-shot memory/speed trade.
-    fn lists(&self, m: usize, k: usize) -> TopkLists {
-        let disc = self.disc(m);
-        let pol = self.options.exec.parallelism;
-        if disc.dirs.len().saturating_mul(k) > self.options.cache_budget_entries {
-            return Arc::new(batch_topk(&self.data, &disc.dirs, k, pol));
-        }
-        if let Some((cached_k, lists)) = self.topk.lock().expect("top-k cache poisoned").get(&m) {
-            if *cached_k >= k {
-                return lists.clone();
-            }
-        }
-        // Compute outside the lock (batch_topk is the dominant cost);
-        // racers duplicate deterministic work instead of serializing.
-        let lists = Arc::new(batch_topk(&self.data, &disc.dirs, k, pol));
-        let mut cache = self.topk.lock().expect("top-k cache poisoned");
-        match cache.get(&m) {
-            Some((cached_k, existing)) if *cached_k >= k => existing.clone(),
-            Some(_) => {
-                // Upgrading an existing entry to a deeper k never grows
-                // the entry count.
-                cache.insert(m, (k, lists.clone()));
-                lists
-            }
-            None => {
-                if cache.len() < PREPARED_CACHE_CAP {
-                    cache.insert(m, (k, lists.clone()));
-                }
-                lists
-            }
+    /// The probe environment for one query with size budget `r`.
+    fn env<'a>(&'a self, r: usize, basis: &'a [u32]) -> AsmsSearch<'a> {
+        AsmsSearch {
+            data: &self.data,
+            r,
+            basis,
+            mask: self.mask.as_deref(),
+            pick_cap: pick_cap(r, basis, &self.options),
+            pol: self.options.exec.parallelism,
+            cache_budget_entries: self.options.cache_budget_entries,
         }
     }
 
@@ -492,32 +489,14 @@ impl PreparedHdrrm {
     /// anytime behavior: the budget's [`Budget::effective_cutoff`] and
     /// `max_enumerations` probe allowance apply in-solve).
     pub fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let n = self.data.n();
         let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
         if r < basis.len().max(1) {
             return Err(RrmError::OutputSizeTooSmall { requested: r, minimum: basis.len().max(1) });
         }
         let m = self.rrm_samples(r, budget);
         let disc = self.disc(m);
-
-        let env = AsmsSearch {
-            data: &self.data,
-            r,
-            basis,
-            mask: self.mask.as_deref(),
-            pick_cap: pick_cap(r, basis, &self.options),
-            pol: self.options.exec.parallelism,
-        };
-        let mut search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
-        if search.cutoff() != Cutoff::None {
-            env.offer_fallback(&disc.dirs, &mut search);
-        }
-        env.coarse_incumbent(&disc.dirs, &mut search);
-
-        let outcome = threshold_search(n, &mut search, |k, lower, search| {
-            Ok(env.probe(k, &self.lists(m, k), lower, search))
-        })?;
-        env.finish(outcome, search)
+        let search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
+        self.env(r, basis).solve(&disc.dirs, search, &self.topk, m)
     }
 
     /// RRR for one threshold (identical to [`hdrrr`]).
@@ -530,7 +509,18 @@ impl PreparedHdrrm {
             paper_sample_size(n, (2 * self.basis.len()).max(8), self.data.dim(), self.options.delta)
         });
         let k = k.min(n);
-        let q = asms_with_topk(n, k, &self.basis, &self.lists(m, k), self.mask.as_deref());
+        let disc = self.disc(m);
+        let lists = ListSource {
+            data: &self.data,
+            dirs: &disc.dirs,
+            pol: self.options.exec.parallelism,
+            budget_entries: self.options.cache_budget_entries,
+            deep: 0,
+            cache: &self.topk,
+            key: m,
+        }
+        .lists(k);
+        let q = asms_with_topk(n, k, &self.basis, &lists, self.mask.as_deref());
         Solution::new(q, Some(k), Algorithm::Hdrrm, &self.data)
     }
 }
@@ -547,8 +537,8 @@ impl PreparedHdrrm {
 /// the top-k order breaks ties by ascending index — so the strict test is
 /// exact, and the kernel's fixed-order-sum contract makes the scalar
 /// [`rrm_core::utility::dot`] comparison bit-compatible with
-/// [`batch_topk`]'s internal scores. Disturbed directions are re-scored
-/// through [`batch_topk`] itself, so every returned list is exactly what
+/// [`batch_top_k`]'s internal scores. Disturbed directions are re-scored
+/// through [`batch_top_k`] itself, so every returned list is exactly what
 /// a fresh computation over the new rows produces.
 fn patch_topk(
     new_data: &Dataset,
@@ -589,7 +579,7 @@ fn patch_topk(
     }
     if !stale.is_empty() {
         let stale_dirs: Vec<Vec<f64>> = stale.iter().map(|&di| dirs[di].clone()).collect();
-        let fresh = batch_topk(new_data, &stale_dirs, k, pol);
+        let fresh = batch_top_k(new_data, &stale_dirs, k, pol);
         for (&slot, computed) in stale.iter().zip(fresh) {
             out[slot] = computed;
         }
@@ -747,17 +737,36 @@ mod tests {
 
     #[test]
     fn tiny_cache_budget_same_answer() {
-        let data = independent(400, 3, 28);
-        let a = hdrrm(&data, 8, &FullSpace::new(3), quick_opts(200)).unwrap();
-        let b = hdrrm(
-            &data,
-            8,
-            &FullSpace::new(3),
-            HdrrmOptions { cache_budget_entries: 0, ..quick_opts(200) },
-        )
-        .unwrap();
-        assert_eq!(a.indices, b.indices);
-        assert_eq!(a.certified_regret, b.certified_regret);
+        // Budget 0 keeps no lists between probes: no deep pass, and every
+        // probe scores afresh at its own k. The answers must not move,
+        // one-shot or prepared. On the second set the coarse bound (31)
+        // sits below the final threshold (45), so the default run also
+        // deepens its lists past the deep pass.
+        let space = FullSpace::new(3);
+        let sets = [(independent(400, 3, 28), 8, 200), (anticorrelated(300, 3, 2), 5, 300)];
+        for (i, (data, r, m)) in sets.into_iter().enumerate() {
+            let opts = quick_opts(m);
+            let tiny = HdrrmOptions { cache_budget_entries: 0, ..opts };
+            let want = hdrrm(&data, r, &space, opts).unwrap();
+            let k = want.certified_regret.unwrap();
+            if i == 1 {
+                let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
+                assert!(coarse < k, "coarse {coarse} vs final {k}");
+            }
+            assert_eq!(hdrrm(&data, r, &space, tiny).unwrap(), want, "set {i}");
+            for o in [opts, tiny] {
+                let prepared = PreparedHdrrm::new(&data, &space, o).unwrap();
+                for _ in 0..2 {
+                    assert_eq!(prepared.solve_rrm(r, &Budget::UNLIMITED).unwrap(), want, "set {i}");
+                }
+                let kept = prepared.topk.lock().unwrap().get(&m).map(|(depth, _)| *depth);
+                if o.cache_budget_entries == 0 {
+                    assert_eq!(kept, None, "set {i}: budget 0 keeps nothing");
+                } else {
+                    assert!(kept >= Some(k), "set {i}: kept {kept:?} below final {k}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -814,7 +823,7 @@ mod tests {
             // computation over the new rows.
             for (m, (k, lists)) in prepared.topk.lock().unwrap().iter() {
                 let disc = build_vector_set(4, &space, *m, opts.gamma, opts.seed);
-                let want = batch_topk(&upd.new, &disc.dirs, *k, Parallelism::Sequential);
+                let want = batch_top_k(&upd.new, &disc.dirs, *k, Parallelism::Sequential);
                 assert_eq!(lists.as_ref(), &want, "{ctx} m={m} k={k}");
             }
             for r in [6usize, 8, 10] {

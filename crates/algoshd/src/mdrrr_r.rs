@@ -7,17 +7,16 @@
 //! unsampled k-set regions can be missed, which is exactly the quality gap
 //! the paper's figures display at scale.
 
-use std::collections::HashSet;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rrm_core::rank::batch_top_k;
 use rrm_core::{
     Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
     TerminatedBy, UtilitySpace,
 };
 
 use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
-use crate::common::batch_topk;
+use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
 use crate::mdrrr::{hit_ksets, hit_ksets_capped};
 
 /// Options for [`mdrrr_r`].
@@ -49,28 +48,51 @@ const COARSE_FRACTION: usize = 16;
 const COARSE_MIN_DIRS: usize = 16;
 
 /// The per-solve probe environment shared by the one-shot and prepared
-/// MDRRRr RRM searches (the k-set family source differs between them).
+/// MDRRRr RRM searches (they differ only in where top-k lists are kept).
 pub(crate) struct SampledSearch<'a> {
     pub data: &'a Dataset,
     pub r: usize,
     /// Hitting-set pick cap (`usize::MAX` = pruning disabled).
     pub pick_cap: usize,
     pub pol: Parallelism,
+    /// Most list entries (`samples · k`) kept between probes; the one
+    /// deep pass runs only when it fits.
+    pub cache_budget_entries: usize,
 }
 
-impl SampledSearch<'_> {
-    pub(crate) fn pick_cap(r: usize, prune: bool) -> usize {
-        if prune {
-            r
-        } else {
-            usize::MAX
+impl<'a> SampledSearch<'a> {
+    pub(crate) fn new(data: &'a Dataset, r: usize, opts: MdrrrROptions) -> Self {
+        SampledSearch {
+            data,
+            r,
+            pick_cap: if opts.prune { r } else { usize::MAX },
+            pol: opts.exec.parallelism,
+            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
+        }
+    }
+
+    fn source<'s>(
+        &'s self,
+        dirs: &'s [Vec<f64>],
+        deep: usize,
+        cache: &'s ListCache,
+        key: usize,
+    ) -> ListSource<'s> {
+        ListSource {
+            data: self.data,
+            dirs,
+            pol: self.pol,
+            budget_entries: self.cache_budget_entries,
+            deep,
+            cache,
+            key,
         }
     }
 
     /// One capped hitting probe over a k-set family. Counts picks as
     /// nodes, records prunes, offers feasible results (their threshold
     /// is the sound upper bound over the sampled pool).
-    pub(crate) fn probe(
+    fn probe(
         &self,
         k: usize,
         ksets: &[Vec<u32>],
@@ -93,7 +115,7 @@ impl SampledSearch<'_> {
 
     /// Offer the uniform-direction top-`r` fallback incumbent, with its
     /// measured regret over the full sampled pool as the upper bound.
-    pub(crate) fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
+    fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
         let fallback = uniform_top_set(self.data, &[], self.r);
         let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
         search.offer(fallback, upper, 1);
@@ -104,16 +126,16 @@ impl SampledSearch<'_> {
     /// score and fewer k-sets to hit), then measure that answer over the
     /// full pool for a sound frame-relative upper bound. Coarse probes
     /// never consume the deterministic probe budget.
-    pub(crate) fn coarse_incumbent(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
+    fn coarse_incumbent(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
         let mc = dirs.len() / COARSE_FRACTION;
         if mc < COARSE_MIN_DIRS {
             return;
         }
-        let coarse = &dirs[..mc];
+        let cache = ListCache::default();
+        let source = self.source(&dirs[..mc], 0, &cache, 0);
         let mut sub = AnytimeSearch::unlimited();
         let outcome = threshold_search(self.data.n(), &mut sub, |k, lower, sub| {
-            let ksets = ksets_from_dirs(self.data, k, coarse, self.pol);
-            Ok(self.probe(k, &ksets, lower, sub))
+            Ok(self.probe(k, &kset_family(&source.lists(k), k), lower, sub))
         });
         search.report.nodes += sub.report.nodes;
         search.report.pruned_probes += sub.report.pruned_probes;
@@ -124,10 +146,37 @@ impl SampledSearch<'_> {
         }
     }
 
+    /// The whole RRM search over the sampled pool `dirs`, shared by
+    /// [`mdrrr_r_rrm_anytime`] and the prepared handle, which differ only
+    /// in `cache` (keyed by the pool size).
+    ///
+    /// Under a cutoff a fallback incumbent comes first; then the coarse
+    /// incumbent, whose pool-wide bound sets the depth of the one deep
+    /// top-k pass; then the doubling-then-binary search, whose probes
+    /// derive their k-set families from prefixes of the kept lists.
+    pub(crate) fn solve(
+        &self,
+        dirs: &[Vec<f64>],
+        mut search: AnytimeSearch,
+        cache: &ListCache,
+    ) -> Result<Solution, RrmError> {
+        if search.cutoff() != Cutoff::None {
+            self.offer_fallback(dirs, &mut search);
+        }
+        self.coarse_incumbent(dirs, &mut search);
+        let n = self.data.n();
+        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
+        let source = self.source(dirs, deep, cache, dirs.len());
+        let outcome = threshold_search(n, &mut search, |k, lower, search| {
+            Ok(self.probe(k, &kset_family(&source.lists(k), k), lower, search))
+        })?;
+        self.finish(outcome, search)
+    }
+
     /// Assemble the final [`Solution`]. MDRRRr certifies nothing
     /// (`certified_regret` stays `None`); its bounds are relative to the
     /// sampled pool only.
-    pub(crate) fn finish(
+    fn finish(
         &self,
         outcome: ThresholdOutcome<Vec<u32>>,
         search: AnytimeSearch,
@@ -165,37 +214,22 @@ pub(crate) fn sampled_dirs(space: &dyn UtilitySpace, opts: MdrrrROptions) -> Vec
     (0..opts.samples).map(|_| space.sample_direction(&mut rng)).collect()
 }
 
-/// Distinct top-k sets observed across the given directions. The scoring
-/// pass (`O(|dirs| · n · d)`) is chunked over `pol`'s threads; dedup and
-/// ordering below keep the family deterministic.
-pub(crate) fn ksets_from_dirs(
-    data: &Dataset,
-    k: usize,
-    dirs: &[Vec<f64>],
-    pol: Parallelism,
-) -> Vec<Vec<u32>> {
-    let lists = batch_topk(data, dirs, k, pol);
-    let mut seen: HashSet<Vec<u32>> = HashSet::with_capacity(lists.len() / 4);
-    for mut l in lists {
-        l.sort_unstable();
-        seen.insert(l);
-    }
-    // HashSet iteration order is randomized per process; the greedy cover
-    // downstream tie-breaks by list order, so sort to keep the whole
-    // algorithm deterministic for a fixed seed.
-    let mut ksets: Vec<Vec<u32>> = seen.into_iter().collect();
-    ksets.sort_unstable();
-    ksets
-}
-
-/// Distinct top-k sets observed across sampled directions.
-fn sample_ksets(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Vec<Vec<u32>> {
-    ksets_from_dirs(data, k, &sampled_dirs(space, opts), opts.exec.parallelism)
+/// The distinct top-k sets among per-direction top-k `lists`, each list
+/// read to its first `k` entries. Every set is sorted ascending and the
+/// family is sorted and deduplicated, so it is deterministic for a fixed
+/// pool (the greedy cover downstream tie-breaks by family order).
+pub(crate) fn kset_family(lists: &[Vec<u32>], k: usize) -> Vec<Vec<u32>> {
+    let mut family: Vec<Vec<u32>> = lists
+        .iter()
+        .map(|list| {
+            let mut set = list[..k.min(list.len())].to_vec();
+            set.sort_unstable();
+            set
+        })
+        .collect();
+    family.sort_unstable();
+    family.dedup();
+    family
 }
 
 /// MDRRRr for the RRR problem over a (possibly restricted) space. The
@@ -213,8 +247,8 @@ pub fn mdrrr_r(
         return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
     }
     let k = k.min(data.n());
-    let ksets = sample_ksets(data, k, space, opts);
-    let ids = hit_ksets(data.n(), &ksets);
+    let lists = batch_top_k(data, &sampled_dirs(space, opts), k, opts.exec.parallelism);
+    let ids = hit_ksets(data.n(), &kset_family(&lists, k));
     Solution::new(ids, None, Algorithm::MdrrrR, data)
 }
 
@@ -231,8 +265,9 @@ pub fn mdrrr_r_rrm(
 
 /// [`mdrrr_r_rrm`] as an anytime bound-and-prune search.
 ///
-/// The sampled direction pool is drawn once and reused for every
-/// threshold probe; hitting-set covers abort as soon as they provably
+/// The sampled direction pool is drawn and scored once for every
+/// threshold probe up to the coarse incumbent's bound (deeper probes
+/// deepen the lists); hitting-set covers abort as soon as they provably
 /// exceed `r` (when `opts.prune`); an early stop under `cutoff` returns
 /// the best incumbent found so far — the coarse-prefix answer, a feasible
 /// probe, or the uniform-direction fallback — with pool-relative
@@ -252,24 +287,9 @@ pub fn mdrrr_r_rrm_anytime(
     if r == 0 {
         return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
     }
-    let n = data.n();
     let dirs = sampled_dirs(space, opts);
-    let env = SampledSearch {
-        data,
-        r,
-        pick_cap: SampledSearch::pick_cap(r, opts.prune),
-        pol: opts.exec.parallelism,
-    };
-    let mut search = AnytimeSearch::new(cutoff, probe_budget);
-    if search.cutoff() != Cutoff::None {
-        env.offer_fallback(&dirs, &mut search);
-    }
-    env.coarse_incumbent(&dirs, &mut search);
-    let outcome = threshold_search(n, &mut search, |k, lower, search| {
-        let ksets = ksets_from_dirs(data, k, &dirs, env.pol);
-        Ok(env.probe(k, &ksets, lower, search))
-    })?;
-    env.finish(outcome, search)
+    let search = AnytimeSearch::new(cutoff, probe_budget);
+    SampledSearch::new(data, r, opts).solve(&dirs, search, &ListCache::default())
 }
 
 #[cfg(test)]
@@ -324,6 +344,31 @@ mod tests {
         let data = anticorrelated(400, 4, 59);
         let sol = mdrrr_r(&data, 2, &FullSpace::new(4), opts(20, 60)).unwrap();
         assert!(!sol.indices.is_empty());
+    }
+
+    #[test]
+    fn tiny_cache_budget_same_answer() {
+        // Budget 0 keeps no lists between probes: no deep pass, and every
+        // probe scores afresh at its own k. Here the coarse bound (14)
+        // sits below the final threshold (21), so the default run also
+        // deepens its lists past the deep pass.
+        let data = anticorrelated(300, 3, 4);
+        let space = FullSpace::new(3);
+        let o = opts(1000, 104);
+        let want = mdrrr_r_rrm(&data, 4, &space, o).unwrap();
+        let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
+        assert!(coarse < want.bounds.unwrap().upper, "coarse {coarse} vs {:?}", want.bounds);
+        let tiny = SampledSearch { cache_budget_entries: 0, ..SampledSearch::new(&data, 4, o) };
+        let dirs = sampled_dirs(&space, o);
+        let got = tiny.solve(&dirs, AnytimeSearch::unlimited(), &ListCache::default()).unwrap();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn kset_family_reads_prefixes_and_dedups() {
+        let lists = vec![vec![4, 1, 9], vec![1, 4, 2], vec![9, 4, 1], vec![2]];
+        assert_eq!(kset_family(&lists, 2), vec![vec![1, 4], vec![2], vec![4, 9]]);
+        assert_eq!(kset_family(&lists, 3), vec![vec![1, 2, 4], vec![1, 4, 9], vec![2]]);
     }
 
     #[test]

@@ -16,14 +16,14 @@ use rrm_core::{
     UtilitySpace, PREPARED_CACHE_CAP,
 };
 
-use crate::anytime::threshold_search;
+use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
 use crate::hdrrm::{hdrrm_anytime, hdrrr, HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
 use crate::mdrc::{mdrc_anytime, MdrcOptions};
 use crate::mdrms::{mdrms, GreedyRms, MdrmsOptions};
 use crate::mdrrr::{hit_ksets, mdrrr, mdrrr_rrm_anytime, rrm_search_with};
 use crate::mdrrr_r::{
-    ksets_from_dirs, mdrrr_r, mdrrr_r_rrm_anytime, sampled_dirs, MdrrrROptions, SampledSearch,
+    kset_family, mdrrr_r, mdrrr_r_rrm_anytime, sampled_dirs, MdrrrROptions, SampledSearch,
 };
 
 /// **HDRRM** (paper Section V): discretize-and-cover with a certificate
@@ -318,25 +318,25 @@ impl Solver for MdrrrRSolver {
             space: space.clone_box(),
             options,
             dirs: Mutex::new(HashMap::new()),
-            ksets: Mutex::new(HashMap::new()),
+            lists: ListCache::default(),
         }))
     }
 }
 
 /// MDRRRr bound to one dataset + space: the sampled direction pool is
-/// drawn once per sample count (it is seed-deterministic) and the observed
-/// k-set families are memoized per `(k, samples)`, so repeated thresholds
-/// and the whole RRM search skip the `O(samples · n · d)` scoring.
+/// drawn once per sample count (it is seed-deterministic), and so is one
+/// set of top-k lists over it, kept at the deepest level any query needed.
+/// Every threshold's k-set family is derived from prefixes of those
+/// lists, so repeated thresholds and the whole RRM search skip the
+/// `O(samples · n · d)` scoring.
 struct PreparedMdrrrR {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     options: MdrrrROptions,
     dirs: Mutex<HashMap<usize, Arc<Vec<Vec<f64>>>>>,
-    ksets: Mutex<KsetCache>,
+    /// Per sample count: the deepest top-k lists kept so far.
+    lists: ListCache,
 }
-
-/// Observed k-set families keyed by `(k, samples)`.
-type KsetCache = HashMap<(usize, usize), Arc<Vec<Vec<u32>>>>;
 
 impl PreparedMdrrrR {
     fn budgeted(&self, budget: &Budget) -> MdrrrROptions {
@@ -360,41 +360,23 @@ impl PreparedMdrrrR {
         )
     }
 
-    /// The memoized k-set family for one threshold (`k` must already be
-    /// clamped to `n`).
-    fn kset_family(&self, k: usize, opts: MdrrrROptions) -> Arc<Vec<Vec<u32>>> {
-        let key = (k, opts.samples);
-        let cached = self.ksets.lock().expect("k-set cache poisoned").get(&key).cloned();
-        match cached {
-            Some(ksets) => ksets,
-            None => {
-                // Scoring outside the lock: deterministic, so racers can
-                // safely duplicate it instead of serializing.
-                let ksets = Arc::new(ksets_from_dirs(
-                    &self.data,
-                    k,
-                    &self.dirs(opts),
-                    opts.exec.parallelism,
-                ));
-                // The key carries k (legitimately many values per search),
-                // so allow more entries than the per-budget caches do.
-                cache_bounded(
-                    &mut self.ksets.lock().expect("k-set cache poisoned"),
-                    key,
-                    ksets,
-                    8 * PREPARED_CACHE_CAP,
-                )
-            }
-        }
-    }
-
     fn probe(&self, k: usize, opts: MdrrrROptions) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
         }
         let k = k.min(self.data.n());
-        let ksets = self.kset_family(k, opts);
-        let ids = hit_ksets(self.data.n(), &ksets);
+        let dirs = self.dirs(opts);
+        let lists = ListSource {
+            data: &self.data,
+            dirs: &dirs,
+            pol: opts.exec.parallelism,
+            budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
+            deep: 0,
+            cache: &self.lists,
+            key: dirs.len(),
+        }
+        .lists(k);
+        let ids = hit_ksets(self.data.n(), &kset_family(&lists, k));
         Solution::new(ids, None, Algorithm::MdrrrR, &self.data)
     }
 }
@@ -414,22 +396,8 @@ impl PreparedSolver for PreparedMdrrrR {
         }
         let opts = self.budgeted(budget);
         let dirs = self.dirs(opts);
-        let env = SampledSearch {
-            data: &self.data,
-            r,
-            pick_cap: SampledSearch::pick_cap(r, opts.prune),
-            pol: opts.exec.parallelism,
-        };
-        let mut search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
-        if search.cutoff() != Cutoff::None {
-            env.offer_fallback(&dirs, &mut search);
-        }
-        env.coarse_incumbent(&dirs, &mut search);
-        let outcome = threshold_search(self.data.n(), &mut search, |k, lower, search| {
-            let ksets = self.kset_family(k, opts);
-            Ok(env.probe(k, &ksets, lower, search))
-        })?;
-        env.finish(outcome, search)
+        let search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
+        SampledSearch::new(&self.data, r, opts).solve(&dirs, search, &self.lists)
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {

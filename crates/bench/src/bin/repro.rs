@@ -15,8 +15,9 @@
 //! `scale` sweeps the parallel runtime over thread counts {1,2,4,8},
 //! asserts bit-identical solutions, and writes per-algorithm speedups to
 //! `BENCH_parallel.json`; `kernels` microbenchmarks naive vs. blocked SoA
-//! scoring throughput on one thread and writes `BENCH_kernels.json` — the
-//! one bench whose headline number is meaningful on a 1-core machine;
+//! scoring throughput and full-n quickselect vs. bounded top-k selection
+//! on one thread and writes `BENCH_kernels.json` — the one bench whose
+//! headline number is meaningful on a 1-core machine;
 //! `serve` load-tests the `rrm_serve` query service over real TCP with a
 //! replayed multi-tenant trace — single-tenant hot, mixed, and overload
 //! scenarios — parity-checks every served response against an in-process
@@ -1059,7 +1060,10 @@ fn thread_scaling(scale: Scale) {
 /// measurable even in a 1-core container. For each (n, d) the same
 /// direction batch is scored by the row-major scalar reference and by the
 /// cache-blocked SoA kernel; both must agree bit-for-bit before timing
-/// counts. Writes `BENCH_kernels.json`.
+/// counts. Then, on the blocked kernel's scores for d = 4, the full-n
+/// quickselect top-k is timed against the bounded selection
+/// (`rank::top_k_into`) at several k, with every list parity-checked.
+/// Writes `BENCH_kernels.json`.
 fn kernels(scale: Scale) {
     use rrm_core::kernel::{self, ScoreScratch};
     use rrm_core::utility::dot;
@@ -1152,6 +1156,8 @@ fn kernels(scale: Scale) {
         }
     }
 
+    let selection = selection_rows(&ns, reps, n_dirs);
+
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
         format!("{{{},\"threads\":1,\"entries\":[\n", bench::bench_meta("scoring_kernels"));
@@ -1173,7 +1179,122 @@ fn kernels(scale: Scale) {
             e.naive_seconds / e.blocked_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"selection\":[\n");
+    for (i, e) in selection.iter().enumerate() {
+        let sep = if i + 1 == selection.len() { "" } else { "," };
+        let ops = (e.n * e.dirs) as f64;
+        json.push_str(&format!(
+            "  {{\"n\":{},\"d\":{},\"dirs\":{},\"k\":{},\
+             \"quickselect_seconds\":{:.6},\"bounded_seconds\":{:.6},\
+             \"quickselect_ns_per_score\":{:.3},\"bounded_ns_per_score\":{:.3},\
+             \"speedup\":{:.3}}}{sep}\n",
+            e.n,
+            e.d,
+            e.dirs,
+            e.k,
+            e.quickselect_seconds,
+            e.bounded_seconds,
+            e.quickselect_seconds / ops * 1e9,
+            e.bounded_seconds / ops * 1e9,
+            e.quickselect_seconds / e.bounded_seconds.max(1e-12),
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("wrote BENCH_kernels.json (throughput in tuple*direction scores per second)");
+    println!(
+        "wrote BENCH_kernels.json (throughput in tuple*direction scores per second; \
+         selection in ns per score)"
+    );
+}
+
+/// One selection row of `repro kernels`.
+struct SelectionEntry {
+    n: usize,
+    d: usize,
+    dirs: usize,
+    k: usize,
+    quickselect_seconds: f64,
+    bounded_seconds: f64,
+}
+
+/// Full-n quickselect top-k: every index enters one `select_nth` with
+/// indirect float compares. The routine `rank::top_k_into` replaced, kept
+/// here as the naive baseline of the selection rows.
+fn quickselect_top_k(scores: &[f64], k: usize, idx: &mut Vec<u32>, out: &mut Vec<u32>) {
+    let n = scores.len();
+    let k = k.min(n);
+    idx.clear();
+    idx.extend(0..n as u32);
+    let cmp = |&a: &u32, &b: &u32| {
+        scores[b as usize]
+            .partial_cmp(&scores[a as usize])
+            .expect("scores must be finite")
+            .then(a.cmp(&b))
+    };
+    if k < n {
+        idx.select_nth_unstable_by(k - 1, cmp);
+        idx.truncate(k);
+    }
+    idx.sort_unstable_by(cmp);
+    out.clear();
+    out.extend_from_slice(idx);
+}
+
+/// Quickselect vs. bounded selection at k in {1, 16, 256, 1024} over
+/// the blocked kernel's d = 4 scores. Every direction's two lists must
+/// match before its timing counts; best of `reps` passes.
+fn selection_rows(ns: &[usize], reps: usize, n_dirs: usize) -> Vec<SelectionEntry> {
+    use rrm_core::kernel::{self, ScoreScratch};
+    use rrm_core::rank::top_k_into;
+
+    let d = 4;
+    println!(
+        "single-thread top-k selection (ns per score), best of {reps} reps, \
+         {n_dirs} directions, d={d}"
+    );
+    println!(
+        "{:>8} {:>5} {:>14} {:>10} {:>8}",
+        "n", "k", "quickselect ns", "bounded ns", "speedup"
+    );
+    let mut rows = Vec::new();
+    for &n in ns {
+        let data = rrm_data::synthetic::independent(n, d, 41);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(42);
+        let space = FullSpace::new(d);
+        let dirs: Vec<Vec<f64>> = (0..n_dirs).map(|_| space.sample_direction(&mut rng)).collect();
+        let mut scratch = ScoreScratch::new();
+        for k in [1usize, 16, 256, 1024] {
+            let (mut idx, mut keys, mut want, mut got) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let (mut quickselect_seconds, mut bounded_seconds) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..reps {
+                let (mut naive, mut bounded) = (0.0, 0.0);
+                kernel::for_each_scores(data.soa(), &dirs, &mut scratch, |di, scores| {
+                    naive += timed(|| quickselect_top_k(scores, k, &mut idx, &mut want)).1;
+                    bounded += timed(|| top_k_into(scores, k, &mut keys, &mut got)).1;
+                    assert_eq!(got, want, "selection parity violation at n={n} k={k} dir={di}");
+                });
+                quickselect_seconds = quickselect_seconds.min(naive);
+                bounded_seconds = bounded_seconds.min(bounded);
+            }
+            let ops = (n * n_dirs) as f64;
+            println!(
+                "{:>8} {:>5} {:>14.2} {:>10.2} {:>7.1}x",
+                n,
+                k,
+                quickselect_seconds / ops * 1e9,
+                bounded_seconds / ops * 1e9,
+                quickselect_seconds / bounded_seconds.max(1e-12),
+            );
+            rows.push(SelectionEntry {
+                n,
+                d,
+                dirs: n_dirs,
+                k,
+                quickselect_seconds,
+                bounded_seconds,
+            });
+        }
+    }
+    rows
 }

@@ -35,8 +35,7 @@ use rand::SeedableRng;
 use crate::anytime::{Bounds, TerminatedBy};
 use crate::dataset::Dataset;
 use crate::error::RrmError;
-use crate::exec::{ExecPolicy, Parallelism, SolverCtx};
-use crate::kernel;
+use crate::exec::{ExecPolicy, SolverCtx};
 use crate::problem::{Algorithm, Solution};
 use crate::rank;
 use crate::solver::{Budget, PreparedSolver, Solver};
@@ -144,34 +143,6 @@ pub fn sample_directions(space: &dyn UtilitySpace, m: usize, seed: u64) -> Vec<V
     (0..m).map(|_| space.sample_direction(&mut rng)).collect()
 }
 
-/// Per-direction top-`k` tuple indices (best first, ties by index), in
-/// direction order. Scoring is chunked over `pol`; chunk boundaries depend
-/// only on the input sizes and results are concatenated in chunk order, so
-/// the output is identical at any thread count.
-pub fn per_direction_top(
-    data: &Dataset,
-    dirs: &[Vec<f64>],
-    k: usize,
-    pol: Parallelism,
-) -> Vec<Vec<u32>> {
-    assert!(k >= 1, "top-k needs k >= 1");
-    let soa = data.soa();
-    let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
-    let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, chunk_dirs| {
-        let mut scores: Vec<f64> = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        let mut out = Vec::with_capacity(chunk_dirs.len());
-        for u in chunk_dirs {
-            kernel::scores_into(soa, u, &mut scores);
-            let mut top = Vec::new();
-            rank::top_k_into(&scores, k, &mut scratch, &mut top);
-            out.push(top);
-        }
-        out
-    });
-    per_chunk.into_iter().flatten().collect()
-}
-
 /// Greedy set cover over the sampled directions: repeatedly pick the tuple
 /// present in the most still-uncovered top lists (ties broken by smallest
 /// tuple index — a strict total order, so the pick is deterministic no
@@ -244,13 +215,13 @@ pub fn solve_rrm_sampled_with(
 
     // Doubling phase over the rank threshold k: find some k whose greedy
     // cover fits in r picks. Each round recomputes the per-direction
-    // top-k lists (O(m·n) via quickselect); the binary phase below never
-    // rescoreds — top-k lists are nested, so smaller thresholds are
+    // top-k lists (one O(m·n) scoring pass); the binary phase below never
+    // rescores — top-k lists are nested, so smaller thresholds are
     // prefixes of the feasible round's lists.
     let mut k = 1usize;
     let mut prev_infeasible = 0usize;
     let (tops, k_feasible, picks) = loop {
-        let tops = per_direction_top(data, &dirs, k, pol);
+        let tops = rank::batch_top_k(data, &dirs, k, pol);
         let slices: Vec<&[u32]> = tops.iter().map(|t| t.as_slice()).collect();
         let (picks, full) = greedy_cover(&slices, Some(r));
         if full {
@@ -317,7 +288,7 @@ pub fn solve_rrr_sampled_with(
     let m = samples.unwrap_or_else(|| spec.directions()).max(1);
     let dirs = sample_directions(space, m, seed);
     let pol = exec.parallelism;
-    let tops = per_direction_top(data, &dirs, k.min(data.n()), pol);
+    let tops = rank::batch_top_k(data, &dirs, k.min(data.n()), pol);
     let slices: Vec<&[u32]> = tops.iter().map(|t| t.as_slice()).collect();
     let (picks, full) = greedy_cover(&slices, None);
     debug_assert!(full, "uncapped greedy cover always completes");
@@ -513,7 +484,7 @@ pub fn reduce(
     }
     let dirs = sample_directions(space, m, seed);
     let depth = per_direction.min(data.n());
-    let tops = per_direction_top(data, &dirs, depth, exec.parallelism);
+    let tops = rank::batch_top_k(data, &dirs, depth, exec.parallelism);
     let mut kept: Vec<u32> = tops.into_iter().flatten().collect();
     kept.sort_unstable();
     kept.dedup();
@@ -523,6 +494,7 @@ pub fn reduce(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::Parallelism;
     use crate::space::FullSpace;
 
     fn table1() -> Dataset {
@@ -723,8 +695,8 @@ mod tests {
         // reduced top-k maps to the full top-k.
         let dirs = sample_directions(&space, m, DEFAULT_SEED);
         for k in 1..=depth {
-            let full_tops = per_direction_top(&data, &dirs, k, Parallelism::Sequential);
-            let red_tops = per_direction_top(&red.data, &dirs, k, Parallelism::Sequential);
+            let full_tops = rank::batch_top_k(&data, &dirs, k, Parallelism::Sequential);
+            let red_tops = rank::batch_top_k(&red.data, &dirs, k, Parallelism::Sequential);
             for (f, r) in full_tops.iter().zip(&red_tops) {
                 assert_eq!(&red.original_indices(r), f, "k={k}");
             }

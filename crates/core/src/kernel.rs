@@ -1,9 +1,9 @@
 //! Cache-blocked SoA scoring kernels: the one hot path under every solver.
 //!
 //! Every algorithm in the workspace spends its time in batch direction
-//! scoring — `O(|D| · n · d)` dot products behind `batch_topk`, the rank
-//! kernels, MDRC's probe evaluation and the sampled estimators. This
-//! module makes that path fast on a single core:
+//! scoring — `O(|D| · n · d)` dot products behind `rank::batch_top_k`,
+//! the rank kernels, MDRC's probe evaluation and the sampled estimators.
+//! This module makes that path fast on a single core:
 //!
 //! * **SoA layout.** [`Soa`] is a column-major mirror of the dataset
 //!   ([`Dataset::soa`] builds it once per dataset and shares it across
