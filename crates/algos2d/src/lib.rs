@@ -7,12 +7,15 @@
 //!   `k` it covers the weight range with per-tuple "rank ≤ k" windows,
 //!   guaranteeing size ≤ optimal and rank-regret ≤ 2k − 1; adapted to RRM
 //!   with the doubling + binary search of Section V-B.2.
-//! * [`pareto`] — the full size/regret trade-off curve from one DP run,
-//!   plus the exact RRR solver built on 2DRRM ("2DRRM can be easily adopted
-//!   for RRR by a binary search").
+//! * [`pareto`] — the full size/regret trade-off curve over one prepared
+//!   sweep.
 //!
-//! All solvers accept either the full space `L` or a restricted 2D space
-//! rendered onto a weight interval `[c0, c1]` (Section IV-C).
+//! Each algorithm runs through its [`solver`]'s `prepare`, which returns
+//! the algorithm's prepared type ([`Prepared2d`], [`PreparedRrr2d`]); exact
+//! RRR is 2DRRM plus a binary search on the size ("2DRRM can be easily
+//! adopted for RRR by a binary search"). 2DRRM accepts either the full
+//! space `L` or a restricted 2D space rendered onto a weight interval
+//! `[c0, c1]` (Section IV-C).
 
 pub mod matrix;
 pub mod pareto;
@@ -20,10 +23,7 @@ pub mod rrm2d;
 pub mod rrr2d;
 pub mod solver;
 
-pub use pareto::{pareto_frontier, rrr_exact_2d, ParetoPoint};
-pub use rrm2d::{
-    rrm_2d, rrm_2d_on_interval, rrm_2d_with_stats, weight_interval, Prepared2d, Rrm2dOptions,
-    SweepStats,
-};
-pub use rrr2d::{rrm_via_rrr_2d, rrr_2d, rrr_2d_on_interval, PreparedRrr2d};
+pub use pareto::{pareto_frontier, ParetoPoint};
+pub use rrm2d::{weight_interval, Prepared2d, Rrm2dOptions};
+pub use rrr2d::PreparedRrr2d;
 pub use solver::{TwoDRrmSolver, TwoDRrrSolver};

@@ -16,7 +16,7 @@
 //! replays exactly those `O(s·n)` crossings from a pre-sorted stream
 //! ([`rrm_geom::events`]). Set [`Rrm2dOptions::use_full_sweep`] to run the
 //! paper's original full-arrangement sweep instead (identical output;
-//! compared in the `ablation_sweep` benchmark).
+//! compared in the `ablation_sweep` benchmark and `repro ablation`).
 //!
 //! # Degeneracies
 //!
@@ -29,23 +29,25 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use rrm_core::{Algorithm, AppliedUpdate, Dataset, ExecPolicy, RrmError, Solution, UtilitySpace};
-use rrm_geom::dual::{cmp_at, normalized_interval_2d, DualLine};
-use rrm_geom::events::{
-    crossing_of_pair, crossings_with_tracked_capped_par, initial_ranks, stream_crossings,
+use rrm_core::{
+    Algorithm, AppliedUpdate, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution,
+    UtilitySpace,
 };
+use rrm_geom::dual::{cmp_at, normalized_interval_2d, DualLine};
+use rrm_geom::events::{crossing_of_pair, crossings_with_tracked_capped_par, stream_crossings};
 use rrm_geom::sweep::arrangement_sweep;
 use rrm_geom::Crossing;
-use rrm_skyline::restricted::{u_skyline_2d, u_transform_2d};
+use rrm_skyline::restricted::u_transform_2d;
 use rrm_skyline::IncrementalSkyline;
 
 use crate::matrix::DpMatrix;
 
-/// Tuning knobs for [`rrm_2d`].
+/// Tuning knobs for 2DRRM ([`Prepared2d`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Rrm2dOptions {
-    /// Run the paper-faithful full arrangement sweep instead of the
-    /// skyline-crossing event stream. Same output, more events.
+    /// Replay the paper-faithful full arrangement sweep on every query
+    /// instead of the skyline-crossing event stream (which is then never
+    /// materialized). Same output, more events.
     pub use_full_sweep: bool,
     /// Upper bound on crossings materialized at once by the event stream.
     pub chunk_target: usize,
@@ -76,58 +78,6 @@ pub fn weight_interval(space: &dyn UtilitySpace) -> Result<(f64, f64), RrmError>
         .ok_or_else(|| RrmError::InvalidSpace("2D solvers need a polyhedral space".into()))?;
     normalized_interval_2d(&rows)
         .ok_or_else(|| RrmError::InvalidSpace("the 2D cone contains no direction".into()))
-}
-
-/// Work counters from one 2DRRM run (the quantities behind Theorem 5's
-/// cost analysis and the `ablation_sweep` benchmark).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SweepStats {
-    /// Candidate (restricted-skyline, deduplicated) lines `s`.
-    pub candidates: usize,
-    /// Crossings replayed (the `O(s·n)` event stream; `O(n²)` with the
-    /// paper-faithful full sweep).
-    pub events: usize,
-    /// Events where a candidate's rank increased (the paper's case 1 —
-    /// each costs an `O(r)` matrix fold).
-    pub case1_events: usize,
-    /// Chain extension opportunities (crossings of two candidate lines,
-    /// Algorithm 1 lines 17–19).
-    pub extensions: usize,
-}
-
-/// Solve RRM (`space = L`) or RRRM (restricted `space`) exactly in 2D.
-pub fn rrm_2d(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
-) -> Result<Solution, RrmError> {
-    let (c0, c1) = weight_interval(space)?;
-    rrm_2d_on_interval(data, r, c0, c1, options)
-}
-
-/// [`rrm_2d`] with work counters.
-pub fn rrm_2d_with_stats(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
-) -> Result<(Solution, SweepStats), RrmError> {
-    let (c0, c1) = weight_interval(space)?;
-    let mut stats = SweepStats::default();
-    let sol = rrm_2d_impl(data, r, c0, c1, options, Some(&mut stats))?;
-    Ok((sol, stats))
-}
-
-/// Solve the 2D problem for utility directions `(c, 1-c)`, `c ∈ [c0, c1]`.
-pub fn rrm_2d_on_interval(
-    data: &Dataset,
-    r: usize,
-    c0: f64,
-    c1: f64,
-    options: Rrm2dOptions,
-) -> Result<Solution, RrmError> {
-    rrm_2d_impl(data, r, c0, c1, options, None)
 }
 
 /// Deduplicate identical dual lines among candidates (exact duplicate
@@ -192,11 +142,11 @@ fn merge_crossings(a: Vec<Crossing>, b: Vec<Crossing>) -> Vec<Crossing> {
     out
 }
 
-/// The shared DP core: one matrix run over an event source. `for_each`
-/// must yield the crossings of `stream_crossings(lines, sky, c0, c1, ..)`
-/// in exactly that order (streamed, materialized, or full-sweep — all
-/// three are order-identical for tracked lines). Requires `sky.len() > r`
-/// (the caller handles the trivial whole-skyline case).
+/// The DP core: one matrix run over an event source. `for_each` must
+/// yield the crossings of `stream_crossings(lines, sky, c0, c1, ..)` in
+/// exactly that order (streamed, materialized, or full-sweep — all three
+/// are order-identical for tracked lines). Requires `sky.len() > r` (the
+/// caller handles the trivial whole-skyline case).
 fn dp_run(
     data: &Dataset,
     lines: &[DualLine],
@@ -204,7 +154,6 @@ fn dp_run(
     init_ranks: &[usize],
     r: usize,
     for_each: impl FnOnce(&mut dyn FnMut(f64, u32, u32)),
-    stats: Option<&mut SweepStats>,
 ) -> Result<Solution, RrmError> {
     // Row lookup: line id -> skyline row (usize::MAX = not a skyline line).
     let mut row_of = vec![usize::MAX; lines.len()];
@@ -218,18 +167,13 @@ fn dp_run(
 
     // Event replay: at each crossing the `down` line's rank increases.
     // `extend` must see `M[i_down, h-1]` pre-fold, hence extend-then-fold.
-    let mut counters = SweepStats::default();
-    let mut apply = |x: f64, down: u32, up: u32| {
-        let _ = x;
-        counters.events += 1;
+    let mut apply = |_x: f64, down: u32, up: u32| {
         rank[down as usize] += 1;
         rank[up as usize] -= 1;
         let i_down = row_of[down as usize];
         if i_down != usize::MAX {
-            counters.case1_events += 1;
             let j_up = row_of[up as usize];
             if j_up != usize::MAX {
-                counters.extensions += 1;
                 m.extend(i_down, j_up, up);
             }
             m.fold_rank(i_down, rank[down as usize]);
@@ -239,78 +183,22 @@ fn dp_run(
 
     let (best_row, best_rank) = m.best_final();
     let chain = m.chain_lines(best_row, r);
-    if let Some(st) = stats {
-        counters.candidates = sky.len();
-        *st = counters;
-    }
     Solution::new(chain, Some(best_rank as usize), Algorithm::TwoDRrm, data)
 }
 
-fn rrm_2d_impl(
-    data: &Dataset,
-    r: usize,
-    c0: f64,
-    c1: f64,
-    options: Rrm2dOptions,
-    mut stats: Option<&mut SweepStats>,
-) -> Result<Solution, RrmError> {
-    if data.dim() != 2 {
-        return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-    }
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    assert!(c0 <= c1, "empty weight interval");
-
-    // Theorem 3: candidates are the (restricted) skyline.
-    let candidates = u_skyline_2d(data, c0, c1);
-    let lines = DualLine::from_dataset(data);
-    let sky = dedup_candidates(&lines, &candidates);
-    let s = sky.len();
-
-    if let Some(st) = stats.as_deref_mut() {
-        st.candidates = s;
-    }
-
-    // The whole candidate set has rank-regret 1 (the top-1 for any u in the
-    // space is never U-dominated, hence a candidate).
-    if s <= r {
-        return Solution::new(sky, Some(1), Algorithm::TwoDRrm, data);
-    }
-
-    let all_ranks = initial_ranks(&lines, c0);
-    dp_run(
-        data,
-        &lines,
-        &sky,
-        &all_ranks,
-        r,
-        |apply| {
-            if options.use_full_sweep {
-                arrangement_sweep(&lines, c0, c1, |x, down, up, _| apply(x, down, up));
-            } else {
-                stream_crossings(&lines, &sky, c0, c1, options.chunk_target, |c| {
-                    apply(c.x, c.down, c.up)
-                });
-            }
-        },
-        stats,
-    )
-}
-
-/// [`rrm_2d`] bound to one dataset and utility space: the prepare-once /
-/// query-many form of the exact 2D solver.
+/// **2DRRM** bound to one dataset and utility space: the exact 2D solver.
+/// RRM (`space = L`) or RRRM (restricted `space`) is one DP replay per
+/// size budget; exact RRR is a binary search on the size over those
+/// replays ("2DRRM can be easily adopted for RRR by a binary search").
 ///
-/// Preparation renders the space onto its weight interval, computes the
-/// restricted skyline, the dual lines and the initial ranks, and — when
-/// they fit the [`Rrm2dOptions::chunk_target`] memory budget — materializes
-/// the sorted crossing stream, so each query is one DP replay instead of a
-/// full sweep reconstruction. Solutions are memoized per `r`, which also
-/// makes the exact-RRR binary search ([`Prepared2d::solve_rrr`]) and the
+/// Preparation (Theorem 3's candidates and the dual-line crossings)
+/// renders the space onto its weight interval, computes the restricted
+/// skyline, the dual lines and the initial ranks, and — when they fit the
+/// [`Rrm2dOptions::chunk_target`] memory budget, and the full sweep is
+/// not requested — materializes the sorted crossing stream, so each query
+/// is one DP replay instead of a full sweep reconstruction. Solutions are
+/// memoized per `r`, which also makes the RRR binary search and the
 /// Pareto frontier ([`crate::pareto_frontier`]) share probe work.
-///
-/// Every query returns exactly what the one-shot [`rrm_2d`] /
-/// [`crate::rrr_exact_2d`] would return for the same inputs.
 pub struct Prepared2d {
     data: Dataset,
     options: Rrm2dOptions,
@@ -318,14 +206,13 @@ pub struct Prepared2d {
     c1: f64,
     /// Deduplicated candidates in ascending slope order (the DP rows).
     sky: Vec<u32>,
-    /// Pre-dedup candidate count: the RRR binary search's upper bound
-    /// (kept separate so the search probes the same sizes as the one-shot
-    /// [`crate::rrr_exact_2d`]).
+    /// Pre-dedup candidate count: the RRR binary search's upper bound.
     sky_total: usize,
     lines: Vec<DualLine>,
     init_ranks: Vec<usize>,
     /// Materialized crossings, `None` when they exceed the chunk budget
-    /// (the DP then streams per query: slower, but memory stays bounded).
+    /// (the DP then streams per query: slower, but memory stays bounded)
+    /// or when [`Rrm2dOptions::use_full_sweep`] replays the arrangement.
     events: Option<Vec<Crossing>>,
     /// Incrementally maintained restricted skyline over the
     /// extreme-direction transform of the data (its skyline *is* the
@@ -338,14 +225,13 @@ pub struct Prepared2d {
 }
 
 impl Prepared2d {
-    pub fn new(
+    /// Build the sweep state. The caller has run
+    /// [`Algorithm::ensure_supported`] (`d = 2`).
+    pub(crate) fn new(
         data: &Dataset,
         space: &dyn UtilitySpace,
         options: Rrm2dOptions,
     ) -> Result<Self, RrmError> {
-        if data.dim() != 2 {
-            return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-        }
         let (c0, c1) = weight_interval(space)?;
         let usky = IncrementalSkyline::build(&u_transform_2d(data, c0, c1));
         let sky_total = usky.skyline().len();
@@ -357,14 +243,18 @@ impl Prepared2d {
         // Parallel classification: chunked per tracked line, merged by a
         // deterministic total order — bit-identical to the sequential
         // enumeration (see rrm_geom::events).
-        let events = crossings_with_tracked_capped_par(
-            &lines,
-            &sky,
-            c0,
-            c1,
-            options.chunk_target,
-            options.exec.parallelism,
-        );
+        let events = if options.use_full_sweep {
+            None
+        } else {
+            crossings_with_tracked_capped_par(
+                &lines,
+                &sky,
+                c0,
+                c1,
+                options.chunk_target,
+                options.exec.parallelism,
+            )
+        };
         Ok(Self {
             data: data.clone(),
             options,
@@ -399,7 +289,7 @@ impl Prepared2d {
     /// `upd.new` computes — the parity tests below compare the full
     /// internal state, not just answers. Memoized solutions are dropped
     /// (they describe the old rows).
-    pub fn apply_update(&self, upd: &AppliedUpdate) -> Self {
+    fn patched(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
         assert_eq!(data.dim(), 2, "updates cannot change the arity");
         let n_new = data.n();
@@ -523,11 +413,6 @@ impl Prepared2d {
         }
     }
 
-    /// The dataset this state was prepared on.
-    pub fn dataset(&self) -> &Dataset {
-        &self.data
-    }
-
     /// Number of candidate (restricted-skyline, deduplicated) tuples.
     pub fn candidates(&self) -> usize {
         self.sky.len()
@@ -536,36 +421,29 @@ impl Prepared2d {
     /// One DP replay for size budget `r` against the cached sweep state,
     /// bypassing the memo (the unit of work of the parallel memo fill).
     fn compute_rrm(&self, r: usize) -> Result<Solution, RrmError> {
+        // The whole candidate set has rank-regret 1 (the top-1 for any u
+        // in the space is never U-dominated, hence a candidate).
         if self.sky.len() <= r {
             return Solution::new(self.sky.clone(), Some(1), Algorithm::TwoDRrm, &self.data);
         }
-        dp_run(
-            &self.data,
-            &self.lines,
-            &self.sky,
-            &self.init_ranks,
-            r,
-            |apply| match &self.events {
-                Some(events) => {
-                    for c in events {
-                        apply(c.x, c.down, c.up);
-                    }
+        let (lines, sky, c0, c1) = (&self.lines, &self.sky, self.c0, self.c1);
+        dp_run(&self.data, lines, sky, &self.init_ranks, r, |apply| match &self.events {
+            Some(events) => {
+                for c in events {
+                    apply(c.x, c.down, c.up);
                 }
-                None => stream_crossings(
-                    &self.lines,
-                    &self.sky,
-                    self.c0,
-                    self.c1,
-                    self.options.chunk_target,
-                    |c| apply(c.x, c.down, c.up),
-                ),
-            },
-            None,
-        )
+            }
+            None if self.options.use_full_sweep => {
+                arrangement_sweep(lines, c0, c1, |x, down, up, _| apply(x, down, up));
+            }
+            None => stream_crossings(lines, sky, c0, c1, self.options.chunk_target, |c| {
+                apply(c.x, c.down, c.up)
+            }),
+        })
     }
 
     /// Exact RRM for one size budget, replaying the cached sweep.
-    pub fn solve_rrm(&self, r: usize) -> Result<Solution, RrmError> {
+    fn rrm(&self, r: usize) -> Result<Solution, RrmError> {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
@@ -581,8 +459,8 @@ impl Prepared2d {
     /// concurrently (one DP run per budget over the shared sweep state,
     /// chunked by [`Rrm2dOptions::exec`]) and memoized; results come back
     /// in request order. Each budget's replay is independent, so the
-    /// solutions are identical to serial [`Prepared2d::solve_rrm`] calls
-    /// at any thread count. This is the memo-fill path behind
+    /// solutions are identical to serial `solve_rrm` calls at any thread
+    /// count. This is the memo-fill path behind
     /// [`crate::pareto_frontier`].
     pub fn solve_rrm_many(&self, rs: &[usize]) -> Result<Vec<Solution>, RrmError> {
         if rs.contains(&0) {
@@ -610,13 +488,29 @@ impl Prepared2d {
         for sol in computed {
             sol?;
         }
-        rs.iter().map(|&r| self.solve_rrm(r)).collect()
+        rs.iter().map(|&r| self.rrm(r)).collect()
+    }
+}
+
+impl PreparedSolver for Prepared2d {
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::TwoDRrm
     }
 
-    /// Exact RRR: binary search on the output size over [`Self::solve_rrm`]
-    /// (the same search as [`crate::rrr_exact_2d`], with every probe
-    /// memoized).
-    pub fn solve_rrr(&self, k: usize) -> Result<Solution, RrmError> {
+    fn dataset(&self) -> &Dataset {
+        &self.data
+    }
+
+    /// The 2D solver takes no budget knobs; the budget is ignored.
+    fn solve_rrm(&self, r: usize, _budget: &Budget) -> Result<Solution, RrmError> {
+        self.rrm(r)
+    }
+
+    /// Exact RRR: binary search on the output size over the memoized RRM
+    /// replays. Errors with [`RrmError::Unsupported`] when even the full
+    /// candidate set misses the threshold — impossible for `k ≥ 1` since
+    /// the whole (restricted) skyline achieves rank-regret 1.
+    fn solve_rrr(&self, k: usize, _budget: &Budget) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
         }
@@ -625,7 +519,7 @@ impl Prepared2d {
         let mut best: Option<Solution> = None;
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            let sol = self.solve_rrm(mid)?;
+            let sol = self.rrm(mid)?;
             if sol.certified_regret.expect("certified") <= k {
                 hi = mid - 1;
                 best = Some(sol);
@@ -635,12 +529,26 @@ impl Prepared2d {
         }
         best.ok_or_else(|| RrmError::Unsupported("no candidate set meets the threshold".into()))
     }
+
+    fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
+        Some(Box::new(self.patched(upd)))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rrm_core::{FullSpace, WeakRankingSpace};
+
+    /// One exact RRM solve through a fresh handle.
+    fn solve(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        options: Rrm2dOptions,
+    ) -> Result<Solution, RrmError> {
+        Prepared2d::new(data, space, options)?.rrm(r)
+    }
 
     fn table1() -> Dataset {
         Dataset::from_rows(&[
@@ -659,7 +567,7 @@ mod tests {
     fn table1_r1_returns_t3() {
         // The paper: "When r = 1, the solutions for RRM and RMS are {t3}
         // and {t4} respectively."
-        let sol = rrm_2d(&table1(), 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&table1(), 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![2], "expected {{t3}}");
         assert_eq!(sol.certified_regret, Some(3), "Table I rank-ratio of t3");
         assert_eq!(sol.algorithm, Algorithm::TwoDRrm);
@@ -669,7 +577,7 @@ mod tests {
     fn table1_shift_invariance() {
         // Figure 2's shift: +4 on A2. The RRM solution stays {t3}.
         let shifted = table1().shift(&[0.0, 4.0]);
-        let sol = rrm_2d(&shifted, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&shifted, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![2]);
         assert_eq!(sol.certified_regret, Some(3));
     }
@@ -678,7 +586,7 @@ mod tests {
     fn table2_subset_r2() {
         // D = {t1, t2, t3}, r = 2 -> optimal rank-regret 2, {t1,t2} or {t1,t3}.
         let d = Dataset::from_rows(&[[0.0, 1.0], [0.4, 0.95], [0.57, 0.75]]).unwrap();
-        let sol = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.certified_regret, Some(2));
         assert!(sol.indices == vec![0, 1] || sol.indices == vec![0, 2], "{:?}", sol.indices);
     }
@@ -688,7 +596,7 @@ mod tests {
         let d = table1();
         // Skyline has 5 tuples; with r = 5 the answer is the skyline with
         // rank-regret 1.
-        let sol = rrm_2d(&d, 5, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 5, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![0, 1, 2, 3, 6]);
         assert_eq!(sol.certified_regret, Some(1));
     }
@@ -697,21 +605,20 @@ mod tests {
     fn full_sweep_agrees_with_event_stream() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
+        let full = Rrm2dOptions { use_full_sweep: true, ..Default::default() };
         let mut rng = StdRng::seed_from_u64(3);
         for trial in 0..20 {
             let n = rng.random_range(3..40);
             let rows: Vec<[f64; 2]> =
                 (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
             let d = Dataset::from_rows(&rows).unwrap();
+            let stream = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sweep = Prepared2d::new(&d, &FullSpace::new(2), full).unwrap();
+            // The full sweep replays the arrangement; it keeps no stream.
+            assert!(sweep.events.is_none(), "trial {trial}");
             for r in 1..4 {
-                let a = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-                let b = rrm_2d(
-                    &d,
-                    r,
-                    &FullSpace::new(2),
-                    Rrm2dOptions { use_full_sweep: true, ..Default::default() },
-                )
-                .unwrap();
+                let a = stream.rrm(r).unwrap();
+                let b = sweep.rrm(r).unwrap();
                 assert_eq!(a.certified_regret, b.certified_regret, "trial {trial} r={r}: {rows:?}");
             }
         }
@@ -725,8 +632,8 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..30).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let a = rrm_2d(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let b = rrm_2d(
+        let a = solve(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let b = solve(
             &d,
             3,
             &FullSpace::new(2),
@@ -747,9 +654,9 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..200).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let full = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let full = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         let restricted =
-            rrm_2d(&d, 2, &WeakRankingSpace::new(2, 1), Rrm2dOptions::default()).unwrap();
+            solve(&d, 2, &WeakRankingSpace::new(2, 1), Rrm2dOptions::default()).unwrap();
         assert!(
             restricted.certified_regret.unwrap() <= full.certified_regret.unwrap(),
             "restricted {restricted:?} vs full {full:?}"
@@ -759,7 +666,7 @@ mod tests {
     #[test]
     fn duplicates_are_deduplicated() {
         let d = Dataset::from_rows(&[[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]).unwrap();
-        let sol = rrm_2d(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         // Never both copies of the duplicate.
         assert!(!(sol.indices.contains(&0) && sol.indices.contains(&1)));
     }
@@ -767,61 +674,26 @@ mod tests {
     #[test]
     fn r_zero_rejected() {
         assert!(matches!(
-            rrm_2d(&table1(), 0, &FullSpace::new(2), Rrm2dOptions::default()),
+            solve(&table1(), 0, &FullSpace::new(2), Rrm2dOptions::default()),
             Err(RrmError::OutputSizeTooSmall { .. })
         ));
     }
 
     #[test]
     fn wrong_dimension_rejected() {
+        use rrm_core::{ExecPolicy, Solver};
         let d = Dataset::from_rows(&[[0.1, 0.2, 0.3]]).unwrap();
+        let solver = crate::TwoDRrmSolver::default();
         assert!(matches!(
-            rrm_2d(&d, 1, &FullSpace::new(3), Rrm2dOptions::default()),
-            Err(RrmError::DimensionMismatch { .. })
+            solver.prepare(&d, &FullSpace::new(3), ExecPolicy::default()),
+            Err(RrmError::Unsupported(_))
         ));
     }
 
     #[test]
-    fn stats_counters_make_sense() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        // Anti-correlated points (near the x + y = 1 line): the skyline is
-        // large for any RNG stream, so the sweep must actually run (the
-        // `skyline <= r` early-return would zero every counter).
-        let mut rng = StdRng::seed_from_u64(7);
-        let rows: Vec<[f64; 2]> = (0..150)
-            .map(|_| {
-                let t = rng.random::<f64>();
-                [t, 1.0 - t + 0.05 * rng.random::<f64>()]
-            })
-            .collect();
-        let d = Dataset::from_rows(&rows).unwrap();
-        let (sol, stats) =
-            rrm_2d_with_stats(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        assert!(sol.certified_regret.is_some());
-        assert!(stats.candidates > 3, "need more candidates than r for a real sweep");
-        // Event-count sanity: events <= candidates * n; the case-1 subset
-        // is non-empty (every candidate pair crosses) and extensions are a
-        // subset of case-1 events.
-        assert!(stats.events <= stats.candidates * d.n());
-        assert!(stats.case1_events >= 1 && stats.case1_events <= stats.events);
-        assert!(stats.extensions <= stats.case1_events);
-        // Full sweep visits at least as many events (all pairs, not just
-        // candidate-involved ones).
-        let (_, full) = rrm_2d_with_stats(
-            &d,
-            3,
-            &FullSpace::new(2),
-            Rrm2dOptions { use_full_sweep: true, ..Default::default() },
-        )
-        .unwrap();
-        assert!(full.events >= stats.events, "full {} < stream {}", full.events, stats.events);
-        assert_eq!(full.case1_events, stats.case1_events);
-        assert_eq!(full.extensions, stats.extensions);
-    }
-
-    #[test]
     fn prepared_replay_equals_one_shot() {
+        // A warm handle, asked each budget twice (the second from the
+        // memo), answers exactly like a fresh handle per query.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
@@ -832,12 +704,11 @@ mod tests {
             Box::new(FullSpace::new(2)) as Box<dyn rrm_core::UtilitySpace>,
             Box::new(WeakRankingSpace::new(2, 1)),
         ] {
-            let prepared = Prepared2d::new(&d, space.as_ref(), Rrm2dOptions::default()).unwrap();
-            for r in 1..=6 {
-                let one_shot = rrm_2d(&d, r, space.as_ref(), Rrm2dOptions::default()).unwrap();
-                assert_eq!(prepared.solve_rrm(r).unwrap(), one_shot, "r={r}");
-                // Memoized second ask: still identical.
-                assert_eq!(prepared.solve_rrm(r).unwrap(), one_shot, "r={r} (memo)");
+            let warm = Prepared2d::new(&d, space.as_ref(), Rrm2dOptions::default()).unwrap();
+            for r in [4usize, 1, 6, 2, 5, 3] {
+                let fresh = solve(&d, r, space.as_ref(), Rrm2dOptions::default()).unwrap();
+                assert_eq!(warm.rrm(r).unwrap(), fresh, "r={r}");
+                assert_eq!(warm.rrm(r).unwrap(), fresh, "r={r} (memo)");
             }
         }
     }
@@ -859,27 +730,29 @@ mod tests {
         let streamed = Prepared2d::new(&d, &FullSpace::new(2), tiny).unwrap();
         let cached = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
         for r in [1usize, 3, 5] {
-            assert_eq!(streamed.solve_rrm(r).unwrap(), cached.solve_rrm(r).unwrap(), "r={r}");
+            assert_eq!(streamed.rrm(r).unwrap(), cached.rrm(r).unwrap(), "r={r}");
         }
     }
 
     #[test]
     fn prepared_rrr_matches_exact_search() {
+        // The RRR binary search on a warm handle (its probes memoized by
+        // earlier searches) answers like a fresh handle per threshold.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(13);
         let rows: Vec<[f64; 2]> =
             (0..90).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let prepared = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        for k in [1usize, 2, 4, 7] {
-            let one_shot =
-                crate::pareto::rrr_exact_2d(&d, k, &FullSpace::new(2), Rrm2dOptions::default())
-                    .unwrap();
-            assert_eq!(prepared.solve_rrr(k).unwrap(), one_shot, "k={k}");
+        let space = FullSpace::new(2);
+        let b = Budget::UNLIMITED;
+        let warm = Prepared2d::new(&d, &space, Rrm2dOptions::default()).unwrap();
+        for k in [4usize, 1, 7, 2] {
+            let fresh = Prepared2d::new(&d, &space, Rrm2dOptions::default()).unwrap();
+            assert_eq!(warm.solve_rrr(k, &b).unwrap(), fresh.solve_rrr(k, &b).unwrap(), "k={k}");
         }
-        assert!(prepared.solve_rrr(0).is_err());
-        assert!(prepared.solve_rrm(0).is_err());
+        assert!(warm.solve_rrr(0, &b).is_err());
+        assert!(warm.solve_rrm(0, &b).is_err());
     }
 
     #[test]
@@ -921,7 +794,7 @@ mod tests {
                         ]));
                     }
                     let upd = apply_updates(&cur, &ops).unwrap();
-                    prepared = prepared.apply_update(&upd);
+                    prepared = prepared.patched(&upd);
                     let fresh =
                         Prepared2d::new(&upd.new, space.as_ref(), Rrm2dOptions::default()).unwrap();
                     // Full internal-state parity, not just answers.
@@ -932,15 +805,11 @@ mod tests {
                     assert_eq!(prepared.init_ranks, fresh.init_ranks, "{ctx}");
                     assert_eq!(prepared.events, fresh.events, "{ctx}");
                     for r in 1..4 {
-                        assert_eq!(
-                            prepared.solve_rrm(r).unwrap(),
-                            fresh.solve_rrm(r).unwrap(),
-                            "{ctx} r={r}"
-                        );
+                        assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "{ctx} r={r}");
                     }
                     assert_eq!(
-                        prepared.solve_rrr(2).unwrap(),
-                        fresh.solve_rrr(2).unwrap(),
+                        prepared.solve_rrr(2, &Budget::UNLIMITED).unwrap(),
+                        fresh.solve_rrr(2, &Budget::UNLIMITED).unwrap(),
                         "{ctx}"
                     );
                     cur = upd.new.clone();
@@ -963,11 +832,11 @@ mod tests {
         let mut prepared = Prepared2d::new(&data, &FullSpace::new(2), tiny).unwrap();
         let upd =
             apply_updates(&data, &[UpdateOp::Delete(3), UpdateOp::Insert(vec![0.9, 0.9])]).unwrap();
-        prepared = prepared.apply_update(&upd);
+        prepared = prepared.patched(&upd);
         assert!(prepared.events.is_none());
         let fresh = Prepared2d::new(&upd.new, &FullSpace::new(2), tiny).unwrap();
         for r in 1..4 {
-            assert_eq!(prepared.solve_rrm(r).unwrap(), fresh.solve_rrm(r).unwrap(), "r={r}");
+            assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "r={r}");
         }
     }
 
@@ -988,7 +857,7 @@ mod tests {
         let d = Dataset::from_rows(&rows).unwrap();
         let mut prev = usize::MAX;
         for r in 1..=6 {
-            let sol = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = solve(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
             let k = sol.certified_regret.unwrap();
             assert!(k <= prev, "regret must not increase with r");
             assert!(sol.size() <= r);

@@ -16,7 +16,9 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use rrm_core::{Algorithm, Dataset, ExecPolicy, RrmError, Solution, UtilitySpace};
+use rrm_core::{
+    Algorithm, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution, UtilitySpace,
+};
 use rrm_geom::dual::DualLine;
 use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, Crossing};
 use rrm_setcover::interval::{cover_segment, Interval};
@@ -107,12 +109,10 @@ impl SweepCache {
     }
 }
 
-/// The 2DRRR baseline bound to one dataset and weight interval: the sweep
-/// cache (candidates, sorted crossings, initial ranks) is built once, and
+/// **2DRRR** bound to one dataset and weight interval: the sweep cache
+/// (candidates, sorted crossings, initial ranks) is built once, and
 /// per-threshold covers are memoized, so repeated queries — and the RRM
 /// adaptation's whole binary search — replay cached state.
-///
-/// Queries return exactly what [`rrr_2d`] / [`rrm_via_rrr_2d`] return.
 pub struct PreparedRrr2d {
     data: Dataset,
     cache: SweepCache,
@@ -120,31 +120,20 @@ pub struct PreparedRrr2d {
 }
 
 impl PreparedRrr2d {
-    pub fn new(data: &Dataset, space: &dyn UtilitySpace) -> Result<Self, RrmError> {
-        Self::new_with_exec(data, space, ExecPolicy::default())
-    }
-
-    /// [`PreparedRrr2d::new`] under an explicit execution policy for the
-    /// sweep-cache construction (queries are identical either way).
-    pub fn new_with_exec(
+    /// Build the sweep cache under `exec` (queries are identical at any
+    /// thread count). The caller has run
+    /// [`Algorithm::ensure_supported`] (`d = 2`).
+    pub(crate) fn new(
         data: &Dataset,
         space: &dyn UtilitySpace,
         exec: ExecPolicy,
     ) -> Result<Self, RrmError> {
-        if data.dim() != 2 {
-            return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-        }
         let (c0, c1) = weight_interval(space)?;
         Ok(Self {
             data: data.clone(),
             cache: SweepCache::build(data, c0, c1, exec),
             covers: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// The dataset this state was prepared on.
-    pub fn dataset(&self) -> &Dataset {
-        &self.data
     }
 
     fn cover(&self, k: usize) -> Option<Vec<u32>> {
@@ -156,21 +145,22 @@ impl PreparedRrr2d {
         let cover = self.cache.cover(k);
         self.covers.lock().expect("cover memo poisoned").entry(k).or_insert(cover).clone()
     }
+}
 
-    /// RRR for one threshold (identical to [`rrr_2d`]).
-    pub fn solve_rrr(&self, k: usize) -> Result<Solution, RrmError> {
-        if k == 0 {
-            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-        }
-        let ids = self.cover(k).expect(
-            "rank-k windows always cover the range (the top-1 line is in every window set)",
-        );
-        Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, &self.data)
+impl PreparedSolver for PreparedRrr2d {
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::TwoDRrr
     }
 
-    /// RRM via the smallest feasible threshold (identical to
-    /// [`rrm_via_rrr_2d`], with every probed cover memoized).
-    pub fn solve_rrm(&self, r: usize) -> Result<Solution, RrmError> {
+    fn dataset(&self) -> &Dataset {
+        &self.data
+    }
+
+    /// RRM via the smallest feasible threshold: the smallest `k` whose
+    /// interval cover fits in `r` tuples (doubling then binary search, as
+    /// the paper benchmarks it), with every probed cover memoized. The
+    /// 2D solver takes no budget knobs; the budget is ignored.
+    fn solve_rrm(&self, r: usize, _budget: &Budget) -> Result<Solution, RrmError> {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
@@ -213,69 +203,18 @@ impl PreparedRrr2d {
             &self.data,
         )
     }
-}
 
-/// RRR baseline: a set of size at most the optimal rank-k representative's
-/// size, with certified rank-regret at most `2k − 1`.
-pub fn rrr_2d(data: &Dataset, k: usize, space: &dyn UtilitySpace) -> Result<Solution, RrmError> {
-    rrr_2d_with_exec(data, k, space, ExecPolicy::default())
-}
-
-/// [`rrr_2d`] under an explicit execution policy (the solver path;
-/// answers are identical at any thread count).
-pub fn rrr_2d_with_exec(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    exec: ExecPolicy,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
+    /// RRR baseline: a set of size at most the optimal rank-`k`
+    /// representative's size, with certified rank-regret at most `2k − 1`.
+    fn solve_rrr(&self, k: usize, _budget: &Budget) -> Result<Solution, RrmError> {
+        if k == 0 {
+            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
+        }
+        let ids = self.cover(k).expect(
+            "rank-k windows always cover the range (the top-1 line is in every window set)",
+        );
+        Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, &self.data)
     }
-    PreparedRrr2d::new_with_exec(data, space, exec)?.solve_rrr(k)
-}
-
-/// [`rrr_2d`] over an explicit weight interval.
-pub fn rrr_2d_on_interval(
-    data: &Dataset,
-    k: usize,
-    c0: f64,
-    c1: f64,
-) -> Result<Solution, RrmError> {
-    if data.dim() != 2 {
-        return Err(RrmError::DimensionMismatch { expected: 2, got: data.dim() });
-    }
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    let cache = SweepCache::build(data, c0, c1, ExecPolicy::default());
-    let ids = cache
-        .cover(k)
-        .expect("rank-k windows always cover the range (the top-1 line is in every window set)");
-    Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, data)
-}
-
-/// RRM via the 2DRRR baseline: the smallest `k` whose interval cover fits
-/// in `r` tuples (doubling then binary search, as the paper benchmarks it).
-pub fn rrm_via_rrr_2d(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-) -> Result<Solution, RrmError> {
-    rrm_via_rrr_2d_with_exec(data, r, space, ExecPolicy::default())
-}
-
-/// [`rrm_via_rrr_2d`] under an explicit execution policy.
-pub fn rrm_via_rrr_2d_with_exec(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    exec: ExecPolicy,
-) -> Result<Solution, RrmError> {
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    PreparedRrr2d::new_with_exec(data, space, exec)?.solve_rrm(r)
 }
 
 #[cfg(test)]
@@ -286,7 +225,17 @@ mod tests {
     use rrm_core::FullSpace;
     use rrm_geom::events::crossings_with_tracked;
 
-    use crate::rrm2d::{rrm_2d, Rrm2dOptions};
+    use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+
+    /// A fresh 2DRRR handle over the full space.
+    fn baseline(data: &Dataset) -> PreparedRrr2d {
+        PreparedRrr2d::new(data, &FullSpace::new(2), ExecPolicy::default()).unwrap()
+    }
+
+    /// A fresh exact 2DRRM handle over the full space.
+    fn exact(data: &Dataset) -> Prepared2d {
+        Prepared2d::new(data, &FullSpace::new(2), Rrm2dOptions::default()).unwrap()
+    }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -322,7 +271,7 @@ mod tests {
         for seed in 0..15 {
             let d = random_dataset(40, seed);
             for k in [1usize, 2, 3] {
-                let sol = rrr_2d(&d, k, &FullSpace::new(2)).unwrap();
+                let sol = baseline(&d).solve_rrr(k, &Budget::UNLIMITED).unwrap();
                 let regret = exact_regret(&d, &sol.indices);
                 assert!(regret < 2 * k, "seed {seed} k={k}: regret {regret} > {}", 2 * k - 1);
             }
@@ -336,10 +285,8 @@ mod tests {
         for seed in 20..30 {
             let d = random_dataset(30, seed);
             for k in [1usize, 2, 3] {
-                let approx = rrr_2d(&d, k, &FullSpace::new(2)).unwrap();
-                let exact =
-                    crate::pareto::rrr_exact_2d(&d, k, &FullSpace::new(2), Rrm2dOptions::default())
-                        .unwrap();
+                let approx = baseline(&d).solve_rrr(k, &Budget::UNLIMITED).unwrap();
+                let exact = exact(&d).solve_rrr(k, &Budget::UNLIMITED).unwrap();
                 assert!(
                     approx.size() <= exact.size(),
                     "seed {seed} k={k}: approx {} > exact {}",
@@ -355,9 +302,9 @@ mod tests {
         for seed in 40..50 {
             let d = random_dataset(60, seed);
             for r in [2usize, 4] {
-                let baseline = rrm_via_rrr_2d(&d, r, &FullSpace::new(2)).unwrap();
+                let baseline = baseline(&d).solve_rrm(r, &Budget::UNLIMITED).unwrap();
                 assert!(baseline.size() <= r);
-                let exact = rrm_2d(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+                let exact = exact(&d).solve_rrm(r, &Budget::UNLIMITED).unwrap();
                 let exact_k = exact.certified_regret.unwrap();
                 let baseline_k = exact_regret(&d, &baseline.indices);
                 assert!(
@@ -373,7 +320,7 @@ mod tests {
         let d =
             Dataset::from_rows(&[[0.0, 1.0], [0.4, 0.95], [0.57, 0.75], [0.79, 0.6], [1.0, 0.0]])
                 .unwrap();
-        let sol = rrr_2d(&d, 1, &FullSpace::new(2)).unwrap();
+        let sol = baseline(&d).solve_rrr(1, &Budget::UNLIMITED).unwrap();
         // Rank ≤ 1 windows: only upper-envelope lines; certified 2·1−1 = 1.
         assert_eq!(sol.certified_regret, Some(1));
         assert_eq!(exact_regret(&d, &sol.indices), 1);
@@ -382,6 +329,6 @@ mod tests {
     #[test]
     fn zero_threshold_rejected() {
         let d = random_dataset(10, 60);
-        assert!(rrr_2d(&d, 0, &FullSpace::new(2)).is_err());
+        assert!(baseline(&d).solve_rrr(0, &Budget::UNLIMITED).is_err());
     }
 }

@@ -2,18 +2,14 @@
 //! dynamic program (2DRRM) and the interval-cover baseline of Asudeh et
 //! al. (2DRRR).
 //!
-//! Both are planar (`d = 2` exactly); the trait's `supported_dims`
-//! advertises that, and engines turn it into a uniform
-//! `RrmError::Unsupported` before dispatch.
+//! Both are planar (`d = 2` exactly); [`Algorithm::supported_dims`]
+//! advertises that, and `prepare` turns it into a uniform
+//! `RrmError::Unsupported` before building any state.
 
-use rrm_core::{
-    Algorithm, AppliedUpdate, Budget, Dataset, PreparedSolver, RrmError, Solution, Solver,
-    SolverCtx, UtilitySpace,
-};
+use rrm_core::{Algorithm, Dataset, ExecPolicy, PreparedSolver, RrmError, Solver, UtilitySpace};
 
-use crate::pareto::rrr_exact_2d;
-use crate::rrm2d::{rrm_2d, Prepared2d, Rrm2dOptions};
-use crate::rrr2d::{rrm_via_rrr_2d_with_exec, rrr_2d_with_exec, PreparedRrr2d};
+use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+use crate::rrr2d::PreparedRrr2d;
 
 /// **2DRRM** (paper Section IV): exact RRM/RRRM via the dual-line sweep,
 /// exact RRR via binary search on the DP.
@@ -26,14 +22,6 @@ impl TwoDRrmSolver {
     pub fn new(options: Rrm2dOptions) -> Self {
         Self { options }
     }
-
-    /// Options with the context's execution policy applied (an explicit
-    /// engine policy overrides the options' default).
-    fn with_ctx(&self, ctx: &SolverCtx) -> Rrm2dOptions {
-        let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for TwoDRrmSolver {
@@ -41,65 +29,16 @@ impl Solver for TwoDRrmSolver {
         Algorithm::TwoDRrm
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrm_2d(data, r, space, self.with_ctx(ctx))
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrr_exact_2d(data, k, space, self.with_ctx(ctx))
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
-        Ok(Box::new(PreparedTwoDRrm { inner: Prepared2d::new(data, space, self.with_ctx(ctx))? }))
-    }
-}
-
-/// [`Prepared2d`] behind the [`PreparedSolver`] contract (the 2D solvers
-/// take no budget knobs, so the budget is ignored exactly as in the
-/// one-shot path).
-struct PreparedTwoDRrm {
-    inner: Prepared2d,
-}
-
-impl PreparedSolver for PreparedTwoDRrm {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::TwoDRrm
-    }
-
-    fn dataset(&self) -> &Dataset {
-        self.inner.dataset()
-    }
-
-    fn solve_rrm(&self, r: usize, _budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrm(r)
-    }
-
-    fn solve_rrr(&self, k: usize, _budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrr(k)
-    }
-
-    fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
-        Some(Box::new(PreparedTwoDRrm { inner: self.inner.apply_update(upd) }))
+        self.algorithm().ensure_supported(data, space)?;
+        let mut options = self.options;
+        options.exec = exec.or(options.exec);
+        Ok(Box::new(Prepared2d::new(data, space, options)?))
     }
 }
 
@@ -115,70 +54,21 @@ impl Solver for TwoDRrrSolver {
         Algorithm::TwoDRrr
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrm_via_rrr_2d_with_exec(data, r, space, ctx.exec)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        _budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrr_2d_with_exec(data, k, space, ctx.exec)
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
-        Ok(Box::new(PreparedTwoDRrr {
-            inner: PreparedRrr2d::new_with_exec(data, space, ctx.exec)?,
-        }))
-    }
-}
-
-/// [`PreparedRrr2d`] behind the [`PreparedSolver`] contract.
-struct PreparedTwoDRrr {
-    inner: PreparedRrr2d,
-}
-
-impl PreparedSolver for PreparedTwoDRrr {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::TwoDRrr
-    }
-
-    fn dataset(&self) -> &Dataset {
-        self.inner.dataset()
-    }
-
-    fn solve_rrm(&self, r: usize, _budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrm(r)
-    }
-
-    fn solve_rrr(&self, k: usize, _budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrr(k)
+        self.algorithm().ensure_supported(data, space)?;
+        Ok(Box::new(PreparedRrr2d::new(data, space, exec)?))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::FullSpace;
+    use rrm_core::{Budget, FullSpace, WeakRankingSpace};
 
     fn table1() -> Dataset {
         Dataset::from_rows(&[
@@ -195,23 +85,31 @@ mod tests {
 
     #[test]
     fn trait_and_function_agree() {
+        // The boxed trait handle answers exactly like the prepared type
+        // built directly.
         let solver = TwoDRrmSolver::default();
-        let ctx = rrm_core::SolverCtx::default();
+        let space = FullSpace::new(2);
         let via_trait = solver
-            .solve_rrm_ctx(&table1(), 2, &FullSpace::new(2), &Budget::default(), &ctx)
+            .prepare(&table1(), &space, ExecPolicy::default())
+            .unwrap()
+            .solve_rrm(2, &Budget::default())
             .unwrap();
-        let direct = rrm_2d(&table1(), 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let direct = Prepared2d::new(&table1(), &space, Rrm2dOptions::default())
+            .unwrap()
+            .solve_rrm(2, &Budget::default())
+            .unwrap();
         assert_eq!(via_trait, direct);
         assert_eq!(solver.algorithm(), Algorithm::TwoDRrm);
-        assert!(solver.has_regret_guarantee());
+        assert!(solver.algorithm().has_regret_guarantee());
     }
 
     #[test]
     fn two_d_solvers_reject_hd_data() {
         let data = Dataset::from_rows(&[[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]).unwrap();
-        let err = TwoDRrrSolver
-            .solve_rrm_ctx(&data, 1, &FullSpace::new(3), &Budget::default(), &Default::default())
-            .unwrap_err();
+        let Err(err) = TwoDRrrSolver.prepare(&data, &FullSpace::new(3), ExecPolicy::default())
+        else {
+            panic!("2DRRR must refuse d = 3");
+        };
         assert!(matches!(err, RrmError::Unsupported(_)), "{err}");
     }
 
@@ -219,16 +117,15 @@ mod tests {
     fn two_d_rrr_solver_covers_threshold() {
         let solver = TwoDRrrSolver;
         let sol = solver
-            .solve_rrr_ctx(
-                &table1(),
-                2,
-                &FullSpace::new(2),
-                &Budget::default(),
-                &Default::default(),
-            )
+            .prepare(&table1(), &FullSpace::new(2), ExecPolicy::default())
+            .unwrap()
+            .solve_rrr(2, &Budget::default())
             .unwrap();
         assert!(sol.certified_regret.unwrap() <= 3); // 2k-1
         assert_eq!(sol.algorithm, Algorithm::TwoDRrr);
-        assert!(!solver.supports_restricted_space());
+        assert!(!solver.algorithm().supports_restricted_space());
+        let restricted =
+            solver.prepare(&table1(), &WeakRankingSpace::new(2, 1), Default::default());
+        assert!(matches!(restricted, Err(RrmError::Unsupported(_))));
     }
 }

@@ -21,7 +21,7 @@ pub(crate) type TopkLists = Arc<Vec<Vec<u32>>>;
 
 /// Kept top-k lists: per key (a direction set's sample count), the
 /// deepest lists computed so far. A prepared handle shares one across
-/// its queries; a one-shot solve holds its own.
+/// its queries; the coarse pass of a search holds its own.
 pub(crate) type ListCache = Mutex<HashMap<usize, (usize, TopkLists)>>;
 
 /// The top-k lists one threshold search reads.

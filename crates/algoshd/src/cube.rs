@@ -86,7 +86,7 @@ fn side_length(budget: usize, d: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::FullSpace;
+    use rrm_core::{FullSpace, Solver};
     use rrm_data::synthetic::{anticorrelated, independent};
     use rrm_eval::{estimate_rank_regret_seq, estimate_regret_ratio};
 
@@ -132,13 +132,12 @@ mod tests {
         let sol = cube(&data, 12).unwrap();
         let rank =
             estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(3), 10_000, 5).max_rank;
-        let hdrrm = crate::hdrrm(
-            &data,
-            12,
-            &FullSpace::new(3),
-            crate::HdrrmOptions { m_override: Some(2_000), ..Default::default() },
-        )
-        .unwrap();
+        let opts = crate::HdrrmOptions { m_override: Some(2_000), ..Default::default() };
+        let hdrrm = crate::HdrrmSolver::new(opts)
+            .prepare(&data, &FullSpace::new(3), rrm_core::ExecPolicy::default())
+            .unwrap()
+            .solve_rrm(12, &rrm_core::Budget::UNLIMITED)
+            .unwrap();
         let rank_h =
             estimate_rank_regret_seq(&data, &hdrrm.indices, &FullSpace::new(3), 10_000, 5).max_rank;
         assert!(rank >= rank_h, "CUBE rank {rank} unexpectedly beats HDRRM {rank_h}");

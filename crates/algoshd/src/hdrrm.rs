@@ -15,6 +15,11 @@
 //! `Φ_K`. Once the coarse incumbent bounds the answer by `K`, one top-`K`
 //! pass serves every doubling and binary probe up to `K`, provided the
 //! lists fit a memory budget.
+//!
+//! [`PreparedHdrrm`] is the implementation: the dataset phase (basis `B`,
+//! skyline mask) runs once at prepare time, and each query runs the
+//! threshold search (RRM) or one ASMS cover (RRR) over a cached
+//! discretization `D`.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -22,8 +27,8 @@ use std::sync::{Arc, Mutex};
 use rrm_core::rank::batch_top_k;
 use rrm_core::{
     basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Cutoff,
-    Dataset, ExecPolicy, Parallelism, RrmError, Solution, TerminatedBy, UtilitySpace,
-    PREPARED_CACHE_CAP,
+    Dataset, ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, TerminatedBy,
+    UtilitySpace, PREPARED_CACHE_CAP,
 };
 use rrm_skyline::IncrementalSkyline;
 
@@ -32,7 +37,8 @@ use crate::asms::{asms_with_topk, asms_with_topk_capped};
 use crate::common::{ListCache, ListSource, TopkLists, DEFAULT_CACHE_BUDGET_ENTRIES};
 use crate::discretize::{build_vector_set_exec, paper_sample_size, Discretization};
 
-/// Tuning knobs for [`hdrrm`]. Defaults mirror the paper's experiments.
+/// Tuning knobs for HDRRM ([`crate::HdrrmSolver`]). Defaults mirror the
+/// paper's experiments.
 #[derive(Debug, Clone, Copy)]
 pub struct HdrrmOptions {
     /// Polar grid resolution γ (paper: 6).
@@ -94,9 +100,8 @@ const COARSE_FRACTION: usize = 16;
 /// itself.
 const COARSE_MIN_DIRS: usize = 16;
 
-/// The per-solve probe environment shared by the one-shot and prepared
-/// HDRRM searches: everything a feasibility probe needs besides the
-/// cache its top-k lists are kept in.
+/// The per-solve probe environment of one HDRRM search: everything a
+/// feasibility probe needs besides the cache its top-k lists are kept in.
 struct AsmsSearch<'a> {
     data: &'a Dataset,
     r: usize,
@@ -201,8 +206,8 @@ impl AsmsSearch<'_> {
     }
 
     /// The whole search over the size-`m` discretization `dirs`
-    /// (Algorithm 3 lines 2–6), shared by [`hdrrm_anytime`] and
-    /// [`PreparedHdrrm::solve_rrm`], which differ only in `cache`.
+    /// (Algorithm 3 lines 2–6); `cache` keeps the top-k lists (keyed by
+    /// `m`) across queries.
     ///
     /// Under a cutoff a fallback incumbent comes first; then the coarse
     /// incumbent, whose full-frame bound sets the depth of the one deep
@@ -259,76 +264,6 @@ impl AsmsSearch<'_> {
     }
 }
 
-/// Solve RRM (`space = L`) or RRRM (restricted `space`) with HDRRM,
-/// running to completion ([`Cutoff::None`]).
-///
-/// Errors when `r` cannot hold the basis (`r < |B|`; the paper assumes
-/// `r ≥ d`), when `d < 2`, or on dimension mismatch.
-pub fn hdrrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-) -> Result<Solution, RrmError> {
-    hdrrm_anytime(data, r, space, options, Cutoff::None, None)
-}
-
-/// [`hdrrm`] as an anytime bound-and-prune search.
-///
-/// The doubling-then-binary threshold search runs under `cutoff`
-/// (`probe_budget` threshold probes under [`Cutoff::CounterBudget`]); an
-/// early stop returns the best incumbent found so far — the coarse-frame
-/// answer, a feasible probe, or the uniform-direction fallback — with
-/// certified [`Bounds`] and the [`TerminatedBy`] reason, instead of
-/// failing. Under [`Cutoff::None`] the answer is bit-identical to the
-/// pre-anytime solver at any thread count.
-pub fn hdrrm_anytime(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-    cutoff: Cutoff,
-    probe_budget: Option<usize>,
-) -> Result<Solution, RrmError> {
-    let d = data.dim();
-    let n = data.n();
-    if d < 2 {
-        return Err(RrmError::Unsupported("HDRRM requires d >= 2".into()));
-    }
-    if space.dim() != d {
-        return Err(RrmError::DimensionMismatch { expected: d, got: space.dim() });
-    }
-    let basis = if options.include_basis { basis_indices(data) } else { Vec::new() };
-    if r < basis.len().max(1) {
-        return Err(RrmError::OutputSizeTooSmall { requested: r, minimum: basis.len().max(1) });
-    }
-
-    let m = options.m_override.unwrap_or_else(|| paper_sample_size(n, r, d, options.delta));
-    let disc = build_vector_set_exec(d, space, m, options.gamma, options.seed, options.exec);
-
-    let mask = if options.skyline_candidates {
-        let sky = rrm_skyline::skyline(data);
-        let mut mask = vec![false; n];
-        for &s in &sky {
-            mask[s as usize] = true;
-        }
-        Some(mask)
-    } else {
-        None
-    };
-
-    let env = AsmsSearch {
-        data,
-        r,
-        basis: &basis,
-        mask: mask.as_deref(),
-        pick_cap: pick_cap(r, &basis, &options),
-        pol: options.exec.parallelism,
-        cache_budget_entries: options.cache_budget_entries,
-    };
-    env.solve(&disc.dirs, AnytimeSearch::new(cutoff, probe_budget), &ListCache::default(), m)
-}
-
 /// HDRRM bound to one dataset and utility space: the prepare-once /
 /// query-many form of the paper's HD algorithm.
 ///
@@ -339,9 +274,9 @@ pub fn hdrrm_anytime(
 /// the greedy covers, and the probes of *different* queries share one
 /// top-`k` computation through the ASMS prefix property.
 ///
-/// Every query returns exactly what the one-shot [`hdrrm`] / [`hdrrr`]
-/// would return for the same inputs — the caches are keyed by the same
-/// deterministic seeds the one-shot path uses.
+/// Every query on a warm handle returns exactly what a fresh handle
+/// returns for the same inputs — the caches are keyed by the deterministic
+/// seeds and sample counts the answers depend on.
 pub struct PreparedHdrrm {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
@@ -361,36 +296,21 @@ pub struct PreparedHdrrm {
 }
 
 impl PreparedHdrrm {
-    pub fn new(
-        data: &Dataset,
-        space: &dyn UtilitySpace,
-        options: HdrrmOptions,
-    ) -> Result<Self, RrmError> {
-        let d = data.dim();
-        if d < 2 {
-            return Err(RrmError::Unsupported("HDRRM requires d >= 2".into()));
-        }
-        if space.dim() != d {
-            return Err(RrmError::DimensionMismatch { expected: d, got: space.dim() });
-        }
-        let basis = basis_indices(data);
+    /// The dataset phase. The caller has run
+    /// [`Algorithm::ensure_supported`] (`d ≥ 2`, matching space).
+    pub(crate) fn new(data: &Dataset, space: &dyn UtilitySpace, options: HdrrmOptions) -> Self {
         let sky = options.skyline_candidates.then(|| IncrementalSkyline::build(data));
         let mask = sky.as_ref().map(|s| s.mask().to_vec());
-        Ok(Self {
+        Self {
             data: data.clone(),
             space: space.clone_box(),
             options,
-            basis,
+            basis: basis_indices(data),
             sky,
             mask,
             discs: Mutex::new(HashMap::new()),
             topk: ListCache::default(),
-        })
-    }
-
-    /// The dataset this state was prepared on.
-    pub fn dataset(&self) -> &Dataset {
-        &self.data
+        }
     }
 
     /// Rebind the prepared state to the post-update dataset, patching the
@@ -411,7 +331,7 @@ impl PreparedHdrrm {
     /// The basis is recomputed (`O(n·d)`, far below one direction's
     /// re-score). Queries on the patched handle answer bit-identically to
     /// a freshly built [`PreparedHdrrm`] over the same rows.
-    pub fn apply_update(&self, upd: &AppliedUpdate) -> Self {
+    fn patched(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
         let basis = basis_indices(&data);
         let sky = self.sky.clone().map(|mut s| {
@@ -476,19 +396,38 @@ impl PreparedHdrrm {
         }
     }
 
-    /// The effective sample count for an RRM query (budget override, then
-    /// option override, then the Theorem 10 formula — identical precedence
-    /// to the one-shot [`hdrrm`] behind a budget-applying solver).
+    /// The effective sample count for an RRM query: budget override, then
+    /// option override, then the Theorem 10 formula.
     fn rrm_samples(&self, r: usize, budget: &Budget) -> usize {
         budget.samples.or(self.options.m_override).unwrap_or_else(|| {
             paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
         })
     }
+}
 
-    /// RRM for one size budget (identical to [`hdrrm`], including the
-    /// anytime behavior: the budget's [`Budget::effective_cutoff`] and
-    /// `max_enumerations` probe allowance apply in-solve).
-    pub fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
+impl PreparedSolver for PreparedHdrrm {
+    fn algorithm(&self) -> Algorithm {
+        Algorithm::Hdrrm
+    }
+
+    fn dataset(&self) -> &Dataset {
+        &self.data
+    }
+
+    /// RRM (`space = L`) or RRRM (restricted `space`) for one size budget,
+    /// as an anytime bound-and-prune search.
+    ///
+    /// The doubling-then-binary threshold search runs under the budget's
+    /// [`Budget::effective_cutoff`] (`max_enumerations` threshold probes
+    /// under [`Cutoff::CounterBudget`]); an early stop returns the best
+    /// incumbent found so far — the coarse-frame answer, a feasible probe,
+    /// or the uniform-direction fallback — with certified [`Bounds`] and
+    /// the [`TerminatedBy`] reason, instead of failing. Under
+    /// [`Cutoff::None`] the answer is bit-identical at any thread count.
+    ///
+    /// Errors when `r` cannot hold the basis (`r < |B|`; the paper
+    /// assumes `r ≥ d`).
+    fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
         let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
         if r < basis.len().max(1) {
             return Err(RrmError::OutputSizeTooSmall { requested: r, minimum: basis.len().max(1) });
@@ -499,8 +438,12 @@ impl PreparedHdrrm {
         self.env(r, basis).solve(&disc.dirs, search, &self.topk, m)
     }
 
-    /// RRR for one threshold (identical to [`hdrrr`]).
-    pub fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
+    /// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
+    /// returns a small superset of the basis with `∇D(Q) ≤ k` — the MS
+    /// problem of Definition 7, certified over the discretization. The
+    /// formula's `r` is unknown for RRR, so the default `m` is sized for
+    /// twice the basis instead.
+    fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
         }
@@ -522,6 +465,10 @@ impl PreparedHdrrm {
         .lists(k);
         let q = asms_with_topk(n, k, &self.basis, &lists, self.mask.as_deref());
         Solution::new(q, Some(k), Algorithm::Hdrrm, &self.data)
+    }
+
+    fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
+        Some(Box::new(self.patched(upd)))
     }
 }
 
@@ -587,62 +534,44 @@ fn patch_topk(
     Arc::new(out)
 }
 
-/// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
-/// returns a small superset of the basis with `∇D(Q) ≤ k` — the MS problem
-/// of Definition 7, certified over the discretization.
-pub fn hdrrr(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    options: HdrrmOptions,
-) -> Result<Solution, RrmError> {
-    let d = data.dim();
-    let n = data.n();
-    if d < 2 {
-        return Err(RrmError::Unsupported("HDRRR requires d >= 2".into()));
-    }
-    if space.dim() != d {
-        return Err(RrmError::DimensionMismatch { expected: d, got: space.dim() });
-    }
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    let basis = basis_indices(data);
-    // The formula's r is unknown for RRR; scale m by the threshold instead.
-    let m = options
-        .m_override
-        .unwrap_or_else(|| paper_sample_size(n, (2 * basis.len()).max(8), d, options.delta));
-    let disc = build_vector_set_exec(d, space, m, options.gamma, options.seed, options.exec);
-    let mask = if options.skyline_candidates {
-        let sky = rrm_skyline::skyline(data);
-        let mut mask = vec![false; n];
-        for &s in &sky {
-            mask[s as usize] = true;
-        }
-        Some(mask)
-    } else {
-        None
-    };
-    let q = crate::asms::asms(
-        data,
-        k.min(n),
-        &basis,
-        &disc.dirs,
-        mask.as_deref(),
-        options.exec.parallelism,
-    );
-    Solution::new(q, Some(k.min(n)), Algorithm::Hdrrm, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::discretize::build_vector_set;
-    use rrm_core::{FullSpace, WeakRankingSpace};
+    use rrm_core::{FullSpace, Solver, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, correlated, independent};
 
     fn quick_opts(m: usize) -> HdrrmOptions {
         HdrrmOptions { m_override: Some(m), gamma: 4, ..Default::default() }
+    }
+
+    /// HDRRM through a fresh handle (capability check included).
+    fn prepared(
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+        opts: HdrrmOptions,
+    ) -> Result<Box<dyn PreparedSolver>, RrmError> {
+        crate::HdrrmSolver::new(opts).prepare(data, space, ExecPolicy::default())
+    }
+
+    /// One RRM query through a fresh handle.
+    fn run_rrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: HdrrmOptions,
+    ) -> Result<Solution, RrmError> {
+        prepared(data, space, opts)?.solve_rrm(r, &Budget::UNLIMITED)
+    }
+
+    /// One RRR query through a fresh handle.
+    fn run_rrr(
+        data: &Dataset,
+        k: usize,
+        space: &dyn UtilitySpace,
+        opts: HdrrmOptions,
+    ) -> Result<Solution, RrmError> {
+        prepared(data, space, opts)?.solve_rrr(k, &Budget::UNLIMITED)
     }
 
     fn regret_over_dirs(data: &Dataset, set: &[u32], dirs: &[Vec<f64>]) -> usize {
@@ -653,7 +582,7 @@ mod tests {
     fn certificate_holds_over_its_own_discretization() {
         let data = independent(600, 4, 21);
         let opts = quick_opts(400);
-        let sol = hdrrm(&data, 10, &FullSpace::new(4), opts).unwrap();
+        let sol = run_rrm(&data, 10, &FullSpace::new(4), opts).unwrap();
         assert!(sol.size() <= 10);
         let k = sol.certified_regret.unwrap();
         // Rebuild the same D (same seed/options) and verify ∇D(R) ≤ k.
@@ -665,7 +594,7 @@ mod tests {
     #[test]
     fn includes_basis() {
         let data = independent(300, 3, 22);
-        let sol = hdrrm(&data, 8, &FullSpace::new(3), quick_opts(200)).unwrap();
+        let sol = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(200)).unwrap();
         for b in basis_indices(&data) {
             assert!(sol.indices.contains(&b));
         }
@@ -674,7 +603,7 @@ mod tests {
     #[test]
     fn rejects_r_below_basis() {
         let data = independent(100, 4, 23);
-        let err = hdrrm(&data, 2, &FullSpace::new(4), quick_opts(50));
+        let err = run_rrm(&data, 2, &FullSpace::new(4), quick_opts(50));
         assert!(matches!(err, Err(RrmError::OutputSizeTooSmall { .. })));
     }
 
@@ -683,7 +612,7 @@ mod tests {
         let data = anticorrelated(800, 4, 24);
         let mut prev = usize::MAX;
         for r in [6usize, 10, 14] {
-            let sol = hdrrm(&data, r, &FullSpace::new(4), quick_opts(300)).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(4), quick_opts(300)).unwrap();
             let k = sol.certified_regret.unwrap();
             assert!(k <= prev, "r={r}: {k} > {prev}");
             prev = k;
@@ -696,11 +625,11 @@ mod tests {
         // rank-regrets."
         let corr = correlated(2000, 4, 25);
         let anti = anticorrelated(2000, 4, 25);
-        let k_corr = hdrrm(&corr, 10, &FullSpace::new(4), quick_opts(300))
+        let k_corr = run_rrm(&corr, 10, &FullSpace::new(4), quick_opts(300))
             .unwrap()
             .certified_regret
             .unwrap();
-        let k_anti = hdrrm(&anti, 10, &FullSpace::new(4), quick_opts(300))
+        let k_anti = run_rrm(&anti, 10, &FullSpace::new(4), quick_opts(300))
             .unwrap()
             .certified_regret
             .unwrap();
@@ -710,8 +639,8 @@ mod tests {
     #[test]
     fn restricted_space_certifies_no_worse() {
         let data = anticorrelated(1000, 4, 26);
-        let full = hdrrm(&data, 10, &FullSpace::new(4), quick_opts(300)).unwrap();
-        let weak = hdrrm(&data, 10, &WeakRankingSpace::new(4, 2), quick_opts(300)).unwrap();
+        let full = run_rrm(&data, 10, &FullSpace::new(4), quick_opts(300)).unwrap();
+        let weak = run_rrm(&data, 10, &WeakRankingSpace::new(4, 2), quick_opts(300)).unwrap();
         // The restricted D is "easier": certified regret should not grow
         // beyond sampling noise. Allow equality plus slack of 1 doubling.
         let (kf, kw) = (full.certified_regret.unwrap(), weak.certified_regret.unwrap());
@@ -721,8 +650,8 @@ mod tests {
     #[test]
     fn skyline_mask_matches_unmasked_quality() {
         let data = independent(500, 3, 27);
-        let with_mask = hdrrm(&data, 8, &FullSpace::new(3), quick_opts(250)).unwrap();
-        let without_mask = hdrrm(
+        let with_mask = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(250)).unwrap();
+        let without_mask = run_rrm(
             &data,
             8,
             &FullSpace::new(3),
@@ -738,8 +667,8 @@ mod tests {
     #[test]
     fn tiny_cache_budget_same_answer() {
         // Budget 0 keeps no lists between probes: no deep pass, and every
-        // probe scores afresh at its own k. The answers must not move,
-        // one-shot or prepared. On the second set the coarse bound (31)
+        // probe scores afresh at its own k. The answers must not move, on a
+        // fresh handle or a warm one. On the second set the coarse bound (31)
         // sits below the final threshold (45), so the default run also
         // deepens its lists past the deep pass.
         let space = FullSpace::new(3);
@@ -747,15 +676,15 @@ mod tests {
         for (i, (data, r, m)) in sets.into_iter().enumerate() {
             let opts = quick_opts(m);
             let tiny = HdrrmOptions { cache_budget_entries: 0, ..opts };
-            let want = hdrrm(&data, r, &space, opts).unwrap();
+            let want = run_rrm(&data, r, &space, opts).unwrap();
             let k = want.certified_regret.unwrap();
             if i == 1 {
                 let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
                 assert!(coarse < k, "coarse {coarse} vs final {k}");
             }
-            assert_eq!(hdrrm(&data, r, &space, tiny).unwrap(), want, "set {i}");
+            assert_eq!(run_rrm(&data, r, &space, tiny).unwrap(), want, "set {i}");
             for o in [opts, tiny] {
-                let prepared = PreparedHdrrm::new(&data, &space, o).unwrap();
+                let prepared = PreparedHdrrm::new(&data, &space, o);
                 for _ in 0..2 {
                     assert_eq!(prepared.solve_rrm(r, &Budget::UNLIMITED).unwrap(), want, "set {i}");
                 }
@@ -774,7 +703,7 @@ mod tests {
         let data = independent(500, 3, 29);
         let opts = quick_opts(300);
         for k in [1usize, 5, 25] {
-            let sol = hdrrr(&data, k, &FullSpace::new(3), opts).unwrap();
+            let sol = run_rrr(&data, k, &FullSpace::new(3), opts).unwrap();
             assert_eq!(sol.certified_regret, Some(k));
             // Verify over the same discretization it was built from.
             let m = opts.m_override.unwrap();
@@ -782,8 +711,8 @@ mod tests {
             assert!(regret_over_dirs(&data, &sol.indices, &disc.dirs) <= k);
         }
         // Bigger threshold, same-or-smaller set.
-        let small = hdrrr(&data, 2, &FullSpace::new(3), opts).unwrap().size();
-        let large = hdrrr(&data, 50, &FullSpace::new(3), opts).unwrap().size();
+        let small = run_rrr(&data, 2, &FullSpace::new(3), opts).unwrap().size();
+        let large = run_rrr(&data, 50, &FullSpace::new(3), opts).unwrap().size();
         assert!(large <= small);
     }
 
@@ -796,7 +725,7 @@ mod tests {
         let opts = quick_opts(64);
         let space = FullSpace::new(4);
         let mut data = independent(200, 4, 31);
-        let mut prepared = PreparedHdrrm::new(&data, &space, opts).unwrap();
+        let mut prepared = PreparedHdrrm::new(&data, &space, opts);
         let budget = Budget::with_samples(64);
         for batch in 0..3 {
             // Warm the caches before each batch so the patch path has
@@ -814,8 +743,8 @@ mod tests {
                 ops.push(UpdateOp::Insert((0..4).map(|_| rng.random::<f64>()).collect()));
             }
             let upd = apply_updates(&data, &ops).unwrap();
-            prepared = prepared.apply_update(&upd);
-            let fresh = PreparedHdrrm::new(&upd.new, &space, opts).unwrap();
+            prepared = prepared.patched(&upd);
+            let fresh = PreparedHdrrm::new(&upd.new, &space, opts);
             let ctx = format!("batch {batch}");
             assert_eq!(prepared.basis, fresh.basis, "{ctx}");
             assert_eq!(prepared.mask, fresh.mask, "{ctx}");
@@ -847,6 +776,6 @@ mod tests {
     #[test]
     fn d1_unsupported() {
         let data = Dataset::from_rows(&[[0.5], [0.7]]).unwrap();
-        assert!(hdrrm(&data, 1, &FullSpace::new(1), quick_opts(10)).is_err());
+        assert!(run_rrm(&data, 1, &FullSpace::new(1), quick_opts(10)).is_err());
     }
 }

@@ -9,9 +9,11 @@
 //! | [`mod@mdrc`] | MDRC (space partitioning) | no | no | yes |
 //! | [`mod@mdrms`] | MDRMS (regret-ratio / RMS) | no (wrong objective) | yes | yes |
 //!
-//! This is Table III of the paper, encoded in the implementations: `mdrrr`
-//! rejects restricted spaces, `mdrc` rejects them too, and only `hdrrm`
-//! and `mdrrr` certify a rank-regret for their output.
+//! This is Table III of the paper, encoded in `rrm_core::Algorithm`: every
+//! solver's `prepare` runs `Algorithm::ensure_supported`, which rejects
+//! restricted spaces for MDRRR and MDRC, and only HDRRM and MDRRR certify
+//! a rank-regret for their output. Each algorithm's queries run on the
+//! handle its [`solver`]'s `prepare` returns.
 
 pub(crate) mod anytime;
 pub mod asms;
@@ -29,10 +31,9 @@ pub mod solver;
 pub use asms::asms;
 pub use cube::{cube, cube_ratio_bound};
 pub use discretize::{build_vector_set, paper_sample_size, Discretization};
-pub use hdrrm::{hdrrm, hdrrm_anytime, hdrrr, HdrrmOptions, PreparedHdrrm};
+pub use hdrrm::{HdrrmOptions, PreparedHdrrm};
 pub use ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
-pub use mdrc::{mdrc, mdrc_anytime, mdrc_rrm, MdrcOptions};
-pub use mdrms::{mdrms, MdrmsOptions};
-pub use mdrrr::{mdrrr, mdrrr_rrm, mdrrr_rrm_anytime};
-pub use mdrrr_r::{mdrrr_r, mdrrr_r_rrm, mdrrr_r_rrm_anytime, MdrrrROptions};
+pub use mdrc::MdrcOptions;
+pub use mdrms::MdrmsOptions;
+pub use mdrrr_r::MdrrrROptions;
 pub use solver::{HdrrmSolver, MdrcSolver, MdrmsSolver, MdrrrRSolver, MdrrrSolver};

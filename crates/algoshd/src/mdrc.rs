@@ -9,16 +9,16 @@
 //! Fig. 28) it degrades by orders of magnitude, exactly the behaviour the
 //! paper reports.
 //!
-//! Restricted spaces are rejected, matching Table III ("Suitable for
-//! RRRM: No").
+//! Restricted spaces are rejected by `Algorithm::ensure_supported`,
+//! matching Table III ("Suitable for RRRM: No").
 
 use rrm_core::{
     rank, Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, RrmError, Solution,
-    TerminatedBy, UtilitySpace,
+    TerminatedBy,
 };
 use rrm_geom::polar::angles_to_direction;
 
-/// Options for [`mdrc`].
+/// Options for MDRC ([`crate::MdrcSolver`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MdrcOptions {
     /// Extra probe directions per cell in addition to the `2^(d-1)`
@@ -39,40 +39,21 @@ struct Cell {
     worst_rank: usize,
 }
 
-/// MDRC for RRM: a size ≤ `r` set chosen by recursive angle-space
-/// partitioning. `certified_regret` is `None` (no guarantee).
-pub fn mdrc(
+/// MDRC for RRM as an anytime refinement: a size ≤ `r` set chosen by
+/// recursive angle-space partitioning, `certified_regret` `None` (no
+/// guarantee). Every refinement step improves the answer, so a cutoff
+/// simply returns the cells refined so far (fewer, coarser representatives
+/// — still a valid size ≤ `r` set). MDRC probes say nothing about cell
+/// interiors, so no rank bounds are attached; a cut-off run carries only
+/// its [`TerminatedBy`] reason. `eval_budget` caps the number of cell
+/// evaluations under [`Cutoff::CounterBudget`].
+pub(crate) fn mdrc_anytime(
     data: &Dataset,
     r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrcOptions,
-) -> Result<Solution, RrmError> {
-    mdrc_anytime(data, r, space, opts, Cutoff::None, None)
-}
-
-/// [`mdrc`] as an anytime refinement: every refinement step improves the
-/// answer, so a cutoff simply returns the cells refined so far (fewer,
-/// coarser representatives — still a valid size ≤ `r` set). MDRC probes
-/// say nothing about cell interiors, so no rank bounds are attached; a
-/// cut-off run carries only its [`TerminatedBy`] reason. `eval_budget`
-/// caps the number of cell evaluations under
-/// [`Cutoff::CounterBudget`].
-pub fn mdrc_anytime(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
     opts: MdrcOptions,
     cutoff: Cutoff,
     eval_budget: Option<usize>,
 ) -> Result<Solution, RrmError> {
-    if !space.is_full() {
-        return Err(RrmError::Unsupported(
-            "MDRC does not support restricted spaces (Table III)".into(),
-        ));
-    }
-    if data.dim() < 2 {
-        return Err(RrmError::Unsupported("MDRC requires d >= 2".into()));
-    }
     if r == 0 {
         return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
     }
@@ -128,17 +109,6 @@ pub fn mdrc_anytime(
     let ids: Vec<u32> = cells.iter().map(|c| c.representative).collect();
     Solution::new(ids, None, Algorithm::Mdrc, data)
         .map(|s| s.with_termination(terminated).with_report(search.report))
-}
-
-/// Alias for symmetry with the other baselines' RRM adapters (MDRC is a
-/// direct RRM heuristic — no threshold search needed).
-pub fn mdrc_rrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrcOptions,
-) -> Result<Solution, RrmError> {
-    mdrc(data, r, space, opts)
 }
 
 /// Probe the cell (corners, center and optional sub-grid) and pick the
@@ -211,15 +181,27 @@ fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], opts: MdrcOptions) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{FullSpace, WeakRankingSpace};
+    use rrm_core::{Budget, FullSpace, Solver, UtilitySpace, WeakRankingSpace};
     use rrm_data::synthetic::{correlated, independent};
     use rrm_eval::estimate_rank_regret_seq;
+
+    /// One MDRC query through a fresh handle (capability check included).
+    fn run_rrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrcOptions,
+    ) -> Result<Solution, RrmError> {
+        crate::MdrcSolver::new(opts)
+            .prepare(data, space, ExecPolicy::default())?
+            .solve_rrm(r, &Budget::UNLIMITED)
+    }
 
     #[test]
     fn respects_budget_and_runs() {
         let data = independent(500, 4, 71);
         for r in [1usize, 5, 10] {
-            let sol = mdrc(&data, r, &FullSpace::new(4), MdrcOptions::default()).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(4), MdrcOptions::default()).unwrap();
             assert!(sol.size() <= r);
             assert_eq!(sol.certified_regret, None);
         }
@@ -228,7 +210,7 @@ mod tests {
     #[test]
     fn rejects_restricted_space() {
         let data = independent(50, 3, 72);
-        let err = mdrc(&data, 5, &WeakRankingSpace::new(3, 1), MdrcOptions::default());
+        let err = run_rrm(&data, 5, &WeakRankingSpace::new(3, 1), MdrcOptions::default());
         assert!(matches!(err, Err(RrmError::Unsupported(_))));
     }
 
@@ -237,7 +219,7 @@ mod tests {
         // On correlated data a single good tuple dominates: MDRC should
         // find a low-regret set.
         let data = correlated(1000, 3, 73);
-        let sol = mdrc(&data, 5, &FullSpace::new(3), MdrcOptions::default()).unwrap();
+        let sol = run_rrm(&data, 5, &FullSpace::new(3), MdrcOptions::default()).unwrap();
         let est = estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(3), 5000, 74);
         assert!(est.max_rank <= 50, "regret {} on correlated data", est.max_rank);
     }
@@ -245,14 +227,14 @@ mod tests {
     #[test]
     fn probes_improve_or_match() {
         let data = independent(400, 3, 75);
-        let coarse = mdrc(
+        let coarse = run_rrm(
             &data,
             6,
             &FullSpace::new(3),
             MdrcOptions { probes_per_axis: 0, ..Default::default() },
         )
         .unwrap();
-        let fine = mdrc(
+        let fine = run_rrm(
             &data,
             6,
             &FullSpace::new(3),
@@ -268,7 +250,7 @@ mod tests {
     #[test]
     fn two_d_works() {
         let data = independent(200, 2, 77);
-        let sol = mdrc(&data, 4, &FullSpace::new(2), MdrcOptions::default()).unwrap();
+        let sol = run_rrm(&data, 4, &FullSpace::new(2), MdrcOptions::default()).unwrap();
         assert!(sol.size() <= 4);
     }
 }

@@ -14,13 +14,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrm_core::{
-    utility, Algorithm, Dataset, ExecPolicy, Parallelism, RrmError, Solution, UtilitySpace,
-};
+use rrm_core::{utility, Dataset, ExecPolicy, Parallelism, UtilitySpace};
 
 use crate::common::batch_top1_scores;
 
-/// Options for [`mdrms`].
+/// Options for MDRMS ([`crate::MdrmsSolver`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MdrmsOptions {
     /// Number of sampled directions discretizing the function space.
@@ -43,29 +41,12 @@ impl Default for MdrmsOptions {
     }
 }
 
-/// Greedy RMS over a sampled function space. Returns a size ≤ `r` set;
-/// `certified_regret` is `None` (it does not even optimize rank).
-pub fn mdrms(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrmsOptions,
-) -> Result<Solution, RrmError> {
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    let mut greedy = GreedyRms::new(data, space, opts);
-    let chosen = greedy.prefix(data, r);
-    Solution::new(chosen, None, Algorithm::Mdrms, data)
-}
-
-/// Resumable greedy state: each pick depends only on earlier picks, so one
-/// growing prefix answers every size budget — the one-shot [`mdrms`] runs
-/// it once, the prepared path keeps it alive and extends it on demand
-/// (`mdrms(r)` is always the first `r` picks of `mdrms(r')` for `r' ≥ r`).
+/// Resumable greedy RMS over a sampled function space: each pick depends
+/// only on earlier picks, so one growing prefix answers every size budget
+/// — the prepared handle keeps it alive and extends it on demand (the
+/// answer for `r` is always the first `r` picks of the answer for
+/// `r' ≥ r`). Answers carry no `certified_regret` (RMS does not even
+/// optimize rank).
 pub(crate) struct GreedyRms {
     dirs: Vec<Vec<f64>>,
     top1: Vec<f64>,
@@ -217,7 +198,19 @@ fn best_addition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::FullSpace;
+    use rrm_core::{Budget, FullSpace, RrmError, Solution, Solver};
+
+    /// One MDRMS query through a fresh handle.
+    fn run_rrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        opts: MdrmsOptions,
+    ) -> Result<Solution, RrmError> {
+        crate::MdrmsSolver::new(opts)
+            .prepare(data, space, ExecPolicy::default())?
+            .solve_rrm(r, &Budget::UNLIMITED)
+    }
     use rrm_data::synthetic::independent;
     use rrm_eval::{estimate_rank_regret_seq, estimate_regret_ratio};
 
@@ -237,7 +230,7 @@ mod tests {
     #[test]
     fn table1_r1_picks_t4() {
         // "the solutions for RRM and RMS are {t3} and {t4} respectively".
-        let sol = mdrms(&table1(), 1, &FullSpace::new(2), MdrmsOptions::default()).unwrap();
+        let sol = run_rrm(&table1(), 1, &FullSpace::new(2), MdrmsOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![3], "RMS picks t4 (lowest regret-ratio)");
     }
 
@@ -246,7 +239,7 @@ mod tests {
         // Figure 2's +4 shift on A2 makes RMS chase A1 and pick t7 —
         // the paper's shift-invariance counterexample.
         let shifted = table1().shift(&[0.0, 4.0]);
-        let sol = mdrms(&shifted, 1, &FullSpace::new(2), MdrmsOptions::default()).unwrap();
+        let sol = run_rrm(&shifted, 1, &FullSpace::new(2), MdrmsOptions::default()).unwrap();
         assert_eq!(sol.indices, vec![6], "after the shift RMS picks t7");
     }
 
@@ -255,7 +248,7 @@ mod tests {
         let data = independent(500, 3, 81);
         let mut prev = f64::INFINITY;
         for r in [1usize, 3, 6] {
-            let sol = mdrms(&data, r, &FullSpace::new(3), MdrmsOptions::default()).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(3), MdrmsOptions::default()).unwrap();
             let e = estimate_regret_ratio(&data, &sol.indices, &FullSpace::new(3), 4000, 82);
             assert!(e.max_ratio <= prev + 0.02, "r={r}: {} > {prev}", e.max_ratio);
             prev = e.max_ratio;
@@ -267,7 +260,7 @@ mod tests {
         // MDRMS should get a decent ratio; its rank-regret is whatever it
         // is (often bad) — we only check it returns a full-size answer.
         let data = independent(800, 4, 83);
-        let sol = mdrms(&data, 8, &FullSpace::new(4), MdrmsOptions::default()).unwrap();
+        let sol = run_rrm(&data, 8, &FullSpace::new(4), MdrmsOptions::default()).unwrap();
         assert!(sol.size() <= 8);
         let ratio =
             estimate_regret_ratio(&data, &sol.indices, &FullSpace::new(4), 4000, 84).max_ratio;
@@ -279,6 +272,6 @@ mod tests {
     #[test]
     fn rejects_zero_budget() {
         let data = independent(10, 2, 86);
-        assert!(mdrms(&data, 0, &FullSpace::new(2), MdrmsOptions::default()).is_err());
+        assert!(run_rrm(&data, 0, &FullSpace::new(2), MdrmsOptions::default()).is_err());
     }
 }

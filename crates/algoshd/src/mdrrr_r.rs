@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rrm_core::rank::batch_top_k;
 use rrm_core::{
     Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
     TerminatedBy, UtilitySpace,
@@ -17,9 +16,9 @@ use rrm_core::{
 
 use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
 use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
-use crate::mdrrr::{hit_ksets, hit_ksets_capped};
+use crate::mdrrr::hit_ksets_capped;
 
-/// Options for [`mdrrr_r`].
+/// Options for MDRRRr ([`crate::MdrrrRSolver`]).
 #[derive(Debug, Clone, Copy)]
 pub struct MdrrrROptions {
     /// Number of sampled directions used to discover k-sets.
@@ -47,8 +46,8 @@ const COARSE_FRACTION: usize = 16;
 /// Minimum coarse pool size for the coarse pass to be worth running.
 const COARSE_MIN_DIRS: usize = 16;
 
-/// The per-solve probe environment shared by the one-shot and prepared
-/// MDRRRr RRM searches (they differ only in where top-k lists are kept).
+/// The per-solve probe environment of one MDRRRr RRM search (top-k lists
+/// are kept in the cache the caller passes).
 pub(crate) struct SampledSearch<'a> {
     pub data: &'a Dataset,
     pub r: usize,
@@ -146,9 +145,15 @@ impl<'a> SampledSearch<'a> {
         }
     }
 
-    /// The whole RRM search over the sampled pool `dirs`, shared by
-    /// [`mdrrr_r_rrm_anytime`] and the prepared handle, which differ only
-    /// in `cache` (keyed by the pool size).
+    /// The whole RRM search over the sampled pool `dirs`, as an anytime
+    /// bound-and-prune search; `cache` keeps top-k lists (keyed by the
+    /// pool size) across queries.
+    ///
+    /// The pool is scored once for every threshold probe up to the coarse
+    /// incumbent's bound (deeper probes deepen the lists); hitting-set
+    /// covers abort as soon as they provably exceed `r` (when
+    /// `opts.prune`). Under [`Cutoff::None`] the answer is bit-identical
+    /// at any thread count.
     ///
     /// Under a cutoff a fallback incumbent comes first; then the coarse
     /// incumbent, whose pool-wide bound sets the depth of the one deep
@@ -207,7 +212,7 @@ impl<'a> SampledSearch<'a> {
 }
 
 /// The sampled direction pool (deterministic per seed and sample count —
-/// the prepared path caches it per sample count and reuses it for every
+/// the prepared handle caches it per sample count and reuses it for every
 /// threshold).
 pub(crate) fn sampled_dirs(space: &dyn UtilitySpace, opts: MdrrrROptions) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(opts.seed);
@@ -232,70 +237,10 @@ pub(crate) fn kset_family(lists: &[Vec<u32>], k: usize) -> Vec<Vec<u32>> {
     family
 }
 
-/// MDRRRr for the RRR problem over a (possibly restricted) space. The
-/// output hits every *sampled* k-set; `certified_regret` is `None`.
-pub fn mdrrr_r(
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    let k = k.min(data.n());
-    let lists = batch_top_k(data, &sampled_dirs(space, opts), k, opts.exec.parallelism);
-    let ids = hit_ksets(data.n(), &kset_family(&lists, k));
-    Solution::new(ids, None, Algorithm::MdrrrR, data)
-}
-
-/// MDRRRr adapted to RRM (doubling + binary search on `k`), running to
-/// completion ([`Cutoff::None`]).
-pub fn mdrrr_r_rrm(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-) -> Result<Solution, RrmError> {
-    mdrrr_r_rrm_anytime(data, r, space, opts, Cutoff::None, None)
-}
-
-/// [`mdrrr_r_rrm`] as an anytime bound-and-prune search.
-///
-/// The sampled direction pool is drawn and scored once for every
-/// threshold probe up to the coarse incumbent's bound (deeper probes
-/// deepen the lists); hitting-set covers abort as soon as they provably
-/// exceed `r` (when `opts.prune`); an early stop under `cutoff` returns
-/// the best incumbent found so far — the coarse-prefix answer, a feasible
-/// probe, or the uniform-direction fallback — with pool-relative
-/// [`Bounds`] and the [`TerminatedBy`] reason. Under [`Cutoff::None`] the
-/// answer is bit-identical to the pre-anytime solver at any thread count.
-pub fn mdrrr_r_rrm_anytime(
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    opts: MdrrrROptions,
-    cutoff: Cutoff,
-    probe_budget: Option<usize>,
-) -> Result<Solution, RrmError> {
-    if space.dim() != data.dim() {
-        return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-    }
-    if r == 0 {
-        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-    }
-    let dirs = sampled_dirs(space, opts);
-    let search = AnytimeSearch::new(cutoff, probe_budget);
-    SampledSearch::new(data, r, opts).solve(&dirs, search, &ListCache::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{FullSpace, WeakRankingSpace};
+    use rrm_core::{Budget, FullSpace, PreparedSolver, Solver, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, independent};
     use rrm_eval::estimate_rank_regret_seq;
 
@@ -303,10 +248,39 @@ mod tests {
         MdrrrROptions { samples, seed, ..Default::default() }
     }
 
+    /// MDRRRr through a fresh handle (capability check included).
+    fn prepared(
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+        o: MdrrrROptions,
+    ) -> Result<Box<dyn PreparedSolver>, RrmError> {
+        crate::MdrrrRSolver::new(o).prepare(data, space, ExecPolicy::default())
+    }
+
+    /// One RRR query through a fresh handle.
+    fn run_rrr(
+        data: &Dataset,
+        k: usize,
+        space: &dyn UtilitySpace,
+        o: MdrrrROptions,
+    ) -> Result<Solution, RrmError> {
+        prepared(data, space, o)?.solve_rrr(k, &Budget::UNLIMITED)
+    }
+
+    /// One RRM query through a fresh handle.
+    fn run_rrm(
+        data: &Dataset,
+        r: usize,
+        space: &dyn UtilitySpace,
+        o: MdrrrROptions,
+    ) -> Result<Solution, RrmError> {
+        prepared(data, space, o)?.solve_rrm(r, &Budget::UNLIMITED)
+    }
+
     #[test]
     fn hits_every_sampled_kset() {
         let data = independent(100, 3, 51);
-        let sol = mdrrr_r(&data, 3, &FullSpace::new(3), opts(3000, 52)).unwrap();
+        let sol = run_rrr(&data, 3, &FullSpace::new(3), opts(3000, 52)).unwrap();
         // Regret over a fresh sample shouldn't stray far above k on this
         // easy instance (no guarantee, but the mechanism must basically
         // work).
@@ -320,7 +294,7 @@ mod tests {
     fn rrm_adapter_respects_budget() {
         let data = anticorrelated(300, 3, 54);
         for r in [4usize, 8] {
-            let sol = mdrrr_r_rrm(&data, r, &FullSpace::new(3), opts(2000, 55)).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(3), opts(2000, 55)).unwrap();
             assert!(sol.size() <= r, "r={r}: {}", sol.size());
         }
     }
@@ -329,7 +303,7 @@ mod tests {
     fn supports_restricted_space() {
         let data = anticorrelated(200, 4, 56);
         let space = WeakRankingSpace::new(4, 2);
-        let sol = mdrrr_r_rrm(&data, 8, &space, opts(2000, 57)).unwrap();
+        let sol = run_rrm(&data, 8, &space, opts(2000, 57)).unwrap();
         assert!(sol.size() <= 8);
         // Output must do reasonably on the restricted space itself.
         let est = estimate_rank_regret_seq(&data, &sol.indices, &space, 3000, 58);
@@ -342,7 +316,7 @@ mod tests {
         // set misses regions. We only check it still returns something
         // valid and small.
         let data = anticorrelated(400, 4, 59);
-        let sol = mdrrr_r(&data, 2, &FullSpace::new(4), opts(20, 60)).unwrap();
+        let sol = run_rrr(&data, 2, &FullSpace::new(4), opts(20, 60)).unwrap();
         assert!(!sol.indices.is_empty());
     }
 
@@ -355,7 +329,7 @@ mod tests {
         let data = anticorrelated(300, 3, 4);
         let space = FullSpace::new(3);
         let o = opts(1000, 104);
-        let want = mdrrr_r_rrm(&data, 4, &space, o).unwrap();
+        let want = run_rrm(&data, 4, &space, o).unwrap();
         let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
         assert!(coarse < want.bounds.unwrap().upper, "coarse {coarse} vs {:?}", want.bounds);
         let tiny = SampledSearch { cache_budget_entries: 0, ..SampledSearch::new(&data, 4, o) };
@@ -374,6 +348,6 @@ mod tests {
     #[test]
     fn dimension_mismatch_rejected() {
         let data = independent(50, 3, 61);
-        assert!(mdrrr_r(&data, 2, &FullSpace::new(4), opts(100, 62)).is_err());
+        assert!(run_rrr(&data, 2, &FullSpace::new(4), opts(100, 62)).is_err());
     }
 }

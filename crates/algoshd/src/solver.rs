@@ -2,29 +2,27 @@
 //! HDRRM (the paper's) and the Table III baselines MDRRR, MDRRRr, MDRC
 //! and MDRMS.
 //!
-//! Each solver owns its options struct; the engine-facing [`Budget`] caps
-//! are mapped onto whatever machinery the algorithm actually has —
-//! sample counts for the randomized ones, k-set/LP limits for MDRRR —
-//! and ignored where they do not apply.
+//! Each solver owns its options struct and binds it to one dataset in
+//! `prepare`; the prepared handles map the engine-facing [`Budget`] caps
+//! onto whatever machinery the algorithm actually has — sample counts for
+//! the randomized ones, k-set/LP limits for MDRRR — and ignore them where
+//! they do not apply.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rrm_core::{
-    cache_bounded, rrr_via_rrm_search, rrr_via_rrm_search_with, Algorithm, AnytimeSearch,
-    AppliedUpdate, Budget, Cutoff, Dataset, PreparedSolver, RrmError, Solution, Solver, SolverCtx,
-    UtilitySpace, PREPARED_CACHE_CAP,
+    cache_bounded, rrr_via_rrm_search_with, Algorithm, AnytimeSearch, Budget, Cutoff, Dataset,
+    ExecPolicy, PreparedSolver, RrmError, Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
 };
 
 use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
-use crate::hdrrm::{hdrrm_anytime, hdrrr, HdrrmOptions, PreparedHdrrm};
+use crate::hdrrm::{HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
 use crate::mdrc::{mdrc_anytime, MdrcOptions};
-use crate::mdrms::{mdrms, GreedyRms, MdrmsOptions};
-use crate::mdrrr::{hit_ksets, mdrrr, mdrrr_rrm_anytime, rrm_search_with};
-use crate::mdrrr_r::{
-    kset_family, mdrrr_r, mdrrr_r_rrm_anytime, sampled_dirs, MdrrrROptions, SampledSearch,
-};
+use crate::mdrms::{GreedyRms, MdrmsOptions};
+use crate::mdrrr::{hit_ksets, mdrrr, rrm_search_with};
+use crate::mdrrr_r::{kset_family, sampled_dirs, MdrrrROptions, SampledSearch};
 
 /// **HDRRM** (paper Section V): discretize-and-cover with a certificate
 /// over the discretized direction set (Theorem 10).
@@ -37,15 +35,6 @@ impl HdrrmSolver {
     pub fn new(options: HdrrmOptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> HdrrmOptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.m_override = Some(m);
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for HdrrmSolver {
@@ -53,72 +42,16 @@ impl Solver for HdrrmSolver {
         Algorithm::Hdrrm
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        hdrrm_anytime(
-            data,
-            r,
-            space,
-            self.budgeted(budget, ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        hdrrr(data, k, space, self.budgeted(budget, ctx))
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
         let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        Ok(Box::new(PreparedHdrrmSolver { inner: PreparedHdrrm::new(data, space, options)? }))
-    }
-}
-
-/// [`PreparedHdrrm`] behind the [`PreparedSolver`] contract.
-struct PreparedHdrrmSolver {
-    inner: PreparedHdrrm,
-}
-
-impl PreparedSolver for PreparedHdrrmSolver {
-    fn algorithm(&self) -> Algorithm {
-        Algorithm::Hdrrm
-    }
-
-    fn dataset(&self) -> &Dataset {
-        self.inner.dataset()
-    }
-
-    fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrm(r, budget)
-    }
-
-    fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        self.inner.solve_rrr(k, budget)
-    }
-
-    fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
-        Some(Box::new(PreparedHdrrmSolver { inner: self.inner.apply_update(upd) }))
+        options.exec = exec.or(options.exec);
+        Ok(Box::new(PreparedHdrrm::new(data, space, options)))
     }
 }
 
@@ -134,18 +67,6 @@ impl MdrrrSolver {
     pub fn new(limits: KsetLimits) -> Self {
         Self { limits }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> KsetLimits {
-        let mut limits = self.limits;
-        if let Some(cap) = budget.max_enumerations {
-            limits.max_ksets = limits.max_ksets.min(cap);
-        }
-        if let Some(cap) = budget.max_lp_calls {
-            limits.max_lp_calls = limits.max_lp_calls.min(cap);
-        }
-        limits.exec = ctx.exec.or(limits.exec);
-        limits
-    }
 }
 
 impl Solver for MdrrrSolver {
@@ -153,41 +74,15 @@ impl Solver for MdrrrSolver {
         Algorithm::Mdrrr
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        // The underlying enumeration has no restricted-space mode; guard
-        // here so a direct trait call cannot silently ignore the space.
-        self.ensure_supported(data, space)?;
-        mdrrr_rrm_anytime(data, r, self.budgeted(budget, ctx), budget.effective_cutoff())
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        mdrrr(data, k, self.budgeted(budget, ctx))
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
         let mut limits = self.limits;
-        limits.exec = ctx.exec.or(limits.exec);
+        limits.exec = exec.or(limits.exec);
         Ok(Box::new(PreparedMdrrr { data: data.clone(), limits, memo: Mutex::new(HashMap::new()) }))
     }
 }
@@ -259,15 +154,6 @@ impl MdrrrRSolver {
     pub fn new(options: MdrrrROptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> MdrrrROptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for MdrrrRSolver {
@@ -275,44 +161,15 @@ impl Solver for MdrrrRSolver {
         Algorithm::MdrrrR
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrrr_r_rrm_anytime(
-            data,
-            r,
-            space,
-            self.budgeted(budget, ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrrr_r(data, k, space, self.budgeted(budget, ctx))
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
         let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
+        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrrrR {
             data: data.clone(),
             space: space.clone_box(),
@@ -407,7 +264,7 @@ impl PreparedSolver for PreparedMdrrrR {
 
 /// **MDRC** (Asudeh et al.): recursive angle-space partitioning — fast,
 /// no certificate, full space only, and no native RRR mode (the
-/// representative direction falls back to [`rrr_via_rrm_search`]).
+/// representative direction falls back to [`rrr_via_rrm_search_with`]).
 #[derive(Debug, Clone, Default)]
 pub struct MdrcSolver {
     pub options: MdrcOptions,
@@ -419,60 +276,24 @@ impl MdrcSolver {
     }
 }
 
-impl MdrcSolver {
-    fn with_ctx(&self, ctx: &SolverCtx) -> MdrcOptions {
-        let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
-}
-
 impl Solver for MdrcSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Mdrc
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrc_anytime(
-            data,
-            r,
-            space,
-            self.with_ctx(ctx),
-            budget.effective_cutoff(),
-            budget.max_enumerations,
-        )
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        rrr_via_rrm_search(self, data, k, space, budget, ctx)
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
+        let mut options = self.options;
+        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrc {
             data: data.clone(),
             space: space.clone_box(),
-            options: self.with_ctx(ctx),
+            options,
             memo: Mutex::new(HashMap::new()),
         }))
     }
@@ -498,14 +319,7 @@ impl PreparedMdrc {
         if matches!(cutoff, Cutoff::TimeBudget(_)) {
             // Wall-clock cutoffs are nondeterministic — never cache (or
             // serve a cached answer for) a time-cut solve.
-            return mdrc_anytime(
-                &self.data,
-                r,
-                self.space.as_ref(),
-                self.options,
-                cutoff,
-                budget.max_enumerations,
-            );
+            return mdrc_anytime(&self.data, r, self.options, cutoff, budget.max_enumerations);
         }
         let cap = match cutoff {
             Cutoff::CounterBudget => budget.max_enumerations.unwrap_or(usize::MAX),
@@ -515,14 +329,7 @@ impl PreparedMdrc {
         if let Some(sol) = self.memo.lock().expect("MDRC memo poisoned").get(&key) {
             return Ok(sol.clone());
         }
-        let sol = mdrc_anytime(
-            &self.data,
-            r,
-            self.space.as_ref(),
-            self.options,
-            cutoff,
-            budget.max_enumerations,
-        )?;
+        let sol = mdrc_anytime(&self.data, r, self.options, cutoff, budget.max_enumerations)?;
         self.memo.lock().expect("MDRC memo poisoned").insert(key, sol.clone());
         Ok(sol)
     }
@@ -566,15 +373,6 @@ impl MdrmsSolver {
     pub fn new(options: MdrmsOptions) -> Self {
         Self { options }
     }
-
-    fn budgeted(&self, budget: &Budget, ctx: &SolverCtx) -> MdrmsOptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options.exec = ctx.exec.or(options.exec);
-        options
-    }
 }
 
 impl Solver for MdrmsSolver {
@@ -582,37 +380,15 @@ impl Solver for MdrmsSolver {
         Algorithm::Mdrms
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        mdrms(data, r, space, self.budgeted(budget, ctx))
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        rrr_via_rrm_search(self, data, k, space, budget, ctx)
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
         let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
+        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrms {
             data: data.clone(),
             space: space.clone_box(),
@@ -703,42 +479,44 @@ impl PreparedSolver for PreparedMdrms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{FullSpace, SolverCtx, WeakRankingSpace};
+    use rrm_core::{FullSpace, WeakRankingSpace};
 
     fn small() -> Dataset {
         rrm_data::synthetic::independent(120, 3, 7)
     }
 
-    fn ctx() -> SolverCtx {
-        SolverCtx::default()
+    /// A fresh handle under the default execution policy.
+    fn fresh(
+        solver: &dyn Solver,
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+    ) -> Box<dyn PreparedSolver> {
+        solver.prepare(data, space, ExecPolicy::default()).unwrap()
     }
 
     #[test]
     fn hdrrm_solver_budget_maps_to_sample_override() {
-        let solver = HdrrmSolver::default();
-        let sol = solver
-            .solve_rrm_ctx(&small(), 8, &FullSpace::new(3), &Budget::with_samples(150), &ctx())
-            .unwrap();
+        let prepared = fresh(&HdrrmSolver::default(), &small(), &FullSpace::new(3));
+        let sol = prepared.solve_rrm(8, &Budget::with_samples(150)).unwrap();
         assert_eq!(sol.algorithm, Algorithm::Hdrrm);
         assert!(sol.size() <= 8);
     }
 
     #[test]
     fn mdrrr_solver_rejects_restricted_space() {
-        let solver = MdrrrSolver::default();
-        let err = solver
-            .solve_rrm_ctx(&small(), 5, &WeakRankingSpace::new(3, 1), &Budget::default(), &ctx())
-            .unwrap_err();
-        assert!(matches!(err, RrmError::Unsupported(_)), "{err}");
+        let result = MdrrrSolver::default().prepare(
+            &small(),
+            &WeakRankingSpace::new(3, 1),
+            ExecPolicy::default(),
+        );
+        assert!(matches!(result, Err(RrmError::Unsupported(_))));
     }
 
     #[test]
     fn mdrc_solver_gains_rrr_through_search() {
         let data = rrm_data::synthetic::independent(150, 3, 9);
-        let solver = MdrcSolver::default();
-        let sol = solver
-            .solve_rrr_ctx(&data, 20, &FullSpace::new(3), &Budget::with_samples(128), &ctx())
-            .unwrap();
+        let prepared = fresh(&MdrcSolver::default(), &data, &FullSpace::new(3));
+        let sol = prepared.solve_rrr(20, &Budget::with_samples(128)).unwrap();
         assert_eq!(sol.algorithm, Algorithm::Mdrc);
         assert!(sol.certified_regret.is_none(), "MDRC must not claim a certificate");
         assert!(sol.size() >= 1);
@@ -747,31 +525,29 @@ mod tests {
     #[test]
     fn mdrms_solver_runs_both_directions() {
         let data = rrm_data::synthetic::correlated(150, 3, 11);
-        let solver = MdrmsSolver::default();
-        let rrm = solver
-            .solve_rrm_ctx(&data, 6, &FullSpace::new(3), &Budget::with_samples(300), &ctx())
-            .unwrap();
+        let prepared = fresh(&MdrmsSolver::default(), &data, &FullSpace::new(3));
+        let rrm = prepared.solve_rrm(6, &Budget::with_samples(300)).unwrap();
         assert!(rrm.size() <= 6);
-        let rrr = solver
-            .solve_rrr_ctx(&data, 30, &FullSpace::new(3), &Budget::with_samples(128), &ctx())
-            .unwrap();
+        let rrr = prepared.solve_rrr(30, &Budget::with_samples(128)).unwrap();
         assert_eq!(rrr.algorithm, Algorithm::Mdrms);
     }
 
     #[test]
     fn prepared_hdrrm_matches_one_shot_across_queries() {
+        // A warm handle queried out of order answers exactly like a fresh
+        // handle per query.
         let data = small();
         let space = FullSpace::new(3);
         let solver = HdrrmSolver::default();
         let budget = Budget::with_samples(150);
-        let prepared = solver.prepare(&data, &space).unwrap();
-        for r in [6usize, 8, 12] {
-            let one_shot = solver.solve_rrm_ctx(&data, r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
+        let warm = fresh(&solver, &data, &space);
+        for r in [12usize, 6, 8, 6] {
+            let want = fresh(&solver, &data, &space).solve_rrm(r, &budget).unwrap();
+            assert_eq!(warm.solve_rrm(r, &budget).unwrap(), want, "r={r}");
         }
-        for k in [2usize, 10] {
-            let one_shot = solver.solve_rrr_ctx(&data, k, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrr(k, &budget).unwrap(), one_shot, "k={k}");
+        for k in [10usize, 2] {
+            let want = fresh(&solver, &data, &space).solve_rrr(k, &budget).unwrap();
+            assert_eq!(warm.solve_rrr(k, &budget).unwrap(), want, "k={k}");
         }
     }
 
@@ -779,8 +555,8 @@ mod tests {
     fn prepared_baselines_match_one_shot() {
         let space = FullSpace::new(3);
         // Tight LP cap: debug-profile simplex calls are ~50ms each, and
-        // MDRRR's one-shot side re-enumerates per probe. Parity holds
-        // under any cap — both paths see the same one.
+        // every fresh MDRRR handle re-enumerates per probe. Parity holds
+        // under any cap — warm and fresh handles see the same one.
         let budget = Budget {
             samples: Some(400),
             max_enumerations: Some(500),
@@ -796,24 +572,15 @@ mod tests {
             (Box::new(MdrmsSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
         ];
         for (solver, data) in &cases {
-            let prepared = solver.prepare(data, &space).unwrap();
-            for r in [3usize, 6] {
-                let one_shot = solver.solve_rrm_ctx(data, r, &space, &budget, &ctx()).unwrap();
-                assert_eq!(
-                    prepared.solve_rrm(r, &budget).unwrap(),
-                    one_shot,
-                    "{} r={r}",
-                    solver.name()
-                );
+            let name = solver.algorithm();
+            let warm = fresh(solver.as_ref(), data, &space);
+            for r in [6usize, 3] {
+                let want = fresh(solver.as_ref(), data, &space).solve_rrm(r, &budget).unwrap();
+                assert_eq!(warm.solve_rrm(r, &budget).unwrap(), want, "{name} r={r}");
             }
-            for k in [3usize, 5] {
-                let one_shot = solver.solve_rrr_ctx(data, k, &space, &budget, &ctx()).unwrap();
-                assert_eq!(
-                    prepared.solve_rrr(k, &budget).unwrap(),
-                    one_shot,
-                    "{} k={k}",
-                    solver.name()
-                );
+            for k in [5usize, 3] {
+                let want = fresh(solver.as_ref(), data, &space).solve_rrr(k, &budget).unwrap();
+                assert_eq!(warm.solve_rrr(k, &budget).unwrap(), want, "{name} k={k}");
             }
         }
     }
@@ -826,20 +593,28 @@ mod tests {
         let space = FullSpace::new(3);
         let budget = Budget::with_samples(300);
         let solver = MdrmsSolver::default();
-        let prepared = solver.prepare(&data, &space).unwrap();
+        let warm = fresh(&solver, &data, &space);
         for r in [8usize, 2, 5] {
-            let one_shot = solver.solve_rrm_ctx(&data, r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
+            let want = fresh(&solver, &data, &space).solve_rrm(r, &budget).unwrap();
+            assert_eq!(warm.solve_rrm(r, &budget).unwrap(), want, "r={r}");
         }
     }
 
     #[test]
     fn capability_queries_mirror_the_enum() {
-        assert!(HdrrmSolver::default().has_regret_guarantee());
-        assert!(MdrrrSolver::default().has_regret_guarantee());
-        assert!(!MdrcSolver::default().has_regret_guarantee());
-        assert!(!MdrmsSolver::default().has_regret_guarantee());
-        assert!(MdrrrRSolver::default().supports_restricted_space());
-        assert!(!MdrcSolver::default().supports_restricted_space());
+        // Each solver reports the algorithm whose Table III row it obeys.
+        assert!(HdrrmSolver::default().algorithm().has_regret_guarantee());
+        assert!(MdrrrSolver::default().algorithm().has_regret_guarantee());
+        assert!(!MdrcSolver::default().algorithm().has_regret_guarantee());
+        assert!(!MdrmsSolver::default().algorithm().has_regret_guarantee());
+        assert!(MdrrrRSolver::default().algorithm().supports_restricted_space());
+        assert!(!MdrcSolver::default().algorithm().supports_restricted_space());
+        let weak = WeakRankingSpace::new(3, 1);
+        let exec = ExecPolicy::default();
+        assert!(MdrrrRSolver::default().prepare(&small(), &weak, exec).is_ok());
+        assert!(matches!(
+            MdrcSolver::default().prepare(&small(), &weak, exec),
+            Err(RrmError::Unsupported(_))
+        ));
     }
 }

@@ -12,10 +12,11 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rrm_2d::{rrm_2d, Rrm2dOptions};
+use bench::run_rrm;
+use rrm_2d::{Rrm2dOptions, TwoDRrmSolver};
 use rrm_core::FullSpace;
 use rrm_data::synthetic::{anticorrelated, independent};
-use rrm_hd::{enumerate_ksets, hdrrm, HdrrmOptions, KsetLimits};
+use rrm_hd::{enumerate_ksets, HdrrmOptions, HdrrmSolver, KsetLimits};
 use rrm_setcover::{greedy_set_cover, naive_greedy_set_cover};
 
 fn ablation_sweep(c: &mut Criterion) {
@@ -24,11 +25,11 @@ fn ablation_sweep(c: &mut Criterion) {
         let data = anticorrelated(n, 2, 41);
         g.bench_with_input(BenchmarkId::new("event_stream", n), &data, |b, d| {
             let opts = Rrm2dOptions { use_full_sweep: false, ..Default::default() };
-            b.iter(|| black_box(rrm_2d(d, 5, &FullSpace::new(2), opts)))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::new(opts), d, 5, &FullSpace::new(2))))
         });
         g.bench_with_input(BenchmarkId::new("full_sweep", n), &data, |b, d| {
             let opts = Rrm2dOptions { use_full_sweep: true, ..Default::default() };
-            b.iter(|| black_box(rrm_2d(d, 5, &FullSpace::new(2), opts)))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::new(opts), d, 5, &FullSpace::new(2))))
         });
     }
     g.finish();
@@ -64,7 +65,7 @@ fn ablation_candidates(c: &mut Criterion) {
                 skyline_candidates: sky,
                 ..Default::default()
             };
-            b.iter(|| black_box(hdrrm(&data, 10, &FullSpace::new(4), opts)))
+            b.iter(|| black_box(run_rrm(&HdrrmSolver::new(opts), &data, 10, &FullSpace::new(4))))
         });
     }
     g.finish();

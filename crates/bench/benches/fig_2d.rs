@@ -8,7 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use rrm_2d::{rrm_2d, rrm_via_rrr_2d, Rrm2dOptions};
+use bench::run_rrm;
+use rrm_2d::{TwoDRrmSolver, TwoDRrrSolver};
 use rrm_core::FullSpace;
 use rrm_data::real_sim::{island_sim, nba_sim};
 use rrm_data::synthetic::anticorrelated;
@@ -18,10 +19,10 @@ fn fig09_2d_vs_n(c: &mut Criterion) {
     for &n in &[1_000usize, 4_000, 16_000] {
         let data = anticorrelated(n, 2, 9);
         g.bench_with_input(BenchmarkId::new("2DRRM", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_2d(d, 5, &FullSpace::new(2), Rrm2dOptions::default())))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::default(), d, 5, &FullSpace::new(2))))
         });
         g.bench_with_input(BenchmarkId::new("2DRRR", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_via_rrr_2d(d, 5, &FullSpace::new(2))))
+            b.iter(|| black_box(run_rrm(&TwoDRrrSolver, d, 5, &FullSpace::new(2))))
         });
     }
     g.finish();
@@ -32,10 +33,10 @@ fn fig10_2d_vs_r(c: &mut Criterion) {
     let data = anticorrelated(4_000, 2, 10);
     for &r in &[5usize, 7, 10] {
         g.bench_with_input(BenchmarkId::new("2DRRM", r), &r, |b, &r| {
-            b.iter(|| black_box(rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default())))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2))))
         });
         g.bench_with_input(BenchmarkId::new("2DRRR", r), &r, |b, &r| {
-            b.iter(|| black_box(rrm_via_rrr_2d(&data, r, &FullSpace::new(2))))
+            b.iter(|| black_box(run_rrm(&TwoDRrrSolver, &data, r, &FullSpace::new(2))))
         });
     }
     g.finish();
@@ -46,10 +47,10 @@ fn fig11_island(c: &mut Criterion) {
     for &n in &[10_000usize, 20_000] {
         let data = island_sim(n, 11);
         g.bench_with_input(BenchmarkId::new("2DRRM", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_2d(d, 5, &FullSpace::new(2), Rrm2dOptions::default())))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::default(), d, 5, &FullSpace::new(2))))
         });
         g.bench_with_input(BenchmarkId::new("2DRRR", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_via_rrr_2d(d, 5, &FullSpace::new(2))))
+            b.iter(|| black_box(run_rrm(&TwoDRrrSolver, d, 5, &FullSpace::new(2))))
         });
     }
     g.finish();
@@ -60,10 +61,10 @@ fn fig12_nba(c: &mut Criterion) {
     for &n in &[5_000usize, 20_000] {
         let data = nba_sim(n, 5, 12).project(&[0, 1]).unwrap();
         g.bench_with_input(BenchmarkId::new("2DRRM", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_2d(d, 5, &FullSpace::new(2), Rrm2dOptions::default())))
+            b.iter(|| black_box(run_rrm(&TwoDRrmSolver::default(), d, 5, &FullSpace::new(2))))
         });
         g.bench_with_input(BenchmarkId::new("2DRRR", n), &data, |b, d| {
-            b.iter(|| black_box(rrm_via_rrr_2d(d, 5, &FullSpace::new(2))))
+            b.iter(|| black_box(run_rrm(&TwoDRrrSolver, d, 5, &FullSpace::new(2))))
         });
     }
     g.finish();

@@ -12,11 +12,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
+use bench::run_rrm;
 use rrm_core::{FullSpace, WeakRankingSpace};
 use rrm_data::real_sim::{nba_sim, weather_sim};
 use rrm_data::synthetic::anticorrelated;
 use rrm_hd::{
-    hdrrm, mdrc, mdrms, mdrrr_r_rrm, HdrrmOptions, MdrcOptions, MdrmsOptions, MdrrrROptions,
+    HdrrmOptions, HdrrmSolver, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions, MdrrrRSolver,
 };
 
 /// Bench-scale options: small fixed sample budgets so Criterion iterations
@@ -39,16 +40,16 @@ fn fig13_hd_vs_n(c: &mut Criterion) {
         let data = anticorrelated(n, 4, 13);
         let space = FullSpace::new(4);
         g.bench_with_input(BenchmarkId::new("HDRRM", n), &data, |b, d| {
-            b.iter(|| black_box(hdrrm(d, 10, &space, hopts())))
+            b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), d, 10, &space)))
         });
         g.bench_with_input(BenchmarkId::new("MDRRRr", n), &data, |b, d| {
-            b.iter(|| black_box(mdrrr_r_rrm(d, 10, &space, ropts())))
+            b.iter(|| black_box(run_rrm(&MdrrrRSolver::new(ropts()), d, 10, &space)))
         });
         g.bench_with_input(BenchmarkId::new("MDRC", n), &data, |b, d| {
-            b.iter(|| black_box(mdrc(d, 10, &space, MdrcOptions::default())))
+            b.iter(|| black_box(run_rrm(&MdrcSolver::default(), d, 10, &space)))
         });
         g.bench_with_input(BenchmarkId::new("MDRMS", n), &data, |b, d| {
-            b.iter(|| black_box(mdrms(d, 10, &space, mopts())))
+            b.iter(|| black_box(run_rrm(&MdrmsSolver::new(mopts()), d, 10, &space)))
         });
     }
     g.finish();
@@ -59,10 +60,10 @@ fn fig16_hd_vs_d(c: &mut Criterion) {
     for &d in &[3usize, 5] {
         let data = anticorrelated(2_000, d, 16);
         g.bench_with_input(BenchmarkId::new("HDRRM", d), &data, |b, dat| {
-            b.iter(|| black_box(hdrrm(dat, 10, &FullSpace::new(d), hopts())))
+            b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), dat, 10, &FullSpace::new(d))))
         });
         g.bench_with_input(BenchmarkId::new("MDRC", d), &data, |b, dat| {
-            b.iter(|| black_box(mdrc(dat, 10, &FullSpace::new(d), MdrcOptions::default())))
+            b.iter(|| black_box(run_rrm(&MdrcSolver::default(), dat, 10, &FullSpace::new(d))))
         });
     }
     g.finish();
@@ -73,10 +74,10 @@ fn fig19_hd_vs_r(c: &mut Criterion) {
     let data = anticorrelated(2_000, 4, 19);
     for &r in &[10usize, 15] {
         g.bench_with_input(BenchmarkId::new("HDRRM", r), &r, |b, &r| {
-            b.iter(|| black_box(hdrrm(&data, r, &FullSpace::new(4), hopts())))
+            b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), &data, r, &FullSpace::new(4))))
         });
         g.bench_with_input(BenchmarkId::new("MDRRRr", r), &r, |b, &r| {
-            b.iter(|| black_box(mdrrr_r_rrm(&data, r, &FullSpace::new(4), ropts())))
+            b.iter(|| black_box(run_rrm(&MdrrrRSolver::new(ropts()), &data, r, &FullSpace::new(4))))
         });
     }
     g.finish();
@@ -90,7 +91,7 @@ fn fig22_hd_vs_delta(c: &mut Criterion) {
         // roughly these sample counts at this n.
         g.bench_with_input(BenchmarkId::new("HDRRM", label), &m, |b, &m| {
             let opts = HdrrmOptions { m_override: Some(m), ..Default::default() };
-            b.iter(|| black_box(hdrrm(&data, 10, &FullSpace::new(4), opts)))
+            b.iter(|| black_box(run_rrm(&HdrrmSolver::new(opts), &data, 10, &FullSpace::new(4))))
         });
     }
     g.finish();
@@ -101,10 +102,10 @@ fn fig25_rrrm(c: &mut Criterion) {
     let data = anticorrelated(2_000, 4, 25);
     let space = WeakRankingSpace::new(4, 2);
     g.bench_function("HDRRM_restricted", |b| {
-        b.iter(|| black_box(hdrrm(&data, 10, &space, hopts())))
+        b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), &data, 10, &space)))
     });
     g.bench_function("MDRRRr_restricted", |b| {
-        b.iter(|| black_box(mdrrr_r_rrm(&data, 10, &space, ropts())))
+        b.iter(|| black_box(run_rrm(&MdrrrRSolver::new(ropts()), &data, 10, &space)))
     });
     g.finish();
 }
@@ -113,10 +114,10 @@ fn fig27_nba(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig27_nba");
     let data = nba_sim(5_000, 5, 27);
     g.bench_function("HDRRM", |b| {
-        b.iter(|| black_box(hdrrm(&data, 10, &FullSpace::new(5), hopts())))
+        b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), &data, 10, &FullSpace::new(5))))
     });
     g.bench_function("MDRC", |b| {
-        b.iter(|| black_box(mdrc(&data, 10, &FullSpace::new(5), MdrcOptions::default())))
+        b.iter(|| black_box(run_rrm(&MdrcSolver::default(), &data, 10, &FullSpace::new(5))))
     });
     g.finish();
 }
@@ -125,13 +126,13 @@ fn fig28_weather(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig28_weather");
     let data = weather_sim(20_000, 4, 28);
     g.bench_function("HDRRM", |b| {
-        b.iter(|| black_box(hdrrm(&data, 10, &FullSpace::new(4), hopts())))
+        b.iter(|| black_box(run_rrm(&HdrrmSolver::new(hopts()), &data, 10, &FullSpace::new(4))))
     });
     g.bench_function("MDRC", |b| {
-        b.iter(|| black_box(mdrc(&data, 10, &FullSpace::new(4), MdrcOptions::default())))
+        b.iter(|| black_box(run_rrm(&MdrcSolver::default(), &data, 10, &FullSpace::new(4))))
     });
     g.bench_function("MDRMS", |b| {
-        b.iter(|| black_box(mdrms(&data, 10, &FullSpace::new(4), mopts())))
+        b.iter(|| black_box(run_rrm(&MdrmsSolver::new(mopts()), &data, 10, &FullSpace::new(4))))
     });
     g.finish();
 }

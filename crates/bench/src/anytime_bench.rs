@@ -24,7 +24,7 @@
 //!
 //! [`Cutoff::CounterBudget`]: rrm_core::Cutoff::CounterBudget
 
-use rrm_core::{Budget, Dataset, FullSpace, Solution, Solver, SolverCtx, TerminatedBy};
+use rrm_core::{Budget, Dataset, ExecPolicy, FullSpace, Solution, Solver, TerminatedBy};
 use rrm_hd::{HdrrmOptions, HdrrmSolver, MdrrrROptions, MdrrrRSolver};
 
 use crate::{bench_meta, timed, Scale};
@@ -73,8 +73,8 @@ struct InstanceResult {
     sweep: Vec<SweepPoint>,
 }
 
-/// One solve through the [`Solver`] trait with the scale's tuned options
-/// and an explicit prune switch.
+/// One solve through the [`Solver`] trait (a fresh prepare, then the
+/// query) with the scale's tuned options and an explicit prune switch.
 fn solve(
     algo: Algo,
     scale: Scale,
@@ -84,14 +84,16 @@ fn solve(
     budget: &Budget,
 ) -> Solution {
     let space = FullSpace::new(data.dim());
-    match algo {
-        Algo::Hdrrm => HdrrmSolver::new(HdrrmOptions { prune, ..scale.hdrrm() })
-            .solve_rrm_ctx(data, r, &space, budget, &SolverCtx::default())
-            .expect("HDRRM solves the synthetic instances"),
-        Algo::MdrrrR => MdrrrRSolver::new(MdrrrROptions { prune, ..scale.mdrrr_r() })
-            .solve_rrm_ctx(data, r, &space, budget, &SolverCtx::default())
-            .expect("MDRRRr solves the synthetic instances"),
-    }
+    let solver: Box<dyn Solver> = match algo {
+        Algo::Hdrrm => Box::new(HdrrmSolver::new(HdrrmOptions { prune, ..scale.hdrrm_options() })),
+        Algo::MdrrrR => {
+            Box::new(MdrrrRSolver::new(MdrrrROptions { prune, ..scale.mdrrr_r_options() }))
+        }
+    };
+    solver
+        .prepare(data, &space, ExecPolicy::default())
+        .and_then(|prepared| prepared.solve_rrm(r, budget))
+        .expect("the anytime solvers solve the synthetic instances")
 }
 
 fn measure(

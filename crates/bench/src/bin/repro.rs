@@ -39,11 +39,9 @@
 //! paper's C++/Core-i7 testbed; the *shape* of each series is the
 //! reproduction target (EXPERIMENTS.md records both).
 
-use bench::{measure_solver, timed, Outcome, Scale, SYNTHETICS};
+use bench::{measure_solver, run_rrm, timed, Outcome, Scale, SYNTHETICS};
 use rrm_2d::{Rrm2dOptions, TwoDRrmSolver};
-use rrm_core::{
-    Algorithm, Budget, Dataset, ExecPolicy, FullSpace, SolverCtx, UtilitySpace, WeakRankingSpace,
-};
+use rrm_core::{Algorithm, Budget, Dataset, ExecPolicy, FullSpace, UtilitySpace, WeakRankingSpace};
 use rrm_data::real_sim::{island_sim, nba_sim, weather_sim};
 use rrm_data::synthetic::lower_bound_arc;
 use rrm_eval::report::{render_table, size_tick, Series};
@@ -188,17 +186,15 @@ fn table1() {
         println!("{:>4} {:>6.2} {:>6.2} {:>11} {:>12.0}%", i + 1, row[0], row[1], k, 100.0 * ratio);
     }
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
-    let rms_solver = engine.solver(Algorithm::Mdrms).expect("registered");
+    let exact = engine.solver(Algorithm::TwoDRrm);
+    let rms_solver = engine.solver(Algorithm::Mdrms);
     let space = FullSpace::new(2);
-    let budget = Budget::UNLIMITED;
-    let rrm = exact.solve_rrm_ctx(&data, 1, &space, &budget, &SolverCtx::default()).unwrap();
-    let rms = rms_solver.solve_rrm_ctx(&data, 1, &space, &budget, &SolverCtx::default()).unwrap();
+    let rrm = run_rrm(exact, &data, 1, &space).unwrap();
+    let rms = run_rrm(rms_solver, &data, 1, &space).unwrap();
     println!("\nr = 1 choices: RRM -> t{}, RMS -> t{}", rrm.indices[0] + 1, rms.indices[0] + 1);
     let shifted = data.shift(&[0.0, 4.0]);
-    let rrm_s = exact.solve_rrm_ctx(&shifted, 1, &space, &budget, &SolverCtx::default()).unwrap();
-    let rms_s =
-        rms_solver.solve_rrm_ctx(&shifted, 1, &space, &budget, &SolverCtx::default()).unwrap();
+    let rrm_s = run_rrm(exact, &shifted, 1, &space).unwrap();
+    let rms_s = run_rrm(rms_solver, &shifted, 1, &space).unwrap();
     println!(
         "after A2 += 4:  RRM -> t{} (invariant), RMS -> t{} (changed)",
         rrm_s.indices[0] + 1,
@@ -270,12 +266,10 @@ fn table3() {
 fn theorem2() {
     println!("{:>8} {:>4} {:>14} {:>14}", "n", "r", "optimal regret", "n/(2(r+1))");
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
+    let exact = engine.solver(Algorithm::TwoDRrm);
     for &(n, r) in &[(200usize, 3usize), (400, 4), (800, 5), (1600, 5)] {
         let data = lower_bound_arc(n, 2);
-        let sol = exact
-            .solve_rrm_ctx(&data, r, &FullSpace::new(2), &Budget::UNLIMITED, &SolverCtx::default())
-            .unwrap();
+        let sol = run_rrm(exact, &data, r, &FullSpace::new(2)).unwrap();
         println!(
             "{:>8} {:>4} {:>14} {:>14}",
             n,
@@ -290,14 +284,11 @@ fn theorem2() {
 
 fn two_d_rows(data: &Dataset, r: usize) -> (f64, f64, usize, usize) {
     let space = FullSpace::new(2);
-    let budget = Budget::UNLIMITED;
     let engine = Scale::Full.engine();
-    let exact = engine.solver(Algorithm::TwoDRrm).expect("registered");
-    let baseline = engine.solver(Algorithm::TwoDRrr).expect("registered");
-    let (a, ta) =
-        timed(|| exact.solve_rrm_ctx(data, r, &space, &budget, &SolverCtx::default()).unwrap());
-    let (b, tb) =
-        timed(|| baseline.solve_rrm_ctx(data, r, &space, &budget, &SolverCtx::default()).unwrap());
+    let exact = engine.solver(Algorithm::TwoDRrm);
+    let baseline = engine.solver(Algorithm::TwoDRrr);
+    let (a, ta) = timed(|| run_rrm(exact, data, r, &space).unwrap());
+    let (b, tb) = timed(|| run_rrm(baseline, data, r, &space).unwrap());
     let exact_b = exact_rank_regret_2d(data, &b.indices, 0.0, 1.0).0;
     (ta, tb, a.certified_regret.unwrap(), exact_b)
 }
@@ -405,7 +396,7 @@ fn hd_row(
     roster
         .iter()
         .map(|&algo| {
-            let solver = engine.solver(algo).expect("every algorithm is registered");
+            let solver = engine.solver(algo);
             measure_solver(solver, data, r, space, samples)
         })
         .collect()
@@ -648,7 +639,7 @@ fn ablation(scale: Scale) {
     let mut labels = Vec::new();
     let mut time = Series::new("time(s)");
     let mut reg = Series::new("regret");
-    let m_default = rrm_hd::paper_sample_size(n, 10, 4, scale.hdrrm().delta);
+    let m_default = rrm_hd::paper_sample_size(n, 10, 4, scale.hdrrm_options().delta);
     for (label, m, gamma) in [
         ("Da+Db (default)", m_default, 6usize),
         ("Da only", m_default, 1),
@@ -656,7 +647,8 @@ fn ablation(scale: Scale) {
         ("gamma=2", m_default, 2),
         ("gamma=10", m_default, 10),
     ] {
-        let solver = HdrrmSolver::new(HdrrmOptions { m_override: Some(m), gamma, ..scale.hdrrm() });
+        let solver =
+            HdrrmSolver::new(HdrrmOptions { m_override: Some(m), gamma, ..scale.hdrrm_options() });
         let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), samples);
         labels.push(label.to_string());
         time.push(o.seconds);
@@ -672,7 +664,8 @@ fn ablation(scale: Scale) {
     let mut time = Series::new("time(s)");
     let mut reg = Series::new("regret");
     for (label, basis) in [("with basis (paper)", true), ("without basis", false)] {
-        let solver = HdrrmSolver::new(HdrrmOptions { include_basis: basis, ..scale.hdrrm() });
+        let solver =
+            HdrrmSolver::new(HdrrmOptions { include_basis: basis, ..scale.hdrrm_options() });
         let o = measure_solver(&solver, &data_b, 10, &FullSpace::new(4), samples);
         labels.push(label.to_string());
         time.push(o.seconds);
@@ -687,7 +680,8 @@ fn ablation(scale: Scale) {
     let mut time = Series::new("time(s)");
     let mut reg = Series::new("regret");
     for (label, sky) in [("skyline candidates", true), ("all candidates", false)] {
-        let solver = HdrrmSolver::new(HdrrmOptions { skyline_candidates: sky, ..scale.hdrrm() });
+        let solver =
+            HdrrmSolver::new(HdrrmOptions { skyline_candidates: sky, ..scale.hdrrm_options() });
         let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), samples);
         labels.push(label.to_string());
         time.push(o.seconds);
@@ -713,9 +707,10 @@ fn ablation(scale: Scale) {
 }
 
 /// Session amortization: the prepare-once / query-many API against
-/// one-shot solving, per algorithm, on the serving workload the paper
-/// motivates (one dataset, a stream of queries with repeating sizes).
-/// Prints a table and writes `BENCH_session.json` with the raw numbers.
+/// one-shot solving ([`rank_regret::Engine::run`], a fresh prepare per
+/// query), per algorithm, on the serving workload the paper motivates
+/// (one dataset, a stream of queries with repeating sizes). Prints a table
+/// and writes `BENCH_session.json` with the raw numbers.
 fn amortize(scale: Scale) {
     use rank_regret::Session;
 
@@ -798,7 +793,6 @@ fn amortize(scale: Scale) {
     );
     let mut entries: Vec<Entry> = Vec::new();
     for (algo, data, sizes, budget) in &workloads {
-        let solver = engine.solver(*algo).expect("registered");
         let space = FullSpace::new(data.dim());
 
         // One-shot path: every query re-derives the per-dataset state.
@@ -806,15 +800,16 @@ fn amortize(scale: Scale) {
             sizes
                 .iter()
                 .map(|&r| {
-                    solver
-                        .solve_rrm_ctx(data, r, &space, budget, &SolverCtx::default())
-                        .expect("one-shot solve")
+                    let request =
+                        rank_regret::Request::minimize(r).algo(*algo).budget(budget.clone());
+                    engine.run(data, &space, &request).expect("one-shot solve")
                 })
                 .collect::<Vec<_>>()
         });
 
         // Prepared path: bind once, then the same query stream.
-        let (prepared, prepare_seconds) = timed(|| solver.prepare(data, &space).expect("prepare"));
+        let (prepared, prepare_seconds) =
+            timed(|| engine.prepare(*algo, data, &space).expect("prepare"));
         let (prepared_results, prepared_query_seconds) = timed(|| {
             sizes
                 .iter()
@@ -827,7 +822,7 @@ fn amortize(scale: Scale) {
         let speedup = one_shot_seconds / prepared_query_seconds.max(1e-9);
         println!(
             "{:<11} {:>5} {:>2} {:>4} {:>12.4} {:>12.4} {:>12.4} {:>8.1}x",
-            solver.name(),
+            algo.name(),
             data.n(),
             data.dim(),
             sizes.len(),
@@ -837,7 +832,7 @@ fn amortize(scale: Scale) {
             speedup,
         );
         entries.push(Entry {
-            algorithm: solver.name(),
+            algorithm: algo.name(),
             n: data.n(),
             d: data.dim(),
             queries: sizes.len(),
@@ -981,18 +976,15 @@ fn thread_scaling(scale: Scale) {
         let mut baseline: Option<Vec<rrm_core::Solution>> = None;
         for &t in &thread_counts {
             let tuning = Tuning {
-                hdrrm: scale.hdrrm(),
-                mdrrr_r: scale.mdrrr_r(),
-                mdrms: scale.mdrms(),
+                hdrrm: scale.hdrrm_options(),
+                mdrrr_r: scale.mdrrr_r_options(),
+                mdrms: scale.mdrms_options(),
                 exec: ExecPolicy::threads(t),
                 ..Default::default()
             };
             let engine = Engine::with_tuning(&tuning);
-            let (prepared, prep_s) = timed(|| {
-                engine
-                    .prepare(rank_regret::AlgoChoice::Fixed(*algo), data, &space)
-                    .expect("prepare")
-            });
+            let (prepared, prep_s) =
+                timed(|| engine.prepare(*algo, data, &space).expect("prepare"));
             let (results, query_s) = timed(|| {
                 sizes
                     .iter()

@@ -136,9 +136,7 @@ fn churn(
             // prepare from scratch alone, then its first query alone.
             rows = apply_updates(&rows, &ops).expect("churn batch applies").new;
             let fresh = Session::with_engine(Engine::with_tuning(tuning), rows.clone());
-            let (_, s) = timed(|| {
-                fresh.prepared(rank_regret::AlgoChoice::Fixed(algorithm)).expect("fresh prepare")
-            });
+            let (_, s) = timed(|| fresh.prepared(algorithm).expect("fresh prepare"));
             naive_prepare_seconds += s;
             let (fresh_response, s) = timed(|| fresh.run(&request).expect("fresh query"));
             naive_query_seconds += s;
@@ -188,7 +186,7 @@ pub fn run(scale: Scale) {
         Scale::Full => (2_048, 5, 5),
     };
     let tuning = Tuning {
-        hdrrm: HdrrmOptions { m_override: Some(m), ..scale.hdrrm() },
+        hdrrm: HdrrmOptions { m_override: Some(m), ..scale.hdrrm_options() },
         exec: ExecPolicy::sequential(),
         ..Default::default()
     };

@@ -15,7 +15,7 @@ pub mod serve_bench;
 use std::time::Instant;
 
 use rank_regret::{Engine, Tuning};
-use rrm_core::{Budget, Dataset, PreparedSolver, Solver, UtilitySpace};
+use rrm_core::{Budget, Dataset, ExecPolicy, RrmError, Solution, Solver, UtilitySpace};
 use rrm_hd::{HdrrmOptions, MdrmsOptions, MdrrrROptions};
 
 /// One measured run of one algorithm.
@@ -24,9 +24,7 @@ pub struct Outcome {
     pub algorithm: &'static str,
     /// Total wall-clock: `prepare_seconds + query_seconds`.
     pub seconds: f64,
-    /// Time spent building dataset-bound state ([`Solver::prepare`]);
-    /// zero on the one-shot path, where that work is folded into the
-    /// query.
+    /// Time spent building dataset-bound state ([`Solver::prepare`]).
     pub prepare_seconds: f64,
     /// Time spent answering the query itself.
     pub query_seconds: f64,
@@ -64,21 +62,21 @@ impl Scale {
 
     /// HDRRM options: quick mode trades the δ guarantee down (fewer `Da`
     /// samples) to keep sweeps fast; full mode uses the paper's δ = 0.03.
-    pub fn hdrrm(self) -> HdrrmOptions {
+    pub fn hdrrm_options(self) -> HdrrmOptions {
         match self {
             Scale::Quick => HdrrmOptions { delta: 0.1, ..Default::default() },
             Scale::Full => HdrrmOptions::default(),
         }
     }
 
-    pub fn mdrrr_r(self) -> MdrrrROptions {
+    pub fn mdrrr_r_options(self) -> MdrrrROptions {
         match self {
             Scale::Quick => MdrrrROptions { samples: 5_000, ..Default::default() },
             Scale::Full => MdrrrROptions { samples: 50_000, ..Default::default() },
         }
     }
 
-    pub fn mdrms(self) -> MdrmsOptions {
+    pub fn mdrms_options(self) -> MdrmsOptions {
         match self {
             Scale::Quick => MdrmsOptions { samples: 1_000, ..Default::default() },
             Scale::Full => MdrmsOptions { samples: 5_000, ..Default::default() },
@@ -90,9 +88,9 @@ impl Scale {
     /// in one place (`Engine::with_tuning`).
     pub fn engine(self) -> Engine {
         Engine::with_tuning(&Tuning {
-            hdrrm: self.hdrrm(),
-            mdrrr_r: self.mdrrr_r(),
-            mdrms: self.mdrms(),
+            hdrrm: self.hdrrm_options(),
+            mdrrr_r: self.mdrrr_r_options(),
+            mdrms: self.mdrms_options(),
             ..Default::default()
         })
     }
@@ -129,11 +127,23 @@ pub fn bench_meta(experiment: &str) -> String {
     )
 }
 
-/// Run one RRM query through the [`Solver`] trait and measure its output
-/// quality over `space`. Thin harness adapter over
-/// [`rrm_eval::evaluate_rrm`] — the measurement logic lives there, this
-/// just maps it onto [`Outcome`] and panics on solver errors (a failing
-/// roster entry should abort the experiment loudly).
+/// One RRM query the way the engine answers it: a fresh
+/// [`Solver::prepare`] under the default execution policy, then the
+/// query with an unlimited budget.
+pub fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
+
+/// Run one RRM query through the [`Solver`] trait — prepare, then query,
+/// each timed — and measure its output quality over `space`. Thin harness
+/// adapter over [`rrm_eval::evaluate_rrm`] — the measurement logic lives
+/// there, this just maps it onto [`Outcome`] and panics on solver errors
+/// (a failing roster entry should abort the experiment loudly).
 pub fn measure_solver(
     solver: &dyn Solver,
     data: &Dataset,
@@ -141,36 +151,20 @@ pub fn measure_solver(
     space: &dyn UtilitySpace,
     eval_samples: usize,
 ) -> Outcome {
-    let report =
-        rrm_eval::evaluate_rrm(solver, data, r, space, &Budget::UNLIMITED, eval_samples, 0xE7A1)
-            .unwrap_or_else(|e| panic!("{}: {e}", solver.name()));
+    let name = solver.algorithm().name();
+    let (prepared, prepare_seconds) = timed(|| solver.prepare(data, space, ExecPolicy::default()));
+    let prepared = prepared.unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report = rrm_eval::evaluate_rrm(
+        prepared.as_ref(),
+        r,
+        space,
+        &Budget::UNLIMITED,
+        eval_samples,
+        0xE7A1,
+    )
+    .unwrap_or_else(|e| panic!("{name}: {e}"));
     Outcome {
-        algorithm: solver.name(),
-        seconds: report.seconds,
-        prepare_seconds: 0.0,
-        query_seconds: report.seconds,
-        regret: report.estimated_regret,
-        certified: report.certified_regret,
-        size: report.size,
-    }
-}
-
-/// Run one RRM query through an already-prepared handle and measure it.
-/// `prepare_seconds` is the (amortized) preparation time the caller
-/// measured — it is recorded in the outcome but `query_seconds` is what
-/// this query actually cost.
-pub fn measure_prepared(
-    prepared: &dyn PreparedSolver,
-    r: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    eval_samples: usize,
-    prepare_seconds: f64,
-) -> Outcome {
-    let report = rrm_eval::evaluate_rrm_prepared(prepared, r, space, budget, eval_samples, 0xE7A1)
-        .unwrap_or_else(|e| panic!("{}: {e}", prepared.name()));
-    Outcome {
-        algorithm: prepared.name(),
+        algorithm: name,
         seconds: prepare_seconds + report.seconds,
         prepare_seconds,
         query_seconds: report.seconds,
@@ -206,48 +200,21 @@ mod tests {
     fn measure_solver_goes_through_the_trait() {
         let data = rrm_data::synthetic::independent(100, 2, 0);
         let engine = Scale::Quick.engine();
-        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm).unwrap();
+        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm);
         let out = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
         assert_eq!(out.algorithm, "2DRRM");
         assert!(out.size <= 3);
         assert!(out.certified.is_some());
         assert!(out.regret >= 1);
-        // One-shot: all time is query time.
-        assert_eq!(out.prepare_seconds, 0.0);
-        assert_eq!(out.seconds, out.query_seconds);
-    }
-
-    #[test]
-    fn measure_prepared_splits_the_timing() {
-        let data = rrm_data::synthetic::independent(100, 2, 0);
-        let engine = Scale::Quick.engine();
-        let solver = engine.solver(rrm_core::Algorithm::TwoDRrm).unwrap();
-        let (prepared, prep_secs) =
-            timed(|| solver.prepare(&data, &FullSpace::new(2)).expect("preparable"));
-        let out = measure_prepared(
-            prepared.as_ref(),
-            3,
-            &FullSpace::new(2),
-            &Budget::UNLIMITED,
-            500,
-            prep_secs,
-        );
-        assert_eq!(out.algorithm, "2DRRM");
-        assert_eq!(out.prepare_seconds, prep_secs);
+        // The total splits into the prepare and query phases.
         assert!((out.seconds - (out.prepare_seconds + out.query_seconds)).abs() < 1e-12);
-        // Same answer as the one-shot path.
-        let one_shot = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
-        assert_eq!(out.size, one_shot.size);
-        assert_eq!(out.certified, one_shot.certified);
-        assert_eq!(out.regret, one_shot.regret);
     }
 
     #[test]
     fn scale_engine_resolves_every_algorithm() {
         let engine = Scale::Quick.engine();
         for algo in rrm_core::Algorithm::ALL {
-            let solver = engine.solver(algo).unwrap_or_else(|| panic!("{algo} missing"));
-            assert_eq!(solver.algorithm(), algo);
+            assert_eq!(engine.solver(algo).algorithm(), algo);
         }
     }
 
@@ -266,7 +233,7 @@ mod tests {
     #[test]
     fn scale_parameters() {
         assert!(Scale::Quick.eval_samples() < Scale::Full.eval_samples());
-        assert!(Scale::Quick.hdrrm().delta > Scale::Full.hdrrm().delta);
-        assert!(Scale::Quick.mdrrr_r().samples < Scale::Full.mdrrr_r().samples);
+        assert!(Scale::Quick.hdrrm_options().delta > Scale::Full.hdrrm_options().delta);
+        assert!(Scale::Quick.mdrrr_r_options().samples < Scale::Full.mdrrr_r_options().samples);
     }
 }

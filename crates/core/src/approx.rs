@@ -35,7 +35,7 @@ use rand::SeedableRng;
 use crate::anytime::{Bounds, TerminatedBy};
 use crate::dataset::Dataset;
 use crate::error::RrmError;
-use crate::exec::{ExecPolicy, SolverCtx};
+use crate::exec::ExecPolicy;
 use crate::problem::{Algorithm, Solution};
 use crate::rank;
 use crate::solver::{Budget, PreparedSolver, Solver};
@@ -311,8 +311,8 @@ pub struct SampledOptions {
     /// Seed of the sequential direction stream (part of the answer's
     /// identity, like every randomized solver's seed in this workspace).
     pub seed: u64,
-    /// Data-parallelism for scoring/top-k. Engine-level [`SolverCtx`]
-    /// policies override this default.
+    /// Data-parallelism for scoring/top-k. An explicit policy passed to
+    /// [`Solver::prepare`] overrides this default.
     pub exec: ExecPolicy,
 }
 
@@ -330,52 +330,20 @@ pub struct SampledSolver {
     pub options: SampledOptions,
 }
 
-impl SampledSolver {
-    fn effective(&self, budget: &Budget, ctx: &SolverCtx) -> (ApproxSpec, ExecPolicy) {
-        (budget.approx.unwrap_or(self.options.spec), ctx.exec.or(self.options.exec))
-    }
-}
-
 impl Solver for SampledSolver {
     fn algorithm(&self) -> Algorithm {
         Algorithm::Sampled
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        let (spec, exec) = self.effective(budget, ctx);
-        solve_rrm_sampled_with(data, r, space, spec, budget.samples, self.options.seed, exec)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        self.ensure_supported(data, space)?;
-        let (spec, exec) = self.effective(budget, ctx);
-        solve_rrr_sampled_with(data, k, space, spec, budget.samples, self.options.seed, exec)
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
         let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
+        options.exec = exec.or(options.exec);
         // Warm the column-major scoring layout now: it is the only
         // dataset-shaped state the sampled tier reuses across queries.
         let _ = data.soa();
@@ -386,7 +354,7 @@ impl Solver for SampledSolver {
 /// [`SampledSolver`] bound to one dataset + space. The SoA scoring layout
 /// is built at prepare time and shared (via the dataset's internal `Arc`)
 /// by every query; directions are re-drawn per query from the constant
-/// seed, so prepared answers match the one-shot path bit for bit.
+/// seed, so a warm handle answers bit for bit like a fresh one.
 pub struct PreparedSampled {
     options: SampledOptions,
     data: Dataset,
@@ -616,41 +584,25 @@ mod tests {
         assert!(sol.size() >= 2);
     }
 
+    /// A fresh sampled-tier handle over Table I.
+    fn sampled(exec: ExecPolicy) -> Box<dyn PreparedSolver> {
+        SampledSolver::default().prepare(&table1(), &FullSpace::new(2), exec).unwrap()
+    }
+
     #[test]
     fn sampled_answers_are_bit_identical_across_thread_counts() {
-        let data = table1();
-        let solver = SampledSolver::default();
-        let space = FullSpace::new(2);
         let budget = Budget::with_samples(128);
-        let baseline = solver
-            .solve_rrm_ctx(
-                &data,
-                2,
-                &space,
-                &budget,
-                &SolverCtx::with_exec(ExecPolicy::sequential()),
-            )
-            .unwrap();
+        let baseline = sampled(ExecPolicy::sequential()).solve_rrm(2, &budget).unwrap();
         for threads in [2usize, 7] {
-            let ctx = SolverCtx::with_exec(ExecPolicy::threads(threads));
-            assert_eq!(
-                solver.solve_rrm_ctx(&data, 2, &space, &budget, &ctx).unwrap(),
-                baseline,
-                "threads={threads}"
-            );
-            let prepared = solver.prepare_ctx(&data, &space, &ctx).unwrap();
+            let prepared = sampled(ExecPolicy::threads(threads));
             assert_eq!(prepared.solve_rrm(2, &budget).unwrap(), baseline, "threads={threads}");
         }
     }
 
     #[test]
     fn budget_spec_overrides_the_solver_default() {
-        let data = table1();
-        let solver = SampledSolver::default();
         let budget = Budget::with_approx(ApproxSpec { eps: 0.2, delta: 0.2 });
-        let sol = solver
-            .solve_rrm_ctx(&data, 1, &FullSpace::new(2), &budget, &SolverCtx::default())
-            .unwrap();
+        let sol = sampled(ExecPolicy::default()).solve_rrm(1, &budget).unwrap();
         match sol.terminated_by {
             TerminatedBy::Sampled { eps, delta, directions } => {
                 assert_eq!((eps, delta), (0.2, 0.2));
@@ -662,22 +614,14 @@ mod tests {
 
     #[test]
     fn zero_parameters_stay_typed_errors() {
-        let data = table1();
-        let solver = SampledSolver::default();
-        let ctx = SolverCtx::default();
+        let prepared = sampled(ExecPolicy::default());
         assert!(matches!(
-            solver.solve_rrm_ctx(&data, 0, &FullSpace::new(2), &Budget::UNLIMITED, &ctx),
+            prepared.solve_rrm(0, &Budget::UNLIMITED),
             Err(RrmError::OutputSizeTooSmall { .. })
         ));
-        assert!(matches!(
-            solver.solve_rrr_ctx(&data, 0, &FullSpace::new(2), &Budget::UNLIMITED, &ctx),
-            Err(RrmError::Unsupported(_))
-        ));
+        assert!(matches!(prepared.solve_rrr(0, &Budget::UNLIMITED), Err(RrmError::Unsupported(_))));
         let bad = Budget::with_approx(ApproxSpec { eps: 2.0, delta: 0.1 });
-        assert!(matches!(
-            solver.solve_rrm_ctx(&data, 1, &FullSpace::new(2), &bad, &ctx),
-            Err(RrmError::Unsupported(_))
-        ));
+        assert!(matches!(prepared.solve_rrm(1, &bad), Err(RrmError::Unsupported(_))));
     }
 
     #[test]

@@ -1,16 +1,16 @@
 //! Execution policy: how much data parallelism solvers may use.
 //!
-//! [`ExecPolicy`] wraps the [`Parallelism`] knob of [`rrm_par`] and rides
-//! [`SolverCtx`] through [`Solver::prepare`] and the one-shot solve paths,
-//! so one engine-level setting (CLI `--threads`, `RRM_THREADS`, or a
-//! [`Parallelism`] chosen in code) reaches every chunked kernel in the
-//! workspace — rank counting, top-k batches, greedy scoring, crossing
+//! [`ExecPolicy`] wraps the [`Parallelism`] knob of [`rrm_par`] and is
+//! handed to [`Solver::prepare`], which every algorithm's queries run
+//! through, so one engine-level setting (CLI `--threads`, `RRM_THREADS`,
+//! or a [`Parallelism`] chosen in code) reaches every chunked kernel in
+//! the workspace — rank counting, top-k batches, greedy scoring, crossing
 //! enumeration, brute-force rank tables.
 //!
 //! The policy is strictly about *speed*: every kernel riding it uses fixed
 //! chunk boundaries and ordered merges (see the [`rrm_par`] crate docs),
 //! so solutions are bit-identical at any thread count.
-//! `tests/parallel_parity.rs` enforces that for all eight algorithms.
+//! `tests/parallel_parity.rs` enforces that for every algorithm.
 //!
 //! [`Solver::prepare`]: crate::Solver::prepare
 
@@ -49,34 +49,17 @@ impl ExecPolicy {
 
     /// Combine with a fallback: an explicit (non-[`Parallelism::Auto`])
     /// policy wins, otherwise the fallback applies. Solvers use this to
-    /// let an engine-level [`SolverCtx`] override their options' default
-    /// without clobbering a policy that was set on the options directly.
+    /// let the engine-level policy passed to [`Solver::prepare`] override
+    /// their options' default without clobbering a policy that was set on
+    /// the options directly.
+    ///
+    /// [`Solver::prepare`]: crate::Solver::prepare
     pub fn or(self, fallback: ExecPolicy) -> ExecPolicy {
         if self.parallelism == Parallelism::Auto {
             fallback
         } else {
             self
         }
-    }
-}
-
-/// Per-call context handed by engines to [`Solver`] entry points
-/// ([`Solver::prepare`], `solve_rrm_ctx`, `solve_rrr_ctx`). Prepared
-/// solvers capture the policy at prepare time, so every later query runs
-/// under it.
-///
-/// [`Solver`]: crate::Solver
-/// [`Solver::prepare`]: crate::Solver::prepare
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SolverCtx {
-    /// Data-parallelism policy for the call.
-    pub exec: ExecPolicy,
-}
-
-impl SolverCtx {
-    /// Context carrying the given execution policy.
-    pub fn with_exec(exec: ExecPolicy) -> Self {
-        Self { exec }
     }
 }
 
@@ -108,11 +91,5 @@ mod tests {
         assert_eq!(seq.or(four), seq, "explicit policy wins");
         assert_eq!(four.or(seq), four);
         assert_eq!(auto.or(auto), auto);
-    }
-
-    #[test]
-    fn ctx_default_is_auto() {
-        assert_eq!(SolverCtx::default().exec, ExecPolicy::auto());
-        assert_eq!(SolverCtx::with_exec(ExecPolicy::threads(2)).exec, ExecPolicy::threads(2));
     }
 }

@@ -54,13 +54,12 @@ pub use approx::{
 pub use basis::basis_indices;
 pub use dataset::Dataset;
 pub use error::RrmError;
-pub use exec::{ExecPolicy, Parallelism, SolverCtx};
+pub use exec::{ExecPolicy, Parallelism};
 pub use kernel::{ScoreScratch, Soa};
 pub use problem::{Algorithm, RrmProblem, RrrProblem, Solution};
 pub use solver::{
-    cache_bounded, rrr_via_rrm_search, rrr_via_rrm_search_with, BruteForceOptions,
-    BruteForceSolver, Budget, DimRange, PreparedBruteForce, PreparedSolver, Solver,
-    PREPARED_CACHE_CAP,
+    cache_bounded, rrr_via_rrm_search_with, BruteForceOptions, BruteForceSolver, Budget, DimRange,
+    PreparedBruteForce, PreparedSolver, Solver, PREPARED_CACHE_CAP,
 };
 pub use space::{
     BiasedOrthantSpace, BoxSpace, ConeSpace, FullSpace, SphereCap, UtilitySpace, WeakRankingSpace,

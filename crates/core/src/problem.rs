@@ -10,6 +10,7 @@ use crate::anytime::{Bounds, SearchReport, TerminatedBy};
 use crate::dataset::Dataset;
 use crate::error::RrmError;
 use crate::solver::DimRange;
+use crate::space::UtilitySpace;
 
 /// The rank-regret *minimization* problem (Definition 3 / 4): find a set of
 /// at most `r` tuples minimizing `∇U(S)`.
@@ -151,6 +152,37 @@ impl Algorithm {
             Algorithm::BruteForce => DimRange::at_least(1),
             _ => DimRange::at_least(2),
         }
+    }
+
+    /// Uniform capability check against Table III: dimensionality and
+    /// space restrictions. Every [`Solver::prepare`] runs it first, so each
+    /// capability mismatch surfaces as the same graceful
+    /// [`RrmError::Unsupported`] (or [`RrmError::DimensionMismatch`] when
+    /// the space and the data disagree) and algorithm bodies need no
+    /// checks of their own.
+    ///
+    /// [`Solver::prepare`]: crate::Solver::prepare
+    pub fn ensure_supported(
+        self,
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+    ) -> Result<(), RrmError> {
+        let dims = self.supported_dims();
+        if !dims.contains(data.dim()) {
+            return Err(RrmError::Unsupported(format!(
+                "{self} requires {dims}, got d = {}",
+                data.dim()
+            )));
+        }
+        if space.dim() != data.dim() {
+            return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
+        }
+        if !space.is_full() && !self.supports_restricted_space() {
+            return Err(RrmError::Unsupported(format!(
+                "{self} does not support restricted utility spaces (Table III)"
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -3,11 +3,13 @@
 //! implements [`Solver`], so engines, benchmarks and tests can treat
 //! "an algorithm" as a value.
 //!
-//! The trait folds in the capability matrix that used to live only on
-//! [`Algorithm`]: whether the solver certifies a rank-regret bound,
-//! whether it accepts restricted utility spaces (the RRRM variant), and
-//! which dataset dimensionalities it handles. Callers check capabilities
-//! through [`Solver::ensure_supported`] and get a uniform
+//! Each algorithm splits into a dataset phase and a query phase, and the
+//! trait encodes exactly that: [`Solver::prepare`] binds the algorithm to
+//! one dataset and utility space, and the returned [`PreparedSolver`]
+//! answers queries. There is no separate one-shot path — a single query is
+//! a prepare followed by one query. Capabilities (Table III) live on
+//! [`Algorithm`]; every `prepare` starts with
+//! [`Algorithm::ensure_supported`], so mismatches surface as a uniform
 //! [`RrmError::Unsupported`] instead of per-algorithm ad-hoc failures.
 //!
 //! [`Budget`] is the cross-algorithm resource knob: each solver maps the
@@ -24,7 +26,7 @@ use crate::anytime::Cutoff;
 use crate::approx::ApproxSpec;
 use crate::dataset::Dataset;
 use crate::error::RrmError;
-use crate::exec::{ExecPolicy, SolverCtx};
+use crate::exec::ExecPolicy;
 use crate::problem::{Algorithm, Solution};
 use crate::rank;
 use crate::space::UtilitySpace;
@@ -129,60 +131,11 @@ impl Budget {
     }
 }
 
-/// A rank-regret algorithm as a value: both problem directions plus the
-/// capability queries of the paper's Table III.
+/// A rank-regret algorithm as a value: which [`Algorithm`] it is, and how
+/// to bind it to a dataset.
 pub trait Solver: Send + Sync {
     /// Which [`Algorithm`] this solver implements.
     fn algorithm(&self) -> Algorithm;
-
-    /// Rank-regret *minimization* (RRM / RRRM): best set of ≤ `r` tuples
-    /// under an explicit execution context — the trait's one canonical
-    /// entry point (the pre-session positional 4-arg wrapper is gone;
-    /// pass `&SolverCtx::default()` for auto parallelism).
-    ///
-    /// The context's [`ExecPolicy`] only controls how many threads the
-    /// solver's chunked kernels use — solutions are bit-identical at any
-    /// thread count (`tests/parallel_parity.rs` enforces this).
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError>;
-
-    /// Rank-regret *representative* (RRR): smallest set with regret ≤ `k`,
-    /// under an explicit execution context (see [`Solver::solve_rrm_ctx`]
-    /// for the determinism contract and the canonical-entry-point note).
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError>;
-
-    /// Display name (the paper's spelling, e.g. `MDRRRr`).
-    fn name(&self) -> &'static str {
-        self.algorithm().name()
-    }
-
-    /// Does the solver certify a rank-regret bound for its output?
-    fn has_regret_guarantee(&self) -> bool {
-        self.algorithm().has_regret_guarantee()
-    }
-
-    /// Can the solver handle restricted utility spaces (RRRM)?
-    fn supports_restricted_space(&self) -> bool {
-        self.algorithm().supports_restricted_space()
-    }
-
-    /// Accepted dataset dimensionalities.
-    fn supported_dims(&self) -> DimRange {
-        self.algorithm().supported_dims()
-    }
 
     /// Bind this solver to one dataset + utility space, building all the
     /// dataset-dependent state (Pareto frontiers, discretization grids,
@@ -190,64 +143,21 @@ pub trait Solver: Send + Sync {
     /// `r`/`k` can be answered cheaply through the returned
     /// [`PreparedSolver`].
     ///
-    /// The prepared handle is `Send + Sync`; read-only queries against it
-    /// may run concurrently. Results are *identical* to the one-shot
-    /// [`Solver::solve_rrm_ctx`]/[`Solver::solve_rrr_ctx`] paths —
-    /// preparation is purely a caching contract, never an approximation.
+    /// The capability check ([`Algorithm::ensure_supported`]) runs here,
+    /// so a prepared handle never fails a query for capability reasons.
     ///
-    /// Capability checks ([`Solver::ensure_supported`]) run here, so a
-    /// prepared handle never fails a query for capability reasons.
-    ///
-    /// Convenience form of [`Solver::prepare_ctx`] under the default
-    /// [`SolverCtx`].
+    /// The handle *captures* `exec`: every later query runs its chunked
+    /// kernels under that policy (an [`ExecPolicy::auto`] policy defers
+    /// to the solver options' own). Answers are bit-identical at any
+    /// thread count (`tests/parallel_parity.rs` enforces this). The handle
+    /// is `Send + Sync`; read-only queries against it may run
+    /// concurrently.
     fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-    ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.prepare_ctx(data, space, &SolverCtx::default())
-    }
-
-    /// [`Solver::prepare`] under an explicit execution context. The
-    /// prepared handle *captures* the context's [`ExecPolicy`]: every
-    /// later query runs its chunked kernels under that policy (queries
-    /// stay bit-identical to sequential execution either way).
-    ///
-    /// The default implementation reports that the solver has no prepared
-    /// mode; every solver shipped in this workspace overrides it.
-    fn prepare_ctx(
-        &self,
-        data: &Dataset,
-        space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
-    ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        let _ = (data, space, ctx);
-        Err(RrmError::Unsupported(format!("{} has no prepared (session) mode", self.name())))
-    }
-
-    /// Uniform capability check: dimensionality and space restrictions.
-    /// Engines call this once before dispatch so every capability mismatch
-    /// surfaces as the same graceful [`RrmError::Unsupported`].
-    fn ensure_supported(&self, data: &Dataset, space: &dyn UtilitySpace) -> Result<(), RrmError> {
-        let dims = self.supported_dims();
-        if !dims.contains(data.dim()) {
-            return Err(RrmError::Unsupported(format!(
-                "{} requires {dims}, got d = {}",
-                self.name(),
-                data.dim()
-            )));
-        }
-        if space.dim() != data.dim() {
-            return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
-        }
-        if !space.is_full() && !self.supports_restricted_space() {
-            return Err(RrmError::Unsupported(format!(
-                "{} does not support restricted utility spaces (Table III)",
-                self.name()
-            )));
-        }
-        Ok(())
-    }
+        exec: ExecPolicy,
+    ) -> Result<Box<dyn PreparedSolver>, RrmError>;
 }
 
 /// A [`Solver`] bound to one dataset and utility space: the
@@ -259,10 +169,10 @@ pub trait Solver: Send + Sync {
 /// prepared instance can serve concurrent read-only queries (the serving
 /// workload of the paper: many users, one dataset, varying `r`/`k`).
 ///
-/// Implementations must return exactly what the one-shot path returns for
-/// the same query — cached state is a performance contract, not a
-/// different algorithm. `tests/session_parity.rs` enforces this for every
-/// registered solver.
+/// A warm handle, queried many times in any order, must answer exactly
+/// what a freshly prepared handle answers for the same query — cached
+/// state is a performance contract, not a different algorithm.
+/// `tests/session_parity.rs` enforces this for every registered solver.
 pub trait PreparedSolver: Send + Sync {
     /// Which [`Algorithm`] answered.
     fn algorithm(&self) -> Algorithm;
@@ -275,11 +185,6 @@ pub trait PreparedSolver: Send + Sync {
 
     /// Rank-regret *representative* for one threshold `k`.
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError>;
-
-    /// Display name (the paper's spelling).
-    fn name(&self) -> &'static str {
-        self.algorithm().name()
-    }
 
     /// Incrementally rebind this handle to the post-update dataset,
     /// patching cached state instead of re-deriving it from scratch.
@@ -328,29 +233,15 @@ pub fn cache_bounded<K: Eq + std::hash::Hash, V: Clone>(
 /// (MDRC, MDRMS): exponential-then-binary search over the size budget
 /// `r`, accepting the smallest `r` whose solution's rank-regret —
 /// *estimated* on a deterministic direction sample — meets the threshold.
+/// `solve_rrm` answers one size probe; prepared solvers pass their
+/// memoized query path here so the whole search reuses cached
+/// per-dataset state.
 ///
 /// The result inherits the inner solver's (lack of) certificate:
 /// `certified_regret` is `None`, because the estimate is not a guarantee.
-pub fn rrr_via_rrm_search(
-    solver: &dyn Solver,
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    ctx: &SolverCtx,
-) -> Result<Solution, RrmError> {
-    rrr_via_rrm_search_with(solver.name(), data, k, space, budget, ctx.exec, |r| {
-        solver.solve_rrm_ctx(data, r, space, budget, ctx)
-    })
-}
-
-/// The closure-driven core of [`rrr_via_rrm_search`]: `solve_rrm` answers
-/// one size probe. Prepared solvers pass their memoized query path here so
-/// the whole exponential/binary search reuses cached per-dataset state
-/// while producing exactly the one-shot results. The per-probe regret
-/// estimate (the `O(m · n · d)` inner loop) is chunked over `exec`'s
-/// threads; its direction sample is drawn once, sequentially, so the
-/// estimate is identical at any thread count.
+/// The per-probe regret estimate (the `O(m · n · d)` inner loop) is
+/// chunked over `exec`'s threads; its direction sample is drawn once,
+/// sequentially, so the estimate is identical at any thread count.
 pub fn rrr_via_rrm_search_with(
     name: &str,
     data: &Dataset,
@@ -388,7 +279,7 @@ pub fn rrr_via_rrm_search_with(
 
     // Exponential phase: find any feasible size, remembering the largest
     // size already proven infeasible so the binary phase does not re-probe
-    // below it (same scheme as `mdrrr_rrm` and `rrm_via_rrr_2d`).
+    // below it (the scheme of MDRRR's and 2DRRR's RRM searches).
     let mut hi = 1usize;
     let mut largest_infeasible = 0usize;
     let mut feasible: Option<(usize, Solution)> = None;
@@ -438,8 +329,8 @@ pub struct BruteForceOptions {
     pub seed: u64,
     /// Refuse datasets larger than this (subset enumeration blows up).
     pub max_tuples: usize,
-    /// Data-parallelism for the per-direction rank tables. Engine-level
-    /// contexts ([`SolverCtx`]) override the default.
+    /// Data-parallelism for the per-direction rank tables. An explicit
+    /// policy passed to [`Solver::prepare`] overrides the default.
     pub exec: ExecPolicy,
 }
 
@@ -523,25 +414,6 @@ impl BruteForceSolver {
             }
         }
     }
-
-    fn check_size(&self, data: &Dataset) -> Result<(), RrmError> {
-        if data.n() > self.options.max_tuples {
-            return Err(RrmError::Unsupported(format!(
-                "brute force enumerates subsets; n = {} exceeds max_tuples = {}",
-                data.n(),
-                self.options.max_tuples
-            )));
-        }
-        Ok(())
-    }
-
-    /// A copy of this solver with the context's execution policy applied
-    /// (an explicit engine policy overrides the options' default).
-    fn with_ctx(&self, ctx: &SolverCtx) -> BruteForceSolver {
-        let mut options = self.options;
-        options.exec = ctx.exec.or(options.exec);
-        BruteForceSolver { options }
-    }
 }
 
 impl Solver for BruteForceSolver {
@@ -549,64 +421,24 @@ impl Solver for BruteForceSolver {
         Algorithm::BruteForce
     }
 
-    fn solve_rrm_ctx(
-        &self,
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        if r == 0 {
-            return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-        }
-        self.check_size(data)?;
-        self.ensure_supported(data, space)?;
-        let solver = self.with_ctx(ctx);
-        let m = budget.samples.unwrap_or(solver.options.samples).max(1);
-        let ranks = solver.rank_table(data, space, m);
-        let (set, regret) = Self::best_subset(&ranks, data.n(), r);
-        Solution::new(set, Some(regret), Algorithm::BruteForce, data)
-    }
-
-    fn solve_rrr_ctx(
-        &self,
-        data: &Dataset,
-        k: usize,
-        space: &dyn UtilitySpace,
-        budget: &Budget,
-        ctx: &SolverCtx,
-    ) -> Result<Solution, RrmError> {
-        if k == 0 {
-            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-        }
-        self.check_size(data)?;
-        self.ensure_supported(data, space)?;
-        let solver = self.with_ctx(ctx);
-        let m = budget.samples.unwrap_or(solver.options.samples).max(1);
-        let ranks = solver.rank_table(data, space, m);
-        // Smallest r whose optimum meets the threshold. The full set
-        // always contains each direction's rank-1 tuple, so this
-        // terminates with regret 1 at the latest.
-        for r in 1..=data.n() {
-            let (set, regret) = Self::best_subset(&ranks, data.n(), r);
-            if regret <= k {
-                return Solution::new(set, Some(regret), Algorithm::BruteForce, data);
-            }
-        }
-        Err(RrmError::Internal("brute force failed to reach regret 1 with the full dataset".into()))
-    }
-
-    fn prepare_ctx(
+    fn prepare(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.check_size(data)?;
-        self.ensure_supported(data, space)?;
+        self.algorithm().ensure_supported(data, space)?;
+        if data.n() > self.options.max_tuples {
+            return Err(RrmError::Unsupported(format!(
+                "brute force enumerates subsets; n = {} exceeds max_tuples = {}",
+                data.n(),
+                self.options.max_tuples
+            )));
+        }
+        let mut options = self.options;
+        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedBruteForce {
-            options: self.with_ctx(ctx).options,
+            options,
             data: data.clone(),
             space: space.clone_box(),
             tables: Mutex::new(HashMap::new()),
@@ -685,11 +517,6 @@ mod tests {
     use super::*;
     use crate::space::{FullSpace, WeakRankingSpace};
 
-    /// The default execution context, for one-shot solves in tests.
-    fn ctx() -> SolverCtx {
-        SolverCtx::default()
-    }
-
     fn table1() -> Dataset {
         Dataset::from_rows(&[
             [0.0, 1.0],
@@ -703,49 +530,27 @@ mod tests {
         .unwrap()
     }
 
-    /// A solver that violates its contract on every RRM call.
-    struct BrokenSolver;
-
-    impl Solver for BrokenSolver {
-        fn algorithm(&self) -> Algorithm {
-            Algorithm::Mdrc
-        }
-        fn solve_rrm_ctx(
-            &self,
-            data: &Dataset,
-            _r: usize,
-            _space: &dyn UtilitySpace,
-            _budget: &Budget,
-            _ctx: &SolverCtx,
-        ) -> Result<Solution, RrmError> {
-            // Empty output: the contract violation Solution::new now types.
-            Solution::new(vec![], None, Algorithm::Mdrc, data)
-        }
-        fn solve_rrr_ctx(
-            &self,
-            data: &Dataset,
-            k: usize,
-            space: &dyn UtilitySpace,
-            budget: &Budget,
-            ctx: &SolverCtx,
-        ) -> Result<Solution, RrmError> {
-            rrr_via_rrm_search(self, data, k, space, budget, ctx)
-        }
+    /// A fresh brute-force handle under the default execution policy.
+    fn brute(data: &Dataset, space: &dyn UtilitySpace) -> Box<dyn PreparedSolver> {
+        BruteForceSolver::default().prepare(data, space, ExecPolicy::default()).unwrap()
     }
 
     #[test]
     fn rrr_search_propagates_internal_errors() {
         // The RRR-via-RRM fallback must surface a misbehaving inner
         // solver's Internal error, not translate it into "infeasible".
-        let err = BrokenSolver
-            .solve_rrr_ctx(
-                &table1(),
-                3,
-                &FullSpace::new(2),
-                &Budget::with_samples(16),
-                &SolverCtx::default(),
-            )
-            .unwrap_err();
+        let data = table1();
+        let err = rrr_via_rrm_search_with(
+            "broken",
+            &data,
+            3,
+            &FullSpace::new(2),
+            &Budget::with_samples(16),
+            ExecPolicy::default(),
+            // Empty output: the contract violation Solution::new types.
+            |_| Solution::new(vec![], None, Algorithm::Mdrc, &data),
+        )
+        .unwrap_err();
         assert!(matches!(&err, RrmError::Internal(msg) if msg.contains("empty")), "{err}");
     }
 
@@ -794,10 +599,7 @@ mod tests {
     fn brute_force_finds_the_paper_example_optimum() {
         // Table I: the best single representative is t3 (index 2) with
         // rank-regret 3.
-        let solver = BruteForceSolver::default();
-        let sol = solver
-            .solve_rrm_ctx(&table1(), 1, &FullSpace::new(2), &Budget::default(), &ctx())
-            .unwrap();
+        let sol = brute(&table1(), &FullSpace::new(2)).solve_rrm(1, &Budget::default()).unwrap();
         assert_eq!(sol.indices, vec![2]);
         assert_eq!(sol.certified_regret, Some(3));
         assert_eq!(sol.algorithm, Algorithm::BruteForce);
@@ -805,25 +607,20 @@ mod tests {
 
     #[test]
     fn brute_force_rrr_matches_duality() {
-        let solver = BruteForceSolver::default();
+        let prepared = brute(&table1(), &FullSpace::new(2));
         // Threshold 3 is achievable with one tuple (t3), so RRR returns 1.
-        let sol = solver
-            .solve_rrr_ctx(&table1(), 3, &FullSpace::new(2), &Budget::default(), &ctx())
-            .unwrap();
+        let sol = prepared.solve_rrr(3, &Budget::default()).unwrap();
         assert_eq!(sol.size(), 1);
         // Threshold 1 needs every envelope tuple.
-        let sol = solver
-            .solve_rrr_ctx(&table1(), 1, &FullSpace::new(2), &Budget::default(), &ctx())
-            .unwrap();
+        let sol = prepared.solve_rrr(1, &Budget::default()).unwrap();
         assert_eq!(sol.certified_regret, Some(1));
         assert!(sol.size() >= 2);
     }
 
     #[test]
     fn brute_force_respects_restricted_space() {
-        let solver = BruteForceSolver::default();
-        let sol = solver
-            .solve_rrm_ctx(&table1(), 1, &WeakRankingSpace::new(2, 1), &Budget::default(), &ctx())
+        let sol = brute(&table1(), &WeakRankingSpace::new(2, 1))
+            .solve_rrm(1, &Budget::default())
             .unwrap();
         assert!(sol.certified_regret.unwrap() <= 3);
     }
@@ -832,19 +629,28 @@ mod tests {
     fn brute_force_rejects_large_inputs() {
         let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 50.0 - i as f64]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        let solver = BruteForceSolver::default();
-        let err = solver
-            .solve_rrm_ctx(&data, 2, &FullSpace::new(2), &Budget::default(), &ctx())
-            .unwrap_err();
+        let Err(err) =
+            BruteForceSolver::default().prepare(&data, &FullSpace::new(2), ExecPolicy::default())
+        else {
+            panic!("n = 50 must be refused");
+        };
         assert!(matches!(err, RrmError::Unsupported(_)));
     }
 
     #[test]
     fn ensure_supported_reports_uniform_errors() {
-        let solver = BruteForceSolver::default();
         // Space dimension mismatch.
-        let err = solver.ensure_supported(&table1(), &FullSpace::new(3)).unwrap_err();
+        let err =
+            Algorithm::BruteForce.ensure_supported(&table1(), &FullSpace::new(3)).unwrap_err();
         assert!(matches!(err, RrmError::DimensionMismatch { expected: 2, got: 3 }));
+        // Dimensionality outside the algorithm's range.
+        let d3 = Dataset::from_rows(&[[0.1, 0.2, 0.3]]).unwrap();
+        let err = Algorithm::TwoDRrm.ensure_supported(&d3, &FullSpace::new(3)).unwrap_err();
+        assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains("d = 2")), "{err}");
+        // A restricted space on an algorithm without an RRRM mode.
+        let err =
+            Algorithm::Mdrc.ensure_supported(&table1(), &WeakRankingSpace::new(2, 1)).unwrap_err();
+        assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains("restricted")), "{err}");
     }
 
     #[test]
@@ -863,24 +669,24 @@ mod tests {
 
     #[test]
     fn prepared_brute_force_matches_one_shot_across_queries() {
-        let solver = BruteForceSolver::default();
+        // A warm handle queried out of order answers exactly like a fresh
+        // handle per query.
         let space = FullSpace::new(2);
         let budget = Budget::with_samples(256);
-        let prepared = solver.prepare(&table1(), &space).unwrap();
-        assert_eq!(prepared.algorithm(), Algorithm::BruteForce);
-        assert_eq!(prepared.dataset().n(), 7);
-        // One handle answers many r and k values, identically to one-shot.
-        for r in 1..=4 {
-            let one_shot = solver.solve_rrm_ctx(&table1(), r, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), one_shot, "r={r}");
+        let warm = brute(&table1(), &space);
+        assert_eq!(warm.algorithm(), Algorithm::BruteForce);
+        assert_eq!(warm.dataset().n(), 7);
+        for r in [3usize, 1, 4, 2, 1] {
+            let fresh = brute(&table1(), &space).solve_rrm(r, &budget).unwrap();
+            assert_eq!(warm.solve_rrm(r, &budget).unwrap(), fresh, "r={r}");
         }
-        for k in 1..=3 {
-            let one_shot = solver.solve_rrr_ctx(&table1(), k, &space, &budget, &ctx()).unwrap();
-            assert_eq!(prepared.solve_rrr(k, &budget).unwrap(), one_shot, "k={k}");
+        for k in [2usize, 3, 1] {
+            let fresh = brute(&table1(), &space).solve_rrr(k, &budget).unwrap();
+            assert_eq!(warm.solve_rrr(k, &budget).unwrap(), fresh, "k={k}");
         }
-        // Zero parameters stay typed errors on the prepared path too.
-        assert!(matches!(prepared.solve_rrm(0, &budget), Err(RrmError::OutputSizeTooSmall { .. })));
-        assert!(matches!(prepared.solve_rrr(0, &budget), Err(RrmError::Unsupported(_))));
+        // Zero parameters stay typed errors.
+        assert!(matches!(warm.solve_rrm(0, &budget), Err(RrmError::OutputSizeTooSmall { .. })));
+        assert!(matches!(warm.solve_rrr(0, &budget), Err(RrmError::Unsupported(_))));
     }
 
     #[test]
@@ -890,57 +696,36 @@ mod tests {
         let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 50.0 - i as f64]).collect();
         let big = Dataset::from_rows(&rows).unwrap();
         let solver = BruteForceSolver::default();
-        assert!(matches!(solver.prepare(&big, &FullSpace::new(2)), Err(RrmError::Unsupported(_))));
+        let exec = ExecPolicy::default();
         assert!(matches!(
-            solver.prepare(&table1(), &FullSpace::new(3)),
+            solver.prepare(&big, &FullSpace::new(2), exec),
+            Err(RrmError::Unsupported(_))
+        ));
+        assert!(matches!(
+            solver.prepare(&table1(), &FullSpace::new(3), exec),
             Err(RrmError::DimensionMismatch { .. })
         ));
     }
 
     #[test]
-    fn default_prepare_reports_no_prepared_mode() {
-        // A custom solver that does not override `prepare` degrades
-        // gracefully instead of panicking.
-        let Err(err) = BrokenSolver.prepare(&table1(), &FullSpace::new(2)) else {
-            panic!("default prepare must not succeed");
-        };
-        assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains("prepared")), "{err}");
-    }
-
-    #[test]
     fn brute_force_is_bit_identical_across_thread_counts() {
-        use crate::exec::ExecPolicy;
         let solver = BruteForceSolver::default();
         let space = FullSpace::new(2);
         let budget = Budget::with_samples(128);
-        let baseline = solver
-            .solve_rrm_ctx(
-                &table1(),
-                2,
-                &space,
-                &budget,
-                &SolverCtx::with_exec(ExecPolicy::sequential()),
-            )
-            .unwrap();
+        let solve = |exec: ExecPolicy| {
+            solver.prepare(&table1(), &space, exec).unwrap().solve_rrm(2, &budget).unwrap()
+        };
+        let baseline = solve(ExecPolicy::sequential());
         for threads in [2usize, 7] {
-            let ctx = SolverCtx::with_exec(ExecPolicy::threads(threads));
-            assert_eq!(
-                solver.solve_rrm_ctx(&table1(), 2, &space, &budget, &ctx).unwrap(),
-                baseline,
-                "threads={threads}"
-            );
-            let prepared = solver.prepare_ctx(&table1(), &space, &ctx).unwrap();
-            assert_eq!(prepared.solve_rrm(2, &budget).unwrap(), baseline, "threads={threads}");
+            assert_eq!(solve(ExecPolicy::threads(threads)), baseline, "threads={threads}");
         }
     }
 
     #[test]
     fn budget_sample_override_is_honoured() {
-        let solver = BruteForceSolver::default();
         // One sampled direction: the certificate is that direction's rank.
-        let sol = solver
-            .solve_rrm_ctx(&table1(), 1, &FullSpace::new(2), &Budget::with_samples(1), &ctx())
-            .unwrap();
+        let sol =
+            brute(&table1(), &FullSpace::new(2)).solve_rrm(1, &Budget::with_samples(1)).unwrap();
         assert!(sol.certified_regret.unwrap() <= 3);
     }
 }

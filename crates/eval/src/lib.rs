@@ -11,7 +11,7 @@
 //!   (usable wherever `d = 2`, and as ground truth in tests);
 //! * [`regret_ratio`] — the RMS objective, for the MDRMS comparison and
 //!   the shift-invariance demonstrations;
-//! * [`solver_report`] — run any [`rrm_core::Solver`] through the trait
+//! * [`solver_report`] — query any prepared [`rrm_core::Solver`] handle
 //!   and report time, size, certificate and estimated regret in one call;
 //! * [`report`] — small table/series printing helpers shared by the
 //!   experiment harness.
@@ -27,6 +27,4 @@ pub use exact2d::exact_rank_regret_2d;
 pub use profile::{coverage_ratio, rank_profile, RankProfile};
 pub use rank_regret::{estimate_rank_regret, estimate_rank_regret_seq, RegretEstimate};
 pub use regret_ratio::{estimate_regret_ratio, RatioEstimate};
-pub use solver_report::{
-    evaluate_rrm, evaluate_rrm_prepared, evaluate_rrr, evaluate_rrr_prepared, SolverReport,
-};
+pub use solver_report::{evaluate_rrm, evaluate_rrr, SolverReport};

@@ -155,12 +155,15 @@ mod tests {
     fn good_sets_have_high_coverage() {
         // An HDRRM output with certified k should cover ~everything at k.
         let data = independent(400, 3, 7);
-        let sol = rrm_hd::hdrrm(
+        let opts = rrm_hd::HdrrmOptions { m_override: Some(500), ..Default::default() };
+        let sol = rrm_core::Solver::prepare(
+            &rrm_hd::HdrrmSolver::new(opts),
             &data,
-            8,
             &FullSpace::new(3),
-            rrm_hd::HdrrmOptions { m_override: Some(500), ..Default::default() },
+            rrm_core::ExecPolicy::default(),
         )
+        .unwrap()
+        .solve_rrm(8, &rrm_core::Budget::UNLIMITED)
         .unwrap();
         let k = sol.certified_regret.unwrap();
         let cov = coverage_ratio(&data, &sol.indices, &FullSpace::new(3), k, 5000, 8);

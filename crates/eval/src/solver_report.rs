@@ -1,13 +1,13 @@
-//! Trait-driven solver evaluation: run any [`Solver`] and measure what it
-//! actually delivers over a utility space — wall-clock, output size, the
-//! solver's own certificate, and the sampled rank-regret estimate the
-//! paper reports. The bench harness's `measure_solver` is a thin adapter
-//! over this, so "evaluate an algorithm" is one call regardless of which
-//! of the eight algorithms it is.
+//! Trait-driven solver evaluation: query any [`PreparedSolver`] and
+//! measure what it actually delivers over a utility space — wall-clock,
+//! output size, the solver's own certificate, and the sampled rank-regret
+//! estimate the paper reports. The bench harness's `measure_solver` is a
+//! thin adapter over this, so "evaluate an algorithm" is one call
+//! regardless of which algorithm it is.
 
 use std::time::Instant;
 
-use rrm_core::{Algorithm, Budget, Dataset, PreparedSolver, RrmError, Solver, UtilitySpace};
+use rrm_core::{Algorithm, Budget, Dataset, PreparedSolver, RrmError, UtilitySpace};
 
 use crate::rank_regret::estimate_rank_regret;
 
@@ -47,42 +47,10 @@ fn report(
     }
 }
 
-/// Run an RRM query through the trait and evaluate the result.
-pub fn evaluate_rrm(
-    solver: &dyn Solver,
-    data: &Dataset,
-    r: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    eval_samples: usize,
-    seed: u64,
-) -> Result<SolverReport, RrmError> {
-    let start = Instant::now();
-    let sol = solver.solve_rrm_ctx(data, r, space, budget, &rrm_core::SolverCtx::default())?;
-    let seconds = start.elapsed().as_secs_f64();
-    Ok(report(&sol, data, space, eval_samples, seed, seconds))
-}
-
-/// Run an RRR query through the trait and evaluate the result.
-pub fn evaluate_rrr(
-    solver: &dyn Solver,
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    eval_samples: usize,
-    seed: u64,
-) -> Result<SolverReport, RrmError> {
-    let start = Instant::now();
-    let sol = solver.solve_rrr_ctx(data, k, space, budget, &rrm_core::SolverCtx::default())?;
-    let seconds = start.elapsed().as_secs_f64();
-    Ok(report(&sol, data, space, eval_samples, seed, seconds))
-}
-
-/// Run an RRM query through a *prepared* handle and evaluate the result.
+/// Run an RRM query through a prepared handle and evaluate the result.
 /// `seconds` covers only the query — preparation happened earlier and is
 /// the caller's to time (the amortization benches report both).
-pub fn evaluate_rrm_prepared(
+pub fn evaluate_rrm(
     prepared: &dyn PreparedSolver,
     r: usize,
     space: &dyn UtilitySpace,
@@ -96,8 +64,8 @@ pub fn evaluate_rrm_prepared(
     Ok(report(&sol, prepared.dataset(), space, eval_samples, seed, seconds))
 }
 
-/// [`evaluate_rrm_prepared`]'s RRR counterpart.
-pub fn evaluate_rrr_prepared(
+/// [`evaluate_rrm`]'s RRR counterpart.
+pub fn evaluate_rrr(
     prepared: &dyn PreparedSolver,
     k: usize,
     space: &dyn UtilitySpace,
@@ -114,14 +82,24 @@ pub fn evaluate_rrr_prepared(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{BruteForceSolver, FullSpace};
+    use rrm_core::{BruteForceSolver, ExecPolicy, FullSpace, Solver};
+
+    fn tiny() -> Dataset {
+        Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap()
+    }
+
+    fn brute(data: &Dataset) -> Box<dyn PreparedSolver> {
+        BruteForceSolver::default()
+            .prepare(data, &FullSpace::new(2), ExecPolicy::default())
+            .unwrap()
+    }
 
     #[test]
     fn brute_force_report_on_a_tiny_dataset() {
-        let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
-        let solver = BruteForceSolver::default();
-        let rep = evaluate_rrm(&solver, &data, 1, &FullSpace::new(2), &Budget::default(), 2_000, 7)
-            .unwrap();
+        let prepared = brute(&tiny());
+        let rep =
+            evaluate_rrm(prepared.as_ref(), 1, &FullSpace::new(2), &Budget::default(), 2_000, 7)
+                .unwrap();
         assert_eq!(rep.algorithm, Algorithm::BruteForce);
         assert_eq!(rep.size, 1);
         assert!(rep.estimated_regret >= 1 && rep.estimated_regret <= 3);
@@ -133,31 +111,28 @@ mod tests {
 
     #[test]
     fn prepared_report_matches_one_shot_report() {
-        let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
-        let solver = BruteForceSolver::default();
+        // A warm handle reports exactly what a fresh one does, except
+        // wall-clock.
         let space = FullSpace::new(2);
-        let one_shot =
-            evaluate_rrm(&solver, &data, 1, &space, &Budget::default(), 2_000, 7).unwrap();
-        let prepared = solver.prepare(&data, &space).unwrap();
-        let rep = evaluate_rrm_prepared(prepared.as_ref(), 1, &space, &Budget::default(), 2_000, 7)
-            .unwrap();
-        // Identical everything except wall-clock.
-        assert_eq!(rep.algorithm, one_shot.algorithm);
-        assert_eq!(rep.size, one_shot.size);
-        assert_eq!(rep.certified_regret, one_shot.certified_regret);
-        assert_eq!(rep.estimated_regret, one_shot.estimated_regret);
-        let rrr = evaluate_rrr_prepared(prepared.as_ref(), 2, &space, &Budget::default(), 2_000, 7)
-            .unwrap();
+        let warm = brute(&tiny());
+        evaluate_rrm(warm.as_ref(), 2, &space, &Budget::default(), 2_000, 7).unwrap();
+        let rep = evaluate_rrm(warm.as_ref(), 1, &space, &Budget::default(), 2_000, 7).unwrap();
+        let fresh =
+            evaluate_rrm(brute(&tiny()).as_ref(), 1, &space, &Budget::default(), 2_000, 7).unwrap();
+        assert_eq!(rep.algorithm, fresh.algorithm);
+        assert_eq!(rep.size, fresh.size);
+        assert_eq!(rep.certified_regret, fresh.certified_regret);
+        assert_eq!(rep.estimated_regret, fresh.estimated_regret);
+        let rrr = evaluate_rrr(warm.as_ref(), 2, &space, &Budget::default(), 2_000, 7).unwrap();
         assert_eq!(rrr.algorithm, Algorithm::BruteForce);
     }
 
     #[test]
     fn errors_pass_through_untouched() {
-        let rows: Vec<[f64; 2]> = (0..60).map(|i| [i as f64, 60.0 - i as f64]).collect();
-        let data = Dataset::from_rows(&rows).unwrap();
-        let solver = BruteForceSolver::default();
-        let err = evaluate_rrm(&solver, &data, 2, &FullSpace::new(2), &Budget::default(), 100, 7)
-            .unwrap_err();
-        assert!(matches!(err, RrmError::Unsupported(_)));
+        let prepared = brute(&tiny());
+        let err =
+            evaluate_rrm(prepared.as_ref(), 0, &FullSpace::new(2), &Budget::default(), 100, 7)
+                .unwrap_err();
+        assert!(matches!(err, RrmError::OutputSizeTooSmall { .. }));
     }
 }

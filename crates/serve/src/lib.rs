@@ -48,7 +48,7 @@ pub use json::Json;
 pub use protocol::{error_response, ok_response, parse_request, ErrorKind, Op, WireRequest};
 pub use registry::{DataSource, Registry, SyntheticKind, Tenant, TenantSpec};
 pub use server::{
-    calibrate, effective_budget, effective_request, resolved_algorithm, Calibration, ServerConfig,
-    ServerHandle,
+    calibrate, effective_budget, effective_request, Calibration, ServerConfig, ServerHandle,
+    MAX_LINE_BYTES,
 };
 pub use stats::{LogHistogram, TenantCounters};

@@ -38,6 +38,7 @@
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read as _, Write as _};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -45,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use rank_regret::rrm_core::kernel::{for_each_scores, ScoreScratch};
 use rank_regret::{
-    Algorithm, Budget, Cutoff, Engine, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp,
+    Algorithm, Budget, Cutoff, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp,
 };
 
 use crate::json::Json;
@@ -114,47 +115,36 @@ pub fn effective_budget(
     }
 }
 
-/// The algorithm a wire request resolves to on a `dims`-dimensional
-/// tenant: the explicit `algo` field, else the sampled tier when the
-/// request asks for approximate fidelity, else the engine's auto policy.
-/// Used to decide whether a deadline can become an in-solve cutoff.
-pub fn resolved_algorithm(wire: &WireRequest, dims: usize) -> Algorithm {
-    wire.algo.unwrap_or_else(|| {
-        if wire.approx.is_some() {
-            Algorithm::Sampled
-        } else {
-            Engine::auto_policy(dims)
-        }
-    })
-}
-
 /// The in-process [`Request`] a wire request denotes on this server.
 /// Both the dispatch path and the replay harness build requests through
 /// here, so served answers are bit-identical to in-process answers by
 /// construction. `None` for non-query ops.
 ///
-/// A deadline on a cuttable algorithm additionally becomes an in-solve
-/// [`Cutoff::TimeBudget`] over the *full* deadline — a deterministic
-/// field of the request, even though when it fires is wall-clock. A `gap`
-/// target becomes [`Cutoff::GapAtMost`] on cuttable algorithms, but a
-/// deadline wins when both are present — the wall-clock bound protects
-/// the server; the gap merely trades answer quality for speed.
+/// When the request resolves to a cuttable algorithm on a
+/// `dims`-dimensional tenant ([`Request::resolved_algorithm`]), a deadline
+/// additionally becomes an in-solve [`Cutoff::TimeBudget`] over the *full*
+/// deadline — a deterministic field of the request, even though when it
+/// fires is wall-clock. A `gap` target becomes [`Cutoff::GapAtMost`] on
+/// cuttable algorithms, but a deadline wins when both are present — the
+/// wall-clock bound protects the server; the gap merely trades answer
+/// quality for speed.
 pub fn effective_request(
     wire: &WireRequest,
     calib: Calibration,
     n_tuples: usize,
     dims: usize,
 ) -> Option<Request> {
-    let mut budget = effective_budget(calib, n_tuples, wire.deadline_ms, wire.samples);
-    if resolved_algorithm(wire, dims).is_cuttable() {
+    let mut request =
+        wire.to_request(effective_budget(calib, n_tuples, wire.deadline_ms, wire.samples))?;
+    if request.resolved_algorithm(dims).is_cuttable() {
         if let Some(gap) = wire.gap {
-            budget.cutoff = Cutoff::GapAtMost(gap);
+            request.budget.cutoff = Cutoff::GapAtMost(gap);
         }
         if let Some(ms) = wire.deadline_ms {
-            budget.cutoff = Cutoff::TimeBudget(Duration::from_millis(ms));
+            request.budget.cutoff = Cutoff::TimeBudget(Duration::from_millis(ms));
         }
     }
-    wire.to_request(budget)
+    Some(request)
 }
 
 /// Server construction knobs.
@@ -359,6 +349,11 @@ fn accept_loop(
     }
 }
 
+/// Longest request line a connection may send, newline excluded. A longer
+/// line gets one `bad_request` and the connection is closed, so no client
+/// can grow the reader's buffer without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// Read newline-delimited requests off one connection. Hand-rolled line
 /// framing over a 50 ms read timeout so the thread notices shutdown
 /// without a poll/epoll dependency; partial lines survive timeouts.
@@ -378,6 +373,12 @@ fn connection_loop(shared: &Arc<Shared>, mut stream: TcpStream) {
             if !line.trim().is_empty() {
                 handle_line(shared, &writer, line.trim());
             }
+        }
+        if buf.len() > MAX_LINE_BYTES {
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            writer.send(&error_response(&None, ErrorKind::BadRequest, &msg, None));
+            let _ = stream.shutdown(Shutdown::Both);
+            return;
         }
         if shared.shutdown.load(Ordering::Acquire) {
             let _ = stream.shutdown(Shutdown::Both);
@@ -536,7 +537,9 @@ fn serve_job(shared: &Shared, job: Job) {
         (data.n(), data.dim())
     };
     let aged_out = job.wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
-    let cuttable = resolved_algorithm(&job.wire, dims).is_cuttable();
+    let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
+        .expect("only query ops are enqueued");
+    let cuttable = request.resolved_algorithm(dims).is_cuttable();
 
     let outcome = if aged_out && !cuttable {
         let ms = job.wire.deadline_ms.expect("aged_out implies a deadline");
@@ -549,8 +552,6 @@ fn serve_job(shared: &Shared, job: Job) {
             ])),
         ))
     } else {
-        let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
-            .expect("only query ops are enqueued");
         if aged_out {
             // The whole deadline was burned queueing. The anytime solver
             // still runs, under an already-expired cutoff: it offers its
@@ -583,10 +584,21 @@ fn serve_job(shared: &Shared, job: Job) {
         match cached {
             Some(solution) => Ok(rank_regret::Response { request, solution, seconds: 0.0 }),
             None => {
-                let outcome = tenant
-                    .session
-                    .run(&request)
-                    .map_err(|e| (ErrorKind::of_rrm_error(&e), e.to_string(), None));
+                // A panicking solve must not take the worker down with it:
+                // it answers `solver_error`, counts as errored, and the
+                // in-flight slot is released below like any other outcome.
+                let run =
+                    std::panic::catch_unwind(AssertUnwindSafe(|| tenant.session.run(&request)));
+                let outcome = match run {
+                    Ok(result) => {
+                        result.map_err(|e| (ErrorKind::of_rrm_error(&e), e.to_string(), None))
+                    }
+                    Err(panic) => Err((
+                        ErrorKind::SolverError,
+                        format!("solver panicked: {}", panic_message(panic.as_ref())),
+                        None,
+                    )),
+                };
                 if let (Some(key), Ok(response)) = (cache_key, &outcome) {
                     // Only cache when no swap raced the solve: the entry's
                     // epoch tag must describe the rows that answered.
@@ -625,6 +637,18 @@ fn serve_job(shared: &Shared, job: Job) {
         }
     }
     tenant.inflight.fetch_sub(1, Ordering::AcqRel);
+}
+
+/// The text of a caught panic payload (`panic!` with a literal or a
+/// formatted message), or a placeholder for other payload types.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(msg) = payload.downcast_ref::<&str>() {
+        msg
+    } else if let Some(msg) = payload.downcast_ref::<String>() {
+        msg
+    } else {
+        "non-string panic payload"
+    }
 }
 
 #[cfg(test)]
@@ -667,12 +691,12 @@ mod tests {
         let r = effective_request(&wire(Some(Algorithm::Hdrrm), Some(25)), CALIB, 100, 4).unwrap();
         assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
         // Auto on 3 dims resolves to HDRRM (cuttable)...
-        assert_eq!(resolved_algorithm(&wire(None, None), 3), Algorithm::Hdrrm);
         let r = effective_request(&wire(None, Some(25)), CALIB, 100, 3).unwrap();
+        assert_eq!(r.resolved_algorithm(3), Algorithm::Hdrrm);
         assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
         // ...but on 2 dims to the exact planar solver, which is not.
-        assert_eq!(resolved_algorithm(&wire(None, None), 2), Algorithm::TwoDRrm);
         let r = effective_request(&wire(None, Some(25)), CALIB, 100, 2).unwrap();
+        assert_eq!(r.resolved_algorithm(2), Algorithm::TwoDRrm);
         assert_eq!(r.budget.cutoff, Cutoff::None);
         // No deadline: no cutoff, even for cuttable algorithms — and the
         // counter budget stays untouched either way.

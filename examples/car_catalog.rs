@@ -19,8 +19,9 @@ fn main() -> Result<(), RrmError> {
     println!("catalog: {} cars (HP vs MPG, anti-correlated)\n", catalog.n());
 
     println!("{:>9} {:>12} {:>14} {:>10}", "shortlist", "worst rank", "rank percent", "members");
+    let session = rank_regret::session(&catalog);
     for r in [1usize, 2, 3, 5, 8, 12] {
-        let sol = rank_regret::minimize(&catalog).size(r).solve()?;
+        let sol = session.run(&Request::minimize(r))?.solution;
         let k = sol.certified_regret.unwrap();
         println!(
             "{:>9} {:>12} {:>13.3}% {:>10}",
@@ -33,7 +34,7 @@ fn main() -> Result<(), RrmError> {
 
     // Show what the winning 5-car shortlist looks like and verify its
     // guarantee independently with the exact 2D evaluator.
-    let sol = rank_regret::minimize(&catalog).size(5).solve()?;
+    let sol = session.run(&Request::minimize(5))?.solution;
     let (exact, witness) = exact_rank_regret_2d(&catalog, &sol.indices, 0.0, 1.0);
     println!("\n5-car shortlist (HP, MPG):");
     for &i in &sol.indices {

@@ -8,6 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rank_regret::prelude::*;
+use rank_regret::Tuning;
 use rrm_data::csv::{parse_csv, to_csv};
 use rrm_eval::profile::{coverage_ratio, rank_profile};
 
@@ -33,10 +34,12 @@ fn main() -> Result<(), RrmError> {
     let data = table.data.negate_attributes(&[1, 2]).normalize();
 
     // 3. A 8-laptop shortlist that serves every linear preference.
-    let sol = rank_regret::minimize(&data)
-        .size(8)
-        .hdrrm_options(rrm_hd::HdrrmOptions { delta: 0.1, ..Default::default() })
-        .solve()?;
+    let tuning = Tuning {
+        hdrrm: rrm_hd::HdrrmOptions { delta: 0.1, ..Default::default() },
+        ..Default::default()
+    };
+    let session = Engine::with_tuning(&tuning).session(data.clone());
+    let sol = session.run(&Request::minimize(8))?.solution;
     println!(
         "\nshortlist of {} laptops, certified rank-regret {} (of {})",
         sol.size(),

@@ -20,8 +20,11 @@ fn main() -> Result<(), RrmError> {
 
     println!("dataset: {} tuples x {} attributes\n", data.n(), data.dim());
 
+    // Bind a session once; every query below reuses its prepared state.
+    let session = Session::new(data.clone());
+
     // RRM: the single best representative for *any* linear preference.
-    let sol = rank_regret::minimize(&data).size(1).solve()?;
+    let sol = session.run(&Request::minimize(1))?.solution;
     println!(
         "best 1-tuple representative: t{} (worst-case rank {} of {})",
         sol.indices[0] + 1,
@@ -31,7 +34,7 @@ fn main() -> Result<(), RrmError> {
 
     // Spend a bigger budget and the guarantee tightens.
     for r in 2..=4 {
-        let sol = rank_regret::minimize(&data).size(r).solve()?;
+        let sol = session.run(&Request::minimize(r))?.solution;
         let members: Vec<String> = sol.indices.iter().map(|i| format!("t{}", i + 1)).collect();
         println!(
             "best {r}-tuple representative: {{{}}} (worst-case rank {})",
@@ -42,7 +45,7 @@ fn main() -> Result<(), RrmError> {
 
     // RRR, the dual question: how few tuples guarantee everyone a top-2
     // tuple?
-    let sol = rank_regret::represent(&data).threshold(2).solve()?;
+    let sol = session.run(&Request::represent(2))?.solution;
     println!(
         "\nsmallest set with rank-regret <= 2: {} tuples {:?}",
         sol.size(),

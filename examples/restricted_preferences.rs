@@ -11,6 +11,7 @@
 //! Run with: `cargo run --release --example restricted_preferences`
 
 use rank_regret::prelude::*;
+use rank_regret::Tuning;
 use rrm_data::synthetic::anticorrelated;
 use rrm_eval::estimate_rank_regret;
 use rrm_hd::HdrrmOptions;
@@ -18,28 +19,30 @@ use rrm_hd::HdrrmOptions;
 fn main() -> Result<(), RrmError> {
     let data = anticorrelated(5_000, 4, 7);
     let r = 10;
-    let opts = HdrrmOptions { m_override: Some(2_000), ..Default::default() };
+    let hdrrm = HdrrmOptions { m_override: Some(2_000), ..Default::default() };
     println!("dataset: {} tuples x {} attrs; budget r = {r}\n", data.n(), data.dim());
+    // One session over the full space; each restricted query names its
+    // space on the request (RRM becomes RRRM).
+    let session =
+        Engine::with_tuning(&Tuning { hdrrm, ..Default::default() }).session(data.clone());
 
     // Full space L (plain RRM).
-    let full = rank_regret::minimize(&data).size(r).hdrrm_options(opts).solve()?;
+    let full = session.run(&Request::minimize(r))?.solution;
     report("full space L", &data, &full, &FullSpace::new(4));
 
     // Weak ranking: u1 >= u2 >= u3 (the paper's RRRM experiment, c = 2).
     let weak = WeakRankingSpace::new(4, 2);
-    let sol = rank_regret::minimize(&data).size(r).space(weak).hdrrm_options(opts).solve()?;
+    let sol = session.run(&Request::minimize(r).within(weak))?.solution;
     report("weak ranking (c=2)", &data, &sol, &weak);
 
     // Weight box around a mined estimate w = (0.4, 0.3, 0.2, 0.1) +/- 0.1.
     let boxed = BoxSpace::around(&[0.4, 0.3, 0.2, 0.1], 0.1);
-    let sol =
-        rank_regret::minimize(&data).size(r).space(boxed.clone()).hdrrm_options(opts).solve()?;
+    let sol = session.run(&Request::minimize(r).within(boxed.clone()))?.solution;
     report("weight box +/-0.1", &data, &sol, &boxed);
 
     // Spherical cap of 15 degrees around the same estimate.
     let cap = SphereCap::new(&[0.4, 0.3, 0.2, 0.1], 15f64.to_radians());
-    let sol =
-        rank_regret::minimize(&data).size(r).space(cap.clone()).hdrrm_options(opts).solve()?;
+    let sol = session.run(&Request::minimize(r).within(cap.clone()))?.solution;
     report("15-degree cap", &data, &sol, &cap);
 
     println!(

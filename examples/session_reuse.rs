@@ -20,9 +20,11 @@ fn main() -> Result<(), RrmError> {
     let data = rank_regret::rrm_data::synthetic::anticorrelated(2_000, 2, 7);
 
     // -------- one-shot baseline: every query re-derives everything ----
+    let engine = Engine::new();
+    let space = FullSpace::new(2);
     let start = Instant::now();
     for r in [2usize, 5, 10, 2, 5, 10] {
-        let _ = rank_regret::minimize(&data).size(r).solve()?;
+        let _ = engine.run(&data, &space, &Request::minimize(r))?;
     }
     let one_shot = start.elapsed().as_secs_f64();
 

@@ -10,7 +10,7 @@
 
 use rank_regret::prelude::*;
 use rrm_eval::{estimate_regret_ratio, exact_rank_regret_2d};
-use rrm_hd::{mdrms, MdrmsOptions};
+use rrm_hd::MdrmsSolver;
 
 fn main() -> Result<(), RrmError> {
     let data = Dataset::from_rows(&[
@@ -27,9 +27,11 @@ fn main() -> Result<(), RrmError> {
     println!("dataset: Table I of the paper; shift: A2 += 4\n");
     println!("{:<26} {:>10} {:>10}", "query (r = 1)", "original", "shifted");
 
-    // RRM via the exact 2D solver.
-    let rrm_a = rank_regret::minimize(&data).size(1).solve()?;
-    let rrm_b = rank_regret::minimize(&shifted).size(1).solve()?;
+    // RRM via the exact 2D solver (the `Auto` choice at d = 2).
+    let engine = Engine::new();
+    let space = FullSpace::new(2);
+    let rrm_a = engine.run(&data, &space, &Request::minimize(1))?;
+    let rrm_b = engine.run(&shifted, &space, &Request::minimize(1))?;
     println!(
         "{:<26} {:>10} {:>10}",
         "RRM (rank-regret)",
@@ -38,10 +40,11 @@ fn main() -> Result<(), RrmError> {
     );
     assert_eq!(rrm_a.indices, rrm_b.indices, "Theorem 1: shift invariant");
 
-    // RMS via the MDRMS baseline.
-    let rms_opts = MdrmsOptions::default();
-    let rms_a = mdrms(&data, 1, &FullSpace::new(2), rms_opts)?;
-    let rms_b = mdrms(&shifted, 1, &FullSpace::new(2), rms_opts)?;
+    // RMS via the MDRMS baseline, prepared directly from its solver.
+    let rms = MdrmsSolver::default();
+    let exec = ExecPolicy::default();
+    let rms_a = rms.prepare(&data, &space, exec)?.solve_rrm(1, &Budget::UNLIMITED)?;
+    let rms_b = rms.prepare(&shifted, &space, exec)?.solve_rrm(1, &Budget::UNLIMITED)?;
     println!(
         "{:<26} {:>10} {:>10}",
         "RMS (regret-ratio)",

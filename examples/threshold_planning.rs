@@ -22,9 +22,10 @@ fn main() -> Result<(), RrmError> {
         println!("{:>5} {:>18}", p.r, p.regret);
     }
 
-    // Direct threshold queries (exact RRR).
+    // Direct threshold queries (exact RRR), on one prepared session.
+    let session = Session::new(data);
     for k in [1usize, 5, 20] {
-        let sol = rank_regret::represent(&data).threshold(k).solve()?;
+        let sol = session.run(&Request::represent(k))?.solution;
         println!("\nguarantee top-{k} for everyone -> {} tuples: {:?}", sol.size(), sol.indices);
         // Consistency with the frontier: the minimal size whose frontier
         // regret meets the threshold.

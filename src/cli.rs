@@ -303,16 +303,10 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
             } else {
                 None
             };
-            // An approx request under the auto policy dispatches to the
-            // sampled tier — prepare that handle so the timing split
-            // attributes its build cost to the prepare phase.
-            let prepare_choice = if args.approx.is_some() && choice == AlgoChoice::Auto {
-                AlgoChoice::Fixed(Algorithm::Sampled)
-            } else {
-                choice
-            };
+            // Prepare the handle the request resolves to, so the timing
+            // split attributes its build cost to the prepare phase.
             let prepare_start = Instant::now();
-            session.prepared(prepare_choice)?;
+            session.prepared(request.resolved_algorithm(d))?;
             let prepare_seconds = prepare_start.elapsed().as_secs_f64();
             let response = session.run(&request)?;
             match args.format {

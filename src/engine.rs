@@ -1,31 +1,26 @@
 //! The engine layer: one registry of [`Solver`]s, one dispatch path, and
 //! the [`Session`] that binds it all to a dataset.
 //!
-//! Every way of running a rank-regret query — the [`minimize`]/
-//! [`represent`] builders, the CLI, the bench harness — expresses the
-//! query as a typed [`Request`] and runs it either one-shot
-//! ([`Engine::run`]) or through a [`Session`], which prepares each
-//! algorithm's dataset-dependent state once ([`Solver::prepare`]) and then
-//! answers arbitrarily many requests cheaply ([`Session::run`],
+//! Every way of running a rank-regret query — the CLI, the serve
+//! protocol, the bench harness — expresses the query as a typed
+//! [`Request`] and answers it the same way: resolve the algorithm
+//! ([`Request::resolved_algorithm`], the one home of the `Auto` policy),
+//! prepare it ([`Solver::prepare`]), query the handle. [`Engine::run`]
+//! does all three per call; a [`Session`] keeps each algorithm's prepared
+//! handle and answers arbitrarily many requests cheaply ([`Session::run`],
 //! [`Session::run_batch`]). The engine owns a solver per [`Algorithm`]
-//! variant (indexed by discriminant — lookups are O(1)), resolves the
-//! `Auto` policy (2DRRM when `d = 2`, HDRRM otherwise), checks
-//! capabilities once, and delegates through the trait. Adding an algorithm
-//! means implementing [`Solver`] and registering it here; nothing else in
-//! the stack changes.
-//!
-//! [`minimize`]: crate::minimize
-//! [`represent`]: crate::represent
+//! variant (indexed by discriminant — lookups are O(1)). Adding an
+//! algorithm means implementing [`Solver`] and registering it here;
+//! nothing else in the stack changes.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use rrm_core::{
-    apply_updates, approx, Algorithm, ApproxSpec, Bounds, BruteForceOptions, BruteForceSolver,
-    Budget, Cutoff, Dataset, ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError,
-    SampledOptions, SampledSolver, Solution, Solver, SolverCtx, TerminatedBy, UpdateOp,
-    UtilitySpace,
+    apply_updates, approx, Algorithm, Bounds, BruteForceOptions, BruteForceSolver, Budget, Cutoff,
+    Dataset, ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, SampledOptions,
+    SampledSolver, Solution, Solver, TerminatedBy, UpdateOp, UtilitySpace,
 };
 
 use rrm_2d::{Rrm2dOptions, TwoDRrmSolver, TwoDRrrSolver};
@@ -44,8 +39,8 @@ pub enum TaskKind {
 }
 
 /// The task half of a [`Request`]: the constructor ties the parameter to
-/// its problem direction, so "a size used as a threshold" (the old
-/// `Query::param_from` footgun) is unrepresentable.
+/// its problem direction, so "a size used as a threshold" is
+/// unrepresentable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Task {
     Minimize { r: usize },
@@ -55,11 +50,9 @@ enum Task {
 /// A typed rank-regret query: the task (with its parameter bound at
 /// construction), plus everything that shapes the answer — algorithm
 /// selection, resource budget, answer [`Fidelity`], an optional
-/// per-request utility subspace, and an optional execution policy. One
-/// fluent builder replaces the former scatter of knobs (`Query::threads`,
-/// engine-wide `Tuning.exec`, separately-plumbed cutoffs): Engine,
-/// Session, the serve wire protocol and the CLI all construct this same
-/// object.
+/// per-request utility subspace, and an optional execution policy. It is
+/// the only query type: Engine, Session, the serve wire protocol and the
+/// CLI all construct this same object.
 ///
 /// ```
 /// use std::time::Duration;
@@ -217,14 +210,27 @@ impl Request {
         budget
     }
 
-    /// The algorithm this request resolves to on `d`-dimensional data:
-    /// a fixed choice wins; `Auto` follows [`Engine::auto_policy`] for
-    /// exact fidelity and the sampled tier for approximate fidelity.
+    /// The algorithm this request resolves to on `d`-dimensional data —
+    /// the one home of the `Auto` policy. A fixed choice wins. `Auto`
+    /// picks the sampled tier for approximate fidelity, and for exact
+    /// fidelity the exact planar solver when it applies (2DRRM at
+    /// `d = 2`), the scalable HD solver (HDRRM) otherwise.
     pub fn resolved_algorithm(&self, d: usize) -> Algorithm {
         match (self.choice, self.fidelity) {
             (AlgoChoice::Fixed(a), _) => a,
-            (AlgoChoice::Auto, Fidelity::Exact) => Engine::auto_policy(d),
             (AlgoChoice::Auto, Fidelity::Approx { .. }) => Algorithm::Sampled,
+            (AlgoChoice::Auto, Fidelity::Exact) if d == 2 => Algorithm::TwoDRrm,
+            (AlgoChoice::Auto, Fidelity::Exact) => Algorithm::Hdrrm,
+        }
+    }
+
+    /// Answer this request's task on a prepared handle, under the
+    /// effective budget.
+    fn query(&self, prepared: &dyn PreparedSolver) -> Result<Solution, RrmError> {
+        let budget = self.effective_budget();
+        match self.task {
+            Task::Minimize { r } => prepared.solve_rrm(r, &budget),
+            Task::Represent { k } => prepared.solve_rrr(k, &budget),
         }
     }
 }
@@ -272,7 +278,7 @@ pub struct Response {
 /// Algorithm selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AlgoChoice {
-    /// 2DRRM for `d = 2` (exact), HDRRM otherwise.
+    /// Resolved per request by [`Request::resolved_algorithm`].
     #[default]
     Auto,
     /// A specific registered algorithm.
@@ -292,8 +298,8 @@ pub struct Tuning {
     pub brute_force: BruteForceOptions,
     /// The sampled-ε approximate tier (default fidelity, direction seed).
     pub sampled: SampledOptions,
-    /// Engine-wide execution policy: every dispatch (one-shot and
-    /// prepared) runs its chunked kernels under this thread budget.
+    /// Engine-wide execution policy: every prepare runs its chunked
+    /// kernels under this thread budget.
     /// Results are bit-identical at any setting; the default honours
     /// `RRM_THREADS`, else uses all cores. A per-request
     /// [`Request::exec`] override wins over this.
@@ -306,8 +312,8 @@ pub struct Engine {
     /// discriminant order, so lookups are a direct array access instead of
     /// a roster scan.
     solvers: Vec<Box<dyn Solver>>,
-    /// Execution context handed to every solver entry point.
-    ctx: SolverCtx,
+    /// Execution policy handed to every [`Solver::prepare`].
+    exec: ExecPolicy,
 }
 
 impl Engine {
@@ -333,19 +339,19 @@ impl Engine {
             solvers.iter().enumerate().all(|(i, s)| s.algorithm().index() == i),
             "registry must be built in Algorithm::ALL order"
         );
-        Self { solvers, ctx: SolverCtx::with_exec(t.exec) }
+        Self { solvers, exec: t.exec }
     }
 
     /// Replace the engine-wide execution policy (thread budget for every
     /// solver kernel; `0` threads = all cores).
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
-        self.ctx = SolverCtx::with_exec(exec);
+        self.exec = exec;
         self
     }
 
-    /// The execution policy this engine dispatches under.
+    /// The execution policy this engine prepares under.
     pub fn exec(&self) -> ExecPolicy {
-        self.ctx.exec
+        self.exec
     }
 
     /// Iterate every registered solver, in [`Algorithm::ALL`] order.
@@ -353,42 +359,22 @@ impl Engine {
         self.solvers.iter().map(|s| s.as_ref())
     }
 
-    /// Look up the solver for one algorithm — O(1) by discriminant index.
-    pub fn solver(&self, algo: Algorithm) -> Option<&dyn Solver> {
-        let solver = self.solvers.get(algo.index())?.as_ref();
+    /// The solver for one algorithm — O(1) by discriminant index (the
+    /// registry holds every variant).
+    pub fn solver(&self, algo: Algorithm) -> &dyn Solver {
+        let solver = self.solvers[algo.index()].as_ref();
         debug_assert_eq!(solver.algorithm(), algo);
-        Some(solver)
+        solver
     }
 
-    /// The `Auto` policy: the exact planar solver when it applies, the
-    /// scalable HD solver otherwise.
-    pub fn auto_policy(d: usize) -> Algorithm {
-        if d == 2 {
-            Algorithm::TwoDRrm
-        } else {
-            Algorithm::Hdrrm
-        }
-    }
-
-    /// Resolve a selection policy against the registry.
-    pub fn resolve(&self, choice: AlgoChoice, d: usize) -> Result<&dyn Solver, RrmError> {
-        let algo = match choice {
-            AlgoChoice::Auto => Self::auto_policy(d),
-            AlgoChoice::Fixed(a) => a,
-        };
-        self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })
-    }
-
-    /// One-shot dispatch for a typed [`Request`]: resolve the algorithm
-    /// (honouring the request's [`Fidelity`]), check its capabilities
-    /// against the data and space, and run the task through the
-    /// [`Solver`] trait. A request-level [`Request::within`] space
-    /// overrides `space`; a [`Request::exec`] policy overrides the
+    /// Answer one typed [`Request`] with a fresh prepared handle: resolve
+    /// the algorithm ([`Request::resolved_algorithm`]), prepare it against
+    /// the data and space ([`Solver::prepare`], which checks capabilities
+    /// first), and query the handle. A request-level [`Request::within`]
+    /// space overrides `space`; a [`Request::exec`] policy overrides the
     /// engine's. For repeated queries over one dataset, bind a
-    /// [`Session`] instead — it amortizes the per-dataset work this path
-    /// redoes on every call.
+    /// [`Session`] instead — it keeps the prepared handles this path
+    /// rebuilds on every call.
     pub fn run(
         &self,
         data: &Dataset,
@@ -396,26 +382,14 @@ impl Engine {
         request: &Request,
     ) -> Result<Solution, RrmError> {
         let space = request.space.as_deref().unwrap_or(space);
-        let ctx = match request.exec {
-            Some(exec) => SolverCtx::with_exec(exec),
-            None => self.ctx,
-        };
-        let budget = request.effective_budget();
+        let exec = request.exec.unwrap_or(self.exec);
         let algo = request.resolved_algorithm(data.dim());
         if request.fidelity.is_approx() && algo != Algorithm::Sampled {
             // Approximate fidelity through a fixed exact algorithm: the
             // coreset path (reduce → exact solve → sampled re-certify).
-            let spec = budget.approx.expect("approx fidelity injects its spec");
-            return self.run_reduced(data, space, request, algo, spec, &budget, &ctx);
+            return self.run_reduced(data, space, request, algo, exec);
         }
-        let solver = self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
-        solver.ensure_supported(data, space)?;
-        match request.task {
-            Task::Minimize { r } => solver.solve_rrm_ctx(data, r, space, &budget, &ctx),
-            Task::Represent { k } => solver.solve_rrr_ctx(data, k, space, &budget, &ctx),
-        }
+        request.query(self.solver(algo).prepare(data, space, exec)?.as_ref())
     }
 
     /// Per-direction depth of the `approx::reduce` coreset on the
@@ -428,40 +402,35 @@ impl Engine {
 
     /// The coreset path for approximate requests pinned to an exact
     /// algorithm: shrink `n` with [`approx::reduce`] (union of sampled
-    /// per-direction top lists), run the exact solver on the coreset, map
-    /// the answer back, and re-certify its regret by measuring over the
-    /// same sampled directions. The result keeps the exact algorithm's
-    /// identity but carries the sampled `(ε, δ)` statement, because the
-    /// exact certificate only covered the coreset.
-    #[allow(clippy::too_many_arguments)]
+    /// per-direction top lists), prepare and query the exact solver on the
+    /// coreset, map the answer back, and re-certify its regret by
+    /// measuring over the same sampled directions. The result keeps the
+    /// exact algorithm's identity but carries the sampled `(ε, δ)`
+    /// statement, because the exact certificate only covered the coreset.
     fn run_reduced(
         &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
         request: &Request,
         algo: Algorithm,
-        spec: ApproxSpec,
-        budget: &Budget,
-        ctx: &SolverCtx,
+        exec: ExecPolicy,
     ) -> Result<Solution, RrmError> {
+        let budget = request.effective_budget();
+        let spec = budget.approx.expect("approx fidelity injects its spec");
         spec.validate()?;
-        let solver = self.solver(algo).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
-        solver.ensure_supported(data, space)?;
+        // Fail fast, before the reduction's scoring pass.
+        algo.ensure_supported(data, space)?;
         let m = budget.samples.unwrap_or_else(|| spec.directions()).max(1);
         let depth = match request.task {
             Task::Minimize { .. } => Self::REDUCE_DEPTH.min(data.n()),
             Task::Represent { k } => k.clamp(1, data.n()),
         };
-        let reduced = approx::reduce(data, space, depth, m, approx::DEFAULT_SEED, ctx.exec)?;
-        let sol = match request.task {
-            Task::Minimize { r } => solver.solve_rrm_ctx(&reduced.data, r, space, budget, ctx)?,
-            Task::Represent { k } => solver.solve_rrr_ctx(&reduced.data, k, space, budget, ctx)?,
-        };
+        let reduced = approx::reduce(data, space, depth, m, approx::DEFAULT_SEED, exec)?;
+        let prepared = self.solver(algo).prepare(&reduced.data, space, exec)?;
+        let sol = request.query(prepared.as_ref())?;
         let indices = reduced.original_indices(&sol.indices);
         let dirs = approx::sample_directions(space, m, approx::DEFAULT_SEED);
-        let k_hat = rrm_core::rank::max_rank_regret(data, &dirs, &indices, ctx.exec.parallelism)
+        let k_hat = rrm_core::rank::max_rank_regret(data, &dirs, &indices, exec.parallelism)
             .expect("m >= 1 directions were sampled");
         Ok(Solution::new(indices, Some(k_hat), algo, data)?
             .with_bounds(Bounds { lower: 1, upper: k_hat })
@@ -472,16 +441,17 @@ impl Engine {
             }))
     }
 
-    /// Prepare one algorithm selection against a dataset + space (resolve,
-    /// then [`Solver::prepare`]). [`Session`] callers get this lazily and
-    /// cached; call it directly to manage handles yourself.
+    /// Prepare one algorithm against a dataset + space under the engine's
+    /// execution policy ([`Solver::prepare`]). [`Session`] callers get
+    /// this lazily and cached; call it directly to manage handles
+    /// yourself.
     pub fn prepare(
         &self,
-        choice: AlgoChoice,
+        algo: Algorithm,
         data: &Dataset,
         space: &dyn UtilitySpace,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
-        self.resolve(choice, data.dim())?.prepare_ctx(data, space, &self.ctx)
+        self.solver(algo).prepare(data, space, self.exec)
     }
 
     /// Consume the engine into a [`Session`] over `data` (full utility
@@ -531,8 +501,8 @@ fn empty_slots() -> Vec<OnceLock<Result<Arc<dyn PreparedSolver>, RrmError>>> {
 /// The session lazily builds one [`PreparedSolver`] per algorithm on first
 /// use and keeps it for the session's lifetime, so a stream of requests —
 /// the paper's serving workload: one dataset, many users, varying `r`/`k`
-/// — pays each algorithm's per-dataset cost exactly once. Results are
-/// identical to one-shot [`Engine::run`] calls.
+/// — pays each algorithm's per-dataset cost exactly once. A warm handle
+/// answers identically to the fresh one [`Engine::run`] builds per call.
 ///
 /// Sessions are `Send + Sync`; share one behind an `&` (or the prepared
 /// handles behind their `Arc`s) and run read-only queries from many
@@ -620,7 +590,7 @@ impl Session {
     /// queries run under. Resets prepared state — handles capture the
     /// policy at prepare time. Solutions are bit-identical at any setting.
     pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.engine.ctx = SolverCtx::with_exec(exec);
+        self.engine.exec = exec;
         self.reset_prepared();
         self
     }
@@ -692,28 +662,22 @@ impl Session {
         &self.engine
     }
 
-    /// The shared prepared handle for one algorithm selection, built on
-    /// first use. The returned `Arc` is `Send + Sync`: clone it out and
-    /// query from as many threads as you like.
-    pub fn prepared(&self, choice: AlgoChoice) -> Result<Arc<dyn PreparedSolver>, RrmError> {
-        self.prepared_in(&self.current(), choice)
+    /// The shared prepared handle for one algorithm, built on first use.
+    /// The returned `Arc` is `Send + Sync`: clone it out and query from as
+    /// many threads as you like.
+    pub fn prepared(&self, algo: Algorithm) -> Result<Arc<dyn PreparedSolver>, RrmError> {
+        self.prepared_in(&self.current(), algo)
     }
 
-    /// [`Session::prepared`] against one pinned snapshot (so a query
-    /// resolves and runs against a single consistent generation even if an
-    /// update swaps epochs mid-flight).
+    /// [`Session::prepared`] against one pinned snapshot (so a query runs
+    /// against a single consistent generation even if an update swaps
+    /// epochs mid-flight).
     fn prepared_in(
         &self,
         snap: &Snapshot,
-        choice: AlgoChoice,
+        algo: Algorithm,
     ) -> Result<Arc<dyn PreparedSolver>, RrmError> {
-        let algo = match choice {
-            AlgoChoice::Auto => Engine::auto_policy(snap.data.dim()),
-            AlgoChoice::Fixed(a) => a,
-        };
-        let slot = snap.prepared.get(algo.index()).ok_or_else(|| {
-            RrmError::Unsupported(format!("algorithm {algo} is not registered in this engine"))
-        })?;
+        let slot = &snap.prepared[algo.index()];
         // `OnceLock::get_or_init` is the anti-thundering-herd mechanism:
         // when several threads race a cold slot, exactly one runs the
         // (possibly expensive) prepare and the rest block on *that slot
@@ -724,9 +688,7 @@ impl Session {
         let result = slot
             .get_or_init(|| {
                 ran_prepare = true;
-                self.engine
-                    .prepare(AlgoChoice::Fixed(algo), &snap.data, self.space.as_ref())
-                    .map(Arc::from)
+                self.engine.prepare(algo, &snap.data, self.space.as_ref()).map(Arc::from)
             })
             .clone();
         if ran_prepare {
@@ -757,42 +719,37 @@ impl Session {
     /// lazy first request would cache them, and do not abort the rest of
     /// the warm-up. Returns the number of handles that built successfully.
     pub fn warm(&self, algos: &[Algorithm]) -> usize {
-        algos.iter().filter(|&&algo| self.prepared(AlgoChoice::Fixed(algo)).is_ok()).count()
+        algos.iter().filter(|&&algo| self.prepared(algo).is_ok()).count()
     }
 
     /// Answer one request through the prepared state. The query pins the
     /// snapshot current at dispatch — a concurrent [`Session::update`]
     /// neither blocks it nor changes the rows it answers over.
     ///
-    /// Routing: requests resolve through the cached prepared handles
-    /// (approximate fidelity under `Auto` resolves to the prepared
-    /// [`Algorithm::Sampled`] handle, so the sampled tier amortizes like
-    /// every other algorithm). Two shapes can't use a cached handle and
-    /// run one-shot against the pinned snapshot instead — a per-request
-    /// [`Request::within`] space (handles are built against the session
-    /// space) and approximate fidelity pinned to an exact algorithm (the
-    /// coreset path). Answers are identical either way; only the
-    /// amortization differs. A [`Request::exec`] override is honoured on
-    /// the one-shot path; prepared handles keep the policy they captured
-    /// at prepare time (answers are bit-identical at any setting).
+    /// Routing: the request resolves to one algorithm
+    /// ([`Request::resolved_algorithm`]) and runs on that algorithm's
+    /// cached handle (approximate fidelity under `Auto` resolves to
+    /// [`Algorithm::Sampled`], so the sampled tier amortizes like every
+    /// other algorithm). Two shapes can't use a cached handle and go
+    /// through [`Engine::run`] against the pinned snapshot instead — a
+    /// per-request [`Request::within`] space (handles are built against
+    /// the session space) and approximate fidelity pinned to an exact
+    /// algorithm (the coreset path). Answers are identical either way;
+    /// only the amortization differs, and those fresh handles count as
+    /// neither prepare hits nor misses. A [`Request::exec`] override is
+    /// honoured on the [`Engine::run`] route; cached handles keep the
+    /// policy they captured at prepare time (answers are bit-identical at
+    /// any setting).
     pub fn run(&self, request: &Request) -> Result<Response, RrmError> {
         let snap = self.current();
-        let choice = match (request.fidelity, request.choice) {
-            (Fidelity::Approx { .. }, AlgoChoice::Auto) => AlgoChoice::Fixed(Algorithm::Sampled),
-            (_, choice) => choice,
-        };
-        let one_shot = request.space.is_some()
-            || (request.fidelity.is_approx() && choice != AlgoChoice::Fixed(Algorithm::Sampled));
+        let algo = request.resolved_algorithm(snap.data.dim());
+        let fresh_handle =
+            request.space.is_some() || (request.fidelity.is_approx() && algo != Algorithm::Sampled);
         let start = Instant::now();
-        let solution = if one_shot {
+        let solution = if fresh_handle {
             self.engine.run(&snap.data, self.space.as_ref(), request)?
         } else {
-            let prepared = self.prepared_in(&snap, choice)?;
-            let budget = request.effective_budget();
-            match request.task {
-                Task::Minimize { r } => prepared.solve_rrm(r, &budget),
-                Task::Represent { k } => prepared.solve_rrr(k, &budget),
-            }?
+            request.query(self.prepared_in(&snap, algo)?.as_ref())?
         };
         Ok(Response { request: request.clone(), solution, seconds: start.elapsed().as_secs_f64() })
     }
@@ -805,179 +762,10 @@ impl Session {
     }
 }
 
-/// A fluent query against an [`Engine`]: data, task, space, algorithm
-/// selection and budget. Built by [`crate::minimize`] / [`crate::represent`].
-pub struct Query<'a> {
-    data: &'a Dataset,
-    kind: TaskKind,
-    /// `r` for minimize, `k` for represent.
-    param: usize,
-    /// Which task the parameter setter belonged to — [`Query::size`] on a
-    /// represent query (or [`Query::threshold`] on a minimize query) is a
-    /// caller bug that the merged builder can no longer reject at compile
-    /// time, so [`Query::solve`] rejects it with a typed error instead of
-    /// silently running the wrong problem.
-    param_from: Option<TaskKind>,
-    space: Option<Box<dyn UtilitySpace>>,
-    choice: AlgoChoice,
-    budget: Budget,
-    fidelity: Fidelity,
-    exec: Option<ExecPolicy>,
-    tuning: Tuning,
-}
-
-impl<'a> Query<'a> {
-    pub(crate) fn new(data: &'a Dataset, kind: TaskKind) -> Self {
-        Self {
-            data,
-            kind,
-            param: 1,
-            param_from: None,
-            space: None,
-            choice: AlgoChoice::Auto,
-            budget: Budget::UNLIMITED,
-            fidelity: Fidelity::Exact,
-            exec: None,
-            tuning: Tuning::default(),
-        }
-    }
-
-    /// Output size bound `r` (minimize queries; default 1).
-    pub fn size(mut self, r: usize) -> Self {
-        self.param = r;
-        self.param_from = Some(TaskKind::Minimize);
-        self
-    }
-
-    /// Rank-regret threshold `k` (represent queries; default 1).
-    pub fn threshold(mut self, k: usize) -> Self {
-        self.param = k;
-        self.param_from = Some(TaskKind::Represent);
-        self
-    }
-
-    /// Restrict the utility space (turns RRM into RRRM).
-    pub fn space(mut self, space: impl UtilitySpace + 'static) -> Self {
-        self.space = Some(Box::new(space));
-        self
-    }
-
-    /// Select a specific algorithm from the registry.
-    pub fn algo(mut self, algorithm: Algorithm) -> Self {
-        self.choice = AlgoChoice::Fixed(algorithm);
-        self
-    }
-
-    /// Select by policy ([`AlgoChoice::Auto`] or fixed); see also the
-    /// [`crate::SolverChoice`] compatibility shim.
-    pub fn choice(mut self, choice: AlgoChoice) -> Self {
-        self.choice = choice;
-        self
-    }
-
-    /// Cross-algorithm resource budget (sample counts, enumeration caps).
-    pub fn budget(mut self, budget: Budget) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Request the sampled-ε approximate answer tier (see
-    /// [`Request::approx`]).
-    pub fn approx(mut self, eps: f64, delta: f64) -> Self {
-        self.fidelity = Fidelity::Approx { eps, delta };
-        self
-    }
-
-    /// Thread budget for the query's solver kernels (`0` = all cores).
-    /// Purely a speed knob: solutions are bit-identical at any setting.
-    /// Carried on the typed [`Request`] ([`Request::threads`]), not as a
-    /// separate engine knob.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.exec = Some(ExecPolicy::threads(n));
-        self
-    }
-
-    /// Full execution policy (see [`ExecPolicy`]); carried on the typed
-    /// [`Request`].
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = Some(exec);
-        self
-    }
-
-    /// Tune HDRRM (γ, δ, sample count, seed).
-    pub fn hdrrm_options(mut self, options: HdrrmOptions) -> Self {
-        self.tuning.hdrrm = options;
-        self
-    }
-
-    /// Tune the 2D solver (event chunking, paper-faithful sweep).
-    pub fn rrm2d_options(mut self, options: Rrm2dOptions) -> Self {
-        self.tuning.rrm2d = options;
-        self
-    }
-
-    /// Replace the whole tuning bundle.
-    pub fn tuning(mut self, tuning: Tuning) -> Self {
-        self.tuning = tuning;
-        self
-    }
-
-    /// The typed [`Request`] this builder describes, or the mis-pairing
-    /// error when a parameter setter was used on the wrong query kind (the
-    /// merged builder cannot reject that at compile time; [`Request`]'s
-    /// own constructors can — prefer them in new code).
-    pub fn request(&self) -> Result<Request, RrmError> {
-        if let Some(from) = self.param_from {
-            if from != self.kind {
-                let (got, want) = match self.kind {
-                    TaskKind::Minimize => (".threshold()", "minimize queries take .size()"),
-                    TaskKind::Represent => (".size()", "represent queries take .threshold()"),
-                };
-                return Err(RrmError::Unsupported(format!(
-                    "{got} used on the wrong query kind: {want}"
-                )));
-            }
-        }
-        let request = match self.kind {
-            TaskKind::Minimize => Request::minimize(self.param),
-            TaskKind::Represent => Request::represent(self.param),
-        };
-        let mut request =
-            request.choice(self.choice).budget(self.budget.clone()).fidelity(self.fidelity);
-        if let Some(exec) = self.exec {
-            request = request.exec(exec);
-        }
-        Ok(request)
-    }
-
-    /// Bind the query's data, space and tuning into a [`Session`] — the
-    /// prepare-once / query-many handle. The dataset is cloned into the
-    /// session (sessions own their data so prepared handles can outlive
-    /// the borrow and cross threads). A [`Query::threads`]/[`Query::exec`]
-    /// policy becomes the session's engine-wide policy, so prepared
-    /// handles capture it too.
-    pub fn session(&self) -> Session {
-        let mut tuning = self.tuning.clone();
-        if let Some(exec) = self.exec {
-            tuning.exec = exec;
-        }
-        let session = Engine::with_tuning(&tuning).session(self.data.clone());
-        match &self.space {
-            Some(space) => session.boxed_space(space.clone_box()),
-            None => session,
-        }
-    }
-
-    /// Run the query: a thin wrapper over a one-shot [`Session`].
-    pub fn solve(self) -> Result<Solution, RrmError> {
-        let request = self.request()?;
-        self.session().run(&request).map(|response| response.solution)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrm_core::ApproxSpec;
 
     #[test]
     fn registry_has_every_algorithm_once() {
@@ -987,15 +775,16 @@ mod tests {
         algos.dedup();
         assert_eq!(algos, Algorithm::ALL.to_vec());
         for a in Algorithm::ALL {
-            assert!(engine.solver(a).is_some(), "{a} missing from registry");
+            assert_eq!(engine.solver(a).algorithm(), a, "{a} misplaced in the registry");
         }
     }
 
     #[test]
     fn auto_policy_matches_the_paper() {
-        assert_eq!(Engine::auto_policy(2), Algorithm::TwoDRrm);
-        assert_eq!(Engine::auto_policy(3), Algorithm::Hdrrm);
-        assert_eq!(Engine::auto_policy(7), Algorithm::Hdrrm);
+        let auto = Request::minimize(1);
+        assert_eq!(auto.resolved_algorithm(2), Algorithm::TwoDRrm);
+        assert_eq!(auto.resolved_algorithm(3), Algorithm::Hdrrm);
+        assert_eq!(auto.resolved_algorithm(7), Algorithm::Hdrrm);
     }
 
     #[test]
@@ -1203,7 +992,7 @@ mod tests {
     fn in_flight_handles_survive_an_epoch_swap() {
         let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
         let session = Session::new(data);
-        let handle = session.prepared(AlgoChoice::Auto).unwrap();
+        let handle = session.prepared(Algorithm::TwoDRrm).unwrap();
         let before = handle.solve_rrm(2, &Budget::UNLIMITED).unwrap();
         session.update(&[UpdateOp::Delete(1)]).unwrap();
         // The pinned handle still answers over the generation it was built
@@ -1217,8 +1006,8 @@ mod tests {
     fn session_prepared_handles_are_shareable() {
         let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
         let session = Session::new(data);
-        let handle = session.prepared(AlgoChoice::Auto).unwrap();
-        let again = session.prepared(AlgoChoice::Fixed(Algorithm::TwoDRrm)).unwrap();
+        let handle = session.prepared(Request::minimize(1).resolved_algorithm(2)).unwrap();
+        let again = session.prepared(Algorithm::TwoDRrm).unwrap();
         // Auto resolves to 2DRRM on d = 2; both asks share one handle.
         assert!(Arc::ptr_eq(&handle, &again));
         assert_eq!(handle.algorithm(), Algorithm::TwoDRrm);
@@ -1295,9 +1084,11 @@ mod tests {
             .run(&data, &FullSpace::new(2), &Request::minimize(2).algo(Algorithm::TwoDRrm))
             .unwrap();
         assert_eq!(sol.indices, exact.indices);
-        // Session routes the same shape one-shot; answers agree.
+        // Session routes the same shape through Engine::run; answers
+        // agree, and the fresh handle counts as no prepare hit or miss.
         let session = Session::new(table1());
         assert_eq!(session.run(&request).unwrap().solution, sol);
+        assert_eq!((session.prepare_hits(), session.prepare_misses()), (0, 0));
     }
 
     #[test]
@@ -1310,10 +1101,11 @@ mod tests {
         let via_ambient =
             engine.run(&data, &WeakRankingSpace::new(2, 1), &Request::minimize(2)).unwrap();
         assert_eq!(via_request, via_ambient, "within() must equal an ambient-space run");
-        // Sessions route per-request spaces one-shot against the pinned
-        // snapshot — same answer as the engine.
+        // Sessions route per-request spaces through Engine::run against
+        // the pinned snapshot — same answer, no session prepare counted.
         let session = Session::new(data);
         assert_eq!(session.run(&restricted).unwrap().solution, via_request);
+        assert_eq!((session.prepare_hits(), session.prepare_misses()), (0, 0));
     }
 
     #[test]

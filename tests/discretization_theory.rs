@@ -1,11 +1,25 @@
 //! Direct checks of the discretization theory behind HDRRM
 //! (Theorems 6 and 7).
 
-use rank_regret::{Dataset, FullSpace, UtilitySpace};
+use rank_regret::{
+    Budget, Dataset, ExecPolicy, FullSpace, RrmError, Solution, Solver, UtilitySpace,
+};
+use rrm_2d::TwoDRrmSolver;
 use rrm_core::{basis_indices, rank, utility};
 use rrm_data::synthetic::independent;
 use rrm_geom::polar::{grid_distance_bound, polar_grid};
 use rrm_hd::{asms, build_vector_set};
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
 
 /// Theorem 7's chain: if `∇D(S) ≤ k` and `B ⊆ S`, then for every direction
 /// `u`, `w(u, S) ≥ (1 − ε) · w_k(u, D)` with `ε` determined by γ.
@@ -100,17 +114,16 @@ fn grid_covering_radius_shrinks() {
 /// same percentage, across dataset scales of the same distribution.
 #[test]
 fn percentage_regret_comparable_across_sizes() {
-    use rrm_2d::{rrm_2d, Rrm2dOptions};
     // The arc construction scales regret linearly with n (Theorem 2), the
     // setting where absolute rank-regret misleads across dataset sizes.
     let small = rrm_data::synthetic::lower_bound_arc(2_000, 2);
     let large = rrm_data::synthetic::lower_bound_arc(8_000, 2);
     let r = 4;
-    let ks = rrm_2d(&small, r, &FullSpace::new(2), Rrm2dOptions::default())
+    let ks = run_rrm(&TwoDRrmSolver::default(), &small, r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();
-    let kl = rrm_2d(&large, r, &FullSpace::new(2), Rrm2dOptions::default())
+    let kl = run_rrm(&TwoDRrmSolver::default(), &large, r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();

@@ -2,12 +2,26 @@
 //! findings of the paper's Figures 13–21: HDRRM certifies its regret and
 //! beats the no-guarantee baselines; MDRMS optimizes the wrong objective.
 
-use rank_regret::{Dataset, FullSpace, WeakRankingSpace};
+use rank_regret::{
+    Budget, Dataset, ExecPolicy, FullSpace, RrmError, Solution, Solver, UtilitySpace,
+    WeakRankingSpace,
+};
 use rrm_data::synthetic::{anticorrelated, independent};
 use rrm_eval::{estimate_rank_regret, estimate_regret_ratio};
 use rrm_hd::{
-    hdrrm, mdrc, mdrms, mdrrr_r_rrm, HdrrmOptions, MdrcOptions, MdrmsOptions, MdrrrROptions,
+    HdrrmOptions, HdrrmSolver, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions, MdrrrRSolver,
 };
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
 
 const SAMPLES: usize = 30_000;
 
@@ -25,9 +39,9 @@ fn hdrrm_beats_heuristics_on_anticorrelated() {
     // Paper-grade sample budget (the Theorem 10 formula, ~36K directions
     // here): a starved discretization loses the quality edge the figures
     // show.
-    let h = hdrrm(&data, r, &FullSpace::new(4), HdrrmOptions::default()).unwrap();
-    let c = mdrc(&data, r, &FullSpace::new(4), MdrcOptions::default()).unwrap();
-    let m = mdrms(&data, r, &FullSpace::new(4), MdrmsOptions::default()).unwrap();
+    let h = run_rrm(&HdrrmSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
+    let c = run_rrm(&MdrcSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
+    let m = run_rrm(&MdrmsSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
 
     let kh = measured_regret(&data, &h.indices, 1);
     let kc = measured_regret(&data, &c.indices, 1);
@@ -44,11 +58,11 @@ fn hdrrm_certificate_close_to_measured() {
     // Figures 13–28 plot the certified k (red cross) against the measured
     // regret over L (red squares) and find "the two lines basically fit".
     let data = independent(3_000, 4, 405);
-    let sol = hdrrm(
+    let sol = run_rrm(
+        &HdrrmSolver::new(HdrrmOptions { m_override: Some(4_000), ..Default::default() }),
         &data,
         10,
         &FullSpace::new(4),
-        HdrrmOptions { m_override: Some(4_000), ..Default::default() },
     )
     .unwrap();
     let certified = sol.certified_regret.unwrap();
@@ -67,10 +81,14 @@ fn mdrms_good_ratio_bad_rank() {
     // Section II: minimizing regret-ratio does not minimize rank-regret.
     let data = anticorrelated(2_000, 4, 406);
     let r = 10;
-    let rms =
-        mdrms(&data, r, &FullSpace::new(4), MdrmsOptions { samples: 8_000, ..Default::default() })
-            .unwrap();
-    let h = hdrrm(&data, r, &FullSpace::new(4), HdrrmOptions::default()).unwrap();
+    let rms = run_rrm(
+        &MdrmsSolver::new(MdrmsOptions { samples: 8_000, ..Default::default() }),
+        &data,
+        r,
+        &FullSpace::new(4),
+    )
+    .unwrap();
+    let h = run_rrm(&HdrrmSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
     let ratio_rms =
         estimate_regret_ratio(&data, &rms.indices, &FullSpace::new(4), SAMPLES, 3).max_ratio;
     let rank_rms = measured_regret(&data, &rms.indices, 4);
@@ -88,14 +106,18 @@ fn rrrm_restriction_improves_quality() {
     let data = anticorrelated(3_000, 4, 407);
     let space = WeakRankingSpace::new(4, 2);
     let r = 10;
-    let restricted =
-        hdrrm(&data, r, &space, HdrrmOptions { m_override: Some(2_500), ..Default::default() })
-            .unwrap();
-    let full = hdrrm(
+    let restricted = run_rrm(
+        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_500), ..Default::default() }),
+        &data,
+        r,
+        &space,
+    )
+    .unwrap();
+    let full = run_rrm(
+        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_500), ..Default::default() }),
         &data,
         r,
         &FullSpace::new(4),
-        HdrrmOptions { m_override: Some(2_500), ..Default::default() },
     )
     .unwrap();
     let k_restricted =
@@ -113,25 +135,25 @@ fn mdrrr_r_quality_between_hdrrm_and_heuristics() {
     // without a certificate; with a starved budget it degrades.
     let data = anticorrelated(2_000, 3, 408);
     let r = 8;
-    let h = hdrrm(
+    let h = run_rrm(
+        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_000), ..Default::default() }),
         &data,
         r,
         &FullSpace::new(3),
-        HdrrmOptions { m_override: Some(2_000), ..Default::default() },
     )
     .unwrap();
-    let healthy = mdrrr_r_rrm(
+    let healthy = run_rrm(
+        &MdrrrRSolver::new(MdrrrROptions { samples: 8_000, seed: 9, ..Default::default() }),
         &data,
         r,
         &FullSpace::new(3),
-        MdrrrROptions { samples: 8_000, seed: 9, ..Default::default() },
     )
     .unwrap();
-    let starved = mdrrr_r_rrm(
+    let starved = run_rrm(
+        &MdrrrRSolver::new(MdrrrROptions { samples: 10, seed: 9, ..Default::default() }),
         &data,
         r,
         &FullSpace::new(3),
-        MdrrrROptions { samples: 10, seed: 9, ..Default::default() },
     )
     .unwrap();
     let kh = measured_regret(&data, &h.indices, 6);

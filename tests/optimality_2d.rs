@@ -4,10 +4,34 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rank_regret::{Dataset, FullSpace, WeakRankingSpace};
-use rrm_2d::{rrm_2d, weight_interval, Rrm2dOptions};
+use rank_regret::{
+    Budget, ConeSpace, Dataset, ExecPolicy, FullSpace, RrmError, Solution, Solver, UtilitySpace,
+    WeakRankingSpace,
+};
+use rrm_2d::{weight_interval, TwoDRrmSolver};
 use rrm_eval::exact_rank_regret_2d;
 use rrm_skyline::restricted::u_skyline_2d;
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
+
+/// One RRR query through a fresh prepared handle.
+fn run_rrr(
+    solver: &dyn Solver,
+    data: &Dataset,
+    k: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrr(k, &Budget::UNLIMITED)
+}
 
 /// Exhaustive RRM over subsets of the candidate set.
 fn brute_force_optimum(data: &Dataset, r: usize, c0: f64, c1: f64) -> usize {
@@ -49,7 +73,7 @@ fn dp_matches_brute_force_full_space() {
             (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
         for r in 1..=3 {
-            let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
             let dp = sol.certified_regret.unwrap();
             let brute = brute_force_optimum(&data, r, 0.0, 1.0);
             assert_eq!(dp, brute, "trial {trial} r={r}: rows {rows:?}");
@@ -72,7 +96,7 @@ fn dp_matches_brute_force_restricted_space() {
             (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
         for r in 1..=2 {
-            let sol = rrm_2d(&data, r, &space, Rrm2dOptions::default()).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &space).unwrap();
             let dp = sol.certified_regret.unwrap();
             let brute = brute_force_optimum(&data, r, c0, c1);
             assert_eq!(dp, brute, "trial {trial} r={r}: rows {rows:?}");
@@ -88,11 +112,14 @@ fn dp_matches_brute_force_on_narrow_interval() {
         let rows: Vec<[f64; 2]> =
             (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        let a = rng.random_range(0.0..0.8);
+        let a: f64 = rng.random_range(0.0..0.8);
         let b = a + rng.random_range(0.05..0.2);
-        use rrm_2d::rrm_2d_on_interval;
-        let sol = rrm_2d_on_interval(&data, 2, a, b, Rrm2dOptions::default()).unwrap();
-        let brute = brute_force_optimum(&data, 2, a, b);
+        // The cone of directions (c, 1 - c) with a <= c <= b.
+        let space = ConeSpace::new(2, vec![vec![1.0 - a, -a], vec![b - 1.0, b]]);
+        let (c0, c1) = weight_interval(&space).unwrap();
+        assert!((c0 - a).abs() < 1e-12 && (c1 - b).abs() < 1e-12, "trial {trial} [{a},{b}]");
+        let sol = run_rrm(&TwoDRrmSolver::default(), &data, 2, &space).unwrap();
+        let brute = brute_force_optimum(&data, 2, c0, c1);
         assert_eq!(sol.certified_regret.unwrap(), brute, "trial {trial} [{a},{b}]");
     }
 }
@@ -121,7 +148,7 @@ fn skyline_restriction_loses_nothing() {
                     }
                 }
             }
-            let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
             assert_eq!(sol.certified_regret.unwrap(), best, "trial {trial} r={r}");
         }
     }
@@ -133,7 +160,6 @@ fn envelope_is_the_minimal_rank1_set() {
     // the upper envelope of the dual lines, and the exact RRR solver at
     // threshold 1 (binary search over the exact DP). They must agree in
     // size, and the envelope achieves regret 1.
-    use rrm_2d::rrr_exact_2d;
     use rrm_geom::dual::DualLine;
     use rrm_geom::envelope::envelope_lines;
     let mut rng = StdRng::seed_from_u64(5005);
@@ -146,7 +172,7 @@ fn envelope_is_the_minimal_rank1_set() {
         let envelope = envelope_lines(&lines, 0.0, 1.0);
         let (k, _) = exact_rank_regret_2d(&data, &envelope, 0.0, 1.0);
         assert_eq!(k, 1, "trial {trial}: envelope must have rank-regret 1");
-        let rrr = rrr_exact_2d(&data, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let rrr = run_rrr(&TwoDRrmSolver::default(), &data, 1, &FullSpace::new(2)).unwrap();
         assert_eq!(rrr.size(), envelope.len(), "trial {trial}: minimality mismatch");
     }
 }

@@ -83,7 +83,8 @@ fn hd_algorithms_are_bit_identical_in_higher_dimensions() {
 
 #[test]
 fn one_shot_engine_runs_are_bit_identical_across_thread_counts() {
-    // The ctx-carrying one-shot path (Engine::run) — not just sessions.
+    // The fresh-handle path (Engine::run, one prepare per call) — not
+    // just sessions.
     let data = independent(120, 2, 13);
     let space = FullSpace::new(2);
     let sequential = Engine::new().with_exec(ExecPolicy::sequential());

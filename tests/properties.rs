@@ -2,10 +2,33 @@
 //! multiple crates (proptest).
 
 use proptest::prelude::*;
-use rank_regret::{Dataset, FullSpace};
-use rrm_2d::{rrm_2d, rrr_exact_2d, Rrm2dOptions};
+use rank_regret::{
+    Budget, Dataset, ExecPolicy, FullSpace, RrmError, Solution, Solver, UtilitySpace,
+};
+use rrm_2d::TwoDRrmSolver;
 use rrm_eval::exact_rank_regret_2d;
 use rrm_skyline::skyline;
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
+
+/// One RRR query through a fresh prepared handle.
+fn run_rrr(
+    solver: &dyn Solver,
+    data: &Dataset,
+    k: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrr(k, &Budget::UNLIMITED)
+}
 
 /// Strategy: a small 2D dataset with values on a fine grid (exact-float
 /// arithmetic keeps comparisons deterministic without being degenerate).
@@ -28,8 +51,8 @@ proptest! {
                         dy in -1000i32..1000,
                         r in 1usize..4) {
         let shifted = data.shift(&[dx as f64 / 100.0, dy as f64 / 100.0]);
-        let a = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let b = rrm_2d(&shifted, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let a = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+        let b = run_rrm(&TwoDRrmSolver::default(), &shifted, r, &FullSpace::new(2)).unwrap();
         prop_assert_eq!(a.certified_regret, b.certified_regret);
         prop_assert_eq!(a.indices, b.indices);
     }
@@ -39,7 +62,7 @@ proptest! {
     fn monotone_in_budget(data in small_dataset()) {
         let mut prev = usize::MAX;
         for r in 1..=5 {
-            let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
             let k = sol.certified_regret.unwrap();
             prop_assert!(k <= prev);
             prop_assert!(sol.size() <= r);
@@ -50,7 +73,7 @@ proptest! {
     /// Theorem 3: solutions live inside the skyline.
     #[test]
     fn solutions_within_skyline(data in small_dataset(), r in 1usize..5) {
-        let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
         let sky = skyline(&data);
         for i in &sol.indices {
             prop_assert!(sky.contains(i), "{} not a skyline tuple", i);
@@ -60,7 +83,7 @@ proptest! {
     /// The certificate is the true worst-case rank of the returned set.
     #[test]
     fn certificate_is_exact(data in small_dataset(), r in 1usize..4) {
-        let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
         let (actual, _) = exact_rank_regret_2d(&data, &sol.indices, 0.0, 1.0);
         prop_assert_eq!(actual, sol.certified_regret.unwrap());
     }
@@ -69,12 +92,12 @@ proptest! {
     /// smallest r whose RRM optimum is ≤ k, and vice versa.
     #[test]
     fn rrm_rrr_duality(data in small_dataset(), k in 1usize..6) {
-        let rrr = rrr_exact_2d(&data, k, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let rrr = run_rrr(&TwoDRrmSolver::default(), &data, k, &FullSpace::new(2)).unwrap();
         prop_assert!(rrr.certified_regret.unwrap() <= k);
         // Minimality: one fewer tuple cannot achieve the threshold.
         if rrr.size() > 1 {
             let smaller =
-                rrm_2d(&data, rrr.size() - 1, &FullSpace::new(2), Rrm2dOptions::default())
+                run_rrm(&TwoDRrmSolver::default(), &data, rrr.size() - 1, &FullSpace::new(2))
                     .unwrap();
             prop_assert!(smaller.certified_regret.unwrap() > k);
         }
@@ -93,8 +116,8 @@ proptest! {
     #[test]
     fn normalization_preserves_solution(data in small_dataset(), r in 1usize..4) {
         let normalized = data.normalize();
-        let a = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let b = rrm_2d(&normalized, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let a = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+        let b = run_rrm(&TwoDRrmSolver::default(), &normalized, r, &FullSpace::new(2)).unwrap();
         prop_assert_eq!(a.certified_regret, b.certified_regret);
     }
 }

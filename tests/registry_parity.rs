@@ -1,6 +1,7 @@
 //! Registry parity: every solver registered in the [`Engine`] runs on the
-//! paper's Table I dataset through the single dispatch path, and the
-//! capability matrix (Table III) is enforced — guarantees are real
+//! paper's Table I dataset through the single dispatch path (a fresh
+//! prepared handle per `Engine::run`), and the capability matrix
+//! (Table III, on `Algorithm`) is enforced — guarantees are real
 //! certificates, restricted spaces either work or fail gracefully.
 
 use rank_regret::prelude::*;
@@ -78,7 +79,7 @@ fn certified_solvers_never_beat_the_brute_force_optimum() {
         let sol = engine
             .run(&data, &FullSpace::new(2), &Request::minimize(r).algo(algo).budget(budget()))
             .unwrap_or_else(|e| panic!("{algo}: {e}"));
-        if solver.has_regret_guarantee() {
+        if algo.has_regret_guarantee() {
             let certified = sol
                 .certified_regret
                 .unwrap_or_else(|| panic!("{algo} claims a guarantee but gave no certificate"));
@@ -101,7 +102,7 @@ fn restricted_space_capability_is_enforced_not_panicked() {
             &WeakRankingSpace::new(2, 1),
             &Request::minimize(3).algo(algo).budget(budget()),
         );
-        if solver.supports_restricted_space() {
+        if algo.supports_restricted_space() {
             let sol = result.unwrap_or_else(|e| panic!("{algo} should accept RRRM: {e}"));
             assert!(sol.size() <= 3, "{algo}");
         } else {
@@ -125,20 +126,42 @@ fn every_algorithm_answers_the_represent_direction() {
         assert_eq!(sol.algorithm, algo);
         assert!(sol.size() >= 1 && sol.size() <= data.n(), "{algo}");
         // Guaranteed solvers certify a regret within the threshold.
-        if solver.has_regret_guarantee() {
+        if algo.has_regret_guarantee() {
             assert!(sol.certified_regret.unwrap() <= 3, "{algo}: {:?}", sol.certified_regret);
         }
     }
 }
 
 #[test]
-fn capability_matrix_is_consistent_between_enum_and_trait() {
+fn every_prepare_enforces_the_capability_matrix() {
+    // Capabilities live on `Algorithm` alone: each solver's `prepare` must
+    // reject exactly what `Algorithm::ensure_supported` rejects, with the
+    // same error, and hand back a handle for everything else.
     let engine = Engine::new();
+    let d2 = table1();
+    let d3 =
+        Dataset::from_rows(&[[0.1, 0.9, 0.5], [0.9, 0.1, 0.5], [0.5, 0.5, 0.9], [0.4, 0.6, 0.3]])
+            .unwrap();
+    let cases: [(&Dataset, Box<dyn UtilitySpace>); 5] = [
+        (&d2, Box::new(FullSpace::new(2))),
+        (&d2, Box::new(WeakRankingSpace::new(2, 1))),
+        (&d2, Box::new(FullSpace::new(3))),
+        (&d3, Box::new(FullSpace::new(3))),
+        (&d3, Box::new(WeakRankingSpace::new(3, 1))),
+    ];
     for solver in engine.registry() {
         let algo = solver.algorithm();
-        assert_eq!(solver.has_regret_guarantee(), algo.has_regret_guarantee(), "{algo}");
-        assert_eq!(solver.supports_restricted_space(), algo.supports_restricted_space(), "{algo}");
-        assert_eq!(solver.supported_dims(), algo.supported_dims(), "{algo}");
-        assert_eq!(solver.name(), algo.name(), "{algo}");
+        for (data, space) in &cases {
+            let want = algo.ensure_supported(data, space.as_ref());
+            let got = solver
+                .prepare(data, space.as_ref(), ExecPolicy::default())
+                .map(|prepared| prepared.algorithm());
+            let case = format!("{algo} on d = {}, space d = {}", data.dim(), space.dim());
+            match (want, got) {
+                (Ok(()), Ok(prepared)) => assert_eq!(prepared, algo, "{case}"),
+                (Err(want), Err(err)) => assert_eq!(err, want, "{case}"),
+                (want, got) => panic!("{case}: ensure_supported {want:?}, prepare {got:?}"),
+            }
+        }
     }
 }

@@ -1,29 +1,52 @@
 //! Failure injection and degenerate-input robustness across the pipeline.
 
 use rank_regret::prelude::*;
-use rrm_2d::{rrm_2d, Rrm2dOptions};
+use rank_regret::Tuning;
+use rrm_2d::TwoDRrmSolver;
 use rrm_data::jitter;
 use rrm_eval::exact_rank_regret_2d;
-use rrm_hd::{hdrrm, HdrrmOptions};
+use rrm_hd::{HdrrmOptions, HdrrmSolver};
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
 
 fn quick_hd() -> HdrrmOptions {
     HdrrmOptions { m_override: Some(300), ..Default::default() }
 }
 
+/// One request through a one-off session with the default engine.
+fn solve(data: &Dataset, request: &Request) -> Solution {
+    rank_regret::session(data).run(request).unwrap().solution
+}
+
+/// One request through a one-off session whose HDRRM uses [`quick_hd`].
+fn solve_quick(data: &Dataset, request: &Request) -> Solution {
+    let tuning = Tuning { hdrrm: quick_hd(), ..Default::default() };
+    Engine::with_tuning(&tuning).session(data.clone()).run(request).unwrap().solution
+}
+
 #[test]
 fn single_tuple_dataset() {
     let data = Dataset::from_rows(&[[0.3, 0.7]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(1).solve().unwrap();
+    let sol = solve(&data, &Request::minimize(1));
     assert_eq!(sol.indices, vec![0]);
     assert_eq!(sol.certified_regret, Some(1));
-    let sol = rank_regret::represent(&data).threshold(1).solve().unwrap();
+    let sol = solve(&data, &Request::represent(1));
     assert_eq!(sol.indices, vec![0]);
 }
 
 #[test]
 fn two_identical_tuples() {
     let data = Dataset::from_rows(&[[0.5, 0.5], [0.5, 0.5]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(1).solve().unwrap();
+    let sol = solve(&data, &Request::minimize(1));
     assert_eq!(sol.size(), 1);
     // Under index tie-breaking the first copy has rank 1 everywhere.
     assert_eq!(sol.certified_regret, Some(1));
@@ -32,7 +55,7 @@ fn two_identical_tuples() {
 #[test]
 fn budget_larger_than_dataset() {
     let data = Dataset::from_rows(&[[0.1, 0.9], [0.9, 0.1], [0.5, 0.5]]).unwrap();
-    let sol = rank_regret::minimize(&data).size(50).solve().unwrap();
+    let sol = solve(&data, &Request::minimize(50));
     assert!(sol.size() <= 3);
     assert_eq!(sol.certified_regret, Some(1));
 }
@@ -40,8 +63,7 @@ fn budget_larger_than_dataset() {
 #[test]
 fn threshold_larger_than_dataset() {
     let data = rrm_data::synthetic::independent(20, 3, 1);
-    let sol =
-        rank_regret::represent(&data).threshold(1000).hdrrm_options(quick_hd()).solve().unwrap();
+    let sol = solve_quick(&data, &Request::represent(1000));
     assert!(!sol.indices.is_empty());
 }
 
@@ -58,12 +80,13 @@ fn extreme_value_ranges() {
         [9.9e8, 1.0e-6],
     ])
     .unwrap();
-    let sol = rrm_2d(&data, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver::default(), &data, 2, &FullSpace::new(2)).unwrap();
     let k = sol.certified_regret.unwrap();
     let (exact, _) = exact_rank_regret_2d(&data, &sol.indices, 0.0, 1.0);
     assert_eq!(k, exact);
     // Normalization gives the same certified value (order-preserving).
-    let sol_n = rrm_2d(&data.normalize(), 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol_n =
+        run_rrm(&TwoDRrmSolver::default(), &data.normalize(), 2, &FullSpace::new(2)).unwrap();
     assert_eq!(sol_n.certified_regret, sol.certified_regret);
 }
 
@@ -82,7 +105,7 @@ fn heavily_tied_grid_data_with_jitter() {
     }
     let data = Dataset::from_rows(&rows).unwrap();
     let jittered = jitter(&data, 1e-9, 42);
-    let sol = rrm_2d(&jittered, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver::default(), &jittered, 3, &FullSpace::new(2)).unwrap();
     let (exact, _) = exact_rank_regret_2d(&jittered, &sol.indices, 0.0, 1.0);
     assert_eq!(sol.certified_regret, Some(exact));
 }
@@ -99,7 +122,7 @@ fn hd_on_degenerate_low_rank_data() {
         })
         .collect();
     let data = Dataset::from_rows(&rows).unwrap();
-    let sol = hdrrm(&data, 5, &FullSpace::new(3), quick_hd()).unwrap();
+    let sol = run_rrm(&HdrrmSolver::new(quick_hd()), &data, 5, &FullSpace::new(3)).unwrap();
     assert_eq!(sol.certified_regret, Some(1), "the top tuple dominates everything");
 }
 
@@ -109,7 +132,7 @@ fn constant_attribute_everywhere() {
     // attribute 1 and the single best tuple has regret 1.
     let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64 / 49.0, 0.7]).collect();
     let data = Dataset::from_rows(&rows).unwrap();
-    let sol = rrm_2d(&data, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver::default(), &data, 1, &FullSpace::new(2)).unwrap();
     assert_eq!(sol.certified_regret, Some(1));
     assert_eq!(sol.indices, vec![49]);
 }
@@ -128,7 +151,7 @@ fn negative_values_are_legal_inputs() {
     let data = Dataset::from_rows(&[[0.9, 10.0], [0.5, 2.0], [0.1, 30.0]])
         .unwrap()
         .negate_attributes(&[1]);
-    let sol = rrm_2d(&data, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver::default(), &data, 1, &FullSpace::new(2)).unwrap();
     // Tuple 1 (quality 0.5, price 2) is never the worst pick; exactness:
     let (exact, _) = exact_rank_regret_2d(&data, &sol.indices, 0.0, 1.0);
     assert_eq!(sol.certified_regret, Some(exact));
@@ -140,7 +163,7 @@ fn negative_values_are_legal_inputs() {
         [0.7, -15.0, 0.6],
     ])
     .unwrap();
-    let sol = hdrrm(&data3, 3, &FullSpace::new(3), quick_hd()).unwrap();
+    let sol = run_rrm(&HdrrmSolver::new(quick_hd()), &data3, 3, &FullSpace::new(3)).unwrap();
     assert!(sol.certified_regret.is_some());
 }
 
@@ -150,12 +173,7 @@ fn restricted_space_narrower_than_data_spread() {
     // the solver must still terminate and certify.
     let data = rrm_data::synthetic::anticorrelated(300, 3, 9);
     let space = BoxSpace::around(&[0.5, 0.3, 0.2], 0.01);
-    let sol = rank_regret::minimize(&data)
-        .size(5)
-        .space(space)
-        .hdrrm_options(quick_hd())
-        .solve()
-        .unwrap();
+    let sol = solve_quick(&data, &Request::minimize(5).within(space));
     // With an (almost) single direction, a handful of tuples reach the
     // very top ranks.
     assert!(sol.certified_regret.unwrap() <= 5, "{:?}", sol.certified_regret);

@@ -394,3 +394,67 @@ fn shutdown_returns_final_stats_with_latency_histogram() {
     let cache = tenant.get("result_cache").expect("result_cache block");
     assert_eq!(cache.get("hits").and_then(Json::as_usize), Some(2));
 }
+
+#[test]
+fn a_panicking_solve_answers_solver_error_and_frees_its_worker() {
+    // One worker: if the panic killed it, the follow-up query would never
+    // be answered.
+    let spec = TenantSpec::synthetic("p", SyntheticKind::Independent, 6, 2, 3);
+    let server = ServerHandle::start(test_config(), &[spec]).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    // Finite but extreme rows that drive MDRRR's simplex into a panic.
+    let upd = r#"{"op":"update","tenant":"p","delete":[0,1,2,3,4,5],"insert":[[1.7e308,1.7e308],[1,0],[0,1],[1.7e308,1e-300],[5e-324,1.7e308]],"id":1}"#;
+    let resp = client.call(upd).expect("call");
+    assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
+    assert_eq!(resp.get("n").and_then(Json::as_usize), Some(5));
+
+    let resp = client
+        .call(r#"{"op":"minimize","tenant":"p","param":3,"algo":"mdrrr","id":2}"#)
+        .expect("c");
+    assert_eq!(str_field(&resp, "status"), "error", "{resp:?}");
+    assert_eq!(str_field(&resp, "error"), "solver_error");
+    assert_eq!(resp.get("id").and_then(Json::as_usize), Some(2));
+
+    let resp = client
+        .call(r#"{"op":"minimize","tenant":"p","param":2,"algo":"bruteforce","id":3}"#)
+        .expect("call");
+    assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
+
+    // Shutdown joins the worker, so every slot release has happened: the
+    // panicked query's slot is back.
+    let stats = server.shutdown();
+    let tenant = stats.get("tenants").and_then(|t| t.get("p")).expect("tenant stats");
+    assert_eq!(tenant.get("errored").and_then(Json::as_usize), Some(1));
+    assert_eq!(tenant.get("completed").and_then(Json::as_usize), Some(1));
+    assert_eq!(tenant.get("inflight").and_then(Json::as_usize), Some(0));
+}
+
+#[test]
+fn an_oversized_request_line_is_rejected_and_its_connection_closed() {
+    use std::io::{BufRead as _, BufReader, Write as _};
+    let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
+
+    // One byte past the cap, and no newline ever arrives.
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // Without the cap the server never answers: fail instead of hanging.
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("timeout");
+    stream.write_all(&vec![b'a'; rrm_serve::MAX_LINE_BYTES + 1]).expect("write");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read");
+    let resp = rrm_serve::json::parse(line.trim()).expect("a JSON response line");
+    assert_eq!(str_field(&resp, "status"), "error", "{line}");
+    assert_eq!(str_field(&resp, "error"), "bad_request", "{line}");
+    // The server closed that connection after answering once.
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).map_err(|_| ()), Ok(0), "{line}");
+
+    // A new connection is served as usual.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let resp = client
+        .call(r#"{"op":"minimize","tenant":"t","param":5,"algo":"hdrrm","samples":64,"id":1}"#)
+        .expect("call");
+    assert_eq!(str_field(&resp, "status"), "ok");
+    server.shutdown();
+}

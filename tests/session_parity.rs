@@ -1,35 +1,36 @@
-//! Session parity: the prepare-once / query-many path must return
-//! *exactly* what the one-shot engine path returns — for every registered
+//! Session parity: a warm prepared handle — a [`Session`]'s, queried many
+//! times and out of order — must return *exactly* what a fresh handle
+//! returns (`Engine::run` prepares one per call) — for every registered
 //! algorithm, across repeated queries with varying `r`/`k`, over seeded
 //! random datasets, and under concurrent access to a shared [`Session`].
 //!
-//! Preparation is a caching contract, never an approximation; these tests
-//! are the enforcement.
+//! Cached state is a performance contract, never an approximation; these
+//! tests are the enforcement.
 
 use rank_regret::prelude::*;
-use rank_regret::rrm_data::synthetic::independent;
-use rank_regret::AlgoChoice;
+use rank_regret::rrm_data::synthetic::{anticorrelated, independent};
+use rank_regret::Tuning;
 
-/// Budget shared by both paths: sample counts keep the randomized solvers
-/// fast, the enumeration/LP caps keep MDRRR's exact k-set enumeration
-/// bounded in debug builds, and — being part of the request — the budget
-/// exercises the per-budget caching of the prepared path. Parity is
-/// unaffected: both paths see the identical caps.
+/// Budget shared by both handles: sample counts keep the randomized
+/// solvers fast, the enumeration/LP caps keep MDRRR's exact k-set
+/// enumeration bounded in debug builds, and — being part of the request —
+/// the budget exercises the per-budget caching of the warm handle. Parity
+/// is unaffected: both handles see the identical caps.
 fn budget() -> Budget {
     Budget {
         samples: Some(500),
         max_enumerations: Some(500),
         // Debug-profile LPs cost ~50ms each at these sizes; a tight cap
         // keeps MDRRR's enumeration bounded. Completeness is not under
-        // test here — parity is, and both paths see the identical cap.
+        // test here — parity is, and both handles see the identical cap.
         max_lp_calls: Some(150),
         ..Budget::UNLIMITED
     }
 }
 
-/// One-shot result via the engine, as `Result` so error parity is checked
-/// alongside solution parity.
-fn one_shot(engine: &Engine, data: &Dataset, request: &Request) -> Result<Solution, RrmError> {
+/// A fresh handle's answer via the engine, as `Result` so error parity is
+/// checked alongside solution parity.
+fn fresh(engine: &Engine, data: &Dataset, request: &Request) -> Result<Solution, RrmError> {
     engine.run(data, &FullSpace::new(data.dim()), request)
 }
 
@@ -49,7 +50,7 @@ fn prepared_path_matches_one_shot_for_all_algorithms_2d() {
                 Request::represent(1).algo(algo).budget(budget()),
                 Request::represent(3).algo(algo).budget(budget()),
             ] {
-                let expected = one_shot(&engine, &data, &request);
+                let expected = fresh(&engine, &data, &request);
                 let got = session.run(&request).map(|resp| resp.solution);
                 assert_eq!(got, expected, "seed {seed}, {algo}, {request:?}");
             }
@@ -70,14 +71,14 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
                 Request::represent(3).algo(algo).budget(budget()),
                 Request::represent(8).algo(algo).budget(budget()),
             ] {
-                let expected = one_shot(&engine, &data, &request);
+                let expected = fresh(&engine, &data, &request);
                 let got = session.run(&request).map(|resp| resp.solution);
                 assert_eq!(got, expected, "seed {seed}, {algo}, {request:?}");
             }
         }
         // MDRRR separately, on a smaller instance: its LP cost per
-        // feasibility check grows with k·(n−k) rows and the one-shot side
-        // of this comparison re-enumerates per probe.
+        // feasibility check grows with k·(n−k) rows and the fresh side of
+        // this comparison re-enumerates per probe.
         let data = independent(13, 3, seed);
         let session = Session::new(data.clone());
         for request in [
@@ -86,7 +87,7 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
             Request::represent(2).algo(Algorithm::Mdrrr).budget(budget()),
             Request::represent(5).algo(Algorithm::Mdrrr).budget(budget()),
         ] {
-            let expected = one_shot(&engine, &data, &request);
+            let expected = fresh(&engine, &data, &request);
             let got = session.run(&request).map(|resp| resp.solution);
             assert_eq!(got, expected, "seed {seed}, MDRRR, {request:?}");
         }
@@ -96,23 +97,56 @@ fn prepared_path_matches_one_shot_in_higher_dimensions() {
 #[test]
 fn one_prepared_handle_answers_many_parameters() {
     // A single PreparedSolver queried with a sweep of r and k values must
-    // track fresh one-shot runs at every point — out of order, repeated,
-    // and interleaved between the two problem directions.
+    // track fresh handles at every point — out of order, repeated, and
+    // interleaved between the two problem directions.
     let engine = Engine::new();
     let data = independent(120, 2, 42);
-    let prepared =
-        engine.prepare(AlgoChoice::Fixed(Algorithm::TwoDRrm), &data, &FullSpace::new(2)).unwrap();
+    let prepared = engine.prepare(Algorithm::TwoDRrm, &data, &FullSpace::new(2)).unwrap();
     let b = Budget::UNLIMITED;
     for r in [5usize, 1, 3, 5, 2] {
         let expected =
-            one_shot(&engine, &data, &Request::minimize(r).algo(Algorithm::TwoDRrm)).unwrap();
+            fresh(&engine, &data, &Request::minimize(r).algo(Algorithm::TwoDRrm)).unwrap();
         assert_eq!(prepared.solve_rrm(r, &b).unwrap(), expected, "r={r}");
     }
     for k in [4usize, 1, 2, 4] {
         let expected =
-            one_shot(&engine, &data, &Request::represent(k).algo(Algorithm::TwoDRrm)).unwrap();
+            fresh(&engine, &data, &Request::represent(k).algo(Algorithm::TwoDRrm)).unwrap();
         assert_eq!(prepared.solve_rrr(k, &b).unwrap(), expected, "k={k}");
     }
+}
+
+#[test]
+fn full_sweep_tuning_matches_the_event_stream_across_updates() {
+    // `Rrm2dOptions::use_full_sweep` makes a session's 2DRRM handle replay
+    // the whole arrangement instead of its crossing stream. Its answers
+    // must equal a default engine's fresh ones, both on the prepared
+    // handle and on the one an update patches.
+    let mut tuning = Tuning::default();
+    tuning.rrm2d.use_full_sweep = true;
+    let session = Engine::with_tuning(&tuning).session(anticorrelated(60, 2, 9));
+    let engine = Engine::new();
+    let check = |epoch: &str| {
+        let data = session.data();
+        for request in [
+            Request::minimize(4),
+            Request::minimize(2),
+            Request::represent(3),
+            Request::minimize(3),
+        ] {
+            let request = request.algo(Algorithm::TwoDRrm);
+            assert_eq!(
+                session.run(&request).unwrap().solution,
+                fresh(&engine, &data, &request).unwrap(),
+                "{epoch}: {request:?}"
+            );
+        }
+    };
+    check("epoch 0");
+    session
+        .update(&[UpdateOp::Delete(5), UpdateOp::Insert(vec![0.45, 0.55]), UpdateOp::Delete(17)])
+        .unwrap();
+    check("epoch 1");
+    assert_eq!(session.prepare_misses(), 1, "the update patched the full-sweep handle");
 }
 
 #[test]
@@ -242,14 +276,13 @@ fn batch_isolates_unsupported_capability_errors() {
 
 #[test]
 fn facade_builders_ride_the_session_path() {
-    // minimize()/represent() are documented as thin wrappers over a
-    // one-shot session; their results must equal explicit session runs.
+    // The `session()` facade binds a plain Session; its answers equal the
+    // engine's fresh handles.
     let data = independent(80, 2, 5);
-    let via_builder = rank_regret::minimize(&data).size(3).solve().unwrap();
-    let via_session = rank_regret::session(&data).run(&Request::minimize(3)).unwrap().solution;
-    assert_eq!(via_builder, via_session);
-
-    let via_builder = rank_regret::represent(&data).threshold(2).solve().unwrap();
-    let via_session = rank_regret::session(&data).run(&Request::represent(2)).unwrap().solution;
-    assert_eq!(via_builder, via_session);
+    let engine = Engine::new();
+    let session = rank_regret::session(&data);
+    for request in [Request::minimize(3), Request::represent(2)] {
+        let via_facade = session.run(&request).unwrap().solution;
+        assert_eq!(Ok(via_facade), fresh(&engine, &data, &request), "{request:?}");
+    }
 }

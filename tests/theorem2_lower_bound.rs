@@ -2,10 +2,23 @@
 //! Ω(n/r). The quarter-arc construction makes the bound concrete, and the
 //! exact 2D solver lets us verify it against the true optimum.
 
-use rank_regret::FullSpace;
-use rrm_2d::{rrm_2d, Rrm2dOptions};
+use rank_regret::{
+    Budget, Dataset, ExecPolicy, FullSpace, RrmError, Solution, Solver, UtilitySpace,
+};
+use rrm_2d::TwoDRrmSolver;
 use rrm_data::synthetic::lower_bound_arc;
 use rrm_eval::estimate_rank_regret_seq;
+
+/// One RRM query through a fresh prepared handle — what `Engine::run`
+/// does for a fixed algorithm.
+fn run_rrm(
+    solver: &dyn Solver,
+    data: &Dataset,
+    r: usize,
+    space: &dyn UtilitySpace,
+) -> Result<Solution, RrmError> {
+    solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
 
 #[test]
 fn arc_optimum_scales_like_n_over_r() {
@@ -14,7 +27,7 @@ fn arc_optimum_scales_like_n_over_r() {
     // near the gap's bisector direction.
     for &(n, r) in &[(200usize, 3usize), (400, 4), (800, 5), (800, 9)] {
         let data = lower_bound_arc(n, 2);
-        let sol = rrm_2d(&data, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
         let k = sol.certified_regret.unwrap();
         let bound = n / (2 * (r + 1)) - 2;
         assert!(k >= bound, "n={n} r={r}: optimal regret {k} below the Ω(n/r) bound {bound}");
@@ -27,11 +40,11 @@ fn arc_optimum_scales_like_n_over_r() {
 #[test]
 fn doubling_n_roughly_doubles_the_arc_regret() {
     let r = 4;
-    let k1 = rrm_2d(&lower_bound_arc(300, 2), r, &FullSpace::new(2), Rrm2dOptions::default())
+    let k1 = run_rrm(&TwoDRrmSolver::default(), &lower_bound_arc(300, 2), r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();
-    let k2 = rrm_2d(&lower_bound_arc(600, 2), r, &FullSpace::new(2), Rrm2dOptions::default())
+    let k2 = run_rrm(&TwoDRrmSolver::default(), &lower_bound_arc(600, 2), r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();
@@ -48,7 +61,7 @@ fn higher_dims_inherit_the_bound() {
     let data = lower_bound_arc(n, 4);
     // Evaluate the best *2D-optimal* choice embedded in 4D.
     let data2 = data.project(&[0, 1]).unwrap();
-    let sol = rrm_2d(&data2, 4, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver::default(), &data2, 4, &FullSpace::new(2)).unwrap();
     let est = estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(4), 20_000, 11);
     assert!(est.max_rank >= n / 10 - 2, "embedded arc regret {} too small for n={n}", est.max_rank);
 }
