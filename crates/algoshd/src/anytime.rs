@@ -2,16 +2,15 @@
 //!
 //! [`threshold_search`] is the doubling-then-binary threshold search that
 //! HDRRM, MDRRR and MDRRRr all run, restructured around an
-//! [`AnytimeSearch`]: before every probe the driver checks the cutoff, and
-//! on an early stop it reports the certified lower bound reached so the
-//! caller can return its incumbent with sound [`Bounds`] instead of
-//! failing. Probe closures stay in charge of domain work — computing the
-//! candidate set, accounting expanded nodes, offering incumbents — so each
-//! solver's probe sequence is exactly what it was before the refactor:
-//! under [`Cutoff::None`] the driver performs the same probes in the same
-//! order and returns the same best threshold, bit for bit.
-//!
-//! [`Cutoff::None`]: rrm_core::Cutoff::None
+//! [`AnytimeSearch`]: before every probe the driver checks the budget's
+//! limits, and on an early stop it reports the certified lower bound
+//! reached so the caller can return its incumbent with sound [`Bounds`]
+//! instead of failing. Probe closures stay in charge of domain work —
+//! computing the candidate set, accounting expanded nodes, offering
+//! incumbents — so each solver's probe sequence is exactly what it was
+//! before the refactor: without limits the driver performs the same
+//! probes in the same order and returns the same best threshold, bit for
+//! bit.
 
 use rrm_core::rank::rank_regret_of_set;
 use rrm_core::{AnytimeSearch, Bounds, Dataset, Parallelism, RrmError, TerminatedBy};
@@ -19,7 +18,7 @@ use rrm_core::{AnytimeSearch, Bounds, Dataset, Parallelism, RrmError, Terminated
 /// Outcome of an anytime threshold search.
 pub(crate) struct ThresholdOutcome<T> {
     /// Smallest feasible threshold reached and its payload (the probe's
-    /// candidate set), when one was found before the cutoff fired.
+    /// candidate set), when one was found before a limit stopped it.
     pub best: Option<(usize, T)>,
     /// Certified lower bound: every threshold below this was proven
     /// infeasible.
@@ -28,7 +27,7 @@ pub(crate) struct ThresholdOutcome<T> {
     pub terminated: TerminatedBy,
 }
 
-/// The doubling + binary threshold search with in-loop cutoff checks.
+/// The doubling + binary threshold search with in-loop limit checks.
 ///
 /// `probe(k, lower, search)` answers one threshold: `Ok(Some(payload))`
 /// when feasible, `Ok(None)` when infeasible (possibly proven by an
@@ -129,8 +128,8 @@ pub(crate) fn regret_over_dirs(
 
 /// A deterministic fallback representative: `seed` tuples (a basis, or
 /// nothing) topped up to `r` with the best scorers under the uniform
-/// direction. Offered as the first incumbent when a cutoff is active, so
-/// every early stop has *something* sound to return.
+/// direction. Offered as the first incumbent when the search is limited,
+/// so every early stop has *something* sound to return.
 pub(crate) fn uniform_top_set(data: &Dataset, seed: &[u32], r: usize) -> Vec<u32> {
     let n = data.n();
     let u = vec![1.0; data.dim()];
@@ -157,7 +156,7 @@ pub(crate) fn uniform_top_set(data: &Dataset, seed: &[u32], r: usize) -> Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::Cutoff;
+    use rrm_core::Budget;
     use rrm_data::synthetic::independent;
 
     /// Feasibility oracle "k >= target" — the driver must find `target`.
@@ -187,7 +186,8 @@ mod tests {
     #[test]
     fn counter_budget_stops_with_sound_lower_bound() {
         for budget in 0..12 {
-            let mut s = AnytimeSearch::new(Cutoff::CounterBudget, Some(budget));
+            let limits = Budget { max_enumerations: Some(budget), ..Budget::UNLIMITED };
+            let mut s = AnytimeSearch::new(&limits, Some(budget));
             let out = run(100, 70, &mut s);
             if out.terminated == TerminatedBy::Completed {
                 assert_eq!(out.best.as_ref().unwrap().0, 70);

@@ -26,9 +26,9 @@ use std::sync::{Arc, Mutex};
 
 use rrm_core::rank::batch_top_k;
 use rrm_core::{
-    basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Cutoff,
-    Dataset, ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, TerminatedBy,
-    UtilitySpace, PREPARED_CACHE_CAP,
+    basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Dataset,
+    ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, TerminatedBy, UtilitySpace,
+    PREPARED_CACHE_CAP,
 };
 use rrm_skyline::IncrementalSkyline;
 
@@ -153,8 +153,8 @@ impl AsmsSearch<'_> {
     }
 
     /// Offer the deterministic fallback incumbent (basis topped up with
-    /// uniform-direction best scorers), so any active cutoff always has
-    /// a sound answer to return.
+    /// uniform-direction best scorers), so a limited search always has a
+    /// sound answer to return.
     fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
         let fallback = uniform_top_set(self.data, self.basis, self.r);
         let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
@@ -209,7 +209,7 @@ impl AsmsSearch<'_> {
     /// (Algorithm 3 lines 2–6); `cache` keeps the top-k lists (keyed by
     /// `m`) across queries.
     ///
-    /// Under a cutoff a fallback incumbent comes first; then the coarse
+    /// Under a limit a fallback incumbent comes first; then the coarse
     /// incumbent, whose full-frame bound sets the depth of the one deep
     /// top-k pass; then the doubling-then-binary search, whose probes
     /// read prefixes of the kept lists.
@@ -220,7 +220,7 @@ impl AsmsSearch<'_> {
         cache: &ListCache,
         m: usize,
     ) -> Result<Solution, RrmError> {
-        if search.cutoff() != Cutoff::None {
+        if search.is_limited() {
             self.offer_fallback(dirs, &mut search);
         }
         self.coarse_incumbent(dirs, &mut search);
@@ -253,7 +253,7 @@ impl AsmsSearch<'_> {
                 let (q, upper) = search
                     .incumbent
                     .best()
-                    .expect("an active cutoff offers a fallback incumbent before searching");
+                    .expect("a limited search offers a fallback incumbent before searching");
                 Solution::new(q, Some(upper), Algorithm::Hdrrm, self.data).map(|s| {
                     s.with_bounds(Bounds { lower: outcome.lower, upper })
                         .with_termination(t)
@@ -418,12 +418,12 @@ impl PreparedSolver for PreparedHdrrm {
     /// as an anytime bound-and-prune search.
     ///
     /// The doubling-then-binary threshold search runs under the budget's
-    /// [`Budget::effective_cutoff`] (`max_enumerations` threshold probes
-    /// under [`Cutoff::CounterBudget`]); an early stop returns the best
+    /// limits (`max_enumerations` caps the threshold probes, next to the
+    /// time limit and gap target); an early stop returns the best
     /// incumbent found so far — the coarse-frame answer, a feasible probe,
     /// or the uniform-direction fallback — with certified [`Bounds`] and
-    /// the [`TerminatedBy`] reason, instead of failing. Under
-    /// [`Cutoff::None`] the answer is bit-identical at any thread count.
+    /// the [`TerminatedBy`] reason, instead of failing. Without a time
+    /// limit the answer is bit-identical at any thread count.
     ///
     /// Errors when `r` cannot hold the basis (`r < |B|`; the paper
     /// assumes `r ≥ d`).
@@ -434,7 +434,7 @@ impl PreparedSolver for PreparedHdrrm {
         }
         let m = self.rrm_samples(r, budget);
         let disc = self.disc(m);
-        let search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
+        let search = AnytimeSearch::new(budget, budget.max_enumerations);
         self.env(r, basis).solve(&disc.dirs, search, &self.topk, m)
     }
 

@@ -13,7 +13,7 @@
 //! matching Table III ("Suitable for RRRM: No").
 
 use rrm_core::{
-    rank, Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, RrmError, Solution,
+    rank, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, RrmError, Solution,
     TerminatedBy,
 };
 use rrm_geom::polar::angles_to_direction;
@@ -41,23 +41,23 @@ struct Cell {
 
 /// MDRC for RRM as an anytime refinement: a size ≤ `r` set chosen by
 /// recursive angle-space partitioning, `certified_regret` `None` (no
-/// guarantee). Every refinement step improves the answer, so a cutoff
-/// simply returns the cells refined so far (fewer, coarser representatives
-/// — still a valid size ≤ `r` set). MDRC probes say nothing about cell
-/// interiors, so no rank bounds are attached; a cut-off run carries only
-/// its [`TerminatedBy`] reason. `eval_budget` caps the number of cell
-/// evaluations under [`Cutoff::CounterBudget`].
+/// guarantee). Every refinement step improves the answer, so an early
+/// stop simply returns the cells refined so far (fewer, coarser
+/// representatives — still a valid size ≤ `r` set). MDRC probes say
+/// nothing about cell interiors, so no rank bounds are attached; a
+/// cut-off run carries only its [`TerminatedBy`] reason. The budget's
+/// `max_enumerations` caps the number of cell evaluations, next to its
+/// time limit.
 pub(crate) fn mdrc_anytime(
     data: &Dataset,
     r: usize,
     opts: MdrcOptions,
-    cutoff: Cutoff,
-    eval_budget: Option<usize>,
+    budget: &Budget,
 ) -> Result<Solution, RrmError> {
     if r == 0 {
         return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
     }
-    let mut search = AnytimeSearch::new(cutoff, eval_budget);
+    let mut search = AnytimeSearch::new(budget, budget.max_enumerations);
     // The root cell is always evaluated (the answer must be non-empty);
     // it still counts against the evaluation budget.
     search.take_probe();
@@ -69,7 +69,7 @@ pub(crate) fn mdrc_anytime(
     // Refine until r cells exist (or cells stop being splittable).
     while cells.len() < r {
         // No incumbent bounds to tighten (MDRC certifies nothing), so the
-        // gap check is inert; wall-clock cutoffs still fire here.
+        // gap check is inert; the time limit still fires here.
         if let Some(t) = search.should_stop(Bounds { lower: 1, upper: 1 }) {
             terminated = t;
             break;

@@ -9,7 +9,7 @@
 //! gracefully instead of hanging.
 
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, RrmError, Solution, TerminatedBy,
+    Algorithm, AnytimeSearch, Bounds, Budget, Dataset, RrmError, Solution, TerminatedBy,
 };
 use rrm_setcover::greedy_set_cover_capped;
 
@@ -78,7 +78,7 @@ pub(crate) fn mdrrr(data: &Dataset, k: usize, limits: KsetLimits) -> Result<Solu
 }
 
 /// MDRRR adapted to RRM with the improved (doubling + binary) search on
-/// `k`, as the paper's experiments run it, under an in-solve `cutoff`:
+/// `k`, as the paper's experiments run it, under the `budget`'s limits:
 /// `probe(k)` answers one threshold, so the prepared handle can memoize
 /// enumerations across probes and queries.
 ///
@@ -92,7 +92,7 @@ pub(crate) fn mdrrr(data: &Dataset, k: usize, limits: KsetLimits) -> Result<Solu
 pub(crate) fn rrm_search_with(
     data: &Dataset,
     r: usize,
-    cutoff: Cutoff,
+    budget: &Budget,
     mut probe: impl FnMut(usize) -> Result<Solution, RrmError>,
 ) -> Result<Solution, RrmError> {
     if r == 0 {
@@ -101,10 +101,10 @@ pub(crate) fn rrm_search_with(
     let n = data.n();
     // The k-set/LP counters act *inside* each probe (they truncate the
     // enumeration), so the probe count itself is not budget-bound here.
-    let mut search = AnytimeSearch::new(cutoff, None);
-    if search.cutoff() != Cutoff::None {
+    let mut search = AnytimeSearch::new(budget, None);
+    if search.is_limited() {
         // Rank is at most n everywhere — a sound fallback incumbent
-        // without extra work, for wall-clock / gap cutoffs.
+        // without extra work, for time and gap limits.
         search.offer(uniform_top_set(data, &[], r), n, 1);
     }
     let outcome = threshold_search(n, &mut search, |k, lower, search| {
@@ -144,7 +144,7 @@ pub(crate) fn rrm_search_with(
             }
             None => {
                 let (ids, upper) =
-                    search.incumbent.best().expect("active cutoffs seed a fallback incumbent");
+                    search.incumbent.best().expect("limited searches seed a fallback incumbent");
                 Solution::new(ids, None, Algorithm::Mdrrr, data).map(|s| {
                     s.with_bounds(Bounds { lower: outcome.lower, upper })
                         .with_termination(t)

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Cutoff, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
+    Algorithm, AnytimeSearch, Bounds, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
     TerminatedBy, UtilitySpace,
 };
 
@@ -152,10 +152,10 @@ impl<'a> SampledSearch<'a> {
     /// The pool is scored once for every threshold probe up to the coarse
     /// incumbent's bound (deeper probes deepen the lists); hitting-set
     /// covers abort as soon as they provably exceed `r` (when
-    /// `opts.prune`). Under [`Cutoff::None`] the answer is bit-identical
+    /// `opts.prune`). Without a time limit the answer is bit-identical
     /// at any thread count.
     ///
-    /// Under a cutoff a fallback incumbent comes first; then the coarse
+    /// Under a limit a fallback incumbent comes first; then the coarse
     /// incumbent, whose pool-wide bound sets the depth of the one deep
     /// top-k pass; then the doubling-then-binary search, whose probes
     /// derive their k-set families from prefixes of the kept lists.
@@ -165,7 +165,7 @@ impl<'a> SampledSearch<'a> {
         mut search: AnytimeSearch,
         cache: &ListCache,
     ) -> Result<Solution, RrmError> {
-        if search.cutoff() != Cutoff::None {
+        if search.is_limited() {
             self.offer_fallback(dirs, &mut search);
         }
         self.coarse_incumbent(dirs, &mut search);
@@ -200,7 +200,7 @@ impl<'a> SampledSearch<'a> {
                 let (ids, upper) = search
                     .incumbent
                     .best()
-                    .expect("an active cutoff offers a fallback incumbent before searching");
+                    .expect("a limited search offers a fallback incumbent before searching");
                 Solution::new(ids, None, Algorithm::MdrrrR, self.data).map(|s| {
                     s.with_bounds(Bounds { lower: outcome.lower, upper })
                         .with_termination(t)

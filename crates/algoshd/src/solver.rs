@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rrm_core::{
-    cache_bounded, rrr_via_rrm_search_with, Algorithm, AnytimeSearch, Budget, Cutoff, Dataset,
-    ExecPolicy, PreparedSolver, RrmError, Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
+    cache_bounded, rrr_via_rrm_search_with, Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy,
+    PreparedSolver, RrmError, Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
 };
 
 use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
@@ -135,7 +135,7 @@ impl PreparedSolver for PreparedMdrrr {
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
         let limits = self.budgeted(budget);
-        rrm_search_with(&self.data, r, budget.effective_cutoff(), |k| self.probe(k, limits))
+        rrm_search_with(&self.data, r, budget, |k| self.probe(k, limits))
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
@@ -253,7 +253,7 @@ impl PreparedSolver for PreparedMdrrrR {
         }
         let opts = self.budgeted(budget);
         let dirs = self.dirs(opts);
-        let search = AnytimeSearch::new(budget.effective_cutoff(), budget.max_enumerations);
+        let search = AnytimeSearch::new(budget, budget.max_enumerations);
         SampledSearch::new(&self.data, r, opts).solve(&dirs, search, &self.lists)
     }
 
@@ -315,21 +315,16 @@ struct PreparedMdrc {
 
 impl PreparedMdrc {
     fn rrm_memo(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let cutoff = budget.effective_cutoff();
-        if matches!(cutoff, Cutoff::TimeBudget(_)) {
-            // Wall-clock cutoffs are nondeterministic — never cache (or
-            // serve a cached answer for) a time-cut solve.
-            return mdrc_anytime(&self.data, r, self.options, cutoff, budget.max_enumerations);
+        if budget.time_limit.is_some() {
+            // Wall-clock limits are nondeterministic — never cache (or
+            // serve a cached answer for) a solve under one.
+            return mdrc_anytime(&self.data, r, self.options, budget);
         }
-        let cap = match cutoff {
-            Cutoff::CounterBudget => budget.max_enumerations.unwrap_or(usize::MAX),
-            _ => usize::MAX,
-        };
-        let key = (r, cap);
+        let key = (r, budget.max_enumerations.unwrap_or(usize::MAX));
         if let Some(sol) = self.memo.lock().expect("MDRC memo poisoned").get(&key) {
             return Ok(sol.clone());
         }
-        let sol = mdrc_anytime(&self.data, r, self.options, cutoff, budget.max_enumerations)?;
+        let sol = mdrc_anytime(&self.data, r, self.options, budget)?;
         self.memo.lock().expect("MDRC memo poisoned").insert(key, sol.clone());
         Ok(sol)
     }

@@ -11,9 +11,10 @@
 //! * **Pruning win** — search nodes (greedy cover selections + probes)
 //!   expanded with bound-and-prune on vs. off, in the same run, with the
 //!   answers asserted bit-identical (pruning is decision-equivalent).
-//! * **Gap vs. budget** — a deterministic [`Cutoff::CounterBudget`]
-//!   sweep: the certified optimality gap as a function of the probe
-//!   budget, down to gap 0 at the full-solve answer.
+//! * **Gap vs. budget** — a deterministic sweep of the
+//!   [`Budget::max_enumerations`] probe counter: the certified optimality
+//!   gap as a function of the probe budget, down to gap 0 at the
+//!   full-solve answer.
 //!
 //! The acceptance gate asserted in-run: on at least one instance the
 //! first incumbent lands within 25% of the full-solve wall time AND
@@ -21,8 +22,6 @@
 //! first incumbent includes one full-frame regret pass, a fixed cost
 //! that is a large share of a solve whose top-k lists come from one deep
 //! pass.
-//!
-//! [`Cutoff::CounterBudget`]: rrm_core::Cutoff::CounterBudget
 
 use rrm_core::{Budget, Dataset, ExecPolicy, FullSpace, Solution, Solver, TerminatedBy};
 use rrm_hd::{HdrrmOptions, HdrrmSolver, MdrrrROptions, MdrrrRSolver};

@@ -7,14 +7,13 @@
 //! * `single_tenant_hot` — one warm tenant, synchronous clients
 //!   hammering the same handful of requests (prepared-state reuse);
 //! * `multi_tenant_mixed` — three tenants, mixed ops/algorithms, every
-//!   request under a generous deadline (exercises the budget mapping);
+//!   request under a generous deadline (exercises the time-limit path);
 //! * `overload` — a small in-flight limit and queue under a pipelined
 //!   burst: admission control must reject immediately while accepted
 //!   requests keep a bounded p99.
 //!
 //! Every `ok` response is then replayed through an in-process [`Session`]
-//! built from the same tenant spec and the server's own calibration, and
-//! must match bit-for-bit (indices, certificate, algorithm) — the
+//! built from the same tenant spec, and must match bit-for-bit (indices, certificate, algorithm) — the
 //! determinism contract extended over the wire. Results land in
 //! `BENCH_serve.json` under the uniform schema/machine header.
 
@@ -42,7 +41,7 @@ struct ScenarioResult {
     clients: usize,
     requests: usize,
     ok: usize,
-    /// `ok` responses flagged `"partial": true` (in-solve cutoff fired).
+    /// `ok` responses flagged `"partial": true` (a budget limit fired).
     partial: usize,
     rejected: usize,
     deadline_exceeded: usize,
@@ -126,11 +125,10 @@ fn drive(
 }
 
 /// Replay every `ok` response through an in-process [`Session`] built
-/// from the same specs and the server's calibration; panic on any
-/// divergence. Returns how many responses were checked. Partial answers
-/// (`"partial": true` — an in-solve time cutoff fired) are skipped:
-/// where a wall-clock cutoff lands is the one thing the determinism
-/// contract does not cover.
+/// from the same specs; panic on any divergence. Returns how many
+/// responses were checked. Partial answers (`"partial": true` — the
+/// time limit fired) are skipped: where a wall-clock limit lands is the
+/// one thing the determinism contract does not cover.
 fn assert_parity(server: &ServerHandle, specs: &[TenantSpec], exchanges: &[Exchange]) -> usize {
     let calibration = server.calibration();
     let sessions: HashMap<&str, Session> = specs

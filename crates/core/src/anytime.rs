@@ -3,24 +3,28 @@
 //! The hard solvers (HDRRM, MDRRR, MDRRRr, MDRC) are restructured as
 //! *anytime* searches: they maintain a best-so-far [`Incumbent`] with an
 //! upper bound on its rank-regret, tighten a lower bound as thresholds
-//! are proven infeasible, and can be cut off mid-search — by wall clock,
-//! by a target optimality gap, or by the deterministic counter budget —
-//! returning the incumbent annotated with certified [`Bounds`] instead
-//! of failing.
+//! are proven infeasible, and can be stopped mid-search by the limits of
+//! their [`Budget`] — a wall-clock `time_limit`, a target `gap`, or a
+//! deterministic work counter — returning the incumbent annotated with
+//! certified [`Bounds`] instead of failing.
 //!
-//! Determinism contract: under [`Cutoff::None`], [`Cutoff::GapAtMost`]
-//! and [`Cutoff::CounterBudget`] the stopping decision depends only on
-//! deterministic state (bounds and probe counts), so results are
-//! bit-identical at any thread count. Only [`Cutoff::TimeBudget`] may
-//! vary run-to-run — and then the reported gap certifies whatever was
-//! returned.
+//! The limits form one stop rule: every limit that is set applies, and
+//! the first one reached stops the search; [`TerminatedBy`] names it.
+//!
+//! Determinism contract: the counter and gap limits are checked against
+//! deterministic state only (probe counts and bounds), so without a
+//! `time_limit` results are bit-identical at any thread count. Only the
+//! time limit reads the clock — and then the reported gap certifies
+//! whatever was returned.
 //!
 //! The shape follows ddo-style branch-and-bound (shared incumbent,
-//! relaxed/restricted bounds, pluggable cutoffs) mapped onto the
+//! relaxed/restricted bounds, pluggable limits) mapped onto the
 //! doubling-then-binary threshold search the solvers share.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use crate::solver::Budget;
 
 /// Certified bounds on the optimal achievable rank-regret at the moment
 /// the search stopped: the optimum lies in `[lower, upper]`, and the
@@ -53,18 +57,18 @@ impl Bounds {
 ///
 /// `Eq` is deliberately absent: the [`TerminatedBy::Sampled`] variant
 /// carries the `(eps, delta)` floats of its confidence statement, so the
-/// enum (like [`Cutoff`]) only offers `PartialEq`.
+/// enum only offers `PartialEq`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TerminatedBy {
     /// The search ran to its natural end (gap 0 within its frame).
     #[default]
     Completed,
-    /// A wall-clock [`Cutoff::TimeBudget`] expired mid-search.
+    /// The budget's wall-clock `time_limit` elapsed mid-search.
     Time,
-    /// The bounds reached the requested [`Cutoff::GapAtMost`] target.
+    /// The bounds reached the budget's `gap` target.
     Gap,
-    /// A deterministic counter budget ([`Cutoff::CounterBudget`], folded
-    /// in from the `Budget` counters) was exhausted.
+    /// A deterministic work counter of the budget (`max_enumerations`,
+    /// `max_lp_calls`) was exhausted.
     Counter,
     /// The answer is a sampled-ε approximation: `directions` utility
     /// directions were drawn from the query space, enough that by
@@ -87,30 +91,14 @@ impl TerminatedBy {
         }
     }
 
-    /// `true` for the variants that mean "an in-solve cutoff fired and
-    /// the answer may be sub-optimal within the solver's frame" — i.e.
-    /// everything except a natural completion or a sampled-fidelity
-    /// answer (which completed its search over the sampled directions).
+    /// `true` for the variants that mean "a budget limit stopped the
+    /// search and the answer may be sub-optimal within the solver's
+    /// frame" — i.e. everything except a natural completion or a
+    /// sampled-fidelity answer (which completed its search over the
+    /// sampled directions).
     pub fn is_early_stop(self) -> bool {
         matches!(self, TerminatedBy::Time | TerminatedBy::Gap | TerminatedBy::Counter)
     }
-}
-
-/// When an anytime solver should stop early.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Cutoff {
-    /// Run to completion.
-    #[default]
-    None,
-    /// Stop once this much wall clock has elapsed (nondeterministic:
-    /// results may vary run to run, the reported gap stays sound).
-    TimeBudget(Duration),
-    /// Stop once the relative optimality gap is at most this value
-    /// (deterministic: the gap is a function of the bounds alone).
-    GapAtMost(f64),
-    /// Stop when the `Budget` probe counter (`max_enumerations`) is
-    /// exhausted (deterministic).
-    CounterBudget,
 }
 
 /// Thread-safe best-so-far solution: an index set plus the rank-regret
@@ -172,33 +160,35 @@ pub struct SearchReport {
     pub curve: Vec<(f64, Bounds)>,
 }
 
-/// Per-solve driver state for an anytime search: the cutoff, the shared
-/// incumbent, the deterministic probe budget, and the (wall-clock)
-/// report being accumulated.
+/// Per-solve driver state for an anytime search: the budget's limits,
+/// the shared incumbent, the deterministic probe budget, and the
+/// (wall-clock) report being accumulated.
 #[derive(Debug)]
 pub struct AnytimeSearch {
-    cutoff: Cutoff,
+    time_limit: Option<Duration>,
+    gap: Option<f64>,
+    /// Whether the budget sets any limit ([`Budget::has_limit`]).
+    limited: bool,
     started: Instant,
-    /// Remaining probe budget under [`Cutoff::CounterBudget`]; `None`
-    /// means unlimited.
+    /// Remaining probe budget; `None` means unlimited.
     probes_left: Option<usize>,
     pub incumbent: Incumbent,
     pub report: SearchReport,
 }
 
 impl AnytimeSearch {
-    /// A search under `cutoff`; `probe_budget` is the deterministic
-    /// probe allowance consumed by [`AnytimeSearch::take_probe`] (only
-    /// enforced under [`Cutoff::CounterBudget`]).
-    pub fn new(cutoff: Cutoff, probe_budget: Option<usize>) -> Self {
-        let probes_left = match cutoff {
-            Cutoff::CounterBudget => probe_budget,
-            _ => None,
-        };
+    /// A search under `budget`'s limits. `probe_budget` is the
+    /// deterministic probe allowance consumed by
+    /// [`AnytimeSearch::take_probe`]: the solvers pass
+    /// `budget.max_enumerations`, except where the counters act inside
+    /// each probe instead (MDRRR's k-set enumeration).
+    pub fn new(budget: &Budget, probe_budget: Option<usize>) -> Self {
         Self {
-            cutoff,
+            time_limit: budget.time_limit,
+            gap: budget.gap,
+            limited: budget.has_limit(),
             started: Instant::now(),
-            probes_left,
+            probes_left: probe_budget,
             incumbent: Incumbent::new(),
             report: SearchReport::default(),
         }
@@ -206,11 +196,14 @@ impl AnytimeSearch {
 
     /// A search that never stops early (still counts nodes).
     pub fn unlimited() -> Self {
-        Self::new(Cutoff::None, None)
+        Self::new(&Budget::UNLIMITED, None)
     }
 
-    pub fn cutoff(&self) -> Cutoff {
-        self.cutoff
+    /// Can a limit stop this search early? Limited searches offer a
+    /// fallback incumbent before searching, so every early stop has a
+    /// sound answer to return.
+    pub fn is_limited(&self) -> bool {
+        self.limited
     }
 
     /// Seconds since the solve started.
@@ -258,19 +251,22 @@ impl AnytimeSearch {
     }
 
     /// Should the search stop *before* the next unit of work, given the
-    /// current bounds? Deterministic cutoffs (gap, counter) are checked
-    /// from deterministic state only; the time budget reads the clock.
+    /// current bounds? Every set limit is checked; when several are
+    /// reached at once, the deterministic ones are named first (counter,
+    /// then gap, then time). Counter and gap read deterministic state
+    /// only; the time limit reads the clock.
     pub fn should_stop(&self, bounds: Bounds) -> Option<TerminatedBy> {
-        match self.cutoff {
-            Cutoff::None => None,
-            Cutoff::TimeBudget(limit) => {
-                (self.started.elapsed() >= limit).then_some(TerminatedBy::Time)
-            }
-            Cutoff::GapAtMost(target) => (self.incumbent.upper().is_some()
-                && bounds.gap() <= target)
-                .then_some(TerminatedBy::Gap),
-            Cutoff::CounterBudget => (self.probes_left == Some(0)).then_some(TerminatedBy::Counter),
+        if self.probes_left == Some(0) {
+            return Some(TerminatedBy::Counter);
         }
+        if self.gap.is_some_and(|target| self.incumbent.upper().is_some() && bounds.gap() <= target)
+        {
+            return Some(TerminatedBy::Gap);
+        }
+        if self.time_limit.is_some_and(|limit| self.started.elapsed() >= limit) {
+            return Some(TerminatedBy::Time);
+        }
+        None
     }
 }
 
@@ -299,9 +295,17 @@ mod tests {
         assert_eq!(inc.upper(), Some(7));
     }
 
+    fn limits(
+        max_enumerations: Option<usize>,
+        time_limit: Option<Duration>,
+        gap: Option<f64>,
+    ) -> Budget {
+        Budget { max_enumerations, time_limit, gap, ..Budget::UNLIMITED }
+    }
+
     #[test]
     fn counter_budget_is_deterministic_and_exhaustible() {
-        let mut s = AnytimeSearch::new(Cutoff::CounterBudget, Some(2));
+        let mut s = AnytimeSearch::new(&limits(Some(2), None, None), Some(2));
         let b = Bounds { lower: 1, upper: 100 };
         assert!(s.should_stop(b).is_none());
         assert!(s.take_probe());
@@ -311,22 +315,55 @@ mod tests {
     }
 
     #[test]
-    fn probe_budget_only_binds_under_counter_cutoff() {
-        let mut s = AnytimeSearch::new(Cutoff::None, Some(1));
+    fn samples_are_a_frame_not_a_limit() {
+        let mut s = AnytimeSearch::new(&Budget::with_samples(10), None);
+        assert!(!s.is_limited());
         for _ in 0..10 {
             assert!(s.take_probe());
         }
         assert!(s.should_stop(Bounds { lower: 1, upper: 9 }).is_none());
+        // Each limit on its own makes the search limited.
+        for budget in [
+            limits(Some(1), None, None),
+            Budget { max_lp_calls: Some(1), ..Budget::UNLIMITED },
+            limits(None, Some(Duration::from_secs(60)), None),
+            limits(None, None, Some(0.5)),
+        ] {
+            assert!(AnytimeSearch::new(&budget, None).is_limited(), "{budget:?}");
+        }
     }
 
     #[test]
     fn gap_cutoff_needs_an_incumbent() {
-        let mut s = AnytimeSearch::new(Cutoff::GapAtMost(0.5), None);
+        let mut s = AnytimeSearch::new(&limits(None, None, Some(0.5)), None);
         let tight = Bounds { lower: 3, upper: 4 };
         assert!(s.should_stop(tight).is_none(), "no incumbent yet");
         s.offer(vec![0], 4, 3);
         assert_eq!(s.should_stop(tight), Some(TerminatedBy::Gap));
         assert!(s.should_stop(Bounds { lower: 1, upper: 4 }).is_none(), "gap too wide");
+    }
+
+    #[test]
+    fn limits_compose_and_the_first_reached_stops() {
+        let b = Bounds { lower: 3, upper: 4 };
+        let minute = Some(Duration::from_secs(60));
+        // Counter plus time: the counter runs out long before the minute.
+        let mut s = AnytimeSearch::new(&limits(Some(1), minute, None), Some(1));
+        assert!(s.should_stop(b).is_none());
+        assert!(s.take_probe());
+        assert_eq!(s.should_stop(b), Some(TerminatedBy::Counter));
+        // ...and an expired clock stops a search whose counter is not spent.
+        let s = AnytimeSearch::new(&limits(Some(5), Some(Duration::ZERO), None), Some(5));
+        assert_eq!(s.should_stop(b), Some(TerminatedBy::Time));
+        // Gap plus time: the gap is reached as soon as an incumbent exists.
+        let mut s = AnytimeSearch::new(&limits(None, minute, Some(0.5)), None);
+        assert!(s.should_stop(b).is_none(), "no incumbent, clock far from expiry");
+        s.offer(vec![0], 4, 3);
+        assert_eq!(s.should_stop(b), Some(TerminatedBy::Gap));
+        // ...and an expired clock stops a search whose gap is still wide.
+        let mut s = AnytimeSearch::new(&limits(None, Some(Duration::ZERO), Some(0.1)), None);
+        s.offer(vec![0], 4, 3);
+        assert_eq!(s.should_stop(b), Some(TerminatedBy::Time));
     }
 
     #[test]
@@ -345,7 +382,7 @@ mod tests {
 
     #[test]
     fn time_budget_zero_stops_immediately() {
-        let s = AnytimeSearch::new(Cutoff::TimeBudget(Duration::ZERO), None);
+        let s = AnytimeSearch::new(&limits(None, Some(Duration::ZERO), None), None);
         assert_eq!(s.should_stop(Bounds { lower: 1, upper: 2 }), Some(TerminatedBy::Time));
     }
 }

@@ -101,6 +101,13 @@ impl ApproxSpec {
     pub fn directions(&self) -> usize {
         hoeffding_directions(self.eps, self.delta)
     }
+
+    /// Directions a sampled solve under this spec draws: the Hoeffding
+    /// count, or a larger `samples` override. An override can add
+    /// directions but never weaken the stated `(ε, δ)`.
+    pub fn directions_with(&self, samples: Option<usize>) -> usize {
+        samples.unwrap_or(0).max(self.directions())
+    }
 }
 
 /// Requested answer fidelity, the new first-class request dimension:
@@ -189,9 +196,10 @@ fn greedy_cover(tops: &[&[u32]], cap: Option<usize>) -> (Vec<u32>, bool) {
 }
 
 /// The sampled RRM solve with every knob explicit; [`SampledSolver`] and
-/// the engine's approximate dispatch both route here. `samples` overrides
-/// the Hoeffding direction count derived from `spec` (the `Budget.samples`
-/// contract every randomized solver honours).
+/// the engine's approximate dispatch both route here. A `samples`
+/// override above the Hoeffding direction count derived from `spec`
+/// draws that many directions instead; one below it is ignored, so the
+/// answer's `(ε, δ)` statement always holds ([`ApproxSpec::directions_with`]).
 pub fn solve_rrm_sampled_with(
     data: &Dataset,
     r: usize,
@@ -209,7 +217,7 @@ pub fn solve_rrm_sampled_with(
     }
     spec.validate()?;
     let n = data.n();
-    let m = samples.unwrap_or_else(|| spec.directions()).max(1);
+    let m = spec.directions_with(samples);
     let dirs = sample_directions(space, m, seed);
     let pol = exec.parallelism;
 
@@ -285,7 +293,7 @@ pub fn solve_rrr_sampled_with(
         return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
     }
     spec.validate()?;
-    let m = samples.unwrap_or_else(|| spec.directions()).max(1);
+    let m = spec.directions_with(samples);
     let dirs = sample_directions(space, m, seed);
     let pol = exec.parallelism;
     let tops = rank::batch_top_k(data, &dirs, k.min(data.n()), pol);

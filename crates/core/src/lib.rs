@@ -47,7 +47,7 @@ pub mod space;
 pub mod update;
 pub mod utility;
 
-pub use anytime::{AnytimeSearch, Bounds, Cutoff, Incumbent, SearchReport, TerminatedBy};
+pub use anytime::{AnytimeSearch, Bounds, Incumbent, SearchReport, TerminatedBy};
 pub use approx::{
     hoeffding_directions, reduce, ApproxSpec, Fidelity, Reduced, SampledOptions, SampledSolver,
 };

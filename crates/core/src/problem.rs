@@ -132,13 +132,13 @@ impl Algorithm {
     }
 
     /// Is the algorithm an anytime bound-and-prune search that honours
-    /// in-solve [`Cutoff`]s (time budget, gap target, counter budget)?
+    /// the [`Budget`] stop rule (time limit, gap target, work counters)?
     /// These are the hard HD solvers: when cut mid-search they return
     /// their best incumbent with certified [`Bounds`] instead of
     /// failing, so a serving deadline yields a partial answer with a
     /// gap rather than `deadline_exceeded`.
     ///
-    /// [`Cutoff`]: crate::anytime::Cutoff
+    /// [`Budget`]: crate::solver::Budget
     pub fn is_cuttable(self) -> bool {
         matches!(self, Algorithm::Hdrrm | Algorithm::Mdrrr | Algorithm::MdrrrR | Algorithm::Mdrc)
     }
@@ -210,8 +210,8 @@ pub struct Solution {
     /// frame, when the solver tracks them (the cuttable HD solvers);
     /// `None` for the exact / heuristic solvers that don't.
     pub bounds: Option<Bounds>,
-    /// Why the solve returned ([`TerminatedBy::Completed`] unless an
-    /// in-solve cutoff fired).
+    /// Why the solve returned ([`TerminatedBy::Completed`] unless a
+    /// budget limit stopped it).
     pub terminated_by: TerminatedBy,
     /// Anytime search statistics (nodes, prunes, gap-vs-time curve).
     /// Wall-clock data — deliberately excluded from `PartialEq` so

@@ -14,15 +14,16 @@
 //!
 //! [`Budget`] is the cross-algorithm resource knob: each solver maps the
 //! caps onto its own machinery (k-set enumeration limits, LP call limits,
-//! sampled-direction counts) and ignores the ones that do not apply.
+//! sampled-direction counts, the anytime stop rule) and ignores the ones
+//! that do not apply.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::anytime::Cutoff;
 use crate::approx::ApproxSpec;
 use crate::dataset::Dataset;
 use crate::error::RrmError;
@@ -64,8 +65,16 @@ impl std::fmt::Display for DimRange {
     }
 }
 
-/// Cross-algorithm resource budget. `Default` means unlimited: each
-/// solver falls back to its own options.
+/// Cross-algorithm resource budget: the frame a solve runs on and the
+/// limits that may stop it early. `Default` means unlimited: each solver
+/// falls back to its own options.
+///
+/// The four limits — `max_enumerations`, `max_lp_calls`, `time_limit`
+/// and `gap` — form one stop rule for the anytime (cuttable) solvers:
+/// every limit that is set applies, and the first one reached stops the
+/// search with a gap-annotated partial `Solution` whose `TerminatedBy`
+/// names it. `samples` and `approx` fix the frame before solving; they
+/// never stop a solve.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Budget {
     /// Cap on enumerated candidate structures (k-sets, partition cells,
@@ -73,15 +82,18 @@ pub struct Budget {
     pub max_enumerations: Option<usize>,
     /// Cap on LP feasibility checks.
     pub max_lp_calls: Option<usize>,
+    /// Wall-clock limit for the anytime solvers, counted from the start
+    /// of the solve. Nondeterministic: where it lands varies run to run,
+    /// but the reported bounds stay sound.
+    pub time_limit: Option<Duration>,
+    /// Relative optimality-gap target for the anytime solvers: stop once
+    /// the certified gap is at most this value. Deterministic — the gap
+    /// is a function of the bounds alone.
+    pub gap: Option<f64>,
     /// Override for sampled-direction counts in randomized solvers
-    /// (HDRRM's `|Da|`, MDRRRr/MDRMS direction samples).
+    /// (HDRRM's `|Da|`, MDRRRr/MDRMS direction samples). The sampled-ε
+    /// tier draws at least its Hoeffding count regardless.
     pub samples: Option<usize>,
-    /// In-solve cutoff for the anytime (cuttable) solvers. With
-    /// [`Cutoff::None`] the counters above still fold into an implicit
-    /// [`Cutoff::CounterBudget`] via [`Budget::effective_cutoff`], so
-    /// exhausting a counter yields a gap-annotated partial `Solution`
-    /// instead of ad-hoc truncation.
-    pub cutoff: Cutoff,
     /// Requested approximation fidelity, set when the request asked for
     /// the sampled-ε tier (`Request::approx`). The sampled solver reads
     /// its `(eps, delta)` from here; exact solvers ignore it (the engine
@@ -94,8 +106,9 @@ impl Budget {
     pub const UNLIMITED: Budget = Budget {
         max_enumerations: None,
         max_lp_calls: None,
+        time_limit: None,
+        gap: None,
         samples: None,
-        cutoff: Cutoff::None,
         approx: None,
     };
 
@@ -105,29 +118,19 @@ impl Budget {
         Budget { samples: Some(samples), ..Budget::UNLIMITED }
     }
 
-    /// Budget with an explicit in-solve cutoff.
-    pub fn with_cutoff(cutoff: Cutoff) -> Self {
-        Budget { cutoff, ..Budget::UNLIMITED }
-    }
-
     /// Budget carrying a sampled-ε fidelity request.
     pub fn with_approx(spec: ApproxSpec) -> Self {
         Budget { approx: Some(spec), ..Budget::UNLIMITED }
     }
 
-    /// The cutoff the anytime solvers actually run under: an explicit
-    /// cutoff wins; otherwise a set *work* counter (`max_enumerations` /
-    /// `max_lp_calls`) folds into the deterministic
-    /// [`Cutoff::CounterBudget`]; otherwise none. A `samples` override
-    /// merely parameterizes the problem frame — it cannot exhaust
-    /// mid-search, so it does not imply a cutoff.
-    pub fn effective_cutoff(&self) -> Cutoff {
-        match self.cutoff {
-            Cutoff::None if self.max_enumerations.is_some() || self.max_lp_calls.is_some() => {
-                Cutoff::CounterBudget
-            }
-            c => c,
-        }
+    /// Does any limit of the stop rule apply? A `samples` override or an
+    /// `approx` spec parameterizes the frame and cannot run out
+    /// mid-search, so neither counts.
+    pub fn has_limit(&self) -> bool {
+        self.max_enumerations.is_some()
+            || self.max_lp_calls.is_some()
+            || self.time_limit.is_some()
+            || self.gap.is_some()
     }
 }
 
@@ -568,31 +571,6 @@ mod tests {
     fn budget_default_is_unlimited() {
         assert_eq!(Budget::default(), Budget::UNLIMITED);
         assert_eq!(Budget::with_samples(100).samples, Some(100));
-    }
-
-    #[test]
-    fn effective_cutoff_folds_counters() {
-        use std::time::Duration;
-        // Unlimited: no cutoff at all.
-        assert_eq!(Budget::UNLIMITED.effective_cutoff(), Cutoff::None);
-        // A samples override is a frame parameter, not a work counter.
-        assert_eq!(Budget::with_samples(10).effective_cutoff(), Cutoff::None);
-        // Any set work counter folds into the deterministic counter cutoff.
-        let b = Budget { max_enumerations: Some(5), ..Budget::UNLIMITED };
-        assert_eq!(b.effective_cutoff(), Cutoff::CounterBudget);
-        let b = Budget { max_lp_calls: Some(5), ..Budget::UNLIMITED };
-        assert_eq!(b.effective_cutoff(), Cutoff::CounterBudget);
-        // An explicit cutoff wins over the counter fold.
-        let b = Budget {
-            max_enumerations: Some(5),
-            cutoff: Cutoff::TimeBudget(Duration::from_millis(50)),
-            ..Budget::UNLIMITED
-        };
-        assert_eq!(b.effective_cutoff(), Cutoff::TimeBudget(Duration::from_millis(50)));
-        assert_eq!(
-            Budget::with_cutoff(Cutoff::GapAtMost(0.25)).effective_cutoff(),
-            Cutoff::GapAtMost(0.25)
-        );
     }
 
     #[test]

@@ -6,13 +6,18 @@
 //! front end speaking newline-delimited JSON, a tenant registry where
 //! each named dataset owns one prepared-state-sharing [`Session`],
 //! admission control (per-tenant in-flight limits + a global queue cap,
-//! rejections immediate and structured), wall-clock deadlines mapped
-//! onto counter [`Budget`]s by a startup calibration of the scoring
-//! kernel — and, for the anytime (cuttable) HD solvers, onto in-solve
-//! cutoffs, so a blown deadline yields a best-so-far incumbent with a
-//! certified gap (`"partial": true`) instead of an error — and
-//! per-tenant observability (counters + log-bucketed latency
-//! histograms) served by a `stats` request and dumped at shutdown.
+//! rejections immediate and structured), wall-clock deadlines counted
+//! from admission, and per-tenant observability (counters +
+//! log-bucketed latency histograms) served by a `stats` request and
+//! dumped at shutdown.
+//!
+//! A deadline never changes what is solved: the wire's `samples` and
+//! `approx` alone fix the frame. For the anytime (cuttable) HD solvers
+//! `deadline_ms` becomes the solve's [`Budget`] time limit, less the
+//! queue wait, beside an optional `gap` target — the first limit reached
+//! stops the solve, and a blown deadline yields a best-so-far incumbent
+//! with a certified gap (`"partial": true`) instead of an error. Other
+//! algorithms that age out in the queue answer `deadline_exceeded`.
 //!
 //! ```no_run
 //! use rrm_serve::{Client, ServerConfig, ServerHandle, SyntheticKind, TenantSpec};
@@ -47,8 +52,5 @@ pub use client::Client;
 pub use json::Json;
 pub use protocol::{error_response, ok_response, parse_request, ErrorKind, Op, WireRequest};
 pub use registry::{DataSource, Registry, SyntheticKind, Tenant, TenantSpec};
-pub use server::{
-    calibrate, effective_budget, effective_request, Calibration, ServerConfig, ServerHandle,
-    MAX_LINE_BYTES,
-};
+pub use server::{effective_request, Calibration, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 pub use stats::{LogHistogram, TenantCounters};

@@ -21,9 +21,7 @@
 //! `{"id":...,"status":"error","error":"<code>","message":...}`, where
 //! `<code>` is one of the [`ErrorKind`] codes.
 
-use rank_regret::{
-    AlgoChoice, Algorithm, ApproxSpec, Budget, Request, Response, RrmError, TerminatedBy,
-};
+use rank_regret::{Algorithm, ApproxSpec, Response, RrmError, TerminatedBy};
 
 use crate::json::Json;
 
@@ -55,44 +53,27 @@ pub struct WireRequest {
     pub tenant: Option<String>,
     /// `None` means the engine's auto policy picks per dimensionality.
     pub algo: Option<Algorithm>,
-    /// Wall-clock deadline for queueing + service, mapped onto a counter
-    /// [`Budget`] by the server's startup calibration.
+    /// Wall-clock deadline for queueing + service, counted from
+    /// admission. On cuttable algorithms it becomes the solve's
+    /// `Budget::time_limit`, less the queue wait; other algorithms that
+    /// age out in the queue answer `deadline_exceeded`. It never changes
+    /// the frame (see [`effective_request`]).
+    ///
+    /// [`effective_request`]: crate::effective_request
     pub deadline_ms: Option<u64>,
     /// Sampled-direction override for randomized solvers.
     pub samples: Option<usize>,
-    /// Relative optimality-gap target: on cuttable algorithms the solve
-    /// stops as soon as its certified gap reaches this value
-    /// (`Cutoff::GapAtMost`) — a deterministic cutoff, unlike deadlines.
-    /// Ignored for non-cuttable algorithms.
+    /// Relative optimality-gap target: on cuttable algorithms it sets
+    /// `Budget::gap`, so the solve stops as soon as its certified gap
+    /// reaches this value — a deterministic limit, unlike deadlines. With
+    /// a deadline, the first limit reached stops the solve. Ignored for
+    /// non-cuttable algorithms.
     pub gap: Option<f64>,
     /// Approximate-tier request: `{"approx":{"eps":0.05,"delta":0.05}}`
     /// asks for a sampled-ε answer with Hoeffding confidence instead of
     /// an exact one. `delta` defaults to 0.05 when omitted. Responses
     /// carry `"fidelity":"approx"` plus a `"confidence"` object.
     pub approx: Option<ApproxSpec>,
-}
-
-impl WireRequest {
-    /// The in-process [`Request`] this wire request denotes under `budget`.
-    /// The server and the replay harness both build requests through here,
-    /// so wire answers are bit-identical to in-process answers by
-    /// construction.
-    pub fn to_request(&self, budget: Budget) -> Option<Request> {
-        let base = match self.op {
-            Op::Minimize { param } => Request::minimize(param),
-            Op::Represent { param } => Request::represent(param),
-            Op::Update { .. } | Op::Stats => return None,
-        };
-        let choice = match self.algo {
-            Some(algo) => AlgoChoice::Fixed(algo),
-            None => AlgoChoice::Auto,
-        };
-        let mut request = base.choice(choice).budget(budget);
-        if let Some(spec) = self.approx {
-            request = request.approx(spec.eps, spec.delta);
-        }
-        Some(request)
-    }
 }
 
 /// Structured error codes carried in the `"error"` field.
@@ -134,8 +115,19 @@ impl ErrorKind {
     }
 }
 
-const KNOWN_KEYS: [&str; 10] =
-    ["op", "id", "tenant", "param", "algo", "deadline_ms", "gap", "approx", "insert", "delete"];
+const KNOWN_KEYS: [&str; 11] = [
+    "op",
+    "id",
+    "tenant",
+    "param",
+    "algo",
+    "deadline_ms",
+    "samples",
+    "gap",
+    "approx",
+    "insert",
+    "delete",
+];
 
 /// Parse one request line. `Err` carries a `bad_request` message.
 pub fn parse_request(line: &str) -> Result<WireRequest, String> {
@@ -145,7 +137,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
         _ => return Err("request must be a JSON object".into()),
     };
     for (key, _) in obj {
-        if !KNOWN_KEYS.contains(&key.as_str()) && key != "samples" {
+        if !KNOWN_KEYS.contains(&key.as_str()) {
             return Err(format!("unknown field `{key}`"));
         }
     }
@@ -304,11 +296,12 @@ fn id_json(id: &Option<Json>) -> Json {
 /// *not* partial: the sampled tier ran to completion at its requested
 /// fidelity.
 ///
-/// When an in-solve cutoff fired (`terminated_by.is_early_stop()`) the
-/// answer is the solver's best incumbent, not a certified optimum: the
-/// response carries `"partial": true` plus a `"diagnostics"` object with
-/// the termination reason, the relative optimality gap, and the
-/// certified bounds (when the algorithm tracks them).
+/// When a budget limit stopped the solve
+/// (`terminated_by.is_early_stop()`) the answer is the solver's best
+/// incumbent, not a certified optimum: the response carries
+/// `"partial": true` plus a `"diagnostics"` object with the termination
+/// reason, the relative optimality gap, and the certified bounds (when
+/// the algorithm tracks them).
 pub fn ok_response(
     id: &Option<Json>,
     tenant: &str,
@@ -388,6 +381,12 @@ pub fn error_response(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rank_regret::{AlgoChoice, Fidelity, Request};
+
+    /// The request a wire line denotes on a 4-dimensional tenant.
+    fn request(req: &WireRequest) -> Option<Request> {
+        crate::effective_request(req, crate::Calibration, 0, 4)
+    }
 
     #[test]
     fn parses_full_minimize_request() {
@@ -402,16 +401,18 @@ mod tests {
         assert_eq!(req.samples, Some(200));
         assert_eq!(req.id, Some(Json::from(7u64)));
 
-        let r = req.to_request(Budget::with_samples(200)).unwrap();
+        let r = request(&req).unwrap();
         assert_eq!(r.param(), 5);
         assert_eq!(r.choice, AlgoChoice::Fixed(Algorithm::Hdrrm));
+        assert_eq!(r.budget.samples, Some(200));
+        assert_eq!(r.budget.time_limit, Some(std::time::Duration::from_millis(50)));
     }
 
     #[test]
     fn stats_needs_no_tenant_and_builds_no_request() {
         let req = parse_request(r#"{"op":"stats"}"#).unwrap();
         assert_eq!(req.op, Op::Stats);
-        assert!(req.to_request(Budget::UNLIMITED).is_none());
+        assert!(request(&req).is_none());
     }
 
     #[test]
@@ -434,8 +435,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(req.approx, Some(ApproxSpec { eps: 0.1, delta: 0.02 }));
-        let r = req.to_request(Budget::UNLIMITED).unwrap();
-        assert_eq!(r.fidelity, rank_regret::Fidelity::Approx { eps: 0.1, delta: 0.02 });
+        let r = request(&req).unwrap();
+        assert_eq!(r.fidelity, Fidelity::Approx { eps: 0.1, delta: 0.02 });
 
         // `delta` defaults when omitted; absent `approx` means exact.
         let req =
@@ -444,10 +445,7 @@ mod tests {
         assert_eq!(req.approx, Some(ApproxSpec { eps: 0.1, delta: ApproxSpec::default().delta }));
         let req = parse_request(r#"{"op":"minimize","tenant":"t0","param":5}"#).unwrap();
         assert_eq!(req.approx, None);
-        assert_eq!(
-            req.to_request(Budget::UNLIMITED).unwrap().fidelity,
-            rank_regret::Fidelity::Exact
-        );
+        assert_eq!(request(&req).unwrap().fidelity, Fidelity::Exact);
     }
 
     #[test]
@@ -460,7 +458,7 @@ mod tests {
             req.op,
             Op::Update { insert: vec![vec![0.5, 0.5], vec![0.1, 0.9]], delete: vec![3, 0] }
         );
-        assert!(req.to_request(Budget::UNLIMITED).is_none(), "update is not a query");
+        assert!(request(&req).is_none(), "update is not a query");
         // Delete-only and insert-only batches are both fine.
         let req = parse_request(r#"{"op":"update","tenant":"t0","delete":[1]}"#).unwrap();
         assert_eq!(req.op, Op::Update { insert: vec![], delete: vec![1] });

@@ -85,8 +85,8 @@ impl TenantSpec {
 /// minimize), parameter, explicit algorithm, samples override, the gap
 /// target's bit pattern, and the approx `(eps, delta)` bit patterns.
 /// Everything that shapes the answer on the deadline-free path —
-/// deadline-bearing requests are never cached (their budgets and cutoffs
-/// depend on wall clock). Sampled-tier answers are seeded and
+/// deadline-bearing requests are never cached (a time limit depends on
+/// wall clock). Sampled-tier answers are seeded and
 /// deterministic, so they cache like exact ones.
 pub type ResultKey =
     (bool, usize, Option<Algorithm>, Option<usize>, Option<u64>, Option<(u64, u64)>);

@@ -14,26 +14,27 @@
 //! run under the configured [`ExecPolicy`] (default sequential): the
 //! server parallelizes *across* requests, not inside one.
 //!
-//! Deadlines: `deadline_ms` is wall clock from admission, enforced two
-//! ways depending on the algorithm. For the anytime (cuttable) HD
-//! solvers the deadline becomes an in-solve [`Cutoff::TimeBudget`]: the
-//! solver runs bound-and-prune under the clock and an overloaded tenant
-//! gets its best incumbent with a certified gap (`"partial": true`)
-//! instead of an error — even when the whole deadline was burned in the
-//! queue, in which case the solve runs under an already-expired cutoff
-//! and returns its first incumbent immediately. Non-cuttable algorithms
-//! keep the old dispatch-time aging: a request that aged out in the
-//! queue gets a structured `deadline_exceeded` with its queueing time as
-//! diagnostics, without running. In both cases the deadline is also
-//! mapped onto the counter [`Budget`] via a startup [`Calibration`] of
-//! the scoring kernel, derived from the full deadline — not the
-//! post-queue remainder — so a replayed request through an in-process
-//! [`Session`] builds the *identical* `Request` and the determinism
-//! contract extends over the wire (time-cut partial answers are the one
-//! documented exception: they depend on wall clock, and the parity
-//! replay skips them).
+//! Deadlines: `deadline_ms` is wall clock from admission, and it never
+//! changes the frame of an answer — the wire's `samples` and `approx`
+//! alone fix that. For the anytime (cuttable) HD solvers the deadline
+//! becomes the solve's [`Budget::time_limit`], less the time the request
+//! spent queued: the solver runs bound-and-prune under the clock and an
+//! overloaded tenant gets its best incumbent with a certified gap
+//! (`"partial": true`) instead of an error — even when the whole deadline
+//! was burned in the queue, in which case the solve starts with no time
+//! left and returns its first incumbent immediately. A `gap` target sets
+//! [`Budget::gap`] beside it; the first limit reached stops the solve.
+//! Non-cuttable algorithms keep dispatch-time aging: a request that aged
+//! out in the queue gets a structured `deadline_exceeded` with its
+//! queueing time as diagnostics, without running. Either way a replayed
+//! request through an in-process [`Session`] builds the same `Request`
+//! via [`effective_request`], so the determinism contract extends over
+//! the wire (time-cut partial answers are the one documented exception:
+//! they depend on wall clock, and the parity replays skip them).
 //!
 //! [`Session`]: rank_regret::Session
+//! [`Budget::time_limit`]: rank_regret::Budget::time_limit
+//! [`Budget::gap`]: rank_regret::Budget::gap
 
 use std::collections::VecDeque;
 use std::io::{ErrorKind as IoErrorKind, Read as _, Write as _};
@@ -44,105 +45,57 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rank_regret::rrm_core::kernel::{for_each_scores, ScoreScratch};
-use rank_regret::{
-    Algorithm, Budget, Cutoff, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp,
-};
+use rank_regret::{Algorithm, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp};
 
 use crate::json::Json;
 use crate::protocol::{error_response, ok_response, parse_request, ErrorKind, Op, WireRequest};
 use crate::registry::{Registry, Tenant, TenantSpec};
 
-/// How fast this machine scores tuples, measured once at startup and
-/// used to translate wall-clock deadlines into counter [`Budget`]s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Calibration {
-    /// Single-direction tuple scores evaluated per millisecond.
-    pub scores_per_ms: f64,
-}
+/// A field-less placeholder: a deadline does not depend on how fast the
+/// machine scores tuples, so the server calibrates nothing. The type stays
+/// in the API of [`ServerHandle::calibration`] and [`effective_request`]
+/// for their existing callers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Calibration;
 
-/// Microbenchmark the blocked scoring kernel on a fixed synthetic
-/// dataset until at least ~10 ms have elapsed. The absolute number moves
-/// with the machine — that is the point: the same `deadline_ms` buys the
-/// same wall-clock on a fast or slow box, via different counter budgets.
-pub fn calibrate() -> Calibration {
-    const N: usize = 2000;
-    const D: usize = 4;
-    let data = rrm_data::synthetic::independent(N, D, 0x5eed);
-    let soa = data.soa();
-    // Deterministic direction bundle; contents are irrelevant to timing.
-    let dirs: Vec<Vec<f64>> =
-        (0..64).map(|i| (0..D).map(|j| 1.0 + ((i * 7 + j * 3) % 11) as f64).collect()).collect();
-    let mut scratch = ScoreScratch::new();
-    let mut sink = 0.0f64;
-    let mut evals = 0u64;
-    let start = Instant::now();
-    while start.elapsed() < Duration::from_millis(10) {
-        for_each_scores(soa, &dirs, &mut scratch, |_, scores| {
-            sink += scores[0];
-        });
-        evals += (N * dirs.len()) as u64;
-    }
-    std::hint::black_box(sink);
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    Calibration { scores_per_ms: evals as f64 / ms }
-}
-
-/// Map a deadline onto a counter [`Budget`] for a dataset of `n_tuples`
-/// rows: the deadline buys `scores_per_ms * deadline_ms` score
-/// evaluations; one enumeration / LP call / sampled direction is charged
-/// as one pass over the dataset. Without a deadline, only the requested
-/// `samples` override applies.
-pub fn effective_budget(
-    calib: Calibration,
-    n_tuples: usize,
-    deadline_ms: Option<u64>,
-    samples: Option<usize>,
-) -> Budget {
-    match deadline_ms {
-        None => samples.map_or(Budget::UNLIMITED, Budget::with_samples),
-        Some(ms) => {
-            let affordable = (calib.scores_per_ms * ms as f64) as usize;
-            let cap = (affordable / n_tuples.max(1)).max(1);
-            let samples = samples.unwrap_or(cap).min(cap);
-            Budget {
-                max_enumerations: Some(cap),
-                max_lp_calls: Some(cap),
-                samples: Some(samples),
-                ..Budget::UNLIMITED
-            }
-        }
-    }
-}
-
-/// The in-process [`Request`] a wire request denotes on this server.
-/// Both the dispatch path and the replay harness build requests through
-/// here, so served answers are bit-identical to in-process answers by
-/// construction. `None` for non-query ops.
+/// The in-process [`Request`] a wire request denotes on a
+/// `dims`-dimensional tenant, or `None` for non-query ops. The dispatch
+/// path and the replay harnesses build requests through here, so served
+/// answers are bit-identical to in-process answers by construction. The
+/// calibration and row-count arguments are unused.
 ///
-/// When the request resolves to a cuttable algorithm on a
-/// `dims`-dimensional tenant ([`Request::resolved_algorithm`]), a deadline
-/// additionally becomes an in-solve [`Cutoff::TimeBudget`] over the *full*
-/// deadline — a deterministic field of the request, even though when it
-/// fires is wall-clock. A `gap` target becomes [`Cutoff::GapAtMost`] on
-/// cuttable algorithms, but a deadline wins when both are present — the
-/// wall-clock bound protects the server; the gap merely trades answer
-/// quality for speed.
+/// The wire's `samples` and `approx` alone fix the frame. When the
+/// request resolves to a cuttable algorithm
+/// ([`Request::resolved_algorithm`]), `deadline_ms` sets
+/// [`Budget::time_limit`] to the full deadline (dispatch takes the queue
+/// wait off it) and `gap` sets [`Budget::gap`]; the two compose, and the
+/// first one reached stops the solve. Other algorithms cannot be cut, so
+/// their requests carry no limits.
+///
+/// [`Budget::time_limit`]: rank_regret::Budget::time_limit
+/// [`Budget::gap`]: rank_regret::Budget::gap
 pub fn effective_request(
     wire: &WireRequest,
-    calib: Calibration,
-    n_tuples: usize,
+    _calibration: Calibration,
+    _n_tuples: usize,
     dims: usize,
 ) -> Option<Request> {
-    let mut request =
-        wire.to_request(effective_budget(calib, n_tuples, wire.deadline_ms, wire.samples))?;
+    let request = match wire.op {
+        Op::Minimize { param } => Request::minimize(param),
+        Op::Represent { param } => Request::represent(param),
+        Op::Update { .. } | Op::Stats => return None,
+    };
+    let mut request = match wire.algo {
+        Some(algo) => request.algo(algo),
+        None => request,
+    };
+    if let Some(spec) = wire.approx {
+        request = request.approx(spec.eps, spec.delta);
+    }
+    request.budget.samples = wire.samples;
     if request.resolved_algorithm(dims).is_cuttable() {
-        if let Some(gap) = wire.gap {
-            request.budget.cutoff = Cutoff::GapAtMost(gap);
-        }
-        if let Some(ms) = wire.deadline_ms {
-            request.budget.cutoff = Cutoff::TimeBudget(Duration::from_millis(ms));
-        }
+        request.budget.time_limit = wire.deadline_ms.map(Duration::from_millis);
+        request.budget.gap = wire.gap;
     }
     Some(request)
 }
@@ -164,8 +117,6 @@ pub struct ServerConfig {
     /// Execution policy inside solver kernels (default sequential: the
     /// server parallelizes across requests, not within one).
     pub exec: ExecPolicy,
-    /// Test hook: skip the startup microbenchmark and use this rate.
-    pub scores_per_ms_override: Option<f64>,
 }
 
 impl Default for ServerConfig {
@@ -176,7 +127,6 @@ impl Default for ServerConfig {
             queue_cap: 64,
             warm: Vec::new(),
             exec: ExecPolicy::sequential(),
-            scores_per_ms_override: None,
         }
     }
 }
@@ -208,7 +158,6 @@ struct Job {
 /// State shared by the accept loop, readers, and workers.
 struct Shared {
     registry: Registry,
-    calibration: Calibration,
     queue: Mutex<VecDeque<Job>>,
     available: Condvar,
     queue_cap: usize,
@@ -224,7 +173,6 @@ impl Shared {
                 Json::Obj(vec![
                     ("queue_depth".into(), depth.into()),
                     ("queue_cap".into(), self.queue_cap.into()),
-                    ("scores_per_ms".into(), self.calibration.scores_per_ms.into()),
                 ]),
             ),
             ("tenants".into(), self.registry.stats_json(filter)),
@@ -244,14 +192,10 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Start a server: load + warm every tenant, calibrate the deadline
-    /// mapping, bind, and spawn the accept and worker threads.
+    /// Start a server: load + warm every tenant, bind, and spawn the
+    /// accept and worker threads.
     pub fn start(config: ServerConfig, specs: &[TenantSpec]) -> Result<ServerHandle, RrmError> {
         let registry = Registry::build(specs, &config.warm, config.exec)?;
-        let calibration = match config.scores_per_ms_override {
-            Some(scores_per_ms) => Calibration { scores_per_ms },
-            None => calibrate(),
-        };
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| RrmError::Unsupported(format!("cannot bind {}: {e}", config.addr)))?;
         let addr = listener
@@ -260,7 +204,6 @@ impl ServerHandle {
 
         let shared = Arc::new(Shared {
             registry,
-            calibration,
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             queue_cap: config.queue_cap,
@@ -294,8 +237,9 @@ impl ServerHandle {
         self.addr
     }
 
+    /// The (field-less) [`Calibration`] to replay requests with.
     pub fn calibration(&self) -> Calibration {
-        self.shared.calibration
+        Calibration
     }
 
     pub fn registry(&self) -> &Registry {
@@ -523,25 +467,32 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
         };
         match job {
-            Some(job) => serve_job(shared, job),
+            Some(job) => serve_job(job),
             None => return,
         }
     }
 }
 
-fn serve_job(shared: &Shared, job: Job) {
-    let queued_us = job.accepted_at.elapsed().as_micros() as u64;
+fn serve_job(job: Job) {
+    let queued = job.accepted_at.elapsed();
+    let queued_us = queued.as_micros() as u64;
     let tenant = &job.tenant;
     let (n_tuples, dims) = {
         let data = tenant.session.data();
         (data.n(), data.dim())
     };
-    let aged_out = job.wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
-    let mut request = effective_request(&job.wire, shared.calibration, n_tuples, dims)
+    let mut request = effective_request(&job.wire, Calibration, n_tuples, dims)
         .expect("only query ops are enqueued");
-    let cuttable = request.resolved_algorithm(dims).is_cuttable();
+    // The deadline counts from admission: a cuttable solve gets what the
+    // queue left of it (possibly nothing — it then answers with its first
+    // incumbent), and a non-cuttable request that aged out is not run.
+    if let Some(limit) = request.budget.time_limit.as_mut() {
+        *limit = limit.saturating_sub(queued);
+    }
+    let aged_out = !request.resolved_algorithm(dims).is_cuttable()
+        && job.wire.deadline_ms.is_some_and(|ms| queued_us >= ms.saturating_mul(1000));
 
-    let outcome = if aged_out && !cuttable {
+    let outcome = if aged_out {
         let ms = job.wire.deadline_ms.expect("aged_out implies a deadline");
         Err((
             ErrorKind::DeadlineExceeded,
@@ -552,18 +503,10 @@ fn serve_job(shared: &Shared, job: Job) {
             ])),
         ))
     } else {
-        if aged_out {
-            // The whole deadline was burned queueing. The anytime solver
-            // still runs, under an already-expired cutoff: it offers its
-            // deterministic fallback incumbent, stops at the first
-            // cutoff check, and the tenant gets best-so-far + gap
-            // instead of a deadline_exceeded error.
-            request.budget.cutoff = Cutoff::TimeBudget(Duration::ZERO);
-        }
         // Deadline-free requests are deterministic: same wire fields on
         // the same epoch → the same answer, so they are served from the
         // tenant's budget-keyed cache when possible. Deadline-bearing
-        // requests never touch the cache (their budgets are wall-clock).
+        // requests never touch the cache (a time limit is wall clock).
         let cache_key = job.wire.deadline_ms.is_none().then(|| {
             let minimize = matches!(job.wire.op, Op::Minimize { .. });
             let param = match job.wire.op {
@@ -654,91 +597,93 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rank_regret::{ApproxSpec, Budget};
 
-    const CALIB: Calibration = Calibration { scores_per_ms: 1000.0 };
-
-    #[test]
-    fn budget_scales_with_deadline_and_dataset_size() {
-        // 1000 scores/ms, 100 tuples: a 10ms deadline buys 100 passes.
-        let b = effective_budget(CALIB, 100, Some(10), None);
-        assert_eq!(b.max_enumerations, Some(100));
-        assert_eq!(b.max_lp_calls, Some(100));
-        assert_eq!(b.samples, Some(100));
-        // Requested samples are honoured but capped by the deadline.
-        assert_eq!(effective_budget(CALIB, 100, Some(10), Some(30)).samples, Some(30));
-        assert_eq!(effective_budget(CALIB, 100, Some(10), Some(5000)).samples, Some(100));
-        // A tiny deadline still buys at least one pass, never zero.
-        assert_eq!(effective_budget(CALIB, 100_000, Some(1), None).max_enumerations, Some(1));
-        // No deadline: unlimited, modulo the samples override.
-        assert_eq!(effective_budget(CALIB, 100, None, None), Budget::UNLIMITED);
-        assert_eq!(effective_budget(CALIB, 100, None, Some(64)), Budget::with_samples(64));
-    }
-
-    #[test]
-    fn deadlines_become_in_solve_cutoffs_only_for_cuttable_algorithms() {
-        let wire = |algo: Option<Algorithm>, deadline_ms: Option<u64>| WireRequest {
+    fn wire(
+        algo: Option<Algorithm>,
+        deadline_ms: Option<u64>,
+        samples: Option<usize>,
+        gap: Option<f64>,
+        approx: Option<ApproxSpec>,
+    ) -> WireRequest {
+        WireRequest {
             id: None,
             op: Op::Minimize { param: 3 },
             tenant: Some("t".into()),
             algo,
             deadline_ms,
-            samples: None,
-            gap: None,
-            approx: None,
-        };
-        // An explicit cuttable algorithm plus a deadline gets an in-solve
-        // wall-clock cutoff over the *full* deadline.
-        let r = effective_request(&wire(Some(Algorithm::Hdrrm), Some(25)), CALIB, 100, 4).unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
+            samples,
+            gap,
+            approx,
+        }
+    }
+
+    fn request(wire: &WireRequest, dims: usize) -> Request {
+        effective_request(wire, Calibration, 100, dims).expect("a query op")
+    }
+
+    #[test]
+    fn a_deadline_never_changes_the_frame() {
+        let spec = ApproxSpec { eps: 0.05, delta: 0.05 };
+        for algo in [Some(Algorithm::Hdrrm), Some(Algorithm::Mdrms), None] {
+            for (samples, approx) in [(None, None), (Some(64), None), (None, Some(spec))] {
+                for dims in [2, 4] {
+                    let free = request(&wire(algo, None, samples, None, approx), dims);
+                    for ms in [1, 25, 60_000] {
+                        let timed = request(&wire(algo, Some(ms), samples, None, approx), dims);
+                        let (a, b) = (&free.budget, &timed.budget);
+                        assert_eq!(a.samples, b.samples, "{algo:?} {ms}ms");
+                        assert_eq!(a.max_enumerations, b.max_enumerations, "{algo:?} {ms}ms");
+                        assert_eq!(a.max_lp_calls, b.max_lp_calls, "{algo:?} {ms}ms");
+                        assert_eq!(a.approx, b.approx, "{algo:?} {ms}ms");
+                        assert_eq!(free.fidelity, timed.fidelity, "{algo:?} {ms}ms");
+                    }
+                    assert_eq!(free.budget.samples, samples);
+                    assert_eq!(free.budget.max_enumerations, None);
+                    assert_eq!(free.budget.max_lp_calls, None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn deadlines_become_in_solve_cutoffs_only_for_cuttable_algorithms() {
+        let w = |algo, deadline_ms| wire(algo, deadline_ms, None, None, None);
+        let ms25 = Some(Duration::from_millis(25));
+        // An explicit cuttable algorithm plus a deadline gets a time limit
+        // over the *full* deadline; dispatch takes the queue wait off it.
+        let r = request(&w(Some(Algorithm::Hdrrm), Some(25)), 4);
+        assert_eq!(r.budget.time_limit, ms25);
         // Auto on 3 dims resolves to HDRRM (cuttable)...
-        let r = effective_request(&wire(None, Some(25)), CALIB, 100, 3).unwrap();
+        let r = request(&w(None, Some(25)), 3);
         assert_eq!(r.resolved_algorithm(3), Algorithm::Hdrrm);
-        assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
+        assert_eq!(r.budget.time_limit, ms25);
         // ...but on 2 dims to the exact planar solver, which is not.
-        let r = effective_request(&wire(None, Some(25)), CALIB, 100, 2).unwrap();
+        let r = request(&w(None, Some(25)), 2);
         assert_eq!(r.resolved_algorithm(2), Algorithm::TwoDRrm);
-        assert_eq!(r.budget.cutoff, Cutoff::None);
-        // No deadline: no cutoff, even for cuttable algorithms — and the
-        // counter budget stays untouched either way.
-        let r = effective_request(&wire(Some(Algorithm::Hdrrm), None), CALIB, 100, 4).unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::None);
+        assert_eq!(r.budget, Budget::UNLIMITED);
+        // No deadline: no limit at all, even for cuttable algorithms.
+        let r = request(&w(Some(Algorithm::Hdrrm), None), 4);
         assert_eq!(r.budget, Budget::UNLIMITED);
     }
 
     #[test]
     fn gap_targets_become_in_solve_cutoffs_only_for_cuttable_algorithms() {
-        let wire =
-            |algo: Option<Algorithm>, gap: Option<f64>, deadline_ms: Option<u64>| WireRequest {
-                id: None,
-                op: Op::Minimize { param: 3 },
-                tenant: Some("t".into()),
-                algo,
-                deadline_ms,
-                samples: None,
-                gap,
-                approx: None,
-            };
+        let w = |algo, gap, deadline_ms| wire(algo, deadline_ms, None, gap, None);
         // Cuttable + gap: the solve stops at the certified gap target.
-        let r = effective_request(&wire(Some(Algorithm::Hdrrm), Some(0.25), None), CALIB, 100, 4)
-            .unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::GapAtMost(0.25));
+        let r = request(&w(Some(Algorithm::Hdrrm), Some(0.25), None), 4);
+        assert_eq!(r.budget.gap, Some(0.25));
+        assert_eq!(r.budget.time_limit, None);
         // Auto on 3 dims resolves to HDRRM — still cuttable.
-        let r = effective_request(&wire(None, Some(0.1), None), CALIB, 100, 3).unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::GapAtMost(0.1));
+        let r = request(&w(None, Some(0.1), None), 3);
+        assert_eq!(r.budget.gap, Some(0.1));
         // Non-cuttable (exact 2D) ignores the gap.
-        let r = effective_request(&wire(None, Some(0.1), None), CALIB, 100, 2).unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::None);
-        // A deadline outranks the gap: the wall-clock bound protects the
-        // server.
-        let r =
-            effective_request(&wire(Some(Algorithm::Hdrrm), Some(0.1), Some(25)), CALIB, 100, 4)
-                .unwrap();
-        assert_eq!(r.budget.cutoff, Cutoff::TimeBudget(Duration::from_millis(25)));
-    }
-
-    #[test]
-    fn calibration_measures_a_positive_rate() {
-        let c = calibrate();
-        assert!(c.scores_per_ms > 0.0 && c.scores_per_ms.is_finite(), "{c:?}");
+        let r = request(&w(None, Some(0.1), None), 2);
+        assert_eq!(r.budget, Budget::UNLIMITED);
+        // A deadline and a gap compose: both limits are set, and the
+        // first one reached stops the solve.
+        let r = request(&w(Some(Algorithm::Hdrrm), Some(0.1), Some(25)), 4);
+        assert_eq!(r.budget.gap, Some(0.1));
+        assert_eq!(r.budget.time_limit, Some(Duration::from_millis(25)));
     }
 }

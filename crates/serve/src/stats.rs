@@ -90,7 +90,7 @@ pub struct TenantCounters {
     pub accepted: AtomicU64,
     pub rejected_overload: AtomicU64,
     pub completed: AtomicU64,
-    /// Completions whose in-solve cutoff fired: the tenant got a
+    /// Completions a budget limit stopped early: the tenant got a
     /// best-so-far incumbent with a gap (`"partial": true` on the wire)
     /// instead of a certified optimum. A subset of `completed`.
     pub partial_answers: AtomicU64,

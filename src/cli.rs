@@ -26,12 +26,13 @@
 //!   --warm                 eagerly prepare every registered algorithm
 //!                          before answering (what a server does at
 //!                          startup); reports how many built and the cost
-//!   --time-limit-ms MS     in-solve wall-clock cutoff for the anytime
-//!                          solvers: return the best incumbent with
-//!                          certified bounds instead of running out
+//!   --time-limit-ms MS     wall-clock limit for the anytime solvers:
+//!                          return the best incumbent with certified
+//!                          bounds instead of running out
 //!   --gap G                stop once the relative optimality gap is <= G
-//!                          (deterministic); ignored if --time-limit-ms is
-//!                          also given
+//!                          (deterministic). With --time-limit-ms, both
+//!                          limits apply and the first one reached stops
+//!                          the solve
 //!   --approx EPS[,DELTA]   answer at approximate fidelity: a sampled-ε
 //!                          solve whose certificate holds with probability
 //!                          >= 1-DELTA (default DELTA 0.05). Seeded and
@@ -73,11 +74,12 @@ pub struct Args {
     /// Eagerly prepare every registered algorithm before the query
     /// ([`crate::Session::warm`]); failures are cached, not fatal.
     pub warm: bool,
-    /// In-solve wall-clock cutoff in milliseconds for the anytime
-    /// solvers (best incumbent + certified bounds on expiry).
+    /// Wall-clock limit in milliseconds for the anytime solvers (best
+    /// incumbent + certified bounds on expiry).
     pub time_limit_ms: Option<u64>,
     /// Stop once the relative optimality gap is at most this value
-    /// (deterministic). `--time-limit-ms` takes precedence.
+    /// (deterministic). Composes with `--time-limit-ms`: the first limit
+    /// reached stops the solve.
     pub gap: Option<f64>,
     /// Approximate fidelity: answer via the sampled-ε tier with this
     /// `(eps, delta)` Hoeffding confidence statement.
@@ -266,14 +268,12 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
         None => AlgoChoice::Auto,
     };
 
-    // In-solve cutoff for the anytime solvers: an explicit wall-clock
-    // limit wins over a gap target.
-    let cutoff = if let Some(ms) = args.time_limit_ms {
-        crate::Cutoff::TimeBudget(std::time::Duration::from_millis(ms))
-    } else if let Some(g) = args.gap {
-        crate::Cutoff::GapAtMost(g)
-    } else {
-        crate::Cutoff::None
+    // The anytime solvers' limits: each one set applies, and the first
+    // one reached stops the solve.
+    let limits = crate::Budget {
+        time_limit: args.time_limit_ms.map(std::time::Duration::from_millis),
+        gap: args.gap,
+        ..crate::Budget::UNLIMITED
     };
 
     match args.command {
@@ -284,7 +284,7 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
                 Command::Frontier { .. } => unreachable!(),
             }
             .choice(choice)
-            .cutoff(cutoff);
+            .budget(limits);
             if let Some(spec) = args.approx {
                 request = request.approx(spec.eps, spec.delta);
             }
@@ -807,6 +807,16 @@ mod tests {
         let args = parse_args(&argv(&format!(
             "minimize --input {} --size 2 --no-normalize --format json --algo hdrrm --quick \
              --gap 1.0",
+            path.display()
+        )))
+        .unwrap();
+        let report = run(&args).unwrap();
+        assert!(report.contains("\"terminated_by\":\"gap\""), "{report}");
+        // A generous time limit alongside the gap target: both limits
+        // apply, and the gap is reached long before the minute is up.
+        let args = parse_args(&argv(&format!(
+            "minimize --input {} --size 2 --no-normalize --format json --algo hdrrm --quick \
+             --time-limit-ms 60000 --gap 1.0",
             path.display()
         )))
         .unwrap();

@@ -18,9 +18,9 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use rrm_core::{
-    apply_updates, approx, Algorithm, Bounds, BruteForceOptions, BruteForceSolver, Budget, Cutoff,
-    Dataset, ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, SampledOptions,
-    SampledSolver, Solution, Solver, TerminatedBy, UpdateOp, UtilitySpace,
+    apply_updates, approx, Algorithm, Bounds, BruteForceOptions, BruteForceSolver, Budget, Dataset,
+    ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, SampledOptions, SampledSolver,
+    Solution, Solver, TerminatedBy, UpdateOp, UtilitySpace,
 };
 
 use rrm_2d::{Rrm2dOptions, TwoDRrmSolver, TwoDRrrSolver};
@@ -56,17 +56,23 @@ enum Task {
 ///
 /// ```
 /// use std::time::Duration;
-/// use rank_regret::{Request, Algorithm, Budget, Cutoff, Fidelity};
+/// use rank_regret::{Request, Algorithm, Budget, Fidelity};
 ///
 /// let q = Request::minimize(5).algo(Algorithm::Hdrrm).budget(Budget::with_samples(500));
 /// assert_eq!(q.param(), 5);
 ///
-/// // The sampled-ε approximate tier, with an in-solve time cutoff and a
-/// // pinned thread count, in one expression:
-/// let q = Request::minimize(5)
-///     .approx(0.05, 0.05)
-///     .cutoff(Cutoff::TimeBudget(Duration::from_millis(250)))
-///     .threads(4);
+/// // HDRRM under two limits that compose — whichever is reached first
+/// // stops the search — with a pinned thread count:
+/// let limits = Budget {
+///     time_limit: Some(Duration::from_millis(250)),
+///     gap: Some(0.1),
+///     ..Budget::UNLIMITED
+/// };
+/// let q = Request::minimize(5).algo(Algorithm::Hdrrm).budget(limits).threads(4);
+/// assert_eq!(q.budget.gap, Some(0.1));
+///
+/// // The sampled-ε approximate tier:
+/// let q = Request::minimize(5).approx(0.05, 0.05);
 /// assert_eq!(q.fidelity, Fidelity::Approx { eps: 0.05, delta: 0.05 });
 /// ```
 #[derive(Clone)]
@@ -135,19 +141,6 @@ impl Request {
     /// coreset and re-certifies the answer by sampling.
     pub fn approx(mut self, eps: f64, delta: f64) -> Self {
         self.fidelity = Fidelity::Approx { eps, delta };
-        self
-    }
-
-    /// Set the answer fidelity explicitly (builder form of the field).
-    pub fn fidelity(mut self, fidelity: Fidelity) -> Self {
-        self.fidelity = fidelity;
-        self
-    }
-
-    /// Attach an in-solve cutoff (time budget, gap target, counter
-    /// budget) — shorthand for setting `budget.cutoff`.
-    pub fn cutoff(mut self, cutoff: Cutoff) -> Self {
-        self.budget.cutoff = cutoff;
         self
     }
 
@@ -420,7 +413,7 @@ impl Engine {
         spec.validate()?;
         // Fail fast, before the reduction's scoring pass.
         algo.ensure_supported(data, space)?;
-        let m = budget.samples.unwrap_or_else(|| spec.directions()).max(1);
+        let m = spec.directions_with(budget.samples);
         let depth = match request.task {
             Task::Minimize { .. } => Self::REDUCE_DEPTH.min(data.n()),
             Task::Represent { k } => k.clamp(1, data.n()),
@@ -1074,7 +1067,7 @@ mod tests {
         match sol.terminated_by {
             TerminatedBy::Sampled { eps, delta, directions } => {
                 assert_eq!((eps, delta), (0.1, 0.1));
-                assert!(directions >= 1);
+                assert_eq!(directions, ApproxSpec { eps, delta }.directions());
             }
             other => panic!("expected a sampled certificate, got {other:?}"),
         }
@@ -1089,6 +1082,10 @@ mod tests {
         let session = Session::new(table1());
         assert_eq!(session.run(&request).unwrap().solution, sol);
         assert_eq!((session.prepare_hits(), session.prepare_misses()), (0, 0));
+        // A samples override below the Hoeffding count leaves the sampled
+        // frame, and so the answer, as it was.
+        let fewer = engine.run(&data, &FullSpace::new(2), &request.clone().samples(16)).unwrap();
+        assert_eq!(fewer, sol);
     }
 
     #[test]
@@ -1131,7 +1128,10 @@ mod tests {
             Request::minimize(2).within(WeakRankingSpace::new(2, 1)),
             Request::minimize(2).within(WeakRankingSpace::new(2, 1))
         );
-        assert_ne!(base, Request::minimize(2).cutoff(Cutoff::GapAtMost(0.5)));
+        assert_ne!(
+            base,
+            Request::minimize(2).budget(Budget { gap: Some(0.5), ..Budget::UNLIMITED })
+        );
         let shown = format!("{:?}", Request::minimize(2).approx(0.1, 0.1));
         assert!(shown.contains("Approx"), "{shown}");
     }

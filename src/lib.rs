@@ -134,12 +134,16 @@
 //! ## One request type, one solve path
 //!
 //! [`Request`] is the only query type:
-//! `Request::minimize(r).algo(...).budget(...).cutoff(...).threads(...)
-//! .approx(...)` — Engine, Session, the serve protocol and the CLI all
-//! construct it, and [`Request::resolved_algorithm`] is the one place the
-//! `Auto` policy lives. Every algorithm has one implementation, its
-//! [`PreparedSolver`]: a query is always resolve → [`Solver::prepare`] →
-//! query, and a [`Session`] only differs in keeping the handle.
+//! `Request::minimize(r).algo(...).budget(...).threads(...).approx(...)`.
+//! Engine, Session, the serve protocol and the CLI all construct it, and
+//! [`Request::resolved_algorithm`] is the one place the `Auto` policy
+//! lives. Its [`Budget`] holds the frame (`samples`, `approx`) and one
+//! stop rule for the anytime solvers: `time_limit`, `gap`,
+//! `max_enumerations` and `max_lp_calls` all apply when set, and the
+//! first one reached stops the solve. Every algorithm has one
+//! implementation, its [`PreparedSolver`]: a query is always resolve →
+//! [`Solver::prepare`] → query, and a [`Session`] only differs in keeping
+//! the handle.
 //!
 //! ## The engine layer
 //!
@@ -197,7 +201,7 @@ pub use rrm_skyline;
 
 pub use rrm_core::{
     apply_updates, Algorithm, AppliedUpdate, ApproxSpec, BiasedOrthantSpace, Bounds, BoxSpace,
-    Budget, ConeSpace, Cutoff, Dataset, DimRange, ExecPolicy, Fidelity, FullSpace, Parallelism,
+    Budget, ConeSpace, Dataset, DimRange, ExecPolicy, Fidelity, FullSpace, Parallelism,
     PreparedSolver, RrmError, SampledOptions, Solution, Solver, SphereCap, TerminatedBy, UpdateOp,
     UtilitySpace, WeakRankingSpace,
 };
@@ -210,10 +214,9 @@ pub use engine::{AlgoChoice, Engine, Request, Response, Session, TaskKind, Tunin
 /// Everything a typical caller needs.
 pub mod prelude {
     pub use crate::{
-        session, Algorithm, ApproxSpec, BiasedOrthantSpace, BoxSpace, Budget, ConeSpace, Cutoff,
-        Dataset, Engine, ExecPolicy, Fidelity, FullSpace, Parallelism, PreparedSolver, Request,
-        Response, RrmError, Session, Solution, Solver, SphereCap, UpdateOp, UtilitySpace,
-        WeakRankingSpace,
+        session, Algorithm, ApproxSpec, BiasedOrthantSpace, BoxSpace, Budget, ConeSpace, Dataset,
+        Engine, ExecPolicy, Fidelity, FullSpace, Parallelism, PreparedSolver, Request, Response,
+        RrmError, Session, Solution, Solver, SphereCap, UpdateOp, UtilitySpace, WeakRankingSpace,
     };
 }
 

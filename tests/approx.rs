@@ -6,7 +6,9 @@
 //! routing that makes `Request::approx` answer as `Sampled` everywhere.
 
 use rank_regret::prelude::*;
-use rank_regret::rrm_core::approx::{sample_directions, solve_rrm_sampled_with};
+use rank_regret::rrm_core::approx::{
+    hoeffding_directions, sample_directions, solve_rrm_sampled_with,
+};
 use rank_regret::rrm_core::kernel;
 use rank_regret::rrm_data::scenario::{matrix, Region};
 use rank_regret::{ApproxSpec, Fidelity, TerminatedBy};
@@ -128,26 +130,34 @@ fn approx_requests_answer_at_sampled_fidelity_through_engine_and_session() {
         .expect("matrix has d=4 full-space cells");
     let data = cell.dataset(300);
     let space = cell.space();
-    let request = Request::minimize(4).approx(0.1, 0.05);
-    assert_eq!(request.fidelity, Fidelity::Approx { eps: 0.1, delta: 0.05 });
-
-    let via_engine = Engine::new().run(&data, space.as_ref(), &request).unwrap();
-    let via_session = Session::new(data.clone()).run(&request).unwrap();
-    for sol in [&via_engine, &via_session.solution] {
-        assert_eq!(sol.algorithm, Algorithm::Sampled);
-        match sol.terminated_by {
-            TerminatedBy::Sampled { eps, delta, directions } => {
-                assert_eq!((eps, delta), (0.1, 0.05));
-                assert!(directions >= 1, "confidence must state the sample size");
+    // The second request asks for fewer directions than its (ε, δ)
+    // needs: the override may add directions, never weaken the statement.
+    for (request, (want_eps, want_delta)) in [
+        (Request::minimize(4).approx(0.1, 0.05), (0.1, 0.05)),
+        (Request::minimize(4).approx(0.05, 0.05).samples(16), (0.05, 0.05)),
+    ] {
+        assert_eq!(request.fidelity, Fidelity::Approx { eps: want_eps, delta: want_delta });
+        let via_engine = Engine::new().run(&data, space.as_ref(), &request).unwrap();
+        let via_session = Session::new(data.clone()).run(&request).unwrap();
+        for sol in [&via_engine, &via_session.solution] {
+            assert_eq!(sol.algorithm, Algorithm::Sampled);
+            match sol.terminated_by {
+                TerminatedBy::Sampled { eps, delta, directions } => {
+                    assert_eq!((eps, delta), (want_eps, want_delta));
+                    assert!(
+                        directions >= hoeffding_directions(eps, delta),
+                        "{directions} directions cannot certify ({eps}, {delta})"
+                    );
+                }
+                ref other => panic!("expected Sampled termination, got {other:?}"),
             }
-            ref other => panic!("expected Sampled termination, got {other:?}"),
+            // A fidelity statement is not an early stop: sampled answers
+            // are complete answers under a weaker (stated) guarantee.
+            assert!(!sol.terminated_by.is_early_stop());
         }
-        // A fidelity statement is not an early stop: sampled answers are
-        // complete answers under a weaker (stated) guarantee.
-        assert!(!sol.terminated_by.is_early_stop());
+        // Same seed, same request: the two paths agree bit for bit.
+        assert_eq!(via_engine, via_session.solution);
     }
-    // Same seed, same request: the two paths agree bit for bit.
-    assert_eq!(via_engine, via_session.solution);
 }
 
 #[test]

@@ -3,20 +3,18 @@
 //! enforcement, and concurrent clients checked bit-for-bit against an
 //! in-process [`Session`].
 //!
-//! Every server here uses `scores_per_ms_override` so no test depends on
-//! the startup microbenchmark, and overload tests use `workers: 0` —
-//! admission and `stats` still answer on the reader threads, but no
-//! query ever dispatches, so which request gets rejected is exact, not
-//! timing-dependent.
+//! Overload tests use `workers: 0` — admission and `stats` still answer
+//! on the reader threads, but no query ever dispatches, so which request
+//! gets rejected is exact, not timing-dependent.
 
-use rank_regret::{Algorithm, ExecPolicy, Session, UpdateOp};
+use rank_regret::{Algorithm, ApproxSpec, ExecPolicy, Session, UpdateOp};
 use rrm_serve::{
     effective_request, parse_request, Client, Json, ServerConfig, ServerHandle, SyntheticKind,
     TenantSpec,
 };
 
 fn test_config() -> ServerConfig {
-    ServerConfig { workers: 1, scores_per_ms_override: Some(50_000.0), ..ServerConfig::default() }
+    ServerConfig { workers: 1, ..ServerConfig::default() }
 }
 
 fn small_tenant(name: &str) -> TenantSpec {
@@ -80,8 +78,8 @@ fn zero_deadline_on_a_cuttable_algorithm_returns_a_partial_answer() {
     let mut client = Client::connect(server.addr()).expect("connect");
     // deadline_ms:0 has always already elapsed by dispatch time. The
     // auto policy on a 3-D tenant resolves to HDRRM, which is cuttable:
-    // instead of a deadline_exceeded error, the solver runs under an
-    // already-expired cutoff and answers with its first incumbent.
+    // instead of a deadline_exceeded error, the solver runs with no time
+    // left and answers with its first incumbent.
     let resp = client
         .call(r#"{"op":"minimize","tenant":"t","param":3,"deadline_ms":0,"id":7}"#)
         .expect("call");
@@ -205,7 +203,7 @@ fn concurrent_clients_match_the_in_process_session() {
     });
 
     // Replay each request through a fresh in-process session built from
-    // the same spec and the server's calibration: bit-identical answers.
+    // the same spec: bit-identical answers.
     let session = Session::new(spec.source.load().expect("load")).exec(ExecPolicy::sequential());
     let calibration = server.calibration();
     for (line, resp) in lines.iter().zip(&responses) {
@@ -318,6 +316,15 @@ fn gap_cutoff_queries_answer_over_the_wire() {
         .expect("call");
     assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
     assert_eq!(resp.get("size").and_then(Json::as_usize), Some(4));
+    // A gap and a deadline compose: the trivially met gap target stops
+    // the search long before the minute is up.
+    let resp = client
+        .call(r#"{"op":"minimize","tenant":"t","param":4,"algo":"hdrrm","gap":1.0,"deadline_ms":60000,"id":2}"#)
+        .expect("call");
+    assert_eq!(str_field(&resp, "status"), "ok", "{resp:?}");
+    assert_eq!(resp.get("partial"), Some(&Json::Bool(true)), "{resp:?}");
+    let diagnostics = resp.get("diagnostics").expect("diagnostics attached");
+    assert_eq!(diagnostics.get("terminated_by").and_then(Json::as_str), Some("gap"));
     server.shutdown();
 }
 
@@ -365,6 +372,30 @@ fn approx_queries_answer_at_sampled_fidelity_over_the_wire() {
     assert_eq!(tenant.get("approx_answers").and_then(Json::as_usize), Some(2));
     let cache = tenant.get("result_cache").expect("result_cache block");
     assert_eq!(cache.get("hits").and_then(Json::as_usize), Some(1));
+}
+
+#[test]
+fn a_deadline_never_changes_an_approx_answer() {
+    let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let base = r#"{"op":"minimize","tenant":"t","param":4,"approx":{"eps":0.05}"#;
+    let plain = client.call(&format!(r#"{base},"id":1}}"#)).expect("call");
+    assert_eq!(str_field(&plain, "status"), "ok", "{plain:?}");
+    let confidence = plain.get("confidence").expect("confidence block");
+    let directions = confidence.get("directions").and_then(Json::as_usize);
+    assert_eq!(directions, Some(ApproxSpec { eps: 0.05, delta: 0.05 }.directions()));
+    // A deadline is at most a time limit, and the sampled tier cannot be
+    // cut: the frame, and so the answer, stay those of the plain request.
+    // A samples override below the Hoeffding count cannot shrink the
+    // frame either.
+    for extra in [r#""deadline_ms":60000"#, r#""samples":16"#] {
+        let resp = client.call(&format!(r#"{base},{extra},"id":2}}"#)).expect("call");
+        assert_eq!(str_field(&resp, "status"), "ok", "{extra}: {resp:?}");
+        assert_eq!(resp.get("indices"), plain.get("indices"), "{extra}");
+        assert_eq!(resp.get("confidence"), plain.get("confidence"), "{extra}");
+        assert!(resp.get("partial").is_none(), "{extra}: {resp:?}");
+    }
+    server.shutdown();
 }
 
 #[test]
