@@ -17,6 +17,7 @@
 //! space `L` or a restricted 2D space rendered onto a weight interval
 //! `[c0, c1]` (Section IV-C).
 
+mod band;
 pub mod matrix;
 pub mod pareto;
 pub mod rrm2d;

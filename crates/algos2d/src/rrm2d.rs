@@ -11,12 +11,20 @@
 //! # Event machinery
 //!
 //! The paper maintains all `n` lines in a sorted list and pops adjacent
-//! intersections from a heap (`O(n² log n)`); only crossings that involve
-//! a skyline line ever change a rank the DP reads, so the default here
-//! replays exactly those `O(s·n)` crossings from a pre-sorted stream
-//! ([`rrm_geom::events`]). Set [`Rrm2dOptions::use_full_sweep`] to run the
-//! paper's original full-arrangement sweep instead (identical output;
-//! compared in the `ablation_sweep` benchmark and `repro ablation`).
+//! intersections from a heap (`O(n² log n)`). Only crossings that involve
+//! a skyline line change a rank the DP reads, and only ranks up to the
+//! answer matter, so the default replays the `O(s·|band|)` crossings of
+//! the skyline lines with the *K-band* from a pre-sorted stream
+//! ([`rrm_geom::events`]): the rows fewer than `K` others beat at both
+//! ends of the weight interval. A replay over the band is exact when its
+//! best final rank is at most `K`; otherwise `K` doubles and the replay
+//! runs again on the wider band. `K` starts at 32, or for `r = 1` at
+//! `2·LB₁ − 1` (`LB₁` is the best worst-endpoint rank of any row), a bound
+//! on every budget's optimum that also caps the doubling; past it `K`
+//! keeps doubling, so exactness never rests on the bound. Set
+//! [`Rrm2dOptions::use_full_sweep`] to run the paper's original
+//! full-arrangement sweep over every row instead (identical output;
+//! `repro ablation` fails on any difference).
 //!
 //! # Degeneracies
 //!
@@ -33,23 +41,23 @@ use rrm_core::{
     Algorithm, AppliedUpdate, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution,
     UtilitySpace,
 };
-use rrm_geom::dual::{cmp_at, normalized_interval_2d, DualLine};
-use rrm_geom::events::{crossing_of_pair, crossings_with_tracked_capped_par, stream_crossings};
+use rrm_geom::dual::{normalized_interval_2d, DualLine};
+use rrm_geom::events::initial_ranks;
 use rrm_geom::sweep::arrangement_sweep;
-use rrm_geom::Crossing;
 use rrm_skyline::restricted::u_transform_2d;
 use rrm_skyline::IncrementalSkyline;
 
+use crate::band::{Bands, START};
 use crate::matrix::DpMatrix;
 
 /// Tuning knobs for 2DRRM ([`Prepared2d`]).
 #[derive(Debug, Clone, Copy)]
 pub struct Rrm2dOptions {
-    /// Replay the paper-faithful full arrangement sweep on every query
-    /// instead of the skyline-crossing event stream (which is then never
-    /// materialized). Same output, more events.
+    /// Replay the paper-faithful full arrangement sweep over every row on
+    /// every query instead of the K-band crossing stream (no band is then
+    /// built). Same output, more events.
     pub use_full_sweep: bool,
-    /// Upper bound on crossings materialized at once by the event stream.
+    /// Upper bound on crossings a band's event stream materializes at once.
     pub chunk_target: usize,
     /// Data-parallelism for crossing classification and the prepared
     /// per-`r` memo fill. The DP replay itself is inherently sequential
@@ -104,77 +112,40 @@ fn dedup_candidates(lines: &[DualLine], candidates: &[u32]) -> Vec<u32> {
     sky
 }
 
-/// 1-based ranks from a sorted id order (the inverse permutation
-/// [`initial_ranks`] builds after sorting).
-fn ranks_of_order(order: &[u32]) -> Vec<usize> {
-    let mut rank = vec![0usize; order.len()];
-    for (pos, &id) in order.iter().enumerate() {
-        rank[id as usize] = pos + 1;
-    }
-    rank
-}
-
-/// The `(x, down, up)` total order every crossing stream is sorted by.
-fn cmp_crossing(a: &Crossing, b: &Crossing) -> std::cmp::Ordering {
-    a.x.partial_cmp(&b.x).expect("finite crossings").then(a.down.cmp(&b.down)).then(a.up.cmp(&b.up))
-}
-
-/// Merge two `(x, down, up)`-sorted crossing streams. Keys are distinct
-/// (one crossing per line pair), so the merge is the unique sorted
-/// sequence — exactly what a full re-sort would produce.
-fn merge_crossings(a: Vec<Crossing>, b: Vec<Crossing>) -> Vec<Crossing> {
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if cmp_crossing(&a[i], &b[j]).is_lt() {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// The DP core: one matrix run over an event source. `for_each` must
-/// yield the crossings of `stream_crossings(lines, sky, c0, c1, ..)` in
-/// exactly that order (streamed, materialized, or full-sweep — all three
-/// are order-identical for tracked lines). Requires `sky.len() > r` (the
-/// caller handles the trivial whole-skyline case).
+/// The DP core: one matrix run over an event source. Lines are indexed in
+/// one space — every row, or a band's rows: `row_of` maps a line to its
+/// skyline row (`usize::MAX` = not a skyline line), `init_ranks` holds
+/// every line's rank at `c0`, and `for_each` must yield the `(down, up)`
+/// pairs of the skyline lines' crossings in `(x, down, up)` order. `sky`
+/// holds the skyline rows' ids, which the chains report. Requires
+/// `sky.len() > r` (the caller handles the trivial whole-skyline case).
 fn dp_run(
     data: &Dataset,
-    lines: &[DualLine],
     sky: &[u32],
+    row_of: &[usize],
     init_ranks: &[usize],
     r: usize,
-    for_each: impl FnOnce(&mut dyn FnMut(f64, u32, u32)),
+    for_each: impl FnOnce(&mut dyn FnMut(u32, u32)),
 ) -> Result<Solution, RrmError> {
-    // Row lookup: line id -> skyline row (usize::MAX = not a skyline line).
-    let mut row_of = vec![usize::MAX; lines.len()];
-    for (i, &id) in sky.iter().enumerate() {
-        row_of[id as usize] = i;
-    }
-
     let mut rank: Vec<u32> = init_ranks.iter().map(|&v| v as u32).collect();
-    let sky_ranks: Vec<u32> = sky.iter().map(|&id| rank[id as usize]).collect();
+    let mut sky_ranks = vec![0u32; sky.len()];
+    for (line, &row) in row_of.iter().enumerate() {
+        if row != usize::MAX {
+            sky_ranks[row] = rank[line];
+        }
+    }
     let mut m = DpMatrix::new(sky, &sky_ranks, r);
 
     // Event replay: at each crossing the `down` line's rank increases.
     // `extend` must see `M[i_down, h-1]` pre-fold, hence extend-then-fold.
-    let mut apply = |_x: f64, down: u32, up: u32| {
+    let mut apply = |down: u32, up: u32| {
         rank[down as usize] += 1;
         rank[up as usize] -= 1;
         let i_down = row_of[down as usize];
         if i_down != usize::MAX {
             let j_up = row_of[up as usize];
             if j_up != usize::MAX {
-                m.extend(i_down, j_up, up);
+                m.extend(i_down, j_up, sky[j_up]);
             }
             m.fold_rank(i_down, rank[down as usize]);
         }
@@ -186,42 +157,42 @@ fn dp_run(
     Solution::new(chain, Some(best_rank as usize), Algorithm::TwoDRrm, data)
 }
 
+/// Solutions a handle has settled, per size budget.
+#[derive(Default)]
+struct Memo {
+    /// Exact solutions.
+    solved: HashMap<usize, Solution>,
+    /// A threshold the budget's optimum is known to exceed (a band replay
+    /// that did not certify).
+    exceeds: HashMap<usize, usize>,
+}
+
 /// **2DRRM** bound to one dataset and utility space: the exact 2D solver.
 /// RRM (`space = L`) or RRRM (restricted `space`) is one DP replay per
 /// size budget; exact RRR is a binary search on the size over those
 /// replays ("2DRRM can be easily adopted for RRR by a binary search").
 ///
-/// Preparation (Theorem 3's candidates and the dual-line crossings)
-/// renders the space onto its weight interval, computes the restricted
-/// skyline, the dual lines and the initial ranks, and — when they fit the
-/// [`Rrm2dOptions::chunk_target`] memory budget, and the full sweep is
-/// not requested — materializes the sorted crossing stream, so each query
-/// is one DP replay instead of a full sweep reconstruction. Solutions are
+/// Preparation (Theorem 3's candidates) renders the space onto its weight
+/// interval, computes the restricted skyline and the dual lines, and
+/// counts each row's dominators at the interval's ends. The K-bands those
+/// counts define, and their crossing streams (materialized when they fit
+/// the [`Rrm2dOptions::chunk_target`] memory budget), are built on first
+/// use and cached, so each later query is one DP replay. Solutions are
 /// memoized per `r`, which also makes the RRR binary search and the
 /// Pareto frontier ([`crate::pareto_frontier`]) share probe work.
 pub struct Prepared2d {
     data: Dataset,
     options: Rrm2dOptions,
-    c0: f64,
-    c1: f64,
-    /// Deduplicated candidates in ascending slope order (the DP rows).
-    sky: Vec<u32>,
     /// Pre-dedup candidate count: the RRR binary search's upper bound.
     sky_total: usize,
-    lines: Vec<DualLine>,
-    init_ranks: Vec<usize>,
-    /// Materialized crossings, `None` when they exceed the chunk budget
-    /// (the DP then streams per query: slower, but memory stays bounded)
-    /// or when [`Rrm2dOptions::use_full_sweep`] replays the arrangement.
-    events: Option<Vec<Crossing>>,
     /// Incrementally maintained restricted skyline over the
     /// extreme-direction transform of the data (its skyline *is* the
     /// pre-dedup candidate set).
     usky: IncrementalSkyline,
-    /// All line ids sorted by the `x = c0` order — the source of
-    /// `init_ranks`, persisted so updates can merge instead of re-sorting.
-    order0: Vec<u32>,
-    memo: Mutex<HashMap<usize, Solution>>,
+    /// Tracks the deduplicated candidates in ascending slope order (the
+    /// DP rows).
+    bands: Bands,
+    memo: Mutex<Memo>,
 }
 
 impl Prepared2d {
@@ -234,212 +205,95 @@ impl Prepared2d {
     ) -> Result<Self, RrmError> {
         let (c0, c1) = weight_interval(space)?;
         let usky = IncrementalSkyline::build(&u_transform_2d(data, c0, c1));
-        let sky_total = usky.skyline().len();
-        let lines = DualLine::from_dataset(data);
-        let sky = dedup_candidates(&lines, usky.skyline());
-        let mut order0: Vec<u32> = (0..lines.len() as u32).collect();
-        rrm_geom::dual::order_at(&lines, &mut order0, c0);
-        let init_ranks = ranks_of_order(&order0);
-        // Parallel classification: chunked per tracked line, merged by a
-        // deterministic total order — bit-identical to the sequential
-        // enumeration (see rrm_geom::events).
-        let events = if options.use_full_sweep {
-            None
-        } else {
-            crossings_with_tracked_capped_par(
-                &lines,
-                &sky,
-                c0,
-                c1,
-                options.chunk_target,
-                options.exec.parallelism,
-            )
-        };
-        Ok(Self {
-            data: data.clone(),
-            options,
-            c0,
-            c1,
-            sky,
-            sky_total,
-            lines,
-            init_ranks,
-            events,
-            usky,
-            order0,
-            memo: Mutex::new(HashMap::new()),
-        })
+        Ok(Self::assemble(data.clone(), options, (c0, c1), usky))
     }
 
-    /// Rebind the prepared state to the post-update dataset by patching it
-    /// in place of a full re-prepare:
-    ///
-    /// * the restricted-skyline candidate set advances through the
-    ///   maintained [`IncrementalSkyline`] (O(churn · s) instead of a full
-    ///   sort-filter pass);
-    /// * the `x = c0` line order keeps its surviving sequence (the remap is
-    ///   monotone and survivors' lines are unchanged) and merges the sorted
-    ///   churn in O(n), replacing the O(n log n) re-sort;
-    /// * the crossing stream is repaired locally: surviving events that
-    ///   still involve a tracked line are remapped (their `x` is a pure
-    ///   function of the two unchanged lines), and only pairs with an
-    ///   inserted or newly tracked endpoint are re-intersected.
-    ///
-    /// Every piece is bit-identical to what [`Prepared2d::new`] on
-    /// `upd.new` computes — the parity tests below compare the full
-    /// internal state, not just answers. Memoized solutions are dropped
-    /// (they describe the old rows).
+    fn assemble(
+        data: Dataset,
+        options: Rrm2dOptions,
+        (c0, c1): (f64, f64),
+        usky: IncrementalSkyline,
+    ) -> Self {
+        let lines = DualLine::from_dataset(&data);
+        let sky = dedup_candidates(&lines, usky.skyline());
+        let bands = Bands::new(lines, sky, c0, c1, options.chunk_target, options.exec.parallelism);
+        Self {
+            data,
+            options,
+            sky_total: usky.skyline().len(),
+            usky,
+            bands,
+            memo: Mutex::new(Memo::default()),
+        }
+    }
+
+    /// Rebind the prepared state to the post-update dataset: the
+    /// restricted-skyline candidate set advances through the maintained
+    /// [`IncrementalSkyline`] (O(churn · s) instead of a full sort-filter
+    /// pass); dominators are recounted, and bands and memoized solutions
+    /// are dropped (they describe the old rows).
     fn patched(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
         assert_eq!(data.dim(), 2, "updates cannot change the arity");
-        let n_new = data.n();
-        let first_ins = n_new - upd.inserted.len();
-        let lines = DualLine::from_dataset(&data);
-
-        // Candidates: advance the incremental restricted skyline.
+        let (c0, c1) = self.bands.interval();
         let mut usky = self.usky.clone();
-        usky.apply(&u_transform_2d(&data, self.c0, self.c1), &upd.remap, &upd.inserted);
-        let sky_total = usky.skyline().len();
-        let sky = dedup_candidates(&lines, usky.skyline());
+        usky.apply(&u_transform_2d(&data, c0, c1), &upd.remap, &upd.inserted);
+        Self::assemble(data, self.options, (c0, c1), usky)
+    }
 
-        // Initial ranks at c0: merge the surviving order with the sorted
-        // inserts under the same total order `order_at` sorts by.
-        let survivors: Vec<u32> =
-            self.order0.iter().filter_map(|&id| upd.remap[id as usize]).collect();
-        let mut churn: Vec<u32> = upd.inserted.clone();
-        churn.sort_unstable_by(|&a, &b| cmp_at(&lines, self.c0, a, b));
-        let mut order0 = Vec::with_capacity(n_new);
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < survivors.len() && j < churn.len() {
-            if cmp_at(&lines, self.c0, survivors[i], churn[j]).is_lt() {
-                order0.push(survivors[i]);
-                i += 1;
-            } else {
-                order0.push(churn[j]);
-                j += 1;
-            }
-        }
-        order0.extend_from_slice(&survivors[i..]);
-        order0.extend_from_slice(&churn[j..]);
-        let init_ranks = ranks_of_order(&order0);
-
-        // Crossing-event repair, local to the touched lines.
-        let events = self.events.as_ref().map(|old_events| {
-            let mut ns_mask = vec![false; n_new];
-            for &s in &sky {
-                ns_mask[s as usize] = true;
-            }
-            // Old tracked set on surviving new ids.
-            let mut os_surv = vec![false; n_new];
-            for &t in &self.sky {
-                if let Some(nt) = upd.remap[t as usize] {
-                    os_surv[nt as usize] = true;
-                }
-            }
-            // R: surviving crossings that still involve a tracked line.
-            // The filter preserves sortedness (monotone remap, same x).
-            let mut kept: Vec<Crossing> = Vec::with_capacity(old_events.len());
-            for c in old_events {
-                if let (Some(nd), Some(nu)) = (upd.remap[c.down as usize], upd.remap[c.up as usize])
-                {
-                    if ns_mask[nd as usize] || ns_mask[nu as usize] {
-                        kept.push(Crossing { x: c.x, down: nd, up: nu });
-                    }
-                }
-            }
-            // A: pairs the old stream cannot contain, deduplicated by the
-            // same skip rule the enumeration passes use.
-            let mut fresh: Vec<Crossing> = Vec::new();
-            // Inserted tracked lines against everything.
-            for &j in &upd.inserted {
-                if !ns_mask[j as usize] {
-                    continue;
-                }
-                for o in 0..n_new as u32 {
-                    if o == j || (ns_mask[o as usize] && o < j) {
-                        continue;
-                    }
-                    fresh.extend(crossing_of_pair(&lines, j, o, self.c0, self.c1));
-                }
-            }
-            // Surviving tracked lines against the inserted lines, and
-            // promoted (newly tracked) survivors against the previously
-            // untracked survivors (tracked–old-tracked pairs are in R).
-            let mut promoted: Vec<u32> = Vec::new();
-            let mut promoted_mask = vec![false; first_ins];
-            for &t in &sky {
-                if (t as usize) >= first_ins {
-                    continue;
-                }
-                for &o in &upd.inserted {
-                    fresh.extend(crossing_of_pair(&lines, t, o, self.c0, self.c1));
-                }
-                if !os_surv[t as usize] {
-                    promoted.push(t);
-                    promoted_mask[t as usize] = true;
-                }
-            }
-            for &p in &promoted {
-                for o in 0..first_ins as u32 {
-                    if o == p || os_surv[o as usize] || (promoted_mask[o as usize] && o < p) {
-                        continue;
-                    }
-                    fresh.extend(crossing_of_pair(&lines, p, o, self.c0, self.c1));
-                }
-            }
-            fresh.sort_unstable_by(cmp_crossing);
-            merge_crossings(kept, fresh)
-        });
-        // Same materialization rule as the capped enumeration: the stream
-        // is kept only when it fits the chunk budget.
-        let events = match events {
-            Some(all) if all.len() <= self.options.chunk_target => Some(all),
-            _ => None,
-        };
-
-        Self {
-            data,
-            options: self.options,
-            c0: self.c0,
-            c1: self.c1,
-            sky,
-            sky_total,
-            lines,
-            init_ranks,
-            events,
-            usky,
-            order0,
-            memo: Mutex::new(HashMap::new()),
-        }
+    /// Answer from one band holding every row: the all-rows stream the
+    /// bands are checked against.
+    #[cfg(test)]
+    pub(crate) fn all_rows(mut self) -> Self {
+        self.bands.all_rows();
+        self
     }
 
     /// Number of candidate (restricted-skyline, deduplicated) tuples.
     pub fn candidates(&self) -> usize {
-        self.sky.len()
+        self.bands.tracked().len()
     }
 
-    /// One DP replay for size budget `r` against the cached sweep state,
+    /// One exact solve for size budget `r` against the cached sweep state,
     /// bypassing the memo (the unit of work of the parallel memo fill).
     fn compute_rrm(&self, r: usize) -> Result<Solution, RrmError> {
+        let sky = self.bands.tracked();
         // The whole candidate set has rank-regret 1 (the top-1 for any u
         // in the space is never U-dominated, hence a candidate).
-        if self.sky.len() <= r {
-            return Solution::new(self.sky.clone(), Some(1), Algorithm::TwoDRrm, &self.data);
+        if sky.len() <= r {
+            return Solution::new(sky.to_vec(), Some(1), Algorithm::TwoDRrm, &self.data);
         }
-        let (lines, sky, c0, c1) = (&self.lines, &self.sky, self.c0, self.c1);
-        dp_run(&self.data, lines, sky, &self.init_ranks, r, |apply| match &self.events {
-            Some(events) => {
-                for c in events {
-                    apply(c.x, c.down, c.up);
-                }
+        if self.options.use_full_sweep {
+            let lines = self.bands.lines();
+            let (c0, c1) = self.bands.interval();
+            let mut row_of = vec![usize::MAX; lines.len()];
+            for (i, &id) in sky.iter().enumerate() {
+                row_of[id as usize] = i;
             }
-            None if self.options.use_full_sweep => {
-                arrangement_sweep(lines, c0, c1, |x, down, up, _| apply(x, down, up));
+            return dp_run(&self.data, sky, &row_of, &initial_ranks(lines, c0), r, |apply| {
+                arrangement_sweep(lines, c0, c1, |_, down, up, _| apply(down, up));
+            });
+        }
+        let cap = self.bands.cap();
+        let mut k = if r == 1 { cap } else { START.min(cap) };
+        loop {
+            if let Some(sol) = self.replay_band(r, k)? {
+                return Ok(sol);
             }
-            None => stream_crossings(lines, sky, c0, c1, self.options.chunk_target, |c| {
-                apply(c.x, c.down, c.up)
-            }),
-        })
+            k = if k < cap { (2 * k).min(cap) } else { k.saturating_mul(2) };
+        }
+    }
+
+    /// One DP replay for budget `r` over the band for `k`: the exact
+    /// solution when the band certifies its rank-regret, `None` when the
+    /// optimum exceeds `k`.
+    fn replay_band(&self, r: usize, k: usize) -> Result<Option<Solution>, RrmError> {
+        let band = self.bands.band(k);
+        let sol =
+            dp_run(&self.data, self.bands.tracked(), &band.row_of, &band.init_ranks, r, |apply| {
+                band.replay(|c| apply(c.down, c.up))
+            })?;
+        Ok((sol.certified_regret.expect("the DP certifies") <= band.k).then_some(sol))
     }
 
     /// Exact RRM for one size budget, replaying the cached sweep.
@@ -447,12 +301,44 @@ impl Prepared2d {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        if let Some(sol) = self.memo.lock().expect("2D memo poisoned").get(&r) {
+        if let Some(sol) = self.memo.lock().expect("2D memo poisoned").solved.get(&r) {
             return Ok(sol.clone());
         }
         let sol = self.compute_rrm(r)?;
-        self.memo.lock().expect("2D memo poisoned").insert(r, sol.clone());
+        self.memo.lock().expect("2D memo poisoned").solved.insert(r, sol.clone());
         Ok(sol)
+    }
+
+    /// Budget `r`'s exact solution if its rank-regret is at most `k`, else
+    /// `None`. An unsettled budget is decided by one replay on the band for
+    /// `k`, so the RRR size search never replays wider than its threshold.
+    fn rrm_within(&self, r: usize, k: usize) -> Result<Option<Solution>, RrmError> {
+        let within = |sol: Solution| (sol.certified_regret.expect("certified") <= k).then_some(sol);
+        {
+            let memo = self.memo.lock().expect("2D memo poisoned");
+            if let Some(sol) = memo.solved.get(&r) {
+                return Ok(within(sol.clone()));
+            }
+            if memo.exceeds.get(&r).is_some_and(|&e| e >= k) {
+                return Ok(None);
+            }
+        }
+        if self.candidates() <= r || self.options.use_full_sweep {
+            return self.rrm(r).map(within);
+        }
+        let sol = self.replay_band(r, k)?;
+        let mut memo = self.memo.lock().expect("2D memo poisoned");
+        match sol {
+            Some(sol) => {
+                memo.solved.insert(r, sol.clone());
+                Ok(within(sol))
+            }
+            None => {
+                let e = memo.exceeds.entry(r).or_insert(0);
+                *e = (*e).max(k);
+                Ok(None)
+            }
+        }
     }
 
     /// Answer many size budgets at once: uncached budgets are replayed
@@ -469,7 +355,7 @@ impl Prepared2d {
         let missing: Vec<usize> = {
             let memo = self.memo.lock().expect("2D memo poisoned");
             let mut missing: Vec<usize> =
-                rs.iter().copied().filter(|r| !memo.contains_key(r)).collect();
+                rs.iter().copied().filter(|r| !memo.solved.contains_key(r)).collect();
             missing.sort_unstable();
             missing.dedup();
             missing
@@ -480,7 +366,7 @@ impl Prepared2d {
             let mut memo = self.memo.lock().expect("2D memo poisoned");
             for (r, sol) in missing.iter().zip(&computed) {
                 if let Ok(sol) = sol {
-                    memo.insert(*r, sol.clone());
+                    memo.solved.insert(*r, sol.clone());
                 }
             }
         }
@@ -506,10 +392,10 @@ impl PreparedSolver for Prepared2d {
         self.rrm(r)
     }
 
-    /// Exact RRR: binary search on the output size over the memoized RRM
-    /// replays. Errors with [`RrmError::Unsupported`] when even the full
-    /// candidate set misses the threshold — impossible for `k ≥ 1` since
-    /// the whole (restricted) skyline achieves rank-regret 1.
+    /// Exact RRR: binary search on the output size, each probe settled on
+    /// the band for `k`. Errors with [`RrmError::Unsupported`] when even
+    /// the full candidate set misses the threshold — impossible for
+    /// `k ≥ 1` since the whole (restricted) skyline achieves rank-regret 1.
     fn solve_rrr(&self, k: usize, _budget: &Budget) -> Result<Solution, RrmError> {
         if k == 0 {
             return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
@@ -519,12 +405,12 @@ impl PreparedSolver for Prepared2d {
         let mut best: Option<Solution> = None;
         while lo <= hi {
             let mid = lo + (hi - lo) / 2;
-            let sol = self.rrm(mid)?;
-            if sol.certified_regret.expect("certified") <= k {
-                hi = mid - 1;
-                best = Some(sol);
-            } else {
-                lo = mid + 1;
+            match self.rrm_within(mid, k)? {
+                Some(sol) => {
+                    hi = mid - 1;
+                    best = Some(sol);
+                }
+                None => lo = mid + 1,
             }
         }
         best.ok_or_else(|| RrmError::Unsupported("no candidate set meets the threshold".into()))
@@ -614,8 +500,6 @@ mod tests {
             let d = Dataset::from_rows(&rows).unwrap();
             let stream = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
             let sweep = Prepared2d::new(&d, &FullSpace::new(2), full).unwrap();
-            // The full sweep replays the arrangement; it keeps no stream.
-            assert!(sweep.events.is_none(), "trial {trial}");
             for r in 1..4 {
                 let a = stream.rrm(r).unwrap();
                 let b = sweep.rrm(r).unwrap();
@@ -797,13 +681,11 @@ mod tests {
                     prepared = prepared.patched(&upd);
                     let fresh =
                         Prepared2d::new(&upd.new, space.as_ref(), Rrm2dOptions::default()).unwrap();
-                    // Full internal-state parity, not just answers.
+                    // Candidate and dominator-count parity, then answers.
                     let ctx = format!("trial {trial} batch {batch}");
-                    assert_eq!(prepared.sky, fresh.sky, "{ctx}");
+                    assert_eq!(prepared.bands.tracked(), fresh.bands.tracked(), "{ctx}");
                     assert_eq!(prepared.sky_total, fresh.sky_total, "{ctx}");
-                    assert_eq!(prepared.order0, fresh.order0, "{ctx}");
-                    assert_eq!(prepared.init_ranks, fresh.init_ranks, "{ctx}");
-                    assert_eq!(prepared.events, fresh.events, "{ctx}");
+                    assert_eq!(prepared.bands.counts(), fresh.bands.counts(), "{ctx}");
                     for r in 1..4 {
                         assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "{ctx} r={r}");
                     }
@@ -827,13 +709,12 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..40).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        // chunk_target 1: events never materialize, updates keep None.
+        // chunk_target 1: band streams never materialize.
         let tiny = Rrm2dOptions { chunk_target: 1, ..Default::default() };
         let mut prepared = Prepared2d::new(&data, &FullSpace::new(2), tiny).unwrap();
         let upd =
             apply_updates(&data, &[UpdateOp::Delete(3), UpdateOp::Insert(vec![0.9, 0.9])]).unwrap();
         prepared = prepared.patched(&upd);
-        assert!(prepared.events.is_none());
         let fresh = Prepared2d::new(&upd.new, &FullSpace::new(2), tiny).unwrap();
         for r in 1..4 {
             assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "r={r}");

@@ -9,6 +9,12 @@
 //! windows yields a set that is no larger than the optimal rank-k
 //! representative while guaranteeing rank-regret ≤ 2k − 1.
 //!
+//! The windows are read off the crossings of the candidates with the
+//! K-band for `K = k`: the rows that fewer than `k` others beat at both
+//! ends of the weight range, whose ranks are exact up to `k`. The
+//! doubling phase builds one band per probe; the halving phase reuses the
+//! last.
+//!
 //! The RRM adaptation binary-searches the smallest `k` whose cover fits
 //! the size budget `r`, using the doubling + halving scheme of Section
 //! V-B.2 ("improved binary search").
@@ -20,107 +26,28 @@ use rrm_core::{
     Algorithm, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution, UtilitySpace,
 };
 use rrm_geom::dual::DualLine;
-use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, Crossing};
 use rrm_setcover::interval::{cover_segment, Interval};
 use rrm_skyline::restricted::u_skyline_2d;
 
+use crate::band::Bands;
 use crate::rrm2d::weight_interval;
 
 const COVER_TOL: f64 = 1e-9;
 
-/// Reusable sweep state shared by every threshold probed during the binary
-/// search: candidates, their crossing events (sorted), and initial ranks.
-struct SweepCache {
-    sky: Vec<u32>,
-    events: Vec<Crossing>,
-    init_rank: Vec<usize>,
-    c0: f64,
-    c1: f64,
-}
-
-impl SweepCache {
-    fn build(data: &Dataset, c0: f64, c1: f64, exec: ExecPolicy) -> Self {
-        let sky = u_skyline_2d(data, c0, c1);
-        let lines = DualLine::from_dataset(data);
-        // Crossing classification chunked per tracked line; the merged
-        // stream is bit-identical at any thread count.
-        let events =
-            crossings_with_tracked_capped_par(&lines, &sky, c0, c1, usize::MAX, exec.parallelism)
-                .expect("uncapped enumeration always materializes");
-        let init_rank = initial_ranks(&lines, c0);
-        Self { sky, events, init_rank, c0, c1 }
-    }
-
-    /// The rank ≤ k window `[first, last]` of every candidate, skipping
-    /// candidates that never reach rank ≤ k.
-    fn windows(&self, k: usize) -> Vec<Interval> {
-        let mut lo: Vec<f64> = vec![f64::NAN; self.sky.len()];
-        let mut hi: Vec<f64> = vec![f64::NAN; self.sky.len()];
-        let mut row_of = std::collections::HashMap::new();
-        for (i, &id) in self.sky.iter().enumerate() {
-            row_of.insert(id, i);
-        }
-        let mut rank: Vec<usize> = self.init_rank.clone();
-        // Initial state at c0.
-        for (i, &id) in self.sky.iter().enumerate() {
-            if rank[id as usize] <= k {
-                lo[i] = self.c0;
-                hi[i] = self.c0;
-            }
-        }
-        for ev in &self.events {
-            rank[ev.down as usize] += 1;
-            rank[ev.up as usize] -= 1;
-            // Entering the window (rank drops to k) or leaving it (rank
-            // rises past k) both happen at ev.x.
-            if let Some(&i) = row_of.get(&ev.up) {
-                if rank[ev.up as usize] <= k {
-                    if lo[i].is_nan() {
-                        lo[i] = ev.x;
-                    }
-                    hi[i] = ev.x;
-                }
-            }
-            if let Some(&i) = row_of.get(&ev.down) {
-                if rank[ev.down as usize] == k + 1 && !lo[i].is_nan() {
-                    hi[i] = ev.x; // rank was ≤ k right up to this point
-                }
-            }
-        }
-        // A line still within rank ≤ k at the end extends to c1.
-        for (i, &id) in self.sky.iter().enumerate() {
-            if rank[id as usize] <= k && !lo[i].is_nan() {
-                hi[i] = self.c1;
-            }
-        }
-        self.sky
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !lo[*i].is_nan())
-            .map(|(i, &id)| Interval::new(lo[i], hi[i], id))
-            .collect()
-    }
-
-    /// Minimum single-window cover for threshold `k`, if one exists.
-    fn cover(&self, k: usize) -> Option<Vec<u32>> {
-        let windows = self.windows(k);
-        cover_segment(&windows, self.c0, self.c1, COVER_TOL)
-            .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect())
-    }
-}
-
-/// **2DRRR** bound to one dataset and weight interval: the sweep cache
-/// (candidates, sorted crossings, initial ranks) is built once, and
-/// per-threshold covers are memoized, so repeated queries — and the RRM
-/// adaptation's whole binary search — replay cached state.
+/// **2DRRR** bound to one dataset and weight interval: the candidates and
+/// their dominator counts are computed once, the bands their windows are
+/// read from are built on first use, and per-threshold covers are
+/// memoized, so repeated queries — and the RRM adaptation's whole binary
+/// search — replay cached state.
 pub struct PreparedRrr2d {
     data: Dataset,
-    cache: SweepCache,
+    /// Tracks the restricted skyline, ascending.
+    bands: Bands,
     covers: Mutex<HashMap<usize, Option<Vec<u32>>>>,
 }
 
 impl PreparedRrr2d {
-    /// Build the sweep cache under `exec` (queries are identical at any
+    /// Build the sweep state under `exec` (queries are identical at any
     /// thread count). The caller has run
     /// [`Algorithm::ensure_supported`] (`d = 2`).
     pub(crate) fn new(
@@ -129,20 +56,78 @@ impl PreparedRrr2d {
         exec: ExecPolicy,
     ) -> Result<Self, RrmError> {
         let (c0, c1) = weight_interval(space)?;
-        Ok(Self {
-            data: data.clone(),
-            cache: SweepCache::build(data, c0, c1, exec),
-            covers: Mutex::new(HashMap::new()),
-        })
+        let sky = u_skyline_2d(data, c0, c1);
+        // Windows scan a materialized stream: no chunk budget.
+        let bands =
+            Bands::new(DualLine::from_dataset(data), sky, c0, c1, usize::MAX, exec.parallelism);
+        Ok(Self { data: data.clone(), bands, covers: Mutex::new(HashMap::new()) })
     }
 
-    fn cover(&self, k: usize) -> Option<Vec<u32>> {
+    /// Read every window off one band holding every row: the all-rows
+    /// stream the bands are checked against.
+    #[cfg(test)]
+    pub(crate) fn all_rows(mut self) -> Self {
+        self.bands.all_rows();
+        self
+    }
+
+    /// The rank ≤ k window `[first, last]` of every candidate, skipping
+    /// candidates that never reach rank ≤ k.
+    fn windows(&self, k: usize) -> Vec<Interval> {
+        let band = self.bands.band(k);
+        let sky = self.bands.tracked();
+        let (c0, c1) = self.bands.interval();
+        let row_of = &band.row_of;
+        let mut lo: Vec<f64> = vec![f64::NAN; sky.len()];
+        let mut hi: Vec<f64> = vec![f64::NAN; sky.len()];
+        let mut rank: Vec<usize> = band.init_ranks.clone();
+        // Initial state at c0.
+        for (line, &i) in row_of.iter().enumerate() {
+            if i != usize::MAX && rank[line] <= k {
+                lo[i] = c0;
+                hi[i] = c0;
+            }
+        }
+        band.replay(|ev| {
+            rank[ev.down as usize] += 1;
+            rank[ev.up as usize] -= 1;
+            // Entering the window (rank drops to k) or leaving it (rank
+            // rises past k) both happen at ev.x.
+            let i = row_of[ev.up as usize];
+            if i != usize::MAX && rank[ev.up as usize] <= k {
+                if lo[i].is_nan() {
+                    lo[i] = ev.x;
+                }
+                hi[i] = ev.x;
+            }
+            let i = row_of[ev.down as usize];
+            if i != usize::MAX && rank[ev.down as usize] == k + 1 && !lo[i].is_nan() {
+                hi[i] = ev.x; // rank was ≤ k right up to this point
+            }
+        });
+        // A line still within rank ≤ k at the end extends to c1.
+        for (line, &i) in row_of.iter().enumerate() {
+            if i != usize::MAX && rank[line] <= k && !lo[i].is_nan() {
+                hi[i] = c1;
+            }
+        }
+        sky.iter()
+            .enumerate()
+            .filter(|(i, _)| !lo[*i].is_nan())
+            .map(|(i, &id)| Interval::new(lo[i], hi[i], id))
+            .collect()
+    }
+
+    /// Minimum single-window cover for threshold `k`, memoized.
+    pub(crate) fn cover(&self, k: usize) -> Option<Vec<u32>> {
         if let Some(cover) = self.covers.lock().expect("cover memo poisoned").get(&k) {
             return cover.clone();
         }
         // Compute outside the lock so concurrent queries never serialize
         // on a cache miss (the cover is deterministic per threshold).
-        let cover = self.cache.cover(k);
+        let (c0, c1) = self.bands.interval();
+        let cover = cover_segment(&self.windows(k), c0, c1, COVER_TOL)
+            .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect());
         self.covers.lock().expect("cover memo poisoned").entry(k).or_insert(cover).clone()
     }
 }

@@ -1,7 +1,7 @@
 //! Timing ablations of the design choices documented in DESIGN.md.
 //!
 //! * `ablation_sweep` — the paper's full arrangement sweep vs the
-//!   skyline-crossing event stream inside 2DRRM (identical output);
+//!   K-band crossing stream inside 2DRRM (identical output);
 //! * `ablation_lazy_greedy` — lazy vs naive greedy set cover on an
 //!   ASMS-shaped instance;
 //! * `ablation_candidates` — HDRRM with and without skyline candidate

@@ -9,7 +9,7 @@
 //! comparison:
 //!
 //! * **incremental** — `session.update(&ops)` advances the warm prepared
-//!   handles in place (skyline merge, local event repair, top-k patching)
+//!   handles in place (skyline merge, 2D dominator recount, top-k patching)
 //!   and publishes a new epoch. The update is timed alone
 //!   (`update_seconds`); the post-update query is timed alone right after
 //!   (`query_seconds`), so lazily-deferred maintenance cannot hide — it

@@ -204,18 +204,24 @@ pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u128>, out: &mut V
 /// Scores per screening block in [`top_k_into`]'s rejection scan.
 const SCREEN_BLOCK: usize = 16;
 
+/// A sort key for `x` whose ascending order is the descending order of
+/// the values: `x`'s IEEE total-order image, inverted. `-0.0` is
+/// canonicalised to `+0.0`, which float comparison treats as equal, so
+/// for non-NaN values the key order is exactly `partial_cmp`'s, reversed.
+#[inline]
+pub fn descending_bits(x: f64) -> u64 {
+    let bits = if x == 0.0 { 0 } else { x.to_bits() };
+    // Negative values flip every bit, non-negative ones only the sign.
+    !(bits ^ (((bits as i64 >> 63) as u64) | 1 << 63))
+}
+
 /// Sort key of tuple `index` with `score`: ascending keys are best first.
-/// The high 64 bits are the score's IEEE total-order image, inverted so
-/// that higher scores sort first. `-0.0` is canonicalised to `+0.0`,
-/// which float comparison treats as equal. The low bits hold the index,
-/// so equal scores fall back to ascending index.
+/// The high 64 bits are [`descending_bits`] of the score; the low bits
+/// hold the index, so equal scores fall back to ascending index.
 #[inline]
 fn desc_key(score: f64, index: usize) -> u128 {
     assert!(!score.is_nan(), "scores must not be NaN");
-    let bits = if score == 0.0 { 0 } else { score.to_bits() };
-    // Negative scores flip every bit, non-negative ones only the sign.
-    let ascending = bits ^ (((bits as i64 >> 63) as u64) | 1 << 63);
-    (u128::from(!ascending) << 64) | index as u128
+    (u128::from(descending_bits(score)) << 64) | index as u128
 }
 
 /// Cut `keys` (more than `k` of them) back to the best `k`, in no
@@ -269,6 +275,17 @@ pub fn argsort_desc(scores: &[f64]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn descending_bits_order_like_partial_cmp_reversed() {
+        let xs = [3.5, 1e-300, 0.0, -0.0, -1e-300, -2.0, f64::MAX, -f64::MAX, 1.0];
+        for &a in &xs {
+            for &b in &xs {
+                let want = b.partial_cmp(&a).unwrap();
+                assert_eq!(descending_bits(a).cmp(&descending_bits(b)), want, "{a} {b}");
+            }
+        }
+    }
 
     #[test]
     fn ranks_with_distinct_scores() {

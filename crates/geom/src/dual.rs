@@ -5,6 +5,7 @@
 //! intercept `t[2]` and slope `t[1] - t[2]`. Higher line at `x = c` means
 //! higher rank (closer to 1) under `u = (c, 1-c)`.
 
+use rrm_core::rank::descending_bits;
 use rrm_core::Dataset;
 
 /// A tuple's line in dual space.
@@ -59,23 +60,20 @@ impl DualLine {
     }
 }
 
-/// The total order behind [`order_at`]: compares line ids at `x+` (top
-/// line first) by height descending, ties by slope descending, final ties
-/// by id ascending. Public so incremental maintainers can merge into an
-/// existing order with bit-identical semantics to a full re-sort.
-pub fn cmp_at(lines: &[DualLine], x: f64, i: u32, j: u32) -> std::cmp::Ordering {
-    let (a, b) = (&lines[i as usize], &lines[j as usize]);
-    b.eval(x)
-        .partial_cmp(&a.eval(x))
-        .expect("finite heights")
-        .then(b.slope.partial_cmp(&a.slope).expect("finite slopes"))
-        .then(i.cmp(&j))
-}
-
 /// Sort order of line ids at `x+` (top line first): height descending,
 /// ties by slope descending, final ties by id ascending.
 pub fn order_at(lines: &[DualLine], ids: &mut [u32], x: f64) {
-    ids.sort_unstable_by(|&i, &j| cmp_at(lines, x, i, j));
+    let mut keyed: Vec<(u64, u64, u32)> = ids
+        .iter()
+        .map(|&i| {
+            let l = &lines[i as usize];
+            (descending_bits(l.eval(x)), descending_bits(l.slope), i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    for (slot, (_, _, i)) in ids.iter_mut().zip(keyed) {
+        *slot = i;
+    }
 }
 
 /// Map a 2D polyhedral cone (`rows · u ≥ 0`, `u ≥ 0`) to its interval of

@@ -4,13 +4,19 @@
 //! the rank of a line changes exactly at its crossings with other lines.
 //! Instead of sweeping the full `O(n²)` arrangement with a heap (the
 //! paper's formulation, implemented faithfully in [`crate::sweep`] and
-//! cross-validated in tests), we enumerate the `O(s·n)` crossings that
-//! involve at least one *tracked* (skyline) line, sort them once by `x`,
-//! and replay them. Both routes visit the same rank changes for tracked
-//! lines, so the algorithms stay exact; this one just skips the events
-//! between two non-skyline lines, which Algorithm 1 ignores anyway
-//! (its case 3).
+//! cross-validated in tests), we enumerate the crossings that involve at
+//! least one *tracked* (skyline) line, sort them once by `x`, and replay
+//! them. Both routes visit the same rank changes for tracked lines, so the
+//! algorithms stay exact; this one just skips the events between two
+//! non-skyline lines, which Algorithm 1 ignores anyway (its case 3).
+//!
+//! The routines take whatever lines they are given. The 2D solvers pass the
+//! rows that can reach the ranks they read (a K-band, compacted in
+//! ascending row id), which makes a stream `O(s·|band|)` instead of
+//! `O(s·n)`; ties are broken by line index, so a compacted stream orders
+//! its crossings exactly as the all-rows stream does.
 
+use rrm_core::rank::descending_bits;
 use rrm_par::Parallelism;
 
 use crate::dual::DualLine;
@@ -54,12 +60,7 @@ pub fn crossings_with_tracked(
     for_each_raw_crossing(lines, tracked, &mask, x_lo, x_hi, |x, down, up| {
         out.push(Crossing { x, down, up });
     });
-    out.sort_unstable_by(|a, b| {
-        a.x.partial_cmp(&b.x)
-            .expect("finite crossings")
-            .then(a.down.cmp(&b.down))
-            .then(a.up.cmp(&b.up))
-    });
+    sort_crossings(&mut out);
     out
 }
 
@@ -127,12 +128,7 @@ pub fn stream_crossings<F: FnMut(&Crossing)>(
                 buf.push(Crossing { x, down, up });
             }
         });
-        buf.sort_unstable_by(|a, b| {
-            a.x.partial_cmp(&b.x)
-                .expect("finite crossings")
-                .then(a.down.cmp(&b.down))
-                .then(a.up.cmp(&b.up))
-        });
+        sort_crossings(&mut buf);
         for c in &buf {
             visit(c);
         }
@@ -171,12 +167,7 @@ pub fn crossings_with_tracked_capped(
     if overflow {
         return None;
     }
-    out.sort_unstable_by(|a, b| {
-        a.x.partial_cmp(&b.x)
-            .expect("finite crossings")
-            .then(a.down.cmp(&b.down))
-            .then(a.up.cmp(&b.up))
-    });
+    sort_crossings(&mut out);
     Some(out)
 }
 
@@ -239,12 +230,7 @@ pub fn crossings_with_tracked_capped_par(
         return None;
     }
     let mut out: Vec<Crossing> = per_line.into_iter().flatten().collect();
-    out.sort_unstable_by(|a, b| {
-        a.x.partial_cmp(&b.x)
-            .expect("finite crossings")
-            .then(a.down.cmp(&b.down))
-            .then(a.up.cmp(&b.up))
-    });
+    sort_crossings(&mut out);
     Some(out)
 }
 
@@ -291,26 +277,10 @@ fn for_each_raw_crossing_of<F: FnMut(f64, u32, u32)>(
     }
 }
 
-/// The crossing of one specific pair of lines, under exactly the rules the
-/// enumeration passes use: `None` for parallel lines or crossings outside
-/// the *open* interval `(x_lo, x_hi)`; `down` is always the line with the
-/// smaller slope. Incremental event repair rebuilds the affected slice of
-/// [`crossings_with_tracked`]'s output pair by pair with this, so repaired
-/// streams stay bit-identical to full re-enumeration.
-pub fn crossing_of_pair(
-    lines: &[DualLine],
-    a: u32,
-    b: u32,
-    x_lo: f64,
-    x_hi: f64,
-) -> Option<Crossing> {
-    let (la, lb) = (&lines[a as usize], &lines[b as usize]);
-    let x = la.intersection_x(lb)?;
-    if x <= x_lo || x >= x_hi {
-        return None;
-    }
-    let (down, up) = if la.slope < lb.slope { (a, b) } else { (b, a) };
-    Some(Crossing { x, down, up })
+/// Sort crossings by `x` ascending (`-0.0` and `0.0` equal, as under
+/// `partial_cmp`), ties by `(down, up)`: the one order every stream uses.
+fn sort_crossings(crossings: &mut [Crossing]) {
+    crossings.sort_unstable_by_key(|c| (!descending_bits(c.x), c.down, c.up));
 }
 
 /// Initial 1-based ranks of every line at `x_lo+` (height descending, ties
@@ -444,22 +414,6 @@ mod tests {
             None
         );
         assert_eq!(crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, 3), None);
-    }
-
-    #[test]
-    fn pair_helper_matches_enumeration() {
-        let lines = lines3();
-        let all = crossings_with_tracked(&lines, &[0, 1, 2], 0.0, 1.0);
-        for c in &all {
-            // Both argument orders produce the same crossing.
-            assert_eq!(crossing_of_pair(&lines, c.down, c.up, 0.0, 1.0), Some(*c));
-            assert_eq!(crossing_of_pair(&lines, c.up, c.down, 0.0, 1.0), Some(*c));
-        }
-        // Open-interval boundaries and parallel lines give nothing.
-        assert_eq!(crossing_of_pair(&lines, 0, 1, all[0].x, 1.0), None);
-        let par =
-            vec![DualLine { slope: 1.0, intercept: 0.0 }, DualLine { slope: 1.0, intercept: 0.5 }];
-        assert_eq!(crossing_of_pair(&par, 0, 1, 0.0, 1.0), None);
     }
 
     #[test]

@@ -26,6 +26,7 @@
 //! [`crate::skyline_2d`] over the same rows (`tests` below enforce this
 //! against recomputation).
 
+use rrm_core::rank::descending_bits;
 use rrm_core::{AppliedUpdate, Dataset};
 
 use crate::dominance::dominates;
@@ -57,15 +58,17 @@ impl IncrementalSkyline {
     /// member as each pruned tuple's dominator.
     pub fn build(data: &Dataset) -> Self {
         let n = data.n();
-        let sums: Vec<f64> = data.rows().map(|r| r.iter().sum()).collect();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            sums[b as usize].partial_cmp(&sums[a as usize]).expect("finite").then(a.cmp(&b))
-        });
+        // Attribute sum descending, then index ascending.
+        let mut order: Vec<(u64, u32)> = data
+            .rows()
+            .enumerate()
+            .map(|(i, r)| (descending_bits(r.iter().sum()), i as u32))
+            .collect();
+        order.sort_unstable();
 
         let mut sky: Vec<u32> = Vec::new();
         let mut dom_of = vec![NO_DOM; n];
-        for &i in &order {
+        for &(_, i) in &order {
             let row = data.row(i as usize);
             match sky.iter().find(|&&s| dominates(data.row(s as usize), row)) {
                 Some(&s) => dom_of[i as usize] = s,

@@ -1,5 +1,6 @@
 //! `O(n log n)` skyline for two attributes.
 
+use rrm_core::rank::descending_bits;
 use rrm_core::Dataset;
 
 /// Indices of the skyline tuples of a 2D dataset, ascending by index.
@@ -13,15 +14,13 @@ pub fn skyline_2d(data: &Dataset) -> Vec<u32> {
     assert_eq!(data.dim(), 2, "skyline_2d requires d = 2");
     let n = data.n();
     // Sort indices by A1 descending, A2 descending, index ascending.
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_unstable_by(|&a, &b| {
-        let (ra, rb) = (data.row(a as usize), data.row(b as usize));
-        rb[0]
-            .partial_cmp(&ra[0])
-            .expect("finite")
-            .then(rb[1].partial_cmp(&ra[1]).expect("finite"))
-            .then(a.cmp(&b))
-    });
+    let mut keyed: Vec<(u64, u64, u32)> = data
+        .rows()
+        .enumerate()
+        .map(|(i, r)| (descending_bits(r[0]), descending_bits(r[1]), i as u32))
+        .collect();
+    keyed.sort_unstable();
+    let idx: Vec<u32> = keyed.into_iter().map(|(_, _, i)| i).collect();
 
     let mut out = Vec::new();
     // Max A2 among tuples with strictly larger A1 than the current group.
