@@ -28,9 +28,9 @@
 //! margin of a tracked line at `c0` is in every band: a band can only
 //! hold more rows than the exact skyband, never fewer.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use rrm_geom::dual::{order_at, DualLine};
+use rrm_geom::dual::{merge_at, order_at, DualLine};
 use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, stream_crossings};
 use rrm_geom::Crossing;
 use rrm_par::Parallelism;
@@ -43,9 +43,29 @@ pub(crate) const START: usize = 32;
 /// crossing, far below any lead a real dataset's ranks depend on.
 const MARGIN: f64 = 1e-9;
 
+/// Every row id in [`order_at`] order at `c0` and at `c1`.
+fn endpoint_orders(lines: &[DualLine], c0: f64, c1: f64) -> [Vec<u32>; 2] {
+    [c0, c1].map(|x| {
+        let mut order: Vec<u32> = (0..lines.len() as u32).collect();
+        order_at(lines, &mut order, x);
+        order
+    })
+}
+
 /// Per row, how many rows beat it at both `x = c0` and `x = c1` by more
-/// than the margin; and `LB₁`, the minimum over rows of the worse of its
-/// two endpoint ranks.
+/// than the margin, capped at a limit; below the limit a band reads them
+/// exactly.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Counts {
+    limit: usize,
+    rows: Vec<u32>,
+}
+
+/// [`Counts`] capped at `max(floor, 4·LB₁ − 2)`, twice the bound on every
+/// size budget's optimum (see [`Bands::cap`]), so that no 2DRRM replay and
+/// no probe of 2DRRR's RRM search needs a recount; and `LB₁`, the minimum
+/// over rows of the worse of its two endpoint ranks. `orders` are
+/// [`endpoint_orders`].
 ///
 /// A row within the margin of a tracked line (other than itself) at `c0`
 /// counts as beaten by none, and beats none. Such a pair's crossing can
@@ -57,93 +77,138 @@ const MARGIN: f64 = 1e-9;
 /// rounding of `c1`, where the two lines nearly tie and a margin-separated
 /// row cannot fall between them.
 ///
-/// One pass over the rows in their `c0` order inserts every row that leads
-/// the current one by the margin into a Fenwick tree over `c1` positions,
-/// then counts the inserted rows that also lead at `c1`. Both endpoint
-/// orders are [`order_at`]'s, so `LB₁` reads its ranks straight off them.
+/// One pass over the rows in their `c0` order offers every row that leads
+/// the current one by the margin to the set of the `limit` smallest `c1`
+/// positions, then counts the kept rows that also lead at `c1`: that is
+/// the true count whenever it is below the limit. `LB₁` reads its ranks
+/// straight off the two orders.
 pub(crate) fn count_dominators(
     lines: &[DualLine],
     tracked: &[u32],
-    c0: f64,
-    c1: f64,
-) -> (Vec<u32>, usize) {
+    (c0, c1): (f64, f64),
+    [order0, order1]: &[Vec<u32>; 2],
+    floor: usize,
+) -> (Counts, usize) {
     let n = lines.len();
     let scale = lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
     let margin = MARGIN * scale;
-    let sorted_at = |x: f64| {
-        let heights: Vec<f64> = lines.iter().map(|l| l.eval(x)).collect();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order_at(lines, &mut order, x);
-        (heights, order)
-    };
-    let (h0, order0) = sorted_at(c0);
-    let (h1, order1) = sorted_at(c1);
+    // Everything below is indexed by position in an endpoint order, so
+    // the passes read sequentially; heights there are descending.
+    let h0: Vec<f64> = order0.iter().map(|&i| lines[i as usize].eval(c0)).collect();
+    let h1: Vec<f64> = order1.iter().map(|&i| lines[i as usize].eval(c1)).collect();
 
-    // Rows within the margin of another tracked line at c0: the tracked
-    // heights in `[h - margin, h + margin]` are a run of the descending
-    // `tops`.
-    let mut is_tracked = vec![false; n];
-    for &t in tracked {
-        is_tracked[t as usize] = true;
-    }
-    let tops: Vec<f64> =
-        order0.iter().filter(|&&i| is_tracked[i as usize]).map(|&i| h0[i as usize]).collect();
+    // Per c0 position, whether the row is within the margin of another
+    // tracked line at c0: each tracked line marks the run around its own
+    // position.
     let mut near = vec![false; n];
-    let (mut a, mut b) = (0usize, 0usize);
-    for &i in &order0 {
-        let h = h0[i as usize];
-        while a < tops.len() && tops[a] > h + margin {
-            a += 1;
+    for &t in tracked {
+        let h = lines[t as usize].eval(c0);
+        let from = h0.partition_point(|&g| g - margin > h);
+        let to = h0.partition_point(|&g| g + margin >= h);
+        for j in from..to {
+            near[j] |= order0[j] != t;
         }
-        while b < tops.len() && tops[b] >= h - margin {
-            b += 1;
-        }
-        near[i as usize] = b - a > usize::from(is_tracked[i as usize]);
     }
 
-    // A row's position at c1, and how many rows lead it there by the
-    // margin (a prefix of the c1 order).
-    let mut pos1 = vec![0u32; n];
-    let mut ahead1 = vec![0u32; n];
+    // Per c1 position, how many rows lead it there by the margin (a prefix
+    // of the c1 order); per c0 position, the row's c1 position.
     let mut p = 0usize;
+    let ahead1: Vec<u32> = h1
+        .iter()
+        .map(|&h| {
+            while p < n && h1[p] > h + margin {
+                p += 1;
+            }
+            p as u32
+        })
+        .collect();
+    let mut pos1 = vec![0u32; n];
     for (j, &o) in order1.iter().enumerate() {
         pos1[o as usize] = j as u32;
-        let bar = h1[o as usize] + margin;
-        while p < n && h1[order1[p] as usize] > bar {
-            p += 1;
-        }
-        ahead1[o as usize] = p as u32;
     }
+    let at1: Vec<u32> = order0.iter().map(|&o| pos1[o as usize]).collect();
 
-    let mut lb1 = usize::MAX;
-    let mut tree = vec![0u32; n + 1];
-    let mut counts = vec![0u32; n];
+    let lb1 = at1.iter().enumerate().map(|(j, &p)| j.max(p as usize) + 1).min().unwrap_or(1);
+    let limit = floor.max(lb1.saturating_mul(4) - 2);
+    let mut leaders = Smallest::new(n, limit);
+    let mut rows = vec![0u32; n];
     let mut q = 0usize;
-    for (j, &o) in order0.iter().enumerate() {
-        lb1 = lb1.min((j + 1).max(pos1[o as usize] as usize + 1));
-        let bar = h0[o as usize] + margin;
-        while q < n && h0[order0[q] as usize] > bar {
-            let u = order0[q] as usize;
-            if !near[u] {
-                let mut i = pos1[u] as usize + 1;
-                while i <= n {
-                    tree[i] += 1;
-                    i += i & i.wrapping_neg();
-                }
+    for j in 0..n {
+        while q < n && h0[q] > h0[j] + margin {
+            if !near[q] {
+                leaders.offer(at1[q] as usize);
             }
             q += 1;
         }
-        if near[o as usize] {
-            continue;
+        if !near[j] {
+            rows[order0[j] as usize] = leaders.below(ahead1[at1[j] as usize] as usize);
         }
-        let (mut i, mut count) = (ahead1[o as usize] as usize, 0u32);
+    }
+    (Counts { limit, rows }, lb1)
+}
+
+/// The `limit` smallest of the positions in `0..n` offered so far: a
+/// bitset, and a Fenwick tree over the populations of its words, small
+/// enough to stay in cache. Once the set is full, an offer above its
+/// largest position is dropped and a smaller one evicts that position.
+struct Smallest {
+    bits: Vec<u64>,
+    tree: Vec<u32>,
+    limit: usize,
+    len: usize,
+    /// The largest position kept (`0` while empty).
+    max: usize,
+}
+
+impl Smallest {
+    fn new(n: usize, limit: usize) -> Self {
+        let words = n / 64 + 1;
+        Self { bits: vec![0; words], tree: vec![0; words + 1], limit, len: 0, max: 0 }
+    }
+
+    /// Flip position `p`, moving its word's population by `delta`
+    /// (`1`, or `u32::MAX` to subtract one).
+    fn flip(&mut self, p: usize, delta: u32) {
+        self.bits[p / 64] ^= 1 << (p % 64);
+        let mut i = p / 64 + 1;
+        while i < self.tree.len() {
+            self.tree[i] = self.tree[i].wrapping_add(delta);
+            i += i & i.wrapping_neg();
+        }
+    }
+
+    /// Offer `p`, a position not offered before.
+    fn offer(&mut self, p: usize) {
+        if self.len < self.limit {
+            self.flip(p, 1);
+            self.len += 1;
+            self.max = self.max.max(p);
+        } else if p < self.max {
+            self.flip(self.max, u32::MAX);
+            self.flip(p, 1);
+            // The new largest is below the old one: scan down from its word.
+            let mut w = self.max / 64;
+            while self.bits[w] == 0 {
+                w -= 1;
+            }
+            self.max = 64 * w + 63 - self.bits[w].leading_zeros() as usize;
+        }
+    }
+
+    /// How many kept positions are below `p` (`p ≤ n`): the number of
+    /// offered ones below `p`, capped at `limit`.
+    fn below(&self, p: usize) -> u32 {
+        if self.len == 0 || p > self.max {
+            return self.len as u32;
+        }
+        let mut count = (self.bits[p / 64] & ((1u64 << (p % 64)) - 1)).count_ones();
+        let mut i = p / 64;
         while i > 0 {
-            count += tree[i];
+            count += self.tree[i];
             i &= i - 1;
         }
-        counts[o as usize] = count;
+        count
     }
-    (counts, lb1)
 }
 
 /// One band: its rows' dual lines, where the tracked lines sit among them,
@@ -195,15 +260,23 @@ pub(crate) struct Bands {
     c1: f64,
     lines: Vec<DualLine>,
     tracked: Vec<u32>,
-    counts: Vec<u32>,
+    /// [`endpoint_orders`], kept so an update merges instead of re-sorting.
+    orders: [Vec<u32>; 2],
+    /// Recounted with a higher limit when a band needs one.
+    counts: Mutex<Arc<Counts>>,
     cap: usize,
     chunk_target: usize,
     parallelism: Parallelism,
     /// Every band is at least this wide (`usize::MAX` in tests: one band
     /// holding every row).
     floor: usize,
-    built: Mutex<Vec<Arc<Band>>>,
+    /// One slot per `K` asked for; the slot's band is built outside the
+    /// lock, so only callers of the same `K` wait on one build.
+    built: Mutex<Vec<(usize, Slot)>>,
 }
+
+/// A band built once, by the first caller of its `K`.
+type Slot = Arc<OnceLock<Arc<Band>>>;
 
 impl Bands {
     /// Count dominators over `lines` on `[c0, c1]`. `tracked` lists the row
@@ -218,13 +291,47 @@ impl Bands {
         chunk_target: usize,
         parallelism: Parallelism,
     ) -> Self {
-        let (counts, lb1) = count_dominators(&lines, &tracked, c0, c1);
+        let orders = endpoint_orders(&lines, c0, c1);
+        Self::counted(lines, tracked, (c0, c1), orders, chunk_target, parallelism)
+    }
+
+    /// The builder for the rows after an update: `lines` and `tracked`
+    /// describe the new rows, `remap` sends old row ids to new ones
+    /// (monotone, `None` for deleted rows) and `inserted` lists the new
+    /// rows' ids. The endpoint orders keep their survivors' sequence and
+    /// merge the sorted inserts; dominators are recounted.
+    pub(crate) fn patched(
+        &self,
+        lines: Vec<DualLine>,
+        tracked: Vec<u32>,
+        remap: &[Option<u32>],
+        inserted: &[u32],
+    ) -> Self {
+        let (c0, c1) = (self.c0, self.c1);
+        let merged = |old: &[u32], x: f64| {
+            let survivors: Vec<u32> = old.iter().filter_map(|&id| remap[id as usize]).collect();
+            merge_at(&lines, &survivors, &mut inserted.to_vec(), x)
+        };
+        let orders = [merged(&self.orders[0], c0), merged(&self.orders[1], c1)];
+        Self::counted(lines, tracked, (c0, c1), orders, self.chunk_target, self.parallelism)
+    }
+
+    fn counted(
+        lines: Vec<DualLine>,
+        tracked: Vec<u32>,
+        (c0, c1): (f64, f64),
+        orders: [Vec<u32>; 2],
+        chunk_target: usize,
+        parallelism: Parallelism,
+    ) -> Self {
+        let (counts, lb1) = count_dominators(&lines, &tracked, (c0, c1), &orders, 0);
         Self {
             c0,
             c1,
             lines,
             tracked,
-            counts,
+            orders,
+            counts: Mutex::new(Arc::new(counts)),
             cap: lb1.saturating_mul(2) - 1,
             chunk_target,
             parallelism,
@@ -254,10 +361,23 @@ impl Bands {
         &self.tracked
     }
 
-    /// Per row, how many rows beat it at both ends by more than the margin.
+    /// The dominator counts bands are cut from so far.
     #[cfg(test)]
-    pub(crate) fn counts(&self) -> &[u32] {
-        &self.counts
+    pub(crate) fn counts(&self) -> Arc<Counts> {
+        Arc::clone(&self.counts.lock().expect("counts poisoned"))
+    }
+
+    /// The endpoint orders at `c0` and `c1`.
+    #[cfg(test)]
+    pub(crate) fn orders(&self) -> &[Vec<u32>; 2] {
+        &self.orders
+    }
+
+    /// Per band built so far, whether its stream is materialized.
+    #[cfg(test)]
+    pub(crate) fn materialized(&self) -> Vec<bool> {
+        let built = self.built.lock().expect("band cache poisoned");
+        built.iter().filter_map(|(_, slot)| slot.get()).map(|b| b.events.is_some()).collect()
     }
 
     /// `2·LB₁ − 1`. The row that ranks at most `LB₁` at both ends ranks at
@@ -269,27 +389,56 @@ impl Bands {
     }
 
     /// A band whose replayed ranks are exact up to at least `k`: the
-    /// narrowest cached one built for at most `2k`, else band `k`, built
-    /// now and cached.
+    /// narrowest one already built for at most `2k`, else band `k`, built
+    /// now (or by a concurrent caller of the same `k`) and cached.
     pub(crate) fn band(&self, k: usize) -> Arc<Band> {
         let k = k.max(self.floor);
-        // Held across the build, so concurrent replays share one build.
-        let mut built = self.built.lock().expect("band cache poisoned");
-        let cached = built
-            .iter()
-            .filter(|b| b.k >= k && b.built_for <= k.saturating_mul(2))
-            .min_by_key(|b| b.lines.len());
-        if let Some(band) = cached {
-            return Arc::clone(band);
+        let slot = {
+            let mut built = self.built.lock().expect("band cache poisoned");
+            let ready = built
+                .iter()
+                .filter_map(|(_, slot)| slot.get())
+                .filter(|b| b.k >= k && b.built_for <= k.saturating_mul(2))
+                .min_by_key(|b| b.lines.len());
+            if let Some(band) = ready {
+                return Arc::clone(band);
+            }
+            match built.iter().find(|(for_k, _)| *for_k == k) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::new(OnceLock::new());
+                    built.push((k, Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        Arc::clone(slot.get_or_init(|| Arc::new(self.build(k))))
+    }
+
+    /// Counts exact below `k`: the current ones, or a recount capped at
+    /// least twice as high, which replaces them.
+    fn counts_below(&self, k: usize) -> Arc<Counts> {
+        // No row has `n` dominators.
+        let k = k.min(self.lines.len());
+        let current = Arc::clone(&self.counts.lock().expect("counts poisoned"));
+        if current.limit >= k {
+            return current;
         }
-        let band = Arc::new(self.build(k));
-        built.push(Arc::clone(&band));
-        band
+        let floor = k.max(current.limit.saturating_mul(2));
+        let (wider, _) =
+            count_dominators(&self.lines, &self.tracked, self.interval(), &self.orders, floor);
+        let wider = Arc::new(wider);
+        let mut counts = self.counts.lock().expect("counts poisoned");
+        if counts.limit < wider.limit {
+            *counts = Arc::clone(&wider);
+        }
+        wider
     }
 
     fn build(&self, k: usize) -> Band {
         let n = self.lines.len();
-        let mut keep: Vec<bool> = self.counts.iter().map(|&c| (c as usize) < k).collect();
+        let counts = self.counts_below(k);
+        let mut keep: Vec<bool> = counts.rows.iter().map(|&c| (c as usize) < k).collect();
         for &t in &self.tracked {
             keep[t as usize] = true;
         }
@@ -485,8 +634,9 @@ mod tests {
             for space in spaces() {
                 let (c0, c1) = weight_interval(space.as_ref()).unwrap();
                 let lines = DualLine::from_dataset(data);
+                let n = lines.len();
                 let tracked = u_skyline_2d(data, c0, c1);
-                let (counts, _) = count_dominators(&lines, &tracked, c0, c1);
+                let orders = endpoint_orders(&lines, c0, c1);
                 let scale =
                     lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
                 let m = MARGIN * scale;
@@ -495,22 +645,73 @@ mod tests {
                     let tie = |t: usize| h[t][0] <= h[u][0] + m && h[t][0] >= h[u][0] - m;
                     tracked.iter().any(|&t| t as usize != u && tie(t as usize))
                 };
-                let near: Vec<bool> = (0..lines.len()).map(near).collect();
-                for o in 0..lines.len() {
-                    let beaten_by =
-                        |m: f64, u: usize| h[u][0] > h[o][0] + m && h[u][1] > h[o][1] + m;
-                    let brute = if near[o] {
-                        0
-                    } else {
-                        (0..lines.len()).filter(|&u| !near[u] && beaten_by(m, u)).count() as u32
-                    };
-                    assert_eq!(counts[o], brute, "data {i} row {o}");
-                    // The margin only ever drops rows that beat `o`.
-                    let strict = (0..lines.len()).filter(|&u| beaten_by(0.0, u)).count() as u32;
-                    assert!(counts[o] <= strict, "data {i} row {o}");
+                let near: Vec<bool> = (0..n).map(near).collect();
+                // The default limit caps some counts; a floor of `n` caps none.
+                for floor in [0, n] {
+                    let (counts, _) = count_dominators(&lines, &tracked, (c0, c1), &orders, floor);
+                    for o in 0..n {
+                        let beaten_by =
+                            |m: f64, u: usize| h[u][0] > h[o][0] + m && h[u][1] > h[o][1] + m;
+                        let brute = if near[o] {
+                            0
+                        } else {
+                            (0..n).filter(|&u| !near[u] && beaten_by(m, u)).count()
+                        };
+                        let want = brute.min(counts.limit) as u32;
+                        assert_eq!(counts.rows[o], want, "data {i} floor {floor} row {o}");
+                        // The margin only ever drops rows that beat `o`.
+                        let strict = (0..n).filter(|&u| beaten_by(0.0, u)).count() as u32;
+                        assert!(counts.rows[o] <= strict, "data {i} row {o}");
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn smallest_keeps_the_limit_smallest_offers() {
+        let mut rng = StdRng::seed_from_u64(31);
+        for (n, limit) in [(1, 1), (130, 1), (130, 7), (130, 64), (130, 500)] {
+            // Offer every position once, in random order.
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, rng.random_range(0..=i));
+            }
+            let mut set = Smallest::new(n, limit);
+            for (i, &p) in order.iter().enumerate() {
+                set.offer(p);
+                for q in 0..=n {
+                    let below = order[..=i].iter().filter(|&&o| o < q).count().min(limit);
+                    assert_eq!(set.below(q) as usize, below, "n {n} limit {limit} offer {i} q {q}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bands_past_the_count_limit_are_recounted() {
+        let data = quantized(400, 21);
+        let lines = DualLine::from_dataset(&data);
+        let n = lines.len();
+        let tracked = u_skyline_2d(&data, 0.0, 1.0);
+        let bands = Bands::new(
+            lines.clone(),
+            tracked.clone(),
+            0.0,
+            1.0,
+            usize::MAX,
+            Parallelism::Sequential,
+        );
+        let (exact, _) = count_dominators(&lines, &tracked, (0.0, 1.0), &bands.orders, n);
+        let limit = bands.counts().limit;
+        for k in [limit, limit + 1, 3 * limit] {
+            let want = (0..n)
+                .filter(|&i| (exact.rows[i] as usize) < k || tracked.contains(&(i as u32)))
+                .count();
+            assert!(want < n, "k={k} keeps every row");
+            assert_eq!(bands.band(k).lines.len(), want, "k={k}");
+        }
+        assert!(bands.counts().limit >= 3 * limit);
     }
 
     #[test]
@@ -528,9 +729,12 @@ mod tests {
         ])
         .unwrap();
         let tracked = u_skyline_2d(&data, 0.0, 1.0);
-        let (counts, lb1) = count_dominators(&DualLine::from_dataset(&data), &tracked, 0.0, 1.0);
+        let lines = DualLine::from_dataset(&data);
+        let orders = endpoint_orders(&lines, 0.0, 1.0);
+        let (counts, lb1) = count_dominators(&lines, &tracked, (0.0, 1.0), &orders, 0);
         assert_eq!(lb1, 3);
-        // t5 and t6 are each beaten at both ends by t2, t3 and t4.
-        assert_eq!(counts, vec![0, 0, 0, 0, 3, 3, 0]);
+        // t5 and t6 are each beaten at both ends by t2, t3 and t4; nothing
+        // reaches the limit 4·LB₁ − 2.
+        assert_eq!(counts, Counts { limit: 10, rows: vec![0, 0, 0, 0, 3, 3, 0] });
     }
 }

@@ -205,18 +205,18 @@ impl Prepared2d {
     ) -> Result<Self, RrmError> {
         let (c0, c1) = weight_interval(space)?;
         let usky = IncrementalSkyline::build(&u_transform_2d(data, c0, c1));
-        Ok(Self::assemble(data.clone(), options, (c0, c1), usky))
+        let lines = DualLine::from_dataset(data);
+        let sky = dedup_candidates(&lines, usky.skyline());
+        let bands = Bands::new(lines, sky, c0, c1, options.chunk_target, options.exec.parallelism);
+        Ok(Self::assemble(data.clone(), options, usky, bands))
     }
 
     fn assemble(
         data: Dataset,
         options: Rrm2dOptions,
-        (c0, c1): (f64, f64),
         usky: IncrementalSkyline,
+        bands: Bands,
     ) -> Self {
-        let lines = DualLine::from_dataset(&data);
-        let sky = dedup_candidates(&lines, usky.skyline());
-        let bands = Bands::new(lines, sky, c0, c1, options.chunk_target, options.exec.parallelism);
         Self {
             data,
             options,
@@ -230,15 +230,19 @@ impl Prepared2d {
     /// Rebind the prepared state to the post-update dataset: the
     /// restricted-skyline candidate set advances through the maintained
     /// [`IncrementalSkyline`] (O(churn · s) instead of a full sort-filter
-    /// pass); dominators are recounted, and bands and memoized solutions
-    /// are dropped (they describe the old rows).
+    /// pass); the endpoint line orders merge the sorted churn in O(n)
+    /// before dominators are recounted; bands and memoized solutions are
+    /// dropped (they describe the old rows).
     fn patched(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
         assert_eq!(data.dim(), 2, "updates cannot change the arity");
         let (c0, c1) = self.bands.interval();
         let mut usky = self.usky.clone();
         usky.apply(&u_transform_2d(&data, c0, c1), &upd.remap, &upd.inserted);
-        Self::assemble(data, self.options, (c0, c1), usky)
+        let lines = DualLine::from_dataset(&data);
+        let sky = dedup_candidates(&lines, usky.skyline());
+        let bands = self.bands.patched(lines, sky, &upd.remap, &upd.inserted);
+        Self::assemble(data, self.options, usky, bands)
     }
 
     /// Answer from one band holding every row: the all-rows stream the
@@ -505,6 +509,7 @@ mod tests {
                 let b = sweep.rrm(r).unwrap();
                 assert_eq!(a.certified_regret, b.certified_regret, "trial {trial} r={r}: {rows:?}");
             }
+            assert!(sweep.bands.materialized().is_empty(), "the full sweep built a band");
         }
     }
 
@@ -616,6 +621,8 @@ mod tests {
         for r in [1usize, 3, 5] {
             assert_eq!(streamed.rrm(r).unwrap(), cached.rrm(r).unwrap(), "r={r}");
         }
+        assert!(!streamed.bands.materialized().contains(&true));
+        assert!(!cached.bands.materialized().contains(&false));
     }
 
     #[test]
@@ -681,10 +688,12 @@ mod tests {
                     prepared = prepared.patched(&upd);
                     let fresh =
                         Prepared2d::new(&upd.new, space.as_ref(), Rrm2dOptions::default()).unwrap();
-                    // Candidate and dominator-count parity, then answers.
+                    // Candidate, endpoint-order and dominator-count parity,
+                    // then answers.
                     let ctx = format!("trial {trial} batch {batch}");
                     assert_eq!(prepared.bands.tracked(), fresh.bands.tracked(), "{ctx}");
                     assert_eq!(prepared.sky_total, fresh.sky_total, "{ctx}");
+                    assert_eq!(prepared.bands.orders(), fresh.bands.orders(), "{ctx}");
                     assert_eq!(prepared.bands.counts(), fresh.bands.counts(), "{ctx}");
                     for r in 1..4 {
                         assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "{ctx} r={r}");
@@ -719,6 +728,8 @@ mod tests {
         for r in 1..4 {
             assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "r={r}");
         }
+        let materialized = prepared.bands.materialized();
+        assert!(!materialized.is_empty() && !materialized.contains(&true), "{materialized:?}");
     }
 
     #[test]

@@ -60,20 +60,40 @@ impl DualLine {
     }
 }
 
+/// [`order_at`]'s sort key of line `i` at `x`: ascending keys are top first.
+#[inline]
+fn key_at(lines: &[DualLine], i: u32, x: f64) -> (u64, u64, u32) {
+    let l = &lines[i as usize];
+    (descending_bits(l.eval(x)), descending_bits(l.slope), i)
+}
+
 /// Sort order of line ids at `x+` (top line first): height descending,
 /// ties by slope descending, final ties by id ascending.
 pub fn order_at(lines: &[DualLine], ids: &mut [u32], x: f64) {
-    let mut keyed: Vec<(u64, u64, u32)> = ids
-        .iter()
-        .map(|&i| {
-            let l = &lines[i as usize];
-            (descending_bits(l.eval(x)), descending_bits(l.slope), i)
-        })
-        .collect();
+    let mut keyed: Vec<(u64, u64, u32)> = ids.iter().map(|&i| key_at(lines, i, x)).collect();
     keyed.sort_unstable();
     for (slot, (_, _, i)) in ids.iter_mut().zip(keyed) {
         *slot = i;
     }
+}
+
+/// The [`order_at`] order at `x` of `sorted` and `ids` together, where
+/// `sorted` is already in that order and `ids` (other lines) is in any:
+/// `ids` is sorted and each is spliced in at its binary-searched place, so
+/// only `O(|ids| log |sorted|)` lines are evaluated.
+pub fn merge_at(lines: &[DualLine], sorted: &[u32], ids: &mut [u32], x: f64) -> Vec<u32> {
+    order_at(lines, ids, x);
+    let mut merged = Vec::with_capacity(sorted.len() + ids.len());
+    let mut from = 0;
+    for &i in ids.iter() {
+        let key = key_at(lines, i, x);
+        let at = from + sorted[from..].partition_point(|&s| key_at(lines, s, x) < key);
+        merged.extend_from_slice(&sorted[from..at]);
+        merged.push(i);
+        from = at;
+    }
+    merged.extend_from_slice(&sorted[from..]);
+    merged
 }
 
 /// Map a 2D polyhedral cone (`rows · u ≥ 0`, `u ≥ 0`) to its interval of
@@ -182,6 +202,24 @@ mod tests {
         // Past the l1×l3, l6×l7 and l1×l4 crossings:
         order_at(&lines, &mut ids, 0.35);
         assert_eq!(ids, vec![1, 2, 3, 0, 4, 6, 5]);
+    }
+
+    #[test]
+    fn merge_at_equals_sorting_the_union() {
+        // Quantized lines: equal heights, equal slopes and identical lines.
+        let lines: Vec<DualLine> = (0..40u32)
+            .map(|i| {
+                DualLine::from_tuple(&[((i * 7) % 5) as f64 / 4.0, ((i * 3) % 4) as f64 / 4.0])
+            })
+            .collect();
+        for x in [0.0, 0.25, 0.5, 1.0] {
+            let mut want: Vec<u32> = (0..40).collect();
+            order_at(&lines, &mut want, x);
+            let mut sorted: Vec<u32> = (0..40).filter(|i| i % 3 != 0).collect();
+            order_at(&lines, &mut sorted, x);
+            let mut ids: Vec<u32> = (0..40).filter(|i| i % 3 == 0).rev().collect();
+            assert_eq!(merge_at(&lines, &sorted, &mut ids, x), want, "x={x}");
+        }
     }
 
     #[test]
