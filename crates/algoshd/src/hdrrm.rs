@@ -699,6 +699,19 @@ mod tests {
     }
 
     #[test]
+    fn search_work_and_answer_are_pinned() {
+        // One fixed instance: the probes the search runs, the prunes, and
+        // the answer it returns.
+        let data = anticorrelated(300, 3, 2);
+        let sol = run_rrm(&data, 5, &FullSpace::new(3), quick_opts(300)).unwrap();
+        let report = sol.report.as_ref().unwrap();
+        assert_eq!((report.nodes, report.pruned_probes), (73, 8));
+        assert_eq!(sol.bounds, Some(Bounds { lower: 45, upper: 45 }));
+        assert_eq!(sol.indices, vec![101, 228, 258, 259, 268]);
+        assert_eq!(sol.certified_regret, Some(45));
+    }
+
+    #[test]
     fn hdrrr_threshold_variant() {
         let data = independent(500, 3, 29);
         let opts = quick_opts(300);

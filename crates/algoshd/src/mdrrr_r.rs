@@ -339,6 +339,19 @@ mod tests {
     }
 
     #[test]
+    fn search_work_and_answer_are_pinned() {
+        // One fixed instance: the probes the search runs, the prunes, and
+        // the answer it returns.
+        let data = anticorrelated(300, 3, 4);
+        let sol = run_rrm(&data, 4, &FullSpace::new(3), opts(1000, 104)).unwrap();
+        let report = sol.report.as_ref().unwrap();
+        assert_eq!((report.nodes, report.pruned_probes), (102, 8));
+        assert_eq!(sol.bounds, Some(Bounds { lower: 21, upper: 21 }));
+        assert_eq!(sol.indices, vec![117, 186, 215, 236]);
+        assert_eq!(sol.certified_regret, None);
+    }
+
+    #[test]
     fn kset_family_reads_prefixes_and_dedups() {
         let lists = vec![vec![4, 1, 9], vec![1, 4, 2], vec![9, 4, 1], vec![2]];
         assert_eq!(kset_family(&lists, 2), vec![vec![1, 4], vec![2], vec![4, 9]]);

@@ -558,6 +558,32 @@ mod tests {
     }
 
     #[test]
+    fn rrr_search_doubles_then_bisects_the_size() {
+        // Row i is (i, i): row 0 ranks last everywhere, so {0} never meets
+        // the threshold, while the whole dataset does. The predicate turns
+        // feasible at r = 13.
+        let rows: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, i as f64]).collect();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut probed = Vec::new();
+        let sol = rrr_via_rrm_search_with(
+            "pinned",
+            &data,
+            1,
+            &FullSpace::new(2),
+            &Budget::with_samples(16),
+            ExecPolicy::default(),
+            |r| {
+                probed.push(r);
+                let ids = if r >= 13 { (0..100).collect() } else { vec![0] };
+                Solution::new(ids, None, Algorithm::Mdrc, &data)
+            },
+        )
+        .unwrap();
+        assert_eq!(probed, vec![1, 2, 4, 8, 16, 12, 14, 13]);
+        assert_eq!(sol.size(), 100);
+    }
+
+    #[test]
     fn dim_range_contains() {
         assert!(DimRange::exactly(2).contains(2));
         assert!(!DimRange::exactly(2).contains(3));
