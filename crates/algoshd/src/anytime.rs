@@ -1,19 +1,40 @@
-//! The anytime bound-and-prune core shared by the hard HD solvers.
+//! The anytime bound-and-prune core shared by the hard HD solvers, and
+//! the crate's one doubling-then-binary search.
 //!
-//! [`threshold_search`] is the doubling-then-binary threshold search that
-//! HDRRM, MDRRR and MDRRRr all run, restructured around an
-//! [`AnytimeSearch`]: before every probe the driver checks the budget's
-//! limits, and on an early stop it reports the certified lower bound
-//! reached so the caller can return its incumbent with sound [`Bounds`]
-//! instead of failing. Probe closures stay in charge of domain work —
-//! computing the candidate set, accounting expanded nodes, offering
-//! incumbents — so each solver's probe sequence is exactly what it was
-//! before the refactor: without limits the driver performs the same
-//! probes in the same order and returns the same best threshold, bit for
-//! bit.
+//! [`threshold_search`] doubles a threshold until a probe is feasible,
+//! then bisects the last gap. Before every probe it checks the budget's
+//! limits through an [`AnytimeSearch`]; on an early stop it reports the
+//! certified lower bound reached, so the caller can return its incumbent
+//! with sound [`Bounds`] instead of failing. Without limits it runs the
+//! same probes in the same order and returns the same best threshold, bit
+//! for bit. Probe closures do the domain work: computing the candidate
+//! set, counting expanded nodes, offering incumbents. Every search in the
+//! crate runs on it: [`CoverSearch`], MDRRR's k-set search, the sampled
+//! tier's RRM solve, and [`rrr_via_rrm_search_with`].
+//!
+//! [`CoverSearch`] is the one anytime cover search. HDRRM (Algorithm 3)
+//! and MDRRRr both look for the smallest threshold `k` at which a greedy
+//! cover of the directions' top-`k` lists fits `r` tuples. HDRRM covers
+//! every list, with the basis forced in and the skyline as candidates;
+//! MDRRRr covers the distinct k-sets among the lists, with neither.
 
-use rrm_core::rank::rank_regret_of_set;
-use rrm_core::{AnytimeSearch, Bounds, Dataset, Parallelism, RrmError, TerminatedBy};
+use rrm_core::approx::sample_directions;
+use rrm_core::rank::max_rank_regret;
+use rrm_core::{
+    Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
+    TerminatedBy, UtilitySpace,
+};
+
+use crate::asms::{asms_with_topk_capped, AsmsProbe};
+use crate::common::{ListCache, ListSource};
+use crate::mdrrr_r::kset_family;
+
+/// Fraction of the frame used as the coarse frame (its *prefix*, so
+/// coarse infeasibility implies full-frame infeasibility).
+const COARSE_FRACTION: usize = 16;
+/// Below this many coarse directions the coarse pass is skipped: the full
+/// solve is already fast and the extra pass would not pay for itself.
+const COARSE_MIN_DIRS: usize = 16;
 
 /// Outcome of an anytime threshold search.
 pub(crate) struct ThresholdOutcome<T> {
@@ -106,24 +127,244 @@ pub(crate) fn threshold_search<T>(
     })
 }
 
-/// Maximum rank-regret of `set` over `dirs`, chunked over `pol`'s worker
-/// threads (`max` commutes, so the result is identical at any thread
-/// count). This *measures* a sound frame-relative upper bound for an
-/// incumbent candidate in one scoring pass.
-pub(crate) fn regret_over_dirs(
-    data: &Dataset,
-    set: &[u32],
-    dirs: &[Vec<f64>],
-    pol: Parallelism,
-) -> usize {
-    if dirs.is_empty() {
-        return 0;
+/// The anytime cover search over one direction frame: HDRRM's ASMS
+/// search and MDRRRr's k-set hitting search.
+///
+/// A probe at threshold `k` is ASMS's greedy cover
+/// ([`asms_with_topk_capped`]) of the frame's top-`k` lists, or of the
+/// distinct k-sets among them ([`kset_family`]) when `ksets` is set. The
+/// answer certifies its threshold only when the algorithm has a regret
+/// guarantee ([`Algorithm::has_regret_guarantee`]); otherwise its bounds
+/// hold over the frame alone.
+pub(crate) struct CoverSearch<'a> {
+    pub data: &'a Dataset,
+    /// Whose answer this is.
+    pub algorithm: Algorithm,
+    /// Tuples every answer holds (HDRRM's basis `B`), sorted.
+    pub basis: &'a [u32],
+    /// Tuples the cover may choose (HDRRM's skyline); `None` for any.
+    pub mask: Option<&'a [bool]>,
+    /// Cover the distinct k-sets among the lists (MDRRRr) instead of
+    /// every list (HDRRM).
+    pub ksets: bool,
+    /// Abort a cover once it provably exceeds `r` tuples. Greedy picks
+    /// are monotone and deterministic, so this never changes an answer.
+    pub prune: bool,
+    pub pol: Parallelism,
+    /// Most list entries (`|dirs| · k`) kept between probes; the one deep
+    /// pass runs only when it fits.
+    pub cache_budget_entries: usize,
+}
+
+impl CoverSearch<'_> {
+    /// RRM over the frame `dirs`: the smallest threshold whose cover fits
+    /// `r` tuples. `cache` keeps the frame's top-k lists under `key`
+    /// across queries.
+    ///
+    /// Under a limit a fallback incumbent comes first; then the coarse
+    /// incumbent, whose frame-wide bound sets the depth of the one deep
+    /// top-k pass; then the doubling-then-binary search, whose probes read
+    /// prefixes of the kept lists. An early stop returns the best
+    /// incumbent with sound [`Bounds`]. Without a time limit the answer is
+    /// bit-identical at any thread count.
+    pub fn solve_rrm(
+        &self,
+        r: usize,
+        dirs: &[Vec<f64>],
+        mut search: AnytimeSearch,
+        cache: &ListCache,
+        key: usize,
+    ) -> Result<Solution, RrmError> {
+        let minimum = self.basis.len().max(1);
+        if r < minimum {
+            return Err(RrmError::OutputSizeTooSmall { requested: r, minimum });
+        }
+        self.check_frame(dirs)?;
+        let n = self.data.n();
+        // A measured, sound frame-relative upper bound for a candidate.
+        let regret = |set: &[u32]| {
+            max_rank_regret(self.data, dirs, set, self.pol).expect("the frame is not empty")
+        };
+        if search.is_limited() {
+            let fallback = uniform_top_set(self.data, self.basis, r);
+            let upper = regret(&fallback);
+            search.offer(fallback, upper, 1);
+        }
+        // Coarse-to-fine first incumbent: the whole search on a prefix of
+        // the frame, whose answer fits `r`, measured over the full frame.
+        // Coarse probes never consume the probe budget; their nodes and
+        // prunes join the main report.
+        let coarse = &dirs[..dirs.len() / COARSE_FRACTION];
+        if coarse.len() >= COARSE_MIN_DIRS {
+            let kept = ListCache::default();
+            let source = self.source(coarse, 0, &kept, 0);
+            let mut sub = AnytimeSearch::unlimited();
+            let outcome = threshold_search(n, &mut sub, |k, lower, sub| {
+                Ok(self.probe(r, k, &source.lists(k), lower, sub))
+            })?;
+            search.report.nodes += sub.report.nodes;
+            search.report.pruned_probes += sub.report.pruned_probes;
+            if let Some((_, q)) = outcome.best {
+                let upper = regret(&q);
+                search.offer(q, upper, 1);
+            }
+        }
+        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
+        let source = self.source(dirs, deep, cache, key);
+        let outcome = threshold_search(n, &mut search, |k, lower, search| {
+            Ok(self.probe(r, k, &source.lists(k), lower, search))
+        })?;
+        let sol = match outcome.terminated {
+            TerminatedBy::Completed => {
+                // At k = n every list holds every tuple, so the basis or a
+                // single pick covers the frame.
+                let (k, q) = outcome.best.expect("a cover at k = n fits r");
+                Solution::new(q, self.certified(k), self.algorithm, self.data)?
+                    .with_bounds(Bounds { lower: k, upper: k })
+            }
+            t => {
+                let (q, upper) = search
+                    .incumbent
+                    .best()
+                    .expect("a limited search offers a fallback incumbent before searching");
+                Solution::new(q, self.certified(upper), self.algorithm, self.data)?
+                    .with_bounds(Bounds { lower: outcome.lower, upper })
+                    .with_termination(t)
+            }
+        };
+        Ok(sol.with_report(search.report))
     }
-    let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
-    let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, dirs_chunk| {
-        dirs_chunk.iter().map(|u| rank_regret_of_set(data, u, set)).max().unwrap_or(0)
-    });
-    per_chunk.into_iter().max().unwrap_or(0)
+
+    /// RRR over the frame `dirs`: one uncapped cover at threshold `k`.
+    pub fn solve_rrr(
+        &self,
+        k: usize,
+        dirs: &[Vec<f64>],
+        cache: &ListCache,
+        key: usize,
+    ) -> Result<Solution, RrmError> {
+        if k == 0 {
+            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
+        }
+        self.check_frame(dirs)?;
+        let k = k.min(self.data.n());
+        let lists = self.source(dirs, 0, cache, key).lists(k);
+        let q = self.cover(k, &lists, usize::MAX).q;
+        Solution::new(q, self.certified(k), self.algorithm, self.data)
+    }
+
+    /// An empty frame has nothing to cover: a typed error, rather than an
+    /// empty answer or a vacuous certificate.
+    fn check_frame(&self, dirs: &[Vec<f64>]) -> Result<(), RrmError> {
+        if dirs.is_empty() {
+            return Err(RrmError::Unsupported(format!(
+                "{} needs at least one direction to cover (samples >= 1)",
+                self.algorithm
+            )));
+        }
+        Ok(())
+    }
+
+    fn certified(&self, k: usize) -> Option<usize> {
+        self.algorithm.has_regret_guarantee().then_some(k)
+    }
+
+    /// The greedy cover at threshold `k`, capped at `cap` picks.
+    fn cover(&self, k: usize, lists: &[Vec<u32>], cap: usize) -> AsmsProbe {
+        let n = self.data.n();
+        if self.ksets {
+            asms_with_topk_capped(n, k, self.basis, &kset_family(lists, k), self.mask, cap)
+        } else {
+            asms_with_topk_capped(n, k, self.basis, lists, self.mask, cap)
+        }
+    }
+
+    /// One feasibility probe at threshold `k` for size budget `r`. Counts
+    /// the cover's picks as nodes, records prunes, and offers a cover that
+    /// fits as an incumbent (its threshold bounds the frame's regret).
+    fn probe(
+        &self,
+        r: usize,
+        k: usize,
+        lists: &[Vec<u32>],
+        lower: usize,
+        search: &mut AnytimeSearch,
+    ) -> Option<Vec<u32>> {
+        // Picks never overlap the basis, so more than `r - |B|` of them
+        // prove infeasibility.
+        let cap = if self.prune { r - self.basis.len() } else { usize::MAX };
+        let probe = self.cover(k, lists, cap);
+        search.note_nodes(probe.picks);
+        if !probe.complete {
+            search.note_pruned_probe();
+            return None;
+        }
+        if probe.q.len() > r {
+            return None;
+        }
+        search.offer(probe.q.clone(), k, lower);
+        Some(probe.q)
+    }
+
+    fn source<'s>(
+        &'s self,
+        dirs: &'s [Vec<f64>],
+        deep: usize,
+        cache: &'s ListCache,
+        key: usize,
+    ) -> ListSource<'s> {
+        ListSource {
+            data: self.data,
+            dirs,
+            pol: self.pol,
+            budget_entries: self.cache_budget_entries,
+            deep,
+            cache,
+            key,
+        }
+    }
+}
+
+/// RRR for solvers with no representative mode of their own (MDRC,
+/// MDRMS): the smallest size `r` whose `solve_rrm(r)` answer meets the
+/// threshold `k`, found by [`threshold_search`] over `r`. The regret is
+/// *estimated* on a deterministic direction sample, so the answer keeps
+/// the inner solver's (lack of) certificate. The estimate is chunked
+/// over `exec`'s threads and identical at any thread count.
+pub(crate) fn rrr_via_rrm_search_with(
+    name: &str,
+    data: &Dataset,
+    k: usize,
+    space: &dyn UtilitySpace,
+    budget: &Budget,
+    exec: ExecPolicy,
+    mut solve_rrm: impl FnMut(usize) -> Result<Solution, RrmError>,
+) -> Result<Solution, RrmError> {
+    if k == 0 {
+        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
+    }
+    let n = data.n();
+    let dirs = sample_directions(space, budget.samples.unwrap_or(512).max(1), 0x5EA7C4);
+    let outcome = threshold_search(n, &mut AnytimeSearch::unlimited(), |r, _, _| {
+        match solve_rrm(r) {
+            Ok(sol) => {
+                let est = max_rank_regret(data, &dirs, &sol.indices, exec.parallelism)
+                    .expect("at least one direction");
+                Ok((est <= k).then_some(sol))
+            }
+            // "This r is below the solver's minimum output size" is an
+            // expected probe outcome; the search just moves to a larger r.
+            Err(RrmError::OutputSizeTooSmall { .. }) => Ok(None),
+            // Everything else — notably `Internal` contract violations —
+            // must surface, not be mistaken for infeasibility.
+            Err(e) => Err(e),
+        }
+    })?;
+    outcome.best.map(|(_, sol)| sol).ok_or_else(|| {
+        RrmError::Unsupported(format!(
+            "{name} could not reach rank-regret <= {k} even with r = {n}"
+        ))
+    })
 }
 
 /// A deterministic fallback representative: `seed` tuples (a basis, or
@@ -156,8 +397,21 @@ pub(crate) fn uniform_top_set(data: &Dataset, seed: &[u32], r: usize) -> Vec<u32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::Budget;
+    use rrm_core::FullSpace;
     use rrm_data::synthetic::independent;
+
+    fn table1() -> Dataset {
+        Dataset::from_rows(&[
+            [0.0, 1.0],
+            [0.4, 0.95],
+            [0.57, 0.75],
+            [0.79, 0.6],
+            [0.2, 0.5],
+            [0.35, 0.3],
+            [1.0, 0.0],
+        ])
+        .unwrap()
+    }
 
     /// Feasibility oracle "k >= target" — the driver must find `target`.
     fn run(n: usize, target: usize, search: &mut AnytimeSearch) -> ThresholdOutcome<usize> {
@@ -219,6 +473,51 @@ mod tests {
     }
 
     #[test]
+    fn rrr_search_propagates_internal_errors() {
+        // The RRR-via-RRM fallback must surface a misbehaving inner
+        // solver's Internal error, not translate it into "infeasible".
+        let data = table1();
+        let err = rrr_via_rrm_search_with(
+            "broken",
+            &data,
+            3,
+            &FullSpace::new(2),
+            &Budget::with_samples(16),
+            ExecPolicy::default(),
+            // Empty output: the contract violation Solution::new types.
+            |_| Solution::new(vec![], None, Algorithm::Mdrc, &data),
+        )
+        .unwrap_err();
+        assert!(matches!(&err, RrmError::Internal(msg) if msg.contains("empty")), "{err}");
+    }
+
+    #[test]
+    fn rrr_search_doubles_then_bisects_the_size() {
+        // Row i is (i, i): row 0 ranks last everywhere, so {0} never meets
+        // the threshold, while the whole dataset does. The predicate turns
+        // feasible at r = 13.
+        let rows: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, i as f64]).collect();
+        let data = Dataset::from_rows(&rows).unwrap();
+        let mut probed = Vec::new();
+        let sol = rrr_via_rrm_search_with(
+            "pinned",
+            &data,
+            1,
+            &FullSpace::new(2),
+            &Budget::with_samples(16),
+            ExecPolicy::default(),
+            |r| {
+                probed.push(r);
+                let ids = if r >= 13 { (0..100).collect() } else { vec![0] };
+                Solution::new(ids, None, Algorithm::Mdrc, &data)
+            },
+        )
+        .unwrap();
+        assert_eq!(probed, vec![1, 2, 4, 8, 16, 12, 14, 13]);
+        assert_eq!(sol.size(), 100);
+    }
+
+    #[test]
     fn uniform_top_set_is_deterministic_and_sized() {
         let data = independent(50, 3, 5);
         let a = uniform_top_set(&data, &[3, 9], 8);
@@ -228,18 +527,5 @@ mod tests {
         assert!(a.contains(&3) && a.contains(&9));
         let solo = uniform_top_set(&data, &[], 1);
         assert_eq!(solo.len(), 1);
-    }
-
-    #[test]
-    fn regret_over_dirs_matches_serial_max() {
-        let data = independent(80, 3, 6);
-        let dirs: Vec<Vec<f64>> =
-            vec![vec![1.0, 0.0, 0.0], vec![0.2, 0.5, 0.3], vec![0.0, 0.0, 1.0]];
-        let set = vec![0u32, 5, 11];
-        let want = dirs.iter().map(|u| rank_regret_of_set(&data, u, &set)).max().unwrap();
-        for pol in [Parallelism::Sequential, Parallelism::Fixed(3)] {
-            assert_eq!(regret_over_dirs(&data, &set, &dirs, pol), want);
-        }
-        assert_eq!(regret_over_dirs(&data, &set, &[], Parallelism::Auto), 0);
     }
 }

@@ -6,6 +6,11 @@
 //! contains no boundary tuple), and tuple `t` covers the vectors whose
 //! top-k contains `t`. Chvátal's greedy yields the `1 + ln|Dk|` size
 //! factor of Theorem 9.
+//!
+//! The same cover is the hitting set of the k-set baselines: MDRRR and
+//! MDRRRr pass a k-set family as the lists, with an empty basis and no
+//! candidate mask, so every k-set is a universe element and the greedy
+//! hits them all.
 
 use rrm_core::rank::batch_top_k;
 use rrm_core::{Dataset, Parallelism};

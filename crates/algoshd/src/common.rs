@@ -1,5 +1,6 @@
 //! Shared machinery for the HD algorithms: the batch top-1 kernel, and
-//! the top-k list source behind HDRRM's and MDRRRr's threshold searches.
+//! the top-k list source behind the anytime cover search that HDRRM and
+//! MDRRRr run.
 //! All dot products route through the blocked SoA kernel
 //! ([`rrm_core::kernel`]); top-k lists come from
 //! [`rrm_core::rank::batch_top_k`].

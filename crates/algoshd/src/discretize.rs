@@ -6,8 +6,7 @@
 //! argument). For RRRM the samples come from `U` and grid vertices outside
 //! `U` are discarded (Section V-C).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rrm_core::approx::sample_directions;
 use rrm_core::space::batch_contains;
 use rrm_core::{ExecPolicy, UtilitySpace};
 use rrm_geom::polar::polar_grid;
@@ -69,11 +68,7 @@ pub fn build_vector_set_exec(
 ) -> Discretization {
     assert!(d >= 2, "HD discretization requires d >= 2");
     assert_eq!(space.dim(), d);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut dirs: Vec<Vec<f64>> = Vec::with_capacity(m);
-    for _ in 0..m {
-        dirs.push(space.sample_direction(&mut rng));
-    }
+    let mut dirs = sample_directions(space, m, seed);
     let n_samples = dirs.len();
     let grid = polar_grid(d, gamma, true);
     let mut n_grid = 0;

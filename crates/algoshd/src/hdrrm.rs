@@ -18,23 +18,21 @@
 //!
 //! [`PreparedHdrrm`] is the implementation: the dataset phase (basis `B`,
 //! skyline mask) runs once at prepare time, and each query runs the
-//! threshold search (RRM) or one ASMS cover (RRR) over a cached
-//! discretization `D`.
+//! crate's anytime cover search, shared with MDRRRr, over a cached
+//! discretization `D`: the threshold search (RRM) or one ASMS cover (RRR).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rrm_core::rank::batch_top_k;
 use rrm_core::{
-    basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Bounds, Budget, Dataset,
-    ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, TerminatedBy, UtilitySpace,
-    PREPARED_CACHE_CAP,
+    basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Budget, Dataset,
+    ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, UtilitySpace, PREPARED_CACHE_CAP,
 };
 use rrm_skyline::IncrementalSkyline;
 
-use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
-use crate::asms::{asms_with_topk, asms_with_topk_capped};
-use crate::common::{ListCache, ListSource, TopkLists, DEFAULT_CACHE_BUDGET_ENTRIES};
+use crate::anytime::CoverSearch;
+use crate::common::{ListCache, TopkLists, DEFAULT_CACHE_BUDGET_ENTRIES};
 use crate::discretize::{build_vector_set_exec, paper_sample_size, Discretization};
 
 /// Tuning knobs for HDRRM ([`crate::HdrrmSolver`]). Defaults mirror the
@@ -51,7 +49,7 @@ pub struct HdrrmOptions {
     /// RNG seed for `Da`.
     pub seed: u64,
     /// Restrict cover candidates to skyline tuples (sound by Theorem 3;
-    /// ablated in `ablation_candidates`).
+    /// ablated in `repro ablation`'s "skyline candidates" section).
     pub skyline_candidates: bool,
     /// Force the boundary-tuple basis `B` into the output (the paper's
     /// Algorithm 2/3). The basis powers Theorem 7's `(1-ε)·w_k` utility
@@ -88,178 +86,6 @@ impl Default for HdrrmOptions {
             cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
             prune: true,
             exec: ExecPolicy::default(),
-        }
-    }
-}
-
-/// Fraction of the discretization used as the coarse frame (its *prefix*,
-/// so coarse infeasibility implies full-frame infeasibility).
-const COARSE_FRACTION: usize = 16;
-/// Below this many coarse directions the coarse pass is skipped — the
-/// full solve is already fast and the extra pass would not pay for
-/// itself.
-const COARSE_MIN_DIRS: usize = 16;
-
-/// The per-solve probe environment of one HDRRM search: everything a
-/// feasibility probe needs besides the cache its top-k lists are kept in.
-struct AsmsSearch<'a> {
-    data: &'a Dataset,
-    r: usize,
-    basis: &'a [u32],
-    mask: Option<&'a [bool]>,
-    /// Greedy pick cap for bound-and-prune probes (`usize::MAX` when
-    /// pruning is disabled).
-    pick_cap: usize,
-    pol: Parallelism,
-    cache_budget_entries: usize,
-}
-
-/// Greedy pick cap for a probe: chosen tuples never overlap the basis,
-/// so a cover that picks more than `r - |B|` tuples already proves
-/// infeasibility. `usize::MAX` disables pruning.
-fn pick_cap(r: usize, basis: &[u32], options: &HdrrmOptions) -> usize {
-    if options.prune {
-        r - basis.len()
-    } else {
-        usize::MAX
-    }
-}
-
-impl AsmsSearch<'_> {
-    /// One capped feasibility probe over precomputed lists. Counts the
-    /// cover picks as nodes, records prunes, and offers feasible results
-    /// to the incumbent (their threshold is a sound frame-relative upper
-    /// bound).
-    fn probe(
-        &self,
-        k: usize,
-        lists: &[Vec<u32>],
-        lower: usize,
-        search: &mut AnytimeSearch,
-    ) -> Option<Vec<u32>> {
-        let probe =
-            asms_with_topk_capped(self.data.n(), k, self.basis, lists, self.mask, self.pick_cap);
-        search.note_nodes(probe.picks);
-        if !probe.complete {
-            search.note_pruned_probe();
-            return None;
-        }
-        if probe.q.len() <= self.r {
-            search.offer(probe.q.clone(), k, lower);
-            Some(probe.q)
-        } else {
-            None
-        }
-    }
-
-    /// Offer the deterministic fallback incumbent (basis topped up with
-    /// uniform-direction best scorers), so a limited search always has a
-    /// sound answer to return.
-    fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
-        let fallback = uniform_top_set(self.data, self.basis, self.r);
-        let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
-        search.offer(fallback, upper, 1);
-    }
-
-    /// Coarse-to-fine first incumbent: run the whole threshold search on
-    /// the *prefix* `dirs[..m/16]` of the discretization (a subset, so
-    /// its probes are cheap and its answer fits `r`), then measure that
-    /// answer's regret over the full frame for a sound upper bound.
-    /// Coarse probes never consume the deterministic probe budget; their
-    /// expanded nodes and prunes are merged into the main report.
-    fn coarse_incumbent(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
-        let mc = dirs.len() / COARSE_FRACTION;
-        if mc < COARSE_MIN_DIRS {
-            return;
-        }
-        let cache = ListCache::default();
-        let source = self.source(&dirs[..mc], 0, &cache, 0);
-        let mut sub = AnytimeSearch::unlimited();
-        let outcome = threshold_search(self.data.n(), &mut sub, |k, lower, sub| {
-            Ok(self.probe(k, &source.lists(k), lower, sub))
-        });
-        search.report.nodes += sub.report.nodes;
-        search.report.pruned_probes += sub.report.pruned_probes;
-        let Ok(outcome) = outcome else { return };
-        if let Some((_, q)) = outcome.best {
-            let upper = regret_over_dirs(self.data, &q, dirs, self.pol);
-            search.offer(q, upper, 1);
-        }
-    }
-
-    fn source<'s>(
-        &'s self,
-        dirs: &'s [Vec<f64>],
-        deep: usize,
-        cache: &'s ListCache,
-        key: usize,
-    ) -> ListSource<'s> {
-        ListSource {
-            data: self.data,
-            dirs,
-            pol: self.pol,
-            budget_entries: self.cache_budget_entries,
-            deep,
-            cache,
-            key,
-        }
-    }
-
-    /// The whole search over the size-`m` discretization `dirs`
-    /// (Algorithm 3 lines 2–6); `cache` keeps the top-k lists (keyed by
-    /// `m`) across queries.
-    ///
-    /// Under a limit a fallback incumbent comes first; then the coarse
-    /// incumbent, whose full-frame bound sets the depth of the one deep
-    /// top-k pass; then the doubling-then-binary search, whose probes
-    /// read prefixes of the kept lists.
-    fn solve(
-        &self,
-        dirs: &[Vec<f64>],
-        mut search: AnytimeSearch,
-        cache: &ListCache,
-        m: usize,
-    ) -> Result<Solution, RrmError> {
-        if search.is_limited() {
-            self.offer_fallback(dirs, &mut search);
-        }
-        self.coarse_incumbent(dirs, &mut search);
-        let n = self.data.n();
-        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
-        let source = self.source(dirs, deep, cache, m);
-        let outcome = threshold_search(n, &mut search, |k, lower, search| {
-            Ok(self.probe(k, &source.lists(k), lower, search))
-        })?;
-        self.finish(outcome, search)
-    }
-
-    /// Assemble the final [`Solution`] from a finished or cut-off search.
-    fn finish(
-        &self,
-        outcome: ThresholdOutcome<Vec<u32>>,
-        search: AnytimeSearch,
-    ) -> Result<Solution, RrmError> {
-        match outcome.terminated {
-            TerminatedBy::Completed => {
-                // Unreachable `None`: at k = n the universe Dk is empty
-                // and ASMS returns exactly the basis, which fits r.
-                let (best_k, best_q) = outcome.best.expect("ASMS at k = n returns the basis");
-                Solution::new(best_q, Some(best_k), Algorithm::Hdrrm, self.data).map(|s| {
-                    s.with_bounds(Bounds { lower: best_k, upper: best_k })
-                        .with_report(search.report)
-                })
-            }
-            t => {
-                let (q, upper) = search
-                    .incumbent
-                    .best()
-                    .expect("a limited search offers a fallback incumbent before searching");
-                Solution::new(q, Some(upper), Algorithm::Hdrrm, self.data).map(|s| {
-                    s.with_bounds(Bounds { lower: outcome.lower, upper })
-                        .with_termination(t)
-                        .with_report(search.report)
-                })
-            }
         }
     }
 }
@@ -383,14 +209,15 @@ impl PreparedHdrrm {
         )
     }
 
-    /// The probe environment for one query with size budget `r`.
-    fn env<'a>(&'a self, r: usize, basis: &'a [u32]) -> AsmsSearch<'a> {
-        AsmsSearch {
+    /// The cover search of one query, with `basis` forced into its answer.
+    fn search<'a>(&'a self, basis: &'a [u32]) -> CoverSearch<'a> {
+        CoverSearch {
             data: &self.data,
-            r,
+            algorithm: Algorithm::Hdrrm,
             basis,
             mask: self.mask.as_deref(),
-            pick_cap: pick_cap(r, basis, &self.options),
+            ksets: false,
+            prune: self.options.prune,
             pol: self.options.exec.parallelism,
             cache_budget_entries: self.options.cache_budget_entries,
         }
@@ -421,21 +248,20 @@ impl PreparedSolver for PreparedHdrrm {
     /// limits (`max_enumerations` caps the threshold probes, next to the
     /// time limit and gap target); an early stop returns the best
     /// incumbent found so far — the coarse-frame answer, a feasible probe,
-    /// or the uniform-direction fallback — with certified [`Bounds`] and
-    /// the [`TerminatedBy`] reason, instead of failing. Without a time
-    /// limit the answer is bit-identical at any thread count.
+    /// or the uniform-direction fallback — with certified
+    /// [`Bounds`](rrm_core::Bounds) and the
+    /// [`TerminatedBy`](rrm_core::TerminatedBy) reason, instead of
+    /// failing. Without a time limit the answer is bit-identical at any
+    /// thread count.
     ///
     /// Errors when `r` cannot hold the basis (`r < |B|`; the paper
     /// assumes `r ≥ d`).
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
         let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
-        if r < basis.len().max(1) {
-            return Err(RrmError::OutputSizeTooSmall { requested: r, minimum: basis.len().max(1) });
-        }
         let m = self.rrm_samples(r, budget);
         let disc = self.disc(m);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
-        self.env(r, basis).solve(&disc.dirs, search, &self.topk, m)
+        self.search(basis).solve_rrm(r, &disc.dirs, search, &self.topk, m)
     }
 
     /// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
@@ -444,27 +270,11 @@ impl PreparedSolver for PreparedHdrrm {
     /// formula's `r` is unknown for RRR, so the default `m` is sized for
     /// twice the basis instead.
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        if k == 0 {
-            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-        }
-        let n = self.data.n();
         let m = budget.samples.or(self.options.m_override).unwrap_or_else(|| {
-            paper_sample_size(n, (2 * self.basis.len()).max(8), self.data.dim(), self.options.delta)
+            let r = (2 * self.basis.len()).max(8);
+            paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
         });
-        let k = k.min(n);
-        let disc = self.disc(m);
-        let lists = ListSource {
-            data: &self.data,
-            dirs: &disc.dirs,
-            pol: self.options.exec.parallelism,
-            budget_entries: self.options.cache_budget_entries,
-            deep: 0,
-            cache: &self.topk,
-            key: m,
-        }
-        .lists(k);
-        let q = asms_with_topk(n, k, &self.basis, &lists, self.mask.as_deref());
-        Solution::new(q, Some(k), Algorithm::Hdrrm, &self.data)
+        self.search(&self.basis).solve_rrr(k, &self.disc(m).dirs, &self.topk, m)
     }
 
     fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
@@ -538,7 +348,7 @@ fn patch_topk(
 mod tests {
     use super::*;
     use crate::discretize::build_vector_set;
-    use rrm_core::{FullSpace, Solver, WeakRankingSpace};
+    use rrm_core::{Bounds, FullSpace, Solver, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, correlated, independent};
 
     fn quick_opts(m: usize) -> HdrrmOptions {

@@ -14,6 +14,16 @@
 //! restricted spaces for MDRRR and MDRC, and only HDRRM and MDRRR certify
 //! a rank-regret for their output. Each algorithm's queries run on the
 //! handle its [`solver`]'s `prepare` returns.
+//!
+//! [`mod@sampled`] holds the sampled-ε tier's solver (`Algorithm::Sampled`):
+//! a greedy cover of Hoeffding-sized sampled directions, certified over
+//! that sample.
+//!
+//! Every direction-sampling cover solver here shares one greedy cover,
+//! `rrm_setcover::greedy_set_cover_capped`, and one doubling-then-binary
+//! threshold search. HDRRM and MDRRRr also share one anytime cover search
+//! (basis, candidate mask and k-set step are its inputs); MDRRR runs
+//! ASMS's cover over its enumerated k-sets.
 
 pub(crate) mod anytime;
 pub mod asms;
@@ -26,6 +36,7 @@ pub mod mdrc;
 pub mod mdrms;
 pub mod mdrrr;
 pub mod mdrrr_r;
+pub mod sampled;
 pub mod solver;
 
 pub use asms::asms;
@@ -36,4 +47,5 @@ pub use ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
 pub use mdrc::MdrcOptions;
 pub use mdrms::MdrmsOptions;
 pub use mdrrr_r::MdrrrROptions;
+pub use sampled::{SampledOptions, SampledSolver};
 pub use solver::{HdrrmSolver, MdrcSolver, MdrmsSolver, MdrrrRSolver, MdrrrSolver};

@@ -12,8 +12,7 @@
 //! re-implementation discretizes by sampling, which preserves the
 //! objective, the speed profile and both failure modes (see DESIGN.md).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rrm_core::approx::sample_directions;
 use rrm_core::{utility, Dataset, ExecPolicy, Parallelism, UtilitySpace};
 
 use crate::common::batch_top1_scores;
@@ -63,9 +62,7 @@ pub(crate) struct GreedyRms {
 
 impl GreedyRms {
     pub(crate) fn new(data: &Dataset, space: &dyn UtilitySpace, opts: MdrmsOptions) -> Self {
-        let mut rng = StdRng::seed_from_u64(opts.seed);
-        let dirs: Vec<Vec<f64>> =
-            (0..opts.samples).map(|_| space.sample_direction(&mut rng)).collect();
+        let dirs = sample_directions(space, opts.samples, opts.seed);
         let top1 = batch_top1_scores(data, &dirs, opts.exec.parallelism);
 
         // Candidates: skyline when affordable, else an even subsample of it.

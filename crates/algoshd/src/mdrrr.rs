@@ -1,66 +1,21 @@
 //! **MDRRR** — the exact k-set baseline of Asudeh et al.
 //!
 //! Enumerate every k-set ([`crate::ksets`]), then hit them all with as few
-//! tuples as possible (greedy set cover): any direction's top-k is one of
-//! the enumerated k-sets, so a hitting set has rank-regret ≤ k everywhere
-//! — the guaranteed-regret, logarithmic-size-ratio algorithm of the
-//! paper's Table III. Exactly as the paper reports, it "does not scale
-//! beyond a few hundred tuples" (`|W|` explodes); the limits make it fail
-//! gracefully instead of hanging.
+//! tuples as possible: ASMS's greedy cover ([`asms_with_topk`]) over the
+//! k-sets, with no basis and no candidate mask. Any direction's top-k is
+//! one of the enumerated k-sets, so a hitting set has rank-regret ≤ k
+//! everywhere — the guaranteed-regret, logarithmic-size-ratio algorithm
+//! of the paper's Table III. Exactly as the paper reports, it "does not
+//! scale beyond a few hundred tuples" (`|W|` explodes); the limits make
+//! it fail gracefully instead of hanging.
 
 use rrm_core::{
     Algorithm, AnytimeSearch, Bounds, Budget, Dataset, RrmError, Solution, TerminatedBy,
 };
-use rrm_setcover::greedy_set_cover_capped;
 
 use crate::anytime::{threshold_search, uniform_top_set};
+use crate::asms::asms_with_topk;
 use crate::ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
-
-/// Hitting set over an enumerated k-set family (shared by MDRRR and
-/// MDRRRr): universe = k-sets, tuple `t` covers the k-sets containing it.
-pub(crate) fn hit_ksets(n: usize, ksets: &[Vec<u32>]) -> Vec<u32> {
-    hit_ksets_capped(n, ksets, usize::MAX).ids
-}
-
-/// One capped hitting-set probe: result, completion flag, picks made.
-pub(crate) struct HitProbe {
-    /// Chosen tuples, sorted. When `complete`, exactly the uncapped
-    /// [`hit_ksets`] output; when aborted, a prefix already past the cap.
-    pub ids: Vec<u32>,
-    /// `false` iff the greedy cover aborted past `max_picks` — proving
-    /// the uncapped hitting set has more than `max_picks` tuples.
-    pub complete: bool,
-    /// Greedy picks expanded (search nodes).
-    pub picks: u64,
-}
-
-/// [`hit_ksets`] with the greedy cover capped at `max_picks` choices —
-/// the bound-and-prune feasibility probe of the anytime RRM searches.
-/// Greedy picks are monotone and deterministic, so the "fits in `r`
-/// tuples" decision is identical to the uncapped run's.
-pub(crate) fn hit_ksets_capped(n: usize, ksets: &[Vec<u32>], max_picks: usize) -> HitProbe {
-    assert!(!ksets.is_empty());
-    let mut lists: Vec<Vec<u32>> = Vec::new();
-    let mut list_of_tuple: Vec<u32> = vec![u32::MAX; n];
-    let mut tuple_of_list: Vec<u32> = Vec::new();
-    for (ki, t_set) in ksets.iter().enumerate() {
-        for &t in t_set {
-            let li = list_of_tuple[t as usize];
-            if li == u32::MAX {
-                list_of_tuple[t as usize] = lists.len() as u32;
-                tuple_of_list.push(t);
-                lists.push(vec![ki as u32]);
-            } else {
-                lists[li as usize].push(ki as u32);
-            }
-        }
-    }
-    let (chosen, complete) = greedy_set_cover_capped(ksets.len(), &lists, max_picks);
-    let picks = chosen.len() as u64;
-    let mut out: Vec<u32> = chosen.into_iter().map(|li| tuple_of_list[li]).collect();
-    out.sort_unstable();
-    HitProbe { ids: out, complete, picks }
-}
 
 /// MDRRR for the RRR problem: a set with rank-regret ≤ `k` (certified when
 /// the enumeration completed) and size within `1 + ln|W|` of optimal. The
@@ -72,7 +27,7 @@ pub(crate) fn mdrrr(data: &Dataset, k: usize, limits: KsetLimits) -> Result<Solu
     }
     let k = k.min(data.n());
     let e: KsetEnumeration = enumerate_ksets(data, k, &[], limits);
-    let ids = hit_ksets(data.n(), &e.ksets);
+    let ids = asms_with_topk(data.n(), k, &[], &e.ksets, None);
     let certified = e.complete.then_some(k);
     Solution::new(ids, certified, Algorithm::Mdrrr, data)
 }

@@ -6,17 +6,18 @@
 //! restricted spaces, but the output's rank-regret is **not** guaranteed —
 //! unsampled k-set regions can be missed, which is exactly the quality gap
 //! the paper's figures display at scale.
+//!
+//! The directions are `rrm_core::approx::sample_directions(space,
+//! samples, seed)`. Queries run on the anytime cover search HDRRM runs,
+//! with no basis, no candidate mask, and each threshold's distinct k-sets
+//! (`kset_family`) as the universe: RRM searches the smallest threshold
+//! whose hitting set fits `r`, RRR hits one threshold's k-sets. The answer
+//! certifies nothing; its bounds hold over the sampled directions only.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
-    TerminatedBy, UtilitySpace,
-};
+use rrm_core::{Algorithm, Dataset, ExecPolicy};
 
-use crate::anytime::{regret_over_dirs, threshold_search, uniform_top_set, ThresholdOutcome};
-use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
-use crate::mdrrr::hit_ksets_capped;
+use crate::anytime::CoverSearch;
+use crate::common::DEFAULT_CACHE_BUDGET_ENTRIES;
 
 /// Options for MDRRRr ([`crate::MdrrrRSolver`]).
 #[derive(Debug, Clone, Copy)]
@@ -41,182 +42,19 @@ impl Default for MdrrrROptions {
     }
 }
 
-/// Prefix fraction of the sampled pool used as the coarse frame.
-const COARSE_FRACTION: usize = 16;
-/// Minimum coarse pool size for the coarse pass to be worth running.
-const COARSE_MIN_DIRS: usize = 16;
-
-/// The per-solve probe environment of one MDRRRr RRM search (top-k lists
-/// are kept in the cache the caller passes).
-pub(crate) struct SampledSearch<'a> {
-    pub data: &'a Dataset,
-    pub r: usize,
-    /// Hitting-set pick cap (`usize::MAX` = pruning disabled).
-    pub pick_cap: usize,
-    pub pol: Parallelism,
-    /// Most list entries (`samples · k`) kept between probes; the one
-    /// deep pass runs only when it fits.
-    pub cache_budget_entries: usize,
-}
-
-impl<'a> SampledSearch<'a> {
-    pub(crate) fn new(data: &'a Dataset, r: usize, opts: MdrrrROptions) -> Self {
-        SampledSearch {
-            data,
-            r,
-            pick_cap: if opts.prune { r } else { usize::MAX },
-            pol: opts.exec.parallelism,
-            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
-        }
+/// MDRRRr's cover search over `opts.samples` directions: no basis, no
+/// candidate mask, and each threshold's distinct k-sets as the universe.
+pub(crate) fn cover_search(data: &Dataset, opts: MdrrrROptions) -> CoverSearch<'_> {
+    CoverSearch {
+        data,
+        algorithm: Algorithm::MdrrrR,
+        basis: &[],
+        mask: None,
+        ksets: true,
+        prune: opts.prune,
+        pol: opts.exec.parallelism,
+        cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
     }
-
-    fn source<'s>(
-        &'s self,
-        dirs: &'s [Vec<f64>],
-        deep: usize,
-        cache: &'s ListCache,
-        key: usize,
-    ) -> ListSource<'s> {
-        ListSource {
-            data: self.data,
-            dirs,
-            pol: self.pol,
-            budget_entries: self.cache_budget_entries,
-            deep,
-            cache,
-            key,
-        }
-    }
-
-    /// One capped hitting probe over a k-set family. Counts picks as
-    /// nodes, records prunes, offers feasible results (their threshold
-    /// is the sound upper bound over the sampled pool).
-    fn probe(
-        &self,
-        k: usize,
-        ksets: &[Vec<u32>],
-        lower: usize,
-        search: &mut AnytimeSearch,
-    ) -> Option<Vec<u32>> {
-        let probe = hit_ksets_capped(self.data.n(), ksets, self.pick_cap);
-        search.note_nodes(probe.picks);
-        if !probe.complete {
-            search.note_pruned_probe();
-            return None;
-        }
-        if probe.ids.len() <= self.r {
-            search.offer(probe.ids.clone(), k, lower);
-            Some(probe.ids)
-        } else {
-            None
-        }
-    }
-
-    /// Offer the uniform-direction top-`r` fallback incumbent, with its
-    /// measured regret over the full sampled pool as the upper bound.
-    fn offer_fallback(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
-        let fallback = uniform_top_set(self.data, &[], self.r);
-        let upper = regret_over_dirs(self.data, &fallback, dirs, self.pol);
-        search.offer(fallback, upper, 1);
-    }
-
-    /// Coarse-to-fine first incumbent: solve over the prefix
-    /// `dirs[..samples/16]` of the pool (cheap — fewer directions to
-    /// score and fewer k-sets to hit), then measure that answer over the
-    /// full pool for a sound frame-relative upper bound. Coarse probes
-    /// never consume the deterministic probe budget.
-    fn coarse_incumbent(&self, dirs: &[Vec<f64>], search: &mut AnytimeSearch) {
-        let mc = dirs.len() / COARSE_FRACTION;
-        if mc < COARSE_MIN_DIRS {
-            return;
-        }
-        let cache = ListCache::default();
-        let source = self.source(&dirs[..mc], 0, &cache, 0);
-        let mut sub = AnytimeSearch::unlimited();
-        let outcome = threshold_search(self.data.n(), &mut sub, |k, lower, sub| {
-            Ok(self.probe(k, &kset_family(&source.lists(k), k), lower, sub))
-        });
-        search.report.nodes += sub.report.nodes;
-        search.report.pruned_probes += sub.report.pruned_probes;
-        let Ok(outcome) = outcome else { return };
-        if let Some((_, ids)) = outcome.best {
-            let upper = regret_over_dirs(self.data, &ids, dirs, self.pol);
-            search.offer(ids, upper, 1);
-        }
-    }
-
-    /// The whole RRM search over the sampled pool `dirs`, as an anytime
-    /// bound-and-prune search; `cache` keeps top-k lists (keyed by the
-    /// pool size) across queries.
-    ///
-    /// The pool is scored once for every threshold probe up to the coarse
-    /// incumbent's bound (deeper probes deepen the lists); hitting-set
-    /// covers abort as soon as they provably exceed `r` (when
-    /// `opts.prune`). Without a time limit the answer is bit-identical
-    /// at any thread count.
-    ///
-    /// Under a limit a fallback incumbent comes first; then the coarse
-    /// incumbent, whose pool-wide bound sets the depth of the one deep
-    /// top-k pass; then the doubling-then-binary search, whose probes
-    /// derive their k-set families from prefixes of the kept lists.
-    pub(crate) fn solve(
-        &self,
-        dirs: &[Vec<f64>],
-        mut search: AnytimeSearch,
-        cache: &ListCache,
-    ) -> Result<Solution, RrmError> {
-        if search.is_limited() {
-            self.offer_fallback(dirs, &mut search);
-        }
-        self.coarse_incumbent(dirs, &mut search);
-        let n = self.data.n();
-        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
-        let source = self.source(dirs, deep, cache, dirs.len());
-        let outcome = threshold_search(n, &mut search, |k, lower, search| {
-            Ok(self.probe(k, &kset_family(&source.lists(k), k), lower, search))
-        })?;
-        self.finish(outcome, search)
-    }
-
-    /// Assemble the final [`Solution`]. MDRRRr certifies nothing
-    /// (`certified_regret` stays `None`); its bounds are relative to the
-    /// sampled pool only.
-    fn finish(
-        &self,
-        outcome: ThresholdOutcome<Vec<u32>>,
-        search: AnytimeSearch,
-    ) -> Result<Solution, RrmError> {
-        match outcome.terminated {
-            TerminatedBy::Completed => {
-                // Unreachable `None`: at k = n the only k-set is the whole
-                // dataset and any single tuple hits it.
-                let (best_k, ids) = outcome.best.expect("hitting at k = n is a single tuple");
-                Solution::new(ids, None, Algorithm::MdrrrR, self.data).map(|s| {
-                    s.with_bounds(Bounds { lower: best_k, upper: best_k })
-                        .with_report(search.report)
-                })
-            }
-            t => {
-                let (ids, upper) = search
-                    .incumbent
-                    .best()
-                    .expect("a limited search offers a fallback incumbent before searching");
-                Solution::new(ids, None, Algorithm::MdrrrR, self.data).map(|s| {
-                    s.with_bounds(Bounds { lower: outcome.lower, upper })
-                        .with_termination(t)
-                        .with_report(search.report)
-                })
-            }
-        }
-    }
-}
-
-/// The sampled direction pool (deterministic per seed and sample count —
-/// the prepared handle caches it per sample count and reuses it for every
-/// threshold).
-pub(crate) fn sampled_dirs(space: &dyn UtilitySpace, opts: MdrrrROptions) -> Vec<Vec<f64>> {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
-    (0..opts.samples).map(|_| space.sample_direction(&mut rng)).collect()
 }
 
 /// The distinct top-k sets among per-direction top-k `lists`, each list
@@ -240,7 +78,12 @@ pub(crate) fn kset_family(lists: &[Vec<u32>], k: usize) -> Vec<Vec<u32>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{Budget, FullSpace, PreparedSolver, Solver, WeakRankingSpace};
+    use crate::common::ListCache;
+    use rrm_core::approx::sample_directions;
+    use rrm_core::{
+        AnytimeSearch, Bounds, Budget, FullSpace, PreparedSolver, RrmError, Solution, Solver,
+        UtilitySpace, WeakRankingSpace,
+    };
     use rrm_data::synthetic::{anticorrelated, independent};
     use rrm_eval::estimate_rank_regret_seq;
 
@@ -332,9 +175,11 @@ mod tests {
         let want = run_rrm(&data, 4, &space, o).unwrap();
         let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
         assert!(coarse < want.bounds.unwrap().upper, "coarse {coarse} vs {:?}", want.bounds);
-        let tiny = SampledSearch { cache_budget_entries: 0, ..SampledSearch::new(&data, 4, o) };
-        let dirs = sampled_dirs(&space, o);
-        let got = tiny.solve(&dirs, AnytimeSearch::unlimited(), &ListCache::default()).unwrap();
+        let tiny = CoverSearch { cache_budget_entries: 0, ..cover_search(&data, o) };
+        let dirs = sample_directions(&space, o.samples, o.seed);
+        let got = tiny
+            .solve_rrm(4, &dirs, AnytimeSearch::unlimited(), &ListCache::default(), o.samples)
+            .unwrap();
         assert_eq!(got, want);
     }
 

@@ -11,18 +11,20 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use rrm_core::approx::sample_directions;
 use rrm_core::{
-    cache_bounded, rrr_via_rrm_search_with, Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy,
-    PreparedSolver, RrmError, Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
+    cache_bounded, Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError,
+    Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
 };
 
-use crate::common::{ListCache, ListSource, DEFAULT_CACHE_BUDGET_ENTRIES};
+use crate::anytime::rrr_via_rrm_search_with;
+use crate::common::ListCache;
 use crate::hdrrm::{HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
 use crate::mdrc::{mdrc_anytime, MdrcOptions};
 use crate::mdrms::{GreedyRms, MdrmsOptions};
-use crate::mdrrr::{hit_ksets, mdrrr, rrm_search_with};
-use crate::mdrrr_r::{kset_family, sampled_dirs, MdrrrROptions, SampledSearch};
+use crate::mdrrr::{mdrrr, rrm_search_with};
+use crate::mdrrr_r::{cover_search, MdrrrROptions};
 
 /// **HDRRM** (paper Section V): discretize-and-cover with a certificate
 /// over the discretized direction set (Theorem 10).
@@ -208,33 +210,13 @@ impl PreparedMdrrrR {
         if let Some(dirs) = self.dirs.lock().expect("direction cache poisoned").get(&opts.samples) {
             return dirs.clone();
         }
-        let dirs = Arc::new(sampled_dirs(self.space.as_ref(), opts));
+        let dirs = Arc::new(sample_directions(self.space.as_ref(), opts.samples, opts.seed));
         cache_bounded(
             &mut self.dirs.lock().expect("direction cache poisoned"),
             opts.samples,
             dirs,
             PREPARED_CACHE_CAP,
         )
-    }
-
-    fn probe(&self, k: usize, opts: MdrrrROptions) -> Result<Solution, RrmError> {
-        if k == 0 {
-            return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-        }
-        let k = k.min(self.data.n());
-        let dirs = self.dirs(opts);
-        let lists = ListSource {
-            data: &self.data,
-            dirs: &dirs,
-            pol: opts.exec.parallelism,
-            budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
-            deep: 0,
-            cache: &self.lists,
-            key: dirs.len(),
-        }
-        .lists(k);
-        let ids = hit_ksets(self.data.n(), &kset_family(&lists, k));
-        Solution::new(ids, None, Algorithm::MdrrrR, &self.data)
     }
 }
 
@@ -248,23 +230,23 @@ impl PreparedSolver for PreparedMdrrrR {
     }
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        if r == 0 {
-            return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
-        }
         let opts = self.budgeted(budget);
         let dirs = self.dirs(opts);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
-        SampledSearch::new(&self.data, r, opts).solve(&dirs, search, &self.lists)
+        cover_search(&self.data, opts).solve_rrm(r, &dirs, search, &self.lists, dirs.len())
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        self.probe(k, self.budgeted(budget))
+        let opts = self.budgeted(budget);
+        let dirs = self.dirs(opts);
+        cover_search(&self.data, opts).solve_rrr(k, &dirs, &self.lists, dirs.len())
     }
 }
 
 /// **MDRC** (Asudeh et al.): recursive angle-space partitioning — fast,
 /// no certificate, full space only, and no native RRR mode (the
-/// representative direction falls back to [`rrr_via_rrm_search_with`]).
+/// representative direction searches the size whose RRM answer meets the
+/// threshold).
 #[derive(Debug, Clone, Default)]
 pub struct MdrcSolver {
     pub options: MdrcOptions,

@@ -25,10 +25,10 @@
 //!   ratio but marks it `enforced: false`.
 
 use rank_regret::{Engine, Request};
-use rrm_core::approx::solve_rrm_sampled_with;
 use rrm_core::{kernel, ApproxSpec, Dataset, ExecPolicy, TerminatedBy, UtilitySpace};
 use rrm_data::scenario::{matrix, Region};
 use rrm_eval::exact_rank_regret_2d;
+use rrm_hd::sampled::solve_rrm_sampled_with;
 
 use crate::{bench_meta, timed, Scale};
 

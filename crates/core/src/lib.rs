@@ -48,9 +48,7 @@ pub mod update;
 pub mod utility;
 
 pub use anytime::{AnytimeSearch, Bounds, Incumbent, SearchReport, TerminatedBy};
-pub use approx::{
-    hoeffding_directions, reduce, ApproxSpec, Fidelity, Reduced, SampledOptions, SampledSolver,
-};
+pub use approx::{hoeffding_directions, reduce, ApproxSpec, Fidelity, Reduced};
 pub use basis::basis_indices;
 pub use dataset::Dataset;
 pub use error::RrmError;
@@ -58,8 +56,8 @@ pub use exec::{ExecPolicy, Parallelism};
 pub use kernel::{ScoreScratch, Soa};
 pub use problem::{Algorithm, RrmProblem, RrrProblem, Solution};
 pub use solver::{
-    cache_bounded, rrr_via_rrm_search_with, BruteForceOptions, BruteForceSolver, Budget, DimRange,
-    PreparedBruteForce, PreparedSolver, Solver, PREPARED_CACHE_CAP,
+    cache_bounded, BruteForceOptions, BruteForceSolver, Budget, DimRange, PreparedBruteForce,
+    PreparedSolver, Solver, PREPARED_CACHE_CAP,
 };
 pub use space::{
     BiasedOrthantSpace, BoxSpace, ConeSpace, FullSpace, SphereCap, UtilitySpace, WeakRankingSpace,

@@ -21,10 +21,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::approx::ApproxSpec;
+use crate::approx::{sample_directions, ApproxSpec};
 use crate::dataset::Dataset;
 use crate::error::RrmError;
 use crate::exec::ExecPolicy;
@@ -232,97 +229,6 @@ pub fn cache_bounded<K: Eq + std::hash::Hash, V: Clone>(
     value
 }
 
-/// Generic RRR fallback for solvers with no native representative mode
-/// (MDRC, MDRMS): exponential-then-binary search over the size budget
-/// `r`, accepting the smallest `r` whose solution's rank-regret —
-/// *estimated* on a deterministic direction sample — meets the threshold.
-/// `solve_rrm` answers one size probe; prepared solvers pass their
-/// memoized query path here so the whole search reuses cached
-/// per-dataset state.
-///
-/// The result inherits the inner solver's (lack of) certificate:
-/// `certified_regret` is `None`, because the estimate is not a guarantee.
-/// The per-probe regret estimate (the `O(m · n · d)` inner loop) is
-/// chunked over `exec`'s threads; its direction sample is drawn once,
-/// sequentially, so the estimate is identical at any thread count.
-pub fn rrr_via_rrm_search_with(
-    name: &str,
-    data: &Dataset,
-    k: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    exec: ExecPolicy,
-    mut solve_rrm: impl FnMut(usize) -> Result<Solution, RrmError>,
-) -> Result<Solution, RrmError> {
-    if k == 0 {
-        return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
-    }
-    let n = data.n();
-    let m = budget.samples.unwrap_or(512).max(1);
-    let mut rng = StdRng::seed_from_u64(0x5EA7C4);
-    let dirs: Vec<Vec<f64>> = (0..m).map(|_| space.sample_direction(&mut rng)).collect();
-    let estimate = |sol: &Solution| -> usize {
-        rank::max_rank_regret(data, &dirs, &sol.indices, exec.parallelism)
-            .expect("at least one direction")
-    };
-    let mut attempt = |r: usize| -> Result<Option<(Solution, usize)>, RrmError> {
-        match solve_rrm(r) {
-            Ok(sol) => {
-                let est = estimate(&sol);
-                Ok(Some((sol, est)))
-            }
-            // "This r is below the solver's minimum output size" is an
-            // expected probe outcome; the search just moves to a larger r.
-            Err(RrmError::OutputSizeTooSmall { .. }) => Ok(None),
-            // Everything else — notably `Internal` contract violations —
-            // must surface, not be mistaken for infeasibility.
-            Err(e) => Err(e),
-        }
-    };
-
-    // Exponential phase: find any feasible size, remembering the largest
-    // size already proven infeasible so the binary phase does not re-probe
-    // below it (the scheme of MDRRR's and 2DRRR's RRM searches).
-    let mut hi = 1usize;
-    let mut largest_infeasible = 0usize;
-    let mut feasible: Option<(usize, Solution)> = None;
-    loop {
-        if let Some((sol, est)) = attempt(hi)? {
-            if est <= k {
-                feasible = Some((hi, sol));
-                break;
-            }
-        }
-        if hi >= n {
-            break;
-        }
-        largest_infeasible = hi;
-        hi = (hi * 2).min(n);
-    }
-    let (mut hi, mut best) = match feasible {
-        Some((r, sol)) => (r, sol),
-        None => {
-            return Err(RrmError::Unsupported(format!(
-                "{name} could not reach rank-regret <= {k} even with r = {n}"
-            )))
-        }
-    };
-
-    // Binary phase: shrink to the smallest feasible size.
-    let mut lo = largest_infeasible + 1;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        match attempt(mid)? {
-            Some((sol, est)) if est <= k => {
-                hi = mid;
-                best = sol;
-            }
-            _ => lo = mid + 1,
-        }
-    }
-    Ok(best)
-}
-
 /// Options for [`BruteForceSolver`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BruteForceOptions {
@@ -360,8 +266,7 @@ impl BruteForceSolver {
     /// threads. Per-direction rows are independent, so the table is
     /// identical at any thread count.
     fn rank_table(&self, data: &Dataset, space: &dyn UtilitySpace, m: usize) -> Vec<Vec<usize>> {
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
-        let dirs: Vec<Vec<f64>> = (0..m).map(|_| space.sample_direction(&mut rng)).collect();
+        let dirs = sample_directions(space, m, self.options.seed);
         let n = data.n();
         let soa = data.soa();
         // O(n²) rank counting dominates each direction's cost.
@@ -536,51 +441,6 @@ mod tests {
     /// A fresh brute-force handle under the default execution policy.
     fn brute(data: &Dataset, space: &dyn UtilitySpace) -> Box<dyn PreparedSolver> {
         BruteForceSolver::default().prepare(data, space, ExecPolicy::default()).unwrap()
-    }
-
-    #[test]
-    fn rrr_search_propagates_internal_errors() {
-        // The RRR-via-RRM fallback must surface a misbehaving inner
-        // solver's Internal error, not translate it into "infeasible".
-        let data = table1();
-        let err = rrr_via_rrm_search_with(
-            "broken",
-            &data,
-            3,
-            &FullSpace::new(2),
-            &Budget::with_samples(16),
-            ExecPolicy::default(),
-            // Empty output: the contract violation Solution::new types.
-            |_| Solution::new(vec![], None, Algorithm::Mdrc, &data),
-        )
-        .unwrap_err();
-        assert!(matches!(&err, RrmError::Internal(msg) if msg.contains("empty")), "{err}");
-    }
-
-    #[test]
-    fn rrr_search_doubles_then_bisects_the_size() {
-        // Row i is (i, i): row 0 ranks last everywhere, so {0} never meets
-        // the threshold, while the whole dataset does. The predicate turns
-        // feasible at r = 13.
-        let rows: Vec<[f64; 2]> = (0..100).map(|i| [i as f64, i as f64]).collect();
-        let data = Dataset::from_rows(&rows).unwrap();
-        let mut probed = Vec::new();
-        let sol = rrr_via_rrm_search_with(
-            "pinned",
-            &data,
-            1,
-            &FullSpace::new(2),
-            &Budget::with_samples(16),
-            ExecPolicy::default(),
-            |r| {
-                probed.push(r);
-                let ids = if r >= 13 { (0..100).collect() } else { vec![0] };
-                Solution::new(ids, None, Algorithm::Mdrc, &data)
-            },
-        )
-        .unwrap();
-        assert_eq!(probed, vec![1, 2, 4, 8, 16, 12, 14, 13]);
-        assert_eq!(sol.size(), 100);
     }
 
     #[test]

@@ -19,14 +19,14 @@ use std::time::Instant;
 
 use rrm_core::{
     apply_updates, approx, Algorithm, Bounds, BruteForceOptions, BruteForceSolver, Budget, Dataset,
-    ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, SampledOptions, SampledSolver,
-    Solution, Solver, TerminatedBy, UpdateOp, UtilitySpace,
+    ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, Solution, Solver, TerminatedBy,
+    UpdateOp, UtilitySpace,
 };
 
 use rrm_2d::{Rrm2dOptions, TwoDRrmSolver, TwoDRrrSolver};
 use rrm_hd::{
     HdrrmOptions, HdrrmSolver, KsetLimits, MdrcOptions, MdrcSolver, MdrmsOptions, MdrmsSolver,
-    MdrrrROptions, MdrrrRSolver, MdrrrSolver,
+    MdrrrROptions, MdrrrRSolver, MdrrrSolver, SampledOptions, SampledSolver,
 };
 
 /// Which query a [`Request`] asks for.

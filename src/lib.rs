@@ -202,9 +202,10 @@ pub use rrm_skyline;
 pub use rrm_core::{
     apply_updates, Algorithm, AppliedUpdate, ApproxSpec, BiasedOrthantSpace, Bounds, BoxSpace,
     Budget, ConeSpace, Dataset, DimRange, ExecPolicy, Fidelity, FullSpace, Parallelism,
-    PreparedSolver, RrmError, SampledOptions, Solution, Solver, SphereCap, TerminatedBy, UpdateOp,
-    UtilitySpace, WeakRankingSpace,
+    PreparedSolver, RrmError, Solution, Solver, SphereCap, TerminatedBy, UpdateOp, UtilitySpace,
+    WeakRankingSpace,
 };
+pub use rrm_hd::SampledOptions;
 
 pub mod cli;
 pub mod engine;

@@ -6,11 +6,10 @@
 //! routing that makes `Request::approx` answer as `Sampled` everywhere.
 
 use rank_regret::prelude::*;
-use rank_regret::rrm_core::approx::{
-    hoeffding_directions, sample_directions, solve_rrm_sampled_with,
-};
+use rank_regret::rrm_core::approx::{hoeffding_directions, sample_directions};
 use rank_regret::rrm_core::kernel;
 use rank_regret::rrm_data::scenario::{matrix, Region};
+use rank_regret::rrm_hd::sampled::solve_rrm_sampled_with;
 use rank_regret::{ApproxSpec, Fidelity, TerminatedBy};
 
 /// Worst rank of `indices` over an independent direction sample — the

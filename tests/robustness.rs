@@ -178,3 +178,15 @@ fn restricted_space_narrower_than_data_spread() {
     // very top ranks.
     assert!(sol.certified_regret.unwrap() <= 5, "{:?}", sol.certified_regret);
 }
+
+#[test]
+fn mdrrr_r_with_zero_samples_is_a_typed_error() {
+    // No sampled direction leaves MDRRRr nothing to cover: both tasks
+    // answer `Unsupported`, never a panic or an empty answer.
+    let data = rrm_data::synthetic::independent(200, 3, 5);
+    let session = rank_regret::session(&data);
+    for request in [Request::minimize(4), Request::represent(4)] {
+        let err = session.run(&request.algo(Algorithm::MdrrrR).samples(0)).unwrap_err();
+        assert!(matches!(err, RrmError::Unsupported(_)), "{err}");
+    }
+}

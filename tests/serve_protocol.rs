@@ -462,6 +462,25 @@ fn a_panicking_solve_answers_solver_error_and_frees_its_worker() {
 }
 
 #[test]
+fn mdrrr_r_with_zero_samples_answers_unsupported() {
+    // The wire accepts `"samples":0`; MDRRRr then has no direction to
+    // cover and must say so as a typed error, not a caught panic.
+    let spec = TenantSpec::synthetic("z", SyntheticKind::Independent, 200, 3, 5);
+    let server = ServerHandle::start(test_config(), &[spec]).expect("start");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    for (id, op) in [(1, "minimize"), (2, "represent")] {
+        let line = format!(
+            r#"{{"op":"{op}","tenant":"z","param":4,"algo":"mdrrr-r","samples":0,"id":{id}}}"#
+        );
+        let resp = client.call(&line).expect("call");
+        assert_eq!(str_field(&resp, "status"), "error", "{resp:?}");
+        assert_eq!(str_field(&resp, "error"), "unsupported", "{resp:?}");
+        assert_eq!(resp.get("id").and_then(Json::as_usize), Some(id));
+    }
+    server.shutdown();
+}
+
+#[test]
 fn an_oversized_request_line_is_rejected_and_its_connection_closed() {
     use std::io::{BufRead as _, BufReader, Write as _};
     let server = ServerHandle::start(test_config(), &[small_tenant("t")]).expect("start");
