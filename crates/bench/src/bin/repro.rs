@@ -628,8 +628,7 @@ fn fig28(scale: Scale) {
     print_hd_table("n", &ticks, &rows);
 }
 
-/// Design-choice ablations called out in DESIGN.md (quality side; the
-/// timing side lives in the Criterion benches).
+/// Design-choice ablations: the quality and time of each variant.
 fn ablation(scale: Scale) {
     // (a) HDRRM discretization: grid only / samples only / both, and γ.
     let n = 5_000;

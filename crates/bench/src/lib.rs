@@ -2,7 +2,7 @@
 //!
 //! The `repro` binary (`cargo run --release -p bench --bin repro -- <id>`)
 //! regenerates each table/figure of the paper; this library holds the
-//! pieces shared between it and the Criterion benches: timed runs, the
+//! pieces its experiments share: timed runs, the
 //! algorithm roster — resolved through the [`Solver`] trait, so the
 //! harness never calls algorithm crates directly — and sweep
 //! configuration for quick vs full mode.

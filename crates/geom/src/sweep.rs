@@ -8,8 +8,8 @@
 //!
 //! The optimized event generator in [`crate::events`] produces the same
 //! rank changes for tracked lines; this module exists (a) as the reference
-//! implementation the tests validate against, and (b) for the
-//! `ablation_sweep` benchmark comparing the two designs.
+//! implementation the tests validate against, and (b) for `repro
+//! ablation`'s "2DRRM sweep" section comparing the two designs.
 //!
 //! Degeneracies (three or more lines through one point) are handled with
 //! the standard skip-and-rediscover technique: an event popped for a pair

@@ -10,8 +10,7 @@
 //! counts only decrease as elements get covered, the first entry whose
 //! recomputed count equals its stale key is the true maximum. This is the
 //! standard submodular-maximization trick and cuts the `O(|U|·|V|)` naive
-//! cost down to roughly the total size of the inputs for typical instances
-//! (measured in `ablation_lazy_greedy`).
+//! cost down to roughly the total size of the inputs for typical instances.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -95,8 +94,7 @@ pub fn greedy_set_cover_capped(
 }
 
 /// Textbook greedy without lazy evaluation — `O(rounds · Σ|set|)`. Kept as
-/// the reference implementation for tests and the `ablation_lazy_greedy`
-/// benchmark.
+/// the reference implementation the tests check the lazy variant against.
 pub fn naive_greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> Vec<usize> {
     if universe_size == 0 {
         return Vec::new();
