@@ -57,9 +57,9 @@ pub(crate) struct ThresholdOutcome<T> {
 /// the deterministic budget per call and counts it as a search node;
 /// the closure accounts any further nodes it expands.
 ///
-/// Infeasibility at `k = n` ends the search with `best: None` — reachable
-/// only for enumeration-truncated probes (MDRRR); the geometric solvers'
-/// probes are always feasible at `k = n`.
+/// Infeasibility at `k = n` ends the search with `best: None`. Only
+/// MDRRR's enumeration-truncated probes and the RRR-via-RRM size search
+/// can get there; a cover probe is always feasible at `k = n`.
 pub(crate) fn threshold_search<T>(
     n: usize,
     search: &mut AnytimeSearch,

@@ -88,7 +88,8 @@ pub fn asms_with_topk_capped(
     }
 
     // Universe: directions whose top-k misses the basis (the set `Dk`).
-    // Inverted lists: tuple -> universe element ids it covers.
+    // Inverted lists: tuple -> universe element ids it covers, in order of
+    // the tuple's first appearance.
     let mut lists: Vec<Vec<u32>> = Vec::new();
     let mut list_of_tuple: Vec<u32> = vec![u32::MAX; n];
     let mut tuple_of_list: Vec<u32> = Vec::new();
@@ -98,37 +99,19 @@ pub fn asms_with_topk_capped(
         if prefix.iter().any(|&t| in_basis[t as usize]) {
             continue; // covered by B; not part of Dk
         }
-        let push = |t: u32,
-                    lists: &mut Vec<Vec<u32>>,
-                    list_of_tuple: &mut Vec<u32>,
-                    tuple_of_list: &mut Vec<u32>| {
-            let li = list_of_tuple[t as usize];
-            if li == u32::MAX {
-                list_of_tuple[t as usize] = lists.len() as u32;
+        // Score ties can put only non-candidate tuples in a top-k prefix
+        // (e.g. duplicated attribute maxima under axis-aligned
+        // directions); keep this direction coverable by admitting its own
+        // tuples regardless of the mask.
+        let mask = candidate_mask.filter(|mask| prefix.iter().any(|&t| mask[t as usize]));
+        for &t in prefix.iter().filter(|&&t| mask.is_none_or(|mask| mask[t as usize])) {
+            let li = &mut list_of_tuple[t as usize];
+            if *li == u32::MAX {
+                *li = lists.len() as u32;
                 tuple_of_list.push(t);
-                lists.push(vec![universe]);
-            } else {
-                lists[li as usize].push(universe);
+                lists.push(Vec::new());
             }
-        };
-        let mut pushed_any = false;
-        for &t in prefix {
-            if let Some(mask) = candidate_mask {
-                if !mask[t as usize] {
-                    continue;
-                }
-            }
-            push(t, &mut lists, &mut list_of_tuple, &mut tuple_of_list);
-            pushed_any = true;
-        }
-        if !pushed_any {
-            // Score ties can put only non-candidate tuples in a top-k
-            // prefix (e.g. duplicated attribute maxima under axis-aligned
-            // directions); keep this direction coverable by admitting its
-            // own tuples regardless of the mask.
-            for &t in prefix {
-                push(t, &mut lists, &mut list_of_tuple, &mut tuple_of_list);
-            }
+            lists[*li as usize].push(universe);
         }
         universe += 1;
     }
