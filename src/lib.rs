@@ -177,9 +177,9 @@
 //!
 //! | Crate | Contents |
 //! |-------|----------|
-//! | [`core`](rrm_core) | datasets, utility spaces, ranking primitives, the [`Solver`] trait, [`Budget`], brute force, the sampled-ε approximate tier (`rrm_core::approx`) |
+//! | [`core`](rrm_core) | datasets, utility spaces, ranking primitives, the [`Solver`] trait, [`Budget`], brute force, the sampled-ε spec and direction stream (`rrm_core::approx`) |
 //! | [`algos2d`](rrm_2d) | 2DRRM (exact) + 2DRRR baseline solvers, Pareto frontier |
-//! | [`algoshd`](rrm_hd) | HDRRM/ASMS, MDRRR, MDRRRr, MDRC, MDRMS solvers |
+//! | [`algoshd`](rrm_hd) | HDRRM/ASMS, MDRRR, MDRRRr, MDRC, MDRMS solvers, the sampled-ε tier's solver (`rrm_hd::sampled`) |
 //! | [`skyline`](rrm_skyline) | skyline and restricted U-skyline |
 //! | [`geom`](rrm_geom) | dual arrangement, polar grids |
 //! | [`lp`](rrm_lp) | dense two-phase simplex |
