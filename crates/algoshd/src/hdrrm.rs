@@ -223,9 +223,9 @@ impl PreparedHdrrm {
         }
     }
 
-    /// The effective sample count for an RRM query: budget override, then
-    /// option override, then the Theorem 10 formula.
-    fn rrm_samples(&self, r: usize, budget: &Budget) -> usize {
+    /// The effective sample count `m` for a query sized for `r` tuples:
+    /// budget override, then option override, then the Theorem 10 formula.
+    fn samples(&self, r: usize, budget: &Budget) -> usize {
         budget.samples.or(self.options.m_override).unwrap_or_else(|| {
             paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
         })
@@ -258,7 +258,7 @@ impl PreparedSolver for PreparedHdrrm {
     /// assumes `r ≥ d`).
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
         let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
-        let m = self.rrm_samples(r, budget);
+        let m = self.samples(r, budget);
         let disc = self.disc(m);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
         self.search(basis).solve_rrm(r, &disc.dirs, search, &self.topk, m)
@@ -270,10 +270,7 @@ impl PreparedSolver for PreparedHdrrm {
     /// formula's `r` is unknown for RRR, so the default `m` is sized for
     /// twice the basis instead.
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let m = budget.samples.or(self.options.m_override).unwrap_or_else(|| {
-            let r = (2 * self.basis.len()).max(8);
-            paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
-        });
+        let m = self.samples((2 * self.basis.len()).max(8), budget);
         self.search(&self.basis).solve_rrr(k, &self.disc(m).dirs, &self.topk, m)
     }
 

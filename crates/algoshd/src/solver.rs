@@ -198,25 +198,22 @@ struct PreparedMdrrrR {
 }
 
 impl PreparedMdrrrR {
-    fn budgeted(&self, budget: &Budget) -> MdrrrROptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options
-    }
-
-    fn dirs(&self, opts: MdrrrROptions) -> Arc<Vec<Vec<f64>>> {
-        if let Some(dirs) = self.dirs.lock().expect("direction cache poisoned").get(&opts.samples) {
-            return dirs.clone();
-        }
-        let dirs = Arc::new(sample_directions(self.space.as_ref(), opts.samples, opts.seed));
-        cache_bounded(
-            &mut self.dirs.lock().expect("direction cache poisoned"),
-            opts.samples,
-            dirs,
-            PREPARED_CACHE_CAP,
-        )
+    /// The query's options (a budget `samples` override wins) and its
+    /// direction pool, drawn once per sample count.
+    fn frame(&self, budget: &Budget) -> (MdrrrROptions, Arc<Vec<Vec<f64>>>) {
+        let mut opts = self.options;
+        opts.samples = budget.samples.unwrap_or(opts.samples);
+        let kept = self.dirs.lock().expect("direction cache poisoned").get(&opts.samples).cloned();
+        let dirs = kept.unwrap_or_else(|| {
+            let dirs = Arc::new(sample_directions(self.space.as_ref(), opts.samples, opts.seed));
+            cache_bounded(
+                &mut self.dirs.lock().expect("direction cache poisoned"),
+                opts.samples,
+                dirs,
+                PREPARED_CACHE_CAP,
+            )
+        });
+        (opts, dirs)
     }
 }
 
@@ -230,15 +227,13 @@ impl PreparedSolver for PreparedMdrrrR {
     }
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let opts = self.budgeted(budget);
-        let dirs = self.dirs(opts);
+        let (opts, dirs) = self.frame(budget);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
         cover_search(&self.data, opts).solve_rrm(r, &dirs, search, &self.lists, dirs.len())
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let opts = self.budgeted(budget);
-        let dirs = self.dirs(opts);
+        let (opts, dirs) = self.frame(budget);
         cover_search(&self.data, opts).solve_rrr(k, &dirs, &self.lists, dirs.len())
     }
 }
