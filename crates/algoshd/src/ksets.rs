@@ -317,4 +317,28 @@ mod tests {
         }
         let _ = orthant_direction(3, &mut StdRng::seed_from_u64(0)); // silence unused import on some cfgs
     }
+
+    /// The k = 2 enumerations of fixed inputs, family in BFS order: any
+    /// change to the LP or the walk that adds, drops or reorders a k-set,
+    /// or spends a different number of LP calls, fails here.
+    #[test]
+    fn pinned_enumerations() {
+        let full: [(u64, usize, &[[u32; 2]]); 3] = [
+            (1, 110, &[[9, 17], [3, 17], [3, 9], [4, 9], [9, 21], [4, 21], [16, 21]]),
+            (2, 125, &[[3, 4], [2, 4], [4, 10], [4, 14], [4, 20], [1, 3]]),
+            (3, 125, &[[8, 20], [2, 20], [11, 20], [6, 8], [8, 9], [8, 11], [3, 11]]),
+        ];
+        let weak = WeakRankingSpace::new(3, 2).cone_rows().unwrap();
+        let cases = full
+            .iter()
+            .map(|&(seed, calls, family)| (seed, &[][..], calls, family))
+            .chain([(4, &weak[..], 94, &[[12, 14], [1, 12], [9, 12], [12, 17], [1, 9]][..])]);
+        for (seed, cone, calls, family) in cases {
+            let e = enumerate_ksets(&independent(22, 3, seed), 2, cone, KsetLimits::default());
+            let family: Vec<Vec<u32>> = family.iter().map(|s| s.to_vec()).collect();
+            assert_eq!(e.ksets, family, "seed {seed}");
+            assert_eq!(e.lp_calls, calls, "seed {seed}");
+            assert!(e.complete, "seed {seed}");
+        }
+    }
 }

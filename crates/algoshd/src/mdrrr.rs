@@ -167,6 +167,31 @@ mod tests {
         assert_eq!(est.max_rank, 1);
     }
 
+    /// One `minimize` and one `represent` answer on fixed inputs, with
+    /// the search statistics that depend on every probe's enumeration.
+    #[test]
+    fn pinned_answers() {
+        let prepared = |seed| {
+            crate::MdrrrSolver::new(KsetLimits::default())
+                .prepare(&independent(22, 3, seed), &FullSpace::new(3), ExecPolicy::sequential())
+                .unwrap()
+        };
+        let sol = prepared(5).solve_rrm(3, &Budget::UNLIMITED).unwrap();
+        assert_eq!(sol.indices, [3, 5, 14]);
+        assert_eq!(sol.certified_regret, Some(2));
+        assert_eq!(sol.bounds, Some(Bounds { lower: 2, upper: 2 }));
+        assert_eq!(sol.terminated_by, TerminatedBy::Completed);
+        let report = sol.report.as_deref().expect("RRM search report");
+        assert_eq!((report.nodes, report.pruned_probes), (10, 0));
+
+        let sol = prepared(6).solve_rrr(3, &Budget::UNLIMITED).unwrap();
+        assert_eq!(sol.indices, [0, 4, 8]);
+        assert_eq!(sol.certified_regret, Some(3));
+        assert_eq!(sol.bounds, None);
+        assert_eq!(sol.terminated_by, TerminatedBy::Completed);
+        assert!(sol.report.is_none());
+    }
+
     #[test]
     fn zero_threshold_rejected() {
         let data = independent(10, 2, 48);
