@@ -12,7 +12,7 @@
 
 use std::collections::{HashSet, VecDeque};
 
-use rrm_core::{rank, utility, Dataset, ExecPolicy};
+use rrm_core::{rank, utility, Dataset, ExecPolicy, RrmError};
 use rrm_lp::cone::strict_feasibility_margin;
 
 /// Margin below which a k-set region is treated as empty (boundary-only).
@@ -46,6 +46,12 @@ pub struct KsetEnumeration {
     pub complete: bool,
     /// Number of LP feasibility checks performed.
     pub lp_calls: usize,
+    /// Why the walk stopped short of a proved family other than a limit:
+    /// attribute differences that overflow `f64`, or a region LP that
+    /// round-off left undecided. Such an LP neither admits nor rejects its
+    /// candidate, so `complete` is then `false` and the family proves
+    /// nothing.
+    pub error: Option<RrmError>,
 }
 
 /// Enumerate the k-sets of `data` over the cone `{u ≥ 0, cone_rows·u ≥ 0}`.
@@ -53,7 +59,9 @@ pub struct KsetEnumeration {
 /// The seed k-set is the top-k of an interior direction of the cone; BFS
 /// then explores single-swap neighbours, validating each candidate region
 /// with an exact LP (`u` on the simplex slice, every member beating every
-/// non-member by a positive margin).
+/// non-member by a positive margin). The region LP of a k-set has
+/// `k·(n−k)` homogeneous rows and starts its simplex with one artificial
+/// column.
 pub fn enumerate_ksets(
     data: &Dataset,
     k: usize,
@@ -68,13 +76,26 @@ pub fn enumerate_ksets(
             ksets: vec![(0..n as u32).collect()],
             complete: true,
             lp_calls: 0,
+            error: None,
         };
+    }
+    let failed = |error| KsetEnumeration {
+        ksets: Vec::new(),
+        complete: false,
+        lp_calls: 0,
+        error: Some(error),
+    };
+    if let Err(error) = check_differences(data) {
+        return failed(error);
     }
 
     // Interior seed direction: the all-ones direction nudged into the cone
     // when restricted (weak rankings etc. all contain it; fall back to an
     // LP witness otherwise).
-    let seed_dir = interior_direction(d, cone_rows);
+    let seed_dir = match interior_direction(d, cone_rows) {
+        Ok(u) => u,
+        Err(error) => return failed(error),
+    };
     let scores = utility::utilities(data, &seed_dir);
     let mut seed: Vec<u32> = rank::top_k(&scores, k).indices;
     seed.sort_unstable();
@@ -87,6 +108,7 @@ pub fn enumerate_ksets(
     out.push(seed);
     let mut lp_calls = 0usize;
     let mut complete = true;
+    let mut error = None;
     let pol = limits.exec.parallelism;
 
     'bfs: while let Some(t_set) = queue.pop_front() {
@@ -137,6 +159,14 @@ pub fn enumerate_ksets(
             let feasible =
                 rrm_par::par_map(batch, pol, |cand| region_nonempty(data, cand, cone_rows));
             for (cand, ok) in batch.iter().zip(feasible) {
+                let ok = match ok {
+                    Ok(ok) => ok,
+                    Err(e) => {
+                        error = Some(e);
+                        complete = false;
+                        break 'bfs;
+                    }
+                };
                 if ok {
                     visited.insert(cand.clone());
                     queue.push_back(cand.clone());
@@ -148,12 +178,38 @@ pub fn enumerate_ksets(
             idx = batch_end;
         }
     }
-    KsetEnumeration { ksets: out, complete, lp_calls }
+    KsetEnumeration { ksets: out, complete, lp_calls, error }
+}
+
+/// The region LPs' rows are attribute differences; where one overflows to
+/// ±∞ no LP over them means anything. A difference overflows exactly when
+/// its attribute's range does.
+fn check_differences(data: &Dataset) -> Result<(), RrmError> {
+    for j in 0..data.dim() {
+        let (lo, hi) = data.rows().fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), row| {
+            (lo.min(row[j]), hi.max(row[j]))
+        });
+        if !(hi - lo).is_finite() {
+            return Err(RrmError::Numerical(format!(
+                "attribute {j} spans [{lo:e}, {hi:e}], so k-set region rows overflow f64"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// Is there a direction in the cone for which every member of `t_set`
-/// strictly outscores every non-member?
-fn region_nonempty(data: &Dataset, t_set: &[u32], cone_rows: &[Vec<f64>]) -> bool {
+/// strictly outscores every non-member? A region LP that round-off left
+/// undecided is an error, never a "no": a dropped k-set would void the
+/// enumeration's certificate. One whose margin round-off lost after phase
+/// one proved the closed region non-empty (an infinite margin) is a "yes":
+/// `t_set` is then a top-k set under ties, and a surplus set only asks the
+/// hitting set for more.
+fn region_nonempty(
+    data: &Dataset,
+    t_set: &[u32],
+    cone_rows: &[Vec<f64>],
+) -> Result<bool, RrmError> {
     let n = data.n();
     let d = data.dim();
     let mut member = vec![false; n];
@@ -172,21 +228,21 @@ fn region_nonempty(data: &Dataset, t_set: &[u32], cone_rows: &[Vec<f64>]) -> boo
             strict_rows.push(row);
         }
     }
-    matches!(
-        strict_feasibility_margin(d, &strict_rows, cone_rows),
-        Some(z) if z > STRICT_TOL
-    )
+    match strict_feasibility_margin(d, &strict_rows, cone_rows) {
+        Ok(margin) => Ok(matches!(margin, Some(z) if z > STRICT_TOL)),
+        Err(e) => Err(RrmError::Numerical(format!("k-set region LP of {t_set:?}: {e}"))),
+    }
 }
 
 /// An interior direction of the cone (uniform direction when it fits,
 /// otherwise an LP witness pushed off every facet).
-fn interior_direction(d: usize, cone_rows: &[Vec<f64>]) -> Vec<f64> {
+fn interior_direction(d: usize, cone_rows: &[Vec<f64>]) -> Result<Vec<f64>, RrmError> {
     let uniform = vec![1.0 / (d as f64).sqrt(); d];
     if cone_rows.iter().all(|row| utility::dot(row, &uniform) >= 0.0) {
-        return uniform;
+        return Ok(uniform);
     }
     rrm_lp::cone::strict_feasibility_witness(d, cone_rows, &[], 1e-9)
-        .expect("restricted cone has an interior direction")
+        .ok_or_else(|| RrmError::InvalidSpace("the cone has no interior direction".into()))
 }
 
 #[cfg(test)]
@@ -244,7 +300,11 @@ mod tests {
         let e = enumerate_ksets(&data, 3, &[], KsetLimits::default());
         assert!(e.complete);
         for t_set in &e.ksets {
-            assert!(region_nonempty(&data, t_set, &[]), "{t_set:?} should have a non-empty region");
+            assert_eq!(
+                region_nonempty(&data, t_set, &[]),
+                Ok(true),
+                "{t_set:?} should have a non-empty region"
+            );
         }
     }
 
@@ -311,7 +371,7 @@ mod tests {
     #[test]
     fn interior_direction_respects_cone() {
         let rows = WeakRankingSpace::new(4, 2).cone_rows().unwrap();
-        let u = interior_direction(4, &rows);
+        let u = interior_direction(4, &rows).unwrap();
         for row in &rows {
             assert!(utility::dot(row, &u) >= 0.0);
         }

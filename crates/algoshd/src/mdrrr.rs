@@ -27,6 +27,9 @@ pub(crate) fn mdrrr(data: &Dataset, k: usize, limits: KsetLimits) -> Result<Solu
     }
     let k = k.min(data.n());
     let e: KsetEnumeration = enumerate_ksets(data, k, &[], limits);
+    if let Some(error) = e.error {
+        return Err(error);
+    }
     let ids = asms_with_topk(data.n(), k, &[], &e.ksets, None);
     let certified = e.complete.then_some(k);
     Solution::new(ids, certified, Algorithm::Mdrrr, data)
@@ -190,6 +193,18 @@ mod tests {
         assert_eq!(sol.bounds, None);
         assert_eq!(sol.terminated_by, TerminatedBy::Completed);
         assert!(sol.report.is_none());
+    }
+
+    #[test]
+    fn an_undecided_region_lp_is_an_error() {
+        // Round-off sends the region LP of {1} into a phase-one ray. Read
+        // as "empty", it would drop a k-set and void the certificate.
+        let data =
+            Dataset::from_rows(&[[1.0, 1e200, 0.5], [1e-300, -1.7e308, 1.7e308], [1.0, 1.0, 0.0]])
+                .unwrap();
+        let e = enumerate_ksets(&data, 1, &[], KsetLimits::default());
+        assert!(!e.complete && matches!(e.error, Some(RrmError::Numerical(_))), "{e:?}");
+        assert!(matches!(mdrrr(&data, 1, KsetLimits::default()), Err(RrmError::Numerical(_))));
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub enum RrmError {
     /// index, ...). Surfaced as an error instead of a panic so a
     /// misbehaving baseline cannot crash the engine.
     Internal(String),
+    /// Finite data the solver's floating-point arithmetic cannot handle:
+    /// attribute differences that overflow, or a linear program that
+    /// round-off left undecided. No answer is given rather than one whose
+    /// certificate could be false.
+    Numerical(String),
 }
 
 impl fmt::Display for RrmError {
@@ -57,6 +62,7 @@ impl fmt::Display for RrmError {
             RrmError::InvalidSpace(msg) => write!(f, "invalid utility space: {msg}"),
             RrmError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             RrmError::Internal(msg) => write!(f, "internal solver error: {msg}"),
+            RrmError::Numerical(msg) => write!(f, "numerical failure: {msg}"),
         }
     }
 }
@@ -82,6 +88,7 @@ mod tests {
         assert!(e.to_string().contains("row 7"), "{e}");
         assert!(RrmError::Unsupported("x".into()).to_string().contains("unsupported"));
         assert!(RrmError::Internal("empty set".into()).to_string().contains("empty set"));
+        assert!(RrmError::Numerical("overflow".into()).to_string().contains("numerical failure"));
     }
 
     #[test]

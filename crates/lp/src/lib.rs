@@ -15,6 +15,13 @@
 //! implements the classic two-phase method with Bland's anti-cycling rule as
 //! a fallback after a fixed number of Dantzig pivots.
 //!
+//! Phase one needs an artificial column only for `=` rows and for `≥` rows
+//! with a positive right-hand side; every other row starts with its slack
+//! in the basis. The homogeneous systems above (`A u ≥ 0` beside the
+//! slice `Σu = 1`), a k-set region LP among them, thus have one artificial
+//! column. Round-off that leaves a program undecided is
+//! [`LpOutcome::Numerical`], never "infeasible".
+//!
 //! # Example
 //!
 //! ```
@@ -38,7 +45,7 @@ mod types;
 pub mod cone;
 
 pub use simplex::solve_standard_form;
-pub use types::{Constraint, LinearProgram, LpOutcome, LpSolution, Relation};
+pub use types::{Constraint, LinearProgram, LpOutcome, LpSolution, NumericalFailure, Relation};
 
 #[cfg(test)]
 mod tests;

@@ -3,6 +3,17 @@
 //! The implementation favours robustness over raw speed: the programs solved
 //! in this workspace have at most a dozen variables, so numerical stability
 //! (tolerances, Bland's rule fallback) matters far more than pivot cost.
+//!
+//! Every row is oriented so its right-hand side is non-negative. A `≤` row
+//! then starts with its slack in the basis, and so does a `≥` row with rhs
+//! 0, negated into `-a·x ≤ 0`. Only `=` rows and `≥` rows with a positive
+//! rhs get an artificial column for phase one to drive out. A k-set region
+//! LP (`Σu = 1` beside `k·(n−k)` homogeneous rows) therefore has one
+//! artificial column, however many rows it has.
+//!
+//! Phase one is bounded below by 0, so a ray there, an exhausted pivot
+//! budget, or a non-finite value is round-off, reported as
+//! [`LpOutcome::Numerical`], never as infeasibility.
 
 use crate::types::{LinearProgram, LpOutcome, LpSolution, Relation};
 
@@ -133,7 +144,8 @@ pub(crate) fn solve(lp: &LinearProgram) -> LpOutcome {
     let m = lp.constraints.len();
 
     // Orient every row so its RHS is non-negative, and count the extra
-    // columns we need.
+    // columns we need. A `≥` row with rhs 0 is negated too, so its slack
+    // starts in the basis at value 0 and it needs no artificial column.
     let mut slack_count = 0usize;
     let mut art_count = 0usize;
     // (coeffs, rhs, slack_sign: -1/0/+1, needs_artificial)
@@ -142,11 +154,11 @@ pub(crate) fn solve(lp: &LinearProgram) -> LpOutcome {
         let mut coeffs = c.coeffs.clone();
         let mut rhs = c.rhs;
         let mut rel = c.relation;
-        if rhs < 0.0 {
+        if rhs < 0.0 || (rhs == 0.0 && rel == Relation::Ge) {
             for v in &mut coeffs {
                 *v = -*v;
             }
-            rhs = -rhs;
+            rhs = rhs.abs();
             rel = match rel {
                 Relation::Le => Relation::Ge,
                 Relation::Ge => Relation::Le,
@@ -166,8 +178,6 @@ pub(crate) fn solve(lp: &LinearProgram) -> LpOutcome {
         }
         rows.push((coeffs, rhs, sign, art));
     }
-    // A `≤` row with rhs ≥ 0 can start with its slack in the basis; rows with
-    // surplus or equality need an artificial variable.
     let art_start = n + slack_count;
     let cols = art_start + art_count;
 
@@ -217,12 +227,19 @@ pub(crate) fn solve(lp: &LinearProgram) -> LpOutcome {
         }
         match t.iterate(cols) {
             SimplexStatus::Optimal => {}
-            // Phase one is bounded below by 0, so "unbounded" means a bug.
-            SimplexStatus::Unbounded => unreachable!("phase one cannot be unbounded"),
-            SimplexStatus::IterationLimit => return LpOutcome::Infeasible,
+            // Phase one is bounded below by 0, so a ray is round-off (rows
+            // whose entries overflow or cancel); neither status proves the
+            // program infeasible.
+            SimplexStatus::Unbounded | SimplexStatus::IterationLimit => {
+                return LpOutcome::Numerical;
+            }
         }
         // -rhs of the objective row is the phase-one minimum.
-        if -t.rows[m][cols] > 1e-7 {
+        let infeasibility = -t.rows[m][cols];
+        if !infeasibility.is_finite() {
+            return LpOutcome::Numerical;
+        }
+        if infeasibility > 1e-7 {
             return LpOutcome::Infeasible;
         }
         // Drive any artificial variable that is still basic (at value 0) out
@@ -276,5 +293,8 @@ pub(crate) fn solve(lp: &LinearProgram) -> LpOutcome {
         }
     }
     let objective: f64 = lp.objective.iter().zip(&x).map(|(c, v)| c * v).sum();
+    if !objective.is_finite() || x.iter().any(|v| !v.is_finite()) {
+        return LpOutcome::Numerical;
+    }
     LpOutcome::Optimal(LpSolution { x, objective })
 }

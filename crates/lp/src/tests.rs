@@ -171,14 +171,16 @@ fn cone_nonempty_checks() {
 fn strict_margin_separable() {
     // Need u with u·(1,0) > u·(0,1): margin row (1,-1). Best margin on the
     // simplex is 1 at u = (1, 0).
-    let z = cone::strict_feasibility_margin(2, &[vec![1.0, -1.0]], &[]).unwrap();
+    let z = cone::strict_feasibility_margin(2, &[vec![1.0, -1.0]], &[]).unwrap().unwrap();
     assert!((z - 1.0).abs() < 1e-7);
 }
 
 #[test]
 fn strict_margin_infeasible_pair() {
     // Rows (1,-1) and (-1,1) can both be >= z only for z <= 0.
-    let z = cone::strict_feasibility_margin(2, &[vec![1.0, -1.0], vec![-1.0, 1.0]], &[]).unwrap();
+    let z = cone::strict_feasibility_margin(2, &[vec![1.0, -1.0], vec![-1.0, 1.0]], &[])
+        .unwrap()
+        .unwrap();
     assert!(z.abs() < 1e-7, "boundary-only feasibility should give margin 0, got {z}");
 }
 
@@ -191,4 +193,18 @@ fn strict_witness_respects_cone() {
     // Without the cone restriction a witness exists and favours attr 1.
     let w = cone::strict_feasibility_witness(2, &[vec![1.0, -1.0]], &[], 1e-7).unwrap();
     assert!(w[0] > w[1]);
+}
+
+#[test]
+fn extreme_cone_rows_are_undecided_not_a_panic() {
+    // Entries near f64::MAX beside a 1e-300 one: round-off drives phase
+    // one into a ray, which once hit an `unreachable!`.
+    let delta = [-1e-300, 1.0, 1e200];
+    let rows = [vec![-1.0, 1.7e308, -1e308]];
+    assert_eq!(cone::max_dot(&delta, &rows), None);
+    let mut lp = LinearProgram::maximize(&delta);
+    lp.constrain(&[1.0; 3], Relation::Eq, 1.0);
+    lp.constrain(&rows[0], Relation::Ge, 0.0);
+    assert_eq!(lp.solve(), LpOutcome::Numerical);
+    assert!(!lp.is_feasible());
 }

@@ -56,11 +56,29 @@ pub enum LpOutcome {
     Optimal(LpSolution),
     Infeasible,
     Unbounded,
+    /// Round-off decided nothing: phase one found a ray or ran out of
+    /// pivots, or a value overflowed. Finite but extreme coefficients
+    /// (entries near `f64::MAX` beside tiny ones) get here. The program
+    /// may be feasible or not.
+    Numerical,
 }
 
+/// The simplex could not decide a program ([`LpOutcome::Numerical`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NumericalFailure;
+
+impl std::fmt::Display for NumericalFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("round-off left the linear program undecided")
+    }
+}
+
+impl std::error::Error for NumericalFailure {}
+
 impl LpOutcome {
+    /// Whether the solver proved the program feasible.
     pub fn is_feasible(&self) -> bool {
-        !matches!(self, LpOutcome::Infeasible)
+        matches!(self, LpOutcome::Optimal(_) | LpOutcome::Unbounded)
     }
 
     /// The optimal solution, if one exists.
@@ -131,7 +149,7 @@ impl LinearProgram {
         crate::simplex::solve(self)
     }
 
-    /// Convenience: is the feasible region non-empty?
+    /// Convenience: is the feasible region provably non-empty?
     pub fn is_feasible(&self) -> bool {
         // Feasibility does not depend on the objective; phase one decides it.
         self.solve().is_feasible()

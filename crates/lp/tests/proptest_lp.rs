@@ -8,16 +8,38 @@ use rrm_lp::{LinearProgram, LpOutcome, Relation};
 
 const TOL: f64 = 1e-6;
 
-/// A random LP built around a known feasible witness `x0 ≥ 0`:
-/// every constraint is `a·x ≤ a·x0 + slack` with `slack ≥ 0`.
+/// A random LP built around a known feasible witness `x0 ≥ 0`: every
+/// constraint `a·x REL b` holds at `x0`.
 #[derive(Debug, Clone)]
 struct Instance {
     c: Vec<f64>,
-    rows: Vec<Vec<f64>>,
-    rhs: Vec<f64>,
+    rows: Vec<(Vec<f64>, Relation, f64)>,
     x0: Vec<f64>,
 }
 
+impl Instance {
+    fn program(&self, maximize: bool) -> LinearProgram {
+        let mut lp = if maximize {
+            LinearProgram::maximize(&self.c)
+        } else {
+            LinearProgram::minimize(&self.c.iter().map(|v| -v).collect::<Vec<_>>())
+        };
+        for (row, rel, b) in &self.rows {
+            lp.constrain(row, *rel, *b);
+        }
+        lp
+    }
+}
+
+fn dot(a: &[f64], x: &[f64]) -> f64 {
+    a.iter().zip(x).map(|(a, x)| a * x).sum()
+}
+
+fn tenths(v: Vec<i32>) -> Vec<f64> {
+    v.into_iter().map(|v| v as f64 / 10.0).collect()
+}
+
+/// Programs of `≤` rows only: `a·x ≤ a·x0 + slack` with `slack ≥ 0`.
 fn instance() -> impl Strategy<Value = Instance> {
     (2usize..5, 1usize..8)
         .prop_flat_map(|(nvars, nrows)| {
@@ -31,22 +53,109 @@ fn instance() -> impl Strategy<Value = Instance> {
             )
         })
         .prop_map(|(c, rows, slack, x0)| {
-            let c: Vec<f64> = c.into_iter().map(|v| v as f64 / 10.0).collect();
-            let rows: Vec<Vec<f64>> = rows
+            let x0 = tenths(x0);
+            let rows = rows
                 .into_iter()
-                .map(|r| r.into_iter().map(|v| v as f64 / 10.0).collect())
-                .collect();
-            let x0: Vec<f64> = x0.into_iter().map(|v| v as f64 / 10.0).collect();
-            let rhs: Vec<f64> = rows
-                .iter()
                 .zip(&slack)
                 .map(|(row, &s)| {
-                    let lhs: f64 = row.iter().zip(&x0).map(|(a, x)| a * x).sum();
-                    lhs + s as f64 / 10.0
+                    let row = tenths(row);
+                    let b = dot(&row, &x0) + s as f64 / 10.0;
+                    (row, Relation::Le, b)
                 })
                 .collect();
-            Instance { c, rows, rhs, x0 }
+            Instance { c: tenths(c), rows, x0 }
         })
+}
+
+/// Programs mixing every row kind the solver orients differently, each
+/// holding at `x0`: `≤` rows, `≥` rows `a·x ≥ a·x0 − slack` (whose rhs may
+/// be negative, zero or positive), homogeneous `a·x ≥ 0` rows (negated
+/// where `a·x0 < 0`), and `=` rows through `x0`.
+fn mixed_instance() -> impl Strategy<Value = Instance> {
+    (2usize..5, 1usize..10)
+        .prop_flat_map(|(nvars, nrows)| {
+            let coeff = -50i32..50;
+            let pos = 0i32..50;
+            (
+                proptest::collection::vec(coeff.clone(), nvars),
+                proptest::collection::vec(proptest::collection::vec(coeff, nvars), nrows),
+                proptest::collection::vec((0u8..4, pos.clone()), nrows),
+                proptest::collection::vec(pos, nvars),
+            )
+        })
+        .prop_map(|(c, rows, kinds, x0)| {
+            let x0 = tenths(x0);
+            let rows = rows
+                .into_iter()
+                .zip(&kinds)
+                .map(|(row, &(kind, s))| {
+                    let mut row = tenths(row);
+                    let lhs = dot(&row, &x0);
+                    let s = s as f64 / 10.0;
+                    match kind {
+                        0 => (row, Relation::Le, lhs + s),
+                        1 => (row, Relation::Ge, lhs - s),
+                        2 => {
+                            if lhs < 0.0 {
+                                row.iter_mut().for_each(|v| *v = -*v);
+                            }
+                            (row, Relation::Ge, 0.0)
+                        }
+                        _ => (row, Relation::Eq, lhs),
+                    }
+                })
+                .collect();
+            Instance { c: tenths(c), rows, x0 }
+        })
+}
+
+/// The maximum is feasible and at least the witness's objective.
+fn dominates_witness(inst: &Instance) -> TestCaseResult {
+    let lp = inst.program(true);
+    match lp.solve() {
+        LpOutcome::Optimal(sol) => {
+            // Feasible...
+            for c in lp.constraints() {
+                prop_assert!(c.satisfied_by(&sol.x, TOL), "violated {c:?} at {:?}", sol.x);
+            }
+            prop_assert!(sol.x.iter().all(|&v| v >= -TOL), "negative var: {:?}", sol.x);
+            // ...and at least as good as the witness.
+            let witness_obj = dot(&inst.c, &inst.x0);
+            prop_assert!(
+                sol.objective >= witness_obj - TOL,
+                "objective {} below witness {witness_obj}",
+                sol.objective
+            );
+        }
+        LpOutcome::Unbounded => {
+            // Legitimate when some improving ray exists; nothing to
+            // check beyond termination.
+        }
+        LpOutcome::Infeasible => {
+            prop_assert!(false, "program with witness {:?} called infeasible", inst.x0);
+        }
+        LpOutcome::Numerical => {
+            prop_assert!(false, "program with witness {:?} left undecided", inst.x0);
+        }
+    }
+    Ok(())
+}
+
+/// Minimization mirrors maximization through negation.
+fn min_max_agree(inst: &Instance) -> TestCaseResult {
+    match (inst.program(true).solve(), inst.program(false).solve()) {
+        (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
+            prop_assert!(
+                (a.objective + b.objective).abs() < 1e-5,
+                "max {} vs -min {}",
+                a.objective,
+                -b.objective
+            );
+        }
+        (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
+        (a, b) => prop_assert!(false, "outcome mismatch: {a:?} vs {b:?}"),
+    }
+    Ok(())
 }
 
 proptest! {
@@ -54,55 +163,21 @@ proptest! {
 
     #[test]
     fn solver_dominates_known_witness(inst in instance()) {
-        let mut lp = LinearProgram::maximize(&inst.c);
-        for (row, &b) in inst.rows.iter().zip(&inst.rhs) {
-            lp.constrain(row, Relation::Le, b);
-        }
-        match lp.solve() {
-            LpOutcome::Optimal(sol) => {
-                // Feasible...
-                for c in lp.constraints() {
-                    prop_assert!(
-                        c.satisfied_by(&sol.x, TOL),
-                        "violated {c:?} at {:?}", sol.x
-                    );
-                }
-                prop_assert!(sol.x.iter().all(|&v| v >= -TOL), "negative var: {:?}", sol.x);
-                // ...and at least as good as the witness.
-                let witness_obj: f64 =
-                    inst.c.iter().zip(&inst.x0).map(|(c, x)| c * x).sum();
-                prop_assert!(
-                    sol.objective >= witness_obj - TOL,
-                    "objective {} below witness {witness_obj}", sol.objective
-                );
-            }
-            LpOutcome::Unbounded => {
-                // Legitimate when some improving ray exists; nothing to
-                // check beyond termination.
-            }
-            LpOutcome::Infeasible => {
-                prop_assert!(false, "program with witness {:?} called infeasible", inst.x0);
-            }
-        }
+        dominates_witness(&inst)?;
     }
 
-    /// Minimization mirrors maximization through negation.
     #[test]
     fn min_max_duality(inst in instance()) {
-        let mut max_lp = LinearProgram::maximize(&inst.c);
-        let neg: Vec<f64> = inst.c.iter().map(|v| -v).collect();
-        let mut min_lp = LinearProgram::minimize(&neg);
-        for (row, &b) in inst.rows.iter().zip(&inst.rhs) {
-            max_lp.constrain(row, Relation::Le, b);
-            min_lp.constrain(row, Relation::Le, b);
-        }
-        match (max_lp.solve(), min_lp.solve()) {
-            (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
-                prop_assert!((a.objective + b.objective).abs() < 1e-5,
-                    "max {} vs -min {}", a.objective, -b.objective);
-            }
-            (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
-            (a, b) => prop_assert!(false, "outcome mismatch: {a:?} vs {b:?}"),
-        }
+        min_max_agree(&inst)?;
+    }
+
+    #[test]
+    fn mixed_rows_dominate_known_witness(inst in mixed_instance()) {
+        dominates_witness(&inst)?;
+    }
+
+    #[test]
+    fn mixed_rows_min_max_duality(inst in mixed_instance()) {
+        min_max_agree(&inst)?;
     }
 }

@@ -190,3 +190,53 @@ fn mdrrr_r_with_zero_samples_is_a_typed_error() {
         assert!(matches!(err, RrmError::Unsupported(_)), "{err}");
     }
 }
+
+/// MDRRR's four request shapes on one dataset, in a fresh session each.
+fn mdrrr_requests(data: &Dataset) -> Vec<Result<Solution, RrmError>> {
+    [Request::minimize(2), Request::minimize(3), Request::represent(1), Request::represent(2)]
+        .into_iter()
+        .map(|request| {
+            rank_regret::session(data).run(&request.algo(Algorithm::Mdrrr)).map(|r| r.solution)
+        })
+        .collect()
+}
+
+#[test]
+fn mdrrr_answers_extreme_magnitudes_with_true_certificates() {
+    // Rows near f64::MAX beside subnormal ones once drove a region LP's
+    // phase one into a panic. Row 0 dominates every other row.
+    let data = Dataset::from_rows(&[
+        [1.7e308, 1.7e308],
+        [1.0, 0.0],
+        [0.0, 1.0],
+        [1.7e308, 1e-300],
+        [5e-324, 1.7e308],
+    ])
+    .unwrap();
+    for result in mdrrr_requests(&data) {
+        let sol = result.expect("MDRRR answers");
+        let k = sol.certified_regret.expect("a complete enumeration certifies");
+        let est =
+            rrm_eval::estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(2), 2000, 7);
+        assert!(est.max_rank <= k, "{:?}: measured {} above {k}", sol.indices, est.max_rank);
+    }
+}
+
+#[test]
+fn mdrrr_rejects_rows_whose_differences_overflow() {
+    // 1.7e308 − (−1.7e308) overflows, so the region LPs would see ±∞
+    // coefficients. Solved anyway, `represent(1)` certified regret 1 for
+    // [2] or [0, 2], whose worst rank is 4 (row 1, then rows 3 and 4, lead
+    // wherever u1 > u0).
+    let data = Dataset::from_rows(&[
+        [1.7e308, -1.7e308],
+        [-1.7e308, 1.7e308],
+        [1.0, 0.0],
+        [0.0, 1.0],
+        [0.5, 0.5],
+    ])
+    .unwrap();
+    for result in mdrrr_requests(&data) {
+        assert!(matches!(result, Err(RrmError::Numerical(_))), "{result:?}");
+    }
+}
