@@ -759,9 +759,9 @@ fn amortize(scale: Scale) {
             Algorithm::Mdrrr,
             rrm_data::synthetic::independent(25, 3, 77),
             vec![2, 4, 6, 2, 4, 6, 2, 4, 6, 2, 4, 6],
-            // Cap the k-set enumeration: unlimited LP budgets put this
-            // baseline in the minutes-per-query regime (the paper's "does
-            // not scale" point); the cap binds both paths identically.
+            // The k-set caps perfbench's `exact_small` also uses. They do
+            // not bind here: uncapped, the slowest query (r = 2) gives the
+            // same answer in about 0.1 s on a 2-core box.
             Budget {
                 max_enumerations: Some(10_000),
                 max_lp_calls: Some(100_000),
