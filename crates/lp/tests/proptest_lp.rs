@@ -109,75 +109,63 @@ fn mixed_instance() -> impl Strategy<Value = Instance> {
         })
 }
 
-/// The maximum is feasible and at least the witness's objective.
-fn dominates_witness(inst: &Instance) -> TestCaseResult {
-    let lp = inst.program(true);
-    match lp.solve() {
-        LpOutcome::Optimal(sol) => {
-            // Feasible...
-            for c in lp.constraints() {
-                prop_assert!(c.satisfied_by(&sol.x, TOL), "violated {c:?} at {:?}", sol.x);
-            }
-            prop_assert!(sol.x.iter().all(|&v| v >= -TOL), "negative var: {:?}", sol.x);
-            // ...and at least as good as the witness.
-            let witness_obj = dot(&inst.c, &inst.x0);
-            prop_assert!(
-                sol.objective >= witness_obj - TOL,
-                "objective {} below witness {witness_obj}",
-                sol.objective
-            );
-        }
-        LpOutcome::Unbounded => {
-            // Legitimate when some improving ray exists; nothing to
-            // check beyond termination.
-        }
-        LpOutcome::Infeasible => {
-            prop_assert!(false, "program with witness {:?} called infeasible", inst.x0);
-        }
-        LpOutcome::Numerical => {
-            prop_assert!(false, "program with witness {:?} left undecided", inst.x0);
-        }
-    }
-    Ok(())
-}
-
-/// Minimization mirrors maximization through negation.
-fn min_max_agree(inst: &Instance) -> TestCaseResult {
-    match (inst.program(true).solve(), inst.program(false).solve()) {
-        (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
-            prop_assert!(
-                (a.objective + b.objective).abs() < 1e-5,
-                "max {} vs -min {}",
-                a.objective,
-                -b.objective
-            );
-        }
-        (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
-        (a, b) => prop_assert!(false, "outcome mismatch: {a:?} vs {b:?}"),
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// Each case checks a `≤`-only program and a mixed one.
     #[test]
-    fn solver_dominates_known_witness(inst in instance()) {
-        dominates_witness(&inst)?;
+    fn solver_dominates_known_witness(le in instance(), mixed in mixed_instance()) {
+        for inst in [le, mixed] {
+            let lp = inst.program(true);
+            match lp.solve() {
+                LpOutcome::Optimal(sol) => {
+                    // Feasible...
+                    for c in lp.constraints() {
+                        prop_assert!(
+                            c.satisfied_by(&sol.x, TOL),
+                            "violated {c:?} at {:?}",
+                            sol.x
+                        );
+                    }
+                    prop_assert!(sol.x.iter().all(|&v| v >= -TOL), "negative var: {:?}", sol.x);
+                    // ...and at least as good as the witness.
+                    let witness_obj = dot(&inst.c, &inst.x0);
+                    prop_assert!(
+                        sol.objective >= witness_obj - TOL,
+                        "objective {} below witness {witness_obj}",
+                        sol.objective
+                    );
+                }
+                LpOutcome::Unbounded => {
+                    // Legitimate when some improving ray exists; nothing to
+                    // check beyond termination.
+                }
+                LpOutcome::Infeasible => {
+                    prop_assert!(false, "program with witness {:?} called infeasible", inst.x0);
+                }
+                LpOutcome::Numerical => {
+                    prop_assert!(false, "program with witness {:?} left undecided", inst.x0);
+                }
+            }
+        }
     }
 
+    /// Minimization mirrors maximization through negation.
     #[test]
-    fn min_max_duality(inst in instance()) {
-        min_max_agree(&inst)?;
-    }
-
-    #[test]
-    fn mixed_rows_dominate_known_witness(inst in mixed_instance()) {
-        dominates_witness(&inst)?;
-    }
-
-    #[test]
-    fn mixed_rows_min_max_duality(inst in mixed_instance()) {
-        min_max_agree(&inst)?;
+    fn min_max_duality(le in instance(), mixed in mixed_instance()) {
+        for inst in [le, mixed] {
+            match (inst.program(true).solve(), inst.program(false).solve()) {
+                (LpOutcome::Optimal(a), LpOutcome::Optimal(b)) => {
+                    prop_assert!(
+                        (a.objective + b.objective).abs() < 1e-5,
+                        "max {} vs -min {}",
+                        a.objective,
+                        -b.objective
+                    );
+                }
+                (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
+                (a, b) => prop_assert!(false, "outcome mismatch: {a:?} vs {b:?}"),
+            }
+        }
     }
 }
