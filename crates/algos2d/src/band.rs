@@ -737,4 +737,66 @@ mod tests {
         // reaches the limit 4·LB₁ − 2.
         assert_eq!(counts, Counts { limit: 10, rows: vec![0, 0, 0, 0, 3, 3, 0] });
     }
+
+    /// 2DRRM answers and 2DRRR covers on fixed anti-correlated rows, as
+    /// the dominator-count bands gave them: a change to how bands or the
+    /// skyline are computed must not move any of them.
+    #[test]
+    fn answers_on_anticorrelated_rows_are_pinned() {
+        type Pins = ([(&'static [u32], usize); 6], [&'static [u32]; 4]);
+        let full: Pins = (
+            [
+                (&[520], 948),
+                (&[1337, 1708], 372),
+                (&[520, 662, 1006], 145),
+                (&[1159, 1262, 1495, 1808], 63),
+                (&[491, 573, 1170, 1222, 1526], 37),
+                (&[290, 573, 638, 653, 800, 1082], 22),
+            ],
+            [
+                &[
+                    1867, 1988, 1567, 958, 653, 491, 1159, 289, 1563, 1114, 927, 399, 444, 64, 555,
+                    1899, 567, 638, 1406, 1271, 1160, 1847, 1082, 409, 1042, 696, 573, 1046, 422,
+                ],
+                &[
+                    1988, 958, 491, 1159, 1563, 1114, 927, 290, 64, 1899, 638, 1271, 1847, 409,
+                    1042, 696, 573, 422,
+                ],
+                &[
+                    1988, 653, 1159, 1563, 1114, 927, 444, 1899, 638, 1160, 1082, 1042, 1262, 1046,
+                    422,
+                ],
+                &[1567, 1159, 1563, 927, 64, 638, 1160, 417, 573, 1046],
+            ],
+        );
+        let cone: Pins = (
+            [
+                (&[444], 4),
+                (&[64, 444], 1),
+                (&[64, 444], 1),
+                (&[64, 444], 1),
+                (&[64, 444], 1),
+                (&[64, 444], 1),
+            ],
+            [&[444, 64], &[444, 64], &[444], &[444]],
+        );
+        let data = anticorrelated(2_000, 7);
+        let b = Budget::UNLIMITED;
+        let spaces: [Box<dyn UtilitySpace>; 2] = [
+            Box::new(FullSpace::new(2)),
+            // Weights on attribute 1 within [0.40, 0.45].
+            Box::new(ConeSpace::new(2, vec![vec![0.6, -0.4], vec![-0.55, 0.45]])),
+        ];
+        for (space, (answers, covers)) in spaces.iter().zip([full, cone]) {
+            let rrm = Prepared2d::new(&data, space.as_ref(), Rrm2dOptions::default()).unwrap();
+            for (r, (indices, regret)) in (1..).zip(answers) {
+                let sol = rrm.solve_rrm(r, &b).unwrap();
+                assert_eq!((sol.indices.as_slice(), sol.certified_regret), (indices, Some(regret)));
+            }
+            let rrr = PreparedRrr2d::new(&data, space.as_ref(), ExecPolicy::default()).unwrap();
+            for (k, cover) in [1, 2, 4, 8].into_iter().zip(covers) {
+                assert_eq!(rrr.cover(k).as_deref(), Some(cover), "k={k}");
+            }
+        }
+    }
 }
