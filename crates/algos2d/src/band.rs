@@ -27,13 +27,25 @@
 //! near-tie that rounding could flip never counts, and a row within the
 //! margin of a tracked line at `c0` is in every band: a band can only
 //! hold more rows than the exact skyband, never fewer.
+//!
+//! A prepare sorts the rows once, into `order0`: every row id in
+//! [`order_at`] order at `c0` ([`Rows`]). The U-skyline the solvers track
+//! is read off it in one max scan, and each band is marked in one sweep
+//! down it ([`Bands::members`]). `LB₁`, the one figure that needs the
+//! order at `c1` too, is computed when a query first asks for it
+//! ([`Bands::cap`]).
 
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use rrm_core::rank::descending_bits;
+use rrm_core::{Dataset, RrmError};
 use rrm_geom::dual::{merge_at, order_at, DualLine};
 use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, stream_crossings};
 use rrm_geom::Crossing;
 use rrm_par::Parallelism;
+use rrm_skyline::restricted::u_scores_2d;
+use rrm_skyline::sky2d::skyline_2d_sorted;
 
 /// The `K` 2DRRM's replays start from (`r = 1` starts at the cap).
 pub(crate) const START: usize = 32;
@@ -43,171 +55,55 @@ pub(crate) const START: usize = 32;
 /// crossing, far below any lead a real dataset's ranks depend on.
 const MARGIN: f64 = 1e-9;
 
-/// Every row id in [`order_at`] order at `c0` and at `c1`.
-fn endpoint_orders(lines: &[DualLine], c0: f64, c1: f64) -> [Vec<u32>; 2] {
-    [c0, c1].map(|x| {
-        let mut order: Vec<u32> = (0..lines.len() as u32).collect();
-        order_at(lines, &mut order, x);
-        order
-    })
+/// Every row's dual line. Crossings and heights are differences of slopes
+/// and of intercepts, so where one overflows f64 no rank a sweep reads
+/// means anything: slopes (an infinite one included) or intercepts whose
+/// range is not finite are a [`RrmError::Numerical`].
+fn dual_lines(data: &Dataset) -> Result<Vec<DualLine>, RrmError> {
+    let lines = DualLine::from_dataset(data);
+    let range = |of: fn(&DualLine) -> f64| {
+        let (inf, neg_inf) = (f64::INFINITY, f64::NEG_INFINITY);
+        lines.iter().map(of).fold((inf, neg_inf), |(lo, hi), v| (lo.min(v), hi.max(v)))
+    };
+    for (what, (lo, hi)) in [("slopes", range(|l| l.slope)), ("intercepts", range(|l| l.intercept))]
+    {
+        if !(hi - lo).is_finite() {
+            return Err(RrmError::Numerical(format!(
+                "the rows' dual {what} span [{lo:e}, {hi:e}], so 2D crossings overflow f64"
+            )));
+        }
+    }
+    Ok(lines)
 }
 
-/// Per row, how many rows beat it at both `x = c0` and `x = c1` by more
-/// than the margin, capped at a limit; below the limit a band reads them
-/// exactly.
-#[derive(Debug, PartialEq)]
-pub(crate) struct Counts {
-    limit: usize,
-    rows: Vec<u32>,
+/// What a 2D prepare derives from the rows: every row's dual line,
+/// `order0` (every row id in [`order_at`] order at `c0`: the prepare's
+/// one sort) and the U-skyline over `[c0, c1]` read off it, ascending.
+pub(crate) struct Rows {
+    pub(crate) lines: Vec<DualLine>,
+    pub(crate) order0: Vec<u32>,
+    pub(crate) skyline: Vec<u32>,
 }
 
-/// [`Counts`] capped at `max(floor, 4·LB₁ − 2)`, twice the bound on every
-/// size budget's optimum (see [`Bands::cap`]), so that no 2DRRM replay and
-/// no probe of 2DRRR's RRM search needs a recount; and `LB₁`, the minimum
-/// over rows of the worse of its two endpoint ranks. `orders` are
-/// [`endpoint_orders`].
-///
-/// A row within the margin of a tracked line (other than itself) at `c0`
-/// counts as beaten by none, and beats none. Such a pair's crossing can
-/// lie within rounding of `c0`, where the replay's order at `c0` and its
-/// crossings may disagree for the whole sweep (a crossing at
-/// `x ≈ 1e-451` underflows to `0` and is dropped). Every other pair a
-/// band's exactness argument uses is then separated by the margin at
-/// `c0`, so the replay orders it as the real lines do, except within
-/// rounding of `c1`, where the two lines nearly tie and a margin-separated
-/// row cannot fall between them.
-///
-/// One pass over the rows in their `c0` order offers every row that leads
-/// the current one by the margin to the set of the `limit` smallest `c1`
-/// positions, then counts the kept rows that also lead at `c1`: that is
-/// the true count whenever it is below the limit. `LB₁` reads its ranks
-/// straight off the two orders.
-pub(crate) fn count_dominators(
-    lines: &[DualLine],
-    tracked: &[u32],
-    (c0, c1): (f64, f64),
-    [order0, order1]: &[Vec<u32>; 2],
-    floor: usize,
-) -> (Counts, usize) {
-    let n = lines.len();
-    let scale = lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
-    let margin = MARGIN * scale;
-    // Everything below is indexed by position in an endpoint order, so
-    // the passes read sequentially; heights there are descending.
-    let h0: Vec<f64> = order0.iter().map(|&i| lines[i as usize].eval(c0)).collect();
-    let h1: Vec<f64> = order1.iter().map(|&i| lines[i as usize].eval(c1)).collect();
-
-    // Per c0 position, whether the row is within the margin of another
-    // tracked line at c0: each tracked line marks the run around its own
-    // position.
-    let mut near = vec![false; n];
-    for &t in tracked {
-        let h = lines[t as usize].eval(c0);
-        let from = h0.partition_point(|&g| g - margin > h);
-        let to = h0.partition_point(|&g| g + margin >= h);
-        for j in from..to {
-            near[j] |= order0[j] != t;
-        }
+impl Rows {
+    pub(crate) fn new(data: &Dataset, (c0, c1): (f64, f64)) -> Result<Self, RrmError> {
+        let lines = dual_lines(data)?;
+        let mut order0: Vec<u32> = (0..lines.len() as u32).collect();
+        order_at(&lines, &mut order0, c0);
+        Ok(Self::read(data, lines, order0, (c0, c1)))
     }
 
-    // Per c1 position, how many rows lead it there by the margin (a prefix
-    // of the c1 order); per c0 position, the row's c1 position.
-    let mut p = 0usize;
-    let ahead1: Vec<u32> = h1
-        .iter()
-        .map(|&h| {
-            while p < n && h1[p] > h + margin {
-                p += 1;
-            }
-            p as u32
-        })
-        .collect();
-    let mut pos1 = vec![0u32; n];
-    for (j, &o) in order1.iter().enumerate() {
-        pos1[o as usize] = j as u32;
-    }
-    let at1: Vec<u32> = order0.iter().map(|&o| pos1[o as usize]).collect();
-
-    let lb1 = at1.iter().enumerate().map(|(j, &p)| j.max(p as usize) + 1).min().unwrap_or(1);
-    let limit = floor.max(lb1.saturating_mul(4) - 2);
-    let mut leaders = Smallest::new(n, limit);
-    let mut rows = vec![0u32; n];
-    let mut q = 0usize;
-    for j in 0..n {
-        while q < n && h0[q] > h0[j] + margin {
-            if !near[q] {
-                leaders.offer(at1[q] as usize);
-            }
-            q += 1;
-        }
-        if !near[j] {
-            rows[order0[j] as usize] = leaders.below(ahead1[at1[j] as usize] as usize);
-        }
-    }
-    (Counts { limit, rows }, lb1)
-}
-
-/// The `limit` smallest of the positions in `0..n` offered so far: a
-/// bitset, and a Fenwick tree over the populations of its words, small
-/// enough to stay in cache. Once the set is full, an offer above its
-/// largest position is dropped and a smaller one evicts that position.
-struct Smallest {
-    bits: Vec<u64>,
-    tree: Vec<u32>,
-    limit: usize,
-    len: usize,
-    /// The largest position kept (`0` while empty).
-    max: usize,
-}
-
-impl Smallest {
-    fn new(n: usize, limit: usize) -> Self {
-        let words = n / 64 + 1;
-        Self { bits: vec![0; words], tree: vec![0; words + 1], limit, len: 0, max: 0 }
-    }
-
-    /// Flip position `p`, moving its word's population by `delta`
-    /// (`1`, or `u32::MAX` to subtract one).
-    fn flip(&mut self, p: usize, delta: u32) {
-        self.bits[p / 64] ^= 1 << (p % 64);
-        let mut i = p / 64 + 1;
-        while i < self.tree.len() {
-            self.tree[i] = self.tree[i].wrapping_add(delta);
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Offer `p`, a position not offered before.
-    fn offer(&mut self, p: usize) {
-        if self.len < self.limit {
-            self.flip(p, 1);
-            self.len += 1;
-            self.max = self.max.max(p);
-        } else if p < self.max {
-            self.flip(self.max, u32::MAX);
-            self.flip(p, 1);
-            // The new largest is below the old one: scan down from its word.
-            let mut w = self.max / 64;
-            while self.bits[w] == 0 {
-                w -= 1;
-            }
-            self.max = 64 * w + 63 - self.bits[w].leading_zeros() as usize;
-        }
-    }
-
-    /// How many kept positions are below `p` (`p ≤ n`): the number of
-    /// offered ones below `p`, capped at `limit`.
-    fn below(&self, p: usize) -> u32 {
-        if self.len == 0 || p > self.max {
-            return self.len as u32;
-        }
-        let mut count = (self.bits[p / 64] & ((1u64 << (p % 64)) - 1)).count_ones();
-        let mut i = p / 64;
-        while i > 0 {
-            count += self.tree[i];
-            i &= i - 1;
-        }
-        count
+    /// Read the U-skyline, the 2D skyline of the rows' [`u_scores_2d`],
+    /// off `order0`. A line's height at `c0` is its score there up to
+    /// rounding, so a stable sort by the score repairs the order's
+    /// inversions first: one pass over the order when it has none, as at
+    /// `c0 = 0`.
+    fn read(data: &Dataset, lines: Vec<DualLine>, order0: Vec<u32>, (c0, c1): (f64, f64)) -> Self {
+        let mut scored: Vec<(u32, [f64; 2])> =
+            order0.iter().map(|&i| (i, u_scores_2d(data.row(i as usize), c0, c1))).collect();
+        scored.sort_by_key(|&(_, [at0, _])| descending_bits(at0));
+        let skyline = skyline_2d_sorted(scored);
+        Self { lines, order0, skyline }
     }
 }
 
@@ -252,19 +148,19 @@ impl Band {
     }
 }
 
-/// The band builder a prepared 2D handle owns: the rows' dual lines, the
-/// tracked lines whose ranks its solver reads, per-row dominator counts,
-/// and the bands built so far. A band is built on first use and cached.
+/// The band builder a prepared 2D handle owns: the rows' dual lines and
+/// `order0`, the tracked lines whose ranks its solver reads, and the bands
+/// built so far. A band is built on first use and cached.
 pub(crate) struct Bands {
     c0: f64,
     c1: f64,
     lines: Vec<DualLine>,
+    /// Every row id in [`order_at`] order at `c0`: each band is swept off
+    /// it, and an update merges into it instead of re-sorting.
+    order0: Vec<u32>,
     tracked: Vec<u32>,
-    /// [`endpoint_orders`], kept so an update merges instead of re-sorting.
-    orders: [Vec<u32>; 2],
-    /// Recounted with a higher limit when a band needs one.
-    counts: Mutex<Arc<Counts>>,
-    cap: usize,
+    /// [`Bands::cap`], once a query has asked for it.
+    cap: OnceLock<usize>,
     chunk_target: usize,
     parallelism: Parallelism,
     /// Every band is at least this wide (`usize::MAX` in tests: one band
@@ -279,65 +175,51 @@ pub(crate) struct Bands {
 type Slot = Arc<OnceLock<Arc<Band>>>;
 
 impl Bands {
-    /// Count dominators over `lines` on `[c0, c1]`. `tracked` lists the row
-    /// ids whose ranks the solver reads, in its row order; every band keeps
-    /// them. A band's stream is materialized when it holds at most
+    /// The band builder over `rows` on `[c0, c1]`. `tracked` lists the row
+    /// ids whose ranks the solver reads, in its row order; every band
+    /// keeps them. A band's stream is materialized when it holds at most
     /// `chunk_target` crossings, classified under `parallelism`.
     pub(crate) fn new(
-        lines: Vec<DualLine>,
-        tracked: Vec<u32>,
-        c0: f64,
-        c1: f64,
-        chunk_target: usize,
-        parallelism: Parallelism,
-    ) -> Self {
-        let orders = endpoint_orders(&lines, c0, c1);
-        Self::counted(lines, tracked, (c0, c1), orders, chunk_target, parallelism)
-    }
-
-    /// The builder for the rows after an update: `lines` and `tracked`
-    /// describe the new rows, `remap` sends old row ids to new ones
-    /// (monotone, `None` for deleted rows) and `inserted` lists the new
-    /// rows' ids. The endpoint orders keep their survivors' sequence and
-    /// merge the sorted inserts; dominators are recounted.
-    pub(crate) fn patched(
-        &self,
-        lines: Vec<DualLine>,
-        tracked: Vec<u32>,
-        remap: &[Option<u32>],
-        inserted: &[u32],
-    ) -> Self {
-        let (c0, c1) = (self.c0, self.c1);
-        let merged = |old: &[u32], x: f64| {
-            let survivors: Vec<u32> = old.iter().filter_map(|&id| remap[id as usize]).collect();
-            merge_at(&lines, &survivors, &mut inserted.to_vec(), x)
-        };
-        let orders = [merged(&self.orders[0], c0), merged(&self.orders[1], c1)];
-        Self::counted(lines, tracked, (c0, c1), orders, self.chunk_target, self.parallelism)
-    }
-
-    fn counted(
-        lines: Vec<DualLine>,
+        Rows { lines, order0, .. }: Rows,
         tracked: Vec<u32>,
         (c0, c1): (f64, f64),
-        orders: [Vec<u32>; 2],
         chunk_target: usize,
         parallelism: Parallelism,
     ) -> Self {
-        let (counts, lb1) = count_dominators(&lines, &tracked, (c0, c1), &orders, 0);
         Self {
             c0,
             c1,
             lines,
+            order0,
             tracked,
-            orders,
-            counts: Mutex::new(Arc::new(counts)),
-            cap: lb1.saturating_mul(2) - 1,
+            cap: OnceLock::new(),
             chunk_target,
             parallelism,
             floor: 0,
             built: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The rows after an update that left `data`: `remap` sends old row
+    /// ids to new ones (monotone, `None` for deleted rows) and `inserted`
+    /// lists the new rows' ids. The survivors keep their `order0`
+    /// sequence and the sorted inserts merge in.
+    pub(crate) fn rows_after(
+        &self,
+        data: &Dataset,
+        remap: &[Option<u32>],
+        inserted: &[u32],
+    ) -> Result<Rows, RrmError> {
+        let lines = dual_lines(data)?;
+        let survivors: Vec<u32> = self.order0.iter().filter_map(|&id| remap[id as usize]).collect();
+        let order0 = merge_at(&lines, &survivors, &mut inserted.to_vec(), self.c0);
+        Ok(Rows::read(data, lines, order0, self.interval()))
+    }
+
+    /// A builder over [`Bands::rows_after`]'s rows, on this one's interval
+    /// and with its options.
+    pub(crate) fn patched(&self, rows: Rows, tracked: Vec<u32>) -> Self {
+        Self::new(rows, tracked, self.interval(), self.chunk_target, self.parallelism)
     }
 
     /// Keep every row in every band: the all-rows stream the bands are
@@ -361,16 +243,15 @@ impl Bands {
         &self.tracked
     }
 
-    /// The dominator counts bands are cut from so far.
     #[cfg(test)]
-    pub(crate) fn counts(&self) -> Arc<Counts> {
-        Arc::clone(&self.counts.lock().expect("counts poisoned"))
+    pub(crate) fn order0(&self) -> &[u32] {
+        &self.order0
     }
 
-    /// The endpoint orders at `c0` and `c1`.
+    /// Whether a query has asked for [`Bands::cap`] yet.
     #[cfg(test)]
-    pub(crate) fn orders(&self) -> &[Vec<u32>; 2] {
-        &self.orders
+    pub(crate) fn cap_known(&self) -> bool {
+        self.cap.get().is_some()
     }
 
     /// Per band built so far, whether its stream is materialized.
@@ -380,12 +261,25 @@ impl Bands {
         built.iter().filter_map(|(_, slot)| slot.get()).map(|b| b.events.is_some()).collect()
     }
 
-    /// `2·LB₁ − 1`. The row that ranks at most `LB₁` at both ends ranks at
-    /// most `2·LB₁ − 1` everywhere between them (a line above it in the
-    /// middle is above it at one end), so no size budget's optimum exceeds
-    /// this.
+    /// `2·LB₁ − 1`, where `LB₁` is the minimum over rows of the worse of
+    /// its two endpoint ranks. The row that ranks at most `LB₁` at both
+    /// ends ranks at most `2·LB₁ − 1` everywhere between them (a line
+    /// above it in the middle is above it at one end), so no size budget's
+    /// optimum exceeds this. Computed on first use, which sorts the rows
+    /// at `c1`.
     pub(crate) fn cap(&self) -> usize {
-        self.cap
+        *self.cap.get_or_init(|| {
+            let n = self.lines.len();
+            let mut at0 = vec![0u32; n];
+            for (j, &i) in self.order0.iter().enumerate() {
+                at0[i as usize] = j as u32;
+            }
+            let mut order1: Vec<u32> = (0..n as u32).collect();
+            order_at(&self.lines, &mut order1, self.c1);
+            let ranks =
+                order1.iter().enumerate().map(|(j, &i)| j.max(at0[i as usize] as usize) + 1);
+            2 * ranks.min().unwrap_or(1) - 1
+        })
     }
 
     /// A band whose replayed ranks are exact up to at least `k`: the
@@ -415,30 +309,84 @@ impl Bands {
         Arc::clone(slot.get_or_init(|| Arc::new(self.build(k))))
     }
 
-    /// Counts exact below `k`: the current ones, or a recount capped at
-    /// least twice as high, which replaces them.
-    fn counts_below(&self, k: usize) -> Arc<Counts> {
-        // No row has `n` dominators.
-        let k = k.min(self.lines.len());
-        let current = Arc::clone(&self.counts.lock().expect("counts poisoned"));
-        if current.limit >= k {
-            return current;
+    /// Per row id, whether band `k` holds it apart from the tracked rows:
+    /// whether fewer than `k` rows beat it at both `x = c0` and `x = c1` by
+    /// more than the margin.
+    ///
+    /// A row within the margin of a tracked line (other than itself) at
+    /// `c0` counts as beaten by none, and beats none. Such a pair's
+    /// crossing can lie within rounding of `c0`, where the replay's order
+    /// at `c0` and its crossings may disagree for the whole sweep (a
+    /// crossing at `x ≈ 1e-451` underflows to `0` and is dropped). Every
+    /// other pair a band's exactness argument uses is then separated by
+    /// the margin at `c0`, so the replay orders it as the real lines do,
+    /// except within rounding of `c1`, where the two lines nearly tie and
+    /// a margin-separated row cannot fall between them.
+    ///
+    /// One sweep down `order0` offers every row that leads the current one
+    /// at `c0` by the margin, keeping the `k` highest `c1` heights
+    /// offered: `k` rows beat the current one iff the lowest kept height
+    /// leads it at `c1` by the margin.
+    pub(crate) fn members(&self, k: usize) -> Vec<bool> {
+        let n = self.lines.len();
+        if k >= n {
+            return vec![true; n];
         }
-        let floor = k.max(current.limit.saturating_mul(2));
-        let (wider, _) =
-            count_dominators(&self.lines, &self.tracked, self.interval(), &self.orders, floor);
-        let wider = Arc::new(wider);
-        let mut counts = self.counts.lock().expect("counts poisoned");
-        if counts.limit < wider.limit {
-            *counts = Arc::clone(&wider);
+        let (c0, c1) = self.interval();
+        let scale =
+            self.lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
+        let margin = MARGIN * scale;
+        // Heights at both ends by c0 position, so the sweep reads
+        // sequentially; the heights at c0 descend.
+        let h: Vec<[f64; 2]> = self
+            .order0
+            .iter()
+            .map(|&i| {
+                let line = self.lines[i as usize];
+                [line.eval(c0), line.eval(c1)]
+            })
+            .collect();
+
+        // Per c0 position, whether the row is within the margin of another
+        // tracked line at c0: each tracked line marks the run around its
+        // own position.
+        let mut near = vec![false; n];
+        for &t in &self.tracked {
+            let at = self.lines[t as usize].eval(c0);
+            let from = h.partition_point(|g| g[0] - margin > at);
+            let to = h.partition_point(|g| g[0] + margin >= at);
+            for (near, &row) in near[from..to].iter_mut().zip(&self.order0[from..to]) {
+                *near |= row != t;
+            }
         }
-        wider
+
+        // The `k` highest c1 heights offered so far, as `descending_bits`
+        // keys: the top of the heap is the lowest of them.
+        let mut highest: BinaryHeap<u64> = BinaryHeap::with_capacity(k);
+        let mut keep = vec![false; n];
+        let mut q = 0;
+        for j in 0..n {
+            while q < n && h[q][0] > h[j][0] + margin {
+                if !near[q] {
+                    let key = descending_bits(h[q][1]);
+                    if highest.len() < k {
+                        highest.push(key);
+                    } else if let Some(mut lowest) = highest.peek_mut().filter(|low| key < **low) {
+                        *lowest = key;
+                    }
+                }
+                q += 1;
+            }
+            let beaten = highest.len() == k
+                && highest.peek().is_some_and(|&low| low < descending_bits(h[j][1] + margin));
+            keep[self.order0[j] as usize] = near[j] || !beaten;
+        }
+        keep
     }
 
     fn build(&self, k: usize) -> Band {
         let n = self.lines.len();
-        let counts = self.counts_below(k);
-        let mut keep: Vec<bool> = counts.rows.iter().map(|&c| (c as usize) < k).collect();
+        let mut keep = self.members(k);
         for &t in &self.tracked {
             keep[t as usize] = true;
         }
@@ -485,10 +433,8 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rrm_core::{
-        Budget, ConeSpace, Dataset, ExecPolicy, FullSpace, PreparedSolver, UtilitySpace,
-        WeakRankingSpace,
+        Budget, ConeSpace, ExecPolicy, FullSpace, PreparedSolver, UtilitySpace, WeakRankingSpace,
     };
-
     use rrm_skyline::restricted::u_skyline_2d;
 
     use crate::rrm2d::{weight_interval, Prepared2d, Rrm2dOptions};
@@ -627,16 +573,23 @@ mod tests {
         }
     }
 
+    /// The band builder over `data` on `interval`, tracking the U-skyline.
+    fn bands_over(data: &Dataset, interval: (f64, f64)) -> Bands {
+        let rows = Rows::new(data, interval).unwrap();
+        let sky = rows.skyline.clone();
+        Bands::new(rows, sky, interval, usize::MAX, Parallelism::Sequential)
+    }
+
     #[test]
-    fn dominator_counts_match_brute_force() {
+    fn band_members_match_brute_force() {
         let datasets = [quantized(300, 11), anticorrelated(300, 12), extreme(200, 13)];
         for (i, data) in datasets.iter().enumerate() {
             for space in spaces() {
                 let (c0, c1) = weight_interval(space.as_ref()).unwrap();
-                let lines = DualLine::from_dataset(data);
+                let bands = bands_over(data, (c0, c1));
+                let lines = bands.lines();
                 let n = lines.len();
-                let tracked = u_skyline_2d(data, c0, c1);
-                let orders = endpoint_orders(&lines, c0, c1);
+                let tracked = bands.tracked();
                 let scale =
                     lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
                 let m = MARGIN * scale;
@@ -646,22 +599,28 @@ mod tests {
                     tracked.iter().any(|&t| t as usize != u && tie(t as usize))
                 };
                 let near: Vec<bool> = (0..n).map(near).collect();
-                // The default limit caps some counts; a floor of `n` caps none.
-                for floor in [0, n] {
-                    let (counts, _) = count_dominators(&lines, &tracked, (c0, c1), &orders, floor);
-                    for o in 0..n {
-                        let beaten_by =
-                            |m: f64, u: usize| h[u][0] > h[o][0] + m && h[u][1] > h[o][1] + m;
-                        let brute = if near[o] {
+                let beaten_by =
+                    |m: f64, u: usize, o: usize| h[u][0] > h[o][0] + m && h[u][1] > h[o][1] + m;
+                // How many rows beat each one by the margin, and exactly.
+                let dominators: Vec<usize> = (0..n)
+                    .map(|o| {
+                        let count = (0..n).filter(|&u| !near[u] && beaten_by(m, u, o)).count();
+                        if near[o] {
                             0
                         } else {
-                            (0..n).filter(|&u| !near[u] && beaten_by(m, u)).count()
-                        };
-                        let want = brute.min(counts.limit) as u32;
-                        assert_eq!(counts.rows[o], want, "data {i} floor {floor} row {o}");
-                        // The margin only ever drops rows that beat `o`.
-                        let strict = (0..n).filter(|&u| beaten_by(0.0, u)).count() as u32;
-                        assert!(counts.rows[o] <= strict, "data {i} row {o}");
+                            count
+                        }
+                    })
+                    .collect();
+                let strict: Vec<usize> =
+                    (0..n).map(|o| (0..n).filter(|&u| beaten_by(0.0, u, o)).count()).collect();
+                for k in [1, 2, 3, 5, 8, 32, n] {
+                    let members = bands.members(k);
+                    for o in 0..n {
+                        let ctx = format!("data {i} k {k} row {o}");
+                        assert_eq!(members[o], dominators[o] < k, "{ctx}");
+                        // The margin only ever keeps more rows.
+                        assert!(members[o] || strict[o] >= k, "{ctx}");
                     }
                 }
             }
@@ -669,55 +628,38 @@ mod tests {
     }
 
     #[test]
-    fn smallest_keeps_the_limit_smallest_offers() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for (n, limit) in [(1, 1), (130, 1), (130, 7), (130, 64), (130, 500)] {
-            // Offer every position once, in random order.
-            let mut order: Vec<usize> = (0..n).collect();
-            for i in (1..n).rev() {
-                order.swap(i, rng.random_range(0..=i));
-            }
-            let mut set = Smallest::new(n, limit);
-            for (i, &p) in order.iter().enumerate() {
-                set.offer(p);
-                for q in 0..=n {
-                    let below = order[..=i].iter().filter(|&&o| o < q).count().min(limit);
-                    assert_eq!(set.below(q) as usize, below, "n {n} limit {limit} offer {i} q {q}");
-                }
+    fn skyline_off_the_c0_order_matches_u_skyline_2d() {
+        let mut intervals: Vec<(f64, f64)> =
+            spaces().iter().map(|s| weight_interval(s.as_ref()).unwrap()).collect();
+        intervals.push((0.0, 0.7));
+        let mut rng = StdRng::seed_from_u64(41);
+        let random = Dataset::from_rows(
+            &(0..500).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        for (i, data) in [random, quantized(500, 42), extreme(500, 43)].iter().enumerate() {
+            for &(c0, c1) in &intervals {
+                let rows = Rows::new(data, (c0, c1)).unwrap();
+                assert_eq!(rows.skyline, u_skyline_2d(data, c0, c1), "data {i} [{c0}, {c1}]");
             }
         }
-    }
-
-    #[test]
-    fn bands_past_the_count_limit_are_recounted() {
-        let data = quantized(400, 21);
-        let lines = DualLine::from_dataset(&data);
-        let n = lines.len();
-        let tracked = u_skyline_2d(&data, 0.0, 1.0);
-        let bands = Bands::new(
-            lines.clone(),
-            tracked.clone(),
-            0.0,
-            1.0,
-            usize::MAX,
-            Parallelism::Sequential,
-        );
-        let (exact, _) = count_dominators(&lines, &tracked, (0.0, 1.0), &bands.orders, n);
-        let limit = bands.counts().limit;
-        for k in [limit, limit + 1, 3 * limit] {
-            let want = (0..n)
-                .filter(|&i| (exact.rows[i] as usize) < k || tracked.contains(&(i as u32)))
-                .count();
-            assert!(want < n, "k={k} keeps every row");
-            assert_eq!(bands.band(k).lines.len(), want, "k={k}");
-        }
-        assert!(bands.counts().limit >= 3 * limit);
+        // At c0 = 0.4 row 0's line rounds above row 1's, though row 1
+        // scores higher there, and at c1 too: the skyline is row 1 alone.
+        let data = Dataset::from_rows(&[
+            [0.493539895953764, 0.4935062888839354],
+            [0.49353989595376424, 0.4935062888839352],
+        ])
+        .unwrap();
+        let rows = Rows::new(&data, (0.4, 0.45)).unwrap();
+        assert_eq!(rows.order0, [0, 1]);
+        assert_eq!(rows.skyline, [1]);
+        assert_eq!(u_skyline_2d(&data, 0.4, 0.45), [1]);
     }
 
     #[test]
     fn lb1_reads_the_endpoint_orders() {
         // Table I: t3 ranks 3rd at x = 0 and 3rd at x = 1 (behind t7 and t4),
-        // and no row is better at both ends.
+        // and no row is better at both ends: LB₁ = 3.
         let data = Dataset::from_rows(&[
             [0.0, 1.0],
             [0.4, 0.95],
@@ -728,14 +670,13 @@ mod tests {
             [1.0, 0.0],
         ])
         .unwrap();
-        let tracked = u_skyline_2d(&data, 0.0, 1.0);
-        let lines = DualLine::from_dataset(&data);
-        let orders = endpoint_orders(&lines, 0.0, 1.0);
-        let (counts, lb1) = count_dominators(&lines, &tracked, (0.0, 1.0), &orders, 0);
-        assert_eq!(lb1, 3);
-        // t5 and t6 are each beaten at both ends by t2, t3 and t4; nothing
-        // reaches the limit 4·LB₁ − 2.
-        assert_eq!(counts, Counts { limit: 10, rows: vec![0, 0, 0, 0, 3, 3, 0] });
+        let bands = bands_over(&data, (0.0, 1.0));
+        assert!(!bands.cap_known());
+        assert_eq!(bands.cap(), 5);
+        assert!(bands.cap_known());
+        // t5 and t6 are each beaten at both ends by t2, t3 and t4.
+        assert_eq!(bands.members(3), [true, true, true, true, false, false, true]);
+        assert_eq!(bands.members(4), [true; 7]);
     }
 
     /// 2DRRM answers and 2DRRR covers on fixed anti-correlated rows, as

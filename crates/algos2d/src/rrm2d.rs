@@ -16,12 +16,15 @@
 //! answer matter, so the default replays the `O(s·|band|)` crossings of
 //! the skyline lines with the *K-band* from a pre-sorted stream
 //! ([`rrm_geom::events`]): the rows fewer than `K` others beat at both
-//! ends of the weight interval. A replay over the band is exact when its
-//! best final rank is at most `K`; otherwise `K` doubles and the replay
-//! runs again on the wider band. `K` starts at 32, or for `r = 1` at
-//! `2·LB₁ − 1` (`LB₁` is the best worst-endpoint rank of any row), a bound
-//! on every budget's optimum that also caps the doubling; past it `K`
-//! keeps doubling, so exactness never rests on the bound. Set
+//! ends of the weight interval, marked in one sweep down the rows' order
+//! at `c0`, the one sort a prepare makes. A replay over the band is exact
+//! when its best final rank is at most `K`; otherwise `K` doubles and the
+//! replay runs again on the wider band. `K` starts at 32, or for `r = 1`
+//! at `2·LB₁ − 1` (`LB₁` is the best worst-endpoint rank of any row), a
+//! bound on every budget's optimum that also caps the doubling; past it
+//! `K` keeps doubling, so exactness never rests on the bound. The bound
+//! sorts the rows at `c1`, so it is computed only when `r = 1` or a
+//! doubling past 32 first needs it. Set
 //! [`Rrm2dOptions::use_full_sweep`] to run the paper's original
 //! full-arrangement sweep over every row instead (identical output;
 //! `repro ablation` fails on any difference).
@@ -44,10 +47,8 @@ use rrm_core::{
 use rrm_geom::dual::{normalized_interval_2d, DualLine};
 use rrm_geom::events::initial_ranks;
 use rrm_geom::sweep::arrangement_sweep;
-use rrm_skyline::restricted::u_transform_2d;
-use rrm_skyline::IncrementalSkyline;
 
-use crate::band::{Bands, START};
+use crate::band::{Bands, Rows, START};
 use crate::matrix::DpMatrix;
 
 /// Tuning knobs for 2DRRM ([`Prepared2d`]).
@@ -173,11 +174,11 @@ struct Memo {
 /// replays ("2DRRM can be easily adopted for RRR by a binary search").
 ///
 /// Preparation (Theorem 3's candidates) renders the space onto its weight
-/// interval, computes the restricted skyline and the dual lines, and
-/// counts each row's dominators at the interval's ends. The K-bands those
-/// counts define, and their crossing streams (materialized when they fit
-/// the [`Rrm2dOptions::chunk_target`] memory budget), are built on first
-/// use and cached, so each later query is one DP replay. Solutions are
+/// interval, computes the dual lines, sorts them once at the interval's
+/// low end and reads the restricted skyline off that order. The K-bands,
+/// and their crossing streams (materialized when they fit the
+/// [`Rrm2dOptions::chunk_target`] memory budget), are built on first use
+/// and cached, so each later query is one DP replay. Solutions are
 /// memoized per `r`, which also makes the RRR binary search and the
 /// Pareto frontier ([`crate::pareto_frontier`]) share probe work.
 pub struct Prepared2d {
@@ -185,10 +186,6 @@ pub struct Prepared2d {
     options: Rrm2dOptions,
     /// Pre-dedup candidate count: the RRR binary search's upper bound.
     sky_total: usize,
-    /// Incrementally maintained restricted skyline over the
-    /// extreme-direction transform of the data (its skyline *is* the
-    /// pre-dedup candidate set).
-    usky: IncrementalSkyline,
     /// Tracks the deduplicated candidates in ascending slope order (the
     /// DP rows).
     bands: Bands,
@@ -203,46 +200,41 @@ impl Prepared2d {
         space: &dyn UtilitySpace,
         options: Rrm2dOptions,
     ) -> Result<Self, RrmError> {
-        let (c0, c1) = weight_interval(space)?;
-        let usky = IncrementalSkyline::build(&u_transform_2d(data, c0, c1));
-        let lines = DualLine::from_dataset(data);
-        let sky = dedup_candidates(&lines, usky.skyline());
-        let bands = Bands::new(lines, sky, c0, c1, options.chunk_target, options.exec.parallelism);
-        Ok(Self::assemble(data.clone(), options, usky, bands))
+        let interval = weight_interval(space)?;
+        let rows = Rows::new(data, interval)?;
+        let parallelism = options.exec.parallelism;
+        Ok(Self::assemble(data.clone(), options, rows, |rows, sky| {
+            Bands::new(rows, sky, interval, options.chunk_target, parallelism)
+        }))
     }
 
+    /// Track `rows`' deduplicated skyline in the bands `bands` builds.
     fn assemble(
         data: Dataset,
         options: Rrm2dOptions,
-        usky: IncrementalSkyline,
-        bands: Bands,
+        rows: Rows,
+        bands: impl FnOnce(Rows, Vec<u32>) -> Bands,
     ) -> Self {
+        let sky_total = rows.skyline.len();
+        let sky = dedup_candidates(&rows.lines, &rows.skyline);
         Self {
             data,
             options,
-            sky_total: usky.skyline().len(),
-            usky,
-            bands,
+            sky_total,
+            bands: bands(rows, sky),
             memo: Mutex::new(Memo::default()),
         }
     }
 
-    /// Rebind the prepared state to the post-update dataset: the
-    /// restricted-skyline candidate set advances through the maintained
-    /// [`IncrementalSkyline`] (O(churn · s) instead of a full sort-filter
-    /// pass); the endpoint line orders merge the sorted churn in O(n)
-    /// before dominators are recounted; bands and memoized solutions are
-    /// dropped (they describe the old rows).
-    fn patched(&self, upd: &AppliedUpdate) -> Self {
+    /// Rebind the prepared state to the post-update dataset: the rows'
+    /// order at `c0` merges the sorted inserts into the survivors' order
+    /// in O(n) instead of re-sorting, and the restricted skyline is read
+    /// off it again; bands and memoized solutions are dropped (they
+    /// describe the old rows).
+    fn patched(&self, upd: &AppliedUpdate) -> Result<Self, RrmError> {
         let data = upd.new.clone();
-        assert_eq!(data.dim(), 2, "updates cannot change the arity");
-        let (c0, c1) = self.bands.interval();
-        let mut usky = self.usky.clone();
-        usky.apply(&u_transform_2d(&data, c0, c1), &upd.remap, &upd.inserted);
-        let lines = DualLine::from_dataset(&data);
-        let sky = dedup_candidates(&lines, usky.skyline());
-        let bands = self.bands.patched(lines, sky, &upd.remap, &upd.inserted);
-        Self::assemble(data, self.options, usky, bands)
+        let rows = self.bands.rows_after(&data, &upd.remap, &upd.inserted)?;
+        Ok(Self::assemble(data, self.options, rows, |rows, sky| self.bands.patched(rows, sky)))
     }
 
     /// Answer from one band holding every row: the all-rows stream the
@@ -278,12 +270,12 @@ impl Prepared2d {
                 arrangement_sweep(lines, c0, c1, |_, down, up, _| apply(down, up));
             });
         }
-        let cap = self.bands.cap();
-        let mut k = if r == 1 { cap } else { START.min(cap) };
+        let mut k = if r == 1 { self.bands.cap() } else { START };
         loop {
             if let Some(sol) = self.replay_band(r, k)? {
                 return Ok(sol);
             }
+            let cap = self.bands.cap();
             k = if k < cap { (2 * k).min(cap) } else { k.saturating_mul(2) };
         }
     }
@@ -420,8 +412,10 @@ impl PreparedSolver for Prepared2d {
         best.ok_or_else(|| RrmError::Unsupported("no candidate set meets the threshold".into()))
     }
 
+    /// `None` when the new rows fail the prepare (a fresh prepare then
+    /// reports why).
     fn apply_update(&self, upd: &AppliedUpdate) -> Option<Box<dyn PreparedSolver>> {
-        Some(Box::new(self.patched(upd)))
+        Some(Box::new(self.patched(upd).ok()?))
     }
 }
 
@@ -685,16 +679,20 @@ mod tests {
                         ]));
                     }
                     let upd = apply_updates(&cur, &ops).unwrap();
-                    prepared = prepared.patched(&upd);
+                    prepared = prepared.patched(&upd).unwrap();
                     let fresh =
                         Prepared2d::new(&upd.new, space.as_ref(), Rrm2dOptions::default()).unwrap();
-                    // Candidate, endpoint-order and dominator-count parity,
+                    // Candidate, c0-order, LB₁ and band-membership parity,
                     // then answers.
                     let ctx = format!("trial {trial} batch {batch}");
                     assert_eq!(prepared.bands.tracked(), fresh.bands.tracked(), "{ctx}");
                     assert_eq!(prepared.sky_total, fresh.sky_total, "{ctx}");
-                    assert_eq!(prepared.bands.orders(), fresh.bands.orders(), "{ctx}");
-                    assert_eq!(prepared.bands.counts(), fresh.bands.counts(), "{ctx}");
+                    assert_eq!(prepared.bands.order0(), fresh.bands.order0(), "{ctx}");
+                    assert_eq!(prepared.bands.cap(), fresh.bands.cap(), "{ctx}");
+                    for k in [1, 2, 4, 8] {
+                        let members = prepared.bands.members(k);
+                        assert_eq!(members, fresh.bands.members(k), "{ctx} k={k}");
+                    }
                     for r in 1..4 {
                         assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "{ctx} r={r}");
                     }
@@ -723,13 +721,29 @@ mod tests {
         let mut prepared = Prepared2d::new(&data, &FullSpace::new(2), tiny).unwrap();
         let upd =
             apply_updates(&data, &[UpdateOp::Delete(3), UpdateOp::Insert(vec![0.9, 0.9])]).unwrap();
-        prepared = prepared.patched(&upd);
+        prepared = prepared.patched(&upd).unwrap();
         let fresh = Prepared2d::new(&upd.new, &FullSpace::new(2), tiny).unwrap();
         for r in 1..4 {
             assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "r={r}");
         }
         let materialized = prepared.bands.materialized();
         assert!(!materialized.is_empty() && !materialized.contains(&true), "{materialized:?}");
+    }
+
+    #[test]
+    fn budgets_settled_on_the_first_band_never_sort_at_c1() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let rows: Vec<[f64; 2]> =
+            (0..2_000).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
+        let d = Dataset::from_rows(&rows).unwrap();
+        let handle = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let regret = handle.rrm(3).unwrap().certified_regret.unwrap();
+        assert!(regret <= START, "the r = 3 optimum {regret} needs a wider band");
+        assert!(!handle.bands.cap_known(), "r = 3 computed LB₁");
+        handle.rrm(1).unwrap();
+        assert!(handle.bands.cap_known(), "r = 1 starts at the cap");
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! K-band for `K = k`: the rows that fewer than `k` others beat at both
 //! ends of the weight range, whose ranks are exact up to `k`. The
 //! doubling phase builds one band per probe; the halving phase reuses the
-//! last.
+//! last. A prepare sorts the rows once, at the range's low end, and both
+//! the candidates (the restricted skyline) and every band are read off
+//! that order.
 //!
 //! The RRM adaptation binary-searches the smallest `k` whose cover fits
 //! the size budget `r`, using the doubling + halving scheme of Section
@@ -25,20 +27,17 @@ use std::sync::Mutex;
 use rrm_core::{
     Algorithm, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution, UtilitySpace,
 };
-use rrm_geom::dual::DualLine;
 use rrm_setcover::interval::{cover_segment, Interval};
-use rrm_skyline::restricted::u_skyline_2d;
 
-use crate::band::Bands;
+use crate::band::{Bands, Rows};
 use crate::rrm2d::weight_interval;
 
 const COVER_TOL: f64 = 1e-9;
 
-/// **2DRRR** bound to one dataset and weight interval: the candidates and
-/// their dominator counts are computed once, the bands their windows are
-/// read from are built on first use, and per-threshold covers are
-/// memoized, so repeated queries — and the RRM adaptation's whole binary
-/// search — replay cached state.
+/// **2DRRR** bound to one dataset and weight interval: the candidates are
+/// computed once, the bands their windows are read from are built on
+/// first use, and per-threshold covers are memoized, so repeated queries —
+/// and the RRM adaptation's whole binary search — replay cached state.
 pub struct PreparedRrr2d {
     data: Dataset,
     /// Tracks the restricted skyline, ascending.
@@ -55,11 +54,11 @@ impl PreparedRrr2d {
         space: &dyn UtilitySpace,
         exec: ExecPolicy,
     ) -> Result<Self, RrmError> {
-        let (c0, c1) = weight_interval(space)?;
-        let sky = u_skyline_2d(data, c0, c1);
+        let interval = weight_interval(space)?;
+        let rows = Rows::new(data, interval)?;
+        let sky = rows.skyline.clone();
         // Windows scan a materialized stream: no chunk budget.
-        let bands =
-            Bands::new(DualLine::from_dataset(data), sky, c0, c1, usize::MAX, exec.parallelism);
+        let bands = Bands::new(rows, sky, interval, usize::MAX, exec.parallelism);
         Ok(Self { data: data.clone(), bands, covers: Mutex::new(HashMap::new()) })
     }
 
@@ -208,6 +207,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use rrm_core::FullSpace;
+    use rrm_geom::dual::DualLine;
     use rrm_geom::events::crossings_with_tracked;
 
     use crate::rrm2d::{Prepared2d, Rrm2dOptions};

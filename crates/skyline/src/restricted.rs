@@ -68,16 +68,15 @@ pub fn u_skyline_2d(data: &Dataset, c0: f64, c1: f64) -> Vec<u32> {
 pub fn u_transform_2d(data: &Dataset, c0: f64, c1: f64) -> Dataset {
     assert_eq!(data.dim(), 2);
     assert!(c0 <= c1);
-    let transformed: Vec<[f64; 2]> = data
-        .rows()
-        .map(|t| {
-            [
-                c0 * t[0] + (1.0 - c0) * t[1], // score at the low extreme
-                c1 * t[0] + (1.0 - c1) * t[1], // score at the high extreme
-            ]
-        })
-        .collect();
+    let transformed: Vec<[f64; 2]> = data.rows().map(|t| u_scores_2d(t, c0, c1)).collect();
     Dataset::from_rows(&transformed).expect("finite transform")
+}
+
+/// One row of [`u_transform_2d`]: `t`'s scores at the low and the high
+/// extreme weight.
+#[inline]
+pub fn u_scores_2d(t: &[f64], c0: f64, c1: f64) -> [f64; 2] {
+    [c0 * t[0] + (1.0 - c0) * t[1], c1 * t[0] + (1.0 - c1) * t[1]]
 }
 
 /// Sampled over-approximation of U-dominance for non-polyhedral spaces:

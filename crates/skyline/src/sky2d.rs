@@ -12,40 +12,50 @@ use rrm_core::Dataset;
 /// Panics when `data.dim() != 2`.
 pub fn skyline_2d(data: &Dataset) -> Vec<u32> {
     assert_eq!(data.dim(), 2, "skyline_2d requires d = 2");
-    let n = data.n();
-    // Sort indices by A1 descending, A2 descending, index ascending.
-    let mut keyed: Vec<(u64, u64, u32)> = data
-        .rows()
-        .enumerate()
-        .map(|(i, r)| (descending_bits(r[0]), descending_bits(r[1]), i as u32))
-        .collect();
+    // Sort indices by A1 descending, index ascending.
+    let mut keyed: Vec<(u64, u32)> =
+        data.rows().enumerate().map(|(i, r)| (descending_bits(r[0]), i as u32)).collect();
     keyed.sort_unstable();
-    let idx: Vec<u32> = keyed.into_iter().map(|(_, _, i)| i).collect();
+    skyline_2d_sorted(keyed.into_iter().map(|(_, i)| {
+        let r = data.row(i as usize);
+        (i, [r[0], r[1]])
+    }))
+}
 
+/// The skyline of 2D points given as `(id, point)` by descending first
+/// coordinate (in any order among equal ones): their ids, ascending.
+///
+/// One max scan: a point survives iff it has its group's best second
+/// coordinate (otherwise a member of its group of equal first coordinate
+/// dominates it) and beats every point with a strictly larger first one
+/// on the second.
+pub fn skyline_2d_sorted(points: impl IntoIterator<Item = (u32, [f64; 2])>) -> Vec<u32> {
     let mut out = Vec::new();
-    // Max A2 among tuples with strictly larger A1 than the current group.
-    let mut prev_max_a2 = f64::NEG_INFINITY;
-    let mut i = 0;
-    while i < n {
-        // Group of equal A1.
-        let a1 = data.row(idx[i] as usize)[0];
-        let mut j = i;
-        let mut group_max_a2 = f64::NEG_INFINITY;
-        while j < n && data.row(idx[j] as usize)[0] == a1 {
-            group_max_a2 = group_max_a2.max(data.row(idx[j] as usize)[1]);
-            j += 1;
-        }
-        // A tuple survives iff it has the group's best A2 (otherwise a
-        // same-A1, higher-A2 member dominates it) and beats every tuple
-        // with strictly larger A1 on A2.
-        for &id in &idx[i..j] {
-            let a2 = data.row(id as usize)[1];
-            if a2 == group_max_a2 && a2 > prev_max_a2 {
-                out.push(id);
+    // The best second coordinate among the groups scanned before this one.
+    let mut ahead = f64::NEG_INFINITY;
+    // The current group's first coordinate and best second coordinate,
+    // and the members that reach it.
+    let (mut first, mut best) = (f64::NAN, f64::NEG_INFINITY);
+    let mut leaders: Vec<u32> = Vec::new();
+    for (id, [a, b]) in points {
+        if a != first {
+            if best > ahead {
+                out.append(&mut leaders);
+                ahead = best;
             }
+            leaders.clear();
+            (first, best) = (a, f64::NEG_INFINITY);
         }
-        prev_max_a2 = prev_max_a2.max(group_max_a2);
-        i = j;
+        if b > best {
+            best = b;
+            leaders.clear();
+        }
+        if b == best {
+            leaders.push(id);
+        }
+    }
+    if best > ahead {
+        out.append(&mut leaders);
     }
     out.sort_unstable();
     out
