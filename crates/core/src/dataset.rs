@@ -126,6 +126,7 @@ impl Dataset {
     ///
     /// Constant attributes (max = min) map to `0.0` for every tuple, which
     /// preserves ranking behaviour (a constant attribute never discriminates).
+    /// An attribute whose range overflows f64 is scaled by halves.
     pub fn normalize(&self) -> Dataset {
         let d = self.d;
         let mut lo = vec![f64::INFINITY; d];
@@ -140,7 +141,13 @@ impl Dataset {
         for row in self.rows() {
             for (j, &v) in row.iter().enumerate() {
                 let span = hi[j] - lo[j];
-                values.push(if span > 0.0 { (v - lo[j]) / span } else { 0.0 });
+                values.push(if !span.is_finite() {
+                    (v / 2.0 - lo[j] / 2.0) / (hi[j] / 2.0 - lo[j] / 2.0)
+                } else if span > 0.0 {
+                    (v - lo[j]) / span
+                } else {
+                    0.0
+                });
             }
         }
         Dataset::raw(d, values)
@@ -279,6 +286,16 @@ mod tests {
         assert_eq!(n.row(0), &[0.0, 0.0]);
         assert_eq!(n.row(1), &[1.0, 1.0]);
         assert_eq!(n.row(2), &[0.5, 0.5]);
+    }
+
+    #[test]
+    fn normalize_scales_an_overflowing_range_by_halves() {
+        // Attribute 0 spans 3.4e308, which overflows; attribute 1 does not.
+        let d = Dataset::from_rows(&[[1.7e308, 4.0], [-1.7e308, 0.0], [0.5, 1.0]]).unwrap();
+        let n = d.normalize();
+        assert_eq!(n.row(0), &[1.0, 1.0]);
+        assert_eq!(n.row(1), &[0.0, 0.0]);
+        assert_eq!(n.row(2), &[0.5, 0.25]);
     }
 
     #[test]

@@ -240,3 +240,73 @@ fn mdrrr_rejects_rows_whose_differences_overflow() {
         assert!(matches!(result, Err(RrmError::Numerical(_))), "{result:?}");
     }
 }
+
+/// Rows whose dual lines overflow f64: row 0's slope 1.7e308 − (−1.7e308)
+/// in the first, the range of rows 0 and 1's slopes ±1.7e308 in the
+/// second.
+fn overflowing_dual_lines() -> [Dataset; 2] {
+    [
+        [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+        [[1.7e308, 0.0], [0.0, 1.7e308], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+    ]
+    .map(|rows| Dataset::from_rows(&rows).unwrap())
+}
+
+#[test]
+fn two_d_solvers_reject_rows_whose_dual_lines_overflow() {
+    // Solved anyway, 2DRRM certified regret 2 for [4] on the first set,
+    // whose worst rank is 3, and both 2D solvers certified 1 for [1] on
+    // the second, which row 0 outscores at weight 0.9.
+    let requests = [Request::minimize(1), Request::minimize(2), Request::represent(1)];
+    for (i, data) in overflowing_dual_lines().iter().enumerate() {
+        for algo in [Algorithm::TwoDRrm, Algorithm::TwoDRrr] {
+            // A fresh session, and one that reaches the rows by an update
+            // from a warm handle over safe rows.
+            let fresh = rank_regret::session(data);
+            let updated = rank_regret::session(&Dataset::from_rows(&[[0.2, 0.8]]).unwrap());
+            updated.warm(&[algo]);
+            let inserts = data.rows().map(|row| UpdateOp::Insert(row.to_vec()));
+            updated.update(&inserts.chain([UpdateOp::Delete(0)]).collect::<Vec<_>>()).unwrap();
+            for session in [fresh, updated] {
+                for request in &requests {
+                    let result = session.run(&request.clone().algo(algo));
+                    let err = result.map(|r| r.solution).unwrap_err();
+                    assert!(matches!(err, RrmError::Numerical(_)), "set {i} {algo}: {err}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn cli_answers_rows_whose_range_overflows() {
+    // Default normalization once turned the first set's attribute 0 into
+    // NaN: the 2D solvers and MDRRR panicked, brute force printed NaN.
+    let dir = std::env::temp_dir().join(format!("rrm_overflow_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (i, data) in overflowing_dual_lines().iter().enumerate() {
+        let path = dir.join(format!("set{i}.csv"));
+        let rows: Vec<String> = data.rows().map(|r| format!("{:e},{:e}", r[0], r[1])).collect();
+        std::fs::write(&path, format!("a,b\n{}\n", rows.join("\n"))).unwrap();
+        for algo in ["2drrm", "2drrr", "mdrrr", "bruteforce"] {
+            for normalize in [true, false] {
+                let mut cli = std::process::Command::new(env!("CARGO_BIN_EXE_rrm"));
+                cli.args(["minimize", "--size", "1", "--algo", algo, "--input"]).arg(&path);
+                if !normalize {
+                    cli.arg("--no-normalize");
+                }
+                let out = cli.output().unwrap();
+                let stdout = String::from_utf8_lossy(&out.stdout);
+                let ctx = format!("set {i} {algo} normalize={normalize}: {out:?}");
+                // Normalized rows answer, NaN-free; raw ones may fail as a
+                // typed solver error (exit 1), never as a panic (exit 101).
+                match out.status.code() {
+                    Some(0) => assert!(!(normalize && stdout.contains("NaN")), "{ctx}"),
+                    Some(1) => assert!(!normalize, "{ctx}"),
+                    _ => panic!("{ctx}"),
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
