@@ -216,12 +216,6 @@ impl Bands {
         Ok(Rows::read(data, lines, order0, self.interval()))
     }
 
-    /// A builder over [`Bands::rows_after`]'s rows, on this one's interval
-    /// and with its options.
-    pub(crate) fn patched(&self, rows: Rows, tracked: Vec<u32>) -> Self {
-        Self::new(rows, tracked, self.interval(), self.chunk_target, self.parallelism)
-    }
-
     /// Keep every row in every band: the all-rows stream the bands are
     /// checked against.
     #[cfg(test)]

@@ -202,28 +202,16 @@ impl Prepared2d {
     ) -> Result<Self, RrmError> {
         let interval = weight_interval(space)?;
         let rows = Rows::new(data, interval)?;
-        let parallelism = options.exec.parallelism;
-        Ok(Self::assemble(data.clone(), options, rows, |rows, sky| {
-            Bands::new(rows, sky, interval, options.chunk_target, parallelism)
-        }))
+        Ok(Self::assemble(data.clone(), options, interval, rows))
     }
 
-    /// Track `rows`' deduplicated skyline in the bands `bands` builds.
-    fn assemble(
-        data: Dataset,
-        options: Rrm2dOptions,
-        rows: Rows,
-        bands: impl FnOnce(Rows, Vec<u32>) -> Bands,
-    ) -> Self {
+    /// Track `rows`' deduplicated skyline on `interval`.
+    fn assemble(data: Dataset, options: Rrm2dOptions, interval: (f64, f64), rows: Rows) -> Self {
         let sky_total = rows.skyline.len();
         let sky = dedup_candidates(&rows.lines, &rows.skyline);
-        Self {
-            data,
-            options,
-            sky_total,
-            bands: bands(rows, sky),
-            memo: Mutex::new(Memo::default()),
-        }
+        let parallelism = options.exec.parallelism;
+        let bands = Bands::new(rows, sky, interval, options.chunk_target, parallelism);
+        Self { data, options, sky_total, bands, memo: Mutex::new(Memo::default()) }
     }
 
     /// Rebind the prepared state to the post-update dataset: the rows'
@@ -234,7 +222,7 @@ impl Prepared2d {
     fn patched(&self, upd: &AppliedUpdate) -> Result<Self, RrmError> {
         let data = upd.new.clone();
         let rows = self.bands.rows_after(&data, &upd.remap, &upd.inserted)?;
-        Ok(Self::assemble(data, self.options, rows, |rows, sky| self.bands.patched(rows, sky)))
+        Ok(Self::assemble(data, self.options, self.bands.interval(), rows))
     }
 
     /// Answer from one band holding every row: the all-rows stream the
