@@ -576,7 +576,11 @@ mod tests {
 
     #[test]
     fn band_members_match_brute_force() {
-        let datasets = [quantized(300, 11), anticorrelated(300, 12), extreme(200, 13)];
+        // In the last set the scale is 2, and on the full space row 0
+        // leads row 1 at c0 but at c1 by exactly the margin, which does
+        // not count as beating it.
+        let at_margin = Dataset::from_rows(&[[MARGIN * 2.0, 0.0], [0.0, -1.0]]).unwrap();
+        let datasets = [quantized(300, 11), anticorrelated(300, 12), extreme(200, 13), at_margin];
         for (i, data) in datasets.iter().enumerate() {
             for space in spaces() {
                 let (c0, c1) = weight_interval(space.as_ref()).unwrap();
