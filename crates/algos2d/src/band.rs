@@ -50,6 +50,11 @@ use rrm_skyline::sky2d::skyline_2d_sorted;
 /// The `K` 2DRRM's replays start from (`r = 1` starts at the cap).
 pub(crate) const START: usize = 32;
 
+/// The most crossings a band's stream materializes: 4 << 20 crossings of
+/// 16 bytes, 64 MiB. A longer stream is swept strip by strip on every
+/// replay instead.
+const CHUNK_TARGET: usize = 4 << 20;
+
 /// Relative margin a row must lead by, at both ends, to count as beating
 /// another: far above the rounding error of a dual-line evaluation or a
 /// crossing, far below any lead a real dataset's ranks depend on.
@@ -178,12 +183,11 @@ impl Bands {
     /// The band builder over `rows` on `[c0, c1]`. `tracked` lists the row
     /// ids whose ranks the solver reads, in its row order; every band
     /// keeps them. A band's stream is materialized when it holds at most
-    /// `chunk_target` crossings, classified under `parallelism`.
+    /// [`CHUNK_TARGET`] crossings, classified under `parallelism`.
     pub(crate) fn new(
         Rows { lines, order0, .. }: Rows,
         tracked: Vec<u32>,
         (c0, c1): (f64, f64),
-        chunk_target: usize,
         parallelism: Parallelism,
     ) -> Self {
         Self {
@@ -193,7 +197,7 @@ impl Bands {
             order0,
             tracked,
             cap: OnceLock::new(),
-            chunk_target,
+            chunk_target: CHUNK_TARGET,
             parallelism,
             floor: 0,
             built: Mutex::new(Vec::new()),
@@ -223,11 +227,19 @@ impl Bands {
         self.floor = usize::MAX;
     }
 
+    /// Materialize no stream of more than `chunk_target` crossings: the
+    /// streaming path at test sizes.
+    #[cfg(test)]
+    pub(crate) fn chunk_target(&mut self, chunk_target: usize) {
+        self.chunk_target = chunk_target;
+    }
+
     pub(crate) fn interval(&self) -> (f64, f64) {
         (self.c0, self.c1)
     }
 
     /// Every row's dual line, by row id.
+    #[cfg(test)]
     pub(crate) fn lines(&self) -> &[DualLine] {
         &self.lines
     }
@@ -431,7 +443,7 @@ mod tests {
     };
     use rrm_skyline::restricted::u_skyline_2d;
 
-    use crate::rrm2d::{weight_interval, Prepared2d, Rrm2dOptions};
+    use crate::rrm2d::{weight_interval, Prepared2d};
     use crate::rrr2d::PreparedRrr2d;
 
     fn quantized(n: usize, seed: u64) -> Dataset {
@@ -485,8 +497,8 @@ mod tests {
     /// indices and certificates.
     fn assert_band_parity(data: &Dataset, space: &dyn UtilitySpace, ctx: &str) {
         let b = Budget::UNLIMITED;
-        let options = Rrm2dOptions::default();
-        let cold = || Prepared2d::new(data, space, options).unwrap();
+        let exec = ExecPolicy::default();
+        let cold = || Prepared2d::new(data, space, exec).unwrap();
         let (warm, represent_first) = (cold(), cold());
         let all = cold().all_rows();
         for k in 1..=8 {
@@ -504,7 +516,6 @@ mod tests {
             let want = all.solve_rrr(k, &b).unwrap();
             assert_eq!(warm.solve_rrr(k, &b).unwrap(), want, "{ctx}: 2DRRM k={k} (warm)");
         }
-        let exec = ExecPolicy::default();
         let rrr = PreparedRrr2d::new(data, space, exec).unwrap();
         let rrr_all = PreparedRrr2d::new(data, space, exec).unwrap().all_rows();
         for r in 1..=6 {
@@ -548,7 +559,7 @@ mod tests {
         }
         // On the full space the optima climb past several rungs.
         let data = anticorrelated(1_000, 0);
-        let handle = Prepared2d::new(&data, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let handle = Prepared2d::new(&data, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         let regret = handle.solve_rrm(3, &Budget::UNLIMITED).unwrap().certified_regret.unwrap();
         assert!(regret > 2 * START, "r = 3 optimum {regret} stays on the first rungs");
     }
@@ -558,11 +569,10 @@ mod tests {
         let data = anticorrelated(1_500, 3);
         let space = FullSpace::new(2);
         let rs: Vec<usize> = (1..=8).collect();
-        let all = Prepared2d::new(&data, &space, Rrm2dOptions::default()).unwrap().all_rows();
+        let all = Prepared2d::new(&data, &space, ExecPolicy::default()).unwrap().all_rows();
         let want = all.solve_rrm_many(&rs).unwrap();
         for threads in [1, 4] {
-            let options = Rrm2dOptions { exec: ExecPolicy::threads(threads), ..Default::default() };
-            let handle = Prepared2d::new(&data, &space, options).unwrap();
+            let handle = Prepared2d::new(&data, &space, ExecPolicy::threads(threads)).unwrap();
             assert_eq!(handle.solve_rrm_many(&rs).unwrap(), want, "{threads} threads");
         }
     }
@@ -571,7 +581,7 @@ mod tests {
     fn bands_over(data: &Dataset, interval: (f64, f64)) -> Bands {
         let rows = Rows::new(data, interval).unwrap();
         let sky = rows.skyline.clone();
-        Bands::new(rows, sky, interval, usize::MAX, Parallelism::Sequential)
+        Bands::new(rows, sky, interval, Parallelism::Sequential)
     }
 
     #[test]
@@ -727,7 +737,7 @@ mod tests {
             Box::new(ConeSpace::new(2, vec![vec![0.6, -0.4], vec![-0.55, 0.45]])),
         ];
         for (space, (answers, covers)) in spaces.iter().zip([full, cone]) {
-            let rrm = Prepared2d::new(&data, space.as_ref(), Rrm2dOptions::default()).unwrap();
+            let rrm = Prepared2d::new(&data, space.as_ref(), ExecPolicy::default()).unwrap();
             for (r, (indices, regret)) in (1..).zip(answers) {
                 let sol = rrm.solve_rrm(r, &b).unwrap();
                 assert_eq!((sol.indices.as_slice(), sol.certified_regret), (indices, Some(regret)));

@@ -16,6 +16,10 @@
 //! adopted for RRR by a binary search"). 2DRRM accepts either the full
 //! space `L` or a restricted 2D space rendered onto a weight interval
 //! `[c0, c1]` (Section IV-C).
+//!
+//! [`full_sweep_rrm`] is 2DRRM as the paper states it, a sweep of the whole
+//! arrangement per query: not a solver path, but the reference the K-band
+//! replay is checked against.
 
 mod band;
 pub mod matrix;
@@ -25,6 +29,6 @@ pub mod rrr2d;
 pub mod solver;
 
 pub use pareto::{pareto_frontier, ParetoPoint};
-pub use rrm2d::{weight_interval, Prepared2d, Rrm2dOptions};
+pub use rrm2d::{full_sweep_rrm, weight_interval, Prepared2d};
 pub use rrr2d::PreparedRrr2d;
 pub use solver::{TwoDRrmSolver, TwoDRrrSolver};

@@ -4,9 +4,9 @@
 //! with rank-regret ≤ k" — is [`Prepared2d`]'s binary search, after the
 //! paper's remark that 2DRRM adapts to RRR that way.)
 
-use rrm_core::{Algorithm, Dataset, RrmError, UtilitySpace};
+use rrm_core::{Algorithm, Dataset, ExecPolicy, RrmError, UtilitySpace};
 
-use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+use crate::rrm2d::Prepared2d;
 
 /// One point of the trade-off curve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,22 +18,22 @@ pub struct ParetoPoint {
 }
 
 /// The optimal rank-regret for every size budget `1..=max_r` (clamped to
-/// the candidate-set size). Increasing `r` never worsens the regret.
+/// the candidate-set size), computed under `exec`. Increasing `r` never
+/// worsens the regret.
 pub fn pareto_frontier(
     data: &Dataset,
     max_r: usize,
     space: &dyn UtilitySpace,
-    options: Rrm2dOptions,
+    exec: ExecPolicy,
 ) -> Result<Vec<ParetoPoint>, RrmError> {
     // One DP replay per budget over shared prepared state: the skyline,
     // event stream and initial ranks are computed once for the whole curve.
     // (A single run with r = max_r would fill all columns, but the final
     // fold state of lower columns is only valid for the *last* event, so
     // per-budget replays are the straightforward correct choice — and
-    // being independent, they fill the memo concurrently under the
-    // options' exec policy.)
+    // being independent, they fill the memo concurrently under `exec`.)
     Algorithm::TwoDRrm.ensure_supported(data, space)?;
-    let prepared = Prepared2d::new(data, space, options)?;
+    let prepared = Prepared2d::new(data, space, exec)?;
     // Budgets at or past the candidate count answer with the whole
     // candidate set (regret 1) — no replay needed.
     let replay_max = max_r.min(prepared.candidates());
@@ -77,7 +77,7 @@ mod tests {
     /// Exact RRR through a fresh 2DRRM handle.
     fn rrr(data: &Dataset, k: usize) -> Result<Solution, RrmError> {
         let space = FullSpace::new(2);
-        Prepared2d::new(data, &space, Rrm2dOptions::default())?.solve_rrr(k, &Budget::UNLIMITED)
+        Prepared2d::new(data, &space, ExecPolicy::default())?.solve_rrr(k, &Budget::UNLIMITED)
     }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset {
@@ -90,21 +90,21 @@ mod tests {
     #[test]
     fn frontier_is_monotone_and_hits_one() {
         let d = random_dataset(150, 1);
-        let f = pareto_frontier(&d, 12, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let f = pareto_frontier(&d, 12, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         assert_eq!(f.len(), 12);
         for w in f.windows(2) {
             assert!(w[1].regret <= w[0].regret);
         }
         // A large enough budget always reaches regret 1 (the skyline).
         let d_small = random_dataset(20, 2);
-        let f = pareto_frontier(&d_small, 20, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let f = pareto_frontier(&d_small, 20, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         assert_eq!(f.last().unwrap().regret, 1);
     }
 
     #[test]
     fn rrr_exact_matches_frontier() {
         let d = random_dataset(80, 3);
-        let f = pareto_frontier(&d, 15, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let f = pareto_frontier(&d, 15, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         for k in [1usize, 2, 3, 5, 8] {
             let expected_size = f.iter().find(|p| p.regret <= k).map(|p| p.r);
             let sol = rrr(&d, k);

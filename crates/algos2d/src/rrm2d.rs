@@ -24,10 +24,11 @@
 //! bound on every budget's optimum that also caps the doubling; past it
 //! `K` keeps doubling, so exactness never rests on the bound. The bound
 //! sorts the rows at `c1`, so it is computed only when `r = 1` or a
-//! doubling past 32 first needs it. Set
-//! [`Rrm2dOptions::use_full_sweep`] to run the paper's original
-//! full-arrangement sweep over every row instead (identical output;
-//! `repro ablation` fails on any difference).
+//! doubling past 32 first needs it. This is the solver's only query
+//! path. The paper's original full-arrangement sweep over every row is
+//! kept as the reference function [`full_sweep_rrm`]: it answers
+//! identically, and `repro ablation` and the tests fail on any
+//! difference.
 //!
 //! # Degeneracies
 //!
@@ -50,27 +51,6 @@ use rrm_geom::sweep::arrangement_sweep;
 
 use crate::band::{Bands, Rows, START};
 use crate::matrix::DpMatrix;
-
-/// Tuning knobs for 2DRRM ([`Prepared2d`]).
-#[derive(Debug, Clone, Copy)]
-pub struct Rrm2dOptions {
-    /// Replay the paper-faithful full arrangement sweep over every row on
-    /// every query instead of the K-band crossing stream (no band is then
-    /// built). Same output, more events.
-    pub use_full_sweep: bool,
-    /// Upper bound on crossings a band's event stream materializes at once.
-    pub chunk_target: usize,
-    /// Data-parallelism for crossing classification and the prepared
-    /// per-`r` memo fill. The DP replay itself is inherently sequential
-    /// (rank updates chain); outputs are identical at any thread count.
-    pub exec: ExecPolicy,
-}
-
-impl Default for Rrm2dOptions {
-    fn default() -> Self {
-        Self { use_full_sweep: false, chunk_target: 4 << 20, exec: ExecPolicy::default() }
-    }
-}
 
 /// The weight interval `[c0, c1]` a 2D utility space occupies after
 /// normalization (`u → (c, 1-c)`), i.e. the paper's "render the scene"
@@ -158,6 +138,36 @@ fn dp_run(
     Solution::new(chain, Some(best_rank as usize), Algorithm::TwoDRrm, data)
 }
 
+/// The paper's 2DRRM query as it states it: one DP replay over the
+/// sweep of the whole arrangement of every row's dual line
+/// ([`arrangement_sweep`]), with no band and no doubling. It answers
+/// `minimize(r)` exactly as a [`crate::TwoDRrmSolver`] handle does, at
+/// `O(n² log n)` cost: the reference `repro ablation` and the tests check
+/// the K-band replay against.
+pub fn full_sweep_rrm(
+    data: &Dataset,
+    space: &dyn UtilitySpace,
+    r: usize,
+) -> Result<Solution, RrmError> {
+    Algorithm::TwoDRrm.ensure_supported(data, space)?;
+    let (c0, c1) = weight_interval(space)?;
+    let Rows { lines, skyline, .. } = Rows::new(data, (c0, c1))?;
+    if r == 0 {
+        return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
+    }
+    let sky = dedup_candidates(&lines, &skyline);
+    if sky.len() <= r {
+        return Solution::new(sky, Some(1), Algorithm::TwoDRrm, data);
+    }
+    let mut row_of = vec![usize::MAX; lines.len()];
+    for (i, &id) in sky.iter().enumerate() {
+        row_of[id as usize] = i;
+    }
+    dp_run(data, &sky, &row_of, &initial_ranks(&lines, c0), r, |apply| {
+        arrangement_sweep(&lines, c0, c1, |_, down, up, _| apply(down, up));
+    })
+}
+
 /// Solutions a handle has settled, per size budget.
 #[derive(Default)]
 struct Memo {
@@ -176,14 +186,16 @@ struct Memo {
 /// Preparation (Theorem 3's candidates) renders the space onto its weight
 /// interval, computes the dual lines, sorts them once at the interval's
 /// low end and reads the restricted skyline off that order. The K-bands,
-/// and their crossing streams (materialized when they fit the
-/// [`Rrm2dOptions::chunk_target`] memory budget), are built on first use
-/// and cached, so each later query is one DP replay. Solutions are
-/// memoized per `r`, which also makes the RRR binary search and the
-/// Pareto frontier ([`crate::pareto_frontier`]) share probe work.
+/// and their crossing streams (materialized when they fit a fixed memory
+/// budget), are built on first use and cached, so each later query is one
+/// DP replay. Solutions are memoized per `r`, which also makes the RRR
+/// binary search and the Pareto frontier ([`crate::pareto_frontier`])
+/// share probe work.
 pub struct Prepared2d {
     data: Dataset,
-    options: Rrm2dOptions,
+    /// Chunks crossing classification and the per-`r` memo fill (the DP
+    /// replay itself is sequential: rank updates chain).
+    exec: ExecPolicy,
     /// Pre-dedup candidate count: the RRR binary search's upper bound.
     sky_total: usize,
     /// Tracks the deduplicated candidates in ascending slope order (the
@@ -193,25 +205,24 @@ pub struct Prepared2d {
 }
 
 impl Prepared2d {
-    /// Build the sweep state. The caller has run
+    /// Build the sweep state under `exec`. The caller has run
     /// [`Algorithm::ensure_supported`] (`d = 2`).
     pub(crate) fn new(
         data: &Dataset,
         space: &dyn UtilitySpace,
-        options: Rrm2dOptions,
+        exec: ExecPolicy,
     ) -> Result<Self, RrmError> {
         let interval = weight_interval(space)?;
         let rows = Rows::new(data, interval)?;
-        Ok(Self::assemble(data.clone(), options, interval, rows))
+        Ok(Self::assemble(data.clone(), exec, interval, rows))
     }
 
     /// Track `rows`' deduplicated skyline on `interval`.
-    fn assemble(data: Dataset, options: Rrm2dOptions, interval: (f64, f64), rows: Rows) -> Self {
+    fn assemble(data: Dataset, exec: ExecPolicy, interval: (f64, f64), rows: Rows) -> Self {
         let sky_total = rows.skyline.len();
         let sky = dedup_candidates(&rows.lines, &rows.skyline);
-        let parallelism = options.exec.parallelism;
-        let bands = Bands::new(rows, sky, interval, options.chunk_target, parallelism);
-        Self { data, options, sky_total, bands, memo: Mutex::new(Memo::default()) }
+        let bands = Bands::new(rows, sky, interval, exec.parallelism);
+        Self { data, exec, sky_total, bands, memo: Mutex::new(Memo::default()) }
     }
 
     /// Rebind the prepared state to the post-update dataset: the rows'
@@ -222,7 +233,7 @@ impl Prepared2d {
     fn patched(&self, upd: &AppliedUpdate) -> Result<Self, RrmError> {
         let data = upd.new.clone();
         let rows = self.bands.rows_after(&data, &upd.remap, &upd.inserted)?;
-        Ok(Self::assemble(data, self.options, self.bands.interval(), rows))
+        Ok(Self::assemble(data, self.exec, self.bands.interval(), rows))
     }
 
     /// Answer from one band holding every row: the all-rows stream the
@@ -246,17 +257,6 @@ impl Prepared2d {
         // in the space is never U-dominated, hence a candidate).
         if sky.len() <= r {
             return Solution::new(sky.to_vec(), Some(1), Algorithm::TwoDRrm, &self.data);
-        }
-        if self.options.use_full_sweep {
-            let lines = self.bands.lines();
-            let (c0, c1) = self.bands.interval();
-            let mut row_of = vec![usize::MAX; lines.len()];
-            for (i, &id) in sky.iter().enumerate() {
-                row_of[id as usize] = i;
-            }
-            return dp_run(&self.data, sky, &row_of, &initial_ranks(lines, c0), r, |apply| {
-                arrangement_sweep(lines, c0, c1, |_, down, up, _| apply(down, up));
-            });
         }
         let mut k = if r == 1 { self.bands.cap() } else { START };
         loop {
@@ -307,7 +307,7 @@ impl Prepared2d {
                 return Ok(None);
             }
         }
-        if self.candidates() <= r || self.options.use_full_sweep {
+        if self.candidates() <= r {
             return self.rrm(r).map(within);
         }
         let sol = self.replay_band(r, k)?;
@@ -327,7 +327,7 @@ impl Prepared2d {
 
     /// Answer many size budgets at once: uncached budgets are replayed
     /// concurrently (one DP run per budget over the shared sweep state,
-    /// chunked by [`Rrm2dOptions::exec`]) and memoized; results come back
+    /// chunked by the handle's execution policy) and memoized; results come back
     /// in request order. Each budget's replay is independent, so the
     /// solutions are identical to serial `solve_rrm` calls at any thread
     /// count. This is the memo-fill path behind
@@ -344,8 +344,7 @@ impl Prepared2d {
             missing.dedup();
             missing
         };
-        let computed =
-            rrm_par::par_map(&missing, self.options.exec.parallelism, |&r| self.compute_rrm(r));
+        let computed = rrm_par::par_map(&missing, self.exec.parallelism, |&r| self.compute_rrm(r));
         {
             let mut memo = self.memo.lock().expect("2D memo poisoned");
             for (r, sol) in missing.iter().zip(&computed) {
@@ -410,16 +409,11 @@ impl PreparedSolver for Prepared2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{FullSpace, WeakRankingSpace};
+    use rrm_core::{ConeSpace, FullSpace, WeakRankingSpace};
 
     /// One exact RRM solve through a fresh handle.
-    fn solve(
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        options: Rrm2dOptions,
-    ) -> Result<Solution, RrmError> {
-        Prepared2d::new(data, space, options)?.rrm(r)
+    fn solve(data: &Dataset, r: usize, space: &dyn UtilitySpace) -> Result<Solution, RrmError> {
+        Prepared2d::new(data, space, ExecPolicy::default())?.rrm(r)
     }
 
     fn table1() -> Dataset {
@@ -439,7 +433,7 @@ mod tests {
     fn table1_r1_returns_t3() {
         // The paper: "When r = 1, the solutions for RRM and RMS are {t3}
         // and {t4} respectively."
-        let sol = solve(&table1(), 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&table1(), 1, &FullSpace::new(2)).unwrap();
         assert_eq!(sol.indices, vec![2], "expected {{t3}}");
         assert_eq!(sol.certified_regret, Some(3), "Table I rank-ratio of t3");
         assert_eq!(sol.algorithm, Algorithm::TwoDRrm);
@@ -449,7 +443,7 @@ mod tests {
     fn table1_shift_invariance() {
         // Figure 2's shift: +4 on A2. The RRM solution stays {t3}.
         let shifted = table1().shift(&[0.0, 4.0]);
-        let sol = solve(&shifted, 1, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&shifted, 1, &FullSpace::new(2)).unwrap();
         assert_eq!(sol.indices, vec![2]);
         assert_eq!(sol.certified_regret, Some(3));
     }
@@ -458,7 +452,7 @@ mod tests {
     fn table2_subset_r2() {
         // D = {t1, t2, t3}, r = 2 -> optimal rank-regret 2, {t1,t2} or {t1,t3}.
         let d = Dataset::from_rows(&[[0.0, 1.0], [0.4, 0.95], [0.57, 0.75]]).unwrap();
-        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2)).unwrap();
         assert_eq!(sol.certified_regret, Some(2));
         assert!(sol.indices == vec![0, 1] || sol.indices == vec![0, 2], "{:?}", sol.indices);
     }
@@ -468,7 +462,7 @@ mod tests {
         let d = table1();
         // Skyline has 5 tuples; with r = 5 the answer is the skyline with
         // rank-regret 1.
-        let sol = solve(&d, 5, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 5, &FullSpace::new(2)).unwrap();
         assert_eq!(sol.indices, vec![0, 1, 2, 3, 6]);
         assert_eq!(sol.certified_regret, Some(1));
     }
@@ -477,21 +471,28 @@ mod tests {
     fn full_sweep_agrees_with_event_stream() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let full = Rrm2dOptions { use_full_sweep: true, ..Default::default() };
+        let spaces: [Box<dyn UtilitySpace>; 3] = [
+            Box::new(FullSpace::new(2)),
+            Box::new(WeakRankingSpace::new(2, 1)),
+            // Weights on attribute 1 within [0.40, 0.45].
+            Box::new(ConeSpace::new(2, vec![vec![0.6, -0.4], vec![-0.55, 0.45]])),
+        ];
         let mut rng = StdRng::seed_from_u64(3);
         for trial in 0..20 {
             let n = rng.random_range(3..40);
             let rows: Vec<[f64; 2]> =
                 (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
             let d = Dataset::from_rows(&rows).unwrap();
-            let stream = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-            let sweep = Prepared2d::new(&d, &FullSpace::new(2), full).unwrap();
-            for r in 1..4 {
-                let a = stream.rrm(r).unwrap();
-                let b = sweep.rrm(r).unwrap();
-                assert_eq!(a.certified_regret, b.certified_regret, "trial {trial} r={r}: {rows:?}");
+            for (s, space) in spaces.iter().enumerate() {
+                let stream = Prepared2d::new(&d, space.as_ref(), ExecPolicy::default()).unwrap();
+                for r in 1..4 {
+                    let a = stream.rrm(r).unwrap();
+                    let b = full_sweep_rrm(&d, space.as_ref(), r).unwrap();
+                    let ctx = format!("trial {trial} space {s} r={r}: {rows:?}");
+                    assert_eq!(a.indices, b.indices, "{ctx}");
+                    assert_eq!(a.certified_regret, b.certified_regret, "{ctx}");
+                }
             }
-            assert!(sweep.bands.materialized().is_empty(), "the full sweep built a band");
         }
     }
 
@@ -503,14 +504,10 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..30).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let a = solve(&d, 3, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let b = solve(
-            &d,
-            3,
-            &FullSpace::new(2),
-            Rrm2dOptions { chunk_target: 3, ..Default::default() },
-        )
-        .unwrap();
+        let a = solve(&d, 3, &FullSpace::new(2)).unwrap();
+        let mut tiny = Prepared2d::new(&d, &FullSpace::new(2), ExecPolicy::default()).unwrap();
+        tiny.bands.chunk_target(3);
+        let b = tiny.rrm(3).unwrap();
         assert_eq!(a.certified_regret, b.certified_regret);
         assert_eq!(a.indices, b.indices);
     }
@@ -525,9 +522,8 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..200).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let full = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
-        let restricted =
-            solve(&d, 2, &WeakRankingSpace::new(2, 1), Rrm2dOptions::default()).unwrap();
+        let full = solve(&d, 2, &FullSpace::new(2)).unwrap();
+        let restricted = solve(&d, 2, &WeakRankingSpace::new(2, 1)).unwrap();
         assert!(
             restricted.certified_regret.unwrap() <= full.certified_regret.unwrap(),
             "restricted {restricted:?} vs full {full:?}"
@@ -537,7 +533,7 @@ mod tests {
     #[test]
     fn duplicates_are_deduplicated() {
         let d = Dataset::from_rows(&[[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]).unwrap();
-        let sol = solve(&d, 2, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let sol = solve(&d, 2, &FullSpace::new(2)).unwrap();
         // Never both copies of the duplicate.
         assert!(!(sol.indices.contains(&0) && sol.indices.contains(&1)));
     }
@@ -545,16 +541,16 @@ mod tests {
     #[test]
     fn r_zero_rejected() {
         assert!(matches!(
-            solve(&table1(), 0, &FullSpace::new(2), Rrm2dOptions::default()),
+            solve(&table1(), 0, &FullSpace::new(2)),
             Err(RrmError::OutputSizeTooSmall { .. })
         ));
     }
 
     #[test]
     fn wrong_dimension_rejected() {
-        use rrm_core::{ExecPolicy, Solver};
+        use rrm_core::Solver;
         let d = Dataset::from_rows(&[[0.1, 0.2, 0.3]]).unwrap();
-        let solver = crate::TwoDRrmSolver::default();
+        let solver = crate::TwoDRrmSolver;
         assert!(matches!(
             solver.prepare(&d, &FullSpace::new(3), ExecPolicy::default()),
             Err(RrmError::Unsupported(_))
@@ -575,9 +571,9 @@ mod tests {
             Box::new(FullSpace::new(2)) as Box<dyn rrm_core::UtilitySpace>,
             Box::new(WeakRankingSpace::new(2, 1)),
         ] {
-            let warm = Prepared2d::new(&d, space.as_ref(), Rrm2dOptions::default()).unwrap();
+            let warm = Prepared2d::new(&d, space.as_ref(), ExecPolicy::default()).unwrap();
             for r in [4usize, 1, 6, 2, 5, 3] {
-                let fresh = solve(&d, r, space.as_ref(), Rrm2dOptions::default()).unwrap();
+                let fresh = solve(&d, r, space.as_ref()).unwrap();
                 assert_eq!(warm.rrm(r).unwrap(), fresh, "r={r}");
                 assert_eq!(warm.rrm(r).unwrap(), fresh, "r={r} (memo)");
             }
@@ -597,9 +593,10 @@ mod tests {
             .collect();
         let d = Dataset::from_rows(&rows).unwrap();
         // chunk_target 1 forces the no-cache streaming path.
-        let tiny = Rrm2dOptions { chunk_target: 1, ..Default::default() };
-        let streamed = Prepared2d::new(&d, &FullSpace::new(2), tiny).unwrap();
-        let cached = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let exec = ExecPolicy::default();
+        let mut streamed = Prepared2d::new(&d, &FullSpace::new(2), exec).unwrap();
+        streamed.bands.chunk_target(1);
+        let cached = Prepared2d::new(&d, &FullSpace::new(2), exec).unwrap();
         for r in [1usize, 3, 5] {
             assert_eq!(streamed.rrm(r).unwrap(), cached.rrm(r).unwrap(), "r={r}");
         }
@@ -619,9 +616,9 @@ mod tests {
         let d = Dataset::from_rows(&rows).unwrap();
         let space = FullSpace::new(2);
         let b = Budget::UNLIMITED;
-        let warm = Prepared2d::new(&d, &space, Rrm2dOptions::default()).unwrap();
+        let warm = Prepared2d::new(&d, &space, ExecPolicy::default()).unwrap();
         for k in [4usize, 1, 7, 2] {
-            let fresh = Prepared2d::new(&d, &space, Rrm2dOptions::default()).unwrap();
+            let fresh = Prepared2d::new(&d, &space, ExecPolicy::default()).unwrap();
             assert_eq!(warm.solve_rrr(k, &b).unwrap(), fresh.solve_rrr(k, &b).unwrap(), "k={k}");
         }
         assert!(warm.solve_rrr(0, &b).is_err());
@@ -650,7 +647,7 @@ mod tests {
                 Box::new(WeakRankingSpace::new(2, 1)),
             ] {
                 let mut prepared =
-                    Prepared2d::new(&data, space.as_ref(), Rrm2dOptions::default()).unwrap();
+                    Prepared2d::new(&data, space.as_ref(), ExecPolicy::default()).unwrap();
                 let mut cur = data.clone();
                 for batch in 0..4 {
                     let mut ops: Vec<UpdateOp> = Vec::new();
@@ -669,7 +666,7 @@ mod tests {
                     let upd = apply_updates(&cur, &ops).unwrap();
                     prepared = prepared.patched(&upd).unwrap();
                     let fresh =
-                        Prepared2d::new(&upd.new, space.as_ref(), Rrm2dOptions::default()).unwrap();
+                        Prepared2d::new(&upd.new, space.as_ref(), ExecPolicy::default()).unwrap();
                     // Candidate, c0-order, LB₁ and band-membership parity,
                     // then answers.
                     let ctx = format!("trial {trial} batch {batch}");
@@ -705,12 +702,14 @@ mod tests {
             (0..40).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
         // chunk_target 1: band streams never materialize.
-        let tiny = Rrm2dOptions { chunk_target: 1, ..Default::default() };
-        let mut prepared = Prepared2d::new(&data, &FullSpace::new(2), tiny).unwrap();
+        let exec = ExecPolicy::default();
+        let prepared = Prepared2d::new(&data, &FullSpace::new(2), exec).unwrap();
         let upd =
             apply_updates(&data, &[UpdateOp::Delete(3), UpdateOp::Insert(vec![0.9, 0.9])]).unwrap();
-        prepared = prepared.patched(&upd).unwrap();
-        let fresh = Prepared2d::new(&upd.new, &FullSpace::new(2), tiny).unwrap();
+        let mut prepared = prepared.patched(&upd).unwrap();
+        prepared.bands.chunk_target(1);
+        let mut fresh = Prepared2d::new(&upd.new, &FullSpace::new(2), exec).unwrap();
+        fresh.bands.chunk_target(1);
         for r in 1..4 {
             assert_eq!(prepared.rrm(r).unwrap(), fresh.rrm(r).unwrap(), "r={r}");
         }
@@ -726,7 +725,7 @@ mod tests {
         let rows: Vec<[f64; 2]> =
             (0..2_000).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let d = Dataset::from_rows(&rows).unwrap();
-        let handle = Prepared2d::new(&d, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+        let handle = Prepared2d::new(&d, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         let regret = handle.rrm(3).unwrap().certified_regret.unwrap();
         assert!(regret <= START, "the r = 3 optimum {regret} needs a wider band");
         assert!(!handle.bands.cap_known(), "r = 3 computed LB₁");
@@ -751,7 +750,7 @@ mod tests {
         let d = Dataset::from_rows(&rows).unwrap();
         let mut prev = usize::MAX;
         for r in 1..=6 {
-            let sol = solve(&d, r, &FullSpace::new(2), Rrm2dOptions::default()).unwrap();
+            let sol = solve(&d, r, &FullSpace::new(2)).unwrap();
             let k = sol.certified_regret.unwrap();
             assert!(k <= prev, "regret must not increase with r");
             assert!(sol.size() <= r);

@@ -15,7 +15,8 @@
 //! doubling phase builds one band per probe; the halving phase reuses the
 //! last. A prepare sorts the rows once, at the range's low end, and both
 //! the candidates (the restricted skyline) and every band are read off
-//! that order.
+//! that order. A band's `s·|band|` crossings are materialized under the
+//! same memory budget as 2DRRM's, and streamed strip by strip past it.
 //!
 //! The RRM adaptation binary-searches the smallest `k` whose cover fits
 //! the size budget `r`, using the doubling + halving scheme of Section
@@ -57,8 +58,7 @@ impl PreparedRrr2d {
         let interval = weight_interval(space)?;
         let rows = Rows::new(data, interval)?;
         let sky = rows.skyline.clone();
-        // Windows scan a materialized stream: no chunk budget.
-        let bands = Bands::new(rows, sky, interval, usize::MAX, exec.parallelism);
+        let bands = Bands::new(rows, sky, interval, exec.parallelism);
         Ok(Self { data: data.clone(), bands, covers: Mutex::new(HashMap::new()) })
     }
 
@@ -210,7 +210,7 @@ mod tests {
     use rrm_geom::dual::DualLine;
     use rrm_geom::events::crossings_with_tracked;
 
-    use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+    use crate::rrm2d::Prepared2d;
 
     /// A fresh 2DRRR handle over the full space.
     fn baseline(data: &Dataset) -> PreparedRrr2d {
@@ -219,7 +219,7 @@ mod tests {
 
     /// A fresh exact 2DRRM handle over the full space.
     fn exact(data: &Dataset) -> Prepared2d {
-        Prepared2d::new(data, &FullSpace::new(2), Rrm2dOptions::default()).unwrap()
+        Prepared2d::new(data, &FullSpace::new(2), ExecPolicy::default()).unwrap()
     }
 
     fn random_dataset(n: usize, seed: u64) -> Dataset {
@@ -309,6 +309,27 @@ mod tests {
         // Rank ≤ 1 windows: only upper-envelope lines; certified 2·1−1 = 1.
         assert_eq!(sol.certified_regret, Some(1));
         assert_eq!(exact_regret(&d, &sol.indices), 1);
+    }
+
+    #[test]
+    fn streamed_bands_answer_like_materialized_ones() {
+        let b = Budget::UNLIMITED;
+        for seed in [70, 71] {
+            let d = random_dataset(400, seed);
+            let mut streamed = baseline(&d);
+            streamed.bands.chunk_target(7);
+            let materialized = baseline(&d);
+            for k in [1, 2, 4, 8] {
+                assert_eq!(streamed.cover(k), materialized.cover(k), "seed {seed} k={k}");
+            }
+            for r in 1..=6 {
+                let want = materialized.solve_rrm(r, &b).unwrap();
+                assert_eq!(streamed.solve_rrm(r, &b).unwrap(), want, "seed {seed} r={r}");
+            }
+            let built = streamed.bands.materialized();
+            assert!(!built.is_empty() && !built.contains(&true), "seed {seed}: {built:?}");
+            assert!(!materialized.bands.materialized().contains(&false), "seed {seed}");
+        }
     }
 
     #[test]

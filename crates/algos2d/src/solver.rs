@@ -8,21 +8,13 @@
 
 use rrm_core::{Algorithm, Dataset, ExecPolicy, PreparedSolver, RrmError, Solver, UtilitySpace};
 
-use crate::rrm2d::{Prepared2d, Rrm2dOptions};
+use crate::rrm2d::Prepared2d;
 use crate::rrr2d::PreparedRrr2d;
 
 /// **2DRRM** (paper Section IV): exact RRM/RRRM via the dual-line sweep,
 /// exact RRR via binary search on the DP.
-#[derive(Debug, Clone, Default)]
-pub struct TwoDRrmSolver {
-    pub options: Rrm2dOptions,
-}
-
-impl TwoDRrmSolver {
-    pub fn new(options: Rrm2dOptions) -> Self {
-        Self { options }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TwoDRrmSolver;
 
 impl Solver for TwoDRrmSolver {
     fn algorithm(&self) -> Algorithm {
@@ -36,9 +28,7 @@ impl Solver for TwoDRrmSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
-        Ok(Box::new(Prepared2d::new(data, space, options)?))
+        Ok(Box::new(Prepared2d::new(data, space, exec)?))
     }
 }
 
@@ -87,14 +77,14 @@ mod tests {
     fn trait_and_function_agree() {
         // The boxed trait handle answers exactly like the prepared type
         // built directly.
-        let solver = TwoDRrmSolver::default();
+        let solver = TwoDRrmSolver;
         let space = FullSpace::new(2);
         let via_trait = solver
             .prepare(&table1(), &space, ExecPolicy::default())
             .unwrap()
             .solve_rrm(2, &Budget::default())
             .unwrap();
-        let direct = Prepared2d::new(&table1(), &space, Rrm2dOptions::default())
+        let direct = Prepared2d::new(&table1(), &space, ExecPolicy::default())
             .unwrap()
             .solve_rrm(2, &Budget::default())
             .unwrap();

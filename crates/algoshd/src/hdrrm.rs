@@ -68,10 +68,6 @@ pub struct HdrrmOptions {
     /// monotone and deterministic); disable only to measure the pruning
     /// win (`repro anytime`).
     pub prune: bool,
-    /// Data-parallelism for the direction-batch kernels (top-k scoring,
-    /// grid membership). Engine-level contexts override the default;
-    /// outputs are identical at any thread count.
-    pub exec: ExecPolicy,
 }
 
 impl Default for HdrrmOptions {
@@ -85,7 +81,6 @@ impl Default for HdrrmOptions {
             include_basis: true,
             cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
             prune: true,
-            exec: ExecPolicy::default(),
         }
     }
 }
@@ -107,6 +102,8 @@ pub struct PreparedHdrrm {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     options: HdrrmOptions,
+    /// Chunks the direction-batch kernels (top-k scoring, grid membership).
+    exec: ExecPolicy,
     /// The boundary-tuple basis `B` (always computed: RRR needs it even
     /// when `include_basis` is off for RRM).
     basis: Vec<u32>,
@@ -122,15 +119,21 @@ pub struct PreparedHdrrm {
 }
 
 impl PreparedHdrrm {
-    /// The dataset phase. The caller has run
+    /// The dataset phase, under `exec`. The caller has run
     /// [`Algorithm::ensure_supported`] (`d ≥ 2`, matching space).
-    pub(crate) fn new(data: &Dataset, space: &dyn UtilitySpace, options: HdrrmOptions) -> Self {
+    pub(crate) fn new(
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+        options: HdrrmOptions,
+        exec: ExecPolicy,
+    ) -> Self {
         let sky = options.skyline_candidates.then(|| IncrementalSkyline::build(data));
         let mask = sky.as_ref().map(|s| s.mask().to_vec());
         Self {
             data: data.clone(),
             space: space.clone_box(),
             options,
+            exec,
             basis: basis_indices(data),
             sky,
             mask,
@@ -167,7 +170,7 @@ impl PreparedHdrrm {
         let mask = sky.as_ref().map(|s| s.mask().to_vec());
         let discs: HashMap<usize, Arc<Discretization>> =
             self.discs.lock().expect("discretization cache poisoned").clone();
-        let pol = self.options.exec.parallelism;
+        let pol = self.exec.parallelism;
         let mut topk = HashMap::new();
         for (&m, (k, lists)) in self.topk.lock().expect("top-k cache poisoned").iter() {
             // A cached list without its discretization (evicted) is
@@ -179,6 +182,7 @@ impl PreparedHdrrm {
             data,
             space: self.space.clone_box(),
             options: self.options,
+            exec: self.exec,
             basis,
             sky,
             mask,
@@ -199,7 +203,7 @@ impl PreparedHdrrm {
             m,
             self.options.gamma,
             self.options.seed,
-            self.options.exec,
+            self.exec,
         ));
         cache_bounded(
             &mut self.discs.lock().expect("discretization cache poisoned"),
@@ -218,7 +222,7 @@ impl PreparedHdrrm {
             mask: self.mask.as_deref(),
             ksets: false,
             prune: self.options.prune,
-            pol: self.options.exec.parallelism,
+            pol: self.exec.parallelism,
             cache_budget_entries: self.options.cache_budget_entries,
         }
     }
@@ -491,7 +495,7 @@ mod tests {
             }
             assert_eq!(run_rrm(&data, r, &space, tiny).unwrap(), want, "set {i}");
             for o in [opts, tiny] {
-                let prepared = PreparedHdrrm::new(&data, &space, o);
+                let prepared = PreparedHdrrm::new(&data, &space, o, ExecPolicy::default());
                 for _ in 0..2 {
                     assert_eq!(prepared.solve_rrm(r, &Budget::UNLIMITED).unwrap(), want, "set {i}");
                 }
@@ -545,7 +549,7 @@ mod tests {
         let opts = quick_opts(64);
         let space = FullSpace::new(4);
         let mut data = independent(200, 4, 31);
-        let mut prepared = PreparedHdrrm::new(&data, &space, opts);
+        let mut prepared = PreparedHdrrm::new(&data, &space, opts, ExecPolicy::default());
         let budget = Budget::with_samples(64);
         for batch in 0..3 {
             // Warm the caches before each batch so the patch path has
@@ -564,7 +568,7 @@ mod tests {
             }
             let upd = apply_updates(&data, &ops).unwrap();
             prepared = prepared.patched(&upd);
-            let fresh = PreparedHdrrm::new(&upd.new, &space, opts);
+            let fresh = PreparedHdrrm::new(&upd.new, &space, opts, ExecPolicy::default());
             let ctx = format!("batch {batch}");
             assert_eq!(prepared.basis, fresh.basis, "{ctx}");
             assert_eq!(prepared.mask, fresh.mask, "{ctx}");

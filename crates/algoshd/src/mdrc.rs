@@ -13,7 +13,7 @@
 //! matching Table III ("Suitable for RRRM: No").
 
 use rrm_core::{
-    rank, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, RrmError, Solution,
+    rank, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, Parallelism, RrmError, Solution,
     TerminatedBy,
 };
 use rrm_geom::polar::angles_to_direction;
@@ -24,10 +24,6 @@ pub struct MdrcOptions {
     /// Extra probe directions per cell in addition to the `2^(d-1)`
     /// corners and the center (sampled on a fixed sub-grid).
     pub probes_per_axis: usize,
-    /// Data-parallelism for the per-cell probe evaluations. Engine-level
-    /// contexts override the default; representatives are identical at
-    /// any thread count.
-    pub exec: ExecPolicy,
 }
 
 #[derive(Debug, Clone)]
@@ -47,12 +43,14 @@ struct Cell {
 /// nothing about cell interiors, so no rank bounds are attached; a
 /// cut-off run carries only its [`TerminatedBy`] reason. The budget's
 /// `max_enumerations` caps the number of cell evaluations, next to its
-/// time limit.
+/// time limit. Each cell's probes are evaluated in chunks under `pol`;
+/// representatives are identical at any thread count.
 pub(crate) fn mdrc_anytime(
     data: &Dataset,
     r: usize,
     opts: MdrcOptions,
     budget: &Budget,
+    pol: Parallelism,
 ) -> Result<Solution, RrmError> {
     if r == 0 {
         return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
@@ -64,7 +62,8 @@ pub(crate) fn mdrc_anytime(
     search.note_node();
     let mut terminated = TerminatedBy::Completed;
     let ad = data.dim() - 1; // angle-space dimensionality
-    let root = evaluate_cell(data, &vec![0.0; ad], &vec![std::f64::consts::FRAC_PI_2; ad], opts);
+    let root =
+        evaluate_cell(data, &vec![0.0; ad], &vec![std::f64::consts::FRAC_PI_2; ad], opts, pol);
     let mut cells = vec![root];
     // Refine until r cells exist (or cells stop being splittable).
     while cells.len() < r {
@@ -101,8 +100,8 @@ pub(crate) fn mdrc_anytime(
         lo_hi[axis] = mid;
         let mut hi_lo = cell.lo.clone();
         hi_lo[axis] = mid;
-        cells.push(evaluate_cell(data, &cell.lo, &lo_hi, opts));
-        cells.push(evaluate_cell(data, &hi_lo, &cell.hi, opts));
+        cells.push(evaluate_cell(data, &cell.lo, &lo_hi, opts, pol));
+        cells.push(evaluate_cell(data, &hi_lo, &cell.hi, opts, pol));
         search.note_node();
         search.note_node();
     }
@@ -113,7 +112,13 @@ pub(crate) fn mdrc_anytime(
 
 /// Probe the cell (corners, center and optional sub-grid) and pick the
 /// tuple minimizing the maximum rank across probes.
-fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], opts: MdrcOptions) -> Cell {
+fn evaluate_cell(
+    data: &Dataset,
+    lo: &[f64],
+    hi: &[f64],
+    opts: MdrcOptions,
+    pol: Parallelism,
+) -> Cell {
     let ad = lo.len();
     let mut probes: Vec<Vec<f64>> = Vec::new();
     // Corners: 2^ad angle vectors.
@@ -138,7 +143,6 @@ fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], opts: MdrcOptions) -> C
     // runs through the blocked SoA kernel, one scratch per chunk.
     let dirs: Vec<Vec<f64>> = probes.iter().map(|angles| angles_to_direction(angles)).collect();
     let n = data.n();
-    let pol = opts.exec.parallelism;
     let soa = data.soa();
     let chunk = rrm_par::adaptive_chunk(dirs.len(), n * data.dim());
     let worst = rrm_par::par_map_reduce(
@@ -181,7 +185,7 @@ fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], opts: MdrcOptions) -> C
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{Budget, FullSpace, Solver, UtilitySpace, WeakRankingSpace};
+    use rrm_core::{Budget, ExecPolicy, FullSpace, Solver, UtilitySpace, WeakRankingSpace};
     use rrm_data::synthetic::{correlated, independent};
     use rrm_eval::estimate_rank_regret_seq;
 
@@ -227,20 +231,10 @@ mod tests {
     #[test]
     fn probes_improve_or_match() {
         let data = independent(400, 3, 75);
-        let coarse = run_rrm(
-            &data,
-            6,
-            &FullSpace::new(3),
-            MdrcOptions { probes_per_axis: 0, ..Default::default() },
-        )
-        .unwrap();
-        let fine = run_rrm(
-            &data,
-            6,
-            &FullSpace::new(3),
-            MdrcOptions { probes_per_axis: 3, ..Default::default() },
-        )
-        .unwrap();
+        let coarse =
+            run_rrm(&data, 6, &FullSpace::new(3), MdrcOptions { probes_per_axis: 0 }).unwrap();
+        let fine =
+            run_rrm(&data, 6, &FullSpace::new(3), MdrcOptions { probes_per_axis: 3 }).unwrap();
         let ec = estimate_rank_regret_seq(&data, &coarse.indices, &FullSpace::new(3), 4000, 76);
         let ef = estimate_rank_regret_seq(&data, &fine.indices, &FullSpace::new(3), 4000, 76);
         // More probes usually help; never catastrophically worse.

@@ -13,7 +13,7 @@
 //! objective, the speed profile and both failure modes (see DESIGN.md).
 
 use rrm_core::approx::sample_directions;
-use rrm_core::{utility, Dataset, ExecPolicy, Parallelism, UtilitySpace};
+use rrm_core::{utility, Dataset, Parallelism, UtilitySpace};
 
 use crate::common::batch_top1_scores;
 
@@ -28,15 +28,11 @@ pub struct MdrmsOptions {
     /// used when smaller; otherwise an even subsample). Keeps the
     /// `O(r · candidates · samples)` cost bounded.
     pub max_candidates: usize,
-    /// Data-parallelism for the per-round candidate scan and the top-1
-    /// scoring pass. Engine-level contexts override the default; picks
-    /// are identical at any thread count.
-    pub exec: ExecPolicy,
 }
 
 impl Default for MdrmsOptions {
     fn default() -> Self {
-        Self { samples: 2_000, seed: 0x3A15, max_candidates: 20_000, exec: ExecPolicy::default() }
+        Self { samples: 2_000, seed: 0x3A15, max_candidates: 20_000 }
     }
 }
 
@@ -61,9 +57,17 @@ pub(crate) struct GreedyRms {
 }
 
 impl GreedyRms {
-    pub(crate) fn new(data: &Dataset, space: &dyn UtilitySpace, opts: MdrmsOptions) -> Self {
+    /// The greedy state over `opts.samples` directions, its top-1 scoring
+    /// pass and per-round candidate scans chunked under `pol` (picks are
+    /// identical at any thread count).
+    pub(crate) fn new(
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+        opts: MdrmsOptions,
+        pol: Parallelism,
+    ) -> Self {
         let dirs = sample_directions(space, opts.samples, opts.seed);
-        let top1 = batch_top1_scores(data, &dirs, opts.exec.parallelism);
+        let top1 = batch_top1_scores(data, &dirs, pol);
 
         // Candidates: skyline when affordable, else an even subsample of it.
         let sky = rrm_skyline::skyline(data);
@@ -76,16 +80,7 @@ impl GreedyRms {
 
         let best_scores = vec![f64::NEG_INFINITY; dirs.len()];
         let in_set = vec![false; data.n()];
-        Self {
-            dirs,
-            top1,
-            candidates,
-            best_scores,
-            in_set,
-            chosen: Vec::new(),
-            done: false,
-            pol: opts.exec.parallelism,
-        }
+        Self { dirs, top1, candidates, best_scores, in_set, chosen: Vec::new(), done: false, pol }
     }
 
     /// Extend the greedy sequence to `r` picks (or until it saturates) and
@@ -195,7 +190,7 @@ fn best_addition(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{Budget, FullSpace, RrmError, Solution, Solver};
+    use rrm_core::{Budget, ExecPolicy, FullSpace, RrmError, Solution, Solver};
 
     /// One MDRMS query through a fresh handle.
     fn run_rrm(

@@ -136,7 +136,7 @@ mod tests {
     fn rrm_adapter_respects_budget() {
         let data = independent(25, 3, 43);
         for r in [2usize, 4, 6] {
-            let sol = crate::MdrrrSolver::new(KsetLimits::default())
+            let sol = crate::MdrrrSolver
                 .prepare(&data, &FullSpace::new(3), ExecPolicy::default())
                 .unwrap()
                 .solve_rrm(r, &Budget::UNLIMITED)
@@ -175,7 +175,7 @@ mod tests {
     #[test]
     fn pinned_answers() {
         let prepared = |seed| {
-            crate::MdrrrSolver::new(KsetLimits::default())
+            crate::MdrrrSolver
                 .prepare(&independent(22, 3, seed), &FullSpace::new(3), ExecPolicy::sequential())
                 .unwrap()
         };

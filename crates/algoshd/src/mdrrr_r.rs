@@ -14,7 +14,7 @@
 //! whose hitting set fits `r`, RRR hits one threshold's k-sets. The answer
 //! certifies nothing; its bounds hold over the sampled directions only.
 
-use rrm_core::{Algorithm, Dataset, ExecPolicy};
+use rrm_core::{Algorithm, Dataset, Parallelism};
 
 use crate::anytime::CoverSearch;
 use crate::common::DEFAULT_CACHE_BUDGET_ENTRIES;
@@ -30,21 +30,22 @@ pub struct MdrrrROptions {
     /// cover once it provably exceeds the size budget `r`
     /// (answer-equivalent; disable only to measure the pruning win).
     pub prune: bool,
-    /// Data-parallelism for the k-set discovery scoring pass. Engine-level
-    /// contexts override the default; the discovered k-set family is
-    /// identical at any thread count.
-    pub exec: ExecPolicy,
 }
 
 impl Default for MdrrrROptions {
     fn default() -> Self {
-        Self { samples: 20_000, seed: 0x5EED, prune: true, exec: ExecPolicy::default() }
+        Self { samples: 20_000, seed: 0x5EED, prune: true }
     }
 }
 
-/// MDRRRr's cover search over `opts.samples` directions: no basis, no
-/// candidate mask, and each threshold's distinct k-sets as the universe.
-pub(crate) fn cover_search(data: &Dataset, opts: MdrrrROptions) -> CoverSearch<'_> {
+/// MDRRRr's cover search over `opts.samples` directions, its k-set
+/// discovery scoring chunked under `pol`: no basis, no candidate mask,
+/// and each threshold's distinct k-sets as the universe.
+pub(crate) fn cover_search(
+    data: &Dataset,
+    opts: MdrrrROptions,
+    pol: Parallelism,
+) -> CoverSearch<'_> {
     CoverSearch {
         data,
         algorithm: Algorithm::MdrrrR,
@@ -52,7 +53,7 @@ pub(crate) fn cover_search(data: &Dataset, opts: MdrrrROptions) -> CoverSearch<'
         mask: None,
         ksets: true,
         prune: opts.prune,
-        pol: opts.exec.parallelism,
+        pol,
         cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
     }
 }
@@ -81,8 +82,8 @@ mod tests {
     use crate::common::ListCache;
     use rrm_core::approx::sample_directions;
     use rrm_core::{
-        AnytimeSearch, Bounds, Budget, FullSpace, PreparedSolver, RrmError, Solution, Solver,
-        UtilitySpace, WeakRankingSpace,
+        AnytimeSearch, Bounds, Budget, ExecPolicy, FullSpace, PreparedSolver, RrmError, Solution,
+        Solver, UtilitySpace, WeakRankingSpace,
     };
     use rrm_data::synthetic::{anticorrelated, independent};
     use rrm_eval::estimate_rank_regret_seq;
@@ -175,7 +176,10 @@ mod tests {
         let want = run_rrm(&data, 4, &space, o).unwrap();
         let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
         assert!(coarse < want.bounds.unwrap().upper, "coarse {coarse} vs {:?}", want.bounds);
-        let tiny = CoverSearch { cache_budget_entries: 0, ..cover_search(&data, o) };
+        let tiny = CoverSearch {
+            cache_budget_entries: 0,
+            ..cover_search(&data, o, Parallelism::default())
+        };
         let dirs = sample_directions(&space, o.samples, o.seed);
         let got = tiny
             .solve_rrm(4, &dirs, AnytimeSearch::unlimited(), &ListCache::default(), o.samples)

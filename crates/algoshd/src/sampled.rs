@@ -146,7 +146,7 @@ pub fn solve_rrr_sampled_with(
 }
 
 /// Options for [`SampledSolver`]: the fallback fidelity when the budget
-/// carries none, the direction-stream seed, and the execution policy.
+/// carries none, and the direction-stream seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampledOptions {
     /// Fidelity used when the `Budget` carries no [`ApproxSpec`].
@@ -154,14 +154,11 @@ pub struct SampledOptions {
     /// Seed of the sequential direction stream (part of the answer's
     /// identity, like every randomized solver's seed in this workspace).
     pub seed: u64,
-    /// Data-parallelism for scoring/top-k. An explicit policy passed to
-    /// [`Solver::prepare`] overrides this default.
-    pub exec: ExecPolicy,
 }
 
 impl Default for SampledOptions {
     fn default() -> Self {
-        Self { spec: ApproxSpec::default(), seed: DEFAULT_SEED, exec: ExecPolicy::default() }
+        Self { spec: ApproxSpec::default(), seed: DEFAULT_SEED }
     }
 }
 
@@ -185,12 +182,15 @@ impl Solver for SampledSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
         // Warm the column-major scoring layout now: it is the only
         // dataset-shaped state the sampled tier reuses across queries.
         let _ = data.soa();
-        Ok(Box::new(PreparedSampled { options, data: data.clone(), space: space.clone_box() }))
+        Ok(Box::new(PreparedSampled {
+            options: self.options,
+            exec,
+            data: data.clone(),
+            space: space.clone_box(),
+        }))
     }
 }
 
@@ -200,6 +200,7 @@ impl Solver for SampledSolver {
 /// seed, so a warm handle answers bit for bit like a fresh one.
 pub struct PreparedSampled {
     options: SampledOptions,
+    exec: ExecPolicy,
     data: Dataset,
     space: Box<dyn UtilitySpace>,
 }
@@ -222,7 +223,7 @@ impl PreparedSolver for PreparedSampled {
             spec,
             budget.samples,
             self.options.seed,
-            self.options.exec,
+            self.exec,
         )
     }
 
@@ -235,7 +236,7 @@ impl PreparedSolver for PreparedSampled {
             spec,
             budget.samples,
             self.options.seed,
-            self.options.exec,
+            self.exec,
         )
     }
 }

@@ -2,11 +2,12 @@
 //! HDRRM (the paper's) and the Table III baselines MDRRR, MDRRRr, MDRC
 //! and MDRMS.
 //!
-//! Each solver owns its options struct and binds it to one dataset in
-//! `prepare`; the prepared handles map the engine-facing [`Budget`] caps
-//! onto whatever machinery the algorithm actually has — sample counts for
-//! the randomized ones, k-set/LP limits for MDRRR — and ignore them where
-//! they do not apply.
+//! Each solver owns its options struct (MDRRR runs on
+//! [`KsetLimits::default`]) and binds it, with the execution policy
+//! `prepare` receives, to one dataset; the prepared handles map the
+//! engine-facing [`Budget`] caps onto whatever machinery the algorithm
+//! actually has — sample counts for the randomized ones, k-set/LP limits
+//! for MDRRR — and ignore them where they do not apply.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -17,7 +18,7 @@ use rrm_core::{
     Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
 };
 
-use crate::anytime::rrr_via_rrm_search_with;
+use crate::anytime::{rrr_via_rrm_search_with, CoverSearch};
 use crate::common::ListCache;
 use crate::hdrrm::{HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
@@ -51,25 +52,16 @@ impl Solver for HdrrmSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
-        Ok(Box::new(PreparedHdrrm::new(data, space, options)))
+        Ok(Box::new(PreparedHdrrm::new(data, space, self.options, exec)))
     }
 }
 
 /// **MDRRR** (Asudeh et al.): exact k-set enumeration — certified, but
-/// full-space only and practical only on small inputs. The [`Budget`]
-/// enumeration/LP caps map directly onto [`KsetLimits`].
-#[derive(Debug, Clone, Default)]
-pub struct MdrrrSolver {
-    pub limits: KsetLimits,
-}
-
-impl MdrrrSolver {
-    pub fn new(limits: KsetLimits) -> Self {
-        Self { limits }
-    }
-}
+/// full-space only and practical only on small inputs. It enumerates
+/// within [`KsetLimits::default`], which the [`Budget`] enumeration/LP
+/// caps lower per request.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MdrrrSolver;
 
 impl Solver for MdrrrSolver {
     fn algorithm(&self) -> Algorithm {
@@ -83,8 +75,7 @@ impl Solver for MdrrrSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut limits = self.limits;
-        limits.exec = exec.or(limits.exec);
+        let limits = KsetLimits { exec, ..KsetLimits::default() };
         Ok(Box::new(PreparedMdrrr { data: data.clone(), limits, memo: Mutex::new(HashMap::new()) }))
     }
 }
@@ -170,12 +161,11 @@ impl Solver for MdrrrRSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrrrR {
             data: data.clone(),
             space: space.clone_box(),
-            options,
+            options: self.options,
+            exec,
             dirs: Mutex::new(HashMap::new()),
             lists: ListCache::default(),
         }))
@@ -192,15 +182,16 @@ struct PreparedMdrrrR {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     options: MdrrrROptions,
+    exec: ExecPolicy,
     dirs: Mutex<HashMap<usize, Arc<Vec<Vec<f64>>>>>,
     /// Per sample count: the deepest top-k lists kept so far.
     lists: ListCache,
 }
 
 impl PreparedMdrrrR {
-    /// The query's options (a budget `samples` override wins) and its
-    /// direction pool, drawn once per sample count.
-    fn frame(&self, budget: &Budget) -> (MdrrrROptions, Arc<Vec<Vec<f64>>>) {
+    /// The query's cover search (a budget `samples` override wins) and
+    /// its direction pool, drawn once per sample count.
+    fn frame(&self, budget: &Budget) -> (CoverSearch<'_>, Arc<Vec<Vec<f64>>>) {
         let mut opts = self.options;
         opts.samples = budget.samples.unwrap_or(opts.samples);
         let kept = self.dirs.lock().expect("direction cache poisoned").get(&opts.samples).cloned();
@@ -213,7 +204,7 @@ impl PreparedMdrrrR {
                 PREPARED_CACHE_CAP,
             )
         });
-        (opts, dirs)
+        (cover_search(&self.data, opts, self.exec.parallelism), dirs)
     }
 }
 
@@ -227,14 +218,14 @@ impl PreparedSolver for PreparedMdrrrR {
     }
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let (opts, dirs) = self.frame(budget);
+        let (cover, dirs) = self.frame(budget);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
-        cover_search(&self.data, opts).solve_rrm(r, &dirs, search, &self.lists, dirs.len())
+        cover.solve_rrm(r, &dirs, search, &self.lists, dirs.len())
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let (opts, dirs) = self.frame(budget);
-        cover_search(&self.data, opts).solve_rrr(k, &dirs, &self.lists, dirs.len())
+        let (cover, dirs) = self.frame(budget);
+        cover.solve_rrr(k, &dirs, &self.lists, dirs.len())
     }
 }
 
@@ -265,12 +256,11 @@ impl Solver for MdrcSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrc {
             data: data.clone(),
             space: space.clone_box(),
-            options,
+            options: self.options,
+            exec,
             memo: Mutex::new(HashMap::new()),
         }))
     }
@@ -284,6 +274,7 @@ struct PreparedMdrc {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     options: MdrcOptions,
+    exec: ExecPolicy,
     /// Keyed by `(r, effective cell-evaluation cap)`: a counter-cut
     /// partial answer must not be served to an unlimited query (or vice
     /// versa).
@@ -295,13 +286,13 @@ impl PreparedMdrc {
         if budget.time_limit.is_some() {
             // Wall-clock limits are nondeterministic — never cache (or
             // serve a cached answer for) a solve under one.
-            return mdrc_anytime(&self.data, r, self.options, budget);
+            return mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism);
         }
         let key = (r, budget.max_enumerations.unwrap_or(usize::MAX));
         if let Some(sol) = self.memo.lock().expect("MDRC memo poisoned").get(&key) {
             return Ok(sol.clone());
         }
-        let sol = mdrc_anytime(&self.data, r, self.options, budget)?;
+        let sol = mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism)?;
         self.memo.lock().expect("MDRC memo poisoned").insert(key, sol.clone());
         Ok(sol)
     }
@@ -327,7 +318,7 @@ impl PreparedSolver for PreparedMdrc {
             k,
             self.space.as_ref(),
             budget,
-            self.options.exec,
+            self.exec,
             |r| self.rrm_memo(r, budget),
         )
     }
@@ -359,12 +350,11 @@ impl Solver for MdrmsSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedMdrms {
             data: data.clone(),
             space: space.clone_box(),
-            options,
+            options: self.options,
+            exec,
             greedy: Mutex::new(HashMap::new()),
         }))
     }
@@ -379,6 +369,7 @@ struct PreparedMdrms {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     options: MdrmsOptions,
+    exec: ExecPolicy,
     /// One resumable greedy state per effective sample count, each behind
     /// its own lock: queries for the *same* budget serialize (the prefix
     /// is mutable state), queries for different budgets do not.
@@ -404,8 +395,9 @@ impl PreparedMdrms {
             None => {
                 // Build outside the outer lock (direction sampling and
                 // top-1 scoring are the heavy part), then insert-or-reuse.
-                let built =
-                    Arc::new(Mutex::new(GreedyRms::new(&self.data, self.space.as_ref(), opts)));
+                let pol = self.exec.parallelism;
+                let greedy = GreedyRms::new(&self.data, self.space.as_ref(), opts, pol);
+                let built = Arc::new(Mutex::new(greedy));
                 cache_bounded(
                     &mut self.greedy.lock().expect("greedy cache poisoned"),
                     opts.samples,
@@ -442,7 +434,7 @@ impl PreparedSolver for PreparedMdrms {
             k,
             self.space.as_ref(),
             budget,
-            opts.exec,
+            self.exec,
             |r| self.rrm_with(r, opts),
         )
     }
@@ -476,11 +468,8 @@ mod tests {
 
     #[test]
     fn mdrrr_solver_rejects_restricted_space() {
-        let result = MdrrrSolver::default().prepare(
-            &small(),
-            &WeakRankingSpace::new(3, 1),
-            ExecPolicy::default(),
-        );
+        let result =
+            MdrrrSolver.prepare(&small(), &WeakRankingSpace::new(3, 1), ExecPolicy::default());
         assert!(matches!(result, Err(RrmError::Unsupported(_))));
     }
 
@@ -538,7 +527,7 @@ mod tests {
         // MDRRR on a deliberately tiny instance (LP cost per feasibility
         // check grows with k·(n−k) rows); the rest at a larger n.
         let cases: Vec<(Box<dyn Solver>, Dataset)> = vec![
-            (Box::new(MdrrrSolver::default()), rrm_data::synthetic::independent(13, 3, 8)),
+            (Box::new(MdrrrSolver), rrm_data::synthetic::independent(13, 3, 8)),
             (Box::new(MdrrrRSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
             (Box::new(MdrcSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
             (Box::new(MdrmsSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
@@ -576,7 +565,7 @@ mod tests {
     fn capability_queries_mirror_the_enum() {
         // Each solver reports the algorithm whose Table III row it obeys.
         assert!(HdrrmSolver::default().algorithm().has_regret_guarantee());
-        assert!(MdrrrSolver::default().algorithm().has_regret_guarantee());
+        assert!(MdrrrSolver.algorithm().has_regret_guarantee());
         assert!(!MdrcSolver::default().algorithm().has_regret_guarantee());
         assert!(!MdrmsSolver::default().algorithm().has_regret_guarantee());
         assert!(MdrrrRSolver::default().algorithm().supports_restricted_space());

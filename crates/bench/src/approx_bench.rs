@@ -253,8 +253,10 @@ fn speedup(engine: &Engine, scale: Scale) -> SpeedupResult {
     // Bit-identity across thread counts: the sampled tier's ordered-merge
     // contract makes parallelism a pure speed knob.
     for threads in [1usize, 2, 7] {
-        let sol = engine
-            .run(&data, &space, &approx_request.clone().threads(threads))
+        let sol = scale
+            .engine()
+            .with_exec(ExecPolicy::threads(threads))
+            .run(&data, &space, &approx_request)
             .expect("sampled solve under an explicit thread count");
         assert_eq!(
             (sol.indices.clone(), sol.certified_regret),

@@ -39,13 +39,13 @@
 //! paper's C++/Core-i7 testbed; the *shape* of each series is the
 //! reproduction target (EXPERIMENTS.md records both).
 
-use bench::{measure_solver, run_rrm, timed, Outcome, Scale, SYNTHETICS};
-use rrm_2d::{Rrm2dOptions, TwoDRrmSolver};
+use bench::{measure_solver, run_rrm, timed, Outcome, Scale, EVAL_SEED, SYNTHETICS};
+use rrm_2d::{full_sweep_rrm, TwoDRrmSolver};
 use rrm_core::{Algorithm, Budget, Dataset, ExecPolicy, FullSpace, UtilitySpace, WeakRankingSpace};
 use rrm_data::real_sim::{island_sim, nba_sim, weather_sim};
 use rrm_data::synthetic::lower_bound_arc;
 use rrm_eval::report::{render_table, size_tick, Series};
-use rrm_eval::{estimate_regret_ratio, exact_rank_regret_2d};
+use rrm_eval::{estimate_rank_regret, estimate_regret_ratio, exact_rank_regret_2d};
 use rrm_hd::{HdrrmOptions, HdrrmSolver};
 
 fn main() {
@@ -688,27 +688,26 @@ fn ablation(scale: Scale) {
     }
     println!("{}", render_table("variant", &labels, &[time, reg]));
 
-    // (d) 2DRRM event machinery: the K-band stream vs the paper-faithful
-    // full sweep over every row. Both are exact, so their certified
-    // regrets must agree: the full sweep checks the band at scale.
+    // (d) 2DRRM event machinery: the solver's K-band stream vs the
+    // paper-faithful full sweep over every row, the reference function.
+    // Both are exact, so their certified regrets must agree: the full
+    // sweep checks the band at scale.
     println!("[ablation: 2DRRM sweep] anti-correlated 2D n = 10K, r = 5");
     let data = rrm_data::synthetic::anticorrelated(10_000, 2, 33);
-    let mut labels = Vec::new();
+    let space = FullSpace::new(2);
+    let band = measure_solver(&TwoDRrmSolver, &data, 5, &space, samples);
+    let (full, full_seconds) = timed(|| full_sweep_rrm(&data, &space, 5).expect("full sweep"));
+    let full_regret = estimate_rank_regret(&data, &full.indices, &space, samples, EVAL_SEED);
+    let labels = ["K-band crossing stream".to_string(), "full arrangement sweep".to_string()];
     let mut time = Series::new("time(s)");
     let mut reg = Series::new("regret");
-    let mut certified = Vec::new();
-    for (label, full) in [("K-band crossing stream", false), ("full arrangement sweep", true)] {
-        let solver =
-            TwoDRrmSolver::new(Rrm2dOptions { use_full_sweep: full, ..Default::default() });
-        let o = measure_solver(&solver, &data, 5, &FullSpace::new(2), samples);
-        labels.push(label.to_string());
-        time.push(o.seconds);
-        reg.push(o.regret as f64);
-        certified.push(o.certified);
-    }
+    time.push(band.seconds);
+    time.push(full_seconds);
+    reg.push(band.regret as f64);
+    reg.push(full_regret.max_rank as f64);
     println!("{}", render_table("variant", &labels, &[time, reg]));
     assert_eq!(
-        certified[0], certified[1],
+        band.certified, full.certified_regret,
         "2DRRM: the K-band stream and the full sweep certify different regrets"
     );
 }
@@ -891,8 +890,6 @@ fn amortize(scale: Scale) {
 /// contract), prints per-count timings, and writes `BENCH_parallel.json`
 /// with the speedups relative to one thread.
 fn thread_scaling(scale: Scale) {
-    use rank_regret::{Engine, Tuning};
-
     let thread_counts = [1usize, 2, 4, 8];
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
 
@@ -982,14 +979,7 @@ fn thread_scaling(scale: Scale) {
         let mut seconds: Vec<f64> = Vec::new();
         let mut baseline: Option<Vec<rrm_core::Solution>> = None;
         for &t in &thread_counts {
-            let tuning = Tuning {
-                hdrrm: scale.hdrrm_options(),
-                mdrrr_r: scale.mdrrr_r_options(),
-                mdrms: scale.mdrms_options(),
-                exec: ExecPolicy::threads(t),
-                ..Default::default()
-            };
-            let engine = Engine::with_tuning(&tuning);
+            let engine = scale.engine().with_exec(ExecPolicy::threads(t));
             let (prepared, prep_s) =
                 timed(|| engine.prepare(*algo, data, &space).expect("prepare"));
             let (results, query_s) = timed(|| {

@@ -98,7 +98,7 @@ fn churn_ops(n: usize, d: usize, half: usize, seed: u64) -> Vec<UpdateOp> {
 /// Run `batches` churn batches through one warm session (incremental
 /// path) and through per-batch fresh sessions (naive path), with a
 /// concurrent query stream on the incremental side, asserting answer
-/// parity after every batch.
+/// parity after every batch. Both paths run their kernels on one thread.
 fn churn(
     algorithm: Algorithm,
     tuning: &Tuning,
@@ -112,8 +112,9 @@ fn churn(
     let d = data.dim();
     let half = n / 200;
     let request = Request::minimize(r).algo(algorithm).budget(budget.clone());
+    let engine = || Engine::with_tuning(tuning).with_exec(ExecPolicy::sequential());
 
-    let session = Session::with_engine(Engine::with_tuning(tuning), data.clone());
+    let session = Session::with_engine(engine(), data.clone());
     session.run(&request).expect("warm query"); // prepare once, untimed
 
     let stop = AtomicBool::new(false);
@@ -147,7 +148,7 @@ fn churn(
             // Naive: a fresh session over the same post-update rows —
             // prepare from scratch alone, then its first query alone.
             rows = apply_updates(&rows, &ops).expect("churn batch applies").new;
-            let fresh = Session::with_engine(Engine::with_tuning(tuning), rows.clone());
+            let fresh = Session::with_engine(engine(), rows.clone());
             let (_, s) = timed(|| fresh.prepared(algorithm).expect("fresh prepare"));
             naive_prepare_seconds += s;
             let (fresh_response, s) = timed(|| fresh.run(&request).expect("fresh query"));
@@ -199,7 +200,6 @@ pub fn run(scale: Scale) {
     };
     let tuning = Tuning {
         hdrrm: HdrrmOptions { m_override: Some(m), ..scale.hdrrm_options() },
-        exec: ExecPolicy::sequential(),
         ..Default::default()
     };
     let r = 8;

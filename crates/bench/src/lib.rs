@@ -91,7 +91,6 @@ impl Scale {
             hdrrm: self.hdrrm_options(),
             mdrrr_r: self.mdrrr_r_options(),
             mdrms: self.mdrms_options(),
-            ..Default::default()
         })
     }
 }
@@ -139,6 +138,9 @@ pub fn run_rrm(
     solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
 }
 
+/// Seed of the direction sample [`measure_solver`] estimates regret over.
+pub const EVAL_SEED: u64 = 0xE7A1;
+
 /// Run one RRM query through the [`Solver`] trait — prepare, then query,
 /// each timed — and measure its output quality over `space`. Thin harness
 /// adapter over [`rrm_eval::evaluate_rrm`] — the measurement logic lives
@@ -160,7 +162,7 @@ pub fn measure_solver(
         space,
         &Budget::UNLIMITED,
         eval_samples,
-        0xE7A1,
+        EVAL_SEED,
     )
     .unwrap_or_else(|e| panic!("{name}: {e}"));
     Outcome {

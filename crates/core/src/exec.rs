@@ -7,6 +7,10 @@
 //! the workspace — rank counting, top-k batches, greedy scoring, crossing
 //! enumeration, brute-force rank tables.
 //!
+//! That argument is the policy's only way in: solver options carry no
+//! policy of their own, and each prepared handle keeps the one its
+//! `prepare` received. In the facade the engine (or session) holds it.
+//!
 //! The policy is strictly about *speed*: every kernel riding it uses fixed
 //! chunk boundaries and ordered merges (see the [`rrm_par`] crate docs),
 //! so solutions are bit-identical at any thread count.
@@ -46,21 +50,6 @@ impl ExecPolicy {
     pub fn effective_threads(self) -> usize {
         self.parallelism.threads()
     }
-
-    /// Combine with a fallback: an explicit (non-[`Parallelism::Auto`])
-    /// policy wins, otherwise the fallback applies. Solvers use this to
-    /// let the engine-level policy passed to [`Solver::prepare`] override
-    /// their options' default without clobbering a policy that was set on
-    /// the options directly.
-    ///
-    /// [`Solver::prepare`]: crate::Solver::prepare
-    pub fn or(self, fallback: ExecPolicy) -> ExecPolicy {
-        if self.parallelism == Parallelism::Auto {
-            fallback
-        } else {
-            self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,16 +69,5 @@ mod tests {
         assert_ne!(ExecPolicy::threads(0).parallelism, Parallelism::Auto);
         assert_eq!(ExecPolicy::sequential().effective_threads(), 1);
         assert_eq!(ExecPolicy::threads(5).effective_threads(), 5);
-    }
-
-    #[test]
-    fn or_prefers_explicit_policies() {
-        let auto = ExecPolicy::auto();
-        let seq = ExecPolicy::sequential();
-        let four = ExecPolicy::threads(4);
-        assert_eq!(auto.or(seq), seq, "auto defers to the fallback");
-        assert_eq!(seq.or(four), seq, "explicit policy wins");
-        assert_eq!(four.or(seq), four);
-        assert_eq!(auto.or(auto), auto);
     }
 }

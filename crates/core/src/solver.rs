@@ -147,10 +147,10 @@ pub trait Solver: Send + Sync {
     /// so a prepared handle never fails a query for capability reasons.
     ///
     /// The handle *captures* `exec`: every later query runs its chunked
-    /// kernels under that policy (an [`ExecPolicy::auto`] policy defers
-    /// to the solver options' own). Answers are bit-identical at any
-    /// thread count (`tests/parallel_parity.rs` enforces this). The handle
-    /// is `Send + Sync`; read-only queries against it may run
+    /// kernels under that policy. It is the only thread policy a solve
+    /// sees; no solver option carries one. Answers are bit-identical at
+    /// any thread count (`tests/parallel_parity.rs` enforces this). The
+    /// handle is `Send + Sync`; read-only queries against it may run
     /// concurrently.
     fn prepare(
         &self,
@@ -238,14 +238,11 @@ pub struct BruteForceOptions {
     pub seed: u64,
     /// Refuse datasets larger than this (subset enumeration blows up).
     pub max_tuples: usize,
-    /// Data-parallelism for the per-direction rank tables. An explicit
-    /// policy passed to [`Solver::prepare`] overrides the default.
-    pub exec: ExecPolicy,
 }
 
 impl Default for BruteForceOptions {
     fn default() -> Self {
-        Self { samples: 4096, seed: 0xB01_DFACE, max_tuples: 20, exec: ExecPolicy::default() }
+        Self { samples: 4096, seed: 0xB01_DFACE, max_tuples: 20 }
     }
 }
 
@@ -262,24 +259,29 @@ impl BruteForceSolver {
     ///
     /// Directions are drawn sequentially (the RNG stream is part of the
     /// algorithm's identity), then the `O(n²)`-per-direction rank counting
-    /// — the table's dominant cost — is chunked over the exec policy's
-    /// threads. Per-direction rows are independent, so the table is
-    /// identical at any thread count.
-    fn rank_table(&self, data: &Dataset, space: &dyn UtilitySpace, m: usize) -> Vec<Vec<usize>> {
+    /// — the table's dominant cost — is chunked over `exec`'s threads.
+    /// Per-direction rows are independent, so the table is identical at
+    /// any thread count.
+    fn rank_table(
+        &self,
+        data: &Dataset,
+        space: &dyn UtilitySpace,
+        m: usize,
+        exec: ExecPolicy,
+    ) -> Vec<Vec<usize>> {
         let dirs = sample_directions(space, m, self.options.seed);
         let n = data.n();
         let soa = data.soa();
         // O(n²) rank counting dominates each direction's cost.
         let chunk = rrm_par::adaptive_chunk(dirs.len(), n * n);
-        let per_chunk =
-            rrm_par::par_chunks(&dirs, chunk, self.options.exec.parallelism, |_, dirs_chunk| {
-                let mut scratch = crate::kernel::ScoreScratch::new();
-                let mut rows = vec![Vec::new(); dirs_chunk.len()];
-                crate::kernel::for_each_scores(soa, dirs_chunk, &mut scratch, |di, scores| {
-                    rows[di] = (0..n as u32).map(|i| rank::rank_of_index(scores, i)).collect();
-                });
-                rows
+        let per_chunk = rrm_par::par_chunks(&dirs, chunk, exec.parallelism, |_, dirs_chunk| {
+            let mut scratch = crate::kernel::ScoreScratch::new();
+            let mut rows = vec![Vec::new(); dirs_chunk.len()];
+            crate::kernel::for_each_scores(soa, dirs_chunk, &mut scratch, |di, scores| {
+                rows[di] = (0..n as u32).map(|i| rank::rank_of_index(scores, i)).collect();
             });
+            rows
+        });
         per_chunk.into_iter().flatten().collect()
     }
 
@@ -343,10 +345,9 @@ impl Solver for BruteForceSolver {
                 self.options.max_tuples
             )));
         }
-        let mut options = self.options;
-        options.exec = exec.or(options.exec);
         Ok(Box::new(PreparedBruteForce {
-            options,
+            options: self.options,
+            exec,
             data: data.clone(),
             space: space.clone_box(),
             tables: Mutex::new(HashMap::new()),
@@ -360,6 +361,7 @@ impl Solver for BruteForceSolver {
 /// enumeration.
 pub struct PreparedBruteForce {
     options: BruteForceOptions,
+    exec: ExecPolicy,
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     /// Rank tables keyed by the effective sample count `m` (the budget can
@@ -377,7 +379,7 @@ impl PreparedBruteForce {
         // Compute outside the lock: concurrent misses duplicate the
         // deterministic work instead of blocking each other.
         let solver = BruteForceSolver { options: self.options };
-        let table = Arc::new(solver.rank_table(&self.data, self.space.as_ref(), m));
+        let table = Arc::new(solver.rank_table(&self.data, self.space.as_ref(), m, self.exec));
         cache_bounded(
             &mut self.tables.lock().expect("rank-table cache poisoned"),
             m,

@@ -43,7 +43,11 @@ impl DatasetSummary {
     }
 }
 
-/// Compute the summary in one pass over the data (two for correlations).
+/// Compute the summary in three passes over the data. Spreads and
+/// correlations are computed from each attribute divided by its largest
+/// magnitude, which changes no correlation and, scaled back, no standard
+/// deviation: every value then lies in `[-1, 1]`, so finite rows give
+/// finite sums and products however large their raw values are.
 pub fn summarize(data: &Dataset) -> DatasetSummary {
     let n = data.n();
     let d = data.dim();
@@ -59,24 +63,32 @@ pub fn summarize(data: &Dataset) -> DatasetSummary {
         }
     }
     let mean: Vec<f64> = sum.iter().map(|s| s / nf).collect();
-    // Central moments.
-    let mut var = vec![0.0; d];
+    let scale: Vec<f64> = min.iter().zip(&max).map(|(lo, hi)| lo.abs().max(hi.abs())).collect();
+    // An all-zero attribute stays all zero.
+    let scaled = |row: &[f64], j: usize| if scale[j] > 0.0 { row[j] / scale[j] } else { 0.0 };
+    let mut centre = vec![0.0; d];
+    for row in data.rows() {
+        for (j, c) in centre.iter_mut().enumerate() {
+            *c += scaled(row, j) / nf;
+        }
+    }
+    // Central moments of the scaled attributes; the diagonal holds the
+    // variances.
     let mut cov = vec![0.0; d * d];
     for row in data.rows() {
         for i in 0..d {
-            let di = row[i] - mean[i];
-            var[i] += di * di;
-            for j in i + 1..d {
-                cov[i * d + j] += di * (row[j] - mean[j]);
+            let di = scaled(row, i) - centre[i];
+            for j in i..d {
+                cov[i * d + j] += di * (scaled(row, j) - centre[j]);
             }
         }
     }
-    let std: Vec<f64> = var.iter().map(|v| (v / nf).sqrt()).collect();
+    let std: Vec<f64> = (0..d).map(|j| scale[j] * (cov[j * d + j] / nf).sqrt()).collect();
     let mut correlation = vec![0.0; d * d];
     for i in 0..d {
         correlation[i * d + i] = 1.0;
         for j in i + 1..d {
-            let denom = std[i] * std[j] * nf;
+            let denom = (cov[i * d + i] * cov[j * d + j]).sqrt();
             let c = if denom > 0.0 { cov[i * d + j] / denom } else { 0.0 };
             correlation[i * d + j] = c;
             correlation[j * d + i] = c;
@@ -111,6 +123,24 @@ mod tests {
         assert_eq!(s.std[0], 0.0);
         assert_eq!(s.correlation_at(0, 1), 0.0);
         assert!(s.correlation.iter().all(|v| v.is_finite()));
+    }
+
+    #[test]
+    fn overflowing_rows_get_finite_spreads_and_correlations() {
+        // Raw products (and in the last set a column sum) overflow f64.
+        let sets: [&[[f64; 2]]; 3] = [
+            &[[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+            &[[1.7e308, 0.0], [0.0, 1.7e308], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]],
+            &[[1.7e308, 1.0], [1.7e308, 2.0], [-1.0, 0.0]],
+        ];
+        for rows in sets {
+            let s = summarize(&Dataset::from_rows(rows).unwrap());
+            let finite = s.std.iter().chain(&s.correlation).all(|v| v.is_finite());
+            assert!(finite, "{rows:?}: {s:?}");
+        }
+        // The first set's attributes nearly mirror each other.
+        let big = summarize(&Dataset::from_rows(sets[0]).unwrap()).correlation_at(0, 1);
+        assert!((big + 1.0).abs() < 0.5, "{big}");
     }
 
     #[test]

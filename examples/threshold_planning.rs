@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example threshold_planning`
 
 use rank_regret::prelude::*;
-use rrm_2d::{pareto_frontier, Rrm2dOptions};
+use rrm_2d::pareto_frontier;
 use rrm_data::real_sim::island_sim;
 
 fn main() -> Result<(), RrmError> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), RrmError> {
     let data = island_sim(10_000, 3);
     println!("dataset: {} tuples (island-like, 2D)\n", data.n());
 
-    let frontier = pareto_frontier(&data, 12, &FullSpace::new(2), Rrm2dOptions::default())?;
+    let frontier = pareto_frontier(&data, 12, &FullSpace::new(2), ExecPolicy::default())?;
     println!("{:>5} {:>18}", "size", "best worst-rank");
     for p in &frontier {
         println!("{:>5} {:>18}", p.r, p.regret);

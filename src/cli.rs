@@ -50,7 +50,7 @@ use crate::{
     AlgoChoice, Algorithm, ApproxSpec, Dataset, Engine, ExecPolicy, Request, RrmError, Solution,
     Tuning, WeakRankingSpace,
 };
-use rrm_2d::{pareto_frontier, Rrm2dOptions};
+use rrm_2d::pareto_frontier;
 use rrm_core::FullSpace;
 use rrm_data::csv::read_csv_file;
 use rrm_hd::HdrrmOptions;
@@ -260,7 +260,6 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
         } else {
             HdrrmOptions::default()
         },
-        exec,
         ..Default::default()
     };
     let choice = match args.algo {
@@ -290,7 +289,7 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
             }
             // Prepare-once / query-once through the session, with the two
             // phases timed separately.
-            let mut session = Engine::with_tuning(&tuning).session(data);
+            let mut session = Engine::with_tuning(&tuning).with_exec(exec).session(data);
             if let Some(c) = args.weak_ranking {
                 session = session.space(WeakRankingSpace::new(d, c));
             }
@@ -348,8 +347,7 @@ pub fn run(args: &Args) -> Result<String, RrmError> {
                 }
             }
             let start = Instant::now();
-            let options = Rrm2dOptions { exec, ..Default::default() };
-            let points = pareto_frontier(&data, max_size, &FullSpace::new(2), options)?;
+            let points = pareto_frontier(&data, max_size, &FullSpace::new(2), exec)?;
             let seconds = start.elapsed().as_secs_f64();
             match args.format {
                 Format::Text => {

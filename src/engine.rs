@@ -18,15 +18,15 @@ use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
 use rrm_core::{
-    apply_updates, approx, Algorithm, Bounds, BruteForceOptions, BruteForceSolver, Budget, Dataset,
-    ExecPolicy, Fidelity, FullSpace, PreparedSolver, RrmError, Solution, Solver, TerminatedBy,
-    UpdateOp, UtilitySpace,
+    apply_updates, approx, Algorithm, Bounds, BruteForceSolver, Budget, Dataset, ExecPolicy,
+    Fidelity, FullSpace, PreparedSolver, RrmError, Solution, Solver, TerminatedBy, UpdateOp,
+    UtilitySpace,
 };
 
-use rrm_2d::{Rrm2dOptions, TwoDRrmSolver, TwoDRrrSolver};
+use rrm_2d::{TwoDRrmSolver, TwoDRrrSolver};
 use rrm_hd::{
-    HdrrmOptions, HdrrmSolver, KsetLimits, MdrcOptions, MdrcSolver, MdrmsOptions, MdrmsSolver,
-    MdrrrROptions, MdrrrRSolver, MdrrrSolver, SampledOptions, SampledSolver,
+    HdrrmOptions, HdrrmSolver, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions, MdrrrRSolver,
+    MdrrrSolver, SampledSolver,
 };
 
 /// Which query a [`Request`] asks for.
@@ -49,10 +49,11 @@ enum Task {
 
 /// A typed rank-regret query: the task (with its parameter bound at
 /// construction), plus everything that shapes the answer — algorithm
-/// selection, resource budget, answer [`Fidelity`], an optional
-/// per-request utility subspace, and an optional execution policy. It is
-/// the only query type: Engine, Session, the serve wire protocol and the
-/// CLI all construct this same object.
+/// selection, resource budget, answer [`Fidelity`] and an optional
+/// per-request utility subspace. It is the only query type: Engine,
+/// Session, the serve wire protocol and the CLI all construct this same
+/// object. How many threads answer it is not part of the query: the
+/// [`Engine`] or [`Session`] that runs it holds that policy.
 ///
 /// ```
 /// use std::time::Duration;
@@ -62,13 +63,13 @@ enum Task {
 /// assert_eq!(q.param(), 5);
 ///
 /// // HDRRM under two limits that compose — whichever is reached first
-/// // stops the search — with a pinned thread count:
+/// // stops the search:
 /// let limits = Budget {
 ///     time_limit: Some(Duration::from_millis(250)),
 ///     gap: Some(0.1),
 ///     ..Budget::UNLIMITED
 /// };
-/// let q = Request::minimize(5).algo(Algorithm::Hdrrm).budget(limits).threads(4);
+/// let q = Request::minimize(5).algo(Algorithm::Hdrrm).budget(limits);
 /// assert_eq!(q.budget.gap, Some(0.1));
 ///
 /// // The sampled-ε approximate tier:
@@ -87,9 +88,6 @@ pub struct Request {
     /// Per-request utility subspace (RRM becomes RRRM); `None` runs over
     /// the engine/session's ambient space.
     pub space: Option<Arc<dyn UtilitySpace>>,
-    /// Per-request execution policy override; `None` inherits the
-    /// engine's. Purely a speed knob — answers are bit-identical.
-    pub exec: Option<ExecPolicy>,
 }
 
 impl Request {
@@ -110,7 +108,6 @@ impl Request {
             budget: Budget::UNLIMITED,
             fidelity: Fidelity::Exact,
             space: None,
-            exec: None,
         }
     }
 
@@ -161,18 +158,6 @@ impl Request {
     /// [`Request::within`] for an already-shared space.
     pub fn within_arc(mut self, space: Arc<dyn UtilitySpace>) -> Self {
         self.space = Some(space);
-        self
-    }
-
-    /// Thread budget for this request's solver kernels (`0` = all
-    /// cores). Purely a speed knob: answers are bit-identical.
-    pub fn threads(self, n: usize) -> Self {
-        self.exec(ExecPolicy::threads(n))
-    }
-
-    /// Full per-request execution policy (see [`ExecPolicy`]).
-    pub fn exec(mut self, exec: ExecPolicy) -> Self {
-        self.exec = Some(exec);
         self
     }
 
@@ -237,7 +222,6 @@ impl std::fmt::Debug for Request {
             .field("budget", &self.budget)
             .field("fidelity", &self.fidelity)
             .field("space", &self.space.as_ref().map(|s| s.label()))
-            .field("exec", &self.exec)
             .finish()
     }
 }
@@ -250,7 +234,6 @@ impl PartialEq for Request {
             && self.choice == other.choice
             && self.budget == other.budget
             && self.fidelity == other.fidelity
-            && self.exec == other.exec
             && self.space.as_ref().map(|s| s.label()) == other.space.as_ref().map(|s| s.label())
     }
 }
@@ -278,25 +261,17 @@ pub enum AlgoChoice {
     Fixed(Algorithm),
 }
 
-/// Per-algorithm tuning carried by an [`Engine`]; `Default` mirrors the
-/// paper's experimental settings.
+/// Per-algorithm tuning carried by an [`Engine`], for the three
+/// algorithms whose options callers set (sample counts, δ, γ and the
+/// ablation switches); `Default` mirrors the paper's experimental
+/// settings. The other six register with their solvers' defaults. The
+/// thread policy is not tuning: set it with [`Engine::with_exec`] or
+/// [`Session::exec`].
 #[derive(Debug, Clone, Default)]
 pub struct Tuning {
-    pub rrm2d: Rrm2dOptions,
     pub hdrrm: HdrrmOptions,
-    pub mdrrr: KsetLimits,
     pub mdrrr_r: MdrrrROptions,
-    pub mdrc: MdrcOptions,
     pub mdrms: MdrmsOptions,
-    pub brute_force: BruteForceOptions,
-    /// The sampled-ε approximate tier (default fidelity, direction seed).
-    pub sampled: SampledOptions,
-    /// Engine-wide execution policy: every prepare runs its chunked
-    /// kernels under this thread budget.
-    /// Results are bit-identical at any setting; the default honours
-    /// `RRM_THREADS`, else uses all cores. A per-request
-    /// [`Request::exec`] override wins over this.
-    pub exec: ExecPolicy,
 }
 
 /// A registry of solvers, one per [`Algorithm`] variant.
@@ -305,7 +280,8 @@ pub struct Engine {
     /// discriminant order, so lookups are a direct array access instead of
     /// a roster scan.
     solvers: Vec<Box<dyn Solver>>,
-    /// Execution policy handed to every [`Solver::prepare`].
+    /// Execution policy handed to every [`Solver::prepare`]: the one
+    /// place a thread policy is set.
     exec: ExecPolicy,
 }
 
@@ -315,28 +291,30 @@ impl Engine {
         Self::with_tuning(&Tuning::default())
     }
 
-    /// Every algorithm with explicit tuning.
+    /// Every algorithm with explicit tuning, under the default execution
+    /// policy (`RRM_THREADS`, else all cores).
     pub fn with_tuning(t: &Tuning) -> Self {
         let solvers: Vec<Box<dyn Solver>> = vec![
-            Box::new(TwoDRrmSolver::new(t.rrm2d)),
+            Box::new(TwoDRrmSolver),
             Box::new(TwoDRrrSolver),
             Box::new(HdrrmSolver::new(t.hdrrm)),
-            Box::new(MdrrrSolver::new(t.mdrrr)),
+            Box::new(MdrrrSolver),
             Box::new(MdrrrRSolver::new(t.mdrrr_r)),
-            Box::new(MdrcSolver::new(t.mdrc)),
+            Box::new(MdrcSolver::default()),
             Box::new(MdrmsSolver::new(t.mdrms)),
-            Box::new(BruteForceSolver { options: t.brute_force }),
-            Box::new(SampledSolver { options: t.sampled }),
+            Box::new(BruteForceSolver::default()),
+            Box::new(SampledSolver::default()),
         ];
         debug_assert!(
             solvers.iter().enumerate().all(|(i, s)| s.algorithm().index() == i),
             "registry must be built in Algorithm::ALL order"
         );
-        Self { solvers, exec: t.exec }
+        Self { solvers, exec: ExecPolicy::default() }
     }
 
     /// Replace the engine-wide execution policy (thread budget for every
-    /// solver kernel; `0` threads = all cores).
+    /// solver kernel; `0` threads = all cores). Results are bit-identical
+    /// at any setting.
     pub fn with_exec(mut self, exec: ExecPolicy) -> Self {
         self.exec = exec;
         self
@@ -363,11 +341,10 @@ impl Engine {
     /// Answer one typed [`Request`] with a fresh prepared handle: resolve
     /// the algorithm ([`Request::resolved_algorithm`]), prepare it against
     /// the data and space ([`Solver::prepare`], which checks capabilities
-    /// first), and query the handle. A request-level [`Request::within`]
-    /// space overrides `space`; a [`Request::exec`] policy overrides the
-    /// engine's. For repeated queries over one dataset, bind a
-    /// [`Session`] instead — it keeps the prepared handles this path
-    /// rebuilds on every call.
+    /// first), and query the handle under the engine's execution policy.
+    /// A request-level [`Request::within`] space overrides `space`. For
+    /// repeated queries over one dataset, bind a [`Session`] instead — it
+    /// keeps the prepared handles this path rebuilds on every call.
     pub fn run(
         &self,
         data: &Dataset,
@@ -375,14 +352,13 @@ impl Engine {
         request: &Request,
     ) -> Result<Solution, RrmError> {
         let space = request.space.as_deref().unwrap_or(space);
-        let exec = request.exec.unwrap_or(self.exec);
         let algo = request.resolved_algorithm(data.dim());
         if request.fidelity.is_approx() && algo != Algorithm::Sampled {
             // Approximate fidelity through a fixed exact algorithm: the
             // coreset path (reduce → exact solve → sampled re-certify).
-            return self.run_reduced(data, space, request, algo, exec);
+            return self.run_reduced(data, space, request, algo);
         }
-        request.query(self.solver(algo).prepare(data, space, exec)?.as_ref())
+        request.query(self.prepare(algo, data, space)?.as_ref())
     }
 
     /// Per-direction depth of the `approx::reduce` coreset on the
@@ -406,8 +382,8 @@ impl Engine {
         space: &dyn UtilitySpace,
         request: &Request,
         algo: Algorithm,
-        exec: ExecPolicy,
     ) -> Result<Solution, RrmError> {
+        let exec = self.exec;
         let budget = request.effective_budget();
         let spec = budget.approx.expect("approx fidelity injects its spec");
         spec.validate()?;
@@ -419,7 +395,7 @@ impl Engine {
             Task::Represent { k } => k.clamp(1, data.n()),
         };
         let reduced = approx::reduce(data, space, depth, m, approx::DEFAULT_SEED, exec)?;
-        let prepared = self.solver(algo).prepare(&reduced.data, space, exec)?;
+        let prepared = self.prepare(algo, &reduced.data, space)?;
         let sol = request.query(prepared.as_ref())?;
         let indices = reduced.original_indices(&sol.indices);
         let dirs = approx::sample_directions(space, m, approx::DEFAULT_SEED);
@@ -729,10 +705,8 @@ impl Session {
     /// the session space) and approximate fidelity pinned to an exact
     /// algorithm (the coreset path). Answers are identical either way;
     /// only the amortization differs, and those fresh handles count as
-    /// neither prepare hits nor misses. A [`Request::exec`] override is
-    /// honoured on the [`Engine::run`] route; cached handles keep the
-    /// policy they captured at prepare time (answers are bit-identical at
-    /// any setting).
+    /// neither prepare hits nor misses. Both routes run under the
+    /// session's execution policy ([`Session::exec`]).
     pub fn run(&self, request: &Request) -> Result<Response, RrmError> {
         let snap = self.current();
         let algo = request.resolved_algorithm(snap.data.dim());
@@ -1106,23 +1080,11 @@ mod tests {
     }
 
     #[test]
-    fn per_request_exec_override_never_changes_answers() {
-        let data = table1();
-        let engine = Engine::new().with_exec(ExecPolicy::sequential());
-        let baseline = engine.run(&data, &FullSpace::new(2), &Request::minimize(2)).unwrap();
-        for threads in [2usize, 7] {
-            let request = Request::minimize(2).threads(threads);
-            assert_eq!(engine.run(&data, &FullSpace::new(2), &request).unwrap(), baseline);
-        }
-    }
-
-    #[test]
     fn request_equality_covers_the_new_dimensions() {
         use rrm_core::WeakRankingSpace;
         let base = Request::minimize(2);
         assert_eq!(base, Request::minimize(2));
         assert_ne!(base, Request::minimize(2).approx(0.1, 0.1));
-        assert_ne!(base, Request::minimize(2).threads(3));
         assert_ne!(base, Request::minimize(2).within(WeakRankingSpace::new(2, 1)));
         assert_eq!(
             Request::minimize(2).within(WeakRankingSpace::new(2, 1)),

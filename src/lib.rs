@@ -134,7 +134,7 @@
 //! ## One request type, one solve path
 //!
 //! [`Request`] is the only query type:
-//! `Request::minimize(r).algo(...).budget(...).threads(...).approx(...)`.
+//! `Request::minimize(r).algo(...).budget(...).within(...).approx(...)`.
 //! Engine, Session, the serve protocol and the CLI all construct it, and
 //! [`Request::resolved_algorithm`] is the one place the `Auto` policy
 //! lives. Its [`Budget`] holds the frame (`samples`, `approx`) and one
@@ -292,13 +292,9 @@ mod tests {
         assert!(sol.certified_regret.unwrap() <= 2);
         // Exact RRR: no smaller set achieves threshold 2; check against
         // the frontier.
-        let frontier = rrm_2d::pareto_frontier(
-            &table1(),
-            5,
-            &FullSpace::new(2),
-            rrm_2d::Rrm2dOptions::default(),
-        )
-        .unwrap();
+        let frontier =
+            rrm_2d::pareto_frontier(&table1(), 5, &FullSpace::new(2), ExecPolicy::default())
+                .unwrap();
         let min_size = frontier.iter().find(|p| p.regret <= 2).unwrap().r;
         assert_eq!(sol.size(), min_size);
     }

@@ -119,14 +119,10 @@ fn percentage_regret_comparable_across_sizes() {
     let small = rrm_data::synthetic::lower_bound_arc(2_000, 2);
     let large = rrm_data::synthetic::lower_bound_arc(8_000, 2);
     let r = 4;
-    let ks = run_rrm(&TwoDRrmSolver::default(), &small, r, &FullSpace::new(2))
-        .unwrap()
-        .certified_regret
-        .unwrap();
-    let kl = run_rrm(&TwoDRrmSolver::default(), &large, r, &FullSpace::new(2))
-        .unwrap()
-        .certified_regret
-        .unwrap();
+    let ks =
+        run_rrm(&TwoDRrmSolver, &small, r, &FullSpace::new(2)).unwrap().certified_regret.unwrap();
+    let kl =
+        run_rrm(&TwoDRrmSolver, &large, r, &FullSpace::new(2)).unwrap().certified_regret.unwrap();
     let ps = 100.0 * ks as f64 / small.n() as f64;
     let pl = 100.0 * kl as f64 / large.n() as f64;
     // Absolute regrets differ by ~4x (they scale with n, Theorem 2), while

@@ -73,7 +73,7 @@ fn dp_matches_brute_force_full_space() {
             (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
         for r in 1..=3 {
-            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
             let dp = sol.certified_regret.unwrap();
             let brute = brute_force_optimum(&data, r, 0.0, 1.0);
             assert_eq!(dp, brute, "trial {trial} r={r}: rows {rows:?}");
@@ -96,7 +96,7 @@ fn dp_matches_brute_force_restricted_space() {
             (0..n).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
         for r in 1..=2 {
-            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &space).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver, &data, r, &space).unwrap();
             let dp = sol.certified_regret.unwrap();
             let brute = brute_force_optimum(&data, r, c0, c1);
             assert_eq!(dp, brute, "trial {trial} r={r}: rows {rows:?}");
@@ -118,7 +118,7 @@ fn dp_matches_brute_force_on_narrow_interval() {
         let space = ConeSpace::new(2, vec![vec![1.0 - a, -a], vec![b - 1.0, b]]);
         let (c0, c1) = weight_interval(&space).unwrap();
         assert!((c0 - a).abs() < 1e-12 && (c1 - b).abs() < 1e-12, "trial {trial} [{a},{b}]");
-        let sol = run_rrm(&TwoDRrmSolver::default(), &data, 2, &space).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver, &data, 2, &space).unwrap();
         let brute = brute_force_optimum(&data, 2, c0, c1);
         assert_eq!(sol.certified_regret.unwrap(), brute, "trial {trial} [{a},{b}]");
     }
@@ -148,7 +148,7 @@ fn skyline_restriction_loses_nothing() {
                     }
                 }
             }
-            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
             assert_eq!(sol.certified_regret.unwrap(), best, "trial {trial} r={r}");
         }
     }
@@ -172,7 +172,7 @@ fn envelope_is_the_minimal_rank1_set() {
         let envelope = envelope_lines(&lines, 0.0, 1.0);
         let (k, _) = exact_rank_regret_2d(&data, &envelope, 0.0, 1.0);
         assert_eq!(k, 1, "trial {trial}: envelope must have rank-regret 1");
-        let rrr = run_rrr(&TwoDRrmSolver::default(), &data, 1, &FullSpace::new(2)).unwrap();
+        let rrr = run_rrr(&TwoDRrmSolver, &data, 1, &FullSpace::new(2)).unwrap();
         assert_eq!(rrr.size(), envelope.len(), "trial {trial}: minimality mismatch");
     }
 }

@@ -51,8 +51,8 @@ proptest! {
                         dy in -1000i32..1000,
                         r in 1usize..4) {
         let shifted = data.shift(&[dx as f64 / 100.0, dy as f64 / 100.0]);
-        let a = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
-        let b = run_rrm(&TwoDRrmSolver::default(), &shifted, r, &FullSpace::new(2)).unwrap();
+        let a = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
+        let b = run_rrm(&TwoDRrmSolver, &shifted, r, &FullSpace::new(2)).unwrap();
         prop_assert_eq!(a.certified_regret, b.certified_regret);
         prop_assert_eq!(a.indices, b.indices);
     }
@@ -62,7 +62,7 @@ proptest! {
     fn monotone_in_budget(data in small_dataset()) {
         let mut prev = usize::MAX;
         for r in 1..=5 {
-            let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+            let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
             let k = sol.certified_regret.unwrap();
             prop_assert!(k <= prev);
             prop_assert!(sol.size() <= r);
@@ -73,7 +73,7 @@ proptest! {
     /// Theorem 3: solutions live inside the skyline.
     #[test]
     fn solutions_within_skyline(data in small_dataset(), r in 1usize..5) {
-        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
         let sky = skyline(&data);
         for i in &sol.indices {
             prop_assert!(sky.contains(i), "{} not a skyline tuple", i);
@@ -83,7 +83,7 @@ proptest! {
     /// The certificate is the true worst-case rank of the returned set.
     #[test]
     fn certificate_is_exact(data in small_dataset(), r in 1usize..4) {
-        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
         let (actual, _) = exact_rank_regret_2d(&data, &sol.indices, 0.0, 1.0);
         prop_assert_eq!(actual, sol.certified_regret.unwrap());
     }
@@ -92,12 +92,12 @@ proptest! {
     /// smallest r whose RRM optimum is ≤ k, and vice versa.
     #[test]
     fn rrm_rrr_duality(data in small_dataset(), k in 1usize..6) {
-        let rrr = run_rrr(&TwoDRrmSolver::default(), &data, k, &FullSpace::new(2)).unwrap();
+        let rrr = run_rrr(&TwoDRrmSolver, &data, k, &FullSpace::new(2)).unwrap();
         prop_assert!(rrr.certified_regret.unwrap() <= k);
         // Minimality: one fewer tuple cannot achieve the threshold.
         if rrr.size() > 1 {
             let smaller =
-                run_rrm(&TwoDRrmSolver::default(), &data, rrr.size() - 1, &FullSpace::new(2))
+                run_rrm(&TwoDRrmSolver, &data, rrr.size() - 1, &FullSpace::new(2))
                     .unwrap();
             prop_assert!(smaller.certified_regret.unwrap() > k);
         }
@@ -116,8 +116,8 @@ proptest! {
     #[test]
     fn normalization_preserves_solution(data in small_dataset(), r in 1usize..4) {
         let normalized = data.normalize();
-        let a = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
-        let b = run_rrm(&TwoDRrmSolver::default(), &normalized, r, &FullSpace::new(2)).unwrap();
+        let a = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
+        let b = run_rrm(&TwoDRrmSolver, &normalized, r, &FullSpace::new(2)).unwrap();
         prop_assert_eq!(a.certified_regret, b.certified_regret);
     }
 }

@@ -8,8 +8,8 @@
 //! tests are the enforcement.
 
 use rank_regret::prelude::*;
+use rank_regret::rrm_2d::full_sweep_rrm;
 use rank_regret::rrm_data::synthetic::{anticorrelated, independent};
-use rank_regret::Tuning;
 
 /// Budget shared by both handles: sample counts keep the randomized
 /// solvers fast, the enumeration/LP caps keep MDRRR's exact k-set
@@ -116,28 +116,20 @@ fn one_prepared_handle_answers_many_parameters() {
 }
 
 #[test]
-fn full_sweep_tuning_matches_the_event_stream_across_updates() {
-    // `Rrm2dOptions::use_full_sweep` makes a session's 2DRRM handle replay
-    // the whole arrangement instead of its crossing stream. Its answers
-    // must equal a default engine's fresh ones, both on the prepared
-    // handle and on the one an update patches.
-    let mut tuning = Tuning::default();
-    tuning.rrm2d.use_full_sweep = true;
-    let session = Engine::with_tuning(&tuning).session(anticorrelated(60, 2, 9));
-    let engine = Engine::new();
+fn minimize_matches_the_full_sweep_across_updates() {
+    // `full_sweep_rrm` replays the whole arrangement, the paper's own
+    // event machinery, where a session's 2DRRM handle replays K-bands.
+    // Their answers must agree, both on the prepared handle and on the
+    // one an update patches.
+    let session = Session::new(anticorrelated(60, 2, 9));
     let check = |epoch: &str| {
         let data = session.data();
-        for request in [
-            Request::minimize(4),
-            Request::minimize(2),
-            Request::represent(3),
-            Request::minimize(3),
-        ] {
-            let request = request.algo(Algorithm::TwoDRrm);
+        for r in [4, 2, 3] {
+            let request = Request::minimize(r).algo(Algorithm::TwoDRrm);
             assert_eq!(
                 session.run(&request).unwrap().solution,
-                fresh(&engine, &data, &request).unwrap(),
-                "{epoch}: {request:?}"
+                full_sweep_rrm(&data, &FullSpace::new(2), r).unwrap(),
+                "{epoch}: r={r}"
             );
         }
     };
@@ -146,7 +138,7 @@ fn full_sweep_tuning_matches_the_event_stream_across_updates() {
         .update(&[UpdateOp::Delete(5), UpdateOp::Insert(vec![0.45, 0.55]), UpdateOp::Delete(17)])
         .unwrap();
     check("epoch 1");
-    assert_eq!(session.prepare_misses(), 1, "the update patched the full-sweep handle");
+    assert_eq!(session.prepare_misses(), 1, "the update patched the handle");
 }
 
 #[test]

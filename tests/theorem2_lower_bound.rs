@@ -27,7 +27,7 @@ fn arc_optimum_scales_like_n_over_r() {
     // near the gap's bisector direction.
     for &(n, r) in &[(200usize, 3usize), (400, 4), (800, 5), (800, 9)] {
         let data = lower_bound_arc(n, 2);
-        let sol = run_rrm(&TwoDRrmSolver::default(), &data, r, &FullSpace::new(2)).unwrap();
+        let sol = run_rrm(&TwoDRrmSolver, &data, r, &FullSpace::new(2)).unwrap();
         let k = sol.certified_regret.unwrap();
         let bound = n / (2 * (r + 1)) - 2;
         assert!(k >= bound, "n={n} r={r}: optimal regret {k} below the Ω(n/r) bound {bound}");
@@ -40,11 +40,11 @@ fn arc_optimum_scales_like_n_over_r() {
 #[test]
 fn doubling_n_roughly_doubles_the_arc_regret() {
     let r = 4;
-    let k1 = run_rrm(&TwoDRrmSolver::default(), &lower_bound_arc(300, 2), r, &FullSpace::new(2))
+    let k1 = run_rrm(&TwoDRrmSolver, &lower_bound_arc(300, 2), r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();
-    let k2 = run_rrm(&TwoDRrmSolver::default(), &lower_bound_arc(600, 2), r, &FullSpace::new(2))
+    let k2 = run_rrm(&TwoDRrmSolver, &lower_bound_arc(600, 2), r, &FullSpace::new(2))
         .unwrap()
         .certified_regret
         .unwrap();
@@ -61,7 +61,7 @@ fn higher_dims_inherit_the_bound() {
     let data = lower_bound_arc(n, 4);
     // Evaluate the best *2D-optimal* choice embedded in 4D.
     let data2 = data.project(&[0, 1]).unwrap();
-    let sol = run_rrm(&TwoDRrmSolver::default(), &data2, 4, &FullSpace::new(2)).unwrap();
+    let sol = run_rrm(&TwoDRrmSolver, &data2, 4, &FullSpace::new(2)).unwrap();
     let est = estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(4), 20_000, 11);
     assert!(est.max_rank >= n / 10 - 2, "embedded arc regret {} too small for n={n}", est.max_rank);
 }
