@@ -858,6 +858,36 @@ mod tests {
     }
 
     #[test]
+    fn session_exec_resets_handles_and_governs_both_routes() {
+        use rrm_core::WeakRankingSpace;
+        // Two requests answered from cached handles, then the two shapes a
+        // session routes through Engine::run: a per-request space and
+        // approximate fidelity pinned to an exact algorithm.
+        let requests = [
+            Request::minimize(2).algo(Algorithm::TwoDRrm),
+            Request::represent(3).algo(Algorithm::TwoDRrr),
+            Request::minimize(2).within(WeakRankingSpace::new(2, 1)),
+            Request::minimize(2).algo(Algorithm::TwoDRrm).approx(0.1, 0.1),
+        ];
+        let sequential = Session::new(table1()).exec(ExecPolicy::sequential());
+        let baseline: Vec<Solution> =
+            requests.iter().map(|q| sequential.run(q).unwrap().solution).collect();
+        for threads in [2usize, 7] {
+            // Handles capture the policy at prepare time, so a new policy
+            // drops the ones already built.
+            let warmed = Session::new(table1());
+            assert_eq!(warmed.warm(&[Algorithm::TwoDRrm, Algorithm::TwoDRrr]), 2);
+            let session = warmed.exec(ExecPolicy::threads(threads));
+            assert_eq!((session.prepare_hits(), session.prepare_misses()), (0, 0));
+            for (q, want) in requests.iter().zip(&baseline) {
+                assert_eq!(&session.run(q).unwrap().solution, want, "t={threads}, {q:?}");
+            }
+            // Only the two cached-route requests prepared a session handle.
+            assert_eq!((session.prepare_hits(), session.prepare_misses()), (0, 2));
+        }
+    }
+
+    #[test]
     fn warm_builds_handles_and_counts_hits_and_misses() {
         let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
         let session = Session::new(data);
