@@ -15,8 +15,9 @@
 //! [`CoverSearch`] is the one anytime cover search. HDRRM (Algorithm 3)
 //! and MDRRRr both look for the smallest threshold `k` at which a greedy
 //! cover of the directions' top-`k` lists fits `r` tuples. HDRRM covers
-//! every list, with the basis forced in and the skyline as candidates;
-//! MDRRRr covers the distinct k-sets among the lists, with neither.
+//! every list, with the basis forced in and the skyline as candidates,
+//! and stops each list at its first basis tuple; MDRRRr covers the
+//! distinct k-sets among full lists, with neither.
 
 use rrm_core::approx::sample_directions;
 use rrm_core::rank::max_rank_regret;
@@ -142,6 +143,12 @@ pub(crate) struct CoverSearch<'a> {
     pub algorithm: Algorithm,
     /// Tuples every answer holds (HDRRM's basis `B`), sorted.
     pub basis: &'a [u32],
+    /// Each top-k list ends right after its best-ranked member of these
+    /// tuples. Exact only when every cover that reads the lists forces
+    /// them all into its answer, so HDRRM passes its basis, and passes
+    /// nothing when its RRM and RRR covers force different sets into
+    /// answers over one cache. MDRRRr's k-sets need full lists.
+    pub stops: &'a [u32],
     /// Tuples the cover may choose (HDRRM's skyline); `None` for any.
     pub mask: Option<&'a [bool]>,
     /// Cover the distinct k-sets among the lists (MDRRRr) instead of
@@ -321,6 +328,7 @@ impl CoverSearch<'_> {
             deep,
             cache,
             key,
+            stops: self.stops,
         }
     }
 }

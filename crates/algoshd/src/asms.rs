@@ -181,6 +181,45 @@ mod tests {
     }
 
     #[test]
+    fn lists_stopped_at_the_basis_cover_alike() {
+        use rrm_core::rank::batch_top_k_until;
+        for (data, d) in
+            [(independent(400, 3, 18), 3), (rrm_data::synthetic::anticorrelated(400, 4, 19), 4)]
+        {
+            let basis = basis_indices(&data);
+            let disc = build_vector_set(d, &FullSpace::new(d), 300, 4, 7);
+            let sky = rrm_skyline::skyline(&data);
+            let mut mask = vec![false; data.n()];
+            for &s in &sky {
+                mask[s as usize] = true;
+            }
+            let depth = 120;
+            let full = batch_top_k(&data, &disc.dirs, depth, Parallelism::Auto);
+            let stopped = batch_top_k_until(&data, &disc.dirs, depth, &basis, Parallelism::Auto);
+            assert!(
+                stopped.iter().zip(&full).any(|(s, f)| s.len() < f.len()),
+                "d={d}: no list stopped"
+            );
+            for k in 1..=depth {
+                for m in [None, Some(mask.as_slice())] {
+                    let want = asms_with_topk_capped(data.n(), k, &basis, &full, m, 3);
+                    let got = asms_with_topk_capped(data.n(), k, &basis, &stopped, m, 3);
+                    assert_eq!(
+                        (got.q, got.complete, got.picks),
+                        (want.q, want.complete, want.picks),
+                        "d={d} k={k}"
+                    );
+                    assert_eq!(
+                        asms_with_topk(data.n(), k, &basis, &stopped, m),
+                        asms_with_topk(data.n(), k, &basis, &full, m),
+                        "d={d} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn skyline_candidate_mask_still_covers() {
         let data = independent(400, 3, 14);
         let basis = basis_indices(&data);

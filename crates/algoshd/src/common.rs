@@ -3,13 +3,20 @@
 //! MDRRRr run.
 //! All dot products route through the blocked SoA kernel
 //! ([`rrm_core::kernel`]); top-k lists come from
-//! [`rrm_core::rank::batch_top_k`].
+//! [`rrm_core::rank::batch_top_k_until`].
+//!
+//! A list source may *stop* its lists: each list then ends right after
+//! its best-ranked member of `stops`. HDRRM stops at its basis `B`. ASMS
+//! drops every direction whose top-k prefix holds a basis tuple, so for
+//! every threshold up to the kept depth a stopped prefix either equals
+//! the full prefix or holds the same first basis tuple, and every cover
+//! is the one full lists give.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use rrm_core::kernel::{self, ScoreScratch};
-use rrm_core::rank::batch_top_k;
+use rrm_core::rank::batch_top_k_until;
 use rrm_core::{Dataset, Parallelism, PREPARED_CACHE_CAP};
 
 /// Default memory budget for keeping top-k lists between probes, in
@@ -21,8 +28,10 @@ pub(crate) const DEFAULT_CACHE_BUDGET_ENTRIES: usize = 64 << 20;
 pub(crate) type TopkLists = Arc<Vec<Vec<u32>>>;
 
 /// Kept top-k lists: per key (a direction set's sample count), the
-/// deepest lists computed so far. A prepared handle shares one across
-/// its queries; the coarse pass of a search holds its own.
+/// deepest lists computed so far. A kept depth `D` means each list is the
+/// top-`D` prefix, cut after its stop when the source stops. A prepared
+/// handle shares one across its queries; the coarse pass of a search
+/// holds its own.
 pub(crate) type ListCache = Mutex<HashMap<usize, (usize, TopkLists)>>;
 
 /// The top-k lists one threshold search reads.
@@ -45,10 +54,14 @@ pub(crate) struct ListSource<'a> {
     pub deep: usize,
     /// The cache and the key `dirs`' lists are kept under. Queries
     /// sharing a cache may evict and refill an entry under each other;
-    /// lists are a deterministic function of the rows and `dirs`, so that
-    /// only duplicates work.
+    /// lists are a deterministic function of the rows, `dirs` and
+    /// `stops`, so that only duplicates work. Every source of one cache
+    /// passes the same `stops`.
     pub cache: &'a ListCache,
     pub key: usize,
+    /// Each list ends right after its best-ranked member of these
+    /// tuples ([`batch_top_k_until`]); empty for full lists.
+    pub stops: &'a [u32],
 }
 
 impl ListSource<'_> {
@@ -73,7 +86,7 @@ impl ListSource<'_> {
             // memory at once.
             self.lock().remove(&self.key);
         }
-        let lists = Arc::new(batch_top_k(self.data, self.dirs, depth, self.pol));
+        let lists = Arc::new(batch_top_k_until(self.data, self.dirs, depth, self.stops, self.pol));
         if keep {
             self.keep(depth, lists.clone());
         }
@@ -119,6 +132,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rrm_core::rank::batch_top_k;
     use rrm_core::sampling::orthant_direction;
     use rrm_core::utility;
     use rrm_data::synthetic::independent;
@@ -156,7 +170,7 @@ mod tests {
         cache: &'a ListCache,
     ) -> ListSource<'a> {
         let pol = Parallelism::Sequential;
-        ListSource { data, dirs, pol, budget_entries, deep, cache, key: 0 }
+        ListSource { data, dirs, pol, budget_entries, deep, cache, key: 0, stops: &[] }
     }
 
     fn kept_depth(cache: &ListCache) -> Option<usize> {

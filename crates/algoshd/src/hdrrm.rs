@@ -16,6 +16,17 @@
 //! pass serves every doubling and binary probe up to `K`, provided the
 //! lists fit a memory budget.
 //!
+//! ASMS drops every direction whose top-`k` holds a basis tuple (Lemma
+//! 2), so no probe reads a list past its first basis tuple. Each list
+//! therefore stops there: it ends right after the direction's
+//! best-ranked basis tuple, and its selection starts with that tuple's
+//! key as its floor. For every `k` up to the kept depth a stopped prefix
+//! either equals the full prefix or holds the same first basis tuple, so
+//! ASMS builds the same universe, sets and first-appearance order, and
+//! answers, search nodes and pruned probes are those of full lists. A
+//! handle with `include_basis` off keeps full lists: its RRM covers force
+//! no basis in, while its RRR covers read the same cached lists with it.
+//!
 //! [`PreparedHdrrm`] is the implementation: the dataset phase (basis `B`,
 //! skyline mask) runs once at prepare time, and each query runs the
 //! crate's anytime cover search, shared with MDRRRr, over a cached
@@ -24,7 +35,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use rrm_core::rank::batch_top_k;
+use rrm_core::rank::batch_top_k_until;
 use rrm_core::{
     basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Budget, Dataset,
     ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, UtilitySpace, PREPARED_CACHE_CAP,
@@ -114,7 +125,8 @@ pub struct PreparedHdrrm {
     mask: Option<Vec<bool>>,
     discs: Mutex<HashMap<usize, Arc<Discretization>>>,
     /// Per sample count `m`: the deepest top-k lists kept so far (every
-    /// smaller threshold is a prefix).
+    /// smaller threshold is a prefix), each cut after its stop
+    /// ([`PreparedHdrrm::stops`]).
     topk: ListCache,
 }
 
@@ -152,17 +164,24 @@ impl PreparedHdrrm {
     /// * cached top-k lists are patched per direction: survivors keep
     ///   their (remapped) entries, and only directions actually disturbed
     ///   by the batch — a deleted tuple in the list, or an inserted tuple
-    ///   outscoring the k-th entry — are re-scored. Untouched prefixes
-    ///   survive verbatim, so the repaired cache is entry-for-entry what
-    ///   `batch_top_k` on the new rows would produce (the scoring kernel's
-    ///   determinism contract makes the dot-product trigger exact).
+    ///   outranking its last entry — are re-scored ([`patch_topk`]).
+    ///   Untouched prefixes survive verbatim, so the repaired cache is
+    ///   entry-for-entry what a fresh computation on the new rows would
+    ///   produce (the scoring kernel's determinism contract makes the
+    ///   dot-product trigger exact).
     ///
     /// The basis is recomputed (`O(n·d)`, far below one direction's
-    /// re-score). Queries on the patched handle answer bit-identically to
-    /// a freshly built [`PreparedHdrrm`] over the same rows.
+    /// re-score). A batch that changes it moves the stops, so every list
+    /// of a stopping handle is re-scored. Queries on the patched handle
+    /// answer bit-identically to a freshly built [`PreparedHdrrm`] over
+    /// the same rows.
     fn patched(&self, upd: &AppliedUpdate) -> Self {
         let data = upd.new.clone();
         let basis = basis_indices(&data);
+        let stops: &[u32] = if self.options.include_basis { &basis } else { &[] };
+        // A batch that changes the basis moves the stops of every list.
+        let kept = self.basis.iter().map(|&b| upd.remap[b as usize]);
+        let moved = !stops.is_empty() && !kept.eq(basis.iter().map(|&b| Some(b)));
         let sky = self.sky.clone().map(|mut s| {
             s.apply_update(upd);
             s
@@ -176,7 +195,12 @@ impl PreparedHdrrm {
             // A cached list without its discretization (evicted) is
             // dropped; a later query rebuilds both identically.
             let Some(disc) = discs.get(&m) else { continue };
-            topk.insert(m, (*k, patch_topk(&data, upd, &disc.dirs, *k, lists, pol)));
+            let lists = if moved {
+                Arc::new(batch_top_k_until(&data, &disc.dirs, *k, stops, pol))
+            } else {
+                patch_topk(&data, upd, &disc.dirs, *k, lists, stops, pol)
+            };
+            topk.insert(m, (*k, lists));
         }
         Self {
             data,
@@ -213,12 +237,25 @@ impl PreparedHdrrm {
         )
     }
 
+    /// The tuples every cached top-k list stops at: the basis when every
+    /// query forces it into its answer. With `include_basis` off, RRM
+    /// forces no basis in while RRR forces `B`, over one cache entry per
+    /// `m`, so the lists stay full.
+    fn stops(&self) -> &[u32] {
+        if self.options.include_basis {
+            &self.basis
+        } else {
+            &[]
+        }
+    }
+
     /// The cover search of one query, with `basis` forced into its answer.
     fn search<'a>(&'a self, basis: &'a [u32]) -> CoverSearch<'a> {
         CoverSearch {
             data: &self.data,
             algorithm: Algorithm::Hdrrm,
             basis,
+            stops: self.stops(),
             mask: self.mask.as_deref(),
             ksets: false,
             prune: self.options.prune,
@@ -261,11 +298,11 @@ impl PreparedSolver for PreparedHdrrm {
     /// Errors when `r` cannot hold the basis (`r < |B|`; the paper
     /// assumes `r ≥ d`).
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let basis: &[u32] = if self.options.include_basis { &self.basis } else { &[] };
         let m = self.samples(r, budget);
         let disc = self.disc(m);
         let search = AnytimeSearch::new(budget, budget.max_enumerations);
-        self.search(basis).solve_rrm(r, &disc.dirs, search, &self.topk, m)
+        // RRM forces in exactly the tuples the lists stop at.
+        self.search(self.stops()).solve_rrm(r, &disc.dirs, search, &self.topk, m)
     }
 
     /// The RRR (threshold) variant in HD: one ASMS call at threshold `k`
@@ -287,23 +324,29 @@ impl PreparedSolver for PreparedHdrrm {
 /// direction's survivor entries in place and fully re-score only the
 /// directions the batch disturbed.
 ///
-/// A direction needs re-scoring exactly when its cached list is no longer
-/// the true top-k of the new rows: a deleted tuple sat in the list (its
-/// replacement is unknown), the list was shorter than `k` and rows were
-/// inserted, or an inserted row *strictly* outscores the k-th entry.
+/// Each list is the top-`k` prefix, cut after its best-ranked member of
+/// `stops` (the basis, which the batch left unchanged; empty for full
+/// lists). A list needs re-scoring exactly when it is no longer what a
+/// fresh computation over the new rows gives: a deleted tuple sat in the
+/// list (its replacement is unknown), the list was shorter than `k`
+/// without ending at a stop (so it held every row) and rows were
+/// inserted, or an inserted row *strictly* outscores its last entry.
 /// Score ties never displace — inserted rows take the largest indices and
 /// the top-k order breaks ties by ascending index — so the strict test is
 /// exact, and the kernel's fixed-order-sum contract makes the scalar
-/// [`rrm_core::utility::dot`] comparison bit-compatible with
-/// [`batch_top_k`]'s internal scores. Disturbed directions are re-scored
-/// through [`batch_top_k`] itself, so every returned list is exactly what
-/// a fresh computation over the new rows produces.
+/// [`rrm_core::utility::dot`] comparison bit-compatible with the
+/// selection's internal scores. A list that ends at its stop keeps it:
+/// nothing that outranked the stop was deleted or inserted, and the stops
+/// are the same tuples. Disturbed directions are re-scored through
+/// [`batch_top_k_until`] itself, so every returned list is exactly what a
+/// fresh computation over the new rows produces.
 fn patch_topk(
     new_data: &Dataset,
     upd: &AppliedUpdate,
     dirs: &[Vec<f64>],
     k: usize,
     lists: &TopkLists,
+    stops: &[u32],
     pol: Parallelism,
 ) -> TopkLists {
     let ins_rows: Vec<&[f64]> = upd.inserted.iter().map(|&j| new_data.row(j as usize)).collect();
@@ -323,9 +366,10 @@ fn patch_topk(
         }
         let disturbed = deleted_in_list
             || (!ins_rows.is_empty() && {
-                remapped.len() < k || {
-                    let kth = *remapped.last().expect("top-k lists are non-empty");
-                    let floor = rrm_core::utility::dot(u, new_data.row(kth as usize));
+                let last = *remapped.last().expect("top-k lists are non-empty");
+                let ends = remapped.len() == k || stops.binary_search(&last).is_ok();
+                !ends || {
+                    let floor = rrm_core::utility::dot(u, new_data.row(last as usize));
                     ins_rows.iter().any(|row| rrm_core::utility::dot(u, row) > floor)
                 }
             });
@@ -337,7 +381,7 @@ fn patch_topk(
     }
     if !stale.is_empty() {
         let stale_dirs: Vec<Vec<f64>> = stale.iter().map(|&di| dirs[di].clone()).collect();
-        let fresh = batch_top_k(new_data, &stale_dirs, k, pol);
+        let fresh = batch_top_k_until(new_data, &stale_dirs, k, stops, pol);
         for (&slot, computed) in stale.iter().zip(fresh) {
             out[slot] = computed;
         }
@@ -572,13 +616,9 @@ mod tests {
             let ctx = format!("batch {batch}");
             assert_eq!(prepared.basis, fresh.basis, "{ctx}");
             assert_eq!(prepared.mask, fresh.mask, "{ctx}");
-            // The patched top-k cache is entry-for-entry a fresh
+            // The patched top-k cache is entry-for-entry a fresh stopped
             // computation over the new rows.
-            for (m, (k, lists)) in prepared.topk.lock().unwrap().iter() {
-                let disc = build_vector_set(4, &space, *m, opts.gamma, opts.seed);
-                let want = batch_top_k(&upd.new, &disc.dirs, *k, Parallelism::Sequential);
-                assert_eq!(lists.as_ref(), &want, "{ctx} m={m} k={k}");
-            }
+            assert_lists_fresh(&prepared, &fresh.basis, &ctx);
             for r in [6usize, 8, 10] {
                 assert_eq!(
                     prepared.solve_rrm(r, &budget).unwrap(),
@@ -595,6 +635,101 @@ mod tests {
             }
             data = upd.new.clone();
         }
+    }
+
+    /// Every kept list of `prepared` is what a fresh computation over its
+    /// rows gives, stopped at `stops`.
+    fn assert_lists_fresh(prepared: &PreparedHdrrm, stops: &[u32], ctx: &str) {
+        let (d, space, opts) = (prepared.data.dim(), prepared.space.as_ref(), prepared.options);
+        for (m, (k, lists)) in prepared.topk.lock().unwrap().iter() {
+            let disc = build_vector_set(d, space, *m, opts.gamma, opts.seed);
+            let want =
+                batch_top_k_until(&prepared.data, &disc.dirs, *k, stops, Parallelism::Sequential);
+            assert_eq!(lists.as_ref(), &want, "{ctx} m={m} k={k}");
+        }
+    }
+
+    #[test]
+    fn lists_stop_at_the_first_basis_tuple() {
+        let data = anticorrelated(500, 4, 7);
+        let space = FullSpace::new(4);
+        let prepared = PreparedHdrrm::new(&data, &space, quick_opts(200), ExecPolicy::default());
+        prepared.solve_rrm(7, &Budget::UNLIMITED).unwrap();
+        let (depth, lists) = prepared.topk.lock().unwrap().get(&200).cloned().unwrap();
+        let disc = build_vector_set(4, &space, 200, 4, prepared.options.seed);
+        let full = rrm_core::rank::batch_top_k(&data, &disc.dirs, depth, Parallelism::Sequential);
+        let mut cut = 0;
+        for (stopped, full) in lists.iter().zip(&full) {
+            let end = full.iter().position(|t| prepared.basis.contains(t)).map_or(depth, |p| p + 1);
+            assert_eq!(stopped.as_slice(), &full[..end]);
+            cut += (end < full.len()) as usize;
+        }
+        assert!(cut > 0, "no list reached a basis tuple above depth {depth}");
+    }
+
+    #[test]
+    fn updates_that_move_the_basis_match_fresh_prepare() {
+        use rrm_core::{apply_updates, UpdateOp};
+        let opts = quick_opts(96);
+        let space = FullSpace::new(4);
+        let data = anticorrelated(400, 4, 41);
+        let budget = Budget::with_samples(96);
+        let basis = basis_indices(&data);
+        let batches: Vec<Vec<UpdateOp>> = vec![
+            // A new maximum on attribute 0 replaces that boundary tuple.
+            vec![UpdateOp::Insert(vec![1.5, 0.1, 0.1, 0.1])],
+            // Deleting a basis tuple promotes another.
+            vec![UpdateOp::Delete(basis[1] as usize)],
+            // Both at once, beside an ordinary insert and delete.
+            vec![
+                UpdateOp::Delete(basis[0] as usize),
+                UpdateOp::Delete(3),
+                UpdateOp::Insert(vec![0.2, 0.2, 1.5, 0.2]),
+                UpdateOp::Insert(vec![0.3, 0.3, 0.3, 0.3]),
+            ],
+        ];
+        for (i, ops) in batches.iter().enumerate() {
+            let prepared = PreparedHdrrm::new(&data, &space, opts, ExecPolicy::default());
+            prepared.solve_rrm(6, &budget).unwrap();
+            prepared.solve_rrr(9, &budget).unwrap();
+            let upd = apply_updates(&data, ops).unwrap();
+            let patched = prepared.patched(&upd);
+            let fresh = PreparedHdrrm::new(&upd.new, &space, opts, ExecPolicy::default());
+            let ctx = format!("batch {i}");
+            assert_ne!(patched.basis, basis, "{ctx}: the basis must move");
+            assert_eq!(patched.basis, fresh.basis, "{ctx}");
+            assert_lists_fresh(&patched, &fresh.basis, &ctx);
+            for r in [5usize, 6, 9] {
+                assert_eq!(
+                    patched.solve_rrm(r, &budget).unwrap(),
+                    fresh.solve_rrm(r, &budget).unwrap(),
+                    "{ctx} r={r}"
+                );
+            }
+            assert_eq!(
+                patched.solve_rrr(9, &budget).unwrap(),
+                fresh.solve_rrr(9, &budget).unwrap()
+            );
+        }
+    }
+
+    #[test]
+    fn without_basis_rrm_and_rrr_share_full_lists() {
+        // RRM forces no basis in while RRR forces `B`, both over one
+        // cache entry per m: whichever query fills it, the other must
+        // answer as on a fresh handle.
+        let data = anticorrelated(500, 4, 43);
+        let space = FullSpace::new(4);
+        let opts = HdrrmOptions { include_basis: false, ..quick_opts(150) };
+        let budget = Budget::with_samples(150);
+        let fresh = || PreparedHdrrm::new(&data, &space, opts, ExecPolicy::default());
+        let rrm = fresh().solve_rrm(5, &budget).unwrap();
+        let rrr = fresh().solve_rrr(40, &budget).unwrap();
+        let shared = fresh();
+        assert_eq!(shared.solve_rrm(5, &budget).unwrap(), rrm);
+        assert_eq!(shared.solve_rrr(40, &budget).unwrap(), rrr);
+        assert_eq!(shared.solve_rrm(5, &budget).unwrap(), rrm);
+        assert_lists_fresh(&shared, &[], "include_basis off");
     }
 
     #[test]

@@ -50,6 +50,7 @@ pub(crate) fn cover_search(
         data,
         algorithm: Algorithm::MdrrrR,
         basis: &[],
+        stops: &[],
         mask: None,
         ksets: true,
         prune: opts.prune,

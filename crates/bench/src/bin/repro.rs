@@ -1051,8 +1051,9 @@ fn thread_scaling(scale: Scale) {
 /// cache-blocked SoA kernel; both must agree bit-for-bit before timing
 /// counts. Then, on the blocked kernel's scores for d = 4, the full-n
 /// quickselect top-k is timed against the bounded selection
-/// (`rank::top_k_into`) at several k, with every list parity-checked.
-/// Writes `BENCH_kernels.json`.
+/// (`rank::top_k_into`) at several k, and full lists against lists
+/// stopped at the basis (`rank::top_k_until`) on anti-correlated rows,
+/// with every list parity-checked. Writes `BENCH_kernels.json`.
 fn kernels(scale: Scale) {
     use rrm_core::kernel::{self, ScoreScratch};
     use rrm_core::utility::dot;
@@ -1146,6 +1147,7 @@ fn kernels(scale: Scale) {
     }
 
     let selection = selection_rows(&ns, reps, n_dirs);
+    let stopped = stopped_rows(&ns, reps, n_dirs);
 
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
@@ -1188,12 +1190,124 @@ fn kernels(scale: Scale) {
             e.quickselect_seconds / e.bounded_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"stopped\":[\n");
+    for (i, e) in stopped.iter().enumerate() {
+        let sep = if i + 1 == stopped.len() { "" } else { "," };
+        let ops = (e.n * e.dirs) as f64;
+        json.push_str(&format!(
+            "  {{\"n\":{},\"d\":{},\"dirs\":{},\"k\":{},\
+             \"full_seconds\":{:.6},\"stopped_seconds\":{:.6},\
+             \"full_ns_per_score\":{:.3},\"stopped_ns_per_score\":{:.3},\
+             \"full_mean_len\":{:.1},\"stopped_mean_len\":{:.1},\
+             \"speedup\":{:.3}}}{sep}\n",
+            e.n,
+            e.d,
+            e.dirs,
+            e.k,
+            e.full_seconds,
+            e.stopped_seconds,
+            e.full_seconds / ops * 1e9,
+            e.stopped_seconds / ops * 1e9,
+            e.full_mean_len,
+            e.stopped_mean_len,
+            e.full_seconds / e.stopped_seconds.max(1e-12),
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!(
         "wrote BENCH_kernels.json (throughput in tuple*direction scores per second; \
          selection in ns per score)"
     );
+}
+
+/// One stopped-vs-full selection row of `repro kernels`.
+struct StoppedEntry {
+    n: usize,
+    d: usize,
+    dirs: usize,
+    k: usize,
+    full_seconds: f64,
+    stopped_seconds: f64,
+    full_mean_len: f64,
+    stopped_mean_len: f64,
+}
+
+/// Full lists (`rank::top_k_into`) vs lists stopped at the basis
+/// (`rank::top_k_until`, HDRRM's selection) at k in {16, 256, 1024}, over
+/// the blocked kernel's scores of anti-correlated d = 4 rows. Parity gate:
+/// every stopped list must equal its full list cut right after the first
+/// basis tuple in it before its timing counts; best of `reps` passes.
+fn stopped_rows(ns: &[usize], reps: usize, n_dirs: usize) -> Vec<StoppedEntry> {
+    use rrm_core::kernel::{self, ScoreScratch};
+    use rrm_core::rank::{top_k_into, top_k_until};
+
+    let d = 4;
+    println!(
+        "single-thread top-k selection stopped at the basis (ns per score), best of {reps} \
+         reps, {n_dirs} directions, anti-correlated d={d}"
+    );
+    println!(
+        "{:>8} {:>5} {:>8} {:>11} {:>8} {:>10} {:>8}",
+        "n", "k", "full ns", "stopped ns", "speedup", "full len", "stop len"
+    );
+    let mut rows = Vec::new();
+    for &n in ns {
+        let data = rrm_data::synthetic::anticorrelated(n, d, 41);
+        let basis = rrm_core::basis_indices(&data);
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(42);
+        let space = FullSpace::new(d);
+        let dirs: Vec<Vec<f64>> = (0..n_dirs).map(|_| space.sample_direction(&mut rng)).collect();
+        let mut scratch = ScoreScratch::new();
+        for k in [16usize, 256, 1024] {
+            let (mut keys, mut full, mut stopped) = (Vec::new(), Vec::new(), Vec::new());
+            let (mut full_seconds, mut stopped_seconds) = (f64::INFINITY, f64::INFINITY);
+            let (mut full_len, mut stopped_len) = (0usize, 0usize);
+            for _ in 0..reps {
+                let (mut f, mut st) = (0.0, 0.0);
+                (full_len, stopped_len) = (0, 0);
+                kernel::for_each_scores(data.soa(), &dirs, &mut scratch, |di, scores| {
+                    f += timed(|| top_k_into(scores, k, &mut keys, &mut full)).1;
+                    st += timed(|| top_k_until(scores, k, &basis, &mut keys, &mut stopped)).1;
+                    let end =
+                        full.iter().position(|t| basis.contains(t)).map_or(full.len(), |p| p + 1);
+                    assert_eq!(
+                        stopped,
+                        &full[..end],
+                        "stopped selection parity violation at n={n} k={k} dir={di}"
+                    );
+                    full_len += full.len();
+                    stopped_len += stopped.len();
+                });
+                full_seconds = full_seconds.min(f);
+                stopped_seconds = stopped_seconds.min(st);
+            }
+            let ops = (n * n_dirs) as f64;
+            let (full_mean_len, stopped_mean_len) =
+                (full_len as f64 / n_dirs as f64, stopped_len as f64 / n_dirs as f64);
+            println!(
+                "{:>8} {:>5} {:>8.2} {:>11.2} {:>7.2}x {:>10.1} {:>8.1}",
+                n,
+                k,
+                full_seconds / ops * 1e9,
+                stopped_seconds / ops * 1e9,
+                full_seconds / stopped_seconds.max(1e-12),
+                full_mean_len,
+                stopped_mean_len,
+            );
+            rows.push(StoppedEntry {
+                n,
+                d,
+                dirs: n_dirs,
+                k,
+                full_seconds,
+                stopped_seconds,
+                full_mean_len,
+                stopped_mean_len,
+            });
+        }
+    }
+    rows
 }
 
 /// One selection row of `repro kernels`.

@@ -232,16 +232,11 @@ pub fn scores_into(soa: &Soa, u: &[f64], out: &mut Vec<f64>) {
 /// without materializing the score vector.
 pub fn max_score(soa: &Soa, u: &[f64], scratch: &mut ScoreScratch) -> f64 {
     let mut best = f64::NEG_INFINITY;
-    let mut i0 = 0;
-    while i0 < soa.n {
-        let i1 = (i0 + TUPLE_TILE).min(soa.n);
-        scratch.tile.resize(i1 - i0, 0.0);
-        score_range_into(soa, u, i0, &mut scratch.tile[..i1 - i0]);
-        for &s in &scratch.tile[..i1 - i0] {
+    for_each_tile(soa, u, soa.n, scratch, |tile| {
+        for &s in tile {
             best = best.max(s);
         }
-        i0 = i1;
-    }
+    });
     best
 }
 
@@ -250,22 +245,22 @@ pub fn max_score(soa: &Soa, u: &[f64], scratch: &mut ScoreScratch) -> f64 {
 /// rank of a set whose best score is `threshold`.
 pub fn count_above(soa: &Soa, u: &[f64], threshold: f64, scratch: &mut ScoreScratch) -> usize {
     let mut above = 0usize;
-    let mut i0 = 0;
-    while i0 < soa.n {
-        let i1 = (i0 + TUPLE_TILE).min(soa.n);
-        scratch.tile.resize(i1 - i0, 0.0);
-        score_range_into(soa, u, i0, &mut scratch.tile[..i1 - i0]);
-        for &s in &scratch.tile[..i1 - i0] {
+    for_each_tile(soa, u, soa.n, scratch, |tile| {
+        for &s in tile {
             above += (s > threshold) as usize;
         }
-        i0 = i1;
-    }
+    });
     above
 }
 
 /// Fused tie-broken rank counting: how many tuples *outrank* the tuple
 /// with score `best_score` and index `best_index` under the workspace's
 /// strict total order (score descending, index ascending).
+///
+/// One vectorizable pass counts the scores above `best_score` and the
+/// scores equal to it, with no index compare. Only when a score other
+/// than `best_index`'s own ties it does a second pass count the ties at
+/// smaller indices, which outrank it too.
 pub fn count_outranking(
     soa: &Soa,
     u: &[f64],
@@ -273,18 +268,41 @@ pub fn count_outranking(
     best_index: u32,
     scratch: &mut ScoreScratch,
 ) -> usize {
-    let mut above = 0usize;
-    let mut i0 = 0;
-    while i0 < soa.n {
-        let i1 = (i0 + TUPLE_TILE).min(soa.n);
-        scratch.tile.resize(i1 - i0, 0.0);
-        score_range_into(soa, u, i0, &mut scratch.tile[..i1 - i0]);
-        for (off, &s) in scratch.tile[..i1 - i0].iter().enumerate() {
-            above += outranks(s, (i0 + off) as u32, best_score, best_index) as usize;
+    let (mut above, mut equal) = (0usize, 0usize);
+    for_each_tile(soa, u, soa.n, scratch, |tile| {
+        for &s in tile {
+            above += (s > best_score) as usize;
+            equal += (s == best_score) as usize;
         }
-        i0 = i1;
+    });
+    let own = (best_index as usize) < soa.n && soa.score_one(u, best_index as usize) == best_score;
+    if equal > own as usize {
+        for_each_tile(soa, u, (best_index as usize).min(soa.n), scratch, |tile| {
+            for &s in tile {
+                above += (s == best_score) as usize;
+            }
+        });
     }
     above
+}
+
+/// Score tuples `0 .. end` under `u` a tile at a time, handing each tile's
+/// scores to `f` in tuple order.
+fn for_each_tile(
+    soa: &Soa,
+    u: &[f64],
+    end: usize,
+    scratch: &mut ScoreScratch,
+    mut f: impl FnMut(&[f64]),
+) {
+    let mut i0 = 0;
+    while i0 < end {
+        let i1 = (i0 + TUPLE_TILE).min(end);
+        scratch.tile.resize(i1 - i0, 0.0);
+        score_range_into(soa, u, i0, &mut scratch.tile[..i1 - i0]);
+        f(&scratch.tile[..i1 - i0]);
+        i0 = i1;
+    }
 }
 
 /// Fused rank-regret of a set under one direction: pick the set's best
@@ -428,6 +446,37 @@ mod tests {
                 rank_regret_of_set(soa, &u, &set, &mut scratch),
                 crate::rank::rank_regret_from_scores(&scores, &set)
             );
+        }
+    }
+
+    #[test]
+    fn count_outranking_matches_the_tie_broken_order() {
+        // Quantized columns give heavy score ties. The last rows score ±0
+        // under axis directions and overflow to ±∞ under (1, 1).
+        let mut values: Vec<f64> = (0..2_600).map(|i| ((i * 37) % 5) as f64 / 4.0).collect();
+        values.extend([0.0, -0.0, 1.7e308, 1.7e308, -0.0, 0.0, -1.7e308, -1.7e308]);
+        let data = Dataset::from_flat(2, values).unwrap();
+        let soa = data.soa();
+        let mut scratch = ScoreScratch::new();
+        for u in [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75], [0.0, 1.0], [1.0, 1.0]] {
+            let scores = naive_scores(&data, &u);
+            let n = scores.len();
+            for best in [0, 1, 7, 1_000, n / 2 + 3, n - 4, n - 3, n - 1] {
+                let s = scores[best];
+                let want =
+                    (0..n).filter(|&j| outranks(scores[j], j as u32, s, best as u32)).count();
+                assert_eq!(
+                    count_outranking(soa, &u, s, best as u32, &mut scratch),
+                    want,
+                    "{u:?} {best}"
+                );
+            }
+            // A (score, index) pair whose index does not hold that score,
+            // and one past the last row.
+            for (s, i) in [(scores[5], 900u32), (0.5, 0), (-0.0, n as u32), (f64::NAN, 3)] {
+                let want = (0..n).filter(|&j| outranks(scores[j], j as u32, s, i)).count();
+                assert_eq!(count_outranking(soa, &u, s, i, &mut scratch), want, "{u:?} {s} {i}");
+            }
         }
     }
 

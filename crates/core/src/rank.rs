@@ -5,6 +5,13 @@
 //! tuple index: tuple `i` outranks tuple `j` when `score_i > score_j`, or
 //! when the scores are equal and `i < j`. This yields a strict total order
 //! for every utility vector, making all algorithms deterministic.
+//!
+//! Top-k lists come from one bounded selection. [`top_k_into`] and
+//! [`batch_top_k`] return the full prefix of [`argsort_desc`];
+//! [`top_k_until`] and [`batch_top_k_until`] cut that prefix right after
+//! a *stop*, the best-ranked member of a given tuple set, and start the
+//! selection with the stop's key as its floor. HDRRM stops at its basis,
+//! since ASMS never reads a list past its first basis tuple.
 
 use crate::dataset::Dataset;
 use crate::exec::Parallelism;
@@ -159,6 +166,51 @@ pub fn top_k(scores: &[f64], k: usize) -> TopK {
 /// tie is exact, since a later index never wins one. The result is the
 /// prefix of [`argsort_desc`], for any `k` and any tie pattern.
 pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u128>, out: &mut Vec<u32>) {
+    select(scores, k, None, scratch, out);
+}
+
+/// [`top_k_into`]'s list cut right after its *stop*: the member of
+/// `stops` that ranks best under `scores`. When the stop ranks below `k`
+/// the list is [`top_k_into`]'s, unchanged; with no `stops` it always is.
+///
+/// The stop's key is the selection's first floor, so only the tuples that
+/// outrank it, and the stop itself, are ever admitted. Finding it takes
+/// one score lookup per member of `stops`. A list that reaches its stop
+/// admits at most `k` keys, so it is never cut by a select-nth, only
+/// sorted once.
+pub fn top_k_until(
+    scores: &[f64],
+    k: usize,
+    stops: &[u32],
+    scratch: &mut Vec<u128>,
+    out: &mut Vec<u32>,
+) {
+    let mut best: Option<u32> = None;
+    for &i in stops {
+        if best.is_none_or(|b| outranks(scores[i as usize], i, scores[b as usize], b)) {
+            best = Some(i);
+        }
+    }
+    select(scores, k, best, scratch, out);
+}
+
+/// The bounded selection behind [`top_k_into`] and [`top_k_until`]:
+/// the best `k` keys that rank no worse than `stop`'s (all keys when
+/// `stop` is `None`), best first.
+///
+/// A score is admitted when it is strictly above `floor`, or equal to it
+/// at an index below `ties_below`. With a stop, the floor starts at the
+/// stop's score and `ties_below` just past its index, which admits
+/// exactly the keys up to the stop's own. After a cut the floor is the
+/// k-th best key's score, `ties_below` is 0, and every later index loses
+/// a tie with it, which also keeps every admitted key above the stop.
+fn select(
+    scores: &[f64],
+    k: usize,
+    stop: Option<u32>,
+    scratch: &mut Vec<u128>,
+    out: &mut Vec<u32>,
+) {
     let n = scores.len();
     assert!(n > 0, "top-k of an empty score vector");
     assert!(k > 0, "k must be at least 1");
@@ -166,32 +218,48 @@ pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u128>, out: &mut V
     let cap = 2 * k;
 
     scratch.clear();
-    let head = n.min(cap);
-    scratch.extend(scores[..head].iter().enumerate().map(|(i, &s)| desc_key(s, i)));
-    if head < n {
-        let mut floor = cut_to_k(scratch, k, scores);
-        let mut admit = |block: &[f64], base: usize, floor: &mut f64| {
+    let (start, mut floor, mut ties_below) = match stop {
+        // No floor yet: the first `2k` scores are all candidates.
+        None => {
+            let head = n.min(cap);
+            scratch.extend(scores[..head].iter().enumerate().map(|(i, &s)| desc_key(s, i)));
+            let floor = if head < n { cut_to_k(scratch, k, scores) } else { f64::INFINITY };
+            (head, floor, 0)
+        }
+        Some(i) => (0, scores[i as usize], i as usize + 1),
+    };
+    if start < n {
+        let mut admit = |block: &[f64], base: usize, floor: &mut f64, ties_below: &mut usize| {
             for (off, &s) in block.iter().enumerate() {
                 // A NaN is admitted too, so `desc_key` rejects it.
-                if s > *floor || s.is_nan() {
+                if s > *floor || (s == *floor && base + off < *ties_below) || s.is_nan() {
                     scratch.push(desc_key(s, base + off));
                     if scratch.len() == cap {
                         *floor = cut_to_k(scratch, k, scores);
+                        *ties_below = 0;
                     }
                 }
             }
         };
         // Whole blocks are screened by one branch-free compare sweep,
         // which vectorizes; only a block holding a candidate (or a NaN)
-        // is walked score by score.
-        let blocks = scores[head..].chunks_exact(SCREEN_BLOCK);
+        // is walked score by score. A block that starts below
+        // `ties_below` may admit a tie with the floor, so its screen
+        // keeps ties.
+        let blocks = scores[start..].chunks_exact(SCREEN_BLOCK);
         let tail = blocks.remainder();
         for (b, block) in blocks.enumerate() {
-            if !block.iter().fold(true, |below, &s| below & (s <= floor)) {
-                admit(block, head + b * SCREEN_BLOCK, &mut floor);
+            let base = start + b * SCREEN_BLOCK;
+            let rejected = if base < ties_below {
+                block.iter().fold(true, |below, &s| below & (s < floor))
+            } else {
+                block.iter().fold(true, |below, &s| below & (s <= floor))
+            };
+            if !rejected {
+                admit(block, base, &mut floor, &mut ties_below);
             }
         }
-        admit(tail, n - tail.len(), &mut floor);
+        admit(tail, n - tail.len(), &mut floor, &mut ties_below);
     }
     if scratch.len() > k {
         cut_to_k(scratch, k, scores);
@@ -201,7 +269,7 @@ pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u128>, out: &mut V
     out.extend(scratch.iter().map(|&key| key as u32));
 }
 
-/// Scores per screening block in [`top_k_into`]'s rejection scan.
+/// Scores per screening block in [`select`]'s rejection scan.
 const SCREEN_BLOCK: usize = 16;
 
 /// A sort key for `x` whose ascending order is the descending order of
@@ -241,6 +309,22 @@ fn cut_to_k(keys: &mut Vec<u128>, k: usize, scores: &[f64]) -> f64 {
 /// come from [`rrm_par::adaptive_chunk`]'s pure cost model and the lists
 /// are independent, so the output is bit-identical at any thread count.
 pub fn batch_top_k(data: &Dataset, dirs: &[Vec<f64>], k: usize, pol: Parallelism) -> Vec<Vec<u32>> {
+    batch_top_k_until(data, dirs, k, &[], pol)
+}
+
+/// [`batch_top_k`] with every list cut right after its stop, the member
+/// of `stops` that ranks best in that direction ([`top_k_until`]).
+///
+/// HDRRM's cover search passes its basis `B`: ASMS drops every direction
+/// whose top-k prefix holds a basis tuple, so no probe reads a list past
+/// its first basis tuple. With empty `stops` this is [`batch_top_k`].
+pub fn batch_top_k_until(
+    data: &Dataset,
+    dirs: &[Vec<f64>],
+    k: usize,
+    stops: &[u32],
+    pol: Parallelism,
+) -> Vec<Vec<u32>> {
     assert!(k >= 1, "top-k needs k >= 1");
     let chunk = rrm_par::adaptive_chunk(dirs.len(), data.n() * data.dim());
     let per_chunk = rrm_par::par_chunks(dirs, chunk, pol, |_, dirs_chunk| {
@@ -248,7 +332,7 @@ pub fn batch_top_k(data: &Dataset, dirs: &[Vec<f64>], k: usize, pol: Parallelism
         let mut keys = Vec::new();
         let mut lists = vec![Vec::new(); dirs_chunk.len()];
         kernel::for_each_scores(data.soa(), dirs_chunk, &mut scratch, |di, scores| {
-            top_k_into(scores, k, &mut keys, &mut lists[di]);
+            top_k_until(scores, k, stops, &mut keys, &mut lists[di]);
         });
         lists
     });
@@ -438,6 +522,92 @@ mod tests {
     #[should_panic(expected = "NaN")]
     fn top_k_rejects_nan() {
         top_k(&[0.5, f64::NAN, 0.2], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN")]
+    fn top_k_until_rejects_nan() {
+        top_k_until(&[0.5, f64::NAN, 0.2], 3, &[2], &mut Vec::new(), &mut Vec::new());
+    }
+
+    /// The reference a stopped list must equal: the full argsort's prefix
+    /// of length `k`, cut right after the first member of `stops` in it.
+    fn cut_after_stop(scores: &[f64], k: usize, stops: &[u32]) -> Vec<u32> {
+        let full = argsort_desc(scores);
+        let mut want = full[..k.min(scores.len())].to_vec();
+        if let Some(pos) = want.iter().position(|i| stops.contains(i)) {
+            want.truncate(pos + 1);
+        }
+        want
+    }
+
+    fn assert_stopped(scores: &[f64], k: usize, stops: &[u32]) {
+        let (mut keys, mut got) = (Vec::new(), Vec::new());
+        top_k_until(scores, k, stops, &mut keys, &mut got);
+        assert_eq!(
+            got,
+            cut_after_stop(scores, k, stops),
+            "n={} k={k} stops={stops:?}",
+            scores.len()
+        );
+    }
+
+    #[test]
+    fn top_k_until_is_the_list_cut_after_its_stop() {
+        let tied = scores_from(&[0.25, 0.5, 0.75], 300, 1);
+        let pool = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.0, -1.0, f64::MAX, f64::MIN];
+        let signed = scores_from(&pool, 97, 4);
+        let spread: Vec<f64> = (0..5_000).map(|i| ((i * 7_919) % 5_000) as f64 * 0.37).collect();
+        for scores in [&tied, &signed, &spread] {
+            let n = scores.len();
+            let order = argsort_desc(scores);
+            // Stops at rank 1, rank n, in between, several at once, a tie
+            // with a better-indexed tuple, and none.
+            let stop_sets: Vec<Vec<u32>> = vec![
+                vec![order[0]],
+                vec![order[n - 1]],
+                vec![order[n / 3]],
+                vec![order[n - 1], order[n / 2], order[n / 5]],
+                (0..n as u32)
+                    .filter(|&i| scores[i as usize] == scores[order[0] as usize])
+                    .collect(),
+                vec![],
+            ];
+            for stops in &stop_sets {
+                for k in [1, 2, 16, n / 4, n / 2, n - 1, n, n + 5] {
+                    assert_stopped(scores, k, stops);
+                }
+            }
+        }
+        // ±0.0 tie: the stop at index 2 is outranked by the equal score at
+        // index 0 only.
+        assert_stopped(&[-0.0, 0.0, -0.0, 0.0], 4, &[2]);
+        assert_stopped(&[f64::NEG_INFINITY, -1.0, f64::INFINITY], 3, &[0]);
+        assert_stopped(&[7.0], 1, &[0]);
+        assert_stopped(&[7.0], 6, &[0]);
+    }
+
+    #[test]
+    fn batch_top_k_until_matches_per_direction_selection() {
+        let rows: Vec<[f64; 3]> = (0..300)
+            .map(|i| {
+                let t = i as f64;
+                [(t * 0.71).sin().abs(), (t * 1.37).cos().abs(), ((t * 0.13) % 1.0)]
+            })
+            .collect();
+        let d = Dataset::from_rows(&rows).unwrap();
+        let dirs: Vec<Vec<f64>> =
+            (0..50).map(|i| vec![i as f64 / 49.0, 1.0 - i as f64 / 49.0, 0.3]).collect();
+        let stops = crate::basis_indices(&d);
+        for k in [1usize, 7, 64, 300, 400] {
+            let want: Vec<Vec<u32>> = dirs
+                .iter()
+                .map(|u| cut_after_stop(&utility::utilities(&d, u), k, &stops))
+                .collect();
+            for pol in [Parallelism::Sequential, Parallelism::Fixed(2), Parallelism::Fixed(7)] {
+                assert_eq!(batch_top_k_until(&d, &dirs, k, &stops, pol), want, "k={k} {pol:?}");
+            }
+        }
     }
 
     #[test]

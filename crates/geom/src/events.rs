@@ -174,7 +174,9 @@ pub fn crossings_with_tracked_capped(
 /// Parallel form of [`crossings_with_tracked_capped`]: the per-tracked-line
 /// crossing classification (`O(s·n)` intersection tests — the expensive
 /// pass on anti-correlated data, where the skyline is large) is chunked
-/// over `pol`'s worker threads.
+/// over `pol`'s worker threads, in chunks of tracked lines that
+/// [`rrm_par::adaptive_chunk`] sizes from the line count; a band too small
+/// to fill two chunks runs on the calling thread.
 ///
 /// Determinism: each tracked line's crossings are computed independently
 /// and the merged set is sorted by the same `(x, down, up)` total order as
@@ -183,10 +185,10 @@ pub fn crossings_with_tracked_capped(
 /// `None`-on-overflow decision is a pure function of the input.
 ///
 /// Memory: the cap is enforced by a shared tally during the single
-/// enumeration pass; peak transient usage can overshoot the sequential
-/// version's `cap` by up to one in-flight line's crossings (≤ `n`) per
-/// worker before overflow is detected. Size `cap` accordingly when the
-/// bound matters.
+/// enumeration pass, after each tracked line; peak transient usage can
+/// overshoot the sequential version's `cap` by up to one chunk's
+/// crossings per worker before overflow is detected. Size `cap`
+/// accordingly when the bound matters.
 pub fn crossings_with_tracked_capped_par(
     lines: &[DualLine],
     tracked: &[u32],
@@ -202,34 +204,39 @@ pub fn crossings_with_tracked_capped_par(
     for &t in tracked {
         mask[t as usize] = true;
     }
-    // One enumeration pass (like the sequential routine): per tracked
-    // line into its own buffer, with a shared atomic tally enforcing the
-    // cap. The overflow *decision* is a pure function of the input — the
+    // One enumeration pass (like the sequential routine): per chunk of
+    // tracked lines into its own buffer, with a shared atomic tally
+    // enforcing the cap after each line. The overflow *decision* is a pure function of the input — the
     // true crossing count either exceeds `cap` (then some tally update
     // must observe it, whatever the ordering) or it does not (then none
     // can) — so Some/None never depends on the thread count. Buffers of
-    // lines enumerated after overflow is flagged are dropped mid-pass,
-    // bounding memory at roughly `cap` plus one in-flight line per worker.
+    // chunks enumerated after overflow is flagged are dropped mid-pass,
+    // bounding memory at roughly `cap` plus one in-flight chunk per worker.
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     let tally = AtomicUsize::new(0);
     let overflow = AtomicBool::new(false);
-    let per_line = rrm_par::par_map(tracked, pol, |&t| {
+    let chunk = rrm_par::adaptive_chunk(tracked.len(), lines.len());
+    let per_chunk = rrm_par::par_chunks(tracked, chunk, pol, |_, chunk| {
         let mut out = Vec::new();
-        for_each_raw_crossing_of(lines, t, &mask, x_lo, x_hi, |x, down, up| {
-            if !overflow.load(Ordering::Relaxed) {
-                out.push(Crossing { x, down, up });
+        for &t in chunk {
+            let before = out.len();
+            for_each_raw_crossing_of(lines, t, &mask, x_lo, x_hi, |x, down, up| {
+                if !overflow.load(Ordering::Relaxed) {
+                    out.push(Crossing { x, down, up });
+                }
+            });
+            let added = out.len() - before;
+            if tally.fetch_add(added, Ordering::Relaxed) + added > cap {
+                overflow.store(true, Ordering::Relaxed);
+                return Vec::new(); // release mid-pass, as the sequential cap does
             }
-        });
-        if tally.fetch_add(out.len(), Ordering::Relaxed) + out.len() > cap {
-            overflow.store(true, Ordering::Relaxed);
-            out = Vec::new(); // release mid-pass, as the sequential cap does
         }
         out
     });
     if overflow.load(Ordering::Relaxed) {
         return None;
     }
-    let mut out: Vec<Crossing> = per_line.into_iter().flatten().collect();
+    let mut out: Vec<Crossing> = per_chunk.into_iter().flatten().collect();
     sort_crossings(&mut out);
     Some(out)
 }
@@ -414,6 +421,22 @@ mod tests {
             None
         );
         assert_eq!(crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, 3), None);
+        // A band wide enough to split its tracked lines into several
+        // chunks, under and over the cap.
+        let lines: Vec<DualLine> = (0..12_000)
+            .map(|_| DualLine::from_tuple(&[rng.random::<f64>(), rng.random::<f64>()]))
+            .collect();
+        let tracked: Vec<u32> = (0..12_000u32).step_by(120).collect();
+        assert!(rrm_par::adaptive_chunk(tracked.len(), lines.len()) < tracked.len());
+        let sequential = crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, usize::MAX);
+        let count = sequential.as_ref().map_or(0, Vec::len);
+        for cap in [usize::MAX, count - 1] {
+            let want = crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, cap);
+            for pol in [Parallelism::Fixed(2), Parallelism::Fixed(3)] {
+                let par = crossings_with_tracked_capped_par(&lines, &tracked, 0.0, 1.0, cap, pol);
+                assert_eq!(par, want, "cap {cap} {pol:?}");
+            }
+        }
     }
 
     #[test]

@@ -26,13 +26,10 @@
 //! [`crate::skyline_2d`] over the same rows (`tests` below enforce this
 //! against recomputation).
 
-use rrm_core::rank::descending_bits;
 use rrm_core::{AppliedUpdate, Dataset};
 
 use crate::dominance::dominates;
-
-/// Sentinel in the dominator buffer for skyline members.
-const NO_DOM: u32 = u32::MAX;
+use crate::skyhd::{sfs, NO_DOM};
 
 /// A skyline kept current under insert/delete batches.
 ///
@@ -54,29 +51,13 @@ pub struct IncrementalSkyline {
 }
 
 impl IncrementalSkyline {
-    /// Build from scratch with one SFS pass, recording the rejecting
-    /// member as each pruned tuple's dominator.
+    /// Build from scratch with one SFS pass ([`crate::skyhd`]'s, which
+    /// [`crate::skyline`] runs too), recording the first rejecting member
+    /// as each pruned tuple's dominator.
     pub fn build(data: &Dataset) -> Self {
-        let n = data.n();
-        // Attribute sum descending, then index ascending.
-        let mut order: Vec<(u64, u32)> = data
-            .rows()
-            .enumerate()
-            .map(|(i, r)| (descending_bits(r.iter().sum()), i as u32))
-            .collect();
-        order.sort_unstable();
-
-        let mut sky: Vec<u32> = Vec::new();
-        let mut dom_of = vec![NO_DOM; n];
-        for &(_, i) in &order {
-            let row = data.row(i as usize);
-            match sky.iter().find(|&&s| dominates(data.row(s as usize), row)) {
-                Some(&s) => dom_of[i as usize] = s,
-                None => sky.push(i),
-            }
-        }
+        let (mut sky, dom_of) = sfs(data);
         sky.sort_unstable();
-        let mut mask = vec![false; n];
+        let mut mask = vec![false; data.n()];
         for &s in &sky {
             mask[s as usize] = true;
         }
