@@ -34,6 +34,12 @@
 //! down it ([`Bands::members`]). `LB₁`, the one figure that needs the
 //! order at `c1` too, is computed when a query first asks for it
 //! ([`Bands::cap`]).
+//!
+//! Every sort here is a counting sort (`rrm_geom`'s `counting` module):
+//! [`order_at`] buckets rows by height, one bucket per row, and a band's
+//! stream counts its crossings per `x`-bucket, then enumerates them again
+//! straight into one exact-size buffer. Each bucket is then sorted by the
+//! exact key, so the orders are the comparison sorts' to the bit.
 
 use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -52,7 +58,7 @@ pub(crate) const START: usize = 32;
 
 /// The most crossings a band's stream materializes: 4 << 20 crossings of
 /// 16 bytes, 64 MiB. A longer stream is swept strip by strip on every
-/// replay instead.
+/// replay instead; the count pass that finds its length allocates none.
 const CHUNK_TARGET: usize = 4 << 20;
 
 /// Relative margin a row must lead by, at both ends, to count as beating

@@ -15,9 +15,10 @@
 //! `scale` sweeps the parallel runtime over thread counts {1,2,4,8},
 //! asserts bit-identical solutions, and writes per-algorithm speedups to
 //! `BENCH_parallel.json`; `kernels` microbenchmarks naive vs. blocked SoA
-//! scoring throughput and full-n quickselect vs. bounded top-k selection
-//! on one thread and writes `BENCH_kernels.json` — the one bench whose
-//! headline number is meaningful on a 1-core machine;
+//! scoring throughput, full-n quickselect vs. bounded top-k selection and
+//! the 2D sweep's comparison vs. counting sorts on one thread and writes
+//! `BENCH_kernels.json` — the one bench whose headline number is
+//! meaningful on a 1-core machine;
 //! `serve` load-tests the `rrm_serve` query service over real TCP with a
 //! replayed multi-tenant trace — single-tenant hot, mixed, and overload
 //! scenarios — parity-checks every served response against an in-process
@@ -1053,7 +1054,8 @@ fn thread_scaling(scale: Scale) {
 /// quickselect top-k is timed against the bounded selection
 /// (`rank::top_k_into`) at several k, and full lists against lists
 /// stopped at the basis (`rank::top_k_until`) on anti-correlated rows,
-/// with every list parity-checked. Writes `BENCH_kernels.json`.
+/// with every list parity-checked. Last come the 2D sweep's sorts
+/// ([`sort_rows`]). Writes `BENCH_kernels.json`.
 fn kernels(scale: Scale) {
     use rrm_core::kernel::{self, ScoreScratch};
     use rrm_core::utility::dot;
@@ -1148,6 +1150,7 @@ fn kernels(scale: Scale) {
 
     let selection = selection_rows(&ns, reps, n_dirs);
     let stopped = stopped_rows(&ns, reps, n_dirs);
+    let sorts = sort_rows(reps);
 
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
@@ -1213,12 +1216,224 @@ fn kernels(scale: Scale) {
             e.full_seconds / e.stopped_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"sorts\":[\n");
+    for (i, e) in sorts.iter().enumerate() {
+        let sep = if i + 1 == sorts.len() { "" } else { "," };
+        json.push_str(&format!(
+            "  {{\"sort\":\"{}\",\"n\":{},\"at\":{},\"k\":{},\"items\":{},\
+             \"comparison_seconds\":{:.6},\"counting_seconds\":{:.6},\
+             \"comparison_ns_per_item\":{:.3},\"counting_ns_per_item\":{:.3},\
+             \"speedup\":{:.3}}}{sep}\n",
+            e.sort,
+            e.n,
+            e.at,
+            e.k,
+            e.items,
+            e.comparison_seconds,
+            e.counting_seconds,
+            e.comparison_seconds / e.items as f64 * 1e9,
+            e.counting_seconds / e.items as f64 * 1e9,
+            e.comparison_seconds / e.counting_seconds.max(1e-12),
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!(
         "wrote BENCH_kernels.json (throughput in tuple*direction scores per second; \
-         selection in ns per score)"
+         selection in ns per score; sorts in ns per row or crossing)"
     );
+}
+
+/// One comparison-vs-counting sort row of `repro kernels`.
+struct SortEntry {
+    /// `order_at` (rows by height at `at`) or `stream` (a K-band's
+    /// crossings in x order).
+    sort: &'static str,
+    n: usize,
+    at: f64,
+    /// The band's `K` for a stream; 0 for `order_at`.
+    k: usize,
+    /// Rows sorted, or crossings streamed.
+    items: usize,
+    comparison_seconds: f64,
+    counting_seconds: f64,
+}
+
+/// The 2D sweep's two sorts, comparison reference against the counting
+/// sort, on anti-correlated planar rows like `exact_small`'s: `order_at`
+/// over every row at `x = 0` and `x = 1` (n = 20K, 50K, 100K), and the
+/// materialized crossing stream of the K = 32 and K = 160 bands at
+/// n = 50K (enumeration included on both sides). Parity gate: every
+/// counting-sort output must equal its reference before its timing counts;
+/// best of `reps` passes.
+fn sort_rows(reps: usize) -> Vec<SortEntry> {
+    use rrm_geom::dual::order_at;
+    use rrm_geom::events::crossings_with_tracked;
+
+    println!("single-thread 2D sweep sorts (ns per row or crossing), best of {reps} reps");
+    println!(
+        "{:>8} {:>8} {:>4} {:>4} {:>8} {:>13} {:>11} {:>8}",
+        "sort", "n", "at", "K", "items", "comparison ns", "counting ns", "speedup"
+    );
+    let best = |f: &mut dyn FnMut() -> f64| (0..reps).map(|_| f()).fold(f64::INFINITY, f64::min);
+    let mut rows = Vec::new();
+    let mut row = |e: SortEntry| {
+        println!(
+            "{:>8} {:>8} {:>4} {:>4} {:>8} {:>13.2} {:>11.2} {:>7.2}x",
+            e.sort,
+            e.n,
+            e.at,
+            e.k,
+            e.items,
+            e.comparison_seconds / e.items as f64 * 1e9,
+            e.counting_seconds / e.items as f64 * 1e9,
+            e.comparison_seconds / e.counting_seconds.max(1e-12),
+        );
+        rows.push(e);
+    };
+    for n in [20_000usize, 50_000, 100_000] {
+        let lines =
+            rrm_geom::DualLine::from_dataset(&rrm_data::synthetic::anticorrelated(n, 2, 41));
+        for at in [0.0, 1.0] {
+            let fresh = || (0..n as u32).collect::<Vec<u32>>();
+            let (mut want, mut got) = (fresh(), fresh());
+            order_by_comparison(&lines, &mut want, at);
+            order_at(&lines, &mut got, at);
+            assert_eq!(got, want, "order_at parity violation at n={n} x={at}");
+            let comparison_seconds = best(&mut || {
+                let mut ids = fresh();
+                timed(|| order_by_comparison(&lines, &mut ids, at)).1
+            });
+            let counting_seconds = best(&mut || {
+                let mut ids = fresh();
+                timed(|| order_at(&lines, &mut ids, at)).1
+            });
+            row(SortEntry {
+                sort: "order_at",
+                n,
+                at,
+                k: 0,
+                items: n,
+                comparison_seconds,
+                counting_seconds,
+            });
+        }
+    }
+    let n = 50_000;
+    let data = rrm_data::synthetic::anticorrelated(n, 2, 41);
+    for k in [32usize, 160] {
+        let (lines, tracked) = k_band(&data, k);
+        let want = crossings_by_comparison(&lines, &tracked, 0.0, 1.0);
+        let got = crossings_with_tracked(&lines, &tracked, 0.0, 1.0);
+        assert!(got == want, "crossing stream parity violation at K={k}");
+        let comparison_seconds =
+            best(&mut || timed(|| crossings_by_comparison(&lines, &tracked, 0.0, 1.0)).1);
+        let counting_seconds =
+            best(&mut || timed(|| crossings_with_tracked(&lines, &tracked, 0.0, 1.0)).1);
+        row(SortEntry {
+            sort: "stream",
+            n,
+            at: 0.0,
+            k,
+            items: want.len(),
+            comparison_seconds,
+            counting_seconds,
+        });
+    }
+    rows
+}
+
+/// `order_at`'s order by one comparison sort of every line's
+/// `(height, slope, id)` key: the reference its counting sort replaced.
+fn order_by_comparison(lines: &[rrm_geom::DualLine], ids: &mut [u32], x: f64) {
+    use rrm_core::rank::descending_bits;
+    let mut keyed: Vec<(u64, u64, u32)> = ids
+        .iter()
+        .map(|&i| {
+            let l = &lines[i as usize];
+            (descending_bits(l.eval(x)), descending_bits(l.slope), i)
+        })
+        .collect();
+    keyed.sort_unstable();
+    for (slot, (_, _, i)) in ids.iter_mut().zip(keyed) {
+        *slot = i;
+    }
+}
+
+/// The crossing stream by pushing every crossing into a growing buffer
+/// and one comparison sort by `(x, down, up)`: the reference the counting
+/// enumeration replaced.
+fn crossings_by_comparison(
+    lines: &[rrm_geom::DualLine],
+    tracked: &[u32],
+    x_lo: f64,
+    x_hi: f64,
+) -> Vec<rrm_geom::Crossing> {
+    use rrm_core::rank::descending_bits;
+    let mut is_tracked = vec![false; lines.len()];
+    tracked.iter().for_each(|&t| is_tracked[t as usize] = true);
+    let mut out = Vec::new();
+    for &t in tracked {
+        let lt = &lines[t as usize];
+        for (o, lo_line) in (0u32..).zip(lines) {
+            if o == t || (is_tracked[o as usize] && o < t) {
+                continue;
+            }
+            let Some(x) = lt.intersection_x(lo_line).filter(|&x| x > x_lo && x < x_hi) else {
+                continue;
+            };
+            let (down, up) = if lt.slope < lo_line.slope { (t, o) } else { (o, t) };
+            out.push(rrm_geom::Crossing { x, down, up });
+        }
+    }
+    out.sort_unstable_by_key(|c| (!descending_bits(c.x), c.down, c.up));
+    out
+}
+
+/// The K-band of `data` over the full weight range, as the 2D solvers
+/// compact it: every row fewer than `k` others beat at both `x = 0` and
+/// `x = 1` (no near-tie margin), plus the skyline, in ascending row id.
+/// Returns the band's dual lines and the skyline's band indices.
+fn k_band(data: &Dataset, k: usize) -> (Vec<rrm_geom::DualLine>, Vec<u32>) {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let lines = rrm_geom::DualLine::from_dataset(data);
+    let n = lines.len();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    rrm_geom::dual::order_at(&lines, &mut order, 0.0);
+    // Sweep down the order at 0 in runs of equal height, keeping the `k`
+    // highest heights at 1 of the rows strictly above the run.
+    let mut keep = vec![false; n];
+    let mut highest: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    let key = |i: u32| rrm_core::rank::descending_bits(-lines[i as usize].eval(1.0));
+    let mut run = 0;
+    while run < n {
+        let at0 = lines[order[run] as usize].eval(0.0);
+        let end = run + order[run..].partition_point(|&i| lines[i as usize].eval(0.0) == at0);
+        for &i in &order[run..end] {
+            let lowest = highest.peek().map(|r| r.0);
+            let beaten = highest.len() == k && lowest.is_some_and(|low| low > key(i));
+            keep[i as usize] = !beaten;
+        }
+        for &i in &order[run..end] {
+            highest.push(Reverse(key(i)));
+            if highest.len() > k {
+                highest.pop();
+            }
+        }
+        run = end;
+    }
+    let sky = rrm_skyline::skyline(data);
+    sky.iter().for_each(|&t| keep[t as usize] = true);
+    let mut index = vec![u32::MAX; n];
+    let mut band = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if keep[i] {
+            index[i] = band.len() as u32;
+            band.push(*line);
+        }
+    }
+    (band, sky.iter().map(|&t| index[t as usize]).collect())
 }
 
 /// One stopped-vs-full selection row of `repro kernels`.

@@ -8,6 +8,8 @@
 use rrm_core::rank::descending_bits;
 use rrm_core::Dataset;
 
+use crate::counting::{Buckets, Histogram};
+
 /// A tuple's line in dual space.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DualLine {
@@ -67,14 +69,41 @@ fn key_at(lines: &[DualLine], i: u32, x: f64) -> (u64, u64, u32) {
     (descending_bits(l.eval(x)), descending_bits(l.slope), i)
 }
 
+/// [`order_at`] sorts fewer lines than this in one bucket.
+const BUCKETED_FROM: usize = 64;
+
 /// Sort order of line ids at `x+` (top line first): height descending,
 /// ties by slope descending, final ties by id ascending.
+///
+/// A counting sort ([`crate::counting`]): the ids are bucketed by height
+/// at `x`, one bucket per line over the heights' span, and each bucket is
+/// sorted by the full key. A zero or non-finite span, or fewer than 64
+/// lines, make one bucket: a comparison sort of them all.
 pub fn order_at(lines: &[DualLine], ids: &mut [u32], x: f64) {
-    let mut keyed: Vec<(u64, u64, u32)> = ids.iter().map(|&i| key_at(lines, i, x)).collect();
-    keyed.sort_unstable();
-    for (slot, (_, _, i)) in ids.iter_mut().zip(keyed) {
-        *slot = i;
-    }
+    // Buckets ascend with `-height`, so the top line's comes first.
+    let depth = |i: u32| -lines[i as usize].eval(x);
+    let buckets = if ids.len() < BUCKETED_FROM {
+        Buckets::new(0.0, 0.0, 1)
+    } else {
+        // Plain compares: a NaN is skipped, as `f64::min` would, but
+        // without its extra work in the loop-carried chain.
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for &i in ids.iter() {
+            let v = depth(i);
+            if v < lo {
+                lo = v;
+            }
+            if v > hi {
+                hi = v;
+            }
+        }
+        Buckets::new(lo, hi, ids.len())
+    };
+    let mut hist = Histogram::new(buckets);
+    ids.iter().for_each(|&i| hist.add(depth(i)));
+    let mut slots = hist.slots(hist.all(), Vec::new(), 0);
+    ids.iter().for_each(|&i| slots.put(depth(i), i));
+    ids.copy_from_slice(&slots.sorted_by_key(|&i| key_at(lines, i, x)));
 }
 
 /// The [`order_at`] order at `x` of `sorted` and `ids` together, where
@@ -204,21 +233,103 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 0, 4, 6, 5]);
     }
 
+    /// [`order_at`]'s order by one comparison sort of every key: the
+    /// reference its counting sort must equal.
+    fn order_by_comparison(lines: &[DualLine], ids: &mut [u32], x: f64) {
+        let mut keyed: Vec<(u64, u64, u32)> = ids.iter().map(|&i| key_at(lines, i, x)).collect();
+        keyed.sort_unstable();
+        for (slot, (_, _, i)) in ids.iter_mut().zip(keyed) {
+            *slot = i;
+        }
+    }
+
+    /// Lines of `n` tuples whose attributes take `levels` values in
+    /// `[0, 1]`: runs of equal heights and slopes, and identical lines.
+    fn quantized(n: u32, levels: u32) -> Vec<DualLine> {
+        let level = |v: u32| (v % levels) as f64 / (levels - 1) as f64;
+        (0..n).map(|i| DualLine::from_tuple(&[level(i * 7), level(i * 3 + i / 5)])).collect()
+    }
+
     #[test]
-    fn merge_at_equals_sorting_the_union() {
-        // Quantized lines: equal heights, equal slopes and identical lines.
-        let lines: Vec<DualLine> = (0..40u32)
-            .map(|i| {
-                DualLine::from_tuple(&[((i * 7) % 5) as f64 / 4.0, ((i * 3) % 4) as f64 / 4.0])
+    fn order_at_equals_a_comparison_sort() {
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let random = |n: usize, rng: &mut rand::rngs::StdRng| -> Vec<DualLine> {
+            use rand::Rng;
+            (0..n).map(|_| DualLine::from_tuple(&[rng.random(), rng.random()])).collect()
+        };
+        // Heights of -0.0 and 0.0 at every x, and at x = 0 alone,
+        // beside others.
+        let signed_zeros: Vec<DualLine> = (0..300)
+            .map(|i| match i % 5 {
+                0 => DualLine { slope: -0.0, intercept: -0.0 },
+                1 => DualLine { slope: 0.0, intercept: 0.0 },
+                2 => DualLine { slope: -1.0, intercept: -0.0 },
+                3 => DualLine { slope: 1.0, intercept: 0.0 },
+                _ => DualLine { slope: i as f64 / 300.0, intercept: 0.5 - i as f64 / 300.0 },
             })
             .collect();
-        for x in [0.0, 0.25, 0.5, 1.0] {
-            let mut want: Vec<u32> = (0..40).collect();
-            order_at(&lines, &mut want, x);
-            let mut sorted: Vec<u32> = (0..40).filter(|i| i % 3 != 0).collect();
-            order_at(&lines, &mut sorted, x);
-            let mut ids: Vec<u32> = (0..40).filter(|i| i % 3 == 0).rev().collect();
-            assert_eq!(merge_at(&lines, &sorted, &mut ids, x), want, "x={x}");
+        for x in [0.0, 1.0] {
+            let zeros = signed_zeros.iter().map(|l| l.eval(x)).filter(|&h| h == 0.0);
+            let negative = zeros.clone().filter(|h| h.is_sign_negative()).count();
+            assert!(negative > 0 && negative < zeros.count(), "x={x}");
+        }
+        // A height span that overflows f64, and one of zero at x = 0.
+        let overflowing: Vec<DualLine> = (0..200)
+            .map(|i| DualLine { slope: (i % 7) as f64, intercept: [1.7e308, -1.7e308, 1.0][i % 3] })
+            .collect();
+        let level: Vec<DualLine> =
+            (0..200).map(|i| DualLine { slope: (i % 9) as f64 - 4.0, intercept: 0.25 }).collect();
+        // Finite rows whose slopes overflow: at x = 0 their heights are
+        // `inf · 0`, NaN, and at x = 1 infinite.
+        let non_finite: Vec<DualLine> = (0..200)
+            .map(|i| match i % 4 {
+                0 => DualLine::from_tuple(&[1.7e308, -1.7e308]),
+                1 => DualLine::from_tuple(&[-1.7e308, 1.7e308]),
+                _ => DualLine::from_tuple(&[i as f64 / 200.0, 1.0 - i as f64 / 300.0]),
+            })
+            .collect();
+        assert!(non_finite[0].eval(0.0).is_nan() && non_finite[1].eval(1.0).is_infinite());
+        let sets = [
+            ("random", random(1_000, &mut rng)),
+            ("below the bucketing threshold", random(BUCKETED_FROM - 1, &mut rng)),
+            ("quantized", quantized(2_000, 5)),
+            ("signed zeros", signed_zeros),
+            ("overflowing span", overflowing),
+            ("zero span", level),
+            ("non-finite heights", non_finite),
+        ];
+        for (name, lines) in &sets {
+            let n = lines.len() as u32;
+            // Every id ascending, and a subset in arbitrary order, as
+            // `merge_at` passes its inserts.
+            let all: Vec<u32> = (0..n).collect();
+            let subset: Vec<u32> = (0..n).map(|i| (i * 7_919) % n).filter(|i| i % 3 != 1).collect();
+            // Both ends of the full space and of a cone's interval.
+            for x in [0.0, 0.4, 0.45, 1.0] {
+                for ids in [&all, &subset] {
+                    let (mut want, mut got) = (ids.clone(), ids.clone());
+                    order_by_comparison(lines, &mut want, x);
+                    order_at(lines, &mut got, x);
+                    assert_eq!(got, want, "{name} at x={x}, {} ids", ids.len());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn merge_at_equals_sorting_the_union() {
+        // Quantized lines: equal heights, equal slopes and identical lines,
+        // below and above the bucketing threshold.
+        for n in [40, 600] {
+            let lines = quantized(n, 5);
+            for x in [0.0, 0.25, 0.5, 1.0] {
+                let mut want: Vec<u32> = (0..n).collect();
+                order_by_comparison(&lines, &mut want, x);
+                let mut sorted: Vec<u32> = (0..n).filter(|i| i % 3 != 0).collect();
+                order_at(&lines, &mut sorted, x);
+                let mut ids: Vec<u32> = (0..n).filter(|i| i % 3 == 0).rev().collect();
+                assert_eq!(merge_at(&lines, &sorted, &mut ids, x), want, "n={n} x={x}");
+            }
         }
     }
 

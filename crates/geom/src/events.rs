@@ -5,10 +5,16 @@
 //! Instead of sweeping the full `O(n²)` arrangement with a heap (the
 //! paper's formulation, implemented faithfully in [`crate::sweep`] and
 //! cross-validated in tests), we enumerate the crossings that involve at
-//! least one *tracked* (skyline) line, sort them once by `x`, and replay
+//! least one *tracked* (skyline) line, put them in `x` order, and replay
 //! them. Both routes visit the same rank changes for tracked lines, so the
 //! algorithms stay exact; this one just skips the events between two
 //! non-skyline lines, which Algorithm 1 ignores anyway (its case 3).
+//!
+//! Every enumerator here is one counting sort ([`crate::counting`]): a
+//! first pass counts the crossings per `x`-bucket, a second writes each
+//! crossing straight into its slot of one exact-size buffer, and each
+//! bucket is then sorted by `(x, down, up)`. A stream too long to hold
+//! runs the second pass once per strip of buckets instead.
 //!
 //! The routines take whatever lines they are given. The 2D solvers pass the
 //! rows that can reach the ranks they read (a K-band, compacted in
@@ -19,6 +25,7 @@
 use rrm_core::rank::descending_bits;
 use rrm_par::Parallelism;
 
+use crate::counting::{Buckets, Histogram};
 use crate::dual::DualLine;
 
 /// A crossing where the rank of at least one tracked line changes.
@@ -44,24 +51,14 @@ pub struct Crossing {
 /// state in. Under the paper's general-position assumption the choice is
 /// invisible; with ties it is the difference between a certificate for
 /// `[c0, c1]` and garbage.
-///
-/// `tracked_mask[i]` marks tracked line ids; `tracked` lists them.
 pub fn crossings_with_tracked(
     lines: &[DualLine],
     tracked: &[u32],
     x_lo: f64,
     x_hi: f64,
 ) -> Vec<Crossing> {
-    let mut mask = vec![false; lines.len()];
-    for &t in tracked {
-        mask[t as usize] = true;
-    }
-    let mut out = Vec::new();
-    for_each_raw_crossing(lines, tracked, &mask, x_lo, x_hi, |x, down, up| {
-        out.push(Crossing { x, down, up });
-    });
-    sort_crossings(&mut out);
-    out
+    crossings_with_tracked_capped(lines, tracked, x_lo, x_hi, usize::MAX)
+        .expect("no stream holds more than usize::MAX crossings")
 }
 
 /// Stream the crossings of [`crossings_with_tracked`] in globally sorted
@@ -70,10 +67,10 @@ pub fn crossings_with_tracked(
 ///
 /// For anti-correlated data the tracked (skyline) set can reach thousands
 /// of lines, making `s·n` crossings too large to hold at once (tens of GB
-/// at the paper's n = 100K scale). This routine makes two cheap passes:
-/// a counting pass histograms crossings into fine x-buckets, buckets are
-/// grouped into strips of at most `chunk_target` crossings, and each strip
-/// is generated, sorted and replayed through `visit` in order.
+/// at the paper's n = 100K scale). The counting pass's buckets are grouped
+/// into strips of at most `chunk_target` crossings (a bucket over it is a
+/// strip of its own), and each strip is enumerated again into one reused
+/// buffer, sorted bucket by bucket and replayed through `visit` in order.
 ///
 /// `visit` receives exactly the same crossings, in exactly the same order,
 /// as iterating the output of [`crossings_with_tracked`].
@@ -86,60 +83,19 @@ pub fn stream_crossings<F: FnMut(&Crossing)>(
     mut visit: F,
 ) {
     assert!(chunk_target > 0);
-    const BUCKETS: usize = 1024;
-    let span = x_hi - x_lo;
-    if span <= 0.0 {
-        for c in crossings_with_tracked(lines, tracked, x_lo, x_hi) {
-            visit(&c);
-        }
-        return;
-    }
-    let mut mask = vec![false; lines.len()];
-    for &t in tracked {
-        mask[t as usize] = true;
-    }
-    let bucket_of = |x: f64| (((x - x_lo) / span * BUCKETS as f64) as usize).min(BUCKETS - 1);
-    // Pass 1: histogram.
-    let mut hist = vec![0usize; BUCKETS];
-    for_each_raw_crossing(lines, tracked, &mask, x_lo, x_hi, |x, _, _| {
-        hist[bucket_of(x)] += 1;
-    });
-    // Group buckets into strips of at most chunk_target crossings (single
-    // over-full buckets become their own strip).
-    let mut strips: Vec<(usize, usize)> = Vec::new(); // [start, end) bucket range
-    let mut start = 0usize;
-    let mut acc = 0usize;
-    for (b, &h) in hist.iter().enumerate() {
-        if acc > 0 && acc + h > chunk_target {
-            strips.push((start, b));
-            start = b;
-            acc = 0;
-        }
-        acc += h;
-    }
-    strips.push((start, BUCKETS));
-    // Pass 2: per strip, materialize + sort + visit.
-    let mut buf: Vec<Crossing> = Vec::new();
-    for (b0, b1) in strips {
-        buf.clear();
-        for_each_raw_crossing(lines, tracked, &mask, x_lo, x_hi, |x, down, up| {
-            let b = bucket_of(x);
-            if b >= b0 && b < b1 {
-                buf.push(Crossing { x, down, up });
-            }
-        });
-        sort_crossings(&mut buf);
-        for c in &buf {
-            visit(c);
-        }
+    let crossings = Crossings::new(lines, tracked, x_lo, x_hi);
+    let mut hist = crossings.histogram();
+    let mut buf = Vec::new();
+    for strip in hist.strips(chunk_target) {
+        buf = crossings.sorted(&mut hist, strip, buf);
+        buf.iter().for_each(&mut visit);
     }
 }
 
-/// [`crossings_with_tracked`] with an abandon cap: materialize the sorted
-/// crossing stream unless it would exceed `cap` events, in which case the
-/// buffer is dropped mid-pass and `None` is returned (callers fall back to
-/// [`stream_crossings`], which bounds memory). One enumeration pass either
-/// way; the sort only happens on success.
+/// [`crossings_with_tracked`] with an abandon cap: `None` when the stream
+/// holds more than `cap` crossings (callers fall back to
+/// [`stream_crossings`], which bounds memory). The counting pass decides
+/// before any crossing is stored.
 pub fn crossings_with_tracked_capped(
     lines: &[DualLine],
     tracked: &[u32],
@@ -147,28 +103,13 @@ pub fn crossings_with_tracked_capped(
     x_hi: f64,
     cap: usize,
 ) -> Option<Vec<Crossing>> {
-    let mut mask = vec![false; lines.len()];
-    for &t in tracked {
-        mask[t as usize] = true;
-    }
-    let mut out: Vec<Crossing> = Vec::new();
-    let mut overflow = false;
-    for_each_raw_crossing(lines, tracked, &mask, x_lo, x_hi, |x, down, up| {
-        if overflow {
-            return;
-        }
-        if out.len() >= cap {
-            overflow = true;
-            out = Vec::new(); // release the buffer mid-pass
-            return;
-        }
-        out.push(Crossing { x, down, up });
-    });
-    if overflow {
+    let crossings = Crossings::new(lines, tracked, x_lo, x_hi);
+    let mut hist = crossings.histogram();
+    if hist.total() > cap {
         return None;
     }
-    sort_crossings(&mut out);
-    Some(out)
+    let all = hist.all();
+    Some(crossings.sorted(&mut hist, all, Vec::new()))
 }
 
 /// Parallel form of [`crossings_with_tracked_capped`]: the per-tracked-line
@@ -178,17 +119,19 @@ pub fn crossings_with_tracked_capped(
 /// [`rrm_par::adaptive_chunk`] sizes from the line count; a band too small
 /// to fill two chunks runs on the calling thread.
 ///
-/// Determinism: each tracked line's crossings are computed independently
-/// and the merged set is sorted by the same `(x, down, up)` total order as
-/// the sequential routine, so the returned stream is **bit-identical** to
-/// [`crossings_with_tracked_capped`] at any thread count, and the
-/// `None`-on-overflow decision is a pure function of the input.
+/// Determinism: each chunk's crossings are enumerated into its own buffer,
+/// and the buffers are then counting-sorted as the sequential routine's
+/// two passes are, into the same `(x, down, up)` total order, so the
+/// returned stream is **bit-identical** to [`crossings_with_tracked_capped`]
+/// at any thread count, and the `None`-on-overflow decision is a pure
+/// function of the input.
 ///
 /// Memory: the cap is enforced by a shared tally during the single
 /// enumeration pass, after each tracked line; peak transient usage can
 /// overshoot the sequential version's `cap` by up to one chunk's
 /// crossings per worker before overflow is detected. Size `cap`
-/// accordingly when the bound matters.
+/// accordingly when the bound matters. The sort adds one exact-size buffer
+/// and frees each chunk's buffer once it is placed.
 pub fn crossings_with_tracked_capped_par(
     lines: &[DualLine],
     tracked: &[u32],
@@ -200,13 +143,10 @@ pub fn crossings_with_tracked_capped_par(
     if pol.is_sequential() {
         return crossings_with_tracked_capped(lines, tracked, x_lo, x_hi, cap);
     }
-    let mut mask = vec![false; lines.len()];
-    for &t in tracked {
-        mask[t as usize] = true;
-    }
-    // One enumeration pass (like the sequential routine): per chunk of
-    // tracked lines into its own buffer, with a shared atomic tally
-    // enforcing the cap after each line. The overflow *decision* is a pure function of the input — the
+    let crossings = Crossings::new(lines, tracked, x_lo, x_hi);
+    // One enumeration pass: per chunk of tracked lines into its own
+    // buffer, with a shared atomic tally enforcing the cap after each
+    // line. The overflow *decision* is a pure function of the input — the
     // true crossing count either exceeds `cap` (then some tally update
     // must observe it, whatever the ordering) or it does not (then none
     // can) — so Some/None never depends on the thread count. Buffers of
@@ -220,7 +160,7 @@ pub fn crossings_with_tracked_capped_par(
         let mut out = Vec::new();
         for &t in chunk {
             let before = out.len();
-            for_each_raw_crossing_of(lines, t, &mask, x_lo, x_hi, |x, down, up| {
+            crossings.of_line(t, |x, down, up| {
                 if !overflow.load(Ordering::Relaxed) {
                     out.push(Crossing { x, down, up });
                 }
@@ -236,58 +176,101 @@ pub fn crossings_with_tracked_capped_par(
     if overflow.load(Ordering::Relaxed) {
         return None;
     }
-    let mut out: Vec<Crossing> = per_chunk.into_iter().flatten().collect();
-    sort_crossings(&mut out);
-    Some(out)
+    let mut hist = Histogram::new(crossings.buckets());
+    per_chunk.iter().flatten().for_each(|c| hist.add(c.x));
+    let mut slots = hist.slots(hist.all(), Vec::new(), NO_CROSSING);
+    per_chunk.into_iter().flatten().for_each(|c| slots.put(c.x, c));
+    Some(slots.sorted_by_key(crossing_key))
 }
 
-/// Shared enumeration core of [`crossings_with_tracked`] and
-/// [`stream_crossings`]: calls `f(x, down, up)` for every tracked crossing
-/// in `(x_lo, x_hi]`, in arbitrary order.
-fn for_each_raw_crossing<F: FnMut(f64, u32, u32)>(
-    lines: &[DualLine],
-    tracked: &[u32],
-    tracked_mask: &[bool],
+/// Crossings per x-bucket if every pair of lines a tracked line meets
+/// crossed inside the interval.
+const PER_BUCKET: usize = 2;
+
+/// The most x-buckets a count pass keeps: 512 KiB of counts.
+const MAX_BUCKETS: usize = 1 << 16;
+
+/// The fill of a buffer's slots before the crossings are written.
+const NO_CROSSING: Crossing = Crossing { x: 0.0, down: 0, up: 0 };
+
+/// The one order every stream uses: `x` ascending (`-0.0` and `0.0`
+/// equal, as under `partial_cmp`), ties by `(down, up)`.
+fn crossing_key(c: &Crossing) -> (u64, u32, u32) {
+    (!descending_bits(c.x), c.down, c.up)
+}
+
+/// The crossings in `(x_lo, x_hi)` of the tracked lines with every line,
+/// enumerated in no particular order: the one core of every enumerator
+/// above.
+struct Crossings<'a> {
+    lines: &'a [DualLine],
+    tracked: &'a [u32],
+    /// Per line id, whether it is tracked: a tracked pair is met once.
+    tracked_mask: Vec<bool>,
     x_lo: f64,
     x_hi: f64,
-    mut f: F,
-) {
-    for &t in tracked {
-        for_each_raw_crossing_of(lines, t, tracked_mask, x_lo, x_hi, &mut f);
-    }
 }
 
-/// One tracked line's slice of [`for_each_raw_crossing`] — the unit of
-/// work [`crossings_with_tracked_capped_par`] schedules across threads.
-fn for_each_raw_crossing_of<F: FnMut(f64, u32, u32)>(
-    lines: &[DualLine],
-    t: u32,
-    tracked_mask: &[bool],
-    x_lo: f64,
-    x_hi: f64,
-    mut f: F,
-) {
-    let lt = &lines[t as usize];
-    for (o, lo_line) in lines.iter().enumerate() {
-        let o = o as u32;
-        if o == t || (tracked_mask[o as usize] && o < t) {
-            continue;
+impl<'a> Crossings<'a> {
+    fn new(lines: &'a [DualLine], tracked: &'a [u32], x_lo: f64, x_hi: f64) -> Self {
+        let mut tracked_mask = vec![false; lines.len()];
+        for &t in tracked {
+            tracked_mask[t as usize] = true;
         }
-        let Some(x) = lt.intersection_x(lo_line) else {
-            continue;
-        };
-        if x <= x_lo || x >= x_hi {
-            continue;
-        }
-        let (down, up) = if lt.slope < lo_line.slope { (t, o) } else { (o, t) };
-        f(x, down, up);
+        Self { lines, tracked, tracked_mask, x_lo, x_hi }
     }
-}
 
-/// Sort crossings by `x` ascending (`-0.0` and `0.0` equal, as under
-/// `partial_cmp`), ties by `(down, up)`: the one order every stream uses.
-fn sort_crossings(crossings: &mut [Crossing]) {
-    crossings.sort_unstable_by_key(|c| (!descending_bits(c.x), c.down, c.up));
+    /// Equal-width x-buckets over the interval, sized from the number of
+    /// pairs a tracked line meets.
+    fn buckets(&self) -> Buckets {
+        let pairs = self.tracked.len().saturating_mul(self.lines.len());
+        Buckets::new(self.x_lo, self.x_hi, (pairs / PER_BUCKET).min(MAX_BUCKETS))
+    }
+
+    /// The first pass: the crossings counted per x-bucket.
+    fn histogram(&self) -> Histogram {
+        let mut hist = Histogram::new(self.buckets());
+        for &t in self.tracked {
+            self.of_line(t, |x, _, _| hist.add(x));
+        }
+        hist
+    }
+
+    /// The second pass over buckets `range` of `hist`: their crossings in
+    /// `(x, down, up)` order, in `buf`'s allocation.
+    fn sorted(
+        &self,
+        hist: &mut Histogram,
+        range: std::ops::Range<usize>,
+        buf: Vec<Crossing>,
+    ) -> Vec<Crossing> {
+        let mut slots = hist.slots(range, buf, NO_CROSSING);
+        for &t in self.tracked {
+            self.of_line(t, |x, down, up| slots.put(x, Crossing { x, down, up }));
+        }
+        slots.sorted_by_key(crossing_key)
+    }
+
+    /// Calls `f(x, down, up)` for every crossing of tracked line `t` in
+    /// `(x_lo, x_hi)`: the unit of work
+    /// [`crossings_with_tracked_capped_par`] schedules across threads.
+    fn of_line(&self, t: u32, mut f: impl FnMut(f64, u32, u32)) {
+        let lt = &self.lines[t as usize];
+        for (o, lo_line) in self.lines.iter().enumerate() {
+            let o = o as u32;
+            if o == t || (self.tracked_mask[o as usize] && o < t) {
+                continue;
+            }
+            let Some(x) = lt.intersection_x(lo_line) else {
+                continue;
+            };
+            if x <= self.x_lo || x >= self.x_hi {
+                continue;
+            }
+            let (down, up) = if lt.slope < lo_line.slope { (t, o) } else { (o, t) };
+            f(x, down, up);
+        }
+    }
 }
 
 /// Initial 1-based ranks of every line at `x_lo+` (height descending, ties
@@ -373,6 +356,96 @@ mod tests {
         assert_eq!(initial_ranks(&lines, 0.2), vec![2, 1, 3]);
     }
 
+    /// The crossing stream by one comparison sort of every crossing: the
+    /// reference the counting enumeration must equal.
+    fn crossings_by_comparison(
+        lines: &[DualLine],
+        tracked: &[u32],
+        x_lo: f64,
+        x_hi: f64,
+    ) -> Vec<Crossing> {
+        let crossings = Crossings::new(lines, tracked, x_lo, x_hi);
+        let mut out = Vec::new();
+        for &t in tracked {
+            crossings.of_line(t, |x, down, up| out.push(Crossing { x, down, up }));
+        }
+        out.sort_unstable_by_key(crossing_key);
+        out
+    }
+
+    /// Lines of `n` tuples on a `levels`-step grid in `[0, 1]²`: many
+    /// lines meet at one point, so crossings share their `x`.
+    fn grid_lines(n: u32, levels: u32) -> Vec<DualLine> {
+        let level = |v: u32| (v % levels) as f64 / (levels - 1) as f64;
+        (0..n).map(|i| DualLine::from_tuple(&[level(i * 7), level(i * 3 + i / 5)])).collect()
+    }
+
+    /// Crossings as bit patterns, so NaN crossings compare equal to
+    /// themselves.
+    fn bits(crossings: &[Crossing]) -> Vec<(u64, u32, u32)> {
+        crossings.iter().map(|c| (c.x.to_bits(), c.down, c.up)).collect()
+    }
+
+    #[test]
+    fn counting_enumeration_equals_a_comparison_sort() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(17);
+        // Chunk target 1 makes a pass per bucket: small sets keep it quick.
+        let random: Vec<DualLine> = (0..70)
+            .map(|_| DualLine::from_tuple(&[rng.random::<f64>(), rng.random::<f64>()]))
+            .collect();
+        let grid = grid_lines(90, 6);
+        // Finite rows whose slopes overflow: some of their crossings are
+        // at a NaN x, which the open interval does not reject.
+        let mut non_finite = random.clone();
+        non_finite[3] = DualLine::from_tuple(&[1.7e308, -1.7e308]);
+        non_finite[4] = DualLine::from_tuple(&[-1.7e308, 1.7e308]);
+        non_finite[5] = DualLine::from_tuple(&[1.7e308, -1.7e308]);
+        let sets = [
+            ("random", &random),
+            ("grid", &grid),
+            ("table 1", &lines3()),
+            ("non-finite", &non_finite),
+        ];
+        for (name, lines) in sets {
+            let n = lines.len() as u32;
+            for tracked in [(0..n).step_by(3).collect::<Vec<u32>>(), (0..n).collect()] {
+                for (x_lo, x_hi) in [(0.0, 1.0), (0.4, 0.45)] {
+                    let ctx = format!("{name}, {} tracked, ({x_lo}, {x_hi})", tracked.len());
+                    let want = bits(&crossings_by_comparison(lines, &tracked, x_lo, x_hi));
+                    let got = crossings_with_tracked(lines, &tracked, x_lo, x_hi);
+                    assert_eq!(bits(&got), want, "{ctx}");
+                    for chunk in [1, 7, usize::MAX] {
+                        let mut streamed = Vec::new();
+                        stream_crossings(lines, &tracked, x_lo, x_hi, chunk, |c| streamed.push(*c));
+                        assert_eq!(bits(&streamed), want, "{ctx}: chunk target {chunk}");
+                    }
+                    for cap in [want.len().saturating_sub(1), want.len(), usize::MAX] {
+                        let fits = (cap >= want.len()).then(|| want.clone());
+                        let capped =
+                            crossings_with_tracked_capped(lines, &tracked, x_lo, x_hi, cap);
+                        assert_eq!(capped.as_deref().map(bits), fits, "{ctx}: cap {cap}");
+                        for pol in
+                            [Parallelism::Sequential, Parallelism::Fixed(2), Parallelism::Fixed(7)]
+                        {
+                            let par = crossings_with_tracked_capped_par(
+                                lines, &tracked, x_lo, x_hi, cap, pol,
+                            );
+                            assert_eq!(par.as_deref().map(bits), fits, "{ctx}: cap {cap} {pol:?}");
+                        }
+                    }
+                }
+            }
+        }
+        let nan = crossings_with_tracked(&non_finite, &[3, 4, 9], 0.0, 1.0);
+        assert!(nan.iter().any(|c| c.x.is_nan()));
+        // The grid's crossings share their x in runs.
+        let all: Vec<u32> = (0..90).collect();
+        let stream = crossings_with_tracked(&grid, &all, 0.0, 1.0);
+        assert!(stream.windows(2).filter(|w| w[0].x == w[1].x).count() > stream.len() / 2);
+    }
+
     #[test]
     fn stream_matches_materialized_order() {
         use rand::rngs::StdRng;
@@ -385,6 +458,7 @@ mod tests {
                 .collect();
             let tracked: Vec<u32> = (0..n as u32).step_by(2).collect();
             let all = crossings_with_tracked(&lines, &tracked, 0.0, 1.0);
+            assert_eq!(all, crossings_by_comparison(&lines, &tracked, 0.0, 1.0), "trial {trial}");
             // Tiny chunk target forces many strips.
             let mut streamed = Vec::new();
             super::stream_crossings(&lines, &tracked, 0.0, 1.0, 7, |c| streamed.push(*c));
@@ -421,20 +495,23 @@ mod tests {
             None
         );
         assert_eq!(crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, 3), None);
-        // A band wide enough to split its tracked lines into several
-        // chunks, under and over the cap.
-        let lines: Vec<DualLine> = (0..12_000)
+        // Bands wide enough to split their tracked lines into several
+        // chunks, under and over the cap; the grid's crossings share
+        // their x across chunks.
+        let random: Vec<DualLine> = (0..12_000)
             .map(|_| DualLine::from_tuple(&[rng.random::<f64>(), rng.random::<f64>()]))
             .collect();
-        let tracked: Vec<u32> = (0..12_000u32).step_by(120).collect();
-        assert!(rrm_par::adaptive_chunk(tracked.len(), lines.len()) < tracked.len());
-        let sequential = crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, usize::MAX);
-        let count = sequential.as_ref().map_or(0, Vec::len);
-        for cap in [usize::MAX, count - 1] {
-            let want = crossings_with_tracked_capped(&lines, &tracked, 0.0, 1.0, cap);
-            for pol in [Parallelism::Fixed(2), Parallelism::Fixed(3)] {
-                let par = crossings_with_tracked_capped_par(&lines, &tracked, 0.0, 1.0, cap, pol);
-                assert_eq!(par, want, "cap {cap} {pol:?}");
+        for lines in [random, grid_lines(12_000, 6)] {
+            let tracked: Vec<u32> = (0..12_000u32).step_by(120).collect();
+            assert!(rrm_par::adaptive_chunk(tracked.len(), lines.len()) < tracked.len());
+            let all = crossings_by_comparison(&lines, &tracked, 0.0, 1.0);
+            for cap in [usize::MAX, all.len() - 1] {
+                let want = (cap >= all.len()).then(|| all.clone());
+                for pol in [Parallelism::Sequential, Parallelism::Fixed(2), Parallelism::Fixed(7)] {
+                    let par =
+                        crossings_with_tracked_capped_par(&lines, &tracked, 0.0, 1.0, cap, pol);
+                    assert_eq!(par, want, "cap {cap} {pol:?}");
+                }
             }
         }
     }

@@ -17,6 +17,7 @@
 //!   See [`polar`].
 
 pub mod chain;
+mod counting;
 pub mod dual;
 pub mod envelope;
 pub mod events;

@@ -1,7 +1,7 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use rrm_geom::dual::DualLine;
+use rrm_geom::dual::{order_at, DualLine};
 use rrm_geom::envelope::upper_envelope;
 use rrm_geom::events::{crossings_with_tracked, initial_ranks, stream_crossings};
 use rrm_geom::polar::{angles_to_direction, direction_to_angles};
@@ -16,8 +16,34 @@ fn lines_strategy() -> impl Strategy<Value = Vec<DualLine>> {
     })
 }
 
+/// Up to 300 lines on a 50-step grid: equal heights and slopes are common,
+/// and most sets are past `order_at`'s bucketing threshold.
+fn grid_lines_strategy() -> impl Strategy<Value = Vec<DualLine>> {
+    proptest::collection::vec((0u32..50, 0u32..50), 1..300).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(a, b)| DualLine::from_tuple(&[a as f64 / 49.0, b as f64 / 49.0]))
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `order_at` is height descending, then slope descending, then id.
+    #[test]
+    fn order_at_matches_a_comparison_sort(lines in grid_lines_strategy(), x_step in 0u32..=8) {
+        let x = x_step as f64 / 8.0;
+        let mut got: Vec<u32> = (0..lines.len() as u32).collect();
+        let mut want = got.clone();
+        order_at(&lines, &mut got, x);
+        want.sort_by(|&a, &b| {
+            let (la, lb) = (&lines[a as usize], &lines[b as usize]);
+            let by = |f: fn(&DualLine, f64) -> f64| f(lb, x).partial_cmp(&f(la, x)).unwrap();
+            by(|l, x| l.eval(x)).then(by(|l, _| l.slope)).then(a.cmp(&b))
+        });
+        prop_assert_eq!(got, want);
+    }
 
     /// The sweep and the event list report identical rank trajectories.
     #[test]

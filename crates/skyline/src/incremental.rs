@@ -190,6 +190,20 @@ mod tests {
     }
 
     #[test]
+    fn build_keeps_no_dominated_row_of_equal_sum() {
+        // Row 1 dominates row 0 though their sums round alike (to 1, and
+        // to +inf); in the second set it dominates row 2 as well.
+        for (rows, want) in [
+            ([[1.0, 0.0, 0.0], [1.0, 1e-20, 0.0], [0.2, 0.2, 0.2]], &[1, 2][..]),
+            ([[1.7e308, 1.7e308, 0.0], [1.7e308, 1.7e308, 1.0], [0.5, 0.5, 0.5]], &[1]),
+        ] {
+            let inc = IncrementalSkyline::build(&Dataset::from_rows(&rows).unwrap());
+            assert_eq!(inc.skyline(), want);
+            assert_eq!(inc.dom_of[0], 1);
+        }
+    }
+
+    #[test]
     fn dominator_buffer_is_live() {
         let mut rng = StdRng::seed_from_u64(11);
         let rows = random_rows(&mut rng, 50, 3);

@@ -1,11 +1,14 @@
 //! Sort-filter skyline (SFS) for arbitrary dimensionality.
 //!
-//! Tuples are scanned in descending attribute-sum order; a dominating tuple
-//! always has a strictly larger sum (it is ≥ everywhere and > somewhere),
-//! so comparing each tuple only against already-accepted skyline members is
-//! sound. Worst case `O(n·s·d)` with `s` the skyline size — the standard
-//! practical choice for the moderate dimensionalities of the paper
-//! (`d ≤ 6`).
+//! Tuples are scanned in descending attribute-sum order. A dominating
+//! tuple (≥ everywhere, > somewhere) never has a smaller sum, since f64
+//! addition is monotone, but rounding can make the two sums equal (a
+//! difference below one ulp, or both `+inf`). Tuples of equal sum are
+//! therefore scanned lexicographically descending, where a dominator comes
+//! first too, so comparing each tuple only against already-accepted
+//! skyline members is sound. Worst case `O(n·s·d)` with `s` the skyline
+//! size — the standard practical choice for the moderate dimensionalities
+//! of the paper (`d ≤ 6`).
 //!
 //! One scan serves [`skyline`] and [`crate::IncrementalSkyline::build`].
 //! Its window of accepted members holds fixed-size rows for `d = 2..=8`,
@@ -40,14 +43,19 @@ pub fn skyline(data: &Dataset) -> Vec<u32> {
     sky
 }
 
-/// One SFS pass: tuples in descending attribute-sum order, then index
-/// ascending, each kept when no member accepted before it dominates it.
-/// Returns the members in acceptance order, and per tuple the first
-/// member in that order that dominates it ([`NO_DOM`] for members).
+/// One SFS pass: tuples in descending attribute-sum order, equal sums
+/// lexicographically descending, then index ascending, each kept when no
+/// member accepted before it dominates it. Returns the members in
+/// acceptance order, and per tuple the first member in that order that
+/// dominates it ([`NO_DOM`] for members).
 pub(crate) fn sfs(data: &Dataset) -> (Vec<u32>, Vec<u32>) {
     let mut order: Vec<(u64, u32)> =
         data.rows().enumerate().map(|(i, r)| (descending_bits(r.iter().sum()), i as u32)).collect();
     order.sort_unstable();
+    let lexicographic = |i: u32| data.row(i as usize).iter().map(|&v| descending_bits(v));
+    for run in order.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+        run.sort_unstable_by(|a, b| lexicographic(a.1).cmp(lexicographic(b.1)).then(a.1.cmp(&b.1)));
+    }
     let order: Vec<u32> = order.into_iter().map(|(_, i)| i).collect();
     let mut dom_of = vec![NO_DOM; data.n()];
     let sky = match data.dim() {
@@ -170,6 +178,22 @@ mod tests {
                 .collect();
             let d = Dataset::from_rows(&rows).unwrap();
             assert_eq!(skyline(&d), brute_force(&d), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn a_dominator_of_equal_sum_is_scanned_first() {
+        // Row 1 dominates row 0, though their sums round alike: 1 + 1e-20
+        // is 1, and both overflowing rows sum to +inf.
+        let tiny = Dataset::from_rows(&[[1.0, 0.0, 0.0], [1.0, 1e-20, 0.0], [0.2, 0.2, 0.2]]);
+        let huge = Dataset::from_rows(&[
+            [1.7e308, 1.7e308, 0.0],
+            [1.7e308, 1.7e308, 1.0],
+            [0.5, 0.5, 0.5],
+        ]);
+        for (data, want) in [(tiny.unwrap(), &[1, 2][..]), (huge.unwrap(), &[1])] {
+            assert_eq!(skyline(&data), want);
+            assert_eq!(brute_force(&data), want);
         }
     }
 
