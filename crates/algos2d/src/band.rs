@@ -46,7 +46,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use rrm_core::rank::descending_bits;
 use rrm_core::{Dataset, RrmError};
-use rrm_geom::dual::{merge_at, order_at, DualLine};
+use rrm_geom::dual::{merge_at, order_at, overflowing_span, DualLine};
 use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, stream_crossings};
 use rrm_geom::Crossing;
 use rrm_par::Parallelism;
@@ -72,17 +72,10 @@ const MARGIN: f64 = 1e-9;
 /// range is not finite are a [`RrmError::Numerical`].
 fn dual_lines(data: &Dataset) -> Result<Vec<DualLine>, RrmError> {
     let lines = DualLine::from_dataset(data);
-    let range = |of: fn(&DualLine) -> f64| {
-        let (inf, neg_inf) = (f64::INFINITY, f64::NEG_INFINITY);
-        lines.iter().map(of).fold((inf, neg_inf), |(lo, hi), v| (lo.min(v), hi.max(v)))
-    };
-    for (what, (lo, hi)) in [("slopes", range(|l| l.slope)), ("intercepts", range(|l| l.intercept))]
-    {
-        if !(hi - lo).is_finite() {
-            return Err(RrmError::Numerical(format!(
-                "the rows' dual {what} span [{lo:e}, {hi:e}], so 2D crossings overflow f64"
-            )));
-        }
+    if let Some((what, lo, hi)) = overflowing_span(&lines) {
+        return Err(RrmError::Numerical(format!(
+            "the rows' dual {what} span [{lo:e}, {hi:e}], so 2D crossings overflow f64"
+        )));
     }
     Ok(lines)
 }

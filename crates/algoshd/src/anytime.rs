@@ -18,6 +18,15 @@
 //! every list, with the basis forced in and the skyline as candidates,
 //! and stops each list at its first basis tuple; MDRRRr covers the
 //! distinct k-sets among full lists, with neither.
+//!
+//! An RRM search scores its frame in one deep pass, to the first doubling
+//! probe at or above its coarse incumbent's bound, and deepens the lists
+//! to `2k` only when a probe reads past them. HDRRM's probes over one list
+//! set share one [`CoverIndex`], which the search keeps while it probes
+//! that set and which each probe extends to its own depth, so a probe
+//! walks only the candidate entries of the directions it covers.
+
+use std::sync::Arc;
 
 use rrm_core::approx::sample_directions;
 use rrm_core::rank::max_rank_regret;
@@ -26,8 +35,8 @@ use rrm_core::{
     TerminatedBy, UtilitySpace,
 };
 
-use crate::asms::{asms_with_topk_capped, AsmsProbe};
-use crate::common::{ListCache, ListSource};
+use crate::asms::{asms_with_topk_capped, AsmsProbe, CoverIndex};
+use crate::common::{ListCache, ListSource, TopkLists};
 use crate::mdrrr_r::kset_family;
 
 /// Fraction of the frame used as the coarse frame (its *prefix*, so
@@ -169,11 +178,12 @@ impl CoverSearch<'_> {
     /// across queries.
     ///
     /// Under a limit a fallback incumbent comes first; then the coarse
-    /// incumbent, whose frame-wide bound sets the depth of the one deep
-    /// top-k pass; then the doubling-then-binary search, whose probes read
-    /// prefixes of the kept lists. An early stop returns the best
-    /// incumbent with sound [`Bounds`]. Without a time limit the answer is
-    /// bit-identical at any thread count.
+    /// incumbent, whose frame-wide bound `U` sets the depth of the one
+    /// deep top-k pass (the first doubling probe at or above `U`); then
+    /// the doubling-then-binary search, whose probes read prefixes of the
+    /// kept lists. An early stop returns the best incumbent with sound
+    /// [`Bounds`]. Without a time limit the answer is bit-identical at any
+    /// thread count.
     pub fn solve_rrm(
         &self,
         r: usize,
@@ -187,7 +197,6 @@ impl CoverSearch<'_> {
             return Err(RrmError::OutputSizeTooSmall { requested: r, minimum });
         }
         self.check_frame(dirs)?;
-        let n = self.data.n();
         // A measured, sound frame-relative upper bound for a candidate.
         let regret = |set: &[u32]| {
             max_rank_regret(self.data, dirs, set, self.pol).expect("the frame is not empty")
@@ -204,11 +213,8 @@ impl CoverSearch<'_> {
         let coarse = &dirs[..dirs.len() / COARSE_FRACTION];
         if coarse.len() >= COARSE_MIN_DIRS {
             let kept = ListCache::default();
-            let source = self.source(coarse, 0, &kept, 0);
             let mut sub = AnytimeSearch::unlimited();
-            let outcome = threshold_search(n, &mut sub, |k, lower, sub| {
-                Ok(self.probe(r, k, &source.lists(k), lower, sub))
-            })?;
+            let outcome = self.search(r, &self.source(coarse, 0, &kept, 0), &mut sub)?;
             search.report.nodes += sub.report.nodes;
             search.report.pruned_probes += sub.report.pruned_probes;
             if let Some((_, q)) = outcome.best {
@@ -216,11 +222,11 @@ impl CoverSearch<'_> {
                 search.offer(q, upper, 1);
             }
         }
-        let deep = search.incumbent.upper().map_or(0, |upper| upper.min(n));
-        let source = self.source(dirs, deep, cache, key);
-        let outcome = threshold_search(n, &mut search, |k, lower, search| {
-            Ok(self.probe(r, k, &source.lists(k), lower, search))
-        })?;
+        // The deep pass goes to the first doubling probe at or above the
+        // incumbent's bound, so a search whose greedy covers are monotone
+        // never scores the frame again.
+        let deep = search.incumbent.upper().map_or(0, usize::next_power_of_two);
+        let outcome = self.search(r, &self.source(dirs, deep, cache, key), &mut search)?;
         let sol = match outcome.terminated {
             TerminatedBy::Completed => {
                 // At k = n every list holds every tuple, so the basis or a
@@ -255,9 +261,47 @@ impl CoverSearch<'_> {
         }
         self.check_frame(dirs)?;
         let k = k.min(self.data.n());
-        let lists = self.source(dirs, 0, cache, key).lists(k);
+        // The one threshold is the deep pass: the lists go no deeper.
+        let (_, lists) = self.source(dirs, k, cache, key).lists(k);
         let q = self.cover(k, &lists, usize::MAX).q;
         Solution::new(q, self.certified(k), self.algorithm, self.data)
+    }
+
+    /// The doubling-then-binary threshold search for size budget `r` over
+    /// `source`'s lists.
+    ///
+    /// HDRRM's probes read one [`CoverIndex`] per list set, kept while
+    /// the search probes that set: the source returns the same `Arc`
+    /// while its kept lists are deep enough, and the held `Arc` keeps the
+    /// comparison sound. Lists the next probe cannot read, or that the
+    /// source does not keep, are let go before it computes new ones, so
+    /// two list sets never sit in memory at once.
+    fn search(
+        &self,
+        r: usize,
+        source: &ListSource<'_>,
+        search: &mut AnytimeSearch,
+    ) -> Result<ThresholdOutcome<Vec<u32>>, RrmError> {
+        let n = self.data.n();
+        let cap = if self.prune { r - self.basis.len() } else { usize::MAX };
+        let mut held: Option<(usize, TopkLists, CoverIndex<'_>)> = None;
+        threshold_search(n, search, |k, lower, search| {
+            if self.ksets {
+                let (_, lists) = source.lists(k);
+                return Ok(self.settle(r, k, self.cover(k, &lists, cap), lower, search));
+            }
+            if held.as_ref().is_some_and(|(depth, ..)| *depth < k || !source.fits(*depth)) {
+                held = None;
+            }
+            let (depth, lists) = source.lists(k);
+            if !held.as_ref().is_some_and(|(_, kept, _)| Arc::ptr_eq(kept, &lists)) {
+                let index = CoverIndex::new(n, self.basis, self.mask, &lists);
+                held = Some((depth, lists, index));
+            }
+            let (_, lists, index) = held.as_mut().expect("an index over the probed lists");
+            let probe = index.probe(lists, k, cap);
+            Ok(self.settle(r, k, probe, lower, search))
+        })
     }
 
     /// An empty frame has nothing to cover: a typed error, rather than an
@@ -276,7 +320,8 @@ impl CoverSearch<'_> {
         self.algorithm.has_regret_guarantee().then_some(k)
     }
 
-    /// The greedy cover at threshold `k`, capped at `cap` picks.
+    /// The greedy cover at threshold `k`, capped at `cap` picks, as one
+    /// probe of a fresh index.
     fn cover(&self, k: usize, lists: &[Vec<u32>], cap: usize) -> AsmsProbe {
         let n = self.data.n();
         if self.ksets {
@@ -286,21 +331,19 @@ impl CoverSearch<'_> {
         }
     }
 
-    /// One feasibility probe at threshold `k` for size budget `r`. Counts
-    /// the cover's picks as nodes, records prunes, and offers a cover that
+    /// Settle one feasibility probe at threshold `k` for size budget `r`
+    /// from its cover, capped at `r - |B|` picks when pruning (picks never
+    /// overlap the basis, so more of them prove infeasibility). Counts the
+    /// cover's picks as nodes, records prunes, and offers a cover that
     /// fits as an incumbent (its threshold bounds the frame's regret).
-    fn probe(
+    fn settle(
         &self,
         r: usize,
         k: usize,
-        lists: &[Vec<u32>],
+        probe: AsmsProbe,
         lower: usize,
         search: &mut AnytimeSearch,
     ) -> Option<Vec<u32>> {
-        // Picks never overlap the basis, so more than `r - |B|` of them
-        // prove infeasibility.
-        let cap = if self.prune { r - self.basis.len() } else { usize::MAX };
-        let probe = self.cover(k, lists, cap);
         search.note_nodes(probe.picks);
         if !probe.complete {
             search.note_pruned_probe();

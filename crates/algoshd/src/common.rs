@@ -11,6 +11,12 @@
 //! every threshold up to the kept depth a stopped prefix either equals
 //! the full prefix or holds the same first basis tuple, and every cover
 //! is the one full lists give.
+//!
+//! A list source computes lists as deep as the search will read them: to
+//! its deep pass's depth, the first doubling probe at or above the
+//! search's bound, or else to `2k`, the next doubling probe. A threshold
+//! search over greedy covers that are monotone in `k` then scores its
+//! frame once.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -38,19 +44,24 @@ pub(crate) type ListCache = Mutex<HashMap<usize, (usize, TopkLists)>>;
 ///
 /// A probe at threshold `k` reads only each list's first `k` entries (the
 /// prefix property ASMS and the k-set family rely on), so one deep list
-/// set serves every shallower probe. Lists are kept in `cache` while
-/// `dirs × depth` fits `budget_entries`; above it they are computed per
-/// probe and not kept.
+/// set serves every shallower probe. A list set is computed only when no
+/// kept one is deep enough, and then as deep as the search will read it
+/// next: the deep pass's depth for a probe at or below it, else `2k`, the
+/// threshold search's next doubling probe. Either depth is clamped to `n`
+/// and to the deepest level that fits `budget_entries`, and never below
+/// `k`. Lists are kept in `cache` while `dirs × depth` fits the budget;
+/// above it they are computed per probe and not kept.
 pub(crate) struct ListSource<'a> {
     pub data: &'a Dataset,
     pub dirs: &'a [Vec<f64>],
     pub pol: Parallelism,
     pub budget_entries: usize,
-    /// Depth of the one deep pass: a bound on the search's answer, such
-    /// as its incumbent's upper bound, clamped to `n`. The first probe at
-    /// or below it computes lists this deep, so the doubling and binary
-    /// probes under it never score again. Probes above it deepen the
-    /// lists to their own `k`. Zero disables the deep pass.
+    /// Depth of the one deep pass: the first doubling probe at or above a
+    /// bound on the search's answer (a power of two at or above its
+    /// incumbent's upper bound), or the one threshold of a single cover.
+    /// The first probe at or below it computes lists this deep, so the
+    /// doubling and binary probes under it never score again. Zero
+    /// disables the deep pass.
     pub deep: usize,
     /// The cache and the key `dirs`' lists are kept under. Queries
     /// sharing a cache may evict and refill an entry under each other;
@@ -69,17 +80,21 @@ impl ListSource<'_> {
         self.cache.lock().expect("top-k cache poisoned")
     }
 
-    fn fits(&self, depth: usize) -> bool {
+    /// Whether lists `depth` deep fit the budget, and so are kept.
+    pub fn fits(&self, depth: usize) -> bool {
         self.dirs.len().saturating_mul(depth) <= self.budget_entries
     }
 
-    /// Lists at least `k` deep, one per direction of `dirs`.
-    pub fn lists(&self, k: usize) -> TopkLists {
-        let kept = self.lock().get(&self.key).filter(|(depth, _)| *depth >= k).map(|e| e.1.clone());
-        if let Some(lists) = kept {
-            return lists;
+    /// Lists at least `k` deep, one per direction of `dirs`, and their
+    /// depth.
+    pub fn lists(&self, k: usize) -> (usize, TopkLists) {
+        let kept = self.lock().get(&self.key).filter(|(depth, _)| *depth >= k).cloned();
+        if let Some(kept) = kept {
+            return kept;
         }
-        let depth = if k <= self.deep && self.fits(self.deep) { self.deep } else { k };
+        let want = if k <= self.deep { self.deep } else { 2 * k };
+        let fitting = self.budget_entries / self.dirs.len().max(1);
+        let depth = want.min(self.data.n()).min(fitting).max(k);
         let keep = self.fits(depth);
         if keep {
             // Free the shallower lists first, so two levels never sit in
@@ -90,7 +105,7 @@ impl ListSource<'_> {
         if keep {
             self.keep(depth, lists.clone());
         }
-        lists
+        (depth, lists)
     }
 
     fn keep(&self, depth: usize, lists: TopkLists) {
@@ -186,32 +201,51 @@ mod tests {
         let src = source(&data, &dirs, usize::MAX, 24, &cache);
         // The first probe computes the deep level; later shallower probes
         // are prefixes of it.
-        assert_eq!(*src.lists(1), fresh(24));
+        let (depth, deep) = src.lists(1);
+        assert_eq!((depth, &*deep), (24, &fresh(24)));
         assert_eq!(kept_depth(&cache), Some(24));
         for k in [2, 16, 24] {
-            assert!(Arc::ptr_eq(&src.lists(k), &src.lists(1)), "k={k} rescored");
+            assert!(Arc::ptr_eq(&src.lists(k).1, &deep), "k={k} rescored");
         }
-        // Above the deep level the lists deepen to the probe's own k, and
-        // replace the kept ones.
-        assert_eq!(*src.lists(40), fresh(40));
-        assert_eq!(kept_depth(&cache), Some(40));
+        // Above the deep level the lists deepen to 2k, the next doubling
+        // probe, and replace the kept ones; every probe up to 2k reads
+        // them.
+        let (depth, doubled) = src.lists(40);
+        assert_eq!((depth, &*doubled), (80, &fresh(80)));
+        assert_eq!(kept_depth(&cache), Some(80));
+        for k in [25, 41, 64, 80] {
+            assert!(Arc::ptr_eq(&src.lists(k).1, &doubled), "k={k} rescored");
+        }
+        // 2k is clamped to n.
+        let (depth, all) = src.lists(200);
+        assert_eq!((depth, &*all), (300, &fresh(300)));
+        assert_eq!(kept_depth(&cache), Some(300));
     }
 
     #[test]
     fn budget_caps_what_is_kept() {
         let data = independent(300, 3, 3);
         let dirs = dirs(3, 10, 4);
-        // 10 dirs × 24 deep exceeds 100 entries: no deep pass, and only
-        // levels within the budget are kept.
+        let fresh = |k| batch_top_k(&data, &dirs, k, Parallelism::Sequential);
+        // 10 dirs × 24 deep exceeds 100 entries: the deep pass is clamped
+        // to the 10 levels that fit, and only levels within the budget are
+        // kept.
         let cache = ListCache::default();
         let src = source(&data, &dirs, 100, 24, &cache);
-        assert_eq!(src.lists(4).iter().map(Vec::len).max(), Some(4));
-        assert_eq!(kept_depth(&cache), Some(4));
-        assert_eq!(src.lists(16).iter().map(Vec::len).max(), Some(16));
-        assert_eq!(kept_depth(&cache), Some(4), "over-budget lists must not replace kept ones");
+        assert_eq!(src.lists(4), (10, Arc::new(fresh(10))));
+        assert_eq!(kept_depth(&cache), Some(10));
+        assert_eq!(src.lists(16), (16, Arc::new(fresh(16))));
+        assert_eq!(kept_depth(&cache), Some(10), "over-budget lists must not replace kept ones");
+        // With no deep pass, 2k is clamped to the budget the same way.
+        let doubling = ListCache::default();
+        let src = source(&data, &dirs, 100, 0, &doubling);
+        assert_eq!(src.lists(3), (6, Arc::new(fresh(6))));
+        assert_eq!(kept_depth(&doubling), Some(6));
+        assert_eq!(src.lists(7), (10, Arc::new(fresh(10))));
+        assert_eq!(kept_depth(&doubling), Some(10));
         let empty = ListCache::default();
         let none = source(&data, &dirs, 0, 24, &empty);
-        assert_eq!(none.lists(2).iter().map(Vec::len).max(), Some(2));
+        assert_eq!(none.lists(2), (2, Arc::new(fresh(2))));
         assert_eq!(kept_depth(&empty), None);
     }
 
@@ -223,6 +257,6 @@ mod tests {
         let lists: TopkLists = Arc::new(vec![vec![3, 1, 2]]);
         src.keep(3, lists.clone());
         src.keep(2, Arc::new(vec![vec![3, 1]]));
-        assert!(Arc::ptr_eq(&src.lists(3), &lists), "a shallower keep is ignored");
+        assert!(Arc::ptr_eq(&src.lists(3).1, &lists), "a shallower keep is ignored");
     }
 }

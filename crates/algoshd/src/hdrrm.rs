@@ -12,9 +12,11 @@
 //!    are within `1 − ε` of `w_{k'}`).
 //!
 //! Every probe at threshold `k` needs only `Φk`, a prefix of any deeper
-//! `Φ_K`. Once the coarse incumbent bounds the answer by `K`, one top-`K`
-//! pass serves every doubling and binary probe up to `K`, provided the
-//! lists fit a memory budget.
+//! `Φ_K`. Once the coarse incumbent bounds the answer by `U`, one top-`K`
+//! pass at the first doubling probe `K` at or above `U` serves every
+//! doubling and binary probe up to `K`, provided the lists fit a memory
+//! budget; a probe past `K` deepens them to twice its threshold, the next
+//! doubling probe.
 //!
 //! ASMS drops every direction whose top-`k` holds a basis tuple (Lemma
 //! 2), so no probe reads a list past its first basis tuple. Each list
@@ -70,8 +72,8 @@ pub struct HdrrmOptions {
     pub include_basis: bool,
     /// Memory budget for keeping top-k lists between threshold probes, in
     /// entries (`|D| · k`). Lists deeper than it are recomputed per
-    /// probe, and the one deep pass at the coarse incumbent's bound runs
-    /// only when it fits.
+    /// probe, and every list set, the one deep pass at the coarse
+    /// incumbent's bound included, is computed no deeper than it allows.
     pub cache_budget_entries: usize,
     /// Bound-and-prune the feasibility probes: abort a greedy cover as
     /// soon as it provably exceeds the size budget `r`. Decision- and

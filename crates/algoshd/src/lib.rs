@@ -20,7 +20,7 @@
 //! that sample.
 //!
 //! Every direction-sampling cover solver here shares one greedy cover,
-//! `rrm_setcover::greedy_set_cover_capped`, and one doubling-then-binary
+//! `rrm_setcover::greedy_set_cover_csr`, and one doubling-then-binary
 //! threshold search. HDRRM and MDRRRr also share one anytime cover search
 //! (basis, candidate mask and k-set step are its inputs); MDRRR runs
 //! ASMS's cover over its enumerated k-sets.

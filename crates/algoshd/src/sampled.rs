@@ -11,7 +11,7 @@
 //! bisection reads prefixes of the feasible round's lists. RRR runs one
 //! cover at its threshold.
 //!
-//! The cover is [`greedy_set_cover_capped`] over one set per tuple,
+//! The cover is [`greedy_set_cover_csr`] over one set per tuple,
 //! indexed by tuple id and holding the directions whose top-`k` contains
 //! the tuple. Each pick is the tuple in the most uncovered lists, ties to
 //! the smallest tuple id, so the pick sequence is deterministic. Only the
@@ -24,23 +24,34 @@ use rrm_core::{
     Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError,
     Solution, Solver, TerminatedBy, UtilitySpace,
 };
-use rrm_setcover::greedy_set_cover_capped;
+use rrm_setcover::greedy_set_cover_csr;
 
 use crate::anytime::threshold_search;
 
 /// Greedy cover of the directions by the top-`k` prefixes of their lists
 /// `tops`, over `n` tuples: one set per tuple, indexed by tuple id, so
-/// ties go to the smallest tuple id. Returns the picks and whether they
-/// cover every direction within `cap` picks.
+/// ties go to the smallest tuple id. The sets are compressed rows, filled
+/// in direction order. Returns the picks and whether they cover every
+/// direction within `cap` picks.
 fn cover(n: usize, tops: &[Vec<u32>], k: usize, cap: usize) -> (Vec<u32>, bool) {
-    let mut sets = vec![Vec::new(); n];
-    for (dj, top) in tops.iter().enumerate() {
-        for &t in &top[..k.min(top.len())] {
-            sets[t as usize].push(dj as u32);
+    let prefixes = || tops.iter().map(|top| &top[..k.min(top.len())]);
+    let mut offsets = vec![0usize; n + 1];
+    for &t in prefixes().flatten() {
+        offsets[t as usize + 1] += 1;
+    }
+    for t in 0..n {
+        offsets[t + 1] += offsets[t];
+    }
+    let mut cursor = offsets[..n].to_vec();
+    let mut elems = vec![0u32; offsets[n]];
+    for (dj, prefix) in prefixes().enumerate() {
+        for &t in prefix {
+            elems[cursor[t as usize]] = dj as u32;
+            cursor[t as usize] += 1;
         }
     }
     // The capped greedy may complete with `cap + 1` picks, which do not fit.
-    let (picks, complete) = greedy_set_cover_capped(tops.len(), &sets, cap);
+    let (picks, complete) = greedy_set_cover_csr(tops.len(), &offsets, &elems, cap);
     let fits = complete && picks.len() <= cap;
     (picks.into_iter().map(|t| t as u32).collect(), fits)
 }

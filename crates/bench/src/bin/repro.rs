@@ -1151,6 +1151,7 @@ fn kernels(scale: Scale) {
     let selection = selection_rows(&ns, reps, n_dirs);
     let stopped = stopped_rows(&ns, reps, n_dirs);
     let sorts = sort_rows(reps);
+    let covers = cover_rows(reps);
 
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
@@ -1236,12 +1237,151 @@ fn kernels(scale: Scale) {
             e.comparison_seconds / e.counting_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"covers\":[\n");
+    for (i, e) in covers.iter().enumerate() {
+        let sep = if i + 1 == covers.len() { "" } else { "," };
+        json.push_str(&format!(
+            "  {{\"n\":{},\"d\":{},\"dirs\":{},\"r\":{},\"threshold\":{},\"probes\":{},\
+             \"fresh_seconds\":{:.6},\"reused_seconds\":{:.6},\
+             \"fresh_us_per_probe\":{:.3},\"reused_us_per_probe\":{:.3},\
+             \"speedup\":{:.3}}}{sep}\n",
+            e.n,
+            e.d,
+            e.dirs,
+            e.r,
+            e.threshold,
+            e.probes,
+            e.fresh_seconds,
+            e.reused_seconds,
+            e.fresh_seconds / e.probes as f64 * 1e6,
+            e.reused_seconds / e.probes as f64 * 1e6,
+            e.fresh_seconds / e.reused_seconds.max(1e-12),
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!(
         "wrote BENCH_kernels.json (throughput in tuple*direction scores per second; \
-         selection in ns per score; sorts in ns per row or crossing)"
+         selection in ns per score; sorts in ns per row or crossing; covers in us per probe)"
     );
+}
+
+/// One cover row of `repro kernels`: one threshold search's probes.
+struct CoverEntry {
+    n: usize,
+    d: usize,
+    dirs: usize,
+    r: usize,
+    /// The search's answer: the smallest threshold whose cover fits `r`.
+    threshold: usize,
+    probes: usize,
+    fresh_seconds: f64,
+    reused_seconds: f64,
+}
+
+/// HDRRM's greedy covers on `hd_cold`'s frame shape: anti-correlated
+/// n = 5,000, d = 4 rows, the 459 directions of 200 samples on the
+/// default γ = 6 grid, lists stopped at the basis, and the skyline as the
+/// candidate mask. For each size `r` of `hd_cold`'s queries, the probe
+/// sequence of one threshold search (doubling, then bisection, each cover
+/// capped at `r - |B|` picks) runs through one reused
+/// `rrm_hd::asms::CoverIndex` and through a fresh `asms_with_topk_capped`
+/// per probe. Parity gate: every probe's `(q, complete, picks)` must agree
+/// before its timing counts; best of `reps` passes.
+fn cover_rows(reps: usize) -> Vec<CoverEntry> {
+    use rrm_hd::asms::{asms_with_topk_capped, AsmsProbe, CoverIndex};
+
+    let (n, d) = (5_000, 4);
+    let data = rrm_data::synthetic::anticorrelated(n, d, 111);
+    let basis = rrm_core::basis_indices(&data);
+    let mut mask = vec![false; n];
+    for t in rrm_skyline::skyline(&data) {
+        mask[t as usize] = true;
+    }
+    let opts = HdrrmOptions::default();
+    let disc = rrm_hd::build_vector_set(d, &FullSpace::new(d), 200, opts.gamma, opts.seed);
+    let dirs = disc.dirs.len();
+    let lists = rrm_core::rank::batch_top_k_until(
+        &data,
+        &disc.dirs,
+        n,
+        &basis,
+        rrm_core::Parallelism::Sequential,
+    );
+    let outcome = |p: AsmsProbe| (p.q, p.complete, p.picks);
+    println!(
+        "single-thread ASMS cover probes (us per probe), best of {reps} reps, anti-correlated \
+         n={n} d={d}, {dirs} directions, lists stopped at the basis, skyline mask"
+    );
+    println!(
+        "{:>4} {:>9} {:>6} {:>10} {:>10} {:>8}",
+        "r", "threshold", "probes", "fresh us", "reused us", "speedup"
+    );
+    let mut rows = Vec::new();
+    for r in [6usize, 7, 9, 13, 20] {
+        let cap = r - basis.len();
+        // The probe sequence, and each probe's outcome, from fresh covers.
+        let (mut seq, mut want) = (Vec::new(), Vec::new());
+        let mut probe = |k: usize| {
+            let p = asms_with_topk_capped(n, k, &basis, &lists, Some(&mask), cap);
+            let fits = p.complete && p.q.len() <= r;
+            seq.push(k);
+            want.push(outcome(p));
+            fits
+        };
+        let (mut lo, mut hi) = (1, 1);
+        while !probe(hi) {
+            lo = hi + 1;
+            hi = (2 * hi).min(n);
+        }
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if probe(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        let (mut fresh_seconds, mut reused_seconds) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps {
+            let (fresh, seconds): (Vec<_>, f64) = timed(|| {
+                let cover =
+                    |&k: &usize| asms_with_topk_capped(n, k, &basis, &lists, Some(&mask), cap);
+                seq.iter().map(cover).collect()
+            });
+            fresh_seconds = fresh_seconds.min(seconds);
+            let (reused, seconds): (Vec<_>, f64) = timed(|| {
+                let mut index = CoverIndex::new(n, &basis, Some(&mask), &lists);
+                seq.iter().map(|&k| index.probe(&lists, k, cap)).collect()
+            });
+            reused_seconds = reused_seconds.min(seconds);
+            for (((k, want), fresh), reused) in seq.iter().zip(&want).zip(fresh).zip(reused) {
+                assert_eq!(&outcome(fresh), want, "fresh cover parity violation at r={r} k={k}");
+                assert_eq!(&outcome(reused), want, "cover index parity violation at r={r} k={k}");
+            }
+        }
+        let probes = seq.len();
+        println!(
+            "{:>4} {:>9} {:>6} {:>10.1} {:>10.1} {:>7.2}x",
+            r,
+            hi,
+            probes,
+            fresh_seconds / probes as f64 * 1e6,
+            reused_seconds / probes as f64 * 1e6,
+            fresh_seconds / reused_seconds.max(1e-12),
+        );
+        rows.push(CoverEntry {
+            n,
+            d,
+            dirs,
+            r,
+            threshold: hi,
+            probes,
+            fresh_seconds,
+            reused_seconds,
+        });
+    }
+    rows
 }
 
 /// One comparison-vs-counting sort row of `repro kernels`.

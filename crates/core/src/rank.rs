@@ -11,7 +11,10 @@
 //! [`top_k_until`] and [`batch_top_k_until`] cut that prefix right after
 //! a *stop*, the best-ranked member of a given tuple set, and start the
 //! selection with the stop's key as its floor. HDRRM stops at its basis,
-//! since ASMS never reads a list past its first basis tuple.
+//! since ASMS never reads a list past its first basis tuple. The
+//! selection screens the scores 16 at a time against its floor: a block
+//! with no candidate costs one vectorized sweep, and only the candidates
+//! of the others are visited, through a bitmask.
 
 use crate::dataset::Dataset;
 use crate::exec::Parallelism;
@@ -162,7 +165,11 @@ pub fn top_k(scores: &[f64], k: usize) -> TopK {
 /// descending, then index ascending, as plain integers. When the buffer
 /// fills, a select-nth cuts it back to the best `k`, and the k-th best
 /// score becomes a floor: every later score not strictly above it is
-/// rejected, a block of scores per vectorized compare sweep. Rejecting a
+/// rejected. Each block of 16 scores is screened: one vectorized compare
+/// sweep rejects a block with no candidate, and a block with one is
+/// screened into a bitmask, one branch-free compare per score, whose set
+/// bits alone are visited, in index order, each re-tested against the
+/// floor of the moment, since a cut can raise it mid-block. Rejecting a
 /// tie is exact, since a later index never wins one. The result is the
 /// prefix of [`argsort_desc`], for any `k` and any tie pattern.
 pub fn top_k_into(scores: &[f64], k: usize, scratch: &mut Vec<u128>, out: &mut Vec<u32>) {
@@ -229,37 +236,42 @@ fn select(
         Some(i) => (0, scores[i as usize], i as usize + 1),
     };
     if start < n {
-        let mut admit = |block: &[f64], base: usize, floor: &mut f64, ties_below: &mut usize| {
-            for (off, &s) in block.iter().enumerate() {
-                // A NaN is admitted too, so `desc_key` rejects it.
-                if s > *floor || (s == *floor && base + off < *ties_below) || s.is_nan() {
-                    scratch.push(desc_key(s, base + off));
-                    if scratch.len() == cap {
-                        *floor = cut_to_k(scratch, k, scores);
-                        *ties_below = 0;
-                    }
+        // Re-tests one screened score against the current floor, which a
+        // cut earlier in the same block may have raised. A NaN is admitted
+        // too, so `desc_key` rejects it.
+        let mut admit = |s: f64, i: usize, floor: &mut f64, ties_below: &mut usize| {
+            if s > *floor || (s == *floor && i < *ties_below) || s.is_nan() {
+                scratch.push(desc_key(s, i));
+                if scratch.len() == cap {
+                    *floor = cut_to_k(scratch, k, scores);
+                    *ties_below = 0;
                 }
             }
         };
-        // Whole blocks are screened by one branch-free compare sweep,
-        // which vectorizes; only a block holding a candidate (or a NaN)
-        // is walked score by score. A block that starts below
-        // `ties_below` may admit a tie with the floor, so its screen
-        // keeps ties.
+        // Each block is screened into a bitmask, one branch-free compare
+        // per score, and only the scores not below the floor are visited.
+        // A NaN is not below it. A block that starts below `ties_below`
+        // may admit a tie with the floor, so its screen keeps ties.
         let blocks = scores[start..].chunks_exact(SCREEN_BLOCK);
         let tail = blocks.remainder();
         for (b, block) in blocks.enumerate() {
             let base = start + b * SCREEN_BLOCK;
-            let rejected = if base < ties_below {
-                block.iter().fold(true, |below, &s| below & (s < floor))
+            let block: &[f64; SCREEN_BLOCK] = block.try_into().expect("an exact chunk");
+            let mut bits = if base < ties_below {
+                screen(block, |s| s < floor)
             } else {
-                block.iter().fold(true, |below, &s| below & (s <= floor))
+                screen(block, |s| s <= floor)
             };
-            if !rejected {
-                admit(block, base, &mut floor, &mut ties_below);
+            while bits != 0 {
+                let off = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                admit(block[off], base + off, &mut floor, &mut ties_below);
             }
         }
-        admit(tail, n - tail.len(), &mut floor, &mut ties_below);
+        let tail_base = n - tail.len();
+        for (off, &s) in tail.iter().enumerate() {
+            admit(s, tail_base + off, &mut floor, &mut ties_below);
+        }
     }
     if scratch.len() > k {
         cut_to_k(scratch, k, scores);
@@ -271,6 +283,21 @@ fn select(
 
 /// Scores per screening block in [`select`]'s rejection scan.
 const SCREEN_BLOCK: usize = 16;
+
+/// The scores of `block` not `below` the floor, as a bitmask: bit `j` is
+/// set when `below(block[j])` is false. One vectorized sweep clears the
+/// common block that holds none.
+#[inline(always)]
+fn screen(block: &[f64; SCREEN_BLOCK], below: impl Fn(f64) -> bool) -> u16 {
+    if block.iter().fold(true, |all, &s| all & below(s)) {
+        return 0;
+    }
+    let mut bits = 0u16;
+    for (j, &s) in block.iter().enumerate() {
+        bits |= u16::from(!below(s)) << j;
+    }
+    bits
+}
 
 /// A sort key for `x` whose ascending order is the descending order of
 /// the values: `x`'s IEEE total-order image, inverted. `-0.0` is
@@ -506,6 +533,25 @@ mod tests {
                 assert_prefix_of_argsort(scores, k);
             }
         }
+        // Ascending runs inside the 16-score blocks, aligned with them or
+        // not, on a rising or flat trend: every block screens in many
+        // scores, cuts fire mid-block, and the scores after a cut in the
+        // same block must be re-tested against the raised floor.
+        for period in [16, 7, 13] {
+            for trend in [0.25, 0.0] {
+                let saw: Vec<f64> =
+                    (0..2_000).map(|i| (i % period) as f64 + (i / 16) as f64 * trend).collect();
+                for k in [1, 3, 5, 7, 13, 40] {
+                    assert_prefix_of_argsort(&saw, k);
+                }
+            }
+        }
+        // A NaN after a mid-block cut still panics: with k = 3 cuts fire
+        // at indices 8 and 11, inside the first block past the head.
+        let mut late_nan: Vec<f64> = (0..64).map(f64::from).collect();
+        late_nan[12] = f64::NAN;
+        let caught = std::panic::catch_unwind(|| top_k(&late_nan, 3));
+        assert!(caught.is_err(), "a NaN after a mid-block cut must panic");
     }
 
     #[test]
@@ -577,6 +623,23 @@ mod tests {
                 for k in [1, 2, 16, n / 4, n / 2, n - 1, n, n + 5] {
                     assert_stopped(scores, k, stops);
                 }
+            }
+        }
+        // A stop at index 15, 16 or 17, beside the first block edge, with
+        // ties to its score on both sides of the edge: a tie before the
+        // stop is admitted, one after it is not. Scores above the stop on
+        // both sides make small k cut mid-block.
+        let mut edge = vec![0.0; 48];
+        for (i, s) in edge.iter_mut().enumerate() {
+            *s = match i {
+                12..=20 => 0.5,
+                _ if i % 3 == 0 => 1.0 + (i % 7) as f64,
+                _ => 0.25,
+            };
+        }
+        for stop in [15, 16, 17] {
+            for k in [1, 2, 3, 5, 8, 16, 20, 48] {
+                assert_stopped(&edge, k, &[stop]);
             }
         }
         // ±0.0 tie: the stop at index 2 is outranked by the equal score at

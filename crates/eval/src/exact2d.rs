@@ -7,7 +7,7 @@
 //! `O(|S|·n·(log(|S|·n) + |S|))`.
 
 use rrm_core::Dataset;
-use rrm_geom::dual::DualLine;
+use rrm_geom::dual::{overflowing_span, DualLine};
 use rrm_geom::events::{crossings_with_tracked, initial_ranks};
 
 /// Exact `max_{c ∈ [c0, c1]} ∇_{(c, 1-c)}(S)` and a witness weight.
@@ -19,7 +19,7 @@ pub fn exact_rank_regret_2d(data: &Dataset, set: &[u32], c0: f64, c1: f64) -> (u
     assert_eq!(data.dim(), 2, "exact evaluation requires d = 2");
     assert!(!set.is_empty(), "rank-regret of an empty set is undefined");
     assert!(c0 <= c1);
-    let lines = DualLine::from_dataset(data);
+    let lines = dual_lines(data);
     let events = crossings_with_tracked(&lines, set, c0, c1);
     let mut rank = initial_ranks(&lines, c0);
 
@@ -60,6 +60,20 @@ pub fn exact_rank_regret_2d(data: &Dataset, set: &[u32], c0: f64, c1: f64) -> (u
         i += 1;
     }
     (worst, witness)
+}
+
+/// Every row's dual line, of the rows scaled by 1/4 when the lines'
+/// slopes or intercepts span more than f64 holds ([`overflowing_span`],
+/// the test on which the 2D solvers reject such rows). A common
+/// power-of-two scale moves no rank and rounds no normal value, and 1/4
+/// makes both spans finite for any finite rows, so crossings and ranks
+/// are those of the rows.
+fn dual_lines(data: &Dataset) -> Vec<DualLine> {
+    let lines = DualLine::from_dataset(data);
+    if overflowing_span(&lines).is_none() {
+        return lines;
+    }
+    data.rows().map(|t| DualLine::from_tuple(&[t[0] * 0.25, t[1] * 0.25])).collect()
 }
 
 #[cfg(test)]
@@ -151,6 +165,40 @@ mod tests {
                 "trial {trial}: sampled {} vs exact {exact}",
                 sampled.max_rank
             );
+        }
+    }
+
+    #[test]
+    fn rows_whose_dual_lines_overflow() {
+        // Row 0 ranks last near c = 0 and row 1 near c = 1, so each alone
+        // has regret 5. Unscaled, their dual slopes overflow to ±inf and
+        // their crossing falls at x = NaN.
+        let opposed = Dataset::from_rows(&[
+            [1.7e308, -1.7e308],
+            [-1.7e308, 1.7e308],
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [0.5, 0.5],
+        ])
+        .unwrap();
+        assert_eq!(exact_rank_regret_2d(&opposed, &[0], 0.0, 1.0).0, 5);
+        assert_eq!(exact_rank_regret_2d(&opposed, &[1], 0.0, 1.0).0, 5);
+        let wide = Dataset::from_rows(&[
+            [1.7e308, 0.0],
+            [0.0, 1.7e308],
+            [1.0, 0.0],
+            [0.0, 1.0],
+            [0.5, 0.5],
+        ])
+        .unwrap();
+        for data in [&opposed, &wide] {
+            for a in 0..5u32 {
+                for b in a..5 {
+                    let set: Vec<u32> = if a == b { vec![a] } else { vec![a, b] };
+                    let (k, _) = exact_rank_regret_2d(data, &set, 0.0, 1.0);
+                    assert!((1..=5).contains(&k), "{set:?}: regret {k}");
+                }
+            }
         }
     }
 

@@ -62,6 +62,21 @@ impl DualLine {
     }
 }
 
+/// The first of the lines' slopes and intercepts, in that order, whose
+/// span is not finite, as `(what, lowest, highest)`. Crossings and
+/// heights are differences of slopes and of intercepts, so where such a
+/// span exists they can overflow f64 (an infinite slope included).
+pub fn overflowing_span(lines: &[DualLine]) -> Option<(&'static str, f64, f64)> {
+    let range = |of: fn(&DualLine) -> f64| {
+        let (inf, neg_inf) = (f64::INFINITY, f64::NEG_INFINITY);
+        lines.iter().map(of).fold((inf, neg_inf), |(lo, hi), v| (lo.min(v), hi.max(v)))
+    };
+    [("slopes", range(|l| l.slope)), ("intercepts", range(|l| l.intercept))]
+        .into_iter()
+        .find(|(_, (lo, hi))| !(hi - lo).is_finite())
+        .map(|(what, (lo, hi))| (what, lo, hi))
+}
+
 /// [`order_at`]'s sort key of line `i` at `x`: ascending keys are top first.
 #[inline]
 fn key_at(lines: &[DualLine], i: u32, x: f64) -> (u64, u64, u32) {
@@ -75,7 +90,7 @@ const BUCKETED_FROM: usize = 64;
 /// Sort order of line ids at `x+` (top line first): height descending,
 /// ties by slope descending, final ties by id ascending.
 ///
-/// A counting sort ([`crate::counting`]): the ids are bucketed by height
+/// A counting sort (`crate::counting`): the ids are bucketed by height
 /// at `x`, one bucket per line over the heights' span, and each bucket is
 /// sorted by the full key. A zero or non-finite span, or fewer than 64
 /// lines, make one bucket: a comparison sort of them all.

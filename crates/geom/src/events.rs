@@ -10,7 +10,7 @@
 //! algorithms stay exact; this one just skips the events between two
 //! non-skyline lines, which Algorithm 1 ignores anyway (its case 3).
 //!
-//! Every enumerator here is one counting sort ([`crate::counting`]): a
+//! Every enumerator here is one counting sort (`crate::counting`): a
 //! first pass counts the crossings per `x`-bucket, a second writes each
 //! crossing straight into its slot of one exact-size buffer, and each
 //! bucket is then sorted by `(x, down, up)`. A stream too long to hold
@@ -264,7 +264,9 @@ impl<'a> Crossings<'a> {
             let Some(x) = lt.intersection_x(lo_line) else {
                 continue;
             };
-            if x <= self.x_lo || x >= self.x_hi {
+            // Negated, so a NaN crossing (lines whose slopes or intercepts
+            // overflow) falls outside too.
+            if !(x > self.x_lo && x < self.x_hi) {
                 continue;
             }
             let (down, up) = if lt.slope < lo_line.slope { (t, o) } else { (o, t) };
@@ -397,7 +399,7 @@ mod tests {
             .collect();
         let grid = grid_lines(90, 6);
         // Finite rows whose slopes overflow: some of their crossings are
-        // at a NaN x, which the open interval does not reject.
+        // at a NaN x, which the interval test rejects.
         let mut non_finite = random.clone();
         non_finite[3] = DualLine::from_tuple(&[1.7e308, -1.7e308]);
         non_finite[4] = DualLine::from_tuple(&[-1.7e308, 1.7e308]);
@@ -439,7 +441,7 @@ mod tests {
             }
         }
         let nan = crossings_with_tracked(&non_finite, &[3, 4, 9], 0.0, 1.0);
-        assert!(nan.iter().any(|c| c.x.is_nan()));
+        assert!(!nan.is_empty() && nan.iter().all(|c| c.x > 0.0 && c.x < 1.0));
         // The grid's crossings share their x in runs.
         let all: Vec<u32> = (0..90).collect();
         let stream = crossings_with_tracked(&grid, &all, 0.0, 1.0);

@@ -39,6 +39,9 @@ pub fn greedy_set_cover(universe_size: usize, sets: &[Vec<u32>]) -> Vec<usize> {
 /// because `chosen.len()` exceeded `cap` (the returned prefix then has
 /// `cap + 1` picks, proving the full cover is larger than `cap`).
 ///
+/// A wrapper over [`greedy_set_cover_csr`], which callers that build their
+/// sets in one flat buffer use directly.
+///
 /// # Panics
 /// Panics when some uncovered universe element is covered by no set before
 /// the cap is hit (the instances built by ASMS always cover: every vector is
@@ -48,19 +51,46 @@ pub fn greedy_set_cover_capped(
     sets: &[Vec<u32>],
     cap: usize,
 ) -> (Vec<usize>, bool) {
+    let mut offsets = Vec::with_capacity(sets.len() + 1);
+    offsets.push(0);
+    let mut elems = Vec::with_capacity(sets.iter().map(Vec::len).sum());
+    for set in sets {
+        elems.extend_from_slice(set);
+        offsets.push(elems.len());
+    }
+    greedy_set_cover_csr(universe_size, &offsets, &elems, cap)
+}
+
+/// [`greedy_set_cover_capped`] over sets in compressed rows: set `i` holds
+/// `elems[offsets[i]..offsets[i + 1]]`, so `offsets` has one entry more
+/// than there are sets, starts at 0 and ends at `elems.len()`.
+///
+/// The picks are those [`greedy_set_cover_capped`] makes on the same sets
+/// as `Vec`s: the set covering the most uncovered elements, ties to the
+/// smallest set index.
+///
+/// # Panics
+/// As [`greedy_set_cover_capped`].
+pub fn greedy_set_cover_csr(
+    universe_size: usize,
+    offsets: &[usize],
+    elems: &[u32],
+    cap: usize,
+) -> (Vec<usize>, bool) {
     if universe_size == 0 {
         return (Vec::new(), true);
     }
+    let set = |i: usize| &elems[offsets[i]..offsets[i + 1]];
     let mut covered = vec![false; universe_size];
     let mut remaining = universe_size;
     // Heap of (stale_count, Reverse(set_index)): ties on count prefer the
     // smallest index, making the pick sequence identical to the naive
     // reference implementation.
-    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = sets
-        .iter()
+    let mut heap: BinaryHeap<(usize, Reverse<usize>)> = offsets
+        .windows(2)
         .enumerate()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(i, s)| (s.len(), Reverse(i)))
+        .filter(|(_, w)| w[1] > w[0])
+        .map(|(i, w)| (w[1] - w[0], Reverse(i)))
         .collect();
     let mut chosen = Vec::new();
 
@@ -72,7 +102,7 @@ pub fn greedy_set_cover_capped(
             panic!("set-cover instance is infeasible: {remaining} elements uncoverable");
         };
         // Recompute the true residual coverage of set i.
-        let fresh = sets[i].iter().filter(|&&e| !covered[e as usize]).count();
+        let fresh = set(i).iter().filter(|&&e| !covered[e as usize]).count();
         if fresh == 0 {
             continue;
         }
@@ -83,7 +113,7 @@ pub fn greedy_set_cover_capped(
         }
         // fresh == stale: counts only decrease, so i is the true maximum.
         chosen.push(i);
-        for &e in &sets[i] {
+        for &e in set(i) {
             if !covered[e as usize] {
                 covered[e as usize] = true;
                 remaining -= 1;

@@ -11,5 +11,7 @@
 pub mod greedy;
 pub mod interval;
 
-pub use greedy::{greedy_set_cover, greedy_set_cover_capped, naive_greedy_set_cover};
+pub use greedy::{
+    greedy_set_cover, greedy_set_cover_capped, greedy_set_cover_csr, naive_greedy_set_cover,
+};
 pub use interval::{cover_segment, Interval};
