@@ -28,12 +28,18 @@
 //! margin of a tracked line at `c0` is in every band: a band can only
 //! hold more rows than the exact skyband, never fewer.
 //!
-//! A prepare sorts the rows once, into `order0`: every row id in
-//! [`order_at`] order at `c0` ([`Rows`]). The U-skyline the solvers track
-//! is read off it in one max scan, and each band is marked in one sweep
-//! down it ([`Bands::members`]). `LB₁`, the one figure that needs the
-//! order at `c1` too, is computed when a query first asks for it
-//! ([`Bands::cap`]).
+//! A prepare sorts no row. It bins every row into a dominance grid
+//! ([`Grid`]) by its line's heights at `c0` and `c1`, in the manner of the
+//! K-skyband's dominance regions (Papadias, Tao, Fu & Seeger, "Progressive
+//! skyline computation in database systems", TODS 2005), and counts per
+//! cell the rows at least two cells above it at both ends: each of them
+//! beats every row of the cell by the margin. The U-skyline the solvers
+//! track is read off the rows whose count is 0 ([`Rows`]). Band `K` sorts
+//! only the rows whose count is below `K` and marks the band in one sweep
+//! down their order at `c0` ([`Bands::band`]): every row that beats one of
+//! them is one of them, so the sweep marks exactly the band a sweep over
+//! all rows would. `LB₁`, which reads ranks at both ends, sorts only the
+//! grid columns and rows whose cells can hold its row ([`Bands::cap`]).
 //!
 //! Every sort here is a counting sort (`rrm_geom`'s `counting` module):
 //! [`order_at`] buckets rows by height, one bucket per row, and a band's
@@ -46,12 +52,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use rrm_core::rank::descending_bits;
 use rrm_core::{Dataset, RrmError};
-use rrm_geom::dual::{merge_at, order_at, overflowing_span, DualLine};
-use rrm_geom::events::{crossings_with_tracked_capped_par, initial_ranks, stream_crossings};
+use rrm_geom::dual::{order_at, overflowing_span, DualLine};
+use rrm_geom::events::{crossings_with_tracked_capped_par, stream_crossings};
 use rrm_geom::Crossing;
 use rrm_par::Parallelism;
 use rrm_skyline::restricted::u_scores_2d;
 use rrm_skyline::sky2d::skyline_2d_sorted;
+
+use crate::lock;
 
 /// The `K` 2DRRM's replays start from (`r = 1` starts at the cap).
 pub(crate) const START: usize = 32;
@@ -65,6 +73,17 @@ const CHUNK_TARGET: usize = 4 << 20;
 /// another: far above the rounding error of a dual-line evaluation or a
 /// crossing, far below any lead a real dataset's ranks depend on.
 const MARGIN: f64 = 1e-9;
+
+/// The most cells on a side of the dominance grid: a cell id then fits in
+/// 14 bits, beside the two flags below.
+const MAX_SIDE: usize = 128;
+
+/// A cell id's flag for a row within the margin of a tracked line other
+/// than itself at `c0`: it is in every band and beats no row.
+const NEAR: u16 = 1 << 15;
+
+/// A cell id's flag for a tracked row: it is in every band.
+const TRACKED: u16 = 1 << 14;
 
 /// Every row's dual line. Crossings and heights are differences of slopes
 /// and of intercepts, so where one overflows f64 no rank a sweep reads
@@ -80,34 +99,190 @@ fn dual_lines(data: &Dataset) -> Result<Vec<DualLine>, RrmError> {
     Ok(lines)
 }
 
-/// What a 2D prepare derives from the rows: every row's dual line,
-/// `order0` (every row id in [`order_at`] order at `c0`: the prepare's
-/// one sort) and the U-skyline over `[c0, c1]` read off it, ascending.
+/// Equal-width bins over a range of heights, each more than twice the
+/// margin wide. A bin never decreases as the height grows, so a higher bin
+/// holds only higher heights; two heights within the margin of each other
+/// lie in the same bin or adjacent ones; and a height two or more bins
+/// above another leads it by more than a bin's width, so by the margin.
+#[derive(Clone, Copy)]
+struct Bins {
+    lo: f64,
+    /// Bins per unit of height; 0 for a single bin.
+    per_unit: f64,
+    last: usize,
+}
+
+impl Bins {
+    /// `count` bins over `[lo, hi]`, or a single one when a bin would be
+    /// at most twice `margin` wide or the span is not finite. Heights
+    /// outside the range land in the first or the last bin.
+    fn new((lo, hi): (f64, f64), count: usize, margin: f64) -> Self {
+        let per_unit = count as f64 / (hi - lo);
+        let wide = (hi - lo) / count as f64 > 2.0 * margin;
+        if count > 1 && per_unit.is_finite() && per_unit > 0.0 && wide {
+            Self { lo, per_unit, last: count - 1 }
+        } else {
+            Self { lo, per_unit: 0.0, last: 0 }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.last + 1
+    }
+
+    #[inline]
+    fn of(&self, h: f64) -> usize {
+        // Through u32, whose saturating cast is cheaper than usize's.
+        (((h - self.lo) * self.per_unit) as u32).min(self.last as u32) as usize
+    }
+}
+
+/// The dominance grid: every row binned by its line's height at `c0` (its
+/// column) and at `c1` (its grid row) into `side × side` cells ([`Bins`]).
+/// A row two or more columns and two or more grid rows above another beats
+/// it by the margin at both ends.
+struct Grid {
+    /// Cells per side: the largest power of two at most `√n`, at most
+    /// [`MAX_SIDE`]; 1 when a cell would be at most twice the margin wide
+    /// or the heights' span is not finite.
+    side: usize,
+    /// `log2(side)`: a cell id is `column << shift | grid row`.
+    shift: u32,
+    /// The lowest and the highest height at `c0`.
+    span0: (f64, f64),
+    /// The margin a row must lead another by to beat it.
+    margin: f64,
+    /// Per row id, its cell id with the [`NEAR`] and [`TRACKED`] flags.
+    cells: Vec<u16>,
+    /// Rows per cell.
+    counts: Vec<u32>,
+    /// Per cell, the rows, near ones aside once flagged, in the cells at
+    /// least two columns and two grid rows above it: each beats every row
+    /// of the cell.
+    beaten: Vec<u32>,
+}
+
+impl Grid {
+    /// Bin `lines` by their heights at `c0` and `c1` in two passes: one
+    /// for the heights' spans and the margin, one for the cells.
+    fn new(lines: &[DualLine], (c0, c1): (f64, f64)) -> Self {
+        let (mut lo0, mut hi0) = (f64::INFINITY, f64::NEG_INFINITY);
+        let (mut lo1, mut hi1) = (f64::INFINITY, f64::NEG_INFINITY);
+        let mut scale = 0.0f64;
+        // Plain compares: no height is NaN (slopes and intercepts are
+        // finite), and they keep `f64::min`'s extra work out of the loop.
+        for line in lines {
+            let (h0, h1) = (line.eval(c0), line.eval(c1));
+            if h0 < lo0 {
+                lo0 = h0;
+            }
+            if h0 > hi0 {
+                hi0 = h0;
+            }
+            if h1 < lo1 {
+                lo1 = h1;
+            }
+            if h1 > hi1 {
+                hi1 = h1;
+            }
+            let size = line.intercept.abs() + line.slope.abs();
+            if size > scale {
+                scale = size;
+            }
+        }
+        let (lo, hi) = ([lo0, lo1], [hi0, hi1]);
+        let margin = MARGIN * scale;
+        let root = (lines.len() as f64).sqrt() as usize;
+        let side = if root < 2 { 1 } else { (1 << root.ilog2()).min(MAX_SIDE) };
+        let mut axes = [0, 1].map(|e| Bins::new((lo[e], hi[e]), side, margin));
+        if axes.iter().any(|bins| bins.len() != side) {
+            axes = [Bins::new((0.0, 0.0), 1, margin); 2];
+        }
+        let side = axes[0].len();
+        let mut counts = vec![0; side * side];
+        let shift = side.trailing_zeros();
+        let cells = lines
+            .iter()
+            .map(|line| {
+                let cell = axes[0].of(line.eval(c0)) << shift | axes[1].of(line.eval(c1));
+                counts[cell] += 1;
+                cell as u16
+            })
+            .collect();
+        let mut grid =
+            Grid { side, shift, span0: (lo[0], hi[0]), margin, cells, counts, beaten: Vec::new() };
+        grid.beaten = grid.count_beaten(&grid.counts);
+        grid
+    }
+
+    /// Row `i`'s cell id, flags aside.
+    #[inline]
+    fn cell(&self, i: usize) -> usize {
+        (self.cells[i] & !(NEAR | TRACKED)) as usize
+    }
+
+    #[inline]
+    fn column(&self, cell: usize) -> usize {
+        cell >> self.shift
+    }
+
+    #[inline]
+    fn row(&self, cell: usize) -> usize {
+        cell & (self.side - 1)
+    }
+
+    /// Per cell, the sum of `counts` over the cells at least two columns
+    /// and two grid rows above it: suffix sums along each axis, shifted.
+    fn count_beaten(&self, counts: &[u32]) -> Vec<u32> {
+        let side = self.side;
+        let mut sums = counts.to_vec();
+        for column in sums.chunks_exact_mut(side) {
+            for b in (0..side - 1).rev() {
+                column[b] += column[b + 1];
+            }
+        }
+        for a in (0..side - 1).rev() {
+            let (column, above) = sums[a * side..].split_at_mut(side);
+            column.iter_mut().zip(&above[..side]).for_each(|(sum, up)| *sum += up);
+        }
+        let mut beaten = vec![0; side * side];
+        for a in 0..side.saturating_sub(2) {
+            let from = (a + 2) * side + 2;
+            beaten[a * side..][..side - 2].copy_from_slice(&sums[from..][..side - 2]);
+        }
+        beaten
+    }
+}
+
+/// What a 2D prepare derives from the rows: every row's dual line, their
+/// dominance grid, and the U-skyline over `[c0, c1]`, ascending.
 pub(crate) struct Rows {
     pub(crate) lines: Vec<DualLine>,
-    pub(crate) order0: Vec<u32>,
+    grid: Grid,
     pub(crate) skyline: Vec<u32>,
 }
 
 impl Rows {
+    /// Read the U-skyline, the 2D skyline of the rows' [`u_scores_2d`],
+    /// off the rows no other row beats by two grid cells at both ends. A
+    /// row beaten so trails its beater by more than the margin, far above
+    /// the rounding between a height and a score, so it is strictly
+    /// U-dominated, and by one of those rows (a chain of beaters ends at
+    /// one): it cannot move the max scan. A line's
+    /// height at `c0` is its score there up to rounding, so a stable sort
+    /// by the score repairs the [`order_at`] order's inversions first: one
+    /// pass over the order when it has none, as at `c0 = 0`.
     pub(crate) fn new(data: &Dataset, (c0, c1): (f64, f64)) -> Result<Self, RrmError> {
         let lines = dual_lines(data)?;
-        let mut order0: Vec<u32> = (0..lines.len() as u32).collect();
-        order_at(&lines, &mut order0, c0);
-        Ok(Self::read(data, lines, order0, (c0, c1)))
-    }
-
-    /// Read the U-skyline, the 2D skyline of the rows' [`u_scores_2d`],
-    /// off `order0`. A line's height at `c0` is its score there up to
-    /// rounding, so a stable sort by the score repairs the order's
-    /// inversions first: one pass over the order when it has none, as at
-    /// `c0 = 0`.
-    fn read(data: &Dataset, lines: Vec<DualLine>, order0: Vec<u32>, (c0, c1): (f64, f64)) -> Self {
+        let grid = Grid::new(&lines, (c0, c1));
+        let mut kept: Vec<u32> =
+            (0..lines.len() as u32).filter(|&i| grid.beaten[grid.cell(i as usize)] == 0).collect();
+        order_at(&lines, &mut kept, c0);
         let mut scored: Vec<(u32, [f64; 2])> =
-            order0.iter().map(|&i| (i, u_scores_2d(data.row(i as usize), c0, c1))).collect();
+            kept.iter().map(|&i| (i, u_scores_2d(data.row(i as usize), c0, c1))).collect();
         scored.sort_by_key(|&(_, [at0, _])| descending_bits(at0));
         let skyline = skyline_2d_sorted(scored);
-        Self { lines, order0, skyline }
+        Ok(Self { lines, grid, skyline })
     }
 }
 
@@ -152,16 +327,28 @@ impl Band {
     }
 }
 
+/// A band's candidates, the rows the grid leaves it, and which of them the
+/// band holds.
+struct Marked {
+    /// Candidate row ids, ascending.
+    rows: Vec<u32>,
+    /// Their dual lines, by candidate index.
+    lines: Vec<DualLine>,
+    /// Candidate indices in [`order_at`] order at `c0`.
+    order: Vec<u32>,
+    /// Per candidate index, whether the band holds it.
+    keep: Vec<bool>,
+}
+
 /// The band builder a prepared 2D handle owns: the rows' dual lines and
-/// `order0`, the tracked lines whose ranks its solver reads, and the bands
-/// built so far. A band is built on first use and cached.
+/// dominance grid, the tracked lines whose ranks its solver reads, and the
+/// bands built so far. A band is built on first use and cached.
 pub(crate) struct Bands {
     c0: f64,
     c1: f64,
     lines: Vec<DualLine>,
-    /// Every row id in [`order_at`] order at `c0`: each band is swept off
-    /// it, and an update merges into it instead of re-sorting.
-    order0: Vec<u32>,
+    /// Near and tracked rows flagged, and near rows left out of `beaten`.
+    grid: Grid,
     tracked: Vec<u32>,
     /// [`Bands::cap`], once a query has asked for it.
     cap: OnceLock<usize>,
@@ -183,17 +370,65 @@ impl Bands {
     /// ids whose ranks the solver reads, in its row order; every band
     /// keeps them. A band's stream is materialized when it holds at most
     /// [`CHUNK_TARGET`] crossings, classified under `parallelism`.
+    ///
+    /// Flags the tracked rows and the near ones: a row within the margin
+    /// of a tracked line other than itself at `c0`. Such a pair's crossing
+    /// can lie within rounding of `c0`, where the replay's order at `c0`
+    /// and its crossings may disagree for the whole sweep (a crossing at
+    /// `x ≈ 1e-451` underflows to `0` and is dropped), so a near row counts
+    /// as beaten by none and beats none. Every other pair a band's
+    /// exactness argument uses is then separated by the margin at `c0`, so
+    /// the replay orders it as the real lines do, except within rounding
+    /// of `c1`, where the two lines nearly tie and a margin-separated row
+    /// cannot fall between them. Near rows then leave the grid's counts.
     pub(crate) fn new(
-        Rows { lines, order0, .. }: Rows,
+        Rows { lines, mut grid, .. }: Rows,
         tracked: Vec<u32>,
         (c0, c1): (f64, f64),
         parallelism: Parallelism,
     ) -> Self {
+        // The tracked lines' heights at c0, ascending, and the bins of
+        // them and their neighbours: a row within the margin of one lies in
+        // a marked bin. With up to 64 bins per tracked line most rows' are
+        // not.
+        let mut at: Vec<(f64, u32)> =
+            tracked.iter().map(|&t| (lines[t as usize].eval(c0), t)).collect();
+        at.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let margin = grid.margin;
+        let count = (64 * at.len()).min(lines.len()).next_power_of_two();
+        let bins = Bins::new(grid.span0, count, margin);
+        let mut marked = vec![false; bins.len()];
+        for &(h, _) in &at {
+            let b = bins.of(h);
+            marked[b.saturating_sub(1)..=(b + 1).min(bins.last)].fill(true);
+        }
+        let mut near = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            let h = line.eval(c0);
+            if !marked[bins.of(h)] {
+                continue;
+            }
+            let (below, above) = (h - margin, h + margin);
+            let from = at.partition_point(|&(t, _)| below > t);
+            let mut ties = at[from..].iter().take_while(|&&(t, _)| above >= t);
+            if ties.any(|&(_, t)| t as usize != i) {
+                grid.cells[i] |= NEAR;
+                near.push(grid.cell(i));
+            }
+        }
+        if !near.is_empty() {
+            let mut free = grid.counts.clone();
+            near.iter().for_each(|&cell| free[cell] -= 1);
+            grid.beaten = grid.count_beaten(&free);
+        }
+        for &t in &tracked {
+            grid.cells[t as usize] |= TRACKED;
+        }
         Self {
             c0,
             c1,
             lines,
-            order0,
+            grid,
             tracked,
             cap: OnceLock::new(),
             chunk_target: CHUNK_TARGET,
@@ -201,22 +436,6 @@ impl Bands {
             floor: 0,
             built: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The rows after an update that left `data`: `remap` sends old row
-    /// ids to new ones (monotone, `None` for deleted rows) and `inserted`
-    /// lists the new rows' ids. The survivors keep their `order0`
-    /// sequence and the sorted inserts merge in.
-    pub(crate) fn rows_after(
-        &self,
-        data: &Dataset,
-        remap: &[Option<u32>],
-        inserted: &[u32],
-    ) -> Result<Rows, RrmError> {
-        let lines = dual_lines(data)?;
-        let survivors: Vec<u32> = self.order0.iter().filter_map(|&id| remap[id as usize]).collect();
-        let order0 = merge_at(&lines, &survivors, &mut inserted.to_vec(), self.c0);
-        Ok(Rows::read(data, lines, order0, self.interval()))
     }
 
     /// Keep every row in every band: the all-rows stream the bands are
@@ -248,11 +467,6 @@ impl Bands {
         &self.tracked
     }
 
-    #[cfg(test)]
-    pub(crate) fn order0(&self) -> &[u32] {
-        &self.order0
-    }
-
     /// Whether a query has asked for [`Bands::cap`] yet.
     #[cfg(test)]
     pub(crate) fn cap_known(&self) -> bool {
@@ -262,29 +476,99 @@ impl Bands {
     /// Per band built so far, whether its stream is materialized.
     #[cfg(test)]
     pub(crate) fn materialized(&self) -> Vec<bool> {
-        let built = self.built.lock().expect("band cache poisoned");
+        let built = lock(&self.built);
         built.iter().filter_map(|(_, slot)| slot.get()).map(|b| b.events.is_some()).collect()
+    }
+
+    /// Poison the band cache's lock, as a thread that panicked holding it
+    /// would.
+    #[cfg(test)]
+    pub(crate) fn poison(&self) {
+        crate::poison(&self.built);
     }
 
     /// `2·LB₁ − 1`, where `LB₁` is the minimum over rows of the worse of
     /// its two endpoint ranks. The row that ranks at most `LB₁` at both
     /// ends ranks at most `2·LB₁ − 1` everywhere between them (a line
     /// above it in the middle is above it at one end), so no size budget's
-    /// optimum exceeds this. Computed on first use, which sorts the rows
-    /// at `c1`.
+    /// optimum exceeds this. Computed on first use.
+    ///
+    /// Every row of a cell ranks, at `c0`, after the rows of the higher
+    /// columns and at most their count plus its column's; likewise by grid
+    /// rows at `c1`. The best cell's bound bounds `LB₁`, so only rows in
+    /// cells whose first ranks stay within it can attain `LB₁`. A row's
+    /// rank at an end is the rows in higher columns (grid rows) plus its
+    /// place in its own, so only the columns and grid rows that hold such
+    /// cells are sorted.
     pub(crate) fn cap(&self) -> usize {
         *self.cap.get_or_init(|| {
-            let n = self.lines.len();
-            let mut at0 = vec![0u32; n];
-            for (j, &i) in self.order0.iter().enumerate() {
-                at0[i as usize] = j as u32;
+            let g = &self.grid;
+            let side = g.side;
+            let (mut per_column, mut per_row) = (vec![0; side], vec![0; side]);
+            for (cell, &count) in g.counts.iter().enumerate() {
+                per_column[g.column(cell)] += count as usize;
+                per_row[g.row(cell)] += count as usize;
             }
-            let mut order1: Vec<u32> = (0..n as u32).collect();
-            order_at(&self.lines, &mut order1, self.c1);
-            let ranks =
-                order1.iter().enumerate().map(|(j, &i)| j.max(at0[i as usize] as usize) + 1);
-            2 * ranks.min().unwrap_or(1) - 1
+            let above = |per: &[usize]| {
+                let mut sum = 0;
+                let mut above = vec![0; side];
+                for c in (0..side).rev() {
+                    above[c] = sum;
+                    sum += per[c];
+                }
+                above
+            };
+            let (above0, above1) = (above(&per_column), above(&per_row));
+            let filled = || (0..side * side).filter(|&cell| g.counts[cell] > 0);
+            let bound = filled()
+                .map(|cell| {
+                    let (a, b) = (g.column(cell), g.row(cell));
+                    (above0[a] + per_column[a]).max(above1[b] + per_row[b])
+                })
+                .min()
+                .unwrap_or(0);
+            let (mut columns, mut rows) = (vec![false; side], vec![false; side]);
+            for cell in filled() {
+                let (a, b) = (g.column(cell), g.row(cell));
+                if above0[a] < bound && above1[b] < bound {
+                    (columns[a], rows[b]) = (true, true);
+                }
+            }
+            let at0 = self.ranks(self.c0, |cell| g.column(cell), &columns, &above0);
+            let mut at1 = self.ranks(self.c1, |cell| g.row(cell), &rows, &above1);
+            at1.sort_unstable();
+            let worse = at0.iter().filter_map(|&(i, r0)| {
+                let at = at1.binary_search_by_key(&i, |&(j, _)| j).ok()?;
+                Some(r0.max(at1[at].1))
+            });
+            2 * worse.min().unwrap_or(1) - 1
         })
+    }
+
+    /// `(row id, 1-based rank at x)` of every row in the `picked` columns
+    /// (or grid rows) of `axis`: its rank is the rows `above` its column
+    /// plus its place in its column's [`order_at`] order at `x`.
+    fn ranks(
+        &self,
+        x: f64,
+        axis: impl Fn(usize) -> usize,
+        picked: &[bool],
+        above: &[usize],
+    ) -> Vec<(u32, usize)> {
+        let g = &self.grid;
+        let mut ids: Vec<u32> =
+            (0..self.lines.len() as u32).filter(|&i| picked[axis(g.cell(i as usize))]).collect();
+        order_at(&self.lines, &mut ids, x);
+        let (mut column, mut start) = (usize::MAX, 0);
+        let mut ranks = Vec::with_capacity(ids.len());
+        for (j, &i) in ids.iter().enumerate() {
+            let a = axis(g.cell(i as usize));
+            if a != column {
+                (column, start) = (a, j);
+            }
+            ranks.push((i, above[a] + j - start + 1));
+        }
+        ranks
     }
 
     /// A band whose replayed ranks are exact up to at least `k`: the
@@ -293,7 +577,7 @@ impl Bands {
     pub(crate) fn band(&self, k: usize) -> Arc<Band> {
         let k = k.max(self.floor);
         let slot = {
-            let mut built = self.built.lock().expect("band cache poisoned");
+            let mut built = lock(&self.built);
             let ready = built
                 .iter()
                 .filter_map(|(_, slot)| slot.get())
@@ -314,65 +598,54 @@ impl Bands {
         Arc::clone(slot.get_or_init(|| Arc::new(self.build(k))))
     }
 
-    /// Per row id, whether band `k` holds it apart from the tracked rows:
-    /// whether fewer than `k` rows beat it at both `x = c0` and `x = c1` by
-    /// more than the margin.
+    /// Band `k`'s candidates and members: whether fewer than `k` rows beat
+    /// each candidate at both `x = c0` and `x = c1` by more than the
+    /// margin, near rows aside. A candidate is a tracked or near row, or
+    /// one the grid counts fewer than `k` beaters for. A row that beats one
+    /// of the last kind is a candidate too: it lies in that row's cell or
+    /// above it at both ends, so the grid counts no more beaters for it.
+    /// The candidates alone therefore decide membership; near rows are in
+    /// every band whatever beats them, and a row the grid counts `k`
+    /// beaters for is outside band `k`.
     ///
-    /// A row within the margin of a tracked line (other than itself) at
-    /// `c0` counts as beaten by none, and beats none. Such a pair's
-    /// crossing can lie within rounding of `c0`, where the replay's order
-    /// at `c0` and its crossings may disagree for the whole sweep (a
-    /// crossing at `x ≈ 1e-451` underflows to `0` and is dropped). Every
-    /// other pair a band's exactness argument uses is then separated by
-    /// the margin at `c0`, so the replay orders it as the real lines do,
-    /// except within rounding of `c1`, where the two lines nearly tie and
-    /// a margin-separated row cannot fall between them.
-    ///
-    /// One sweep down `order0` offers every row that leads the current one
-    /// at `c0` by the margin, keeping the `k` highest `c1` heights
-    /// offered: `k` rows beat the current one iff the lowest kept height
-    /// leads it at `c1` by the margin.
-    pub(crate) fn members(&self, k: usize) -> Vec<bool> {
-        let n = self.lines.len();
-        if k >= n {
-            return vec![true; n];
-        }
-        let (c0, c1) = self.interval();
-        let scale =
-            self.lines.iter().map(|l| l.intercept.abs() + l.slope.abs()).fold(0.0, f64::max);
-        let margin = MARGIN * scale;
-        // Heights at both ends by c0 position, so the sweep reads
-        // sequentially; the heights at c0 descend.
-        let h: Vec<[f64; 2]> = self
-            .order0
-            .iter()
-            .map(|&i| {
-                let line = self.lines[i as usize];
-                [line.eval(c0), line.eval(c1)]
+    /// One sweep down the candidates' order at `c0` offers every row that
+    /// leads the current one at `c0` by the margin, keeping the `k` highest
+    /// `c1` heights offered: `k` rows beat the current one iff the lowest
+    /// kept height leads it at `c1` by the margin.
+    fn marked(&self, k: usize) -> Marked {
+        let g = &self.grid;
+        let rows: Vec<u32> = (0..self.lines.len() as u32)
+            .filter(|&i| {
+                let cell = g.cells[i as usize];
+                cell & (NEAR | TRACKED) != 0 || (g.beaten[g.cell(i as usize)] as usize) < k
             })
             .collect();
-
-        // Per c0 position, whether the row is within the margin of another
-        // tracked line at c0: each tracked line marks the run around its
-        // own position.
-        let mut near = vec![false; n];
-        for &t in &self.tracked {
-            let at = self.lines[t as usize].eval(c0);
-            let from = h.partition_point(|g| g[0] - margin > at);
-            let to = h.partition_point(|g| g[0] + margin >= at);
-            for (near, &row) in near[from..to].iter_mut().zip(&self.order0[from..to]) {
-                *near |= row != t;
-            }
+        let lines: Vec<DualLine> = rows.iter().map(|&i| self.lines[i as usize]).collect();
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
+        order_at(&lines, &mut order, self.c0);
+        let m = rows.len();
+        if k >= m {
+            return Marked { rows, lines, order, keep: vec![true; m] };
         }
-
+        let margin = g.margin;
+        let near = |o: u32| g.cells[rows[o as usize] as usize] & NEAR != 0;
+        // Heights at both ends by c0 position, so the sweep reads
+        // sequentially; the heights at c0 descend.
+        let h: Vec<[f64; 2]> = order
+            .iter()
+            .map(|&o| {
+                let line = lines[o as usize];
+                [line.eval(self.c0), line.eval(self.c1)]
+            })
+            .collect();
         // The `k` highest c1 heights offered so far, as `descending_bits`
         // keys: the top of the heap is the lowest of them.
         let mut highest: BinaryHeap<u64> = BinaryHeap::with_capacity(k);
-        let mut keep = vec![false; n];
+        let mut keep = vec![false; m];
         let mut q = 0;
-        for j in 0..n {
-            while q < n && h[q][0] > h[j][0] + margin {
-                if !near[q] {
+        for j in 0..m {
+            while q < m && h[q][0] > h[j][0] + margin {
+                if !near(order[q]) {
                     let key = descending_bits(h[q][1]);
                     if highest.len() < k {
                         highest.push(key);
@@ -384,31 +657,51 @@ impl Bands {
             }
             let beaten = highest.len() == k
                 && highest.peek().is_some_and(|&low| low < descending_bits(h[j][1] + margin));
-            keep[self.order0[j] as usize] = near[j] || !beaten;
+            keep[order[j] as usize] = near(order[j]) || !beaten;
         }
-        keep
+        Marked { rows, lines, order, keep }
+    }
+
+    /// Per row id, whether band `k` holds it apart from the tracked rows.
+    #[cfg(test)]
+    pub(crate) fn members(&self, k: usize) -> Vec<bool> {
+        let marked = self.marked(k);
+        let mut members = vec![false; self.lines.len()];
+        for (&i, &keep) in marked.rows.iter().zip(&marked.keep) {
+            members[i as usize] = keep;
+        }
+        members
     }
 
     fn build(&self, k: usize) -> Band {
-        let n = self.lines.len();
-        let mut keep = self.members(k);
-        for &t in &self.tracked {
-            keep[t as usize] = true;
-        }
-        let mut index = vec![u32::MAX; n];
+        let Marked { rows, lines: candidates, order, mut keep } = self.marked(k);
+        let at: Vec<usize> = self
+            .tracked
+            .iter()
+            .map(|t| rows.binary_search(t).expect("every band's candidates hold the tracked rows"))
+            .collect();
+        at.iter().for_each(|&c| keep[c] = true);
+        // Candidate index → band index; the kept lines stay in row order.
+        let mut index = vec![u32::MAX; rows.len()];
         let mut lines = Vec::new();
-        for (i, line) in self.lines.iter().enumerate() {
-            if keep[i] {
-                index[i] = lines.len() as u32;
+        for (c, line) in candidates.iter().enumerate() {
+            if keep[c] {
+                index[c] = lines.len() as u32;
                 lines.push(*line);
             }
         }
-        let tracked: Vec<u32> = self.tracked.iter().map(|&t| index[t as usize]).collect();
+        let tracked: Vec<u32> = at.iter().map(|&c| index[c]).collect();
         let mut row_of = vec![usize::MAX; lines.len()];
         for (i, &t) in tracked.iter().enumerate() {
             row_of[t as usize] = i;
         }
-        let init_ranks = initial_ranks(&lines, self.c0);
+        // The band's order at c0 is its candidates' with the others left
+        // out: band indices keep the candidates' id order, so every tie
+        // breaks alike.
+        let mut init_ranks = vec![0; lines.len()];
+        for (rank, &c) in (1..).zip(order.iter().filter(|&&c| keep[c as usize])) {
+            init_ranks[index[c as usize] as usize] = rank;
+        }
         let events = crossings_with_tracked_capped_par(
             &lines,
             &tracked,
@@ -418,7 +711,7 @@ impl Bands {
             self.parallelism,
         );
         Band {
-            k: if lines.len() == n { usize::MAX } else { k },
+            k: if lines.len() == self.lines.len() { usize::MAX } else { k },
             built_for: k,
             lines,
             tracked,
@@ -583,16 +876,65 @@ mod tests {
         Bands::new(rows, sky, interval, Parallelism::Sequential)
     }
 
+    /// Rows 2 to 10 tie skyline row 1 at `x = 0` and trail it at `x = 1`,
+    /// at least two cells of the 4 × 4 grid above row 0 at both ends: on
+    /// the full space these nine near rows alone would put row 0 outside
+    /// band 8. The rest lie on the two axes, below row 0 at one end.
+    fn near_rows() -> Dataset {
+        let mut rows = vec![[0.05, 0.05], [0.7, 0.95]];
+        rows.extend((0..9).map(|i| [0.5 + 0.01 * i as f64, 0.95]));
+        rows.extend((1..=16).map(|i| [i as f64 / 16.0, 0.0]));
+        rows.extend((1..=15).map(|i| [0.0, i as f64 / 16.0]));
+        Dataset::from_rows(&rows).unwrap()
+    }
+
+    /// Rows on the lattice of eighths, many of them repeated: on the full
+    /// space every height lies on a cell edge of the 8 × 8 grid.
+    fn on_cell_edges(seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = vec![[0.0, 1.0], [1.0, 0.0]];
+        rows.extend(
+            (0..98).map(|_| {
+                [rng.random_range(0..=8) as f64 / 8.0, rng.random_range(0..=8) as f64 / 8.0]
+            }),
+        );
+        Dataset::from_rows(&rows).unwrap()
+    }
+
+    /// Heights within about five margins of each other: some rows beat
+    /// others, but a cell of the 4 × 4 grid would be at most twice the
+    /// margin wide.
+    fn narrow(seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<[f64; 2]> = (0..60)
+            .map(|_| {
+                let step = |rng: &mut StdRng| 1.0 + rng.random_range(0..=100) as f64 * 5e-11;
+                [step(&mut rng), step(&mut rng)]
+            })
+            .collect();
+        Dataset::from_rows(&rows).unwrap()
+    }
+
     #[test]
     fn band_members_match_brute_force() {
         // In the last set the scale is 2, and on the full space row 0
         // leads row 1 at c0 but at c1 by exactly the margin, which does
         // not count as beating it.
         let at_margin = Dataset::from_rows(&[[MARGIN * 2.0, 0.0], [0.0, -1.0]]).unwrap();
-        let datasets = [quantized(300, 11), anticorrelated(300, 12), extreme(200, 13), at_margin];
+        let datasets = [
+            quantized(300, 11),
+            anticorrelated(300, 12),
+            extreme(200, 13),
+            near_rows(),
+            on_cell_edges(14),
+            narrow(15),
+            at_margin,
+        ];
         for (i, data) in datasets.iter().enumerate() {
             for space in spaces() {
                 let (c0, c1) = weight_interval(space.as_ref()).unwrap();
+                let side = Rows::new(data, (c0, c1)).unwrap().grid.side;
+                assert_eq!(side == 1, i >= 5, "data {i}: a {side} × {side} grid");
                 let bands = bands_over(data, (c0, c1));
                 let lines = bands.lines();
                 let n = lines.len();
@@ -632,6 +974,43 @@ mod tests {
                 }
             }
         }
+        // The grid counts row 0's near beaters until the band builder sets
+        // them aside, and row 0 then stays in band 8.
+        let rows = Rows::new(&near_rows(), (0.0, 1.0)).unwrap();
+        assert!(rows.grid.beaten[rows.grid.cell(0)] > 8);
+        let bands = bands_over(&near_rows(), (0.0, 1.0));
+        assert!(bands.members(8)[0] && !bands.members(1)[0]);
+        assert!(bands.marked(1).rows.len() < near_rows().n());
+    }
+
+    #[test]
+    fn lb1_matches_brute_force_endpoint_ranks() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let random = Dataset::from_rows(
+            &(0..400).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        let datasets = [random, quantized(400, 21), extreme(300, 22), anticorrelated(1_000, 23)];
+        for (i, data) in datasets.iter().enumerate() {
+            for space in spaces() {
+                let (c0, c1) = weight_interval(space.as_ref()).unwrap();
+                let bands = bands_over(data, (c0, c1));
+                assert!(bands.grid.side > 1, "data {i}");
+                let lines = bands.lines();
+                // 1-based ranks at x by counting the lines ahead in
+                // `order_at`'s (height, slope, id) order.
+                let key = |x: f64, i: usize| {
+                    (descending_bits(lines[i].eval(x)), descending_bits(lines[i].slope), i)
+                };
+                let ranks = |x: f64| -> Vec<usize> {
+                    let keys: Vec<_> = (0..lines.len()).map(|i| key(x, i)).collect();
+                    keys.iter().map(|k| keys.iter().filter(|o| *o < k).count() + 1).collect()
+                };
+                let (r0, r1) = (ranks(c0), ranks(c1));
+                let lb1 = r0.iter().zip(&r1).map(|(a, b)| *a.max(b)).min().unwrap();
+                assert_eq!(bands.cap(), 2 * lb1 - 1, "data {i} [{c0}, {c1}]");
+            }
+        }
     }
 
     #[test]
@@ -648,6 +1027,9 @@ mod tests {
             for &(c0, c1) in &intervals {
                 let rows = Rows::new(data, (c0, c1)).unwrap();
                 assert_eq!(rows.skyline, u_skyline_2d(data, c0, c1), "data {i} [{c0}, {c1}]");
+                let g = &rows.grid;
+                let read = (0..data.n()).filter(|&i| g.beaten[g.cell(i)] == 0).count();
+                assert!(read < data.n(), "data {i} [{c0}, {c1}]: the grid kept every row");
             }
         }
         // At c0 = 0.4 row 0's line rounds above row 1's, though row 1
@@ -658,7 +1040,9 @@ mod tests {
         ])
         .unwrap();
         let rows = Rows::new(&data, (0.4, 0.45)).unwrap();
-        assert_eq!(rows.order0, [0, 1]);
+        let mut order = vec![0, 1];
+        order_at(&rows.lines, &mut order, 0.4);
+        assert_eq!(order, [0, 1]);
         assert_eq!(rows.skyline, [1]);
         assert_eq!(u_skyline_2d(&data, 0.4, 0.45), [1]);
     }

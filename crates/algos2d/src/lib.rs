@@ -32,3 +32,26 @@ pub use pareto::{pareto_frontier, ParetoPoint};
 pub use rrm2d::{full_sweep_rrm, weight_interval, Prepared2d};
 pub use rrr2d::PreparedRrr2d;
 pub use solver::{TwoDRrmSolver, TwoDRrrSolver};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock one of a prepared handle's caches. Each holds deterministic values
+/// a query can compute again, and no solver code runs under the lock, so a
+/// thread that panicked holding it left nothing a reader must not see: a
+/// poisoned lock is taken as it is.
+fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
+    cache.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Poison `cache`'s lock, as a thread that panicked holding it would.
+#[cfg(test)]
+fn poison<T: Send>(cache: &Mutex<T>) {
+    std::thread::scope(|s| {
+        let holder = s.spawn(|| {
+            let _held = cache.lock();
+            panic!("poisoning a cache lock");
+        });
+        assert!(holder.join().is_err());
+    });
+    assert!(cache.is_poisoned());
+}

@@ -16,19 +16,20 @@
 //! answer matter, so the default replays the `O(s·|band|)` crossings of
 //! the skyline lines with the *K-band* from a pre-sorted stream
 //! ([`rrm_geom::events`]): the rows fewer than `K` others beat at both
-//! ends of the weight interval, marked in one sweep down the rows' order
-//! at `c0`, the one sort a prepare makes. A replay over the band is exact
+//! ends of the weight interval. A prepare bins the rows into a dominance
+//! grid and sorts none of them; band `K` sorts and sweeps only the rows
+//! the grid cannot place outside it. A replay over the band is exact
 //! when its best final rank is at most `K`; otherwise `K` doubles and the
 //! replay runs again on the wider band. `K` starts at 32, or for `r = 1`
 //! at `2·LB₁ − 1` (`LB₁` is the best worst-endpoint rank of any row), a
 //! bound on every budget's optimum that also caps the doubling; past it
 //! `K` keeps doubling, so exactness never rests on the bound. The bound
-//! sorts the rows at `c1`, so it is computed only when `r = 1` or a
-//! doubling past 32 first needs it. This is the solver's only query
-//! path. The paper's original full-arrangement sweep over every row is
-//! kept as the reference function [`full_sweep_rrm`]: it answers
-//! identically, and `repro ablation` and the tests fail on any
-//! difference.
+//! sorts the grid columns and rows that can hold its row, so it is
+//! computed only when `r = 1` or a doubling past 32 first needs it. This
+//! is the solver's only query path. The paper's original
+//! full-arrangement sweep over every row is kept as the reference
+//! function [`full_sweep_rrm`]: it answers identically, and
+//! `repro ablation` and the tests fail on any difference.
 //!
 //! # Degeneracies
 //!
@@ -50,6 +51,7 @@ use rrm_geom::events::initial_ranks;
 use rrm_geom::sweep::arrangement_sweep;
 
 use crate::band::{Bands, Rows, START};
+use crate::lock;
 use crate::matrix::DpMatrix;
 
 /// The weight interval `[c0, c1]` a 2D utility space occupies after
@@ -184,8 +186,9 @@ struct Memo {
 /// replays ("2DRRM can be easily adopted for RRR by a binary search").
 ///
 /// Preparation (Theorem 3's candidates) renders the space onto its weight
-/// interval, computes the dual lines, sorts them once at the interval's
-/// low end and reads the restricted skyline off that order. The K-bands,
+/// interval, computes the dual lines, bins them into a dominance grid by
+/// their heights at both ends and reads the restricted skyline off the
+/// rows no other row beats by a cell at both. The K-bands,
 /// and their crossing streams (materialized when they fit a fixed memory
 /// budget), are built on first use and cached, so each later query is one
 /// DP replay. Solutions are memoized per `r`, which also makes the RRR
@@ -225,15 +228,14 @@ impl Prepared2d {
         Self { data, exec, sky_total, bands, memo: Mutex::new(Memo::default()) }
     }
 
-    /// Rebind the prepared state to the post-update dataset: the rows'
-    /// order at `c0` merges the sorted inserts into the survivors' order
-    /// in O(n) instead of re-sorting, and the restricted skyline is read
-    /// off it again; bands and memoized solutions are dropped (they
-    /// describe the old rows).
+    /// The prepared state of the post-update dataset: a fresh prepare of
+    /// `upd.new` on the same interval. A grid prepare costs about as much
+    /// as patching any kept order would, and the old bands and memoized
+    /// solutions describe the old rows.
     fn patched(&self, upd: &AppliedUpdate) -> Result<Self, RrmError> {
-        let data = upd.new.clone();
-        let rows = self.bands.rows_after(&data, &upd.remap, &upd.inserted)?;
-        Ok(Self::assemble(data, self.exec, self.bands.interval(), rows))
+        let interval = self.bands.interval();
+        let rows = Rows::new(&upd.new, interval)?;
+        Ok(Self::assemble(upd.new.clone(), self.exec, interval, rows))
     }
 
     /// Answer from one band holding every row: the all-rows stream the
@@ -285,11 +287,11 @@ impl Prepared2d {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        if let Some(sol) = self.memo.lock().expect("2D memo poisoned").solved.get(&r) {
+        if let Some(sol) = lock(&self.memo).solved.get(&r) {
             return Ok(sol.clone());
         }
         let sol = self.compute_rrm(r)?;
-        self.memo.lock().expect("2D memo poisoned").solved.insert(r, sol.clone());
+        lock(&self.memo).solved.insert(r, sol.clone());
         Ok(sol)
     }
 
@@ -299,7 +301,7 @@ impl Prepared2d {
     fn rrm_within(&self, r: usize, k: usize) -> Result<Option<Solution>, RrmError> {
         let within = |sol: Solution| (sol.certified_regret.expect("certified") <= k).then_some(sol);
         {
-            let memo = self.memo.lock().expect("2D memo poisoned");
+            let memo = lock(&self.memo);
             if let Some(sol) = memo.solved.get(&r) {
                 return Ok(within(sol.clone()));
             }
@@ -311,7 +313,7 @@ impl Prepared2d {
             return self.rrm(r).map(within);
         }
         let sol = self.replay_band(r, k)?;
-        let mut memo = self.memo.lock().expect("2D memo poisoned");
+        let mut memo = lock(&self.memo);
         match sol {
             Some(sol) => {
                 memo.solved.insert(r, sol.clone());
@@ -337,7 +339,7 @@ impl Prepared2d {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
         let missing: Vec<usize> = {
-            let memo = self.memo.lock().expect("2D memo poisoned");
+            let memo = lock(&self.memo);
             let mut missing: Vec<usize> =
                 rs.iter().copied().filter(|r| !memo.solved.contains_key(r)).collect();
             missing.sort_unstable();
@@ -346,7 +348,7 @@ impl Prepared2d {
         };
         let computed = rrm_par::par_map(&missing, self.exec.parallelism, |&r| self.compute_rrm(r));
         {
-            let mut memo = self.memo.lock().expect("2D memo poisoned");
+            let mut memo = lock(&self.memo);
             for (r, sol) in missing.iter().zip(&computed) {
                 if let Ok(sol) = sol {
                     memo.solved.insert(*r, sol.clone());
@@ -667,12 +669,11 @@ mod tests {
                     prepared = prepared.patched(&upd).unwrap();
                     let fresh =
                         Prepared2d::new(&upd.new, space.as_ref(), ExecPolicy::default()).unwrap();
-                    // Candidate, c0-order, LB₁ and band-membership parity,
-                    // then answers.
+                    // Candidate, LB₁ and band-membership parity, then
+                    // answers.
                     let ctx = format!("trial {trial} batch {batch}");
                     assert_eq!(prepared.bands.tracked(), fresh.bands.tracked(), "{ctx}");
                     assert_eq!(prepared.sky_total, fresh.sky_total, "{ctx}");
-                    assert_eq!(prepared.bands.order0(), fresh.bands.order0(), "{ctx}");
                     assert_eq!(prepared.bands.cap(), fresh.bands.cap(), "{ctx}");
                     for k in [1, 2, 4, 8] {
                         let members = prepared.bands.members(k);
@@ -715,6 +716,29 @@ mod tests {
         }
         let materialized = prepared.bands.materialized();
         assert!(!materialized.is_empty() && !materialized.contains(&true), "{materialized:?}");
+    }
+
+    #[test]
+    fn poisoned_cache_locks_still_answer_like_a_fresh_handle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        let rows: Vec<[f64; 2]> =
+            (0..300).map(|_| [rng.random::<f64>(), rng.random::<f64>()]).collect();
+        let d = Dataset::from_rows(&rows).unwrap();
+        let b = Budget::UNLIMITED;
+        let fresh = || Prepared2d::new(&d, &FullSpace::new(2), ExecPolicy::default()).unwrap();
+        let handle = fresh();
+        // A memoized budget and a built band first.
+        handle.rrm(2).unwrap();
+        crate::poison(&handle.memo);
+        handle.bands.poison();
+        for r in 1..=4 {
+            assert_eq!(handle.rrm(r).unwrap(), fresh().rrm(r).unwrap(), "r={r}");
+        }
+        assert_eq!(handle.solve_rrr(3, &b).unwrap(), fresh().solve_rrr(3, &b).unwrap());
+        let rs = [1, 5, 6];
+        assert_eq!(handle.solve_rrm_many(&rs).unwrap(), fresh().solve_rrm_many(&rs).unwrap());
     }
 
     #[test]

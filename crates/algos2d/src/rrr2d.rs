@@ -13,9 +13,11 @@
 //! K-band for `K = k`: the rows that fewer than `k` others beat at both
 //! ends of the weight range, whose ranks are exact up to `k`. The
 //! doubling phase builds one band per probe; the halving phase reuses the
-//! last. A prepare sorts the rows once, at the range's low end, and both
-//! the candidates (the restricted skyline) and every band are read off
-//! that order. A band's `s·|band|` crossings are materialized under the
+//! last. A prepare bins the rows into a dominance grid by their heights
+//! at both ends of the range and sorts none of them: the candidates (the
+//! restricted skyline) are read off the rows the grid finds no row
+//! beating, and band `k` sorts only the rows it counts fewer than `k`
+//! beaters for. A band's `s·|band|` crossings are materialized under the
 //! same memory budget as 2DRRM's, and streamed strip by strip past it.
 //!
 //! The RRM adaptation binary-searches the smallest `k` whose cover fits
@@ -31,6 +33,7 @@ use rrm_core::{
 use rrm_setcover::interval::{cover_segment, Interval};
 
 use crate::band::{Bands, Rows};
+use crate::lock;
 use crate::rrm2d::weight_interval;
 
 const COVER_TOL: f64 = 1e-9;
@@ -119,7 +122,7 @@ impl PreparedRrr2d {
 
     /// Minimum single-window cover for threshold `k`, memoized.
     pub(crate) fn cover(&self, k: usize) -> Option<Vec<u32>> {
-        if let Some(cover) = self.covers.lock().expect("cover memo poisoned").get(&k) {
+        if let Some(cover) = lock(&self.covers).get(&k) {
             return cover.clone();
         }
         // Compute outside the lock so concurrent queries never serialize
@@ -127,7 +130,7 @@ impl PreparedRrr2d {
         let (c0, c1) = self.bands.interval();
         let cover = cover_segment(&self.windows(k), c0, c1, COVER_TOL)
             .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect());
-        self.covers.lock().expect("cover memo poisoned").entry(k).or_insert(cover).clone()
+        lock(&self.covers).entry(k).or_insert(cover).clone()
     }
 }
 
@@ -329,6 +332,24 @@ mod tests {
             let built = streamed.bands.materialized();
             assert!(!built.is_empty() && !built.contains(&true), "seed {seed}: {built:?}");
             assert!(!materialized.bands.materialized().contains(&false), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn poisoned_cache_locks_still_answer_like_a_fresh_handle() {
+        let d = random_dataset(300, 80);
+        let b = Budget::UNLIMITED;
+        let handle = baseline(&d);
+        // A memoized cover and a built band first.
+        handle.cover(2);
+        crate::poison(&handle.covers);
+        handle.bands.poison();
+        for k in [1, 2, 4] {
+            assert_eq!(handle.cover(k), baseline(&d).cover(k), "k={k}");
+            assert_eq!(handle.solve_rrr(k, &b).unwrap(), baseline(&d).solve_rrr(k, &b).unwrap());
+        }
+        for r in 1..=4 {
+            assert_eq!(handle.solve_rrm(r, &b).unwrap(), baseline(&d).solve_rrm(r, &b).unwrap());
         }
     }
 

@@ -1054,8 +1054,9 @@ fn thread_scaling(scale: Scale) {
 /// quickselect top-k is timed against the bounded selection
 /// (`rank::top_k_into`) at several k, and full lists against lists
 /// stopped at the basis (`rank::top_k_until`) on anti-correlated rows,
-/// with every list parity-checked. Last come the 2D sweep's sorts
-/// ([`sort_rows`]). Writes `BENCH_kernels.json`.
+/// with every list parity-checked. Then come the 2D sweep's sorts
+/// ([`sort_rows`]), the cover index ([`cover_rows`]) and cold 2DRRM
+/// prepares ([`prepare2d_rows`]). Writes `BENCH_kernels.json`.
 fn kernels(scale: Scale) {
     use rrm_core::kernel::{self, ScoreScratch};
     use rrm_core::utility::dot;
@@ -1152,6 +1153,7 @@ fn kernels(scale: Scale) {
     let stopped = stopped_rows(&ns, reps, n_dirs);
     let sorts = sort_rows(reps);
     let covers = cover_rows(reps);
+    let prepares = prepare2d_rows(reps);
 
     // Hand-rolled JSON (no serde in the offline container).
     let mut json =
@@ -1258,12 +1260,83 @@ fn kernels(scale: Scale) {
             e.fresh_seconds / e.reused_seconds.max(1e-12),
         ));
     }
+    json.push_str("],\"prepare2d\":[\n");
+    for (i, e) in prepares.iter().enumerate() {
+        let sep = if i + 1 == prepares.len() { "" } else { "," };
+        json.push_str(&format!(
+            "  {{\"n\":{},\"r\":{},\"regret\":{},\
+             \"prepare_seconds\":{:.6},\"query_seconds\":{:.6},\
+             \"prepare_ns_per_row\":{:.3},\"query_ns_per_row\":{:.3}}}{sep}\n",
+            e.n,
+            e.r,
+            e.regret,
+            e.prepare_seconds,
+            e.query_seconds,
+            e.prepare_seconds / e.n as f64 * 1e9,
+            e.query_seconds / e.n as f64 * 1e9,
+        ));
+    }
     json.push_str("]}\n");
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
     println!(
         "wrote BENCH_kernels.json (throughput in tuple*direction scores per second; \
-         selection in ns per score; sorts in ns per row or crossing; covers in us per probe)"
+         selection in ns per score; sorts in ns per row or crossing; covers in us per probe; \
+         2D prepares in ns per row)"
     );
+}
+
+/// One cold 2DRRM row of `repro kernels`.
+struct Prepare2dEntry {
+    n: usize,
+    r: usize,
+    /// The first query's certified rank-regret.
+    regret: usize,
+    prepare_seconds: f64,
+    query_seconds: f64,
+}
+
+/// A cold 2DRRM prepare and its first `minimize(8)`, through a fresh
+/// one-thread `Session` per rep, on anti-correlated planar rows like
+/// `exact_small`'s (n = 20K, 50K, 100K). Gate: every answer's certificate
+/// must equal `rrm_eval::exact_rank_regret_2d` of its set, and every rep
+/// must answer alike; best of `reps` passes.
+fn prepare2d_rows(reps: usize) -> Vec<Prepare2dEntry> {
+    use rank_regret::{Request, Session};
+
+    let r = 8;
+    println!("single-thread cold 2DRRM (ns per row), best of {reps} reps, anti-correlated d=2");
+    println!("{:>8} {:>3} {:>7} {:>11} {:>13}", "n", "r", "regret", "prepare ns", "1st query ns");
+    let mut rows = Vec::new();
+    for n in [20_000usize, 50_000, 100_000] {
+        let data = rrm_data::synthetic::anticorrelated(n, 2, 41);
+        let (mut prepare_seconds, mut query_seconds) = (f64::INFINITY, f64::INFINITY);
+        let mut answer = None;
+        for _ in 0..reps {
+            let session = Session::new(data.clone()).exec(ExecPolicy::sequential());
+            let (warmed, seconds) = timed(|| session.warm(&[Algorithm::TwoDRrm]));
+            assert_eq!(warmed, 1, "2DRRM failed to prepare at n={n}");
+            prepare_seconds = prepare_seconds.min(seconds);
+            let request = Request::minimize(r).algo(Algorithm::TwoDRrm);
+            let (response, seconds) = timed(|| session.run(&request).expect("2DRRM answers"));
+            query_seconds = query_seconds.min(seconds);
+            let solution = response.solution;
+            let certified = solution.certified_regret.expect("2DRRM certifies its answer");
+            let (exact, _) = exact_rank_regret_2d(&data, &solution.indices, 0.0, 1.0);
+            assert_eq!(certified, exact, "2DRRM certificate violation at n={n}");
+            assert_eq!(*answer.get_or_insert_with(|| solution.clone()), solution, "n={n}");
+        }
+        let regret = answer.and_then(|s| s.certified_regret).expect("answered");
+        println!(
+            "{:>8} {:>3} {:>7} {:>11.2} {:>13.2}",
+            n,
+            r,
+            regret,
+            prepare_seconds / n as f64 * 1e9,
+            query_seconds / n as f64 * 1e9,
+        );
+        rows.push(Prepare2dEntry { n, r, regret, prepare_seconds, query_seconds });
+    }
+    rows
 }
 
 /// One cover row of `repro kernels`: one threshold search's probes.

@@ -67,12 +67,21 @@ impl DualLine {
 /// heights are differences of slopes and of intercepts, so where such a
 /// span exists they can overflow f64 (an infinite slope included).
 pub fn overflowing_span(lines: &[DualLine]) -> Option<(&'static str, f64, f64)> {
-    let range = |of: fn(&DualLine) -> f64| {
-        let (inf, neg_inf) = (f64::INFINITY, f64::NEG_INFINITY);
-        lines.iter().map(of).fold((inf, neg_inf), |(lo, hi), v| (lo.min(v), hi.max(v)))
-    };
-    [("slopes", range(|l| l.slope)), ("intercepts", range(|l| l.intercept))]
+    // One pass of plain compares: a NaN is skipped, as `f64::min` would.
+    let (mut lo, mut hi) = ([f64::INFINITY; 2], [f64::NEG_INFINITY; 2]);
+    for line in lines {
+        for (e, v) in [line.slope, line.intercept].into_iter().enumerate() {
+            if v < lo[e] {
+                lo[e] = v;
+            }
+            if v > hi[e] {
+                hi[e] = v;
+            }
+        }
+    }
+    ["slopes", "intercepts"]
         .into_iter()
+        .zip(lo.into_iter().zip(hi))
         .find(|(_, (lo, hi))| !(hi - lo).is_finite())
         .map(|(what, (lo, hi))| (what, lo, hi))
 }
@@ -119,25 +128,6 @@ pub fn order_at(lines: &[DualLine], ids: &mut [u32], x: f64) {
     let mut slots = hist.slots(hist.all(), Vec::new(), 0);
     ids.iter().for_each(|&i| slots.put(depth(i), i));
     ids.copy_from_slice(&slots.sorted_by_key(|&i| key_at(lines, i, x)));
-}
-
-/// The [`order_at`] order at `x` of `sorted` and `ids` together, where
-/// `sorted` is already in that order and `ids` (other lines) is in any:
-/// `ids` is sorted and each is spliced in at its binary-searched place, so
-/// only `O(|ids| log |sorted|)` lines are evaluated.
-pub fn merge_at(lines: &[DualLine], sorted: &[u32], ids: &mut [u32], x: f64) -> Vec<u32> {
-    order_at(lines, ids, x);
-    let mut merged = Vec::with_capacity(sorted.len() + ids.len());
-    let mut from = 0;
-    for &i in ids.iter() {
-        let key = key_at(lines, i, x);
-        let at = from + sorted[from..].partition_point(|&s| key_at(lines, s, x) < key);
-        merged.extend_from_slice(&sorted[from..at]);
-        merged.push(i);
-        from = at;
-    }
-    merged.extend_from_slice(&sorted[from..]);
-    merged
 }
 
 /// Map a 2D polyhedral cone (`rows · u ≥ 0`, `u ≥ 0`) to its interval of
@@ -315,8 +305,7 @@ mod tests {
         ];
         for (name, lines) in &sets {
             let n = lines.len() as u32;
-            // Every id ascending, and a subset in arbitrary order, as
-            // `merge_at` passes its inserts.
+            // Every id ascending, and a subset in arbitrary order.
             let all: Vec<u32> = (0..n).collect();
             let subset: Vec<u32> = (0..n).map(|i| (i * 7_919) % n).filter(|i| i % 3 != 1).collect();
             // Both ends of the full space and of a cone's interval.
@@ -327,23 +316,6 @@ mod tests {
                     order_at(lines, &mut got, x);
                     assert_eq!(got, want, "{name} at x={x}, {} ids", ids.len());
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn merge_at_equals_sorting_the_union() {
-        // Quantized lines: equal heights, equal slopes and identical lines,
-        // below and above the bucketing threshold.
-        for n in [40, 600] {
-            let lines = quantized(n, 5);
-            for x in [0.0, 0.25, 0.5, 1.0] {
-                let mut want: Vec<u32> = (0..n).collect();
-                order_by_comparison(&lines, &mut want, x);
-                let mut sorted: Vec<u32> = (0..n).filter(|i| i % 3 != 0).collect();
-                order_at(&lines, &mut sorted, x);
-                let mut ids: Vec<u32> = (0..n).filter(|i| i % 3 == 0).rev().collect();
-                assert_eq!(merge_at(&lines, &sorted, &mut ids, x), want, "n={n} x={x}");
             }
         }
     }
