@@ -48,18 +48,16 @@
 //! exact key, so the orders are the comparison sorts' to the bit.
 
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use rrm_core::rank::descending_bits;
-use rrm_core::{Dataset, RrmError};
+use rrm_core::{Dataset, Memo, RrmError, PROBE_CACHE_CAP};
 use rrm_geom::dual::{order_at, overflowing_span, DualLine};
 use rrm_geom::events::{crossings_with_tracked_capped_par, stream_crossings};
 use rrm_geom::Crossing;
 use rrm_par::Parallelism;
 use rrm_skyline::restricted::u_scores_2d;
 use rrm_skyline::sky2d::skyline_2d_sorted;
-
-use crate::lock;
 
 /// The `K` 2DRRM's replays start from (`r = 1` starts at the cap).
 pub(crate) const START: usize = 32;
@@ -342,7 +340,8 @@ struct Marked {
 
 /// The band builder a prepared 2D handle owns: the rows' dual lines and
 /// dominance grid, the tracked lines whose ranks its solver reads, and the
-/// bands built so far. A band is built on first use and cached.
+/// bands built so far. A band is built on first use and kept, for at most
+/// [`PROBE_CACHE_CAP`] `K`s.
 pub(crate) struct Bands {
     c0: f64,
     c1: f64,
@@ -357,13 +356,10 @@ pub(crate) struct Bands {
     /// Every band is at least this wide (`usize::MAX` in tests: one band
     /// holding every row).
     floor: usize,
-    /// One slot per `K` asked for; the slot's band is built outside the
-    /// lock, so only callers of the same `K` wait on one build.
-    built: Mutex<Vec<(usize, Slot)>>,
+    /// Per `K` asked for, its band: only callers of the same `K` wait on
+    /// one build.
+    built: Memo<usize, Arc<Band>>,
 }
-
-/// A band built once, by the first caller of its `K`.
-type Slot = Arc<OnceLock<Arc<Band>>>;
 
 impl Bands {
     /// The band builder over `rows` on `[c0, c1]`. `tracked` lists the row
@@ -434,7 +430,7 @@ impl Bands {
             chunk_target: CHUNK_TARGET,
             parallelism,
             floor: 0,
-            built: Mutex::new(Vec::new()),
+            built: Memo::new(PROBE_CACHE_CAP),
         }
     }
 
@@ -476,15 +472,20 @@ impl Bands {
     /// Per band built so far, whether its stream is materialized.
     #[cfg(test)]
     pub(crate) fn materialized(&self) -> Vec<bool> {
-        let built = lock(&self.built);
-        built.iter().filter_map(|(_, slot)| slot.get()).map(|b| b.events.is_some()).collect()
+        self.built.values().iter().map(|b| b.events.is_some()).collect()
     }
 
-    /// Poison the band cache's lock, as a thread that panicked holding it
-    /// would.
+    /// Interrupt the build of band `k` with a panic, as a build that
+    /// panicked would.
     #[cfg(test)]
-    pub(crate) fn poison(&self) {
-        crate::poison(&self.built);
+    pub(crate) fn interrupt(&self, k: usize) {
+        crate::interrupt(&self.built, k);
+    }
+
+    /// Number of `K`s whose bands are kept.
+    #[cfg(test)]
+    pub(crate) fn kept(&self) -> usize {
+        self.built.len()
     }
 
     /// `2·LB₁ − 1`, where `LB₁` is the minimum over rows of the worse of
@@ -573,29 +574,16 @@ impl Bands {
 
     /// A band whose replayed ranks are exact up to at least `k`: the
     /// narrowest one already built for at most `2k`, else band `k`, built
-    /// now (or by a concurrent caller of the same `k`) and cached.
+    /// now (or by a concurrent caller of the same `k`) and kept.
     pub(crate) fn band(&self, k: usize) -> Arc<Band> {
         let k = k.max(self.floor);
-        let slot = {
-            let mut built = lock(&self.built);
-            let ready = built
-                .iter()
-                .filter_map(|(_, slot)| slot.get())
-                .filter(|b| b.k >= k && b.built_for <= k.saturating_mul(2))
-                .min_by_key(|b| b.lines.len());
-            if let Some(band) = ready {
-                return Arc::clone(band);
-            }
-            match built.iter().find(|(for_k, _)| *for_k == k) {
-                Some((_, slot)) => Arc::clone(slot),
-                None => {
-                    let slot = Arc::new(OnceLock::new());
-                    built.push((k, Arc::clone(&slot)));
-                    slot
-                }
-            }
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(self.build(k))))
+        let ready = self
+            .built
+            .values()
+            .into_iter()
+            .filter(|b| b.k >= k && b.built_for <= k.saturating_mul(2))
+            .min_by_key(|b| (b.lines.len(), b.built_for));
+        ready.unwrap_or_else(|| self.built.get_or_build(k, || Arc::new(self.build(k))))
     }
 
     /// Band `k`'s candidates and members: whether fewer than `k` rows beat

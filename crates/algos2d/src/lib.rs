@@ -20,6 +20,14 @@
 //! [`full_sweep_rrm`] is 2DRRM as the paper states it, a sweep of the whole
 //! arrangement per query: not a solver path, but the reference the K-band
 //! replay is checked against.
+//!
+//! A prepared handle's caches are [`rrm_core::Memo`]s: 2DRRM's per-budget
+//! solutions (bounded by the candidate count: a budget at or above it is
+//! answered with the whole candidate set and not kept), 2DRRR's
+//! per-threshold covers and the bands both build on (bounded by
+//! [`rrm_core::PROBE_CACHE_CAP`]). 2DRRR's RRM adaptation runs on the
+//! workspace's one doubling-then-binary search,
+//! [`rrm_core::threshold_search`].
 
 mod band;
 pub mod matrix;
@@ -33,25 +41,23 @@ pub use rrm2d::{full_sweep_rrm, weight_interval, Prepared2d};
 pub use rrr2d::PreparedRrr2d;
 pub use solver::{TwoDRrmSolver, TwoDRrrSolver};
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Lock one of a prepared handle's caches. Each holds deterministic values
-/// a query can compute again, and no solver code runs under the lock, so a
-/// thread that panicked holding it left nothing a reader must not see: a
-/// poisoned lock is taken as it is.
-fn lock<T>(cache: &Mutex<T>) -> MutexGuard<'_, T> {
-    cache.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Poison `cache`'s lock, as a thread that panicked holding it would.
 #[cfg(test)]
-fn poison<T: Send>(cache: &Mutex<T>) {
+fn poison<T: Send>(cache: &std::sync::Mutex<T>) {
     std::thread::scope(|s| {
         let holder = s.spawn(|| {
-            let _held = cache.lock();
+            let _held = rrm_core::memo::lock(cache);
             panic!("poisoning a cache lock");
         });
         assert!(holder.join().is_err());
     });
     assert!(cache.is_poisoned());
+}
+
+/// Interrupt the build of `key` in `memo` with a panic, as a solver that
+/// panicked mid-build would.
+#[cfg(test)]
+fn interrupt<K: Eq + std::hash::Hash, V: Clone>(memo: &rrm_core::Memo<K, V>, key: K) {
+    let build = std::panic::AssertUnwindSafe(|| memo.get_or_build(key, || panic!("a build")));
+    assert!(std::panic::catch_unwind(build).is_err());
 }

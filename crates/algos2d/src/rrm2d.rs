@@ -42,16 +42,16 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use rrm_core::memo::lock;
 use rrm_core::{
-    Algorithm, AppliedUpdate, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution,
-    UtilitySpace,
+    Algorithm, AppliedUpdate, Budget, Dataset, ExecPolicy, Memo, PreparedSolver, RrmError,
+    Solution, UtilitySpace,
 };
 use rrm_geom::dual::{normalized_interval_2d, DualLine};
 use rrm_geom::events::initial_ranks;
 use rrm_geom::sweep::arrangement_sweep;
 
 use crate::band::{Bands, Rows, START};
-use crate::lock;
 use crate::matrix::DpMatrix;
 
 /// The weight interval `[c0, c1]` a 2D utility space occupies after
@@ -170,16 +170,6 @@ pub fn full_sweep_rrm(
     })
 }
 
-/// Solutions a handle has settled, per size budget.
-#[derive(Default)]
-struct Memo {
-    /// Exact solutions.
-    solved: HashMap<usize, Solution>,
-    /// A threshold the budget's optimum is known to exceed (a band replay
-    /// that did not certify).
-    exceeds: HashMap<usize, usize>,
-}
-
 /// **2DRRM** bound to one dataset and utility space: the exact 2D solver.
 /// RRM (`space = L`) or RRRM (restricted `space`) is one DP replay per
 /// size budget; exact RRR is a binary search on the size over those
@@ -191,9 +181,10 @@ struct Memo {
 /// rows no other row beats by a cell at both. The K-bands,
 /// and their crossing streams (materialized when they fit a fixed memory
 /// budget), are built on first use and cached, so each later query is one
-/// DP replay. Solutions are memoized per `r`, which also makes the RRR
-/// binary search and the Pareto frontier ([`crate::pareto_frontier`])
-/// share probe work.
+/// DP replay. Solutions are memoized per `r` below the candidate count (a
+/// budget at or above it is the whole candidate set, answered without
+/// the memo), which also makes the RRR binary search and the Pareto
+/// frontier ([`crate::pareto_frontier`]) share probe work.
 pub struct Prepared2d {
     data: Dataset,
     /// Chunks crossing classification and the per-`r` memo fill (the DP
@@ -204,7 +195,11 @@ pub struct Prepared2d {
     /// Tracks the deduplicated candidates in ascending slope order (the
     /// DP rows).
     bands: Bands,
-    memo: Mutex<Memo>,
+    /// Exact solutions per size budget below the candidate count.
+    solved: Memo<usize, Solution>,
+    /// Per size budget, a threshold its optimum is known to exceed (a band
+    /// replay that did not certify).
+    exceeds: Mutex<HashMap<usize, usize>>,
 }
 
 impl Prepared2d {
@@ -224,8 +219,9 @@ impl Prepared2d {
     fn assemble(data: Dataset, exec: ExecPolicy, interval: (f64, f64), rows: Rows) -> Self {
         let sky_total = rows.skyline.len();
         let sky = dedup_candidates(&rows.lines, &rows.skyline);
+        let solved = Memo::new(sky.len());
         let bands = Bands::new(rows, sky, interval, exec.parallelism);
-        Self { data, exec, sky_total, bands, memo: Mutex::new(Memo::default()) }
+        Self { data, exec, sky_total, bands, solved, exceeds: Mutex::default() }
     }
 
     /// The prepared state of the post-update dataset: a fresh prepare of
@@ -251,15 +247,9 @@ impl Prepared2d {
         self.bands.tracked().len()
     }
 
-    /// One exact solve for size budget `r` against the cached sweep state,
-    /// bypassing the memo (the unit of work of the parallel memo fill).
+    /// One exact solve for size budget `r` below the candidate count
+    /// against the cached sweep state, bypassing the memo.
     fn compute_rrm(&self, r: usize) -> Result<Solution, RrmError> {
-        let sky = self.bands.tracked();
-        // The whole candidate set has rank-regret 1 (the top-1 for any u
-        // in the space is never U-dominated, hence a candidate).
-        if sky.len() <= r {
-            return Solution::new(sky.to_vec(), Some(1), Algorithm::TwoDRrm, &self.data);
-        }
         let mut k = if r == 1 { self.bands.cap() } else { START };
         loop {
             if let Some(sol) = self.replay_band(r, k)? {
@@ -287,12 +277,13 @@ impl Prepared2d {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        if let Some(sol) = lock(&self.memo).solved.get(&r) {
-            return Ok(sol.clone());
+        let sky = self.bands.tracked();
+        // The whole candidate set has rank-regret 1 (the top-1 for any u
+        // in the space is never U-dominated, hence a candidate).
+        if sky.len() <= r {
+            return Solution::new(sky.to_vec(), Some(1), Algorithm::TwoDRrm, &self.data);
         }
-        let sol = self.compute_rrm(r)?;
-        lock(&self.memo).solved.insert(r, sol.clone());
-        Ok(sol)
+        self.solved.get_or_try_build(r, || self.compute_rrm(r))
     }
 
     /// Budget `r`'s exact solution if its rank-regret is at most `k`, else
@@ -300,63 +291,43 @@ impl Prepared2d {
     /// `k`, so the RRR size search never replays wider than its threshold.
     fn rrm_within(&self, r: usize, k: usize) -> Result<Option<Solution>, RrmError> {
         let within = |sol: Solution| (sol.certified_regret.expect("certified") <= k).then_some(sol);
-        {
-            let memo = lock(&self.memo);
-            if let Some(sol) = memo.solved.get(&r) {
-                return Ok(within(sol.clone()));
-            }
-            if memo.exceeds.get(&r).is_some_and(|&e| e >= k) {
-                return Ok(None);
-            }
+        if let Some(sol) = self.solved.get(&r) {
+            return Ok(within(sol));
         }
         if self.candidates() <= r {
             return self.rrm(r).map(within);
         }
-        let sol = self.replay_band(r, k)?;
-        let mut memo = lock(&self.memo);
-        match sol {
-            Some(sol) => {
-                memo.solved.insert(r, sol.clone());
-                Ok(within(sol))
-            }
+        if lock(&self.exceeds).get(&r).is_some_and(|&e| e >= k) {
+            return Ok(None);
+        }
+        match self.replay_band(r, k)? {
+            Some(sol) => Ok(within(self.solved.get_or_build(r, || sol))),
             None => {
-                let e = memo.exceeds.entry(r).or_insert(0);
+                let mut exceeds = lock(&self.exceeds);
+                let e = exceeds.entry(r).or_insert(0);
                 *e = (*e).max(k);
                 Ok(None)
             }
         }
     }
 
-    /// Answer many size budgets at once: uncached budgets are replayed
+    /// Answer many size budgets at once: unsettled budgets are replayed
     /// concurrently (one DP run per budget over the shared sweep state,
-    /// chunked by the handle's execution policy) and memoized; results come back
-    /// in request order. Each budget's replay is independent, so the
-    /// solutions are identical to serial `solve_rrm` calls at any thread
-    /// count. This is the memo-fill path behind
+    /// chunked by the handle's execution policy) and memoized; results
+    /// come back in request order. Each budget's replay is independent, so
+    /// the solutions are identical to serial `solve_rrm` calls at any
+    /// thread count. This is the memo-fill path behind
     /// [`crate::pareto_frontier`].
     pub fn solve_rrm_many(&self, rs: &[usize]) -> Result<Vec<Solution>, RrmError> {
         if rs.contains(&0) {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        let missing: Vec<usize> = {
-            let memo = lock(&self.memo);
-            let mut missing: Vec<usize> =
-                rs.iter().copied().filter(|r| !memo.solved.contains_key(r)).collect();
-            missing.sort_unstable();
-            missing.dedup();
-            missing
-        };
-        let computed = rrm_par::par_map(&missing, self.exec.parallelism, |&r| self.compute_rrm(r));
-        {
-            let mut memo = lock(&self.memo);
-            for (r, sol) in missing.iter().zip(&computed) {
-                if let Ok(sol) = sol {
-                    memo.solved.insert(*r, sol.clone());
-                }
-            }
-        }
+        let mut missing: Vec<usize> =
+            rs.iter().copied().filter(|r| self.solved.get(r).is_none()).collect();
+        missing.sort_unstable();
+        missing.dedup();
         // Surface the first error (by ascending budget) before assembling.
-        for sol in computed {
+        for sol in rrm_par::par_map(&missing, self.exec.parallelism, |&r| self.rrm(r)) {
             sol?;
         }
         rs.iter().map(|&r| self.rrm(r)).collect()
@@ -729,16 +700,47 @@ mod tests {
         let b = Budget::UNLIMITED;
         let fresh = || Prepared2d::new(&d, &FullSpace::new(2), ExecPolicy::default()).unwrap();
         let handle = fresh();
-        // A memoized budget and a built band first.
+        // A memoized budget and a built band first; then a poisoned
+        // threshold lock and interrupted budget and band builds.
         handle.rrm(2).unwrap();
-        crate::poison(&handle.memo);
-        handle.bands.poison();
+        crate::poison(&handle.exceeds);
+        crate::interrupt(&handle.solved, 3);
+        handle.bands.interrupt(3);
         for r in 1..=4 {
             assert_eq!(handle.rrm(r).unwrap(), fresh().rrm(r).unwrap(), "r={r}");
         }
         assert_eq!(handle.solve_rrr(3, &b).unwrap(), fresh().solve_rrr(3, &b).unwrap());
         let rs = [1, 5, 6];
         assert_eq!(handle.solve_rrm_many(&rs).unwrap(), fresh().solve_rrm_many(&rs).unwrap());
+    }
+
+    #[test]
+    fn budgets_past_the_candidate_count_are_answered_but_not_kept() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(37);
+        let rows: Vec<[f64; 2]> = (0..2_000)
+            .map(|_| {
+                let t = rng.random::<f64>();
+                [t, 1.0 - t + 0.5 * rng.random::<f64>()]
+            })
+            .collect();
+        let d = Dataset::from_rows(&rows).unwrap();
+        let (space, b) = (FullSpace::new(2), Budget::UNLIMITED);
+        let fresh = || Prepared2d::new(&d, &space, ExecPolicy::default()).unwrap();
+        let handle = fresh();
+        let candidates = handle.candidates();
+        assert!(candidates >= 8, "{candidates} candidates");
+        for r in (1..=10 * candidates).rev().chain(1..=candidates) {
+            assert_eq!(
+                handle.solve_rrm(r, &b).unwrap(),
+                fresh().solve_rrm(r, &b).unwrap(),
+                "r={r}"
+            );
+            assert!(handle.solved.len() < candidates, "r={r}: {} kept", handle.solved.len());
+        }
+        assert_eq!(handle.solve_rrr(3, &b).unwrap(), fresh().solve_rrr(3, &b).unwrap());
+        assert!(lock(&handle.exceeds).keys().all(|&r| r < candidates));
     }
 
     #[test]

@@ -20,20 +20,19 @@
 //! beaters for. A band's `s·|band|` crossings are materialized under the
 //! same memory budget as 2DRRM's, and streamed strip by strip past it.
 //!
-//! The RRM adaptation binary-searches the smallest `k` whose cover fits
-//! the size budget `r`, using the doubling + halving scheme of Section
-//! V-B.2 ("improved binary search").
-
-use std::collections::HashMap;
-use std::sync::Mutex;
+//! The RRM adaptation searches the smallest `k` whose cover fits the size
+//! budget `r` with the doubling + halving scheme of Section V-B.2
+//! ("improved binary search"), the workspace's one
+//! [`threshold_search`]. A minimum interval cover never grows as `k`
+//! grows, so the search's probes find the smallest fitting threshold.
 
 use rrm_core::{
-    Algorithm, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError, Solution, UtilitySpace,
+    threshold_search, Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy, Memo, PreparedSolver,
+    RrmError, Solution, UtilitySpace, PROBE_CACHE_CAP,
 };
 use rrm_setcover::interval::{cover_segment, Interval};
 
 use crate::band::{Bands, Rows};
-use crate::lock;
 use crate::rrm2d::weight_interval;
 
 const COVER_TOL: f64 = 1e-9;
@@ -46,7 +45,7 @@ pub struct PreparedRrr2d {
     data: Dataset,
     /// Tracks the restricted skyline, ascending.
     bands: Bands,
-    covers: Mutex<HashMap<usize, Option<Vec<u32>>>>,
+    covers: Memo<usize, Option<Vec<u32>>>,
 }
 
 impl PreparedRrr2d {
@@ -62,7 +61,7 @@ impl PreparedRrr2d {
         let rows = Rows::new(data, interval)?;
         let sky = rows.skyline.clone();
         let bands = Bands::new(rows, sky, interval, exec.parallelism);
-        Ok(Self { data: data.clone(), bands, covers: Mutex::new(HashMap::new()) })
+        Ok(Self { data: data.clone(), bands, covers: Memo::new(PROBE_CACHE_CAP) })
     }
 
     /// Read every window off one band holding every row: the all-rows
@@ -122,15 +121,11 @@ impl PreparedRrr2d {
 
     /// Minimum single-window cover for threshold `k`, memoized.
     pub(crate) fn cover(&self, k: usize) -> Option<Vec<u32>> {
-        if let Some(cover) = lock(&self.covers).get(&k) {
-            return cover.clone();
-        }
-        // Compute outside the lock so concurrent queries never serialize
-        // on a cache miss (the cover is deterministic per threshold).
-        let (c0, c1) = self.bands.interval();
-        let cover = cover_segment(&self.windows(k), c0, c1, COVER_TOL)
-            .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect());
-        lock(&self.covers).entry(k).or_insert(cover).clone()
+        self.covers.get_or_build(k, || {
+            let (c0, c1) = self.bands.interval();
+            cover_segment(&self.windows(k), c0, c1, COVER_TOL)
+                .map(|ivs| ivs.into_iter().map(|iv| iv.id).collect())
+        })
     }
 }
 
@@ -145,50 +140,20 @@ impl PreparedSolver for PreparedRrr2d {
 
     /// RRM via the smallest feasible threshold: the smallest `k` whose
     /// interval cover fits in `r` tuples (doubling then binary search, as
-    /// the paper benchmarks it), with every probed cover memoized. The
-    /// 2D solver takes no budget knobs; the budget is ignored.
+    /// the paper benchmarks it), with every probed cover memoized. When no
+    /// threshold fits, the cover at `n`, truncated to `r`. The 2D solver
+    /// takes no budget knobs; the budget is ignored.
     fn solve_rrm(&self, r: usize, _budget: &Budget) -> Result<Solution, RrmError> {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
         let n = self.data.n();
-
-        // Doubling phase.
-        let mut k = 1usize;
-        let mut feasible: Option<(usize, Vec<u32>)> = None;
-        while k <= n {
-            if let Some(ids) = self.cover(k) {
-                if ids.len() <= r {
-                    feasible = Some((k, ids));
-                    break;
-                }
-            }
-            k *= 2;
-        }
-        let (found_k, mut best_ids) =
-            feasible.unwrap_or_else(|| (n, self.cover(n).expect("k = n always covers")));
-        // Binary phase on (found_k/2, found_k].
-        let mut lo = found_k / 2 + 1;
-        let mut hi = found_k;
-        let mut best_k = found_k;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.cover(mid) {
-                Some(ids) if ids.len() <= r => {
-                    best_ids = ids;
-                    best_k = mid;
-                    hi = mid;
-                }
-                _ => lo = mid + 1,
-            }
-        }
-        best_ids.truncate(r);
-        Solution::new(
-            best_ids,
-            Some((2 * best_k).saturating_sub(1)),
-            Algorithm::TwoDRrr,
-            &self.data,
-        )
+        let fits = |k| Ok(self.cover(k).filter(|ids| ids.len() <= r));
+        let outcome = threshold_search(n, &mut AnytimeSearch::unlimited(), |k, _, _| fits(k))?;
+        let (k, mut ids) =
+            outcome.best.unwrap_or_else(|| (n, self.cover(n).expect("k = n always covers")));
+        ids.truncate(r);
+        Solution::new(ids, Some((2 * k).saturating_sub(1)), Algorithm::TwoDRrr, &self.data)
     }
 
     /// RRR baseline: a set of size at most the optimal rank-`k`
@@ -340,15 +305,32 @@ mod tests {
         let d = random_dataset(300, 80);
         let b = Budget::UNLIMITED;
         let handle = baseline(&d);
-        // A memoized cover and a built band first.
+        // A memoized cover and a built band first, then interrupted cover
+        // and band builds.
         handle.cover(2);
-        crate::poison(&handle.covers);
-        handle.bands.poison();
-        for k in [1, 2, 4] {
+        crate::interrupt(&handle.covers, 4);
+        handle.bands.interrupt(8);
+        for k in [1, 2, 4, 8] {
             assert_eq!(handle.cover(k), baseline(&d).cover(k), "k={k}");
             assert_eq!(handle.solve_rrr(k, &b).unwrap(), baseline(&d).solve_rrr(k, &b).unwrap());
         }
         for r in 1..=4 {
+            assert_eq!(handle.solve_rrm(r, &b).unwrap(), baseline(&d).solve_rrm(r, &b).unwrap());
+        }
+    }
+
+    #[test]
+    fn thresholds_past_the_bound_are_answered_but_not_kept() {
+        let d = random_dataset(300, 81);
+        let b = Budget::UNLIMITED;
+        let handle = baseline(&d);
+        for k in (1..=PROBE_CACHE_CAP + 200).rev() {
+            let want = baseline(&d).solve_rrr(k, &b).unwrap();
+            assert_eq!(handle.solve_rrr(k, &b).unwrap(), want, "k={k}");
+        }
+        assert_eq!(handle.covers.len(), PROBE_CACHE_CAP);
+        assert!(handle.bands.kept() <= PROBE_CACHE_CAP);
+        for r in [1, 3, 6] {
             assert_eq!(handle.solve_rrm(r, &b).unwrap(), baseline(&d).solve_rrm(r, &b).unwrap());
         }
     }

@@ -1,16 +1,13 @@
-//! The anytime bound-and-prune core shared by the hard HD solvers, and
-//! the crate's one doubling-then-binary search.
+//! The anytime bound-and-prune cover search shared by the hard HD
+//! solvers.
 //!
-//! [`threshold_search`] doubles a threshold until a probe is feasible,
-//! then bisects the last gap. Before every probe it checks the budget's
-//! limits through an [`AnytimeSearch`]; on an early stop it reports the
-//! certified lower bound reached, so the caller can return its incumbent
-//! with sound [`Bounds`] instead of failing. Without limits it runs the
-//! same probes in the same order and returns the same best threshold, bit
-//! for bit. Probe closures do the domain work: computing the candidate
-//! set, counting expanded nodes, offering incumbents. Every search in the
-//! crate runs on it: [`CoverSearch`], MDRRR's k-set search, the sampled
-//! tier's RRM solve, and [`rrr_via_rrm_search_with`].
+//! Every search in the crate runs on [`threshold_search`], the
+//! workspace's one doubling-then-binary search (in [`rrm_core::anytime`],
+//! beside [`AnytimeSearch`]): [`CoverSearch`], MDRRR's k-set search, the
+//! sampled tier's RRM solve, and [`rrr_via_rrm_search_with`]. Probe
+//! closures do the domain work: computing the candidate set, counting
+//! expanded nodes, offering incumbents. An early stop returns the
+//! incumbent with sound [`Bounds`] instead of failing.
 //!
 //! [`CoverSearch`] is the one anytime cover search. HDRRM (Algorithm 3)
 //! and MDRRRr both look for the smallest threshold `k` at which a greedy
@@ -31,8 +28,8 @@ use std::sync::Arc;
 use rrm_core::approx::sample_directions;
 use rrm_core::rank::max_rank_regret;
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, Parallelism, RrmError, Solution,
-    TerminatedBy, UtilitySpace,
+    threshold_search, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, Parallelism,
+    RrmError, Solution, TerminatedBy, ThresholdOutcome, UtilitySpace,
 };
 
 use crate::asms::{asms_with_topk_capped, AsmsProbe, CoverIndex};
@@ -45,97 +42,6 @@ const COARSE_FRACTION: usize = 16;
 /// Below this many coarse directions the coarse pass is skipped: the full
 /// solve is already fast and the extra pass would not pay for itself.
 const COARSE_MIN_DIRS: usize = 16;
-
-/// Outcome of an anytime threshold search.
-pub(crate) struct ThresholdOutcome<T> {
-    /// Smallest feasible threshold reached and its payload (the probe's
-    /// candidate set), when one was found before a limit stopped it.
-    pub best: Option<(usize, T)>,
-    /// Certified lower bound: every threshold below this was proven
-    /// infeasible.
-    pub lower: usize,
-    /// Why the search returned.
-    pub terminated: TerminatedBy,
-}
-
-/// The doubling + binary threshold search with in-loop limit checks.
-///
-/// `probe(k, lower, search)` answers one threshold: `Ok(Some(payload))`
-/// when feasible, `Ok(None)` when infeasible (possibly proven by an
-/// aborted, pruned cover). `lower` is the certified lower bound at probe
-/// time, for incumbent curve stamping. The driver consumes one probe of
-/// the deterministic budget per call and counts it as a search node;
-/// the closure accounts any further nodes it expands.
-///
-/// Infeasibility at `k = n` ends the search with `best: None`. Only
-/// MDRRR's enumeration-truncated probes and the RRR-via-RRM size search
-/// can get there; a cover probe is always feasible at `k = n`.
-pub(crate) fn threshold_search<T>(
-    n: usize,
-    search: &mut AnytimeSearch,
-    mut probe: impl FnMut(usize, usize, &mut AnytimeSearch) -> Result<Option<T>, RrmError>,
-) -> Result<ThresholdOutcome<T>, RrmError> {
-    let mut prev_k = 0usize;
-    let mut k = 1usize;
-    let best: (usize, T);
-    // Doubling phase: find some feasible threshold.
-    loop {
-        let lower = prev_k + 1;
-        let upper = search.incumbent.upper().unwrap_or(n.max(1));
-        if let Some(t) = search.should_stop(Bounds { lower, upper }) {
-            return Ok(ThresholdOutcome { best: None, lower, terminated: t });
-        }
-        let _ = search.take_probe();
-        search.note_node();
-        match probe(k, lower, search)? {
-            Some(payload) => {
-                best = (k, payload);
-                break;
-            }
-            None => {
-                if k >= n {
-                    return Ok(ThresholdOutcome {
-                        best: None,
-                        lower: n,
-                        terminated: TerminatedBy::Completed,
-                    });
-                }
-                prev_k = k;
-                k = (k * 2).min(n);
-            }
-        }
-    }
-    // Binary phase over the last doubling gap (prev_k, k].
-    let (mut best_k, mut best_payload) = best;
-    let mut lo = prev_k + 1;
-    let mut hi = best_k;
-    while lo < hi {
-        let upper = search.incumbent.upper().unwrap_or(best_k);
-        if let Some(t) = search.should_stop(Bounds { lower: lo, upper }) {
-            return Ok(ThresholdOutcome {
-                best: Some((best_k, best_payload)),
-                lower: lo,
-                terminated: t,
-            });
-        }
-        let _ = search.take_probe();
-        let mid = lo + (hi - lo) / 2;
-        search.note_node();
-        match probe(mid, lo, search)? {
-            Some(payload) => {
-                best_k = mid;
-                best_payload = payload;
-                hi = mid;
-            }
-            None => lo = mid + 1,
-        }
-    }
-    Ok(ThresholdOutcome {
-        best: Some((best_k, best_payload)),
-        lower: lo,
-        terminated: TerminatedBy::Completed,
-    })
-}
 
 /// The anytime cover search over one direction frame: HDRRM's ASMS
 /// search and MDRRRr's k-set hitting search.
@@ -462,65 +368,6 @@ mod tests {
             [1.0, 0.0],
         ])
         .unwrap()
-    }
-
-    /// Feasibility oracle "k >= target" — the driver must find `target`.
-    fn run(n: usize, target: usize, search: &mut AnytimeSearch) -> ThresholdOutcome<usize> {
-        threshold_search(n, search, |k, _lower, s| {
-            if k >= target {
-                s.offer(vec![0], k, 1);
-                Ok(Some(k))
-            } else {
-                Ok(None)
-            }
-        })
-        .unwrap()
-    }
-
-    #[test]
-    fn finds_the_smallest_feasible_threshold() {
-        for target in [1usize, 2, 3, 7, 40, 100] {
-            let mut s = AnytimeSearch::unlimited();
-            let out = run(100, target, &mut s);
-            assert_eq!(out.terminated, TerminatedBy::Completed);
-            assert_eq!(out.best.unwrap().0, target, "target {target}");
-            assert_eq!(out.lower, target);
-        }
-    }
-
-    #[test]
-    fn counter_budget_stops_with_sound_lower_bound() {
-        for budget in 0..12 {
-            let limits = Budget { max_enumerations: Some(budget), ..Budget::UNLIMITED };
-            let mut s = AnytimeSearch::new(&limits, Some(budget));
-            let out = run(100, 70, &mut s);
-            if out.terminated == TerminatedBy::Completed {
-                assert_eq!(out.best.as_ref().unwrap().0, 70);
-            } else {
-                assert_eq!(out.terminated, TerminatedBy::Counter);
-                assert!(out.lower <= 70, "budget {budget}: lower {} unsound", out.lower);
-                if let Some((k, _)) = out.best {
-                    assert!(k >= 70);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn infeasible_at_n_ends_with_no_best() {
-        let mut s = AnytimeSearch::unlimited();
-        let out = threshold_search::<()>(16, &mut s, |_, _, _| Ok(None)).unwrap();
-        assert!(out.best.is_none());
-        assert_eq!(out.lower, 16);
-        assert_eq!(out.terminated, TerminatedBy::Completed);
-    }
-
-    #[test]
-    fn probes_counted_as_nodes() {
-        let mut s = AnytimeSearch::unlimited();
-        run(100, 7, &mut s);
-        // Doubling 1,2,4,8 then binary over (4,8]: two more probes.
-        assert_eq!(s.report.nodes, 6);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! frame once.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 use rrm_core::kernel::{self, ScoreScratch};
+use rrm_core::memo::lock;
 use rrm_core::rank::batch_top_k_until;
 use rrm_core::{Dataset, Parallelism, PREPARED_CACHE_CAP};
 
@@ -37,7 +38,8 @@ pub(crate) type TopkLists = Arc<Vec<Vec<u32>>>;
 /// deepest lists computed so far. A kept depth `D` means each list is the
 /// top-`D` prefix, cut after its stop when the source stops. A prepared
 /// handle shares one across its queries; the coarse pass of a search
-/// holds its own.
+/// holds its own. At most [`PREPARED_CACHE_CAP`] keys are kept, and a
+/// kept key's lists only deepen.
 pub(crate) type ListCache = Mutex<HashMap<usize, (usize, TopkLists)>>;
 
 /// The top-k lists one threshold search reads.
@@ -76,10 +78,6 @@ pub(crate) struct ListSource<'a> {
 }
 
 impl ListSource<'_> {
-    fn lock(&self) -> MutexGuard<'_, HashMap<usize, (usize, TopkLists)>> {
-        self.cache.lock().expect("top-k cache poisoned")
-    }
-
     /// Whether lists `depth` deep fit the budget, and so are kept.
     pub fn fits(&self, depth: usize) -> bool {
         self.dirs.len().saturating_mul(depth) <= self.budget_entries
@@ -88,7 +86,7 @@ impl ListSource<'_> {
     /// Lists at least `k` deep, one per direction of `dirs`, and their
     /// depth.
     pub fn lists(&self, k: usize) -> (usize, TopkLists) {
-        let kept = self.lock().get(&self.key).filter(|(depth, _)| *depth >= k).cloned();
+        let kept = lock(self.cache).get(&self.key).filter(|(depth, _)| *depth >= k).cloned();
         if let Some(kept) = kept {
             return kept;
         }
@@ -99,7 +97,7 @@ impl ListSource<'_> {
         if keep {
             // Free the shallower lists first, so two levels never sit in
             // memory at once.
-            self.lock().remove(&self.key);
+            lock(self.cache).remove(&self.key);
         }
         let lists = Arc::new(batch_top_k_until(self.data, self.dirs, depth, self.stops, self.pol));
         if keep {
@@ -109,7 +107,7 @@ impl ListSource<'_> {
     }
 
     fn keep(&self, depth: usize, lists: TopkLists) {
-        let mut cache = self.lock();
+        let mut cache = lock(self.cache);
         match cache.get(&self.key) {
             // A concurrent query kept deeper lists meanwhile.
             Some((kept, _)) if *kept >= depth => {}
@@ -189,7 +187,7 @@ mod tests {
     }
 
     fn kept_depth(cache: &ListCache) -> Option<usize> {
-        cache.lock().unwrap().get(&0).map(|(depth, _)| *depth)
+        lock(cache).get(&0).map(|(depth, _)| *depth)
     }
 
     #[test]

@@ -37,10 +37,11 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
+use rrm_core::memo::lock;
 use rrm_core::rank::batch_top_k_until;
 use rrm_core::{
-    basis_indices, cache_bounded, Algorithm, AnytimeSearch, AppliedUpdate, Budget, Dataset,
-    ExecPolicy, Parallelism, PreparedSolver, RrmError, Solution, UtilitySpace, PREPARED_CACHE_CAP,
+    basis_indices, Algorithm, AnytimeSearch, AppliedUpdate, Budget, Dataset, ExecPolicy, Memo,
+    Parallelism, PreparedSolver, RrmError, Solution, UtilitySpace, PREPARED_CACHE_CAP,
 };
 use rrm_skyline::IncrementalSkyline;
 
@@ -56,9 +57,6 @@ pub struct HdrrmOptions {
     pub gamma: usize,
     /// Failure probability δ for the sampled guarantee (paper: 0.03).
     pub delta: f64,
-    /// Override the sample count `m` (default: the Theorem 10 formula,
-    /// which can reach tens of thousands — benches scale it down).
-    pub m_override: Option<usize>,
     /// RNG seed for `Da`.
     pub seed: u64,
     /// Restrict cover candidates to skyline tuples (sound by Theorem 3;
@@ -88,7 +86,6 @@ impl Default for HdrrmOptions {
         Self {
             gamma: 6,
             delta: 0.03,
-            m_override: None,
             seed: 0xD15C0,
             skyline_candidates: true,
             include_basis: true,
@@ -125,7 +122,8 @@ pub struct PreparedHdrrm {
     /// mask instead of re-filtering the dataset.
     sky: Option<IncrementalSkyline>,
     mask: Option<Vec<bool>>,
-    discs: Mutex<HashMap<usize, Arc<Discretization>>>,
+    /// Per sample count `m`, its discretization.
+    discs: Memo<usize, Arc<Discretization>>,
     /// Per sample count `m`: the deepest top-k lists kept so far (every
     /// smaller threshold is a prefix), each cut after its stop
     /// ([`PreparedHdrrm::stops`]).
@@ -151,7 +149,7 @@ impl PreparedHdrrm {
             basis: basis_indices(data),
             sky,
             mask,
-            discs: Mutex::new(HashMap::new()),
+            discs: Memo::new(PREPARED_CACHE_CAP),
             topk: ListCache::default(),
         }
     }
@@ -189,12 +187,11 @@ impl PreparedHdrrm {
             s
         });
         let mask = sky.as_ref().map(|s| s.mask().to_vec());
-        let discs: HashMap<usize, Arc<Discretization>> =
-            self.discs.lock().expect("discretization cache poisoned").clone();
+        let discs = self.discs.clone();
         let pol = self.exec.parallelism;
         let mut topk = HashMap::new();
-        for (&m, (k, lists)) in self.topk.lock().expect("top-k cache poisoned").iter() {
-            // A cached list without its discretization (evicted) is
+        for (&m, (k, lists)) in lock(&self.topk).iter() {
+            // A cached list without its discretization (never kept) is
             // dropped; a later query rebuilds both identically.
             let Some(disc) = discs.get(&m) else { continue };
             let lists = if moved {
@@ -212,31 +209,16 @@ impl PreparedHdrrm {
             basis,
             sky,
             mask,
-            discs: Mutex::new(discs),
+            discs,
             topk: Mutex::new(topk),
         }
     }
 
     fn disc(&self, m: usize) -> Arc<Discretization> {
-        if let Some(disc) = self.discs.lock().expect("discretization cache poisoned").get(&m) {
-            return disc.clone();
-        }
-        // Build outside the lock: concurrent misses duplicate work (the
-        // result is deterministic) but never block other queries.
-        let disc = Arc::new(build_vector_set_exec(
-            self.data.dim(),
-            self.space.as_ref(),
-            m,
-            self.options.gamma,
-            self.options.seed,
-            self.exec,
-        ));
-        cache_bounded(
-            &mut self.discs.lock().expect("discretization cache poisoned"),
-            m,
-            disc,
-            PREPARED_CACHE_CAP,
-        )
+        self.discs.get_or_build(m, || {
+            let (d, space, opts) = (self.data.dim(), self.space.as_ref(), self.options);
+            Arc::new(build_vector_set_exec(d, space, m, opts.gamma, opts.seed, self.exec))
+        })
     }
 
     /// The tuples every cached top-k list stops at: the basis when every
@@ -267,9 +249,9 @@ impl PreparedHdrrm {
     }
 
     /// The effective sample count `m` for a query sized for `r` tuples:
-    /// budget override, then option override, then the Theorem 10 formula.
+    /// the budget's `samples`, else the Theorem 10 formula.
     fn samples(&self, r: usize, budget: &Budget) -> usize {
-        budget.samples.or(self.options.m_override).unwrap_or_else(|| {
+        budget.samples.unwrap_or_else(|| {
             paper_sample_size(self.data.n(), r, self.data.dim(), self.options.delta)
         })
     }
@@ -398,8 +380,8 @@ mod tests {
     use rrm_core::{Bounds, FullSpace, Solver, WeakRankingSpace};
     use rrm_data::synthetic::{anticorrelated, correlated, independent};
 
-    fn quick_opts(m: usize) -> HdrrmOptions {
-        HdrrmOptions { m_override: Some(m), gamma: 4, ..Default::default() }
+    fn quick_opts() -> HdrrmOptions {
+        HdrrmOptions { gamma: 4, ..Default::default() }
     }
 
     /// HDRRM through a fresh handle (capability check included).
@@ -411,24 +393,26 @@ mod tests {
         crate::HdrrmSolver::new(opts).prepare(data, space, ExecPolicy::default())
     }
 
-    /// One RRM query through a fresh handle.
+    /// One RRM query on `m` sampled directions through a fresh handle.
     fn run_rrm(
         data: &Dataset,
         r: usize,
         space: &dyn UtilitySpace,
         opts: HdrrmOptions,
+        m: usize,
     ) -> Result<Solution, RrmError> {
-        prepared(data, space, opts)?.solve_rrm(r, &Budget::UNLIMITED)
+        prepared(data, space, opts)?.solve_rrm(r, &Budget::with_samples(m))
     }
 
-    /// One RRR query through a fresh handle.
+    /// One RRR query on `m` sampled directions through a fresh handle.
     fn run_rrr(
         data: &Dataset,
         k: usize,
         space: &dyn UtilitySpace,
         opts: HdrrmOptions,
+        m: usize,
     ) -> Result<Solution, RrmError> {
-        prepared(data, space, opts)?.solve_rrr(k, &Budget::UNLIMITED)
+        prepared(data, space, opts)?.solve_rrr(k, &Budget::with_samples(m))
     }
 
     fn regret_over_dirs(data: &Dataset, set: &[u32], dirs: &[Vec<f64>]) -> usize {
@@ -438,8 +422,8 @@ mod tests {
     #[test]
     fn certificate_holds_over_its_own_discretization() {
         let data = independent(600, 4, 21);
-        let opts = quick_opts(400);
-        let sol = run_rrm(&data, 10, &FullSpace::new(4), opts).unwrap();
+        let opts = quick_opts();
+        let sol = run_rrm(&data, 10, &FullSpace::new(4), opts, 400).unwrap();
         assert!(sol.size() <= 10);
         let k = sol.certified_regret.unwrap();
         // Rebuild the same D (same seed/options) and verify ∇D(R) ≤ k.
@@ -451,7 +435,7 @@ mod tests {
     #[test]
     fn includes_basis() {
         let data = independent(300, 3, 22);
-        let sol = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(200)).unwrap();
+        let sol = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(), 200).unwrap();
         for b in basis_indices(&data) {
             assert!(sol.indices.contains(&b));
         }
@@ -460,7 +444,7 @@ mod tests {
     #[test]
     fn rejects_r_below_basis() {
         let data = independent(100, 4, 23);
-        let err = run_rrm(&data, 2, &FullSpace::new(4), quick_opts(50));
+        let err = run_rrm(&data, 2, &FullSpace::new(4), quick_opts(), 50);
         assert!(matches!(err, Err(RrmError::OutputSizeTooSmall { .. })));
     }
 
@@ -469,7 +453,7 @@ mod tests {
         let data = anticorrelated(800, 4, 24);
         let mut prev = usize::MAX;
         for r in [6usize, 10, 14] {
-            let sol = run_rrm(&data, r, &FullSpace::new(4), quick_opts(300)).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(4), quick_opts(), 300).unwrap();
             let k = sol.certified_regret.unwrap();
             assert!(k <= prev, "r={r}: {k} > {prev}");
             prev = k;
@@ -482,11 +466,11 @@ mod tests {
         // rank-regrets."
         let corr = correlated(2000, 4, 25);
         let anti = anticorrelated(2000, 4, 25);
-        let k_corr = run_rrm(&corr, 10, &FullSpace::new(4), quick_opts(300))
+        let k_corr = run_rrm(&corr, 10, &FullSpace::new(4), quick_opts(), 300)
             .unwrap()
             .certified_regret
             .unwrap();
-        let k_anti = run_rrm(&anti, 10, &FullSpace::new(4), quick_opts(300))
+        let k_anti = run_rrm(&anti, 10, &FullSpace::new(4), quick_opts(), 300)
             .unwrap()
             .certified_regret
             .unwrap();
@@ -496,8 +480,8 @@ mod tests {
     #[test]
     fn restricted_space_certifies_no_worse() {
         let data = anticorrelated(1000, 4, 26);
-        let full = run_rrm(&data, 10, &FullSpace::new(4), quick_opts(300)).unwrap();
-        let weak = run_rrm(&data, 10, &WeakRankingSpace::new(4, 2), quick_opts(300)).unwrap();
+        let full = run_rrm(&data, 10, &FullSpace::new(4), quick_opts(), 300).unwrap();
+        let weak = run_rrm(&data, 10, &WeakRankingSpace::new(4, 2), quick_opts(), 300).unwrap();
         // The restricted D is "easier": certified regret should not grow
         // beyond sampling noise. Allow equality plus slack of 1 doubling.
         let (kf, kw) = (full.certified_regret.unwrap(), weak.certified_regret.unwrap());
@@ -507,14 +491,9 @@ mod tests {
     #[test]
     fn skyline_mask_matches_unmasked_quality() {
         let data = independent(500, 3, 27);
-        let with_mask = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(250)).unwrap();
-        let without_mask = run_rrm(
-            &data,
-            8,
-            &FullSpace::new(3),
-            HdrrmOptions { skyline_candidates: false, ..quick_opts(250) },
-        )
-        .unwrap();
+        let with_mask = run_rrm(&data, 8, &FullSpace::new(3), quick_opts(), 250).unwrap();
+        let unmasked = HdrrmOptions { skyline_candidates: false, ..quick_opts() };
+        let without_mask = run_rrm(&data, 8, &FullSpace::new(3), unmasked, 250).unwrap();
         // Theorem 3 guarantees an equally small cover exists inside the
         // skyline, but greedy is not optimal, so allow small divergence.
         let (a, b) = (with_mask.certified_regret.unwrap(), without_mask.certified_regret.unwrap());
@@ -531,21 +510,22 @@ mod tests {
         let space = FullSpace::new(3);
         let sets = [(independent(400, 3, 28), 8, 200), (anticorrelated(300, 3, 2), 5, 300)];
         for (i, (data, r, m)) in sets.into_iter().enumerate() {
-            let opts = quick_opts(m);
+            let opts = quick_opts();
             let tiny = HdrrmOptions { cache_budget_entries: 0, ..opts };
-            let want = run_rrm(&data, r, &space, opts).unwrap();
+            let want = run_rrm(&data, r, &space, opts, m).unwrap();
             let k = want.certified_regret.unwrap();
             if i == 1 {
                 let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
                 assert!(coarse < k, "coarse {coarse} vs final {k}");
             }
-            assert_eq!(run_rrm(&data, r, &space, tiny).unwrap(), want, "set {i}");
+            assert_eq!(run_rrm(&data, r, &space, tiny, m).unwrap(), want, "set {i}");
             for o in [opts, tiny] {
                 let prepared = PreparedHdrrm::new(&data, &space, o, ExecPolicy::default());
                 for _ in 0..2 {
-                    assert_eq!(prepared.solve_rrm(r, &Budget::UNLIMITED).unwrap(), want, "set {i}");
+                    let budget = Budget::with_samples(m);
+                    assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), want, "set {i}");
                 }
-                let kept = prepared.topk.lock().unwrap().get(&m).map(|(depth, _)| *depth);
+                let kept = lock(&prepared.topk).get(&m).map(|(depth, _)| *depth);
                 if o.cache_budget_entries == 0 {
                     assert_eq!(kept, None, "set {i}: budget 0 keeps nothing");
                 } else {
@@ -560,7 +540,7 @@ mod tests {
         // One fixed instance: the probes the search runs, the prunes, and
         // the answer it returns.
         let data = anticorrelated(300, 3, 2);
-        let sol = run_rrm(&data, 5, &FullSpace::new(3), quick_opts(300)).unwrap();
+        let sol = run_rrm(&data, 5, &FullSpace::new(3), quick_opts(), 300).unwrap();
         let report = sol.report.as_ref().unwrap();
         assert_eq!((report.nodes, report.pruned_probes), (73, 8));
         assert_eq!(sol.bounds, Some(Bounds { lower: 45, upper: 45 }));
@@ -571,18 +551,17 @@ mod tests {
     #[test]
     fn hdrrr_threshold_variant() {
         let data = independent(500, 3, 29);
-        let opts = quick_opts(300);
+        let (opts, m) = (quick_opts(), 300);
         for k in [1usize, 5, 25] {
-            let sol = run_rrr(&data, k, &FullSpace::new(3), opts).unwrap();
+            let sol = run_rrr(&data, k, &FullSpace::new(3), opts, m).unwrap();
             assert_eq!(sol.certified_regret, Some(k));
             // Verify over the same discretization it was built from.
-            let m = opts.m_override.unwrap();
             let disc = build_vector_set(3, &FullSpace::new(3), m, opts.gamma, opts.seed);
             assert!(regret_over_dirs(&data, &sol.indices, &disc.dirs) <= k);
         }
         // Bigger threshold, same-or-smaller set.
-        let small = run_rrr(&data, 2, &FullSpace::new(3), opts).unwrap().size();
-        let large = run_rrr(&data, 50, &FullSpace::new(3), opts).unwrap().size();
+        let small = run_rrr(&data, 2, &FullSpace::new(3), opts, m).unwrap().size();
+        let large = run_rrr(&data, 50, &FullSpace::new(3), opts, m).unwrap().size();
         assert!(large <= small);
     }
 
@@ -592,7 +571,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         use rrm_core::{apply_updates, UpdateOp};
         let mut rng = StdRng::seed_from_u64(33);
-        let opts = quick_opts(64);
+        let opts = quick_opts();
         let space = FullSpace::new(4);
         let mut data = independent(200, 4, 31);
         let mut prepared = PreparedHdrrm::new(&data, &space, opts, ExecPolicy::default());
@@ -643,7 +622,7 @@ mod tests {
     /// rows gives, stopped at `stops`.
     fn assert_lists_fresh(prepared: &PreparedHdrrm, stops: &[u32], ctx: &str) {
         let (d, space, opts) = (prepared.data.dim(), prepared.space.as_ref(), prepared.options);
-        for (m, (k, lists)) in prepared.topk.lock().unwrap().iter() {
+        for (m, (k, lists)) in lock(&prepared.topk).iter() {
             let disc = build_vector_set(d, space, *m, opts.gamma, opts.seed);
             let want =
                 batch_top_k_until(&prepared.data, &disc.dirs, *k, stops, Parallelism::Sequential);
@@ -655,9 +634,9 @@ mod tests {
     fn lists_stop_at_the_first_basis_tuple() {
         let data = anticorrelated(500, 4, 7);
         let space = FullSpace::new(4);
-        let prepared = PreparedHdrrm::new(&data, &space, quick_opts(200), ExecPolicy::default());
-        prepared.solve_rrm(7, &Budget::UNLIMITED).unwrap();
-        let (depth, lists) = prepared.topk.lock().unwrap().get(&200).cloned().unwrap();
+        let prepared = PreparedHdrrm::new(&data, &space, quick_opts(), ExecPolicy::default());
+        prepared.solve_rrm(7, &Budget::with_samples(200)).unwrap();
+        let (depth, lists) = lock(&prepared.topk).get(&200).cloned().unwrap();
         let disc = build_vector_set(4, &space, 200, 4, prepared.options.seed);
         let full = rrm_core::rank::batch_top_k(&data, &disc.dirs, depth, Parallelism::Sequential);
         let mut cut = 0;
@@ -672,7 +651,7 @@ mod tests {
     #[test]
     fn updates_that_move_the_basis_match_fresh_prepare() {
         use rrm_core::{apply_updates, UpdateOp};
-        let opts = quick_opts(96);
+        let opts = quick_opts();
         let space = FullSpace::new(4);
         let data = anticorrelated(400, 4, 41);
         let budget = Budget::with_samples(96);
@@ -722,7 +701,7 @@ mod tests {
         // answer as on a fresh handle.
         let data = anticorrelated(500, 4, 43);
         let space = FullSpace::new(4);
-        let opts = HdrrmOptions { include_basis: false, ..quick_opts(150) };
+        let opts = HdrrmOptions { include_basis: false, ..quick_opts() };
         let budget = Budget::with_samples(150);
         let fresh = || PreparedHdrrm::new(&data, &space, opts, ExecPolicy::default());
         let rrm = fresh().solve_rrm(5, &budget).unwrap();
@@ -735,8 +714,34 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_list_cache_still_answers_like_a_fresh_handle() {
+        let data = anticorrelated(300, 3, 2);
+        let space = FullSpace::new(3);
+        let budget = Budget::with_samples(300);
+        let fresh = || PreparedHdrrm::new(&data, &space, quick_opts(), ExecPolicy::default());
+        let handle = fresh();
+        // Kept lists first.
+        handle.solve_rrm(5, &budget).unwrap();
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = lock(&handle.topk);
+                panic!("poisoning the top-k cache");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(handle.topk.is_poisoned());
+        for r in [5, 4, 8] {
+            let want = fresh().solve_rrm(r, &budget).unwrap();
+            assert_eq!(handle.solve_rrm(r, &budget).unwrap(), want, "r={r}");
+        }
+        let want = fresh().solve_rrr(20, &budget).unwrap();
+        assert_eq!(handle.solve_rrr(20, &budget).unwrap(), want);
+        assert_lists_fresh(&handle, &handle.basis, "after poisoning");
+    }
+
+    #[test]
     fn d1_unsupported() {
         let data = Dataset::from_rows(&[[0.5], [0.7]]).unwrap();
-        assert!(run_rrm(&data, 1, &FullSpace::new(1), quick_opts(10)).is_err());
+        assert!(run_rrm(&data, 1, &FullSpace::new(1), quick_opts(), 10).is_err());
     }
 }

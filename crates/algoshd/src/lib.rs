@@ -28,7 +28,6 @@
 pub(crate) mod anytime;
 pub mod asms;
 pub mod common;
-pub mod cube;
 pub mod discretize;
 pub mod hdrrm;
 pub mod ksets;
@@ -40,7 +39,6 @@ pub mod sampled;
 pub mod solver;
 
 pub use asms::asms;
-pub use cube::{cube, cube_ratio_bound};
 pub use discretize::{build_vector_set, paper_sample_size, Discretization};
 pub use hdrrm::{HdrrmOptions, PreparedHdrrm};
 pub use ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};

@@ -10,10 +10,11 @@
 //! it fail gracefully instead of hanging.
 
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Budget, Dataset, RrmError, Solution, TerminatedBy,
+    threshold_search, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, RrmError, Solution,
+    TerminatedBy,
 };
 
-use crate::anytime::{threshold_search, uniform_top_set};
+use crate::anytime::uniform_top_set;
 use crate::asms::asms_with_topk;
 use crate::ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
 

@@ -21,12 +21,10 @@
 use rrm_core::approx::{sample_directions, ApproxSpec, DEFAULT_SEED};
 use rrm_core::rank::{batch_top_k, max_rank_regret};
 use rrm_core::{
-    Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError,
-    Solution, Solver, TerminatedBy, UtilitySpace,
+    threshold_search, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy,
+    PreparedSolver, RrmError, Solution, Solver, TerminatedBy, UtilitySpace,
 };
 use rrm_setcover::greedy_set_cover_csr;
-
-use crate::anytime::threshold_search;
 
 /// Greedy cover of the directions by the top-`k` prefixes of their lists
 /// `tops`, over `n` tuples: one set per tuple, indexed by tuple id, so

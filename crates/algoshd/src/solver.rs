@@ -8,14 +8,19 @@
 //! engine-facing [`Budget`] caps onto whatever machinery the algorithm
 //! actually has — sample counts for the randomized ones, k-set/LP limits
 //! for MDRRR — and ignore them where they do not apply.
+//!
+//! Each handle's per-request state is a [`Memo`]: bounded by
+//! [`PREPARED_CACHE_CAP`] where the key is a sample count (MDRRRr's
+//! direction pools, MDRMS's greedy states) and by [`PROBE_CACHE_CAP`]
+//! where a search probes the keys (MDRRR's thresholds, MDRC's sizes).
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use rrm_core::approx::sample_directions;
+use rrm_core::memo::lock;
 use rrm_core::{
-    cache_bounded, Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy, PreparedSolver, RrmError,
-    Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP,
+    Algorithm, AnytimeSearch, Budget, Dataset, ExecPolicy, Memo, PreparedSolver, RrmError,
+    Solution, Solver, UtilitySpace, PREPARED_CACHE_CAP, PROBE_CACHE_CAP,
 };
 
 use crate::anytime::{rrr_via_rrm_search_with, CoverSearch};
@@ -76,7 +81,7 @@ impl Solver for MdrrrSolver {
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
         let limits = KsetLimits { exec, ..KsetLimits::default() };
-        Ok(Box::new(PreparedMdrrr { data: data.clone(), limits, memo: Mutex::new(HashMap::new()) }))
+        Ok(Box::new(PreparedMdrrr { data: data.clone(), limits, memo: Memo::new(PROBE_CACHE_CAP) }))
     }
 }
 
@@ -86,7 +91,7 @@ impl Solver for MdrrrSolver {
 struct PreparedMdrrr {
     data: Dataset,
     limits: KsetLimits,
-    memo: Mutex<HashMap<(usize, usize, usize), Solution>>,
+    memo: Memo<(usize, usize, usize), Solution>,
 }
 
 impl PreparedMdrrr {
@@ -103,17 +108,7 @@ impl PreparedMdrrr {
 
     fn probe(&self, k: usize, limits: KsetLimits) -> Result<Solution, RrmError> {
         let key = (k, limits.max_ksets, limits.max_lp_calls);
-        if let Some(sol) = self.memo.lock().expect("MDRRR memo poisoned").get(&key) {
-            return Ok(sol.clone());
-        }
-        let sol = mdrrr(&self.data, k, limits)?;
-        let sol = cache_bounded(
-            &mut self.memo.lock().expect("MDRRR memo poisoned"),
-            key,
-            sol,
-            8 * PREPARED_CACHE_CAP,
-        );
-        Ok(sol)
+        self.memo.get_or_try_build(key, || mdrrr(&self.data, k, limits))
     }
 }
 
@@ -166,7 +161,7 @@ impl Solver for MdrrrRSolver {
             space: space.clone_box(),
             options: self.options,
             exec,
-            dirs: Mutex::new(HashMap::new()),
+            dirs: Memo::new(PREPARED_CACHE_CAP),
             lists: ListCache::default(),
         }))
     }
@@ -183,7 +178,7 @@ struct PreparedMdrrrR {
     space: Box<dyn UtilitySpace>,
     options: MdrrrROptions,
     exec: ExecPolicy,
-    dirs: Mutex<HashMap<usize, Arc<Vec<Vec<f64>>>>>,
+    dirs: Memo<usize, Arc<Vec<Vec<f64>>>>,
     /// Per sample count: the deepest top-k lists kept so far.
     lists: ListCache,
 }
@@ -194,15 +189,8 @@ impl PreparedMdrrrR {
     fn frame(&self, budget: &Budget) -> (CoverSearch<'_>, Arc<Vec<Vec<f64>>>) {
         let mut opts = self.options;
         opts.samples = budget.samples.unwrap_or(opts.samples);
-        let kept = self.dirs.lock().expect("direction cache poisoned").get(&opts.samples).cloned();
-        let dirs = kept.unwrap_or_else(|| {
-            let dirs = Arc::new(sample_directions(self.space.as_ref(), opts.samples, opts.seed));
-            cache_bounded(
-                &mut self.dirs.lock().expect("direction cache poisoned"),
-                opts.samples,
-                dirs,
-                PREPARED_CACHE_CAP,
-            )
+        let dirs = self.dirs.get_or_build(opts.samples, || {
+            Arc::new(sample_directions(self.space.as_ref(), opts.samples, opts.seed))
         });
         (cover_search(&self.data, opts, self.exec.parallelism), dirs)
     }
@@ -261,7 +249,7 @@ impl Solver for MdrcSolver {
             space: space.clone_box(),
             options: self.options,
             exec,
-            memo: Mutex::new(HashMap::new()),
+            memo: Memo::new(PROBE_CACHE_CAP),
         }))
     }
 }
@@ -278,7 +266,7 @@ struct PreparedMdrc {
     /// Keyed by `(r, effective cell-evaluation cap)`: a counter-cut
     /// partial answer must not be served to an unlimited query (or vice
     /// versa).
-    memo: Mutex<HashMap<(usize, usize), Solution>>,
+    memo: Memo<(usize, usize), Solution>,
 }
 
 impl PreparedMdrc {
@@ -289,12 +277,9 @@ impl PreparedMdrc {
             return mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism);
         }
         let key = (r, budget.max_enumerations.unwrap_or(usize::MAX));
-        if let Some(sol) = self.memo.lock().expect("MDRC memo poisoned").get(&key) {
-            return Ok(sol.clone());
-        }
-        let sol = mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism)?;
-        self.memo.lock().expect("MDRC memo poisoned").insert(key, sol.clone());
-        Ok(sol)
+        self.memo.get_or_try_build(key, || {
+            mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism)
+        })
     }
 }
 
@@ -355,7 +340,7 @@ impl Solver for MdrmsSolver {
             space: space.clone_box(),
             options: self.options,
             exec,
-            greedy: Mutex::new(HashMap::new()),
+            greedy: Memo::new(PREPARED_CACHE_CAP),
         }))
     }
 }
@@ -373,7 +358,7 @@ struct PreparedMdrms {
     /// One resumable greedy state per effective sample count, each behind
     /// its own lock: queries for the *same* budget serialize (the prefix
     /// is mutable state), queries for different budgets do not.
-    greedy: Mutex<HashMap<usize, Arc<Mutex<GreedyRms>>>>,
+    greedy: Memo<usize, Arc<Mutex<GreedyRms>>>,
 }
 
 impl PreparedMdrms {
@@ -389,26 +374,18 @@ impl PreparedMdrms {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        let state = self.greedy.lock().expect("greedy cache poisoned").get(&opts.samples).cloned();
-        let state = match state {
-            Some(state) => state,
-            None => {
-                // Build outside the outer lock (direction sampling and
-                // top-1 scoring are the heavy part), then insert-or-reuse.
-                let pol = self.exec.parallelism;
-                let greedy = GreedyRms::new(&self.data, self.space.as_ref(), opts, pol);
-                let built = Arc::new(Mutex::new(greedy));
-                cache_bounded(
-                    &mut self.greedy.lock().expect("greedy cache poisoned"),
-                    opts.samples,
-                    built,
-                    PREPARED_CACHE_CAP,
-                )
-            }
-        };
+        let build = || GreedyRms::new(&self.data, self.space.as_ref(), opts, self.exec.parallelism);
+        let state = self.greedy.get_or_build(opts.samples, || Arc::new(Mutex::new(build())));
         // Same-budget queries serialize here — the greedy prefix is
         // resumable *mutable* state; extending it concurrently would race.
-        let chosen = state.lock().expect("greedy state poisoned").prefix(&self.data, r);
+        let mut greedy = lock(&state);
+        if state.is_poisoned() {
+            // A panic interrupted an extension, which may have left the
+            // prefix half-extended: rebuild it rather than read it.
+            *greedy = build();
+            state.clear_poison();
+        }
+        let chosen = greedy.prefix(&self.data, r);
         Solution::new(chosen, None, Algorithm::Mdrms, &self.data)
     }
 }
@@ -443,7 +420,7 @@ impl PreparedSolver for PreparedMdrms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_core::{FullSpace, WeakRankingSpace};
+    use rrm_core::{FullSpace, Parallelism, WeakRankingSpace};
 
     fn small() -> Dataset {
         rrm_data::synthetic::independent(120, 3, 7)
@@ -559,6 +536,69 @@ mod tests {
             let want = fresh(&solver, &data, &space).solve_rrm(r, &budget).unwrap();
             assert_eq!(warm.solve_rrm(r, &budget).unwrap(), want, "r={r}");
         }
+    }
+
+    #[test]
+    fn mdrc_sizes_past_the_bound_are_answered_but_not_kept() {
+        let data = rrm_data::synthetic::independent(60, 3, 5);
+        let space = FullSpace::new(3);
+        let budget = Budget::UNLIMITED;
+        let solver = MdrcSolver::default();
+        let handle = PreparedMdrc {
+            data: data.clone(),
+            space: space.clone_box(),
+            options: solver.options,
+            exec: ExecPolicy::default(),
+            memo: Memo::new(PROBE_CACHE_CAP),
+        };
+        for r in (1..=PROBE_CACHE_CAP + 60).rev() {
+            let want = fresh(&solver, &data, &space).solve_rrm(r, &budget).unwrap();
+            assert_eq!(handle.solve_rrm(r, &budget).unwrap(), want, "r={r}");
+        }
+        assert_eq!(handle.memo.len(), PROBE_CACHE_CAP);
+        let want = fresh(&solver, &data, &space).solve_rrr(3, &budget).unwrap();
+        assert_eq!(handle.solve_rrr(3, &budget).unwrap(), want);
+    }
+
+    #[test]
+    fn mdrms_rebuilds_a_greedy_state_a_panic_interrupted() {
+        let data = rrm_data::synthetic::anticorrelated(120, 3, 9);
+        let other = rrm_data::synthetic::independent(120, 3, 4);
+        let space = FullSpace::new(3);
+        let budget = Budget::with_samples(300);
+        let solver = MdrmsSolver::default();
+        let handle = PreparedMdrms {
+            data: data.clone(),
+            space: space.clone_box(),
+            options: solver.options,
+            exec: ExecPolicy::default(),
+            greedy: Memo::new(PREPARED_CACHE_CAP),
+        };
+        handle.solve_rrm(3, &budget).unwrap();
+        let opts = handle.budgeted(&budget);
+        let state = handle.greedy.get(&opts.samples).unwrap();
+        // An extension over other rows, interrupted by a panic: reading
+        // the state it left would answer with other rows' picks.
+        let pol = Parallelism::Sequential;
+        let stale = GreedyRms::new(&other, &space, opts, pol).prefix(&other, 8);
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let mut greedy = lock(&state);
+                *greedy = GreedyRms::new(&other, &space, opts, pol);
+                greedy.prefix(&other, 8);
+                panic!("an extension interrupted");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(state.is_poisoned());
+        for r in [8, 2, 5] {
+            let want = fresh(&solver, &data, &space).solve_rrm(r, &budget).unwrap();
+            assert_eq!(handle.solve_rrm(r, &budget).unwrap(), want, "r={r}");
+            if r == 8 {
+                assert_ne!(want.indices, stale, "the stale state must differ to be caught");
+            }
+        }
+        assert!(!state.is_poisoned());
     }
 
     #[test]

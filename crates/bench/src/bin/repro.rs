@@ -398,7 +398,7 @@ fn hd_row(
         .iter()
         .map(|&algo| {
             let solver = engine.solver(algo);
-            measure_solver(solver, data, r, space, samples)
+            measure_solver(solver, data, r, space, &Budget::UNLIMITED, samples)
         })
         .collect()
 }
@@ -543,7 +543,14 @@ fn fig_hd_vs_delta(id: &str, scale: Scale) {
     let mut m_col = Series::new("sample size m");
     for &delta in &deltas {
         let solver = HdrrmSolver::new(HdrrmOptions { delta, ..Default::default() });
-        let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), scale.eval_samples());
+        let o = measure_solver(
+            &solver,
+            &data,
+            10,
+            &FullSpace::new(4),
+            &Budget::UNLIMITED,
+            scale.eval_samples(),
+        );
         time.push(o.seconds);
         reg.push(o.regret as f64);
         m_col.push(rrm_hd::paper_sample_size(n, 10, 4, delta) as f64);
@@ -647,9 +654,9 @@ fn ablation(scale: Scale) {
         ("gamma=2", m_default, 2),
         ("gamma=10", m_default, 10),
     ] {
-        let solver =
-            HdrrmSolver::new(HdrrmOptions { m_override: Some(m), gamma, ..scale.hdrrm_options() });
-        let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), samples);
+        let solver = HdrrmSolver::new(HdrrmOptions { gamma, ..scale.hdrrm_options() });
+        let budget = Budget::with_samples(m);
+        let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), &budget, samples);
         labels.push(label.to_string());
         time.push(o.seconds);
         reg.push(o.regret as f64);
@@ -666,7 +673,8 @@ fn ablation(scale: Scale) {
     for (label, basis) in [("with basis (paper)", true), ("without basis", false)] {
         let solver =
             HdrrmSolver::new(HdrrmOptions { include_basis: basis, ..scale.hdrrm_options() });
-        let o = measure_solver(&solver, &data_b, 10, &FullSpace::new(4), samples);
+        let o =
+            measure_solver(&solver, &data_b, 10, &FullSpace::new(4), &Budget::UNLIMITED, samples);
         labels.push(label.to_string());
         time.push(o.seconds);
         reg.push(o.regret as f64);
@@ -682,7 +690,7 @@ fn ablation(scale: Scale) {
     for (label, sky) in [("skyline candidates", true), ("all candidates", false)] {
         let solver =
             HdrrmSolver::new(HdrrmOptions { skyline_candidates: sky, ..scale.hdrrm_options() });
-        let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), samples);
+        let o = measure_solver(&solver, &data, 10, &FullSpace::new(4), &Budget::UNLIMITED, samples);
         labels.push(label.to_string());
         time.push(o.seconds);
         reg.push(o.regret as f64);
@@ -696,7 +704,7 @@ fn ablation(scale: Scale) {
     println!("[ablation: 2DRRM sweep] anti-correlated 2D n = 10K, r = 5");
     let data = rrm_data::synthetic::anticorrelated(10_000, 2, 33);
     let space = FullSpace::new(2);
-    let band = measure_solver(&TwoDRrmSolver, &data, 5, &space, samples);
+    let band = measure_solver(&TwoDRrmSolver, &data, 5, &space, &Budget::UNLIMITED, samples);
     let (full, full_seconds) = timed(|| full_sweep_rrm(&data, &space, 5).expect("full sweep"));
     let full_regret = estimate_rank_regret(&data, &full.indices, &space, samples, EVAL_SEED);
     let labels = ["K-band crossing stream".to_string(), "full arrangement sweep".to_string()];

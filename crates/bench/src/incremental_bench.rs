@@ -42,7 +42,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rank_regret::{apply_updates, Engine, Request, Session, Tuning, UpdateOp};
 use rrm_core::{Algorithm, Budget, Dataset, ExecPolicy};
-use rrm_hd::HdrrmOptions;
 
 use crate::{bench_meta, timed, Scale};
 
@@ -191,17 +190,15 @@ fn churn(
 
 /// Entry point for `repro incremental`.
 pub fn run(scale: Scale) {
-    // Pin the HDRRM direction count so the naive re-prepare cost is the
-    // same known quantity at both scales (the paper's δ-derived m at
-    // n = 100K is ~38K directions — hours of naive re-prepare per batch).
-    let (m, batches_small, batches_large) = match scale {
-        Scale::Quick => (512usize, 4usize, 2usize),
-        Scale::Full => (2_048, 5, 5),
+    // HDRRM's queries pin their direction count (`Budget::with_samples`
+    // below), so the naive re-prepare cost is the same known quantity at
+    // both scales (the paper's δ-derived m at n = 100K is ~38K directions
+    // — hours of naive re-prepare per batch).
+    let (batches_small, batches_large) = match scale {
+        Scale::Quick => (4usize, 2usize),
+        Scale::Full => (5, 5),
     };
-    let tuning = Tuning {
-        hdrrm: HdrrmOptions { m_override: Some(m), ..scale.hdrrm_options() },
-        ..Default::default()
-    };
+    let tuning = Tuning { hdrrm: scale.hdrrm_options(), ..Default::default() };
     let r = 8;
 
     let mut results: Vec<ChurnResult> = Vec::new();

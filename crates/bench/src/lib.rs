@@ -141,7 +141,8 @@ pub fn run_rrm(
 /// Seed of the direction sample [`measure_solver`] estimates regret over.
 pub const EVAL_SEED: u64 = 0xE7A1;
 
-/// Run one RRM query through the [`Solver`] trait — prepare, then query,
+/// Run one RRM query under `budget` through the [`Solver`] trait — prepare,
+/// then query,
 /// each timed — and measure its output quality over `space`. Thin harness
 /// adapter over [`rrm_eval::evaluate_rrm`] — the measurement logic lives
 /// there, this just maps it onto [`Outcome`] and panics on solver errors
@@ -151,20 +152,15 @@ pub fn measure_solver(
     data: &Dataset,
     r: usize,
     space: &dyn UtilitySpace,
+    budget: &Budget,
     eval_samples: usize,
 ) -> Outcome {
     let name = solver.algorithm().name();
     let (prepared, prepare_seconds) = timed(|| solver.prepare(data, space, ExecPolicy::default()));
     let prepared = prepared.unwrap_or_else(|e| panic!("{name}: {e}"));
-    let report = rrm_eval::evaluate_rrm(
-        prepared.as_ref(),
-        r,
-        space,
-        &Budget::UNLIMITED,
-        eval_samples,
-        EVAL_SEED,
-    )
-    .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let report =
+        rrm_eval::evaluate_rrm(prepared.as_ref(), r, space, budget, eval_samples, EVAL_SEED)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     Outcome {
         algorithm: name,
         seconds: prepare_seconds + report.seconds,
@@ -203,7 +199,7 @@ mod tests {
         let data = rrm_data::synthetic::independent(100, 2, 0);
         let engine = Scale::Quick.engine();
         let solver = engine.solver(rrm_core::Algorithm::TwoDRrm);
-        let out = measure_solver(solver, &data, 3, &FullSpace::new(2), 500);
+        let out = measure_solver(solver, &data, 3, &FullSpace::new(2), &Budget::UNLIMITED, 500);
         assert_eq!(out.algorithm, "2DRRM");
         assert!(out.size <= 3);
         assert!(out.certified.is_some());

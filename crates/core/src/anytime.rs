@@ -17,13 +17,15 @@
 //! time limit reads the clock — and then the reported gap certifies
 //! whatever was returned.
 //!
-//! The shape follows ddo-style branch-and-bound (shared incumbent,
-//! relaxed/restricted bounds, pluggable limits) mapped onto the
-//! doubling-then-binary threshold search the solvers share.
+//! The shape follows ddo-style branch-and-bound (incumbent,
+//! relaxed/restricted bounds, pluggable limits) mapped onto
+//! [`threshold_search`], the workspace's one doubling-then-binary search:
+//! every threshold or size search of the HD solvers and 2DRRR's RRM
+//! adaptation runs on it.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::error::RrmError;
 use crate::solver::Budget;
 
 /// Certified bounds on the optimal achievable rank-regret at the moment
@@ -101,13 +103,12 @@ impl TerminatedBy {
     }
 }
 
-/// Thread-safe best-so-far solution: an index set plus the rank-regret
-/// bound certified for it. Updates are monotone — an offer only wins if
-/// its bound is strictly better — so concurrent probes can share one
-/// incumbent without ordering concerns.
+/// One search's best-so-far solution: an index set plus the rank-regret
+/// bound certified for it. Updates are monotone: an offer only wins if
+/// its bound is strictly better.
 #[derive(Debug, Default)]
 pub struct Incumbent {
-    best: Mutex<Option<(Vec<u32>, usize)>>,
+    best: Option<(Vec<u32>, usize)>,
 }
 
 impl Incumbent {
@@ -117,12 +118,11 @@ impl Incumbent {
 
     /// Offer a candidate with a certified upper bound; keeps it only if
     /// it beats the current incumbent. Returns whether it was installed.
-    pub fn offer(&self, indices: Vec<u32>, upper: usize) -> bool {
-        let mut best = self.best.lock().expect("incumbent lock");
-        match best.as_ref() {
+    pub fn offer(&mut self, indices: Vec<u32>, upper: usize) -> bool {
+        match &self.best {
             Some((_, have)) if *have <= upper => false,
             _ => {
-                *best = Some((indices, upper));
+                self.best = Some((indices, upper));
                 true
             }
         }
@@ -130,12 +130,12 @@ impl Incumbent {
 
     /// The current best set and its certified bound, if any.
     pub fn best(&self) -> Option<(Vec<u32>, usize)> {
-        self.best.lock().expect("incumbent lock").clone()
+        self.best.clone()
     }
 
     /// The current certified upper bound, if any.
     pub fn upper(&self) -> Option<usize> {
-        self.best.lock().expect("incumbent lock").as_ref().map(|(_, u)| *u)
+        self.best.as_ref().map(|(_, u)| *u)
     }
 }
 
@@ -270,6 +270,101 @@ impl AnytimeSearch {
     }
 }
 
+/// Outcome of an anytime threshold search.
+pub struct ThresholdOutcome<T> {
+    /// Smallest feasible threshold reached and its payload (the probe's
+    /// candidate set), when one was found before a limit stopped it.
+    pub best: Option<(usize, T)>,
+    /// Certified lower bound: every threshold below this was proven
+    /// infeasible.
+    pub lower: usize,
+    /// Why the search returned.
+    pub terminated: TerminatedBy,
+}
+
+/// The doubling-then-binary threshold search with in-loop limit checks:
+/// double a threshold until a probe is feasible, then bisect the last gap.
+///
+/// `probe(k, lower, search)` answers one threshold: `Ok(Some(payload))`
+/// when feasible, `Ok(None)` when infeasible (possibly proven by an
+/// aborted, pruned cover). Feasibility must be monotone in `k`. `lower`
+/// is the certified lower bound at probe time, for incumbent curve
+/// stamping. Before every probe the search checks `search`'s limits; on
+/// an early stop it reports the lower bound reached, so the caller can
+/// return its incumbent with sound [`Bounds`] instead of failing. It
+/// consumes one probe of the deterministic budget per call and counts it
+/// as a search node; the closure accounts any further nodes it expands.
+///
+/// The doubling probes are `1, 2, 4, …` up to the largest power of two
+/// at most `n`, then `n`. Infeasibility at `k = n` ends the search with
+/// `best: None`.
+pub fn threshold_search<T>(
+    n: usize,
+    search: &mut AnytimeSearch,
+    mut probe: impl FnMut(usize, usize, &mut AnytimeSearch) -> Result<Option<T>, RrmError>,
+) -> Result<ThresholdOutcome<T>, RrmError> {
+    let mut prev_k = 0usize;
+    let mut k = 1usize;
+    let best: (usize, T);
+    // Doubling phase: find some feasible threshold.
+    loop {
+        let lower = prev_k + 1;
+        let upper = search.incumbent.upper().unwrap_or(n.max(1));
+        if let Some(t) = search.should_stop(Bounds { lower, upper }) {
+            return Ok(ThresholdOutcome { best: None, lower, terminated: t });
+        }
+        let _ = search.take_probe();
+        search.note_node();
+        match probe(k, lower, search)? {
+            Some(payload) => {
+                best = (k, payload);
+                break;
+            }
+            None => {
+                if k >= n {
+                    return Ok(ThresholdOutcome {
+                        best: None,
+                        lower: n,
+                        terminated: TerminatedBy::Completed,
+                    });
+                }
+                prev_k = k;
+                k = (k * 2).min(n);
+            }
+        }
+    }
+    // Binary phase over the last doubling gap (prev_k, k].
+    let (mut best_k, mut best_payload) = best;
+    let mut lo = prev_k + 1;
+    let mut hi = best_k;
+    while lo < hi {
+        let upper = search.incumbent.upper().unwrap_or(best_k);
+        if let Some(t) = search.should_stop(Bounds { lower: lo, upper }) {
+            return Ok(ThresholdOutcome {
+                best: Some((best_k, best_payload)),
+                lower: lo,
+                terminated: t,
+            });
+        }
+        let _ = search.take_probe();
+        let mid = lo + (hi - lo) / 2;
+        search.note_node();
+        match probe(mid, lo, search)? {
+            Some(payload) => {
+                best_k = mid;
+                best_payload = payload;
+                hi = mid;
+            }
+            None => lo = mid + 1,
+        }
+    }
+    Ok(ThresholdOutcome {
+        best: Some((best_k, best_payload)),
+        lower: lo,
+        terminated: TerminatedBy::Completed,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +380,7 @@ mod tests {
 
     #[test]
     fn incumbent_updates_are_monotone() {
-        let inc = Incumbent::new();
+        let mut inc = Incumbent::new();
         assert!(inc.best().is_none());
         assert!(inc.offer(vec![1, 2], 10));
         assert!(!inc.offer(vec![3], 10), "ties do not replace");
@@ -384,5 +479,64 @@ mod tests {
     fn time_budget_zero_stops_immediately() {
         let s = AnytimeSearch::new(&limits(None, Some(Duration::ZERO), None), None);
         assert_eq!(s.should_stop(Bounds { lower: 1, upper: 2 }), Some(TerminatedBy::Time));
+    }
+
+    /// Feasibility oracle "k >= target" — the search must find `target`.
+    fn run(n: usize, target: usize, search: &mut AnytimeSearch) -> ThresholdOutcome<usize> {
+        threshold_search(n, search, |k, _lower, s| {
+            if k >= target {
+                s.offer(vec![0], k, 1);
+                Ok(Some(k))
+            } else {
+                Ok(None)
+            }
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn finds_the_smallest_feasible_threshold() {
+        for target in [1usize, 2, 3, 7, 40, 100] {
+            let mut s = AnytimeSearch::unlimited();
+            let out = run(100, target, &mut s);
+            assert_eq!(out.terminated, TerminatedBy::Completed);
+            assert_eq!(out.best.unwrap().0, target, "target {target}");
+            assert_eq!(out.lower, target);
+        }
+    }
+
+    #[test]
+    fn counter_budget_stops_with_sound_lower_bound() {
+        for budget in 0..12 {
+            let limits = Budget { max_enumerations: Some(budget), ..Budget::UNLIMITED };
+            let mut s = AnytimeSearch::new(&limits, Some(budget));
+            let out = run(100, 70, &mut s);
+            if out.terminated == TerminatedBy::Completed {
+                assert_eq!(out.best.as_ref().unwrap().0, 70);
+            } else {
+                assert_eq!(out.terminated, TerminatedBy::Counter);
+                assert!(out.lower <= 70, "budget {budget}: lower {} unsound", out.lower);
+                if let Some((k, _)) = out.best {
+                    assert!(k >= 70);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn infeasible_at_n_ends_with_no_best() {
+        let mut s = AnytimeSearch::unlimited();
+        let out = threshold_search::<()>(16, &mut s, |_, _, _| Ok(None)).unwrap();
+        assert!(out.best.is_none());
+        assert_eq!(out.lower, 16);
+        assert_eq!(out.terminated, TerminatedBy::Completed);
+    }
+
+    #[test]
+    fn probes_counted_as_nodes() {
+        let mut s = AnytimeSearch::unlimited();
+        run(100, 7, &mut s);
+        // Doubling 1,2,4,8 then binary over (4,8]: two more probes.
+        assert_eq!(s.report.nodes, 6);
     }
 }

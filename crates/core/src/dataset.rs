@@ -1,7 +1,10 @@
 //! The [`Dataset`] type: `n` tuples over `d` numeric attributes.
 //!
 //! Values are stored row-major in one flat allocation so batch scoring (the
-//! hot path of every algorithm) walks memory linearly.
+//! hot path of every algorithm) walks memory linearly. The allocation is
+//! shared: a dataset keeps the buffer it is built from behind an `Arc`, so
+//! construction copies nothing and a clone (each prepared handle and
+//! session snapshot holds one) shares the rows.
 
 use crate::error::RrmError;
 use crate::kernel::Soa;
@@ -17,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 #[derive(Debug, Clone)]
 pub struct Dataset {
     d: usize,
-    values: Vec<f64>,
+    values: Arc<Vec<f64>>,
     /// Lazily built column-major mirror ([`crate::kernel::Soa`]); shared by
     /// clones via `Arc` so a prepared handle pays the transpose once.
     soa: OnceLock<Arc<Soa>>,
@@ -35,7 +38,7 @@ impl Dataset {
     /// Internal constructor for already-validated buffers.
     #[inline]
     pub(crate) fn raw(d: usize, values: Vec<f64>) -> Self {
-        Self { d, values, soa: OnceLock::new() }
+        Self { d, values: Arc::new(values), soa: OnceLock::new() }
     }
 
     /// The lazy-init cell behind [`Dataset::soa`](crate::kernel).
@@ -172,7 +175,7 @@ impl Dataset {
     /// Negate the listed attributes (for smaller-is-better columns such as
     /// price), then the usual larger-preferred convention applies.
     pub fn negate_attributes(&self, attrs: &[usize]) -> Dataset {
-        let mut values = self.values.clone();
+        let mut values = self.values.to_vec();
         for row in values.chunks_exact_mut(self.d) {
             for &j in attrs {
                 row[j] = -row[j];
@@ -224,6 +227,18 @@ mod tests {
         assert_eq!(d.row(1), &[0.5, 0.5]);
         assert_eq!(d.rows().count(), 3);
         assert_eq!(d.flat().len(), 6);
+    }
+
+    #[test]
+    fn construction_and_clones_share_the_rows() {
+        let values = vec![0.1, 0.9, 0.5, 0.5];
+        let at = values.as_ptr();
+        let d = Dataset::from_flat(2, values).unwrap();
+        assert_eq!(d.flat().as_ptr(), at, "construction copied the rows");
+        let copy = d.clone();
+        assert_eq!(copy.flat().as_ptr(), at, "a clone copied the rows");
+        assert_eq!(copy, d);
+        assert_ne!(d.negate_attributes(&[0]).flat().as_ptr(), at);
     }
 
     #[test]

@@ -39,6 +39,7 @@ pub mod dataset;
 pub mod error;
 pub mod exec;
 pub mod kernel;
+pub mod memo;
 pub mod problem;
 pub mod rank;
 pub mod sampling;
@@ -47,17 +48,21 @@ pub mod space;
 pub mod update;
 pub mod utility;
 
-pub use anytime::{AnytimeSearch, Bounds, Incumbent, SearchReport, TerminatedBy};
+pub use anytime::{
+    threshold_search, AnytimeSearch, Bounds, Incumbent, SearchReport, TerminatedBy,
+    ThresholdOutcome,
+};
 pub use approx::{hoeffding_directions, reduce, ApproxSpec, Fidelity, Reduced};
 pub use basis::basis_indices;
 pub use dataset::Dataset;
 pub use error::RrmError;
 pub use exec::{ExecPolicy, Parallelism};
 pub use kernel::{ScoreScratch, Soa};
+pub use memo::{Memo, PREPARED_CACHE_CAP, PROBE_CACHE_CAP};
 pub use problem::{Algorithm, RrmProblem, RrrProblem, Solution};
 pub use solver::{
-    cache_bounded, BruteForceOptions, BruteForceSolver, Budget, DimRange, PreparedBruteForce,
-    PreparedSolver, Solver, PREPARED_CACHE_CAP,
+    BruteForceOptions, BruteForceSolver, Budget, DimRange, PreparedBruteForce, PreparedSolver,
+    Solver,
 };
 pub use space::{
     BiasedOrthantSpace, BoxSpace, ConeSpace, FullSpace, SphereCap, UtilitySpace, WeakRankingSpace,

@@ -16,15 +16,19 @@
 //! caps onto its own machinery (k-set enumeration limits, LP call limits,
 //! sampled-direction counts, the anytime stop rule) and ignores the ones
 //! that do not apply.
+//!
+//! A prepared handle caches per-request state (rank tables, solutions,
+//! discretizations) in [`Memo`]s, so how its caches are bounded and what a
+//! panic leaves in them is decided in [`crate::memo`] for every solver.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::approx::{sample_directions, ApproxSpec};
 use crate::dataset::Dataset;
 use crate::error::RrmError;
 use crate::exec::ExecPolicy;
+use crate::memo::{Memo, PREPARED_CACHE_CAP};
 use crate::problem::{Algorithm, Solution};
 use crate::rank;
 use crate::space::UtilitySpace;
@@ -202,33 +206,6 @@ pub trait PreparedSolver: Send + Sync {
     }
 }
 
-/// Cap for prepared-solver side caches keyed by *request-supplied* values
-/// (budget sample counts, enumeration limits). A long-lived session
-/// answering untrusted requests must not grow memory with every distinct
-/// budget it sees: entries up to the cap are cached for the session's
-/// lifetime, further variants are computed but not retained.
-pub const PREPARED_CACHE_CAP: usize = 16;
-
-/// Insert-or-reuse with a size bound: returns the cached value for `key`
-/// when present; otherwise caches `value` if the map holds fewer than
-/// `cap` entries, and returns it either way (uncached beyond the cap —
-/// correct but unamortized, which is the right failure mode for a
-/// hostile stream of distinct budgets).
-pub fn cache_bounded<K: Eq + std::hash::Hash, V: Clone>(
-    map: &mut HashMap<K, V>,
-    key: K,
-    value: V,
-    cap: usize,
-) -> V {
-    if let Some(existing) = map.get(&key) {
-        return existing.clone();
-    }
-    if map.len() < cap {
-        map.insert(key, value.clone());
-    }
-    value
-}
-
 /// Options for [`BruteForceSolver`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BruteForceOptions {
@@ -350,7 +327,7 @@ impl Solver for BruteForceSolver {
             exec,
             data: data.clone(),
             space: space.clone_box(),
-            tables: Mutex::new(HashMap::new()),
+            tables: Memo::new(PREPARED_CACHE_CAP),
         }))
     }
 }
@@ -367,25 +344,16 @@ pub struct PreparedBruteForce {
     /// Rank tables keyed by the effective sample count `m` (the budget can
     /// override the option, so different queries may need different
     /// tables; each is deterministic per `m`).
-    tables: Mutex<HashMap<usize, Arc<Vec<Vec<usize>>>>>,
+    tables: Memo<usize, Arc<Vec<Vec<usize>>>>,
 }
 
 impl PreparedBruteForce {
     fn table(&self, budget: &Budget) -> Arc<Vec<Vec<usize>>> {
         let m = budget.samples.unwrap_or(self.options.samples).max(1);
-        if let Some(table) = self.tables.lock().expect("rank-table cache poisoned").get(&m) {
-            return table.clone();
-        }
-        // Compute outside the lock: concurrent misses duplicate the
-        // deterministic work instead of blocking each other.
-        let solver = BruteForceSolver { options: self.options };
-        let table = Arc::new(solver.rank_table(&self.data, self.space.as_ref(), m, self.exec));
-        cache_bounded(
-            &mut self.tables.lock().expect("rank-table cache poisoned"),
-            m,
-            table,
-            PREPARED_CACHE_CAP,
-        )
+        self.tables.get_or_build(m, || {
+            let solver = BruteForceSolver { options: self.options };
+            Arc::new(solver.rank_table(&self.data, self.space.as_ref(), m, self.exec))
+        })
     }
 }
 
@@ -517,20 +485,6 @@ mod tests {
         let err =
             Algorithm::Mdrc.ensure_supported(&table1(), &WeakRankingSpace::new(2, 1)).unwrap_err();
         assert!(matches!(&err, RrmError::Unsupported(msg) if msg.contains("restricted")), "{err}");
-    }
-
-    #[test]
-    fn cache_bounded_stops_growing_at_the_cap() {
-        let mut map: HashMap<usize, usize> = HashMap::new();
-        for key in 0..10 {
-            assert_eq!(cache_bounded(&mut map, key, key * 10, 3), key * 10);
-        }
-        assert_eq!(map.len(), 3, "entries beyond the cap must not be retained");
-        // Cached keys keep returning the stored value...
-        assert_eq!(cache_bounded(&mut map, 0, 999, 3), 0);
-        // ...and uncached keys still compute correctly, just unretained.
-        assert_eq!(cache_bounded(&mut map, 42, 420, 3), 420);
-        assert_eq!(map.len(), 3);
     }
 
     #[test]

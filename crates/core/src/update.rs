@@ -32,12 +32,10 @@ pub enum UpdateOp {
     Delete(usize),
 }
 
-/// The result of applying one update batch: the old and new datasets plus
-/// the index bookkeeping incremental maintainers consume.
+/// The result of applying one update batch: the new dataset plus the
+/// index bookkeeping incremental maintainers consume.
 #[derive(Debug, Clone)]
 pub struct AppliedUpdate {
-    /// The dataset the batch was applied to.
-    pub old: Dataset,
     /// The post-batch dataset.
     pub new: Dataset,
     /// `remap[old_index]` is the tuple's new index, or `None` if deleted.
@@ -54,7 +52,7 @@ pub struct AppliedUpdate {
 impl AppliedUpdate {
     /// Number of surviving (non-deleted, non-inserted) tuples.
     pub fn survivors(&self) -> usize {
-        self.old.n() - self.deleted.len()
+        self.remap.len() - self.deleted.len()
     }
 }
 
@@ -126,7 +124,7 @@ pub fn apply_updates(data: &Dataset, ops: &[UpdateOp]) -> Result<AppliedUpdate, 
     }
 
     let new = Dataset::from_flat(d, values)?;
-    Ok(AppliedUpdate { old: data.clone(), new, remap, inserted, deleted })
+    Ok(AppliedUpdate { new, remap, inserted, deleted })
 }
 
 #[cfg(test)]

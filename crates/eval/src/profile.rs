@@ -155,15 +155,14 @@ mod tests {
     fn good_sets_have_high_coverage() {
         // An HDRRM output with certified k should cover ~everything at k.
         let data = independent(400, 3, 7);
-        let opts = rrm_hd::HdrrmOptions { m_override: Some(500), ..Default::default() };
         let sol = rrm_core::Solver::prepare(
-            &rrm_hd::HdrrmSolver::new(opts),
+            &rrm_hd::HdrrmSolver::default(),
             &data,
             &FullSpace::new(3),
             rrm_core::ExecPolicy::default(),
         )
         .unwrap()
-        .solve_rrm(8, &rrm_core::Budget::UNLIMITED)
+        .solve_rrm(8, &rrm_core::Budget::with_samples(500))
         .unwrap();
         let k = sol.certified_regret.unwrap();
         let cov = coverage_ratio(&data, &sol.indices, &FullSpace::new(3), k, 5000, 8);

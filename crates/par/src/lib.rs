@@ -17,16 +17,18 @@
 //!    the input. ([`par_map`] chunks by thread count internally, which is
 //!    safe there because its per-item outputs are independent of the
 //!    decomposition.)
-//! 2. **Ordered merges.** Chunk results are collected into slots indexed
-//!    by chunk position and merged on the calling thread *in chunk order*
-//!    — never through racy atomics-style reductions — so even
+//! 2. **Ordered merges.** Each spawned worker returns its chunk results,
+//!    tagged with their chunk positions, through its join handle; the
+//!    calling thread places them by position and merges them *in chunk
+//!    order* — never through racy atomics-style reductions — so even
 //!    non-commutative or floating-point-sensitive folds are reproducible.
 //!
-//! There is no global pool and no idle threads: each call spawns a scoped
-//! team (`std::thread::scope`), workers pull chunk indices from an atomic
-//! dispenser (cheap dynamic load balancing that cannot affect results),
-//! and the team joins before the call returns. A worker panic propagates
-//! to the caller.
+//! There is no global pool, no idle thread and no lock: a call on `n`
+//! threads spawns `n − 1` scoped helpers (`std::thread::scope`) and
+//! works beside them on the calling thread; all pull chunk indices from
+//! an atomic dispenser (cheap dynamic load balancing that cannot affect
+//! results), and the helpers join before the call returns. A worker
+//! panic propagates to the caller with its own payload.
 //!
 //! # Configuration
 //!
@@ -37,14 +39,13 @@
 //!   when set to `0`) use all available cores.
 //! * [`Parallelism::Sequential`] — run inline on the calling thread; no
 //!   threads are spawned at all.
-//! * [`Parallelism::Fixed`]`(n)` — exactly `n` worker threads.
+//! * [`Parallelism::Fixed`]`(n)` — exactly `n` threads, the caller's included.
 //!
 //! `RRM_THREADS=1` therefore degrades the entire workspace to sequential
 //! execution — CI runs the full test suite both ways and the answers must
 //! not differ by a bit.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// How many threads a parallel region may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -178,7 +179,9 @@ pub fn par_map_reduce<T: Sync, A: Send>(
 }
 
 /// The scoped worker team behind every entry point: an atomic chunk
-/// dispenser, one result slot per chunk, ordered collection at the end.
+/// dispenser, the calling thread plus `threads - 1` spawned helpers, each
+/// helper's `(chunk, result)` pairs returned through its join handle, and
+/// ordered collection at the end.
 fn run_chunked<T: Sync, R: Send>(
     items: &[T],
     chunk_size: usize,
@@ -191,23 +194,29 @@ fn run_chunked<T: Sync, R: Send>(
         return (0..n_chunks).map(|i| f(i * chunk_size, chunk_at(items, i, chunk_size))).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n_chunks {
+                return done;
+            }
+            done.push((i, f(i * chunk_size, chunk_at(items, i, chunk_size))));
+        }
+    };
+    let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
+    let mut place = |done: Vec<(usize, R)>| done.into_iter().for_each(|(i, r)| slots[i] = Some(r));
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(n_chunks) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n_chunks {
-                    break;
-                }
-                let r = f(i * chunk_size, chunk_at(items, i, chunk_size));
-                *slots[i].lock().expect("chunk slot poisoned") = Some(r);
-            });
+        let helpers: Vec<_> = (1..threads.min(n_chunks)).map(|_| scope.spawn(work)).collect();
+        place(work());
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => place(done),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
     });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("chunk slot poisoned").expect("chunk computed"))
-        .collect()
+    slots.into_iter().map(|r| r.expect("every chunk is computed")).collect()
 }
 
 #[inline]
@@ -359,7 +368,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "boom")]
     fn worker_panic_propagates() {
         let items: Vec<usize> = (0..100).collect();
         par_map(&items, Parallelism::Fixed(2), |&x| {

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use rank_regret::{Algorithm, Dataset, ExecPolicy, RrmError, Session, Solution};
+use rrm_core::memo::lock;
 
 use crate::json::Json;
 use crate::stats::{LogHistogram, TenantCounters};
@@ -108,8 +109,7 @@ pub struct ResultCache {
 impl ResultCache {
     /// The cached solution for `key` at exactly `epoch`, if any.
     pub fn get(&self, key: &ResultKey, epoch: u64) -> Option<Solution> {
-        let entries = self.entries.lock().expect("result cache poisoned");
-        match entries.get(key) {
+        match lock(&self.entries).get(key) {
             Some((e, solution)) if *e == epoch => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(solution.clone())
@@ -120,7 +120,7 @@ impl ResultCache {
 
     /// Store a solution computed on `epoch`.
     pub fn put(&self, key: ResultKey, epoch: u64, solution: Solution) {
-        let mut entries = self.entries.lock().expect("result cache poisoned");
+        let mut entries = lock(&self.entries);
         if entries.len() >= RESULT_CACHE_CAP {
             entries.clear();
         }
@@ -129,7 +129,7 @@ impl ResultCache {
 
     /// Drop every entry (the epoch just advanced).
     pub fn invalidate(&self) {
-        self.entries.lock().expect("result cache poisoned").clear();
+        lock(&self.entries).clear();
     }
 
     pub fn hits(&self) -> usize {
@@ -137,7 +137,7 @@ impl ResultCache {
     }
 
     pub fn entries(&self) -> usize {
-        self.entries.lock().expect("result cache poisoned").len()
+        lock(&self.entries).len()
     }
 }
 
@@ -255,6 +255,36 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_poisoned_result_cache_still_answers_like_a_fresh_one() {
+        let data = Dataset::from_rows(&[[0.0, 1.0], [0.57, 0.75], [1.0, 0.0]]).unwrap();
+        let session = Session::new(data);
+        let answer = |r| session.run(&rank_regret::Request::minimize(r)).unwrap().solution;
+        let key = |r| (true, r, None, None, None, None);
+        let (cache, fresh) = (ResultCache::default(), ResultCache::default());
+        for c in [&cache, &fresh] {
+            c.put(key(1), 0, answer(1));
+        }
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                let _held = lock(&cache.entries);
+                panic!("poisoning the result cache");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(cache.entries.is_poisoned());
+        for c in [&cache, &fresh] {
+            c.put(key(2), 0, answer(2));
+        }
+        for r in [1, 2, 3] {
+            assert_eq!(cache.get(&key(r), 0), fresh.get(&key(r), 0), "r={r}");
+            assert_eq!(cache.get(&key(r), 1), None);
+        }
+        assert_eq!((cache.entries(), cache.hits()), (fresh.entries(), fresh.hits()));
+        cache.invalidate();
+        assert_eq!(cache.entries(), 0);
+    }
 
     #[test]
     fn builds_warms_and_reports_stats() {

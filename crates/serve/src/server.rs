@@ -46,6 +46,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rank_regret::{Algorithm, ExecPolicy, Request, RrmError, TerminatedBy, UpdateOp};
+use rrm_core::memo::{lock, wait_timeout};
 
 use crate::json::Json;
 use crate::protocol::{error_response, ok_response, parse_request, ErrorKind, Op, WireRequest};
@@ -141,9 +142,7 @@ impl ConnWriter {
     fn send(&self, json: &Json) {
         let mut line = json.render();
         line.push('\n');
-        if let Ok(mut stream) = self.stream.lock() {
-            let _ = stream.write_all(line.as_bytes());
-        }
+        let _ = lock(&self.stream).write_all(line.as_bytes());
     }
 }
 
@@ -166,7 +165,7 @@ struct Shared {
 
 impl Shared {
     fn stats_json(&self, filter: Option<&str>) -> Json {
-        let depth = self.queue.lock().map(|q| q.len()).unwrap_or(0);
+        let depth = lock(&self.queue).len();
         Json::Obj(vec![
             (
                 "global".into(),
@@ -261,7 +260,7 @@ impl ServerHandle {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let readers = std::mem::take(&mut *self.conns.lock().unwrap());
+        let readers = std::mem::take(&mut *lock(&self.conns));
         for h in readers {
             let _ = h.join();
         }
@@ -288,7 +287,7 @@ fn accept_loop(
             .name("rrm-serve-conn".into())
             .spawn(move || connection_loop(&shared, stream))
         {
-            conns.lock().unwrap().push(handle);
+            lock(conns).push(handle);
         }
     }
 }
@@ -431,7 +430,7 @@ fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
         accepted_at: Instant::now(),
         writer: Arc::clone(writer),
     };
-    let mut queue = shared.queue.lock().unwrap();
+    let mut queue = lock(&shared.queue);
     if queue.len() >= shared.queue_cap {
         drop(queue);
         job.tenant.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -453,7 +452,7 @@ fn handle_line(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, line: &str) {
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().unwrap();
+            let mut queue = lock(&shared.queue);
             loop {
                 if let Some(job) = queue.pop_front() {
                     break Some(job);
@@ -461,9 +460,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break None;
                 }
-                let (guard, _) =
-                    shared.available.wait_timeout(queue, Duration::from_millis(50)).unwrap();
-                queue = guard;
+                queue = wait_timeout(&shared.available, queue, Duration::from_millis(50));
             }
         };
         match job {

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
+use rrm_core::memo::{lock, read, write};
 use rrm_core::{
     apply_updates, approx, Algorithm, Bounds, BruteForceSolver, Budget, Dataset, ExecPolicy,
     Fidelity, FullSpace, PreparedSolver, RrmError, Solution, Solver, TerminatedBy, UpdateOp,
@@ -503,11 +504,14 @@ pub struct Session {
     space: Box<dyn UtilitySpace>,
     /// The current generation. Readers take the read lock just long enough
     /// to clone the `Arc`; the writer swaps the pointer after building the
-    /// next generation entirely off to the side.
+    /// next generation entirely off to the side. A panic can interrupt
+    /// neither, so a poisoned lock is taken as it is.
     snapshot: RwLock<Arc<Snapshot>>,
     /// Serializes [`Session::update`] callers: the next generation is
     /// built from the latest one, so concurrent writers must queue (while
-    /// readers proceed against the published snapshot untouched).
+    /// readers proceed against the published snapshot untouched). It
+    /// guards no state: an update that panicked published nothing, and
+    /// the next one proceeds.
     writer: Mutex<()>,
     /// Calls to [`Session::prepared`] that found an already-built handle.
     prepare_hits: AtomicUsize,
@@ -539,7 +543,7 @@ impl Session {
 
     /// The currently published snapshot.
     fn current(&self) -> Arc<Snapshot> {
-        self.snapshot.read().expect("snapshot lock poisoned").clone()
+        read(&self.snapshot).clone()
     }
 
     /// Restrict the utility space (RRM becomes RRRM). Resets any prepared
@@ -565,8 +569,8 @@ impl Session {
     }
 
     fn reset_prepared(&mut self) {
-        let snapshot = self.snapshot.get_mut().expect("snapshot lock poisoned");
-        *snapshot = Arc::new(Snapshot::fresh(snapshot.epoch, snapshot.data.clone()));
+        let current = self.current();
+        *write(&self.snapshot) = Arc::new(Snapshot::fresh(current.epoch, current.data.clone()));
         self.prepare_hits = AtomicUsize::new(0);
         self.prepare_misses = AtomicUsize::new(0);
     }
@@ -601,9 +605,10 @@ impl Session {
     pub fn update(&self, ops: &[UpdateOp]) -> Result<u64, RrmError> {
         // One writer at a time: the next generation is derived from the
         // latest one. Readers are not blocked by this lock.
-        let _writer = self.writer.lock().expect("writer lock poisoned");
+        let _writer = lock(&self.writer);
         let base = self.current();
         let upd = apply_updates(&base.data, ops)?;
+        // The snapshot shares the new rows with every handle built on them.
         let next = Snapshot::fresh(base.epoch + 1, Arc::new(upd.new.clone()));
         for (slot, old) in next.prepared.iter().zip(&base.prepared) {
             // Only successfully-built handles can carry state forward;
@@ -617,7 +622,7 @@ impl Session {
             }
         }
         let epoch = next.epoch;
-        *self.snapshot.write().expect("snapshot lock poisoned") = Arc::new(next);
+        *write(&self.snapshot) = Arc::new(next);
         Ok(epoch)
     }
 
@@ -956,6 +961,41 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn poisoned_session_locks_still_update_and_answer_like_a_fresh_session() {
+        let data = rrm_data::synthetic::independent(200, 2, 5);
+        let session = Session::new(data.clone());
+        session.run(&Request::minimize(3)).unwrap();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _held = lock(&session.writer);
+                panic!("poisoning the writer lock");
+            });
+            assert!(writer.join().is_err());
+            let snapshot = s.spawn(|| {
+                let _held = write(&session.snapshot);
+                panic!("poisoning the snapshot lock");
+            });
+            assert!(snapshot.join().is_err());
+        });
+        assert!(session.writer.is_poisoned() && session.snapshot.is_poisoned());
+        let ops = [UpdateOp::Delete(0), UpdateOp::Insert(vec![0.9, 0.9])];
+        assert_eq!(session.update(&ops).unwrap(), 1);
+        let fresh = Session::new(apply_updates(&data, &ops).unwrap().new);
+        let budget = Budget::with_samples(64);
+        for algo in [Algorithm::TwoDRrm, Algorithm::TwoDRrr, Algorithm::Hdrrm] {
+            for request in [Request::minimize(3), Request::represent(4)] {
+                let request = request.algo(algo).budget(budget.clone());
+                assert_eq!(
+                    session.run(&request).unwrap().solution,
+                    fresh.run(&request).unwrap().solution,
+                    "{algo} {request:?}"
+                );
+            }
+        }
+        assert_eq!(session.update(&[UpdateOp::Delete(1)]).unwrap(), 2);
     }
 
     #[test]

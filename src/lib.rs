@@ -231,7 +231,6 @@ pub fn session(data: &Dataset) -> Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrm_hd::HdrrmOptions;
 
     fn table1() -> Dataset {
         Dataset::from_rows(&[
@@ -251,12 +250,6 @@ mod tests {
         session(data).run(request).map(|response| response.solution)
     }
 
-    /// A session whose HDRRM samples `m` directions.
-    fn hd_session(data: &Dataset, m: usize) -> Session {
-        let hdrrm = HdrrmOptions { m_override: Some(m), ..Default::default() };
-        Engine::with_tuning(&Tuning { hdrrm, ..Default::default() }).session(data.clone())
-    }
-
     #[test]
     fn minimize_auto_2d() {
         let sol = solve(&table1(), &Request::minimize(1)).unwrap();
@@ -267,7 +260,7 @@ mod tests {
     #[test]
     fn minimize_auto_hd() {
         let data = rrm_data::synthetic::independent(300, 3, 1);
-        let sol = hd_session(&data, 200).run(&Request::minimize(8)).unwrap().solution;
+        let sol = session(&data).run(&Request::minimize(8).samples(200)).unwrap().solution;
         assert!(sol.size() <= 8);
         assert_eq!(sol.algorithm, Algorithm::Hdrrm);
     }
@@ -275,8 +268,8 @@ mod tests {
     #[test]
     fn forced_hdrrm_on_2d() {
         let data = rrm_data::synthetic::independent(200, 2, 2);
-        let request = Request::minimize(5).algo(Algorithm::Hdrrm);
-        let sol = hd_session(&data, 150).run(&request).unwrap().solution;
+        let request = Request::minimize(5).algo(Algorithm::Hdrrm).samples(150);
+        let sol = session(&data).run(&request).unwrap().solution;
         assert_eq!(sol.algorithm, Algorithm::Hdrrm);
     }
 

@@ -2,18 +2,15 @@
 //! plus the error paths a downstream user can hit.
 
 use rank_regret::prelude::*;
-use rank_regret::Tuning;
 use rrm_data::synthetic::{anticorrelated, independent};
 use rrm_eval::estimate_rank_regret;
-use rrm_hd::HdrrmOptions;
 
-fn quick_hd() -> HdrrmOptions {
-    HdrrmOptions { m_override: Some(600), ..Default::default() }
-}
+/// Directions HDRRM samples in these workflows.
+const QUICK: usize = 600;
 
-/// A session whose HDRRM uses [`quick_hd`].
+/// A one-off session with the default engine.
 fn quick(data: &Dataset) -> Session {
-    Engine::with_tuning(&Tuning { hdrrm: quick_hd(), ..Default::default() }).session(data.clone())
+    rank_regret::session(data)
 }
 
 /// One request through a one-off session with the default engine.
@@ -36,7 +33,7 @@ fn minimize_with_every_space_type() {
     for (name, space) in spaces {
         let session = quick(&data).boxed_space(space.clone_box());
         let sol = session
-            .run(&Request::minimize(r))
+            .run(&Request::minimize(r).samples(QUICK))
             .map(|response| response.solution)
             .unwrap_or_else(|e| panic!("space {name}: {e}"));
         assert!(sol.size() <= r, "space {name}");
@@ -50,7 +47,7 @@ fn minimize_with_every_space_type() {
 #[test]
 fn represent_hd_path() {
     let data = independent(600, 3, 92);
-    let sol = quick(&data).run(&Request::represent(5)).unwrap().solution;
+    let sol = quick(&data).run(&Request::represent(5).samples(QUICK)).unwrap().solution;
     assert_eq!(sol.certified_regret, Some(5));
     // Verify over fresh samples with slack (certificate is over D).
     let est = estimate_rank_regret(&data, &sol.indices, &FullSpace::new(3), 10_000, 93);
@@ -63,7 +60,8 @@ fn solver_choice_is_respected() {
     let session = quick(&data);
     let exact = session.run(&Request::minimize(4).algo(Algorithm::TwoDRrm)).unwrap().solution;
     assert_eq!(exact.algorithm, Algorithm::TwoDRrm);
-    let hd = session.run(&Request::minimize(4).algo(Algorithm::Hdrrm)).unwrap().solution;
+    let hd =
+        session.run(&Request::minimize(4).algo(Algorithm::Hdrrm).samples(QUICK)).unwrap().solution;
     assert_eq!(hd.algorithm, Algorithm::Hdrrm);
     // HDRRM's certified regret can never beat the exact optimum.
     assert!(hd.certified_regret.unwrap() >= exact.certified_regret.unwrap());
@@ -79,7 +77,7 @@ fn error_paths_are_reported() {
     ));
     // Budget below the basis size.
     assert!(matches!(
-        quick(&data).run(&Request::minimize(1)),
+        quick(&data).run(&Request::minimize(1).samples(QUICK)),
         Err(RrmError::OutputSizeTooSmall { .. })
     ));
     // Mismatched space dimension.
@@ -103,8 +101,8 @@ fn shift_invariance_through_the_facade() {
 
     let data3 = independent(300, 3, 97);
     let shifted3 = data3.shift(&[1.0, 2.0, 3.0]);
-    let a = quick(&data3).run(&Request::minimize(8)).unwrap().solution;
-    let b = quick(&shifted3).run(&Request::minimize(8)).unwrap().solution;
+    let a = quick(&data3).run(&Request::minimize(8).samples(QUICK)).unwrap().solution;
+    let b = quick(&shifted3).run(&Request::minimize(8).samples(QUICK)).unwrap().solution;
     // HDRRM samples directions independently of the data, and ranks are
     // shift invariant, so the whole pipeline is deterministic under shift.
     assert_eq!(a.indices, b.indices);

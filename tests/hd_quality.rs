@@ -8,9 +8,7 @@ use rank_regret::{
 };
 use rrm_data::synthetic::{anticorrelated, independent};
 use rrm_eval::{estimate_rank_regret, estimate_regret_ratio};
-use rrm_hd::{
-    HdrrmOptions, HdrrmSolver, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions, MdrrrRSolver,
-};
+use rrm_hd::{HdrrmSolver, MdrcSolver, MdrmsOptions, MdrmsSolver, MdrrrROptions, MdrrrRSolver};
 
 /// One RRM query through a fresh prepared handle — what `Engine::run`
 /// does for a fixed algorithm.
@@ -21,6 +19,12 @@ fn run_rrm(
     space: &dyn UtilitySpace,
 ) -> Result<Solution, RrmError> {
     solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
+}
+
+/// One HDRRM query on `m` sampled directions through a fresh handle.
+fn run_hdrrm(data: &Dataset, r: usize, space: &dyn UtilitySpace, m: usize) -> Solution {
+    let prepared = HdrrmSolver::default().prepare(data, space, ExecPolicy::default()).unwrap();
+    prepared.solve_rrm(r, &Budget::with_samples(m)).unwrap()
 }
 
 const SAMPLES: usize = 30_000;
@@ -58,13 +62,7 @@ fn hdrrm_certificate_close_to_measured() {
     // Figures 13–28 plot the certified k (red cross) against the measured
     // regret over L (red squares) and find "the two lines basically fit".
     let data = independent(3_000, 4, 405);
-    let sol = run_rrm(
-        &HdrrmSolver::new(HdrrmOptions { m_override: Some(4_000), ..Default::default() }),
-        &data,
-        10,
-        &FullSpace::new(4),
-    )
-    .unwrap();
+    let sol = run_hdrrm(&data, 10, &FullSpace::new(4), 4_000);
     let certified = sol.certified_regret.unwrap();
     let measured = measured_regret(&data, &sol.indices, 2);
     // The discretization can miss directions (measured may exceed
@@ -106,20 +104,8 @@ fn rrrm_restriction_improves_quality() {
     let data = anticorrelated(3_000, 4, 407);
     let space = WeakRankingSpace::new(4, 2);
     let r = 10;
-    let restricted = run_rrm(
-        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_500), ..Default::default() }),
-        &data,
-        r,
-        &space,
-    )
-    .unwrap();
-    let full = run_rrm(
-        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_500), ..Default::default() }),
-        &data,
-        r,
-        &FullSpace::new(4),
-    )
-    .unwrap();
+    let restricted = run_hdrrm(&data, r, &space, 2_500);
+    let full = run_hdrrm(&data, r, &FullSpace::new(4), 2_500);
     let k_restricted =
         estimate_rank_regret(&data, &restricted.indices, &space, SAMPLES, 5).max_rank;
     let k_full_on_u = estimate_rank_regret(&data, &full.indices, &space, SAMPLES, 5).max_rank;
@@ -135,13 +121,7 @@ fn mdrrr_r_quality_between_hdrrm_and_heuristics() {
     // without a certificate; with a starved budget it degrades.
     let data = anticorrelated(2_000, 3, 408);
     let r = 8;
-    let h = run_rrm(
-        &HdrrmSolver::new(HdrrmOptions { m_override: Some(2_000), ..Default::default() }),
-        &data,
-        r,
-        &FullSpace::new(3),
-    )
-    .unwrap();
+    let h = run_hdrrm(&data, r, &FullSpace::new(3), 2_000);
     let healthy = run_rrm(
         &MdrrrRSolver::new(MdrrrROptions { samples: 8_000, seed: 9, ..Default::default() }),
         &data,

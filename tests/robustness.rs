@@ -1,11 +1,10 @@
 //! Failure injection and degenerate-input robustness across the pipeline.
 
 use rank_regret::prelude::*;
-use rank_regret::Tuning;
 use rrm_2d::TwoDRrmSolver;
 use rrm_data::jitter;
 use rrm_eval::exact_rank_regret_2d;
-use rrm_hd::{HdrrmOptions, HdrrmSolver};
+use rrm_hd::HdrrmSolver;
 
 /// One RRM query through a fresh prepared handle — what `Engine::run`
 /// does for a fixed algorithm.
@@ -18,19 +17,18 @@ fn run_rrm(
     solver.prepare(data, space, ExecPolicy::default())?.solve_rrm(r, &Budget::UNLIMITED)
 }
 
-fn quick_hd() -> HdrrmOptions {
-    HdrrmOptions { m_override: Some(300), ..Default::default() }
+/// Directions HDRRM samples in these checks.
+const QUICK: usize = 300;
+
+/// One HDRRM query on [`QUICK`] directions through a fresh handle.
+fn run_quick_hd(data: &Dataset, r: usize, space: &dyn UtilitySpace) -> Result<Solution, RrmError> {
+    let prepared = HdrrmSolver::default().prepare(data, space, ExecPolicy::default())?;
+    prepared.solve_rrm(r, &Budget::with_samples(QUICK))
 }
 
 /// One request through a one-off session with the default engine.
 fn solve(data: &Dataset, request: &Request) -> Solution {
     rank_regret::session(data).run(request).unwrap().solution
-}
-
-/// One request through a one-off session whose HDRRM uses [`quick_hd`].
-fn solve_quick(data: &Dataset, request: &Request) -> Solution {
-    let tuning = Tuning { hdrrm: quick_hd(), ..Default::default() };
-    Engine::with_tuning(&tuning).session(data.clone()).run(request).unwrap().solution
 }
 
 #[test]
@@ -63,7 +61,7 @@ fn budget_larger_than_dataset() {
 #[test]
 fn threshold_larger_than_dataset() {
     let data = rrm_data::synthetic::independent(20, 3, 1);
-    let sol = solve_quick(&data, &Request::represent(1000));
+    let sol = solve(&data, &Request::represent(1000).samples(QUICK));
     assert!(!sol.indices.is_empty());
 }
 
@@ -121,7 +119,7 @@ fn hd_on_degenerate_low_rank_data() {
         })
         .collect();
     let data = Dataset::from_rows(&rows).unwrap();
-    let sol = run_rrm(&HdrrmSolver::new(quick_hd()), &data, 5, &FullSpace::new(3)).unwrap();
+    let sol = run_quick_hd(&data, 5, &FullSpace::new(3)).unwrap();
     assert_eq!(sol.certified_regret, Some(1), "the top tuple dominates everything");
 }
 
@@ -162,7 +160,7 @@ fn negative_values_are_legal_inputs() {
         [0.7, -15.0, 0.6],
     ])
     .unwrap();
-    let sol = run_rrm(&HdrrmSolver::new(quick_hd()), &data3, 3, &FullSpace::new(3)).unwrap();
+    let sol = run_quick_hd(&data3, 3, &FullSpace::new(3)).unwrap();
     assert!(sol.certified_regret.is_some());
 }
 
@@ -172,7 +170,7 @@ fn restricted_space_narrower_than_data_spread() {
     // the solver must still terminate and certify.
     let data = rrm_data::synthetic::anticorrelated(300, 3, 9);
     let space = BoxSpace::around(&[0.5, 0.3, 0.2], 0.01);
-    let sol = solve_quick(&data, &Request::minimize(5).within(space));
+    let sol = solve(&data, &Request::minimize(5).within(space).samples(QUICK));
     // With an (almost) single direction, a handful of tuples reach the
     // very top ranks.
     assert!(sol.certified_regret.unwrap() <= 5, "{:?}", sol.certified_regret);

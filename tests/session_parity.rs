@@ -142,6 +142,25 @@ fn minimize_matches_the_full_sweep_across_updates() {
 }
 
 #[test]
+fn minimize_past_the_candidate_count_answers_like_a_fresh_handle() {
+    // A 2DRRM handle memoizes budgets below its candidate count only, so
+    // a stream of distinct budgets cannot grow a session; each answer is
+    // still a fresh handle's.
+    let data = independent(2_000, 2, 21);
+    let candidates = rank_regret::rrm_skyline::skyline(&data).len();
+    let session = rank_regret::session(&data);
+    let engine = Engine::new();
+    for r in (1..=10 * candidates).rev().chain([2, 1]) {
+        let request = Request::minimize(r).algo(Algorithm::TwoDRrm);
+        assert_eq!(
+            session.run(&request).unwrap().solution,
+            fresh(&engine, &data, &request).unwrap(),
+            "r={r}"
+        );
+    }
+}
+
+#[test]
 fn batch_equals_individual_runs() {
     let data = independent(60, 3, 17);
     let session = rank_regret::session(&data);
