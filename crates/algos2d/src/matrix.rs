@@ -96,19 +96,6 @@ impl DpMatrix {
         best
     }
 
-    /// Best cell in a given column `j`: `(row, rank)`.
-    pub fn best_in_column(&self, j: usize) -> (usize, u32) {
-        let rows = self.cells.len() / self.r;
-        let mut best = (0usize, u32::MAX);
-        for i in 0..rows {
-            let rank = self.cell(i, j).rank;
-            if rank < best.1 {
-                best = (i, rank);
-            }
-        }
-        best
-    }
-
     /// Materialize the chain of a cell as line ids, leftmost segment first.
     pub fn chain_lines(&self, i: usize, j: usize) -> Vec<u32> {
         chain_to_vec(&self.cell(i, j).chain)
@@ -155,12 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn best_final_and_column() {
+    fn best_final() {
         let mut m = DpMatrix::new(&[5, 6, 7], &[4, 2, 9], 2);
         assert_eq!(m.best_final(), (1, 2));
         m.fold_rank(1, 11);
         assert_eq!(m.best_final(), (0, 4));
-        assert_eq!(m.best_in_column(1), (0, 4));
     }
 
     #[test]

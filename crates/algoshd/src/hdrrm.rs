@@ -68,11 +68,6 @@ pub struct HdrrmOptions {
     /// raising the rank-regret on hard data (see the `ablation`
     /// experiment). Disable only when the utility floor is not needed.
     pub include_basis: bool,
-    /// Memory budget for keeping top-k lists between threshold probes, in
-    /// entries (`|D| · k`). Lists deeper than it are recomputed per
-    /// probe, and every list set, the one deep pass at the coarse
-    /// incumbent's bound included, is computed no deeper than it allows.
-    pub cache_budget_entries: usize,
     /// Bound-and-prune the feasibility probes: abort a greedy cover as
     /// soon as it provably exceeds the size budget `r`. Decision- and
     /// answer-equivalent to running every cover out (greedy picks are
@@ -89,7 +84,6 @@ impl Default for HdrrmOptions {
             seed: 0xD15C0,
             skyline_candidates: true,
             include_basis: true,
-            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
             prune: true,
         }
     }
@@ -117,11 +111,10 @@ pub struct PreparedHdrrm {
     /// The boundary-tuple basis `B` (always computed: RRR needs it even
     /// when `include_basis` is off for RRM).
     basis: Vec<u32>,
-    /// Incrementally maintained skyline behind `mask` (present exactly
-    /// when `skyline_candidates` is on), so updates patch the candidate
-    /// mask instead of re-filtering the dataset.
+    /// Incrementally maintained skyline whose membership mask is the
+    /// cover candidate mask (present exactly when `skyline_candidates` is
+    /// on), so updates patch the mask instead of re-filtering the dataset.
     sky: Option<IncrementalSkyline>,
-    mask: Option<Vec<bool>>,
     /// Per sample count `m`, its discretization.
     discs: Memo<usize, Arc<Discretization>>,
     /// Per sample count `m`: the deepest top-k lists kept so far (every
@@ -139,16 +132,13 @@ impl PreparedHdrrm {
         options: HdrrmOptions,
         exec: ExecPolicy,
     ) -> Self {
-        let sky = options.skyline_candidates.then(|| IncrementalSkyline::build(data));
-        let mask = sky.as_ref().map(|s| s.mask().to_vec());
         Self {
             data: data.clone(),
             space: space.clone_box(),
             options,
             exec,
             basis: basis_indices(data),
-            sky,
-            mask,
+            sky: options.skyline_candidates.then(|| IncrementalSkyline::build(data)),
             discs: Memo::new(PREPARED_CACHE_CAP),
             topk: ListCache::default(),
         }
@@ -186,7 +176,6 @@ impl PreparedHdrrm {
             s.apply_update(upd);
             s
         });
-        let mask = sky.as_ref().map(|s| s.mask().to_vec());
         let discs = self.discs.clone();
         let pol = self.exec.parallelism;
         let mut topk = HashMap::new();
@@ -208,7 +197,6 @@ impl PreparedHdrrm {
             exec: self.exec,
             basis,
             sky,
-            mask,
             discs,
             topk: Mutex::new(topk),
         }
@@ -240,11 +228,11 @@ impl PreparedHdrrm {
             algorithm: Algorithm::Hdrrm,
             basis,
             stops: self.stops(),
-            mask: self.mask.as_deref(),
+            mask: self.sky.as_ref().map(IncrementalSkyline::mask),
             ksets: false,
             prune: self.options.prune,
             pol: self.exec.parallelism,
-            cache_budget_entries: self.options.cache_budget_entries,
+            cache_budget_entries: DEFAULT_CACHE_BUDGET_ENTRIES,
         }
     }
 
@@ -503,35 +491,34 @@ mod tests {
     #[test]
     fn tiny_cache_budget_same_answer() {
         // Budget 0 keeps no lists between probes: no deep pass, and every
-        // probe scores afresh at its own k. The answers must not move, on a
-        // fresh handle or a warm one. On the second set the coarse bound (31)
-        // sits below the final threshold (45), so the default run also
-        // deepens its lists past the deep pass.
+        // probe scores afresh at its own k. The answers must not move, over
+        // an empty cache or a warm handle's. On the second set the coarse
+        // bound (31) sits below the final threshold (45), so the default
+        // run also deepens its lists past the deep pass.
         let space = FullSpace::new(3);
         let sets = [(independent(400, 3, 28), 8, 200), (anticorrelated(300, 3, 2), 5, 300)];
         for (i, (data, r, m)) in sets.into_iter().enumerate() {
-            let opts = quick_opts();
-            let tiny = HdrrmOptions { cache_budget_entries: 0, ..opts };
-            let want = run_rrm(&data, r, &space, opts, m).unwrap();
+            let prepared = PreparedHdrrm::new(&data, &space, quick_opts(), ExecPolicy::default());
+            let budget = Budget::with_samples(m);
+            let want = run_rrm(&data, r, &space, quick_opts(), m).unwrap();
             let k = want.certified_regret.unwrap();
             if i == 1 {
                 let coarse = want.report.as_ref().unwrap().curve[0].1.upper;
                 assert!(coarse < k, "coarse {coarse} vs final {k}");
             }
-            assert_eq!(run_rrm(&data, r, &space, tiny, m).unwrap(), want, "set {i}");
-            for o in [opts, tiny] {
-                let prepared = PreparedHdrrm::new(&data, &space, o, ExecPolicy::default());
-                for _ in 0..2 {
-                    let budget = Budget::with_samples(m);
-                    assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), want, "set {i}");
-                }
-                let kept = lock(&prepared.topk).get(&m).map(|(depth, _)| *depth);
-                if o.cache_budget_entries == 0 {
-                    assert_eq!(kept, None, "set {i}: budget 0 keeps nothing");
-                } else {
-                    assert!(kept >= Some(k), "set {i}: kept {kept:?} below final {k}");
-                }
+            for _ in 0..2 {
+                assert_eq!(prepared.solve_rrm(r, &budget).unwrap(), want, "set {i}");
             }
+            let kept = lock(&prepared.topk).get(&m).map(|(depth, _)| *depth);
+            assert!(kept >= Some(k), "set {i}: kept {kept:?} below final {k}");
+            let tiny = CoverSearch { cache_budget_entries: 0, ..prepared.search(prepared.stops()) };
+            let dirs = &prepared.disc(m).dirs;
+            let empty = ListCache::default();
+            for cache in [&empty, &prepared.topk] {
+                let got = tiny.solve_rrm(r, dirs, AnytimeSearch::unlimited(), cache, m).unwrap();
+                assert_eq!(got, want, "set {i}");
+            }
+            assert!(lock(&empty).is_empty(), "set {i}: budget 0 keeps nothing");
         }
     }
 
@@ -596,7 +583,8 @@ mod tests {
             let fresh = PreparedHdrrm::new(&upd.new, &space, opts, ExecPolicy::default());
             let ctx = format!("batch {batch}");
             assert_eq!(prepared.basis, fresh.basis, "{ctx}");
-            assert_eq!(prepared.mask, fresh.mask, "{ctx}");
+            let masks = [&prepared, &fresh].map(|h| h.sky.as_ref().map(IncrementalSkyline::mask));
+            assert_eq!(masks[0], masks[1], "{ctx}");
             // The patched top-k cache is entry-for-entry a fresh stopped
             // computation over the new rows.
             assert_lists_fresh(&prepared, &fresh.basis, &ctx);

@@ -42,8 +42,7 @@ pub use asms::asms;
 pub use discretize::{build_vector_set, paper_sample_size, Discretization};
 pub use hdrrm::{HdrrmOptions, PreparedHdrrm};
 pub use ksets::{enumerate_ksets, KsetEnumeration, KsetLimits};
-pub use mdrc::MdrcOptions;
 pub use mdrms::MdrmsOptions;
 pub use mdrrr_r::MdrrrROptions;
-pub use sampled::{SampledOptions, SampledSolver};
+pub use sampled::SampledSolver;
 pub use solver::{HdrrmSolver, MdrcSolver, MdrmsSolver, MdrrrRSolver, MdrrrSolver};

@@ -18,14 +18,6 @@ use rrm_core::{
 };
 use rrm_geom::polar::angles_to_direction;
 
-/// Options for MDRC ([`crate::MdrcSolver`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MdrcOptions {
-    /// Extra probe directions per cell in addition to the `2^(d-1)`
-    /// corners and the center (sampled on a fixed sub-grid).
-    pub probes_per_axis: usize,
-}
-
 #[derive(Debug, Clone)]
 struct Cell {
     lo: Vec<f64>,
@@ -48,7 +40,6 @@ struct Cell {
 pub(crate) fn mdrc_anytime(
     data: &Dataset,
     r: usize,
-    opts: MdrcOptions,
     budget: &Budget,
     pol: Parallelism,
 ) -> Result<Solution, RrmError> {
@@ -62,8 +53,7 @@ pub(crate) fn mdrc_anytime(
     search.note_node();
     let mut terminated = TerminatedBy::Completed;
     let ad = data.dim() - 1; // angle-space dimensionality
-    let root =
-        evaluate_cell(data, &vec![0.0; ad], &vec![std::f64::consts::FRAC_PI_2; ad], opts, pol);
+    let root = evaluate_cell(data, &vec![0.0; ad], &vec![std::f64::consts::FRAC_PI_2; ad], pol);
     let mut cells = vec![root];
     // Refine until r cells exist (or cells stop being splittable).
     while cells.len() < r {
@@ -100,8 +90,8 @@ pub(crate) fn mdrc_anytime(
         lo_hi[axis] = mid;
         let mut hi_lo = cell.lo.clone();
         hi_lo[axis] = mid;
-        cells.push(evaluate_cell(data, &cell.lo, &lo_hi, opts, pol));
-        cells.push(evaluate_cell(data, &hi_lo, &cell.hi, opts, pol));
+        cells.push(evaluate_cell(data, &cell.lo, &lo_hi, pol));
+        cells.push(evaluate_cell(data, &hi_lo, &cell.hi, pol));
         search.note_node();
         search.note_node();
     }
@@ -110,15 +100,9 @@ pub(crate) fn mdrc_anytime(
         .map(|s| s.with_termination(terminated).with_report(search.report))
 }
 
-/// Probe the cell (corners, center and optional sub-grid) and pick the
-/// tuple minimizing the maximum rank across probes.
-fn evaluate_cell(
-    data: &Dataset,
-    lo: &[f64],
-    hi: &[f64],
-    opts: MdrcOptions,
-    pol: Parallelism,
-) -> Cell {
+/// Probe the cell (corners and center) and pick the tuple minimizing the
+/// maximum rank across probes.
+fn evaluate_cell(data: &Dataset, lo: &[f64], hi: &[f64], pol: Parallelism) -> Cell {
     let ad = lo.len();
     let mut probes: Vec<Vec<f64>> = Vec::new();
     // Corners: 2^ad angle vectors.
@@ -129,11 +113,6 @@ fn evaluate_cell(
     }
     // Center.
     probes.push(lo.iter().zip(hi).map(|(a, b)| 0.5 * (a + b)).collect());
-    // Optional sub-grid along each axis.
-    for extra in 1..=opts.probes_per_axis {
-        let f = extra as f64 / (opts.probes_per_axis + 1) as f64;
-        probes.push(lo.iter().zip(hi).map(|(a, b)| a + f * (b - a)).collect());
-    }
 
     // Worst rank per tuple across probes: each chunk of probes streams
     // its max updates into one n-length vector (the `O(n log n)` sorts
@@ -190,13 +169,8 @@ mod tests {
     use rrm_eval::estimate_rank_regret_seq;
 
     /// One MDRC query through a fresh handle (capability check included).
-    fn run_rrm(
-        data: &Dataset,
-        r: usize,
-        space: &dyn UtilitySpace,
-        opts: MdrcOptions,
-    ) -> Result<Solution, RrmError> {
-        crate::MdrcSolver::new(opts)
+    fn run_rrm(data: &Dataset, r: usize, space: &dyn UtilitySpace) -> Result<Solution, RrmError> {
+        crate::MdrcSolver
             .prepare(data, space, ExecPolicy::default())?
             .solve_rrm(r, &Budget::UNLIMITED)
     }
@@ -205,7 +179,7 @@ mod tests {
     fn respects_budget_and_runs() {
         let data = independent(500, 4, 71);
         for r in [1usize, 5, 10] {
-            let sol = run_rrm(&data, r, &FullSpace::new(4), MdrcOptions::default()).unwrap();
+            let sol = run_rrm(&data, r, &FullSpace::new(4)).unwrap();
             assert!(sol.size() <= r);
             assert_eq!(sol.certified_regret, None);
         }
@@ -214,7 +188,7 @@ mod tests {
     #[test]
     fn rejects_restricted_space() {
         let data = independent(50, 3, 72);
-        let err = run_rrm(&data, 5, &WeakRankingSpace::new(3, 1), MdrcOptions::default());
+        let err = run_rrm(&data, 5, &WeakRankingSpace::new(3, 1));
         assert!(matches!(err, Err(RrmError::Unsupported(_))));
     }
 
@@ -223,28 +197,15 @@ mod tests {
         // On correlated data a single good tuple dominates: MDRC should
         // find a low-regret set.
         let data = correlated(1000, 3, 73);
-        let sol = run_rrm(&data, 5, &FullSpace::new(3), MdrcOptions::default()).unwrap();
+        let sol = run_rrm(&data, 5, &FullSpace::new(3)).unwrap();
         let est = estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(3), 5000, 74);
         assert!(est.max_rank <= 50, "regret {} on correlated data", est.max_rank);
     }
 
     #[test]
-    fn probes_improve_or_match() {
-        let data = independent(400, 3, 75);
-        let coarse =
-            run_rrm(&data, 6, &FullSpace::new(3), MdrcOptions { probes_per_axis: 0 }).unwrap();
-        let fine =
-            run_rrm(&data, 6, &FullSpace::new(3), MdrcOptions { probes_per_axis: 3 }).unwrap();
-        let ec = estimate_rank_regret_seq(&data, &coarse.indices, &FullSpace::new(3), 4000, 76);
-        let ef = estimate_rank_regret_seq(&data, &fine.indices, &FullSpace::new(3), 4000, 76);
-        // More probes usually help; never catastrophically worse.
-        assert!(ef.max_rank <= 3 * ec.max_rank.max(3));
-    }
-
-    #[test]
     fn two_d_works() {
         let data = independent(200, 2, 77);
-        let sol = run_rrm(&data, 4, &FullSpace::new(2), MdrcOptions::default()).unwrap();
+        let sol = run_rrm(&data, 4, &FullSpace::new(2)).unwrap();
         assert!(sol.size() <= 4);
     }
 }

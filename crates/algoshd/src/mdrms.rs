@@ -22,19 +22,21 @@ use crate::common::batch_top1_scores;
 pub struct MdrmsOptions {
     /// Number of sampled directions discretizing the function space.
     pub samples: usize,
-    /// RNG seed.
-    pub seed: u64,
-    /// Cap on candidate tuples scanned per greedy round (the skyline is
-    /// used when smaller; otherwise an even subsample). Keeps the
-    /// `O(r · candidates · samples)` cost bounded.
-    pub max_candidates: usize,
 }
 
 impl Default for MdrmsOptions {
     fn default() -> Self {
-        Self { samples: 2_000, seed: 0x3A15, max_candidates: 20_000 }
+        Self { samples: 2_000 }
     }
 }
+
+/// Seed of the sampled directions.
+const SEED: u64 = 0x3A15;
+
+/// Cap on candidate tuples scanned per greedy round (the skyline is used
+/// when smaller; otherwise an even subsample). Keeps the
+/// `O(r · candidates · samples)` cost bounded.
+const MAX_CANDIDATES: usize = 20_000;
 
 /// Resumable greedy RMS over a sampled function space: each pick depends
 /// only on earlier picks, so one growing prefix answers every size budget
@@ -57,25 +59,25 @@ pub(crate) struct GreedyRms {
 }
 
 impl GreedyRms {
-    /// The greedy state over `opts.samples` directions, its top-1 scoring
-    /// pass and per-round candidate scans chunked under `pol` (picks are
+    /// The greedy state over `samples` directions, its top-1 scoring pass
+    /// and per-round candidate scans chunked under `pol` (picks are
     /// identical at any thread count).
     pub(crate) fn new(
         data: &Dataset,
         space: &dyn UtilitySpace,
-        opts: MdrmsOptions,
+        samples: usize,
         pol: Parallelism,
     ) -> Self {
-        let dirs = sample_directions(space, opts.samples, opts.seed);
+        let dirs = sample_directions(space, samples, SEED);
         let top1 = batch_top1_scores(data, &dirs, pol);
 
         // Candidates: skyline when affordable, else an even subsample of it.
         let sky = rrm_skyline::skyline(data);
-        let candidates: Vec<u32> = if sky.len() <= opts.max_candidates {
+        let candidates: Vec<u32> = if sky.len() <= MAX_CANDIDATES {
             sky
         } else {
-            let step = sky.len() as f64 / opts.max_candidates as f64;
-            (0..opts.max_candidates).map(|i| sky[(i as f64 * step) as usize]).collect()
+            let step = sky.len() as f64 / MAX_CANDIDATES as f64;
+            (0..MAX_CANDIDATES).map(|i| sky[(i as f64 * step) as usize]).collect()
         };
 
         let best_scores = vec![f64::NEG_INFINITY; dirs.len()];
@@ -126,8 +128,10 @@ fn worst_ratio(best_scores: &[f64], top1: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// The candidate whose addition minimizes the resulting worst ratio,
-/// chunked over `pol`'s worker threads.
+/// The candidate whose addition minimizes the resulting worst ratio. The
+/// candidates split into chunks sized by their work
+/// ([`rrm_par::adaptive_chunk`]: every candidate scores every direction),
+/// so a small candidate set runs on the calling thread.
 ///
 /// The per-chunk winner is merged through a strict total order on
 /// `(ratio, index)`, so the pick is identical at any thread count (and to
@@ -141,7 +145,7 @@ fn best_addition(
     in_set: &[bool],
     pol: Parallelism,
 ) -> Option<u32> {
-    let chunk = candidates.len().div_ceil(pol.threads().max(1)).max(1);
+    let chunk = rrm_par::adaptive_chunk(candidates.len(), dirs.len() * data.dim());
     rrm_par::par_map_reduce(
         candidates,
         chunk,
@@ -259,6 +263,35 @@ mod tests {
         assert!(ratio < 0.25, "greedy RMS ratio too weak: {ratio}");
         let _rank =
             estimate_rank_regret_seq(&data, &sol.indices, &FullSpace::new(4), 2000, 85).max_rank;
+    }
+
+    #[test]
+    fn picks_are_bit_identical_at_1_2_and_7_threads() {
+        // Anti-correlated rows at d = 4 under the default 2,000 samples: a
+        // chunk holds 131 candidates and the skyline spans at least three
+        // chunks, so every pick merges chunk winners (across workers on 2
+        // and 7 threads).
+        let data = rrm_data::synthetic::anticorrelated(1_000, 4, 87);
+        let space = FullSpace::new(4);
+        let opts = MdrmsOptions::default();
+        let greedy = GreedyRms::new(&data, &space, opts.samples, Parallelism::Sequential);
+        let chunk =
+            rrm_par::adaptive_chunk(greedy.candidates.len(), greedy.dirs.len() * data.dim());
+        assert_eq!(chunk, 131);
+        let chunks = greedy.candidates.len().div_ceil(chunk);
+        assert!(chunks >= 3, "{} candidates fill {chunks} chunks", greedy.candidates.len());
+        let solve = |threads: usize| {
+            crate::MdrmsSolver::new(opts)
+                .prepare(&data, &space, ExecPolicy::threads(threads))
+                .unwrap()
+                .solve_rrm(8, &Budget::UNLIMITED)
+                .unwrap()
+        };
+        let baseline = solve(1);
+        assert_eq!(baseline.size(), 8);
+        for threads in [2usize, 7] {
+            assert_eq!(solve(threads), baseline, "threads={threads}");
+        }
     }
 
     #[test]

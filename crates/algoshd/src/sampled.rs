@@ -55,19 +55,19 @@ fn cover(n: usize, tops: &[Vec<u32>], k: usize, cap: usize) -> (Vec<u32>, bool) 
 }
 
 /// The sampled frame of one query: a dimension and spec check, then
-/// [`ApproxSpec::directions_with`] directions from the seeded stream.
+/// [`ApproxSpec::directions_with`] directions from the stream seeded by
+/// [`DEFAULT_SEED`].
 fn frame(
     data: &Dataset,
     space: &dyn UtilitySpace,
     spec: ApproxSpec,
     samples: Option<usize>,
-    seed: u64,
 ) -> Result<Vec<Vec<f64>>, RrmError> {
     if space.dim() != data.dim() {
         return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
     }
     spec.validate()?;
-    Ok(sample_directions(space, spec.directions_with(samples), seed))
+    Ok(sample_directions(space, spec.directions_with(samples), DEFAULT_SEED))
 }
 
 /// The sampled answer: `picks`, with their measured worst rank over `dirs`
@@ -90,24 +90,23 @@ fn answer(
         }))
 }
 
-/// The sampled RRM solve with every knob explicit; [`SampledSolver`] and
-/// the engine's approximate dispatch both route here. A `samples`
-/// override above the Hoeffding direction count derived from `spec`
-/// draws that many directions instead; one below it is ignored, so the
-/// answer's `(ε, δ)` statement always holds ([`ApproxSpec::directions_with`]).
-pub fn solve_rrm_sampled_with(
+/// The sampled RRM solve behind [`PreparedSampled::solve_rrm`]. A
+/// `samples` override above the Hoeffding direction count derived from
+/// `spec` draws that many directions instead; one below it is ignored, so
+/// the answer's `(ε, δ)` statement always holds
+/// ([`ApproxSpec::directions_with`]).
+fn solve_rrm_sampled_with(
     data: &Dataset,
     r: usize,
     space: &dyn UtilitySpace,
     spec: ApproxSpec,
     samples: Option<usize>,
-    seed: u64,
     exec: ExecPolicy,
 ) -> Result<Solution, RrmError> {
     if r == 0 {
         return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
     }
-    let dirs = frame(data, space, spec, samples, seed)?;
+    let dirs = frame(data, space, spec, samples)?;
     let n = data.n();
     // The last doubling round's lists: each round scores its own, and the
     // bisection's thresholds lie below the feasible round's, so it reads
@@ -133,20 +132,19 @@ pub fn solve_rrm_sampled_with(
 /// The sampled RRR solve: smallest greedy cover at threshold `k` over the
 /// sampled directions (every direction is covered by its own rank-1 tuple,
 /// so the cover always exists). See [`solve_rrm_sampled_with`] for the
-/// knob and determinism contracts.
-pub fn solve_rrr_sampled_with(
+/// `samples` and determinism contracts.
+fn solve_rrr_sampled_with(
     data: &Dataset,
     k: usize,
     space: &dyn UtilitySpace,
     spec: ApproxSpec,
     samples: Option<usize>,
-    seed: u64,
     exec: ExecPolicy,
 ) -> Result<Solution, RrmError> {
     if k == 0 {
         return Err(RrmError::Unsupported("rank-regret thresholds start at 1".into()));
     }
-    let dirs = frame(data, space, spec, samples, seed)?;
+    let dirs = frame(data, space, spec, samples)?;
     let k = k.min(data.n());
     let tops = batch_top_k(data, &dirs, k, exec.parallelism);
     let (picks, fits) = cover(data.n(), &tops, k, usize::MAX);
@@ -154,30 +152,13 @@ pub fn solve_rrr_sampled_with(
     answer(data, &dirs, picks, spec, exec)
 }
 
-/// Options for [`SampledSolver`]: the fallback fidelity when the budget
-/// carries none, and the direction-stream seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledOptions {
-    /// Fidelity used when the `Budget` carries no [`ApproxSpec`].
-    pub spec: ApproxSpec,
-    /// Seed of the sequential direction stream (part of the answer's
-    /// identity, like every randomized solver's seed in this workspace).
-    pub seed: u64,
-}
-
-impl Default for SampledOptions {
-    fn default() -> Self {
-        Self { spec: ApproxSpec::default(), seed: DEFAULT_SEED }
-    }
-}
-
 /// The sampled-ε tier as a registered [`Solver`]: `Algorithm::Sampled` in
 /// the engine roster, dispatched like any exact algorithm but answering
-/// with a Hoeffding-certified sampled solution.
-#[derive(Debug, Clone, Default)]
-pub struct SampledSolver {
-    pub options: SampledOptions,
-}
+/// with a Hoeffding-certified sampled solution. A budget without an
+/// [`ApproxSpec`] answers at [`ApproxSpec::default`], and every query draws
+/// its directions from the stream seeded by [`DEFAULT_SEED`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SampledSolver;
 
 impl Solver for SampledSolver {
     fn algorithm(&self) -> Algorithm {
@@ -194,12 +175,7 @@ impl Solver for SampledSolver {
         // Warm the column-major scoring layout now: it is the only
         // dataset-shaped state the sampled tier reuses across queries.
         let _ = data.soa();
-        Ok(Box::new(PreparedSampled {
-            options: self.options,
-            exec,
-            data: data.clone(),
-            space: space.clone_box(),
-        }))
+        Ok(Box::new(PreparedSampled { exec, data: data.clone(), space: space.clone_box() }))
     }
 }
 
@@ -208,7 +184,6 @@ impl Solver for SampledSolver {
 /// by every query; directions are re-drawn per query from the constant
 /// seed, so a warm handle answers bit for bit like a fresh one.
 pub struct PreparedSampled {
-    options: SampledOptions,
     exec: ExecPolicy,
     data: Dataset,
     space: Box<dyn UtilitySpace>,
@@ -224,29 +199,13 @@ impl PreparedSolver for PreparedSampled {
     }
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let spec = budget.approx.unwrap_or(self.options.spec);
-        solve_rrm_sampled_with(
-            &self.data,
-            r,
-            self.space.as_ref(),
-            spec,
-            budget.samples,
-            self.options.seed,
-            self.exec,
-        )
+        let spec = budget.approx.unwrap_or_default();
+        solve_rrm_sampled_with(&self.data, r, self.space.as_ref(), spec, budget.samples, self.exec)
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let spec = budget.approx.unwrap_or(self.options.spec);
-        solve_rrr_sampled_with(
-            &self.data,
-            k,
-            self.space.as_ref(),
-            spec,
-            budget.samples,
-            self.options.seed,
-            self.exec,
-        )
+        let spec = budget.approx.unwrap_or_default();
+        solve_rrr_sampled_with(&self.data, k, self.space.as_ref(), spec, budget.samples, self.exec)
     }
 }
 
@@ -296,7 +255,6 @@ mod tests {
             &FullSpace::new(2),
             spec,
             None,
-            DEFAULT_SEED,
             ExecPolicy::sequential(),
         )
         .unwrap();
@@ -321,7 +279,6 @@ mod tests {
             &FullSpace::new(2),
             ApproxSpec::default(),
             Some(256),
-            DEFAULT_SEED,
             ExecPolicy::sequential(),
         )
         .unwrap();
@@ -334,7 +291,6 @@ mod tests {
             &FullSpace::new(2),
             ApproxSpec::default(),
             Some(256),
-            DEFAULT_SEED,
             ExecPolicy::sequential(),
         )
         .unwrap();
@@ -344,7 +300,7 @@ mod tests {
 
     /// A fresh sampled-tier handle over Table I.
     fn sampled(exec: ExecPolicy) -> Box<dyn PreparedSolver> {
-        SampledSolver::default().prepare(&table1(), &FullSpace::new(2), exec).unwrap()
+        SampledSolver.prepare(&table1(), &FullSpace::new(2), exec).unwrap()
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! HDRRM (the paper's) and the Table III baselines MDRRR, MDRRRr, MDRC
 //! and MDRMS.
 //!
-//! Each solver owns its options struct (MDRRR runs on
-//! [`KsetLimits::default`]) and binds it, with the execution policy
-//! `prepare` receives, to one dataset; the prepared handles map the
+//! HDRRM, MDRRRr and MDRMS own an options struct; MDRRR (on
+//! [`KsetLimits::default`]) and MDRC are unit structs whose settings are
+//! constants. `prepare` binds the solver, with the execution policy it
+//! receives, to one dataset; the prepared handles map the
 //! engine-facing [`Budget`] caps onto whatever machinery the algorithm
 //! actually has — sample counts for the randomized ones, k-set/LP limits
 //! for MDRRR — and ignore them where they do not apply.
@@ -27,7 +28,7 @@ use crate::anytime::{rrr_via_rrm_search_with, CoverSearch};
 use crate::common::ListCache;
 use crate::hdrrm::{HdrrmOptions, PreparedHdrrm};
 use crate::ksets::KsetLimits;
-use crate::mdrc::{mdrc_anytime, MdrcOptions};
+use crate::mdrc::mdrc_anytime;
 use crate::mdrms::{GreedyRms, MdrmsOptions};
 use crate::mdrrr::{mdrrr, rrm_search_with};
 use crate::mdrrr_r::{cover_search, MdrrrROptions};
@@ -221,16 +222,8 @@ impl PreparedSolver for PreparedMdrrrR {
 /// no certificate, full space only, and no native RRR mode (the
 /// representative direction searches the size whose RRM answer meets the
 /// threshold).
-#[derive(Debug, Clone, Default)]
-pub struct MdrcSolver {
-    pub options: MdrcOptions,
-}
-
-impl MdrcSolver {
-    pub fn new(options: MdrcOptions) -> Self {
-        Self { options }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MdrcSolver;
 
 impl Solver for MdrcSolver {
     fn algorithm(&self) -> Algorithm {
@@ -247,7 +240,6 @@ impl Solver for MdrcSolver {
         Ok(Box::new(PreparedMdrc {
             data: data.clone(),
             space: space.clone_box(),
-            options: self.options,
             exec,
             memo: Memo::new(PROBE_CACHE_CAP),
         }))
@@ -261,7 +253,6 @@ impl Solver for MdrcSolver {
 struct PreparedMdrc {
     data: Dataset,
     space: Box<dyn UtilitySpace>,
-    options: MdrcOptions,
     exec: ExecPolicy,
     /// Keyed by `(r, effective cell-evaluation cap)`: a counter-cut
     /// partial answer must not be served to an unlimited query (or vice
@@ -274,12 +265,11 @@ impl PreparedMdrc {
         if budget.time_limit.is_some() {
             // Wall-clock limits are nondeterministic — never cache (or
             // serve a cached answer for) a solve under one.
-            return mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism);
+            return mdrc_anytime(&self.data, r, budget, self.exec.parallelism);
         }
         let key = (r, budget.max_enumerations.unwrap_or(usize::MAX));
-        self.memo.get_or_try_build(key, || {
-            mdrc_anytime(&self.data, r, self.options, budget, self.exec.parallelism)
-        })
+        self.memo
+            .get_or_try_build(key, || mdrc_anytime(&self.data, r, budget, self.exec.parallelism))
     }
 }
 
@@ -362,20 +352,17 @@ struct PreparedMdrms {
 }
 
 impl PreparedMdrms {
-    fn budgeted(&self, budget: &Budget) -> MdrmsOptions {
-        let mut options = self.options;
-        if let Some(m) = budget.samples {
-            options.samples = m;
-        }
-        options
+    /// The query's sample count: the budget's `samples`, else the option.
+    fn samples(&self, budget: &Budget) -> usize {
+        budget.samples.unwrap_or(self.options.samples)
     }
 
-    fn rrm_with(&self, r: usize, opts: MdrmsOptions) -> Result<Solution, RrmError> {
+    fn rrm_with(&self, r: usize, m: usize) -> Result<Solution, RrmError> {
         if r == 0 {
             return Err(RrmError::OutputSizeTooSmall { requested: 0, minimum: 1 });
         }
-        let build = || GreedyRms::new(&self.data, self.space.as_ref(), opts, self.exec.parallelism);
-        let state = self.greedy.get_or_build(opts.samples, || Arc::new(Mutex::new(build())));
+        let build = || GreedyRms::new(&self.data, self.space.as_ref(), m, self.exec.parallelism);
+        let state = self.greedy.get_or_build(m, || Arc::new(Mutex::new(build())));
         // Same-budget queries serialize here — the greedy prefix is
         // resumable *mutable* state; extending it concurrently would race.
         let mut greedy = lock(&state);
@@ -400,11 +387,11 @@ impl PreparedSolver for PreparedMdrms {
     }
 
     fn solve_rrm(&self, r: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        self.rrm_with(r, self.budgeted(budget))
+        self.rrm_with(r, self.samples(budget))
     }
 
     fn solve_rrr(&self, k: usize, budget: &Budget) -> Result<Solution, RrmError> {
-        let opts = self.budgeted(budget);
+        let m = self.samples(budget);
         rrr_via_rrm_search_with(
             "MDRMS",
             &self.data,
@@ -412,7 +399,7 @@ impl PreparedSolver for PreparedMdrms {
             self.space.as_ref(),
             budget,
             self.exec,
-            |r| self.rrm_with(r, opts),
+            |r| self.rrm_with(r, m),
         )
     }
 }
@@ -453,7 +440,7 @@ mod tests {
     #[test]
     fn mdrc_solver_gains_rrr_through_search() {
         let data = rrm_data::synthetic::independent(150, 3, 9);
-        let prepared = fresh(&MdrcSolver::default(), &data, &FullSpace::new(3));
+        let prepared = fresh(&MdrcSolver, &data, &FullSpace::new(3));
         let sol = prepared.solve_rrr(20, &Budget::with_samples(128)).unwrap();
         assert_eq!(sol.algorithm, Algorithm::Mdrc);
         assert!(sol.certified_regret.is_none(), "MDRC must not claim a certificate");
@@ -506,7 +493,7 @@ mod tests {
         let cases: Vec<(Box<dyn Solver>, Dataset)> = vec![
             (Box::new(MdrrrSolver), rrm_data::synthetic::independent(13, 3, 8)),
             (Box::new(MdrrrRSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
-            (Box::new(MdrcSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
+            (Box::new(MdrcSolver), rrm_data::synthetic::independent(22, 3, 8)),
             (Box::new(MdrmsSolver::default()), rrm_data::synthetic::independent(22, 3, 8)),
         ];
         for (solver, data) in &cases {
@@ -543,11 +530,10 @@ mod tests {
         let data = rrm_data::synthetic::independent(60, 3, 5);
         let space = FullSpace::new(3);
         let budget = Budget::UNLIMITED;
-        let solver = MdrcSolver::default();
+        let solver = MdrcSolver;
         let handle = PreparedMdrc {
             data: data.clone(),
             space: space.clone_box(),
-            options: solver.options,
             exec: ExecPolicy::default(),
             memo: Memo::new(PROBE_CACHE_CAP),
         };
@@ -575,16 +561,16 @@ mod tests {
             greedy: Memo::new(PREPARED_CACHE_CAP),
         };
         handle.solve_rrm(3, &budget).unwrap();
-        let opts = handle.budgeted(&budget);
-        let state = handle.greedy.get(&opts.samples).unwrap();
+        let m = handle.samples(&budget);
+        let state = handle.greedy.get(&m).unwrap();
         // An extension over other rows, interrupted by a panic: reading
         // the state it left would answer with other rows' picks.
         let pol = Parallelism::Sequential;
-        let stale = GreedyRms::new(&other, &space, opts, pol).prefix(&other, 8);
+        let stale = GreedyRms::new(&other, &space, m, pol).prefix(&other, 8);
         std::thread::scope(|s| {
             let holder = s.spawn(|| {
                 let mut greedy = lock(&state);
-                *greedy = GreedyRms::new(&other, &space, opts, pol);
+                *greedy = GreedyRms::new(&other, &space, m, pol);
                 greedy.prefix(&other, 8);
                 panic!("an extension interrupted");
             });
@@ -606,16 +592,13 @@ mod tests {
         // Each solver reports the algorithm whose Table III row it obeys.
         assert!(HdrrmSolver::default().algorithm().has_regret_guarantee());
         assert!(MdrrrSolver.algorithm().has_regret_guarantee());
-        assert!(!MdrcSolver::default().algorithm().has_regret_guarantee());
+        assert!(!MdrcSolver.algorithm().has_regret_guarantee());
         assert!(!MdrmsSolver::default().algorithm().has_regret_guarantee());
         assert!(MdrrrRSolver::default().algorithm().supports_restricted_space());
-        assert!(!MdrcSolver::default().algorithm().supports_restricted_space());
+        assert!(!MdrcSolver.algorithm().supports_restricted_space());
         let weak = WeakRankingSpace::new(3, 1);
         let exec = ExecPolicy::default();
         assert!(MdrrrRSolver::default().prepare(&small(), &weak, exec).is_ok());
-        assert!(matches!(
-            MdrcSolver::default().prepare(&small(), &weak, exec),
-            Err(RrmError::Unsupported(_))
-        ));
+        assert!(matches!(MdrcSolver.prepare(&small(), &weak, exec), Err(RrmError::Unsupported(_))));
     }
 }

@@ -9,8 +9,8 @@
 //! comparison:
 //!
 //! * **incremental** — `session.update(&ops)` advances the warm prepared
-//!   handles in place (2D order merge, HD skyline merge and top-k patching)
-//!   and publishes a new epoch. The update is timed alone
+//!   handles (a fresh dominance-grid prepare for 2DRRM, the maintained
+//!   skyline and patched top-k lists for HDRRM) and publishes a new epoch. The update is timed alone
 //!   (`update_seconds`); the post-update query is timed alone right after
 //!   (`query_seconds`), so lazily-deferred maintenance cannot hide — it
 //!   lands in the query region and is reported, just not misattributed.

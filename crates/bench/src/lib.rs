@@ -78,8 +78,8 @@ impl Scale {
 
     pub fn mdrms_options(self) -> MdrmsOptions {
         match self {
-            Scale::Quick => MdrmsOptions { samples: 1_000, ..Default::default() },
-            Scale::Full => MdrmsOptions { samples: 5_000, ..Default::default() },
+            Scale::Quick => MdrmsOptions { samples: 1_000 },
+            Scale::Full => MdrmsOptions { samples: 5_000 },
         }
     }
 

@@ -207,7 +207,7 @@ impl AnytimeSearch {
     }
 
     /// Seconds since the solve started.
-    pub fn elapsed_seconds(&self) -> f64 {
+    fn elapsed_seconds(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
 

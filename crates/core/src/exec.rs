@@ -46,7 +46,9 @@ impl ExecPolicy {
         Self { parallelism: Parallelism::fixed(n) }
     }
 
-    /// The resolved worker count this policy yields right now.
+    /// The resolved worker count this policy yields right now, for
+    /// reports; no kernel sizes its work by it.
+    #[allow(clippy::disallowed_methods)]
     pub fn effective_threads(self) -> usize {
         self.parallelism.threads()
     }

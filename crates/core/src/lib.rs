@@ -59,11 +59,8 @@ pub use error::RrmError;
 pub use exec::{ExecPolicy, Parallelism};
 pub use kernel::{ScoreScratch, Soa};
 pub use memo::{Memo, PREPARED_CACHE_CAP, PROBE_CACHE_CAP};
-pub use problem::{Algorithm, RrmProblem, RrrProblem, Solution};
-pub use solver::{
-    BruteForceOptions, BruteForceSolver, Budget, DimRange, PreparedBruteForce, PreparedSolver,
-    Solver,
-};
+pub use problem::{Algorithm, Solution};
+pub use solver::{BruteForceSolver, Budget, DimRange, PreparedBruteForce, PreparedSolver, Solver};
 pub use space::{
     BiasedOrthantSpace, BoxSpace, ConeSpace, FullSpace, SphereCap, UtilitySpace, WeakRankingSpace,
 };

@@ -1,8 +1,8 @@
-//! Problem statements and solver outputs.
+//! Solver outputs.
 //!
 //! Solvers live in `rrm-2d` and `rrm-hd`; this module defines the shared
-//! contract: what a problem instance asks for and what a [`Solution`]
-//! reports back.
+//! contract: which [`Algorithm`] answered and what a [`Solution`] reports
+//! back.
 
 use std::sync::Arc;
 
@@ -11,22 +11,6 @@ use crate::dataset::Dataset;
 use crate::error::RrmError;
 use crate::solver::DimRange;
 use crate::space::UtilitySpace;
-
-/// The rank-regret *minimization* problem (Definition 3 / 4): find a set of
-/// at most `r` tuples minimizing `∇U(S)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RrmProblem {
-    /// Output size bound `r ≥ 1`.
-    pub r: usize,
-}
-
-/// The rank-regret *representative* problem (the dual, from Asudeh et al.):
-/// find a minimum-size set with `∇U(S) ≤ k`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RrrProblem {
-    /// Rank-regret threshold `k ≥ 1`.
-    pub k: usize,
-}
 
 /// Which algorithm produced a solution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -301,13 +285,6 @@ impl Solution {
     pub fn materialize(&self, data: &Dataset) -> Dataset {
         data.subset(&self.indices)
     }
-
-    /// Rank-regret expressed as a percentage of the dataset size — the
-    /// paper's suggestion for making rank-regret comparable across dataset
-    /// sizes ("divide rank-regrets by n").
-    pub fn regret_percent(&self, data: &Dataset) -> Option<f64> {
-        self.certified_regret.map(|k| 100.0 * k as f64 / data.n() as f64)
-    }
 }
 
 #[cfg(test)]
@@ -370,12 +347,11 @@ mod tests {
     }
 
     #[test]
-    fn materialize_and_percent() {
+    fn materialize() {
         let s = Solution::new(vec![1], Some(3), Algorithm::Hdrrm, &data()).unwrap();
         let m = s.materialize(&data());
         assert_eq!(m.n(), 1);
         assert_eq!(m.row(0), &[0.5, 0.5]);
-        assert!((s.regret_percent(&data()).unwrap() - 100.0).abs() < 1e-12);
     }
 
     #[test]
@@ -424,13 +400,5 @@ mod tests {
         assert_ne!(base, cut, "termination reason is part of the answer");
         assert_eq!(with_bounds.gap(), Some(Bounds { lower: 1, upper: 3 }.gap()));
         assert_eq!(base.gap(), None);
-    }
-
-    #[test]
-    fn problem_descriptors() {
-        let p = RrmProblem { r: 5 };
-        let q = RrrProblem { k: 10 };
-        assert_eq!(p.r, 5);
-        assert_eq!(q.k, 10);
     }
 }

@@ -19,7 +19,6 @@
 use crate::dataset::Dataset;
 use crate::exec::Parallelism;
 use crate::kernel::{self, ScoreScratch};
-use crate::utility;
 
 /// Does tuple (score `a`, index `ia`) outrank tuple (score `b`, index `ib`)?
 #[inline]
@@ -40,12 +39,6 @@ pub fn rank_of_index(scores: &[f64], index: u32) -> usize {
     above + 1
 }
 
-/// 1-based rank of tuple `index` in `data` under utility vector `u`.
-pub fn rank_of_tuple(data: &Dataset, u: &[f64], index: u32) -> usize {
-    let scores = utility::utilities(data, u);
-    rank_of_index(&scores, index)
-}
-
 /// Rank-regret of a tuple set for one utility vector
 /// (`∇u(S) = min_{t∈S} ∇u(t)`, Definition 1).
 ///
@@ -59,7 +52,7 @@ pub fn rank_regret_of_set(data: &Dataset, u: &[f64], indices: &[u32]) -> usize {
 /// Scratch-reusing rank-regret of a set: routes through the blocked
 /// scoring kernel's fused reduction, so no `n`-length score vector is
 /// ever allocated — only a small reusable tile inside `scratch`.
-/// Bit-identical to scoring with [`utility::utilities`] and calling
+/// Bit-identical to scoring with [`crate::utility::utilities`] and calling
 /// [`rank_regret_from_scores`].
 pub fn rank_regret_of_set_into(
     data: &Dataset,
@@ -386,6 +379,7 @@ pub fn argsort_desc(scores: &[f64]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::utility;
 
     #[test]
     fn descending_bits_order_like_partial_cmp_reversed() {
@@ -708,14 +702,6 @@ mod tests {
     fn argsort_desc_total_order() {
         let scores = [0.5, 0.5, 0.1];
         assert_eq!(argsort_desc(&scores), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn rank_of_tuple_via_dataset() {
-        let d = Dataset::from_rows(&[[1.0, 0.0], [0.0, 1.0]]).unwrap();
-        assert_eq!(rank_of_tuple(&d, &[1.0, 0.0], 0), 1);
-        assert_eq!(rank_of_tuple(&d, &[1.0, 0.0], 1), 2);
-        assert_eq!(rank_of_tuple(&d, &[0.0, 1.0], 0), 2);
     }
 
     #[test]

@@ -14,15 +14,6 @@ pub fn gauss(rng: &mut dyn RngCore) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
-/// A pair of independent standard normal variates (both Box–Muller outputs).
-pub fn gauss_pair(rng: &mut dyn RngCore) -> (f64, f64) {
-    let u1: f64 = 1.0 - rng.random::<f64>();
-    let u2: f64 = rng.random::<f64>();
-    let r = (-2.0 * u1.ln()).sqrt();
-    let theta = std::f64::consts::TAU * u2;
-    (r * theta.cos(), r * theta.sin())
-}
-
 /// Uniform direction on the unit sphere intersected with the non-negative
 /// orthant (the sphere surface `S` of Section V-A): absolute values of i.i.d.
 /// Gaussians, L2-normalized.
@@ -32,23 +23,6 @@ pub fn orthant_direction(d: usize, rng: &mut dyn RngCore) -> Vec<f64> {
         let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm > 1e-12 {
             return v.iter().map(|x| x / norm).collect();
-        }
-    }
-}
-
-/// Uniform point on the standard (d-1)-simplex (non-negative, sums to 1):
-/// normalized i.i.d. exponentials.
-pub fn simplex_point(d: usize, rng: &mut dyn RngCore) -> Vec<f64> {
-    loop {
-        let v: Vec<f64> = (0..d)
-            .map(|_| {
-                let u: f64 = 1.0 - rng.random::<f64>();
-                -u.ln()
-            })
-            .collect();
-        let s: f64 = v.iter().sum();
-        if s > 1e-12 {
-            return v.iter().map(|x| x / s).collect();
         }
     }
 }
@@ -77,18 +51,6 @@ mod tests {
     }
 
     #[test]
-    fn gauss_pair_independent_moments() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 100_000;
-        let mut cov = 0.0;
-        for _ in 0..n {
-            let (a, b) = gauss_pair(&mut rng);
-            cov += a * b;
-        }
-        assert!((cov / n as f64).abs() < 0.02);
-    }
-
-    #[test]
     fn orthant_direction_is_unit_and_nonnegative() {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
@@ -112,15 +74,5 @@ mod tests {
         }
         // Every axis should get close to 1 somewhere in 1000 draws.
         assert!(max_per_axis.iter().all(|&m| m > 0.9), "{max_per_axis:?}");
-    }
-
-    #[test]
-    fn simplex_point_sums_to_one() {
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..100 {
-            let p = simplex_point(5, &mut rng);
-            assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            assert!(p.iter().all(|&x| x >= 0.0));
-        }
     }
 }

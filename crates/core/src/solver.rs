@@ -68,7 +68,7 @@ impl std::fmt::Display for DimRange {
 
 /// Cross-algorithm resource budget: the frame a solve runs on and the
 /// limits that may stop it early. `Default` means unlimited: each solver
-/// falls back to its own options.
+/// falls back to its own defaults.
 ///
 /// The four limits — `max_enumerations`, `max_lp_calls`, `time_limit`
 /// and `gap` — form one stop rule for the anytime (cuttable) solvers:
@@ -206,32 +206,21 @@ pub trait PreparedSolver: Send + Sync {
     }
 }
 
-/// Options for [`BruteForceSolver`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BruteForceOptions {
-    /// Directions sampled to evaluate each candidate subset.
-    pub samples: usize,
-    /// RNG seed for the direction sample.
-    pub seed: u64,
-    /// Refuse datasets larger than this (subset enumeration blows up).
-    pub max_tuples: usize,
-}
-
-impl Default for BruteForceOptions {
-    fn default() -> Self {
-        Self { samples: 4096, seed: 0xB01_DFACE, max_tuples: 20 }
-    }
-}
-
 /// Exhaustive search over candidate subsets, the reference implementation
 /// behind tests and the parity harness. Exact over its sampled direction
-/// set; only usable on tiny datasets (`n ≤ max_tuples`).
-#[derive(Debug, Clone, Default)]
-pub struct BruteForceSolver {
-    pub options: BruteForceOptions,
-}
+/// set; only usable on tiny datasets (`n ≤ 20`).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BruteForceSolver;
 
 impl BruteForceSolver {
+    /// Directions sampled to evaluate each candidate subset, unless the
+    /// budget sets `samples`.
+    const SAMPLES: usize = 4096;
+    /// Seed of the direction sample.
+    const SEED: u64 = 0xB01_DFACE;
+    /// Larger datasets are refused (subset enumeration blows up).
+    const MAX_TUPLES: usize = 20;
+
     /// Per-direction ranks of every tuple: `ranks[dir][tuple]`.
     ///
     /// Directions are drawn sequentially (the RNG stream is part of the
@@ -240,13 +229,12 @@ impl BruteForceSolver {
     /// Per-direction rows are independent, so the table is identical at
     /// any thread count.
     fn rank_table(
-        &self,
         data: &Dataset,
         space: &dyn UtilitySpace,
         m: usize,
         exec: ExecPolicy,
     ) -> Vec<Vec<usize>> {
-        let dirs = sample_directions(space, m, self.options.seed);
+        let dirs = sample_directions(space, m, Self::SEED);
         let n = data.n();
         let soa = data.soa();
         // O(n²) rank counting dominates each direction's cost.
@@ -315,15 +303,14 @@ impl Solver for BruteForceSolver {
         exec: ExecPolicy,
     ) -> Result<Box<dyn PreparedSolver>, RrmError> {
         self.algorithm().ensure_supported(data, space)?;
-        if data.n() > self.options.max_tuples {
+        if data.n() > Self::MAX_TUPLES {
             return Err(RrmError::Unsupported(format!(
-                "brute force enumerates subsets; n = {} exceeds max_tuples = {}",
+                "brute force enumerates subsets; n = {} exceeds its limit of {} tuples",
                 data.n(),
-                self.options.max_tuples
+                Self::MAX_TUPLES
             )));
         }
         Ok(Box::new(PreparedBruteForce {
-            options: self.options,
             exec,
             data: data.clone(),
             space: space.clone_box(),
@@ -337,22 +324,20 @@ impl Solver for BruteForceSolver {
 /// and shared by every query; each query is then just the subset
 /// enumeration.
 pub struct PreparedBruteForce {
-    options: BruteForceOptions,
     exec: ExecPolicy,
     data: Dataset,
     space: Box<dyn UtilitySpace>,
     /// Rank tables keyed by the effective sample count `m` (the budget can
-    /// override the option, so different queries may need different
+    /// override the default, so different queries may need different
     /// tables; each is deterministic per `m`).
     tables: Memo<usize, Arc<Vec<Vec<usize>>>>,
 }
 
 impl PreparedBruteForce {
     fn table(&self, budget: &Budget) -> Arc<Vec<Vec<usize>>> {
-        let m = budget.samples.unwrap_or(self.options.samples).max(1);
+        let m = budget.samples.unwrap_or(BruteForceSolver::SAMPLES).max(1);
         self.tables.get_or_build(m, || {
-            let solver = BruteForceSolver { options: self.options };
-            Arc::new(solver.rank_table(&self.data, self.space.as_ref(), m, self.exec))
+            Arc::new(BruteForceSolver::rank_table(&self.data, self.space.as_ref(), m, self.exec))
         })
     }
 }
@@ -410,7 +395,7 @@ mod tests {
 
     /// A fresh brute-force handle under the default execution policy.
     fn brute(data: &Dataset, space: &dyn UtilitySpace) -> Box<dyn PreparedSolver> {
-        BruteForceSolver::default().prepare(data, space, ExecPolicy::default()).unwrap()
+        BruteForceSolver.prepare(data, space, ExecPolicy::default()).unwrap()
     }
 
     #[test]
@@ -463,8 +448,7 @@ mod tests {
     fn brute_force_rejects_large_inputs() {
         let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 50.0 - i as f64]).collect();
         let data = Dataset::from_rows(&rows).unwrap();
-        let Err(err) =
-            BruteForceSolver::default().prepare(&data, &FullSpace::new(2), ExecPolicy::default())
+        let Err(err) = BruteForceSolver.prepare(&data, &FullSpace::new(2), ExecPolicy::default())
         else {
             panic!("n = 50 must be refused");
         };
@@ -515,7 +499,7 @@ mod tests {
         // so a handle that exists can always answer.
         let rows: Vec<[f64; 2]> = (0..50).map(|i| [i as f64, 50.0 - i as f64]).collect();
         let big = Dataset::from_rows(&rows).unwrap();
-        let solver = BruteForceSolver::default();
+        let solver = BruteForceSolver;
         let exec = ExecPolicy::default();
         assert!(matches!(
             solver.prepare(&big, &FullSpace::new(2), exec),
@@ -529,7 +513,7 @@ mod tests {
 
     #[test]
     fn brute_force_is_bit_identical_across_thread_counts() {
-        let solver = BruteForceSolver::default();
+        let solver = BruteForceSolver;
         let space = FullSpace::new(2);
         let budget = Budget::with_samples(128);
         let solve = |exec: ExecPolicy| {

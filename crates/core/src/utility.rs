@@ -21,25 +21,6 @@ pub fn l2_norm(u: &[f64]) -> f64 {
     dot(u, u).sqrt()
 }
 
-/// Scale `u` to unit L2 norm. Returns `None` for the zero vector.
-pub fn normalize_l2(u: &[f64]) -> Option<Vec<f64>> {
-    let n = l2_norm(u);
-    if n <= 0.0 {
-        return None;
-    }
-    Some(u.iter().map(|v| v / n).collect())
-}
-
-/// Scale `u` so its components sum to 1 (the normalization used by the 2D
-/// algorithms, Section IV-A). Returns `None` when the sum is non-positive.
-pub fn normalize_l1(u: &[f64]) -> Option<Vec<f64>> {
-    let s: f64 = u.iter().sum();
-    if s <= 0.0 {
-        return None;
-    }
-    Some(u.iter().map(|v| v / s).collect())
-}
-
 /// Score every tuple of `data` with `u`, appending into `out` (cleared
 /// first). Reusing `out` across calls avoids re-allocating in sweep loops.
 ///
@@ -74,15 +55,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dot_and_norms() {
+    fn dot_and_norm() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        let u = normalize_l2(&[3.0, 4.0]).unwrap();
-        assert!((u[0] - 0.6).abs() < 1e-12 && (u[1] - 0.8).abs() < 1e-12);
-        assert!(normalize_l2(&[0.0, 0.0]).is_none());
-        let u = normalize_l1(&[1.0, 3.0]).unwrap();
-        assert!((u[0] - 0.25).abs() < 1e-12);
-        assert!(normalize_l1(&[0.0, 0.0]).is_none());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   anti-correlated blocks; MDRC's space partitioning collapses on it
 //!   (rank-regret 1610 vs HDRRM's 9 at n = 120K in Fig. 28).
 //!
-//! Default sizes match the paper; all values are normalized to `[0, 1]`.
+//! The sizes above are the paper's; the generators take any size. All
+//! values are normalized to `[0, 1]`.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +25,7 @@ use rrm_core::sampling::gauss;
 use rrm_core::Dataset;
 
 /// Island-like 2D data: clusters strung along a concave trade-off arc plus
-/// background noise. `n` defaults to the paper's 63 383 via
-/// [`island_default`].
+/// background noise (the paper's `n` is 63 383).
 pub fn island_sim(n: usize, seed: u64) -> Dataset {
     assert!(n >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -50,11 +50,6 @@ pub fn island_sim(n: usize, seed: u64) -> Dataset {
     Dataset::from_flat(2, values).expect("generator output is valid")
 }
 
-/// The paper-sized Island stand-in (63 383 tuples).
-pub fn island_default(seed: u64) -> Dataset {
-    island_sim(63_383, seed)
-}
-
 /// NBA-like data: `d` positively correlated skill attributes driven by a
 /// skewed latent ability, so a handful of tuples dominate. Use `d = 5` for
 /// the paper's configuration.
@@ -73,11 +68,6 @@ pub fn nba_sim(n: usize, d: usize, seed: u64) -> Dataset {
         }
     }
     Dataset::from_flat(d, values).expect("generator output is valid")
-}
-
-/// The paper-sized NBA stand-in (21 961 × 5).
-pub fn nba_default(seed: u64) -> Dataset {
-    nba_sim(21_961, 5, seed)
 }
 
 /// Weather-like data: seasonal clusters whose attributes are locally
@@ -109,11 +99,6 @@ pub fn weather_sim(n: usize, d: usize, seed: u64) -> Dataset {
         }
     }
     Dataset::from_flat(d, values).expect("generator output is valid")
-}
-
-/// The paper-sized Weather stand-in (178 080 × 4).
-pub fn weather_default(seed: u64) -> Dataset {
-    weather_sim(178_080, 4, seed)
 }
 
 #[cfg(test)]
@@ -171,13 +156,5 @@ mod tests {
         let d = weather_sim(5000, 4, 6);
         let s = skyline(&d).len();
         assert!(s > 20 && s < 2500, "weather skyline {s}");
-    }
-
-    #[test]
-    fn default_sizes() {
-        // Paper sizes (documented contract; kept cheap by checking only n).
-        assert_eq!(island_default(0).n(), 63_383);
-        assert_eq!(nba_default(0).n(), 21_961);
-        assert_eq!(weather_default(0).n(), 178_080);
     }
 }

@@ -27,4 +27,4 @@ pub use exact2d::exact_rank_regret_2d;
 pub use profile::{coverage_ratio, rank_profile, RankProfile};
 pub use rank_regret::{estimate_rank_regret, estimate_rank_regret_seq, RegretEstimate};
 pub use regret_ratio::{estimate_regret_ratio, RatioEstimate};
-pub use solver_report::{evaluate_rrm, evaluate_rrr, SolverReport};
+pub use solver_report::{evaluate_rrm, SolverReport};

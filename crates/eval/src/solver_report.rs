@@ -64,21 +64,6 @@ pub fn evaluate_rrm(
     Ok(report(&sol, prepared.dataset(), space, eval_samples, seed, seconds))
 }
 
-/// [`evaluate_rrm`]'s RRR counterpart.
-pub fn evaluate_rrr(
-    prepared: &dyn PreparedSolver,
-    k: usize,
-    space: &dyn UtilitySpace,
-    budget: &Budget,
-    eval_samples: usize,
-    seed: u64,
-) -> Result<SolverReport, RrmError> {
-    let start = Instant::now();
-    let sol = prepared.solve_rrr(k, budget)?;
-    let seconds = start.elapsed().as_secs_f64();
-    Ok(report(&sol, prepared.dataset(), space, eval_samples, seed, seconds))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,9 +74,7 @@ mod tests {
     }
 
     fn brute(data: &Dataset) -> Box<dyn PreparedSolver> {
-        BruteForceSolver::default()
-            .prepare(data, &FullSpace::new(2), ExecPolicy::default())
-            .unwrap()
+        BruteForceSolver.prepare(data, &FullSpace::new(2), ExecPolicy::default()).unwrap()
     }
 
     #[test]
@@ -123,8 +106,6 @@ mod tests {
         assert_eq!(rep.size, fresh.size);
         assert_eq!(rep.certified_regret, fresh.certified_regret);
         assert_eq!(rep.estimated_regret, fresh.estimated_regret);
-        let rrr = evaluate_rrr(warm.as_ref(), 2, &space, &Budget::default(), 2_000, 7).unwrap();
-        assert_eq!(rrr.algorithm, Algorithm::BruteForce);
     }
 
     #[test]

@@ -47,19 +47,6 @@ impl DualLine {
         }
         Some((other.intercept - self.intercept) / ds)
     }
-
-    /// Is `self` strictly above `other` immediately *after* `x`?
-    ///
-    /// Equal heights at `x` are broken by slope (the faster-growing line is
-    /// above just after `x`); exact ties (identical lines) fall back to
-    /// `false`, letting callers impose an index order.
-    pub fn above_after(&self, other: &DualLine, x: f64) -> bool {
-        let (a, b) = (self.eval(x), other.eval(x));
-        if a != b {
-            return a > b;
-        }
-        self.slope > other.slope
-    }
 }
 
 /// The first of the lines' slopes and intercepts, in that order, whose
@@ -205,16 +192,6 @@ mod tests {
         // Parallel lines never cross.
         let l3 = DualLine { slope: -1.0, intercept: 0.4 };
         assert!(l1.intersection_x(&l3).is_none());
-    }
-
-    #[test]
-    fn above_after_tie_breaks_by_slope() {
-        let flat = DualLine { slope: 0.0, intercept: 1.0 };
-        let rising = DualLine { slope: 1.0, intercept: 0.0 };
-        // They cross at x = 1: equal height, rising wins just after.
-        assert!(rising.above_after(&flat, 1.0));
-        assert!(!flat.above_after(&rising, 1.0));
-        assert!(flat.above_after(&rising, 0.5));
     }
 
     #[test]

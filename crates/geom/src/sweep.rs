@@ -116,17 +116,6 @@ where
     swaps
 }
 
-/// Ranks of every line at `x_hi` computed by sweeping from `x_lo`
-/// (diagnostic helper; also a convenient whole-sweep correctness check).
-pub fn final_ranks(lines: &[DualLine], x_lo: f64, x_hi: f64) -> Vec<usize> {
-    let mut rank = crate::events::initial_ranks(lines, x_lo);
-    arrangement_sweep(lines, x_lo, x_hi, |_, down, up, _| {
-        rank[down as usize] += 1;
-        rank[up as usize] -= 1;
-    });
-    rank
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,6 +123,17 @@ mod tests {
 
     fn lines_from(rows: &[[f64; 2]]) -> Vec<DualLine> {
         rows.iter().map(|r| DualLine::from_tuple(r)).collect()
+    }
+
+    /// Ranks of every line at `x_hi` computed by sweeping from `x_lo`: a
+    /// whole-sweep correctness check against a direct sort.
+    fn final_ranks(lines: &[DualLine], x_lo: f64, x_hi: f64) -> Vec<usize> {
+        let mut rank = initial_ranks(lines, x_lo);
+        arrangement_sweep(lines, x_lo, x_hi, |_, down, up, _| {
+            rank[down as usize] += 1;
+            rank[up as usize] -= 1;
+        });
+        rank
     }
 
     #[test]

@@ -133,13 +133,6 @@ impl LinearProgram {
         self
     }
 
-    /// Add an already-built [`Constraint`].
-    pub fn add_constraint(&mut self, c: Constraint) -> &mut Self {
-        assert_eq!(c.coeffs.len(), self.objective.len());
-        self.constraints.push(c);
-        self
-    }
-
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
     }

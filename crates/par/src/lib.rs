@@ -16,7 +16,10 @@
 //!    count — so the decomposition a reduction sees is a pure function of
 //!    the input. ([`par_map`] chunks by thread count internally, which is
 //!    safe there because its per-item outputs are independent of the
-//!    decomposition.)
+//!    decomposition.) Callers size chunks with [`adaptive_chunk`]; the
+//!    workspace's `clippy.toml` rejects [`Parallelism::threads`] outside
+//!    this crate and `ExecPolicy::effective_threads`, which only reports
+//!    the count.
 //! 2. **Ordered merges.** Each spawned worker returns its chunk results,
 //!    tagged with their chunk positions, through its join handle; the
 //!    calling thread places them by position and merges them *in chunk
@@ -87,6 +90,7 @@ impl Parallelism {
     }
 
     /// Does this policy run everything inline on the calling thread?
+    #[allow(clippy::disallowed_methods)]
     pub fn is_sequential(self) -> bool {
         self.threads() <= 1
     }
@@ -127,6 +131,7 @@ pub fn adaptive_chunk(items: usize, cost_per_item: usize) -> usize {
 /// The decomposition depends only on `items.len()` and `chunk_size`, never
 /// on the thread count, so downstream order-sensitive merges see the same
 /// chunk results at any [`Parallelism`].
+#[allow(clippy::disallowed_methods)]
 pub fn par_chunks<T: Sync, R: Send>(
     items: &[T],
     chunk_size: usize,
@@ -140,6 +145,7 @@ pub fn par_chunks<T: Sync, R: Send>(
 ///
 /// Chunking is internal (by thread count) — valid here because each output
 /// depends only on its own item, so the decomposition cannot show through.
+#[allow(clippy::disallowed_methods)]
 pub fn par_map<T: Sync, R: Send>(
     items: &[T],
     pol: Parallelism,
@@ -226,6 +232,7 @@ fn chunk_at<T>(items: &[T], i: usize, chunk_size: usize) -> &[T] {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

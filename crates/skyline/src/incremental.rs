@@ -22,9 +22,9 @@
 //! buffer never "runs out" — promotion is exact with no regional
 //! recompute needed. The maintained skyline is the same *set* the batch
 //! operators compute, and [`IncrementalSkyline::skyline`] keeps it
-//! ascending, so it is bit-identical to [`crate::skyline`] /
-//! [`crate::skyline_2d`] over the same rows (`tests` below enforce this
-//! against recomputation).
+//! ascending, so it is bit-identical to [`crate::skyline`] over the same
+//! rows (`tests` below enforce this against recomputation). HDRRM's
+//! prepared handle keeps one to maintain its skyline candidate mask.
 
 use rrm_core::{AppliedUpdate, Dataset};
 
@@ -33,12 +33,10 @@ use crate::skyhd::{sfs, NO_DOM};
 
 /// A skyline kept current under insert/delete batches.
 ///
-/// The structure does not own the dataset; callers pass the dataset the
-/// indices refer to (pre-update for [`IncrementalSkyline::build`],
-/// post-update for [`IncrementalSkyline::apply`]). This lets one
-/// implementation serve both raw datasets and derived ones (e.g. the 2D
-/// solvers' dual-extreme transform), where the update bookkeeping is the
-/// same but the row values differ.
+/// The structure does not own the dataset: [`IncrementalSkyline::build`]
+/// reads the rows its indices refer to, and
+/// [`IncrementalSkyline::apply_update`] the post-update rows an
+/// [`AppliedUpdate`] carries.
 #[derive(Debug, Clone)]
 pub struct IncrementalSkyline {
     /// Skyline member indices, ascending.
@@ -75,16 +73,11 @@ impl IncrementalSkyline {
         &self.mask
     }
 
-    /// Is tuple `i` on the skyline?
-    pub fn is_member(&self, i: u32) -> bool {
-        self.mask[i as usize]
-    }
-
-    /// Apply one update batch. `new_data` is the post-update dataset the
-    /// structure's indices will refer to afterwards; `remap` maps old
-    /// indices to new ones (`None` = deleted) and `inserted` lists the new
-    /// indices of appended rows, exactly as in [`AppliedUpdate`].
-    pub fn apply(&mut self, new_data: &Dataset, remap: &[Option<u32>], inserted: &[u32]) {
+    /// Apply one update batch: afterwards the structure's indices refer to
+    /// `upd.new`, old indices map through `upd.remap` (`None` = deleted)
+    /// and `upd.inserted` lists the new indices of appended rows.
+    pub fn apply_update(&mut self, upd: &AppliedUpdate) {
+        let (new_data, remap) = (&upd.new, &upd.remap);
         let n_old = self.dom_of.len();
         assert_eq!(remap.len(), n_old, "remap arity must match the maintained dataset");
         let n_new = new_data.n();
@@ -127,7 +120,7 @@ impl IncrementalSkyline {
 
         // 3. Inserts, one at a time: dominance check against current
         //    members; survivors demote the members they dominate.
-        for &j in inserted {
+        for &j in &upd.inserted {
             let row = new_data.row(j as usize);
             match work_sky.iter().find(|&&s| dominates(new_data.row(s as usize), row)) {
                 Some(&s) => dom_of[j as usize] = s,
@@ -154,12 +147,6 @@ impl IncrementalSkyline {
         self.mask = mask;
         self.dom_of = dom_of;
     }
-
-    /// [`IncrementalSkyline::apply`] driven directly by an
-    /// [`AppliedUpdate`] over the raw dataset.
-    pub fn apply_update(&mut self, upd: &AppliedUpdate) {
-        self.apply(&upd.new, &upd.remap, &upd.inserted);
-    }
 }
 
 #[cfg(test)]
@@ -183,8 +170,8 @@ mod tests {
             let data = Dataset::from_rows(&rows).unwrap();
             let inc = IncrementalSkyline::build(&data);
             assert_eq!(inc.skyline(), skyline(&data).as_slice(), "d={d}");
-            for i in 0..data.n() as u32 {
-                assert_eq!(inc.is_member(i), skyline(&data).contains(&i));
+            for i in 0..data.n() {
+                assert_eq!(inc.mask()[i], skyline(&data).contains(&(i as u32)));
             }
         }
     }
@@ -210,7 +197,7 @@ mod tests {
         let data = Dataset::from_rows(&rows).unwrap();
         let inc = IncrementalSkyline::build(&data);
         for i in 0..data.n() {
-            if !inc.is_member(i as u32) {
+            if !inc.mask()[i] {
                 let d = inc.dom_of[i];
                 assert_ne!(d, NO_DOM);
                 assert!(dominates(data.row(d as usize), data.row(i)), "tuple {i}");

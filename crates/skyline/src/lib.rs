@@ -9,8 +9,7 @@
 //! * [`sky2d`] — `O(n log n)` sort-and-sweep skyline for `d = 2`;
 //! * [`skyhd`] — sort-filter skyline (SFS) for arbitrary `d`;
 //! * [`restricted`] — `Sky_U(D)` for polyhedral spaces (exact, via LP, with
-//!   an `O(n log n)` specialization for 2D cones) and a sampled
-//!   approximation for non-polyhedral spaces;
+//!   an `O(n log n)` specialization for 2D cones);
 //! * [`incremental`] — a skyline kept current under insert/delete batches
 //!   via a dominated-by-one buffer, for `Session::update`.
 
@@ -22,6 +21,6 @@ pub mod skyhd;
 
 pub use dominance::{dominates, u_dominates};
 pub use incremental::IncrementalSkyline;
-pub use restricted::{u_skyline, u_skyline_sampled};
+pub use restricted::u_skyline;
 pub use sky2d::skyline_2d;
 pub use skyhd::skyline;

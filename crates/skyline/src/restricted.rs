@@ -19,8 +19,7 @@ const TOL: f64 = 1e-9;
 /// * Polyhedral `U`, `d > 2` — exact: pre-filter with the classic skyline
 ///   (every U-dominated tuple is U-dominated by a skyline member), then
 ///   pairwise LP tests among the survivors.
-/// * Non-polyhedral `U` — [`RrmError::InvalidSpace`]; use
-///   [`u_skyline_sampled`] instead.
+/// * Non-polyhedral `U` — [`RrmError::InvalidSpace`].
 pub fn u_skyline(data: &Dataset, space: &dyn UtilitySpace) -> Result<Vec<u32>, RrmError> {
     if space.dim() != data.dim() {
         return Err(RrmError::DimensionMismatch { expected: data.dim(), got: space.dim() });
@@ -29,9 +28,7 @@ pub fn u_skyline(data: &Dataset, space: &dyn UtilitySpace) -> Result<Vec<u32>, R
         return Ok(skyline(data));
     }
     let Some(rows) = space.cone_rows() else {
-        return Err(RrmError::InvalidSpace(
-            "u_skyline needs a polyhedral space; use u_skyline_sampled for caps".into(),
-        ));
+        return Err(RrmError::InvalidSpace("u_skyline needs a polyhedral space".into()));
     };
     if data.dim() == 2 {
         let (c0, c1) = normalized_interval_2d(&rows)
@@ -54,74 +51,20 @@ pub fn u_skyline(data: &Dataset, space: &dyn UtilitySpace) -> Result<Vec<u32>, R
 }
 
 /// Exact `Sky_U(D)` for a 2D cone whose normalized weights span `[c0, c1]`:
-/// plain 2D skyline over the scores at the two extreme directions.
+/// every row becomes its [`u_scores_2d`] under the cone's two extreme
+/// weights `(c0, 1-c0)` and `(c1, 1-c1)`, where U-dominance over the cone
+/// is plain dominance, and the plain skyline of those rows is the answer.
 pub fn u_skyline_2d(data: &Dataset, c0: f64, c1: f64) -> Vec<u32> {
-    skyline(&u_transform_2d(data, c0, c1))
-}
-
-/// The extreme-direction score transform behind [`u_skyline_2d`]: row `t`
-/// becomes its scores under the cone's two extreme weights `(c0, 1-c0)`
-/// and `(c1, 1-c1)`, so U-dominance over the cone is plain dominance in
-/// the transformed space. Exposed so incremental maintainers can keep a
-/// skyline over the transformed rows current without re-deriving the
-/// transform.
-pub fn u_transform_2d(data: &Dataset, c0: f64, c1: f64) -> Dataset {
     assert_eq!(data.dim(), 2);
     assert!(c0 <= c1);
     let transformed: Vec<[f64; 2]> = data.rows().map(|t| u_scores_2d(t, c0, c1)).collect();
-    Dataset::from_rows(&transformed).expect("finite transform")
+    skyline(&Dataset::from_rows(&transformed).expect("finite transform"))
 }
 
-/// One row of [`u_transform_2d`]: `t`'s scores at the low and the high
-/// extreme weight.
+/// Row `t`'s scores at the low and the high extreme weight of a 2D cone.
 #[inline]
 pub fn u_scores_2d(t: &[f64], c0: f64, c1: f64) -> [f64; 2] {
     [c0 * t[0] + (1.0 - c0) * t[1], c1 * t[0] + (1.0 - c1) * t[1]]
-}
-
-/// Sampled over-approximation of U-dominance for non-polyhedral spaces:
-/// `a` is deemed to U-dominate `b` when it scores at least as high on every
-/// sampled direction and strictly higher on one. More samples → fewer false
-/// prunes; the result always contains at least one top-1 tuple for each
-/// sampled direction.
-pub fn u_skyline_sampled(
-    data: &Dataset,
-    space: &dyn UtilitySpace,
-    samples: usize,
-    rng: &mut dyn rand::RngCore,
-) -> Vec<u32> {
-    assert!(samples >= 1);
-    let dirs: Vec<Vec<f64>> = (0..samples).map(|_| space.sample_direction(rng)).collect();
-    let candidates = skyline(data);
-    // Score matrix: candidate x direction.
-    let scores: Vec<Vec<f64>> = candidates
-        .iter()
-        .map(|&t| dirs.iter().map(|u| rrm_core::utility::dot(u, data.row(t as usize))).collect())
-        .collect();
-    let mut out = Vec::new();
-    'outer: for (i, &t) in candidates.iter().enumerate() {
-        for j in 0..candidates.len() {
-            if i == j {
-                continue;
-            }
-            let mut ge_all = true;
-            let mut gt_some = false;
-            for (&sj, &si) in scores[j].iter().zip(&scores[i]) {
-                if sj < si - TOL {
-                    ge_all = false;
-                    break;
-                }
-                if sj > si + TOL {
-                    gt_some = true;
-                }
-            }
-            if ge_all && gt_some {
-                continue 'outer; // t pruned
-            }
-        }
-        out.push(t);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -234,24 +177,6 @@ mod tests {
             let scores = rrm_core::utility::utilities(&d, &u);
             let top = rrm_core::rank::argsort_desc(&scores)[0];
             assert!(restricted.contains(&top), "top-1 {top} pruned for {u:?}");
-        }
-    }
-
-    #[test]
-    fn sampled_u_skyline_for_cap() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let rows: Vec<Vec<f64>> =
-            (0..40).map(|_| (0..3).map(|_| rng.random::<f64>()).collect()).collect();
-        let d = Dataset::from_rows(&rows).unwrap();
-        let cap = SphereCap::new(&[1.0, 1.0, 1.0], 0.3);
-        let sky = u_skyline_sampled(&d, &cap, 200, &mut rng);
-        assert!(!sky.is_empty());
-        // Contains the top-1 for sampled members of the cap.
-        for _ in 0..100 {
-            let u = cap.sample_direction(&mut rng);
-            let scores = rrm_core::utility::utilities(&d, &u);
-            let top = rrm_core::rank::argsort_desc(&scores)[0];
-            assert!(sky.contains(&top));
         }
     }
 }

@@ -156,12 +156,6 @@ impl Request {
         self
     }
 
-    /// [`Request::within`] for an already-shared space.
-    pub fn within_arc(mut self, space: Arc<dyn UtilitySpace>) -> Self {
-        self.space = Some(space);
-        self
-    }
-
     /// Which problem direction this request asks for.
     pub fn kind(&self) -> TaskKind {
         match self.task {
@@ -265,9 +259,9 @@ pub enum AlgoChoice {
 /// Per-algorithm tuning carried by an [`Engine`], for the three
 /// algorithms whose options callers set (sample counts, δ, γ and the
 /// ablation switches); `Default` mirrors the paper's experimental
-/// settings. The other six register with their solvers' defaults. The
-/// thread policy is not tuning: set it with [`Engine::with_exec`] or
-/// [`Session::exec`].
+/// settings. The other six are unit structs whose settings are
+/// constants. The thread policy is not tuning: set it with
+/// [`Engine::with_exec`] or [`Session::exec`].
 #[derive(Debug, Clone, Default)]
 pub struct Tuning {
     pub hdrrm: HdrrmOptions,
@@ -301,10 +295,10 @@ impl Engine {
             Box::new(HdrrmSolver::new(t.hdrrm)),
             Box::new(MdrrrSolver),
             Box::new(MdrrrRSolver::new(t.mdrrr_r)),
-            Box::new(MdrcSolver::default()),
+            Box::new(MdrcSolver),
             Box::new(MdrmsSolver::new(t.mdrms)),
-            Box::new(BruteForceSolver::default()),
-            Box::new(SampledSolver::default()),
+            Box::new(BruteForceSolver),
+            Box::new(SampledSolver),
         ];
         debug_assert!(
             solvers.iter().enumerate().all(|(i, s)| s.algorithm().index() == i),
@@ -624,11 +618,6 @@ impl Session {
         let epoch = next.epoch;
         *write(&self.snapshot) = Arc::new(next);
         Ok(epoch)
-    }
-
-    /// The utility space queries run over.
-    pub fn utility_space(&self) -> &dyn UtilitySpace {
-        self.space.as_ref()
     }
 
     /// The engine behind this session.

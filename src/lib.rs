@@ -180,7 +180,7 @@
 //! | [`core`](rrm_core) | datasets, utility spaces, ranking primitives, the [`Solver`] trait, [`Budget`], brute force, the sampled-ε spec and direction stream (`rrm_core::approx`) |
 //! | [`algos2d`](rrm_2d) | 2DRRM (exact) + 2DRRR baseline solvers, Pareto frontier |
 //! | [`algoshd`](rrm_hd) | HDRRM/ASMS, MDRRR, MDRRRr, MDRC, MDRMS solvers, the sampled-ε tier's solver (`rrm_hd::sampled`) |
-//! | [`skyline`](rrm_skyline) | skyline and restricted U-skyline |
+//! | [`skyline`](rrm_skyline) | skyline, restricted U-skyline, the incremental skyline HDRRM maintains |
 //! | [`geom`](rrm_geom) | dual arrangement, polar grids |
 //! | [`lp`](rrm_lp) | dense two-phase simplex |
 //! | [`setcover`](rrm_setcover) | lazy greedy set cover, interval cover |
@@ -205,7 +205,6 @@ pub use rrm_core::{
     PreparedSolver, RrmError, Solution, Solver, SphereCap, TerminatedBy, UpdateOp, UtilitySpace,
     WeakRankingSpace,
 };
-pub use rrm_hd::SampledOptions;
 
 pub mod cli;
 pub mod engine;

@@ -8,8 +8,7 @@
 use rank_regret::prelude::*;
 use rank_regret::rrm_core::approx::{hoeffding_directions, sample_directions};
 use rank_regret::rrm_core::kernel;
-use rank_regret::rrm_data::scenario::{matrix, Region};
-use rank_regret::rrm_hd::sampled::solve_rrm_sampled_with;
+use rank_regret::rrm_data::scenario::{matrix, Region, Scenario};
 use rank_regret::{ApproxSpec, Fidelity, TerminatedBy};
 
 /// Worst rank of `indices` over an independent direction sample — the
@@ -39,28 +38,22 @@ fn audited_violation_fraction(
 
 #[test]
 fn coverage_holds_at_rate_one_minus_delta_across_scenario_shapes() {
-    // Every workload shape at d = 4 under the full space: repeated sampled
-    // solves under fresh seeds, each certificate audited on an independent
-    // direction sample. A trial passes when the audited violation fraction
-    // stays within ε; the pass rate must reach 1 − δ per shape.
+    // Every workload shape at d = 4 under the full space: sampled solves of
+    // independently drawn datasets (the tier's direction stream is fixed,
+    // so a trial draws fresh rows), each certificate audited on an
+    // independent direction sample. A trial passes when the audited
+    // violation fraction stays within ε; the pass rate must reach 1 − δ
+    // per shape.
     let spec = ApproxSpec { eps: 0.15, delta: 0.1 };
     let (n, r, trials, eval_dirs) = (300usize, 4usize, 12usize, 600usize);
+    let (engine, request) = (Engine::new(), Request::minimize(r).approx(spec.eps, spec.delta));
     for cell in matrix().into_iter().filter(|c| c.d == 4 && c.region == Region::Full) {
-        let data = cell.dataset(n);
         let space = cell.space();
         let mut passes = 0usize;
         for t in 0..trials {
             let seed = 0xBEEF_0000 + cell.seed + 31 * t as u64;
-            let sol = solve_rrm_sampled_with(
-                &data,
-                r,
-                space.as_ref(),
-                spec,
-                None,
-                seed,
-                ExecPolicy::default(),
-            )
-            .unwrap();
+            let data = Scenario { seed, ..cell }.dataset(n);
+            let sol = engine.run(&data, space.as_ref(), &request).unwrap();
             let k_hat = sol.certified_regret.expect("sampled tier certifies over its sample");
             let frac = audited_violation_fraction(
                 &data,

@@ -44,7 +44,7 @@ fn hdrrm_beats_heuristics_on_anticorrelated() {
     // here): a starved discretization loses the quality edge the figures
     // show.
     let h = run_rrm(&HdrrmSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
-    let c = run_rrm(&MdrcSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
+    let c = run_rrm(&MdrcSolver, &data, r, &FullSpace::new(4)).unwrap();
     let m = run_rrm(&MdrmsSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
 
     let kh = measured_regret(&data, &h.indices, 1);
@@ -79,13 +79,9 @@ fn mdrms_good_ratio_bad_rank() {
     // Section II: minimizing regret-ratio does not minimize rank-regret.
     let data = anticorrelated(2_000, 4, 406);
     let r = 10;
-    let rms = run_rrm(
-        &MdrmsSolver::new(MdrmsOptions { samples: 8_000, ..Default::default() }),
-        &data,
-        r,
-        &FullSpace::new(4),
-    )
-    .unwrap();
+    let rms =
+        run_rrm(&MdrmsSolver::new(MdrmsOptions { samples: 8_000 }), &data, r, &FullSpace::new(4))
+            .unwrap();
     let h = run_rrm(&HdrrmSolver::default(), &data, r, &FullSpace::new(4)).unwrap();
     let ratio_rms =
         estimate_regret_ratio(&data, &rms.indices, &FullSpace::new(4), SAMPLES, 3).max_ratio;
