@@ -22,10 +22,21 @@
 //! set share one [`CoverIndex`], which the search keeps while it probes
 //! that set and which each probe extends to its own depth, so a probe
 //! walks only the candidate entries of the directions it covers.
+//!
+//! A warm search scores nothing its handle keeps. It takes one snapshot
+//! of the frame's kept lists: the coarse pass starts from their prefix,
+//! and the frame-wide bound of each incumbent before the deep pass (the
+//! coarse answer's `U`, a limited search's fallback's) is one plus the
+//! position of the set's first member in each list, counted only for the
+//! directions whose list holds none ([`max_rank_regret_kept`]). Kept lists
+//! are exact prefixes of the order the count ranks in, so `U`, the deep
+//! pass's depth, every answer, node and prune, and every curve bound are
+//! a cold search's. The snapshot is let go before the deep pass.
 
 use std::sync::Arc;
 
 use rrm_core::approx::sample_directions;
+use rrm_core::memo::lock;
 use rrm_core::rank::max_rank_regret;
 use rrm_core::{
     threshold_search, Algorithm, AnytimeSearch, Bounds, Budget, Dataset, ExecPolicy, Parallelism,
@@ -33,7 +44,7 @@ use rrm_core::{
 };
 
 use crate::asms::{asms_with_topk_capped, AsmsProbe, CoverIndex};
-use crate::common::{ListCache, ListSource, TopkLists};
+use crate::common::{max_rank_regret_kept, ListCache, ListSource, TopkLists};
 use crate::mdrrr_r::kset_family;
 
 /// Fraction of the frame used as the coarse frame (its *prefix*, so
@@ -87,9 +98,12 @@ impl CoverSearch<'_> {
     /// incumbent, whose frame-wide bound `U` sets the depth of the one
     /// deep top-k pass (the first doubling probe at or above `U`); then
     /// the doubling-then-binary search, whose probes read prefixes of the
-    /// kept lists. An early stop returns the best incumbent with sound
-    /// [`Bounds`]. Without a time limit the answer is bit-identical at any
-    /// thread count.
+    /// kept lists. Both incumbents' bounds and the coarse pass read the
+    /// lists `cache` already keeps for the frame, and score only what those
+    /// lists do not reach; with nothing kept they score the whole frame.
+    /// An early stop returns the best incumbent with sound [`Bounds`].
+    /// Without a time limit the answer is bit-identical at any thread
+    /// count.
     pub fn solve_rrm(
         &self,
         r: usize,
@@ -103,9 +117,14 @@ impl CoverSearch<'_> {
             return Err(RrmError::OutputSizeTooSmall { requested: r, minimum });
         }
         self.check_frame(dirs)?;
+        // The frame's kept lists, read by the incumbents' bounds and the
+        // coarse pass alone.
+        let kept = lock(cache).get(&key).cloned();
         // A measured, sound frame-relative upper bound for a candidate.
         let regret = |set: &[u32]| {
-            max_rank_regret(self.data, dirs, set, self.pol).expect("the frame is not empty")
+            let lists = kept.as_ref().map(|(_, lists)| lists.as_slice());
+            max_rank_regret_kept(self.data, dirs, set, lists, self.pol)
+                .expect("the frame is not empty")
         };
         if search.is_limited() {
             let fallback = uniform_top_set(self.data, self.basis, r);
@@ -114,13 +133,17 @@ impl CoverSearch<'_> {
         }
         // Coarse-to-fine first incumbent: the whole search on a prefix of
         // the frame, whose answer fits `r`, measured over the full frame.
-        // Coarse probes never consume the probe budget; their nodes and
-        // prunes join the main report.
+        // Its private cache starts with the kept lists' prefix. Coarse
+        // probes never consume the probe budget; their nodes and prunes
+        // join the main report.
         let coarse = &dirs[..dirs.len() / COARSE_FRACTION];
         if coarse.len() >= COARSE_MIN_DIRS {
-            let kept = ListCache::default();
+            let seeded = ListCache::default();
+            if let Some((depth, lists)) = &kept {
+                lock(&seeded).insert(0, (*depth, Arc::new(lists[..coarse.len()].to_vec())));
+            }
             let mut sub = AnytimeSearch::unlimited();
-            let outcome = self.search(r, &self.source(coarse, 0, &kept, 0), &mut sub)?;
+            let outcome = self.search(r, &self.source(coarse, 0, &seeded, 0), &mut sub)?;
             search.report.nodes += sub.report.nodes;
             search.report.pruned_probes += sub.report.pruned_probes;
             if let Some((_, q)) = outcome.best {
@@ -128,6 +151,8 @@ impl CoverSearch<'_> {
                 search.offer(q, upper, 1);
             }
         }
+        // Let the snapshot go, so the deep pass never holds two list sets.
+        drop(kept);
         // The deep pass goes to the first doubling probe at or above the
         // incumbent's bound, so a search whose greedy covers are monotone
         // never scores the frame again.

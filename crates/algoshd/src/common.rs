@@ -1,6 +1,7 @@
-//! Shared machinery for the HD algorithms: the batch top-1 kernel, and
-//! the top-k list source behind the anytime cover search that HDRRM and
-//! MDRRRr run.
+//! Shared machinery for the HD algorithms: the batch top-1 kernel, the
+//! top-k list source behind the anytime cover search that HDRRM and
+//! MDRRRr run, and the frame-wide bound of its incumbents, read off the
+//! kept lists where they reach the incumbent.
 //! All dot products route through the blocked SoA kernel
 //! ([`rrm_core::kernel`]); top-k lists come from
 //! [`rrm_core::rank::batch_top_k_until`].
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex};
 
 use rrm_core::kernel::{self, ScoreScratch};
 use rrm_core::memo::lock;
-use rrm_core::rank::batch_top_k_until;
+use rrm_core::rank::{batch_top_k_until, max_rank_regret};
 use rrm_core::{Dataset, Parallelism, PREPARED_CACHE_CAP};
 
 /// Default memory budget for keeping top-k lists between probes, in
@@ -38,7 +39,8 @@ pub(crate) type TopkLists = Arc<Vec<Vec<u32>>>;
 /// deepest lists computed so far. A kept depth `D` means each list is the
 /// top-`D` prefix, cut after its stop when the source stops. A prepared
 /// handle shares one across its queries; the coarse pass of a search
-/// holds its own. At most [`PREPARED_CACHE_CAP`] keys are kept, and a
+/// holds its own, which starts with the prefix of the handle's kept lists
+/// for the frame. At most [`PREPARED_CACHE_CAP`] keys are kept, and a
 /// kept key's lists only deepen.
 pub(crate) type ListCache = Mutex<HashMap<usize, (usize, TopkLists)>>;
 
@@ -123,6 +125,54 @@ impl ListSource<'_> {
     }
 }
 
+/// Worst rank-regret of `set` over `dirs` ([`max_rank_regret`]'s value),
+/// read off `kept`, the frame's kept top-k lists, where they reach the
+/// set; `None` for an empty frame.
+///
+/// A kept list is an exact prefix of its direction's order (score
+/// descending, index ascending, `-0.0` equal to `0.0`), the order the
+/// fused count ranks in. Where it holds a member of `set`, the first one
+/// is the set's best, and its rank is one plus its position. Only the
+/// directions whose list holds none, or every direction when nothing is
+/// kept, are scored and counted, by [`max_rank_regret`] itself. Nothing
+/// assumes `set` holds the lists' stops.
+pub(crate) fn max_rank_regret_kept(
+    data: &Dataset,
+    dirs: &[Vec<f64>],
+    set: &[u32],
+    kept: Option<&[Vec<u32>]>,
+    pol: Parallelism,
+) -> Option<usize> {
+    let (read, counted) = read_kept(data.n(), dirs, set, kept);
+    read.max(max_rank_regret(data, &counted, set, pol))
+}
+
+/// [`max_rank_regret_kept`]'s read of the kept lists of `n` tuples: the
+/// worst rank the lists that hold a member of `set` give, and the
+/// directions whose list holds none, which are left to the count.
+fn read_kept<'d>(
+    n: usize,
+    dirs: &'d [Vec<f64>],
+    set: &[u32],
+    kept: Option<&[Vec<u32>]>,
+) -> (Option<usize>, Vec<&'d [f64]>) {
+    let lists = kept.unwrap_or_default();
+    debug_assert!(kept.is_none_or(|lists| lists.len() == dirs.len()), "one list per direction");
+    let mut member = vec![false; n];
+    for &t in set {
+        member[t as usize] = true;
+    }
+    let mut read = None;
+    let mut counted = Vec::new();
+    for (i, u) in dirs.iter().enumerate() {
+        match lists.get(i).and_then(|list| list.iter().position(|&t| member[t as usize])) {
+            Some(p) => read = read.max(Some(p + 1)),
+            None => counted.push(u.as_slice()),
+        }
+    }
+    (read, counted)
+}
+
 /// Compute the top-1 score of the dataset for every direction, chunked
 /// over `pol`'s worker threads (the denominator of the regret-ratio in
 /// MDRMS). Output order follows `dirs`.
@@ -144,8 +194,8 @@ pub fn batch_top1_scores(data: &Dataset, dirs: &[Vec<f64>], pol: Parallelism) ->
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rrm_core::rank::batch_top_k;
+    use rand::{Rng, SeedableRng};
+    use rrm_core::rank::{batch_rank_regret, batch_top_k};
     use rrm_core::sampling::orthant_direction;
     use rrm_core::utility;
     use rrm_data::synthetic::independent;
@@ -245,6 +295,76 @@ mod tests {
         let none = source(&data, &dirs, 0, 24, &empty);
         assert_eq!(none.lists(2), (2, Arc::new(fresh(2))));
         assert_eq!(kept_depth(&empty), None);
+    }
+
+    /// Rows of `d` attributes drawn from `pool`.
+    fn drawn(n: usize, d: usize, pool: &[f64], seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..d).map(|_| pool[rng.random_range(0..pool.len())]).collect())
+            .collect();
+        Dataset::from_rows(&rows).unwrap()
+    }
+
+    #[test]
+    fn kept_bound_matches_the_full_count() {
+        // Random rows; heavily tied rows, -0.0 beside 0.0; and rows whose
+        // scores underflow or overflow to ties at +inf.
+        let shapes = [
+            ("random", independent(300, 4, 8)),
+            ("quantized", drawn(300, 4, &[-0.0, 0.0, 0.25, 0.5, 1.0], 9)),
+            ("extreme", drawn(300, 4, &[0.0, 1e-300, 1.0, 1e300, 1.7e308], 10)),
+        ];
+        let dirs = dirs(4, 60, 11);
+        let pols = [Parallelism::Sequential, Parallelism::Fixed(2), Parallelism::Fixed(7)];
+        let mut rng = StdRng::seed_from_u64(12);
+        for (name, data) in &shapes {
+            let n = data.n();
+            let basis = rrm_core::basis_indices(data);
+            // Sets that hold the stops, that hold none of them, and one
+            // that holds a single tuple.
+            let mut sets = vec![basis.clone(), vec![rng.random_range(0..n as u32)]];
+            for size in [3, 6] {
+                let set: Vec<u32> = (0..size)
+                    .map(|_| rng.random_range(0..n as u32))
+                    .filter(|t| !basis.contains(t))
+                    .collect();
+                sets.extend((!set.is_empty()).then_some(set));
+            }
+            let mut mixed = 0;
+            for set in &sets {
+                let want = max_rank_regret(data, &dirs, set, Parallelism::Sequential);
+                let mut ranks = batch_rank_regret(data, &dirs, set, Parallelism::Sequential);
+                ranks.sort_unstable();
+                let middle = ranks[ranks.len() / 2];
+                for stops in [&[][..], &basis[..]] {
+                    for depth in [1, middle.saturating_sub(1).max(1), middle, want.unwrap(), n] {
+                        let lists =
+                            batch_top_k_until(data, &dirs, depth, stops, Parallelism::Sequential);
+                        let (read, counted) = read_kept(n, &dirs, set, Some(&lists));
+                        mixed += usize::from(read.is_some() && !counted.is_empty());
+                        if stops.is_empty() && depth >= want.unwrap() {
+                            assert!(counted.is_empty(), "{name}: full lists reach every rank");
+                        }
+                        for pol in pols {
+                            let got = max_rank_regret_kept(data, &dirs, set, Some(&lists), pol);
+                            assert_eq!(got, want, "{name} {set:?} stops {stops:?} depth {depth}");
+                        }
+                    }
+                }
+                let (read, counted) = read_kept(n, &dirs, set, None);
+                assert_eq!((read, counted.len()), (None, dirs.len()), "{name}: nothing kept");
+                for pol in pols {
+                    assert_eq!(max_rank_regret_kept(data, &dirs, set, None, pol), want, "{name}");
+                }
+            }
+            assert!(mixed > 0, "{name}: no call both read lists and counted directions");
+        }
+        let data = independent(20, 2, 13);
+        assert_eq!(
+            max_rank_regret_kept(&data, &[], &[1], Some(&[]), Parallelism::Sequential),
+            None
+        );
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use std::sync::Arc;
 
 use crate::anytime::{Bounds, SearchReport, TerminatedBy};
+use crate::approx::Fidelity;
 use crate::dataset::Dataset;
 use crate::error::RrmError;
 use crate::solver::DimRange;
@@ -274,6 +275,16 @@ impl Solution {
     /// when the solver tracks no bounds).
     pub fn gap(&self) -> Option<f64> {
         self.bounds.map(|b| b.gap())
+    }
+
+    /// The fidelity the answer was computed at: approximate for a
+    /// sampled-ε answer ([`TerminatedBy::Sampled`]), whichever fidelity the
+    /// request asked for, and exact otherwise.
+    pub fn fidelity(&self) -> Fidelity {
+        match self.terminated_by {
+            TerminatedBy::Sampled { eps, delta, .. } => Fidelity::Approx { eps, delta },
+            _ => Fidelity::Exact,
+        }
     }
 
     /// Number of tuples in the representative set.

@@ -81,10 +81,11 @@ pub fn rank_regret_from_scores(scores: &[f64], indices: &[u32]) -> usize {
 
 /// Worst-case (maximum) rank-regret of a set over `dirs`: the sampled
 /// estimate `∇D(S)` the search-based solvers bound against. Parallel form
-/// of `dirs.iter().map(|u| rank_regret_of_set(..)).max()`.
-pub fn max_rank_regret(
+/// of `dirs.iter().map(|u| rank_regret_of_set(..)).max()`; `None` when
+/// `dirs` is empty.
+pub fn max_rank_regret<U: AsRef<[f64]> + Sync>(
     data: &Dataset,
-    dirs: &[Vec<f64>],
+    dirs: &[U],
     indices: &[u32],
     pol: Parallelism,
 ) -> Option<usize> {
@@ -100,7 +101,7 @@ pub fn max_rank_regret(
             let mut scratch = ScoreScratch::new();
             chunk
                 .iter()
-                .map(|u| rank_regret_of_set_into(data, u, indices, &mut scratch))
+                .map(|u| rank_regret_of_set_into(data, u.as_ref(), indices, &mut scratch))
                 .max()
                 .expect("chunk >= 1")
         },
@@ -714,7 +715,8 @@ mod tests {
         for pol in [Parallelism::Sequential, Parallelism::Fixed(2), Parallelism::Fixed(7)] {
             assert_eq!(max_rank_regret(&d, &dirs, &set, pol), serial, "{pol:?}");
         }
-        assert_eq!(max_rank_regret(&d, &[], &set, Parallelism::Sequential), None);
+        let none: &[Vec<f64>] = &[];
+        assert_eq!(max_rank_regret(&d, none, &set, Parallelism::Sequential), None);
     }
 
     #[test]

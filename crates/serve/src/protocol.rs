@@ -311,17 +311,12 @@ pub fn ok_response(
 ) -> Json {
     let indices =
         Json::Arr(response.solution.indices.iter().map(|&i| Json::from(i as u64)).collect());
-    let fidelity = if matches!(response.solution.terminated_by, TerminatedBy::Sampled { .. }) {
-        "approx"
-    } else {
-        "exact"
-    };
     let mut fields = vec![
         ("id".into(), id_json(id)),
         ("status".into(), "ok".into()),
         ("tenant".into(), tenant.into()),
         ("algorithm".into(), response.solution.algorithm.name().into()),
-        ("fidelity".into(), fidelity.into()),
+        ("fidelity".into(), response.solution.fidelity().name().into()),
         ("size".into(), response.solution.indices.len().into()),
         ("indices".into(), indices),
         (

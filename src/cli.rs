@@ -502,7 +502,7 @@ fn render_json(
         d = data.dim(),
         param = request.param(),
         algo = sol.algorithm,
-        fidelity = request.fidelity.name(),
+        fidelity = sol.fidelity().name(),
         indices = indices.join(","),
         size = sol.size(),
         terminated = sol.terminated_by.name(),
@@ -883,6 +883,26 @@ mod tests {
         .unwrap();
         assert!(report.contains("\"fidelity\":\"exact\""), "{report}");
         assert!(report.contains("\"confidence\":null"), "{report}");
+    }
+
+    #[test]
+    fn a_forced_sampled_answer_reports_its_own_fidelity() {
+        // An exact request pinned to the sampled tier gets a sampled-ε
+        // answer, and the report states the answer's fidelity, as a
+        // served response does.
+        let dir = std::env::temp_dir().join("rrm_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("forced_sampled.csv");
+        std::fs::write(&path, "a,b\n0.0,1.0\n0.4,0.95\n0.57,0.75\n0.79,0.6\n1.0,0.0\n").unwrap();
+        let report = run(&parse_args(&argv(&format!(
+            "minimize --input {} --size 1 --algo sampled --format json",
+            path.display()
+        )))
+        .unwrap())
+        .unwrap();
+        assert!(report.contains("\"terminated_by\":\"sampled\""), "{report}");
+        assert!(report.contains("\"fidelity\":\"approx\""), "{report}");
+        assert!(report.contains("\"confidence\":{\"eps\":"), "{report}");
     }
 
     #[test]

@@ -127,9 +127,10 @@
 //! ```
 //!
 //! The same dimension flows end to end: over the serve wire protocol
-//! (`"approx": {"eps": 0.05, "delta": 0.05}` in a request; responses echo
-//! `"fidelity"` and a `"confidence"` block) and on the CLI
-//! (`rrm --approx 0.05,0.05 ...`).
+//! (`"approx": {"eps": 0.05, "delta": 0.05}` in a request; responses state
+//! the answer's `"fidelity"`, [`Solution::fidelity`], and a `"confidence"`
+//! block) and on the CLI (`rrm --approx 0.05,0.05 ...`, whose JSON report
+//! states them the same way).
 //!
 //! ## One request type, one solve path
 //!

@@ -10,6 +10,7 @@
 use rank_regret::prelude::*;
 use rank_regret::rrm_2d::full_sweep_rrm;
 use rank_regret::rrm_data::synthetic::{anticorrelated, independent};
+use rank_regret::{Bounds, TaskKind, Tuning};
 
 /// Budget shared by both handles: sample counts keep the randomized
 /// solvers fast, the enumeration/LP caps keep MDRRR's exact k-set
@@ -296,4 +297,80 @@ fn facade_builders_ride_the_session_path() {
         let via_facade = session.run(&request).unwrap().solution;
         assert_eq!(Ok(via_facade), fresh(&engine, &data, &request), "{request:?}");
     }
+}
+
+/// The deterministic part of an answer's search report: its nodes, its
+/// pruned probes and each curve point's bounds, without their times.
+fn search_work(solution: &Solution) -> Option<(u64, u64, Vec<Bounds>)> {
+    solution
+        .report
+        .as_ref()
+        .map(|r| (r.nodes, r.pruned_probes, r.curve.iter().map(|&(_, bounds)| bounds).collect()))
+}
+
+/// Run `requests` in order on `session`'s warm handle and each on a fresh
+/// handle of `engine` over the session's current rows: the answers and
+/// their search work must agree.
+fn assert_warm_work_matches_fresh(
+    session: &Session,
+    engine: &Engine,
+    requests: &[Request],
+    ctx: &str,
+) {
+    let data = session.data();
+    for request in requests {
+        let got = session.run(request).unwrap().solution;
+        let want = fresh(engine, &data, request).unwrap();
+        assert_eq!(got, want, "{ctx}: {request:?}");
+        assert_eq!(search_work(&got), search_work(&want), "{ctx}: {request:?}");
+        if request.kind() == TaskKind::Minimize {
+            assert!(search_work(&got).is_some(), "{ctx}: a cover search reports its work");
+        }
+    }
+}
+
+#[test]
+fn warm_cover_searches_report_the_work_of_fresh_ones() {
+    // HDRRM and MDRRRr queries on a warm handle read the top-k lists an
+    // earlier query kept, for the coarse pass and the incumbents' bounds
+    // alike. Their search nodes, pruned probes and bounds curve must be a
+    // fresh handle's, not only their answers. The frames hold more than
+    // 256 directions, so each search runs its coarse pass; the probe cap
+    // of the limited budget makes the search offer its fallback first and
+    // stop early.
+    let data = anticorrelated(400, 4, 3);
+    let hd = |samples| Budget { samples: Some(samples), ..Budget::UNLIMITED };
+    let limited = |samples| Budget { max_enumerations: Some(3), ..hd(samples) };
+    let requests = |algo: Algorithm, samples: usize| {
+        vec![
+            Request::minimize(8).algo(algo).budget(hd(samples)),
+            Request::minimize(5).algo(algo).budget(hd(samples)),
+            Request::represent(60).algo(algo).budget(hd(samples)),
+            Request::minimize(12).algo(algo).budget(hd(samples)),
+            Request::minimize(5).algo(algo).budget(limited(samples)),
+            Request::minimize(6).algo(algo).budget(hd(samples)),
+        ]
+    };
+    let tuned = |include_basis| {
+        let tuning = Tuning {
+            hdrrm: rank_regret::rrm_hd::HdrrmOptions { include_basis, ..Default::default() },
+            ..Tuning::default()
+        };
+        (
+            Session::with_engine(Engine::with_tuning(&tuning), data.clone()),
+            Engine::with_tuning(&tuning),
+        )
+    };
+    let (session, engine) = tuned(false);
+    let hdrrm = requests(Algorithm::Hdrrm, 400);
+    assert_warm_work_matches_fresh(&session, &engine, &hdrrm, "HDRRM, include_basis off");
+    let (session, engine) = tuned(true);
+    assert_warm_work_matches_fresh(&session, &engine, &hdrrm, "HDRRM");
+    assert_warm_work_matches_fresh(&session, &engine, &requests(Algorithm::MdrrrR, 500), "MDRRRr");
+    // After an update batch the HDRRM handle reads its patched lists.
+    let ops =
+        [UpdateOp::Delete(3), UpdateOp::Insert(vec![0.9, 0.1, 0.2, 0.8]), UpdateOp::Delete(40)];
+    session.update(&ops).unwrap();
+    assert_warm_work_matches_fresh(&session, &engine, &hdrrm, "HDRRM after an update");
+    assert_eq!(session.prepare_misses(), 2, "the update patched the HDRRM handle");
 }
